@@ -169,6 +169,11 @@ func Unmarshal(data []byte) (*Filter, error) {
 		inserted: binary.LittleEndian.Uint64(data[16:]),
 		capacity: binary.LittleEndian.Uint64(data[24:]),
 	}
+	// New never makes a filter outside these bounds; bytes that claim one
+	// are damaged, and probing them would divide by zero or spin.
+	if f.nbits == 0 || f.hashes < 1 || f.hashes > 30 {
+		return nil, fmt.Errorf("bloom: filter claims %d bits, %d hashes", f.nbits, f.hashes)
+	}
 	words := (len(data) - 32) / 8
 	if uint64(words*64) < f.nbits {
 		return nil, fmt.Errorf("bloom: filter claims %d bits but carries %d", f.nbits, words*64)

@@ -81,7 +81,13 @@ func TestMarshalRoundtrip(t *testing.T) {
 }
 
 func TestUnmarshalMalformed(t *testing.T) {
-	for _, data := range [][]byte{nil, {1, 2}, make([]byte, 33)} {
+	// A well-framed filter that claims zero bits, or a hash count New never
+	// produces, would divide by zero or spin when probed.
+	zeroBits := New(100, 10).Marshal()
+	copy(zeroBits[0:8], make([]byte, 8))
+	manyHashes := New(100, 10).Marshal()
+	manyHashes[8+3] = 0xff
+	for _, data := range [][]byte{nil, {1, 2}, make([]byte, 33), make([]byte, 40), zeroBits, manyHashes} {
 		if _, err := Unmarshal(data); err == nil {
 			t.Fatalf("expected error for %d bytes", len(data))
 		}

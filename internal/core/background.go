@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"hyperdb/internal/device"
@@ -28,9 +30,17 @@ func (db *DB) migrationWorker(p *partition) {
 			// Background errors are recorded, not fatal: the next pass
 			// retries. ErrNoSpace on SATA would be terminal but the
 			// capacity tier is sized for the workload.
-			continue
+			db.noteBackgroundError("migration", p.id, err)
 		}
 	}
+}
+
+// noteBackgroundError records a pass a worker gave up on; Stats reports the
+// count and the newest error.
+func (db *DB) noteBackgroundError(what string, pid int, err error) {
+	msg := fmt.Sprintf("%s p%d: %v", what, pid, err)
+	db.lastBgErr.Store(&msg)
+	db.bgErrs.Add(1)
 }
 
 // compactionWorker is a partition's background compaction thread: one
@@ -48,6 +58,9 @@ func (db *DB) compactionWorker(p *partition) {
 		}
 		for {
 			did, err := p.tree.MaybeCompact(device.Bg)
+			if err != nil {
+				db.noteBackgroundError("compaction", p.id, err)
+			}
 			if err != nil || !did {
 				break
 			}
@@ -78,6 +91,14 @@ func (db *DB) MigrationStep(pid int) error {
 			pr.key, pr.value = pr.key[:0], pr.value[:0]
 			db.promoPool.Put(pr)
 			p.promoSlots.Add(1)
+			if errors.Is(err, device.ErrNoSpace) {
+				// A promotion is a copy: the object stays readable in the
+				// capacity tier, so a full performance tier drops it
+				// rather than failing the pass before the demotions
+				// below can free space.
+				p.promoDrop.Add(1)
+				continue
+			}
 			if err != nil {
 				return err
 			}

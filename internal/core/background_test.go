@@ -1,0 +1,93 @@
+package core
+
+import (
+	"errors"
+	"math/rand"
+	"strings"
+	"testing"
+	"time"
+
+	"hyperdb/internal/device"
+)
+
+// TestWorkersRecordBackgroundErrors fails every capacity-tier write while
+// the workers demote: the passes they abandon must be counted and the
+// newest error kept, in Stats and in its rendering, and once the device
+// heals the workers carry on and every acked key reads back.
+func TestWorkersRecordBackgroundErrors(t *testing.T) {
+	db := openCore(t, 3<<20, true)
+	if st := db.Stats(); st.BackgroundErrors != 0 || st.LastBackgroundError != "" {
+		t.Fatalf("fresh engine reports background errors: %+v", st)
+	}
+	db.opts.SATA.InjectFaults(device.FaultPlan{Seed: 1, WriteErrorProb: 1})
+	rng := rand.New(rand.NewSource(11))
+	var acked [][]byte
+	for i := 0; i < 30000; i++ {
+		k := k8(rng.Uint64())
+		if err := db.Put(k, make([]byte, 128)); err != nil {
+			break // the tier is full and the stalled put could not demote either
+		}
+		acked = append(acked, k)
+	}
+	// The injected fault is not the only error a wedged tier produces (a
+	// full NVMe fails zone rebuilds too), so wait for it to be the newest.
+	deadline := time.Now().Add(10 * time.Second)
+	var st Stats
+	for {
+		st = db.Stats()
+		if strings.Contains(st.LastBackgroundError, device.ErrInjected.Error()) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("workers on a failing device recorded %d errors, last %q", st.BackgroundErrors, st.LastBackgroundError)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st.BackgroundErrors == 0 || !strings.HasPrefix(st.LastBackgroundError, "migration p") {
+		t.Fatalf("errors=%d last=%q", st.BackgroundErrors, st.LastBackgroundError)
+	}
+	if s := st.String(); !strings.Contains(s, "background: errors=") || !strings.Contains(s, "injected") {
+		t.Fatalf("stats rendering omits the background errors:\n%s", s)
+	}
+
+	db.opts.SATA.ClearFaults()
+	if err := db.DrainBackground(); err != nil {
+		t.Fatalf("drain after the device healed: %v", err)
+	}
+	if db.Stats().Zone.Migrations == 0 {
+		t.Fatal("nothing migrated after the device healed")
+	}
+	for _, k := range acked {
+		if _, err := db.Get(k); err != nil {
+			t.Fatalf("acked key %x after background errors: %v", k, err)
+		}
+	}
+}
+
+// TestPromotionOntoFullTierIsDropped drains a queued promotion while the
+// performance tier has no free page. A promotion is only a copy of an object
+// the capacity tier holds, so the pass must drop it, count the drop, and go
+// on to the demotions that free space, not return ErrNoSpace.
+func TestPromotionOntoFullTierIsDropped(t *testing.T) {
+	db := openCore(t, 1<<20, false)
+	ballast, err := db.opts.NVMe.Create("ballast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for err == nil {
+		_, err = ballast.Append(make([]byte, 4096))
+	}
+	if !errors.Is(err, device.ErrNoSpace) {
+		t.Fatalf("filling the tier: %v", err)
+	}
+	db.enqueuePromotion(db.parts[0], k8(1), make([]byte, 128))
+	if err := db.MigrationStep(0); err != nil {
+		t.Fatalf("migration step with a promotion queued on a full tier: %v", err)
+	}
+	if n := db.Stats().PromotionsDropped; n != 1 {
+		t.Fatalf("PromotionsDropped = %d, want 1", n)
+	}
+	if db.parts[0].zones.Has(k8(1)) {
+		t.Fatal("the dropped promotion is indexed in the performance tier")
+	}
+}

@@ -100,6 +100,11 @@ type DB struct {
 	// mergeOps counts merge ops resolved through the batch path.
 	mergeOps atomic.Uint64
 
+	// bgErrs counts migration and compaction passes the workers abandoned
+	// on an error (the next pass retries); lastBgErr keeps the newest.
+	bgErrs    atomic.Uint64
+	lastBgErr atomic.Pointer[string]
+
 	// tree is the incremental Merkle tree over the keyspace, maintained
 	// from every apply path when Options.AntiEntropy is set; nil otherwise.
 	tree *merkle.Tree

@@ -46,6 +46,10 @@ type Stats struct {
 	PromotionsDropped uint64
 	// MergeOps counts counter merges resolved through the batch path.
 	MergeOps uint64
+	// BackgroundErrors counts migration and compaction passes the workers
+	// abandoned on an error; LastBackgroundError is the newest, "" if none.
+	BackgroundErrors    uint64
+	LastBackgroundError string
 	// SpaceAmp is file bytes over live bytes in the capacity tier.
 	SpaceAmp float64
 	// Trackers holds each partition's hotness-discriminator health snapshot
@@ -64,6 +68,10 @@ func (db *DB) Stats() Stats {
 	}
 	s.CacheHits, s.CacheMisses = db.cache.Stats()
 	s.MergeOps = db.mergeOps.Load()
+	s.BackgroundErrors = db.bgErrs.Load()
+	if msg := db.lastBgErr.Load(); msg != nil {
+		s.LastBackgroundError = *msg
+	}
 
 	maxLevels := db.opts.MaxLevels
 	s.Levels = make([]LevelStats, maxLevels)
@@ -134,6 +142,11 @@ func (s Stats) String() string {
 	}
 	fmt.Fprintf(&b, "cache: hits=%d misses=%d  spaceAmp=%.2f promoDropped=%d mergeOps=%d\n",
 		s.CacheHits, s.CacheMisses, s.SpaceAmp, s.PromotionsDropped, s.MergeOps)
+	fmt.Fprintf(&b, "background: errors=%d", s.BackgroundErrors)
+	if s.LastBackgroundError != "" {
+		fmt.Fprintf(&b, " last=%q", s.LastBackgroundError)
+	}
+	b.WriteByte('\n')
 	if len(s.Trackers) > 0 {
 		var agg hotness.Stats
 		agg.Mode = s.Trackers[0].Mode

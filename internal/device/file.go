@@ -91,6 +91,9 @@ func (f *File) Reallocate(pageIdx int64) error {
 // Name returns the file's name on its device.
 func (f *File) Name() string { return f.name }
 
+// PageSize returns the owning device's page size, the unit ReadAt charges in.
+func (f *File) PageSize() int { return f.dev.PageSize() }
+
 // Size returns the logical length in bytes.
 func (f *File) Size() int64 {
 	f.mu.RLock()

@@ -159,7 +159,10 @@ func TestScanPrefetchEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := &hyperAdapter{db: db}
-		if err := Load(eng, 20000, 64, 4, 7); err != nil {
+		// One loader: the read counts are only comparable when both engines
+		// hold the same tier, and concurrent loaders interleave differently
+		// every run (four of them failed this test 18 times in 40).
+		if err := Load(eng, 20000, 64, 1, 7); err != nil {
 			t.Fatal(err)
 		}
 		before := nvme.Counters().ReadBytes.Load()

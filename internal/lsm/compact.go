@@ -1,6 +1,8 @@
 package lsm
 
 import (
+	"sort"
+
 	"hyperdb/internal/device"
 	"hyperdb/internal/keys"
 	"hyperdb/internal/semisst"
@@ -15,37 +17,18 @@ func (t *Tree) MaybeCompact(op device.Op) (bool, error) {
 	t.mutMu.Lock()
 	defer t.mutMu.Unlock()
 	op.Background = true
-	// Full compactions first: they bound space amplification. The rewrite
-	// swaps in a freshly built generation file rather than truncating the
-	// table in place: the old generation stays durable until the new one
-	// syncs, so a crash at any point leaves recovery a readable table
-	// (newest openable generation wins, see Recover).
+	// Full compactions first: they bound space amplification. Merges rewrite
+	// a table themselves when they would push it past TClean (mergeInto), so
+	// what queues here is what a carve-out alone left over-dirty.
 	if fe, level := t.popPendingFull(); fe != nil {
-		live := fe.table.LiveBytes()
-		entries, err := fe.table.AllEntries(op)
+		entries, n, err := fe.table.AllEntries(op)
+		t.traffic[level].ReadBytes.Add(uint64(n))
 		if err != nil {
 			return false, err
 		}
-		t.mu.Lock()
-		if t.levels[level][fe.seg] != fe {
-			t.mu.Unlock() // superseded while queued
-			return true, nil
+		if err := t.replaceTable(level, fe.seg, fe, entries, op); err != nil {
+			return false, err // old table remains installed; retry later
 		}
-		if len(entries) == 0 {
-			t.dropTable(level, fe)
-			t.mu.Unlock()
-			t.traffic[level].FullRewrites.Inc()
-			return true, nil
-		}
-		nfe, err := t.newTable(level, fe.seg, entries, op)
-		if err != nil {
-			t.mu.Unlock() // old table remains installed; retry later
-			return false, err
-		}
-		t.mu.Unlock()
-		fe.release()
-		t.traffic[level].ReadBytes.Add(uint64(live))
-		t.traffic[level].WriteBytes.Add(uint64(nfe.table.FileBytes()))
 		t.traffic[level].FullRewrites.Inc()
 		return true, nil
 	}
@@ -83,38 +66,38 @@ func (t *Tree) popPendingFull() (*fileEntry, int) {
 }
 
 // compactLevel drains one victim table from level into the levels below via
-// preemptive block compaction (Fig. 7).
+// preemptive block compaction (Fig. 7). The victim is dropped only after
+// every destination has synced: a failed or interrupted push leaves it
+// installed and on the device, so no acked key is ever unreadable and the
+// next pass simply pushes it again.
 func (t *Tree) compactLevel(level int, op device.Op) error {
 	victim := t.pickVictim(level, op)
 	if victim == nil {
 		return nil
 	}
-	entries, err := victim.table.AllEntries(op)
+	entries, n, err := victim.table.AllEntries(op)
+	t.traffic[level].ReadBytes.Add(uint64(n))
 	if err != nil {
 		return err
 	}
-	t.traffic[level].ReadBytes.Add(uint64(victim.table.LiveBytes()))
+	if err := t.pushEntries(level+1, entries, t.opts.Depth-1, op); err != nil {
+		return err
+	}
 	t.traffic[level].Compactions.Inc()
-	t.mu.Lock()
-	t.dropTable(level, victim)
-	t.mu.Unlock()
-	return t.pushEntries(level+1, entries, t.opts.Depth-1, op)
+	return t.replaceTable(level, victim.seg, victim, nil, op)
 }
 
-// pushEntries merges sorted entries into the given level. With remaining
-// depth budget, blocks of the target file whose contents collide with the
-// level below are carved out and pushed deeper together with the incoming
-// entries that fall in them — the preemptive merge of §3.4 that avoids
-// rewriting those objects once per level.
+// pushEntries merges sorted entries into the given level, slice by owning
+// segment. With remaining depth budget, blocks of the target file whose
+// contents collide with the level below are carved out and pushed deeper
+// together with the incoming entries that fall in them — the preemptive
+// merge of §3.4 that avoids rewriting those objects once per level.
 func (t *Tree) pushEntries(level int, entries []semisst.Entry, budget int, op device.Op) error {
-	if len(entries) == 0 {
-		return nil
-	}
 	if level > t.opts.MaxLevels {
 		level = t.opts.MaxLevels
 	}
-	i := 0
-	for i < len(entries) {
+	drop := level == t.opts.MaxLevels // tombstones die at the bottom
+	for i := 0; i < len(entries); {
 		seg := t.segFor(level, entries[i].Key.User)
 		j := i + 1
 		for j < len(entries) && t.segFor(level, entries[j].Key.User) == seg {
@@ -123,59 +106,68 @@ func (t *Tree) pushEntries(level int, entries []semisst.Entry, budget int, op de
 		slice := entries[i:j]
 		i = j
 
-		t.mu.Lock()
+		t.mu.RLock()
 		fe := t.levels[level][seg]
-		t.mu.Unlock()
+		t.mu.RUnlock()
 		if fe == nil {
 			// Non-overlapping insert: the slice becomes fresh blocks.
-			if level == t.opts.MaxLevels {
+			if drop {
 				slice = filterTombstones(slice)
 			}
-			if len(slice) == 0 {
-				continue
-			}
-			t.mu.Lock()
-			nfe, err := t.newTable(level, seg, slice, op)
-			if err != nil {
-				t.mu.Unlock()
+			if err := t.replaceTable(level, seg, nil, slice, op); err != nil {
 				return err
 			}
-			t.traffic[level].WriteBytes.Add(uint64(nfe.table.FileBytes()))
-			t.mu.Unlock()
 			continue
 		}
 
-		if budget > 0 && level < t.opts.MaxLevels {
-			spans := t.deepOverlapSpans(level, fe, slice, op)
-			if len(spans) > 0 {
-				extracted, st, err := fe.table.ExtractOverlapping(spans, op)
+		if budget > 0 && !drop {
+			if spans := t.deepOverlapSpans(level, fe, slice, op); len(spans) > 0 {
+				deepIncoming, shallowIncoming := splitBySpans(slice, spans)
+				st, err := fe.table.ExtractOverlapping(spans, op, func(extracted []semisst.Entry) error {
+					deep := semisst.MergeSorted(extracted, deepIncoming, false)
+					return t.pushEntries(level+1, deep, budget-1, op)
+				})
+				t.traffic[level].ReadBytes.Add(uint64(st.BytesRead))
 				if err != nil {
 					return err
 				}
-				t.traffic[level].ReadBytes.Add(uint64(st.BytesRead))
-				deepIncoming, shallowIncoming := splitBySpans(slice, spans)
-				deep := semisst.MergeSorted(extracted, deepIncoming, false)
-				if err := t.pushEntries(level+1, deep, budget-1, op); err != nil {
-					return err
-				}
 				slice = shallowIncoming
-				t.noteDirty(level, fe)
+				t.noteDirty(fe)
 			}
 		}
-		if len(slice) == 0 {
-			continue
+		if err := t.mergeInto(level, fe, slice, drop, op); err != nil {
+			return err
 		}
-		before := fe.table.FileBytes()
-		st, err := fe.table.Merge(slice, level == t.opts.MaxLevels, op)
+	}
+	return nil
+}
+
+// mergeInto merges a sorted slice into an installed table. When block
+// metadata predicts the merge would leave the table past TClean, the full
+// compaction happens here instead of after: every live block is read once,
+// merged with the slice and written once as the next generation, rather
+// than appending merged blocks that the queued rewrite would read and write
+// again.
+func (t *Tree) mergeInto(level int, fe *fileEntry, slice []semisst.Entry, drop bool, op device.Op) error {
+	if len(slice) == 0 {
+		return nil
+	}
+	if fe.table.DirtyRatioAfterMerge(slice, drop) > t.opts.TClean {
+		existing, n, err := fe.table.AllEntries(op)
+		t.traffic[level].ReadBytes.Add(uint64(n))
 		if err != nil {
 			return err
 		}
-		t.traffic[level].ReadBytes.Add(uint64(st.BytesRead))
-		if after := fe.table.FileBytes(); after > before {
-			t.traffic[level].WriteBytes.Add(uint64(after - before))
-		}
-		t.noteDirty(level, fe)
+		return t.replaceTable(level, fe.seg, fe, semisst.MergeSorted(existing, slice, drop), op)
 	}
+	before := fe.table.FileBytes()
+	st, err := fe.table.Merge(slice, drop, op)
+	t.traffic[level].ReadBytes.Add(uint64(st.BytesRead))
+	if err != nil {
+		return err
+	}
+	t.traffic[level].WriteBytes.Add(uint64(fe.table.FileBytes() - before))
+	t.noteDirty(fe)
 	return nil
 }
 
@@ -257,7 +249,9 @@ func splitBySpans(entries []semisst.Entry, spans []keys.Range) (deep, shallow []
 
 // pickVictim implements §3.4 victim selection: dirtiest table when space
 // amplification is past the limit, otherwise the highest overlap score
-// (Algorithm 1) among a power-of-k random sample.
+// (Algorithm 1) among a power-of-k random sample. The choice is a function
+// of the tree's contents and its seeded PRNG alone: candidates are ordered
+// by segment before sampling and ties go to the lowest segment.
 func (t *Tree) pickVictim(level int, op device.Op) *fileEntry {
 	t.mu.Lock()
 	tables := make([]*fileEntry, 0, len(t.levels[level]))
@@ -268,17 +262,15 @@ func (t *Tree) pickVictim(level int, op device.Op) *fileEntry {
 		t.mu.Unlock()
 		return nil
 	}
-	overLimit := false
-	{
-		var live, stale int64
-		for l := 1; l <= t.opts.MaxLevels; l++ {
-			for _, cfe := range t.levels[l] {
-				live += cfe.table.LiveBytes()
-				stale += cfe.table.StaleBytes()
-			}
+	sort.Slice(tables, func(a, b int) bool { return tables[a].seg < tables[b].seg })
+	var live, stale int64
+	for l := 1; l <= t.opts.MaxLevels; l++ {
+		for _, cfe := range t.levels[l] {
+			live += cfe.table.LiveBytes()
+			stale += cfe.table.StaleBytes()
 		}
-		overLimit = live > 0 && float64(live+stale)/float64(live) > t.opts.SpaceAmpLimit
 	}
+	overLimit := live > 0 && float64(live+stale)/float64(live) > t.opts.SpaceAmpLimit
 	// Power-of-k sample.
 	sample := tables
 	if len(tables) > t.opts.PowerK {
@@ -294,20 +286,16 @@ func (t *Tree) pickVictim(level int, op device.Op) *fileEntry {
 	}
 	t.mu.Unlock()
 
-	if overLimit {
-		var best *fileEntry
-		var bestStale int64 = -1
-		for _, fe := range sample {
-			if s := fe.table.StaleBytes(); s > bestStale {
-				best, bestStale = fe, s
-			}
-		}
-		return best
-	}
 	var best *fileEntry
-	bestScore := -1
+	var bestScore int64 = -1
 	for _, fe := range sample {
-		if s := t.overlapScore(level, fe, op); s > bestScore {
+		var s int64
+		if overLimit {
+			s = fe.table.StaleBytes()
+		} else {
+			s = int64(t.overlapScore(level, fe, op))
+		}
+		if s > bestScore || (s == bestScore && fe.seg < best.seg) {
 			best, bestScore = fe, s
 		}
 	}

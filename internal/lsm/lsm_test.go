@@ -115,9 +115,13 @@ func TestCompactionPushesOverflowDown(t *testing.T) {
 	}
 }
 
+// TestFullCompactionReclaimsSpace overwrites the same keys over and over.
+// The dirt is reclaimed at merge time: a merge that would push a table past
+// TClean rewrites it as the next generation instead, so no table is ever
+// past TClean, the device holds one file per segment, and the standalone
+// full-compaction pass finds nothing left to do.
 func TestFullCompactionReclaimsSpace(t *testing.T) {
-	tr, _ := newTree(t, 64<<10, 2)
-	// Repeatedly overwrite the same keys so one table accumulates dirt.
+	tr, dev := newTree(t, 64<<10, 2)
 	seq := uint64(0)
 	for round := 0; round < 12; round++ {
 		entries := run(0, 100, seq, fmt.Sprintf("r%d", round))
@@ -125,41 +129,42 @@ func TestFullCompactionReclaimsSpace(t *testing.T) {
 		if err := tr.MergeBatch(entries, device.Bg); err != nil {
 			t.Fatal(err)
 		}
-	}
-	before := tr.SpaceAmp()
-	if before < 1.5 {
-		t.Skipf("space amp %f too low to exercise full compaction", before)
-	}
-	for {
-		did, err := tr.MaybeCompact(device.Bg)
-		if err != nil {
-			t.Fatal(err)
+		if err := tr.checkAllInvariants(); err != nil { // includes DirtyRatio <= TClean
+			t.Fatalf("round %d: %v", round, err)
 		}
-		if !did {
-			break
+		if amp, bound := tr.SpaceAmp(), 1/(1-tr.opts.TClean); amp > bound {
+			t.Fatalf("round %d: space amp %.2f past the TClean bound %.2f", round, amp, bound)
 		}
 	}
-	after := tr.SpaceAmp()
-	if after >= before {
-		t.Fatalf("space amp %f -> %f; full compactions reclaimed nothing", before, after)
+	files := dev.List()
+	if len(files) != tr.TableCount(1)+tr.TableCount(2) {
+		t.Fatalf("superseded generations left on the device: %v", files)
 	}
-	var rewrites uint64
+	if tr.nextGen <= uint64(len(files)) {
+		t.Fatalf("12 full overwrites swapped no generation: %d built, %v on the device", tr.nextGen, files)
+	}
+	if did, err := tr.MaybeCompact(device.Bg); err != nil || did {
+		t.Fatalf("standalone pass after merge-time compaction: did=%v err=%v", did, err)
+	}
 	for l := 1; l <= tr.opts.MaxLevels; l++ {
-		rewrites += tr.Traffic(l).FullRewrites.Load()
+		if n := tr.Traffic(l).FullRewrites.Load(); n != 0 {
+			t.Fatalf("L%d counted %d standalone full rewrites", l, n)
+		}
 	}
-	if rewrites == 0 {
-		t.Fatal("no full rewrites recorded")
+	v, _, found, err := tr.Get(k8(0), keys.MaxSeq, device.Fg)
+	if err != nil || !found || string(v) != "r11-0" {
+		t.Fatalf("get after 12 overwrites: %q %v %v", v, found, err)
 	}
 }
 
 func TestVictimSelectionUsesOverlapScore(t *testing.T) {
 	tr, _ := newTree(t, 16<<10, 3)
 	// Build L2 content overlapping segment 0's low range only.
-	if err := tr.mergeIntoLevel(2, run(0, 300, 1, "deep"), device.Bg); err != nil {
+	if err := tr.pushEntries(2, run(0, 300, 1, "deep"), 0, device.Bg); err != nil {
 		t.Fatal(err)
 	}
 	// Two L1 tables: one overlapping L2 heavily, one not at all.
-	if err := tr.mergeIntoLevel(1, run(0, 100, 1000, "hot-overlap"), device.Bg); err != nil {
+	if err := tr.pushEntries(1, run(0, 100, 1000, "hot-overlap"), 0, device.Bg); err != nil {
 		t.Fatal(err)
 	}
 	hi := []semisst.Entry{}
@@ -169,7 +174,7 @@ func TestVictimSelectionUsesOverlapScore(t *testing.T) {
 			Value: []byte("no-overlap"),
 		})
 	}
-	if err := tr.mergeIntoLevel(1, hi, device.Bg); err != nil {
+	if err := tr.pushEntries(1, hi, 0, device.Bg); err != nil {
 		t.Fatal(err)
 	}
 	victim := tr.pickVictim(1, device.Bg)
@@ -184,10 +189,10 @@ func TestVictimSelectionUsesOverlapScore(t *testing.T) {
 
 func TestGetAcrossLevelsNewestWins(t *testing.T) {
 	tr, _ := newTree(t, 1<<20, 3)
-	if err := tr.mergeIntoLevel(2, run(0, 50, 1, "old"), device.Bg); err != nil {
+	if err := tr.pushEntries(2, run(0, 50, 1, "old"), 0, device.Bg); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.mergeIntoLevel(1, run(0, 50, 1000, "new"), device.Bg); err != nil {
+	if err := tr.pushEntries(1, run(0, 50, 1000, "new"), 0, device.Bg); err != nil {
 		t.Fatal(err)
 	}
 	v, _, found, err := tr.Get(k8(0), keys.MaxSeq, device.Fg)

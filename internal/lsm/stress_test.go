@@ -62,6 +62,9 @@ func TestStressMergeCompactModel(t *testing.T) {
 		if err := tree.MergeBatch(entries, device.Bg); err != nil {
 			t.Fatalf("round %d merge: %v", round, err)
 		}
+		if err := tree.checkAllInvariants(); err != nil {
+			t.Fatalf("round %d after merge: %v", round, err)
+		}
 		for {
 			did, err := tree.MaybeCompact(device.Bg)
 			if err != nil {
@@ -105,7 +108,10 @@ func TestStressMergeCompactModel(t *testing.T) {
 	}
 }
 
-// checkAllInvariants validates every table in the tree.
+// checkAllInvariants validates every table in the tree, and that none is
+// past TClean: merges compact at merge time, and what a carve-out alone
+// leaves over-dirty the compaction loop has rewritten by the time the
+// callers look.
 func (t *Tree) checkAllInvariants() error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -113,6 +119,9 @@ func (t *Tree) checkAllInvariants() error {
 		for seg, fe := range t.levels[level] {
 			if err := fe.table.CheckInvariants(); err != nil {
 				return fmt.Errorf("L%d seg %d: %w", level, seg, err)
+			}
+			if r := fe.table.DirtyRatio(); r > t.opts.TClean {
+				return fmt.Errorf("L%d seg %d: dirty ratio %.3f past TClean %.2f", level, seg, r, t.opts.TClean)
 			}
 		}
 	}
@@ -172,6 +181,9 @@ func TestStressWithDeletes(t *testing.T) {
 		}
 		if err := tree.MergeBatch(entries, device.Bg); err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		if err := tree.checkAllInvariants(); err != nil {
+			t.Fatalf("round %d after merge: %v", round, err)
 		}
 		for {
 			did, err := tree.MaybeCompact(device.Bg)

@@ -147,11 +147,11 @@ type Tree struct {
 	// migration worker, the compaction worker and foreground write stalls
 	// all mutate the tree, and a compaction must not drop a table out from
 	// under an in-flight merge. Reads only take mu.
-	mutMu sync.Mutex
+	mutMu   sync.Mutex
+	nextGen uint64 // last generation number handed out; guarded by mutMu
 
 	mu          sync.RWMutex
 	levels      []map[int]*fileEntry // levels[0] unused; levels[k][seg]
-	nextGen     uint64
 	rnd         uint64
 	traffic     []*LevelTraffic // parallel to levels
 	pendingFull []*fileEntry    // tables past TClean awaiting full compaction
@@ -285,9 +285,10 @@ func (t *Tree) tableOptions(level int, metaDev *device.Device) semisst.Options {
 	}
 }
 
-// newTable creates a semi-SSTable for (level, seg) from sorted entries.
-// Caller holds mu.
-func (t *Tree) newTable(level, seg int, entries []semisst.Entry, op device.Op) (*fileEntry, error) {
+// buildTable writes sorted entries as the next generation file of (level,
+// seg) without installing it. It runs under mutMu only, never under mu: a
+// foreground Get does not wait behind a table write.
+func (t *Tree) buildTable(level, seg int, entries []semisst.Entry, op device.Op) (*fileEntry, error) {
 	t.nextGen++
 	name := fmt.Sprintf("p%d-L%d-S%d-G%d.sst", t.opts.Partition, level, seg, t.nextGen)
 	f, err := t.opts.Dev.Create(name)
@@ -306,24 +307,42 @@ func (t *Tree) newTable(level, seg int, entries []semisst.Entry, op device.Op) (
 	if err != nil {
 		// Don't leak the half-built file (or its mirror): a later build
 		// would collide on the name and recovery would have to discard it.
-		t.opts.Dev.Remove(name)
-		if metaDev != nil {
-			metaDev.Remove(name + ".idx")
-		}
+		removeTableFile(t.opts, name)
 		return nil, err
 	}
 	fe := &fileEntry{table: tbl, seg: seg, dev: t.opts.Dev}
 	fe.refs.Store(1)
-	t.levels[level][seg] = fe
 	return fe, nil
 }
 
-// dropTable removes a drained table from the level and drops the tree's
-// reference; the file disappears once in-flight readers finish. Caller
-// holds mu.
-func (t *Tree) dropTable(level int, fe *fileEntry) {
-	delete(t.levels[level], fe.seg)
-	fe.release()
+// replaceTable is the generation swap every table replacement goes through
+// — a fresh segment (old nil), a full compaction, a drained compaction
+// victim (no entries): entries are built as the segment's next generation
+// file, which is durable when Build returns; only then is it installed in
+// old's place and old released, its file deleted once in-flight readers
+// finish. The rule is "destination durable before source removed": a crash
+// or error at any point leaves the old generation, the new one, or both,
+// and Recover keeps the newest that opens.
+func (t *Tree) replaceTable(level, seg int, old *fileEntry, entries []semisst.Entry, op device.Op) error {
+	var nfe *fileEntry
+	if len(entries) > 0 {
+		var err error
+		if nfe, err = t.buildTable(level, seg, entries, op); err != nil {
+			return err
+		}
+		t.traffic[level].WriteBytes.Add(uint64(nfe.table.FileBytes()))
+	}
+	t.mu.Lock()
+	if nfe != nil {
+		t.levels[level][seg] = nfe
+	} else {
+		delete(t.levels[level], seg)
+	}
+	t.mu.Unlock()
+	if old != nil {
+		old.release()
+	}
+	return nil
 }
 
 // Get searches levels shallow to deep for user at snapshot seq.
@@ -354,59 +373,9 @@ func (t *Tree) Get(user []byte, seq uint64, op device.Op) (value []byte, kind ke
 // across the segment files that own the keys. Entries must be sorted by
 // user key with one version per key.
 func (t *Tree) MergeBatch(entries []semisst.Entry, op device.Op) error {
-	if len(entries) == 0 {
-		return nil
-	}
 	t.mutMu.Lock()
 	defer t.mutMu.Unlock()
-	return t.mergeIntoLevel(1, entries, op)
-}
-
-// mergeIntoLevel splits entries by segment at the level and merges each
-// slice into its file (creating files as needed).
-func (t *Tree) mergeIntoLevel(level int, entries []semisst.Entry, op device.Op) error {
-	drop := level == t.opts.MaxLevels // tombstones die at the bottom
-	i := 0
-	for i < len(entries) {
-		seg := t.segFor(level, entries[i].Key.User)
-		j := i + 1
-		for j < len(entries) && t.segFor(level, entries[j].Key.User) == seg {
-			j++
-		}
-		slice := entries[i:j]
-		i = j
-
-		t.mu.Lock()
-		fe := t.levels[level][seg]
-		if fe == nil {
-			if drop {
-				slice = filterTombstones(slice)
-			}
-			if len(slice) > 0 {
-				nfe, err := t.newTable(level, seg, slice, op)
-				if err != nil {
-					t.mu.Unlock()
-					return err
-				}
-				t.traffic[level].WriteBytes.Add(uint64(nfe.table.FileBytes()))
-			}
-			t.mu.Unlock()
-			continue
-		}
-		t.mu.Unlock()
-
-		before := fe.table.FileBytes()
-		st, err := fe.table.Merge(slice, drop, op)
-		if err != nil {
-			return err
-		}
-		t.traffic[level].ReadBytes.Add(uint64(st.BytesRead))
-		if after := fe.table.FileBytes(); after > before {
-			t.traffic[level].WriteBytes.Add(uint64(after - before))
-		}
-		t.noteDirty(level, fe)
-	}
-	return nil
+	return t.pushEntries(1, entries, 0, op)
 }
 
 func filterTombstones(entries []semisst.Entry) []semisst.Entry {
@@ -421,7 +390,7 @@ func filterTombstones(entries []semisst.Entry) []semisst.Entry {
 
 // noteDirty queues a table for full compaction when its dirty ratio passes
 // T_clean (§3.4).
-func (t *Tree) noteDirty(level int, fe *fileEntry) {
+func (t *Tree) noteDirty(fe *fileEntry) {
 	if fe.table.DirtyRatio() <= t.opts.TClean {
 		return
 	}

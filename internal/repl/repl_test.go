@@ -259,8 +259,11 @@ func TestReBootstrapDoesNotResurrectDeletions(t *testing.T) {
 		if err := pdb.Put(key(i), []byte(fmt.Sprintf("v-%d", i))); err != nil {
 			t.Fatal(err)
 		}
+		// Paced: 50 unpaced puts can outrun the tail by more than the
+		// 8-entry window, and the primary then drops the follower before
+		// the part of the scenario this test is about.
+		waitFor(t, "follower to catch up", func() bool { return fdb.CommitSeq() == pdb.CommitSeq() })
 	}
-	waitFor(t, "follower to catch up", func() bool { return fdb.CommitSeq() == pdb.CommitSeq() })
 
 	// Disconnect, then change state during the gap: delete keys the
 	// follower holds, overwrite one, and write far past the window.

@@ -32,21 +32,3 @@ func BenchmarkGet(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkMergeNarrow(b *testing.B) {
-	dev := newDev()
-	f, _ := dev.Create("m")
-	tbl, _ := Build(f, Options{}, sortedEntries(10_000, 1), device.Bg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := fmt.Sprintf("key-%05d", (i*37)%10_000)
-		if _, err := tbl.Merge([]Entry{entry(k, uint64(100_000+i), "u")}, false, device.Bg); err != nil {
-			b.Fatal(err)
-		}
-		if tbl.DirtyRatio() > 0.5 {
-			if err := tbl.Rewrite(device.Bg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}

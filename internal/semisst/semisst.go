@@ -80,6 +80,12 @@ func parseFooter(footer []byte) (sstable.Handle, bool) {
 	return h, true
 }
 
+// handleWithin reports whether h lies inside [0, limit) without overflowing;
+// handles come from bytes a crash or corruption may have mangled.
+func handleWithin(h sstable.Handle, limit int64) bool {
+	return limit >= 0 && h.Offset <= uint64(limit) && h.Size <= uint64(limit)-h.Offset
+}
+
 // BlockMeta describes one data block of a semi-SSTable.
 type BlockMeta struct {
 	Handle  sstable.Handle
@@ -158,18 +164,22 @@ type Table struct {
 	stale    int64       // bytes in dirty data blocks
 	maxSeq   uint64
 	idxBytes int64 // size of the current persisted index block
-	// gen increments whenever existing file offsets are invalidated (a full
-	// compaction rewrites the file in place). It namespaces page-cache keys
-	// and lets lock-free readers detect that a snapshot of block metadata
-	// went stale mid-read.
-	gen uint64
+	// cachePrefix namespaces the table's page-cache keys. File offsets are
+	// never recycled (blocks are only appended; a full compaction builds a
+	// new generation file), so name + offset identifies a block for good.
+	cachePrefix string
+}
+
+// newTable returns an empty table over f.
+func newTable(f *device.File, opts Options) *Table {
+	return &Table{f: f, opts: opts, cachePrefix: f.Name() + "#"}
 }
 
 // Build creates a new semi-SSTable in f from sorted entries (one version per
 // user key). I/O is charged with op; flush/compaction jobs pass device.Bg.
 func Build(f *device.File, opts Options, entries []Entry, op device.Op) (*Table, error) {
 	opts.fill()
-	t := &Table{f: f, opts: opts}
+	t := newTable(f, opts)
 	if err := t.openMetaBackup(); err != nil {
 		return nil, err
 	}
@@ -210,7 +220,7 @@ func Open(f *device.File, opts Options, op device.Op) (*Table, error) {
 	if _, err := f.ReadAt(footer, size-footerSize, op); err != nil {
 		return nil, err
 	}
-	if idxH, ok := parseFooter(footer); ok {
+	if idxH, ok := parseFooter(footer); ok && handleWithin(idxH, size-footerSize) {
 		idx := make([]byte, idxH.Size)
 		if _, err := f.ReadAt(idx, int64(idxH.Offset), op); err != nil {
 			return nil, err
@@ -230,7 +240,7 @@ func Open(f *device.File, opts Options, op device.Op) (*Table, error) {
 			continue
 		}
 		h, ok := parseFooter(buf[end-footerSize : end])
-		if !ok || int64(h.Offset)+int64(h.Size) > end-footerSize {
+		if !ok || !handleWithin(h, end-footerSize) {
 			continue
 		}
 		t, err := openFromIndex(f, opts, buf[h.Offset:int64(h.Offset)+int64(h.Size)])
@@ -249,7 +259,8 @@ func Open(f *device.File, opts Options, op device.Op) (*Table, error) {
 
 // openFromIndex builds a Table from a decoded index payload.
 func openFromIndex(f *device.File, opts Options, idx []byte) (*Table, error) {
-	t := &Table{f: f, opts: opts, idxBytes: int64(len(idx))}
+	t := newTable(f, opts)
+	t.idxBytes = int64(len(idx))
 	if err := t.decodeIndex(idx); err != nil {
 		return nil, err
 	}
@@ -574,7 +585,7 @@ func (t *Table) decodeIndex(idx []byte) error {
 		if err != nil {
 			return nil, err
 		}
-		if off+int(n) > len(idx) {
+		if n > uint64(len(idx)-off) {
 			return nil, fmt.Errorf("semisst: truncated index bytes")
 		}
 		b := idx[off : off+int(n)]
@@ -590,6 +601,10 @@ func (t *Table) decodeIndex(idx []byte) error {
 	if err != nil {
 		return err
 	}
+	if nBlocks > uint64(len(idx)) {
+		return fmt.Errorf("semisst: index claims %d blocks in %d bytes", nBlocks, len(idx))
+	}
+	fileSize := t.f.Size()
 	t.blocks = make([]BlockMeta, 0, nBlocks)
 	for i := uint64(0); i < nBlocks; i++ {
 		var b BlockMeta
@@ -598,6 +613,9 @@ func (t *Table) decodeIndex(idx []byte) error {
 		}
 		if b.Handle.Size, err = getUv(); err != nil {
 			return err
+		}
+		if !handleWithin(b.Handle, fileSize) {
+			return fmt.Errorf("semisst: block %d handle outside the file", i)
 		}
 		e, err := getUv()
 		if err != nil {
@@ -648,6 +666,9 @@ func (t *Table) decodeIndex(idx []byte) error {
 		}
 		if err := kit.Err(); err != nil {
 			return err
+		}
+		if uint64(len(b.Keys)) != e {
+			return fmt.Errorf("semisst: block %d lists %d keys for %d entries", i, len(b.Keys), e)
 		}
 		t.blocks = append(t.blocks, b)
 	}

@@ -2,6 +2,7 @@ package semisst
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -164,15 +165,20 @@ func TestTombstonesKeptAtMiddle(t *testing.T) {
 	}
 }
 
-func TestDirtyRatioAndRewrite(t *testing.T) {
+// TestDirtyRatioAfterOverwrite overwrites every key in place, which leaves
+// the old blocks as dead space, and checks that the table's live entries
+// rebuilt as a new file — the full-compaction path — carry none of it.
+func TestDirtyRatioAfterOverwrite(t *testing.T) {
 	dev := newDev()
 	f, _ := dev.Create("s1")
 	tbl, _ := Build(f, Options{}, sortedEntries(1000, 1), device.Bg)
-	// Update everything: all blocks dirty.
 	updates := make([]Entry, 0, 1000)
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("key-%05d", i)
 		updates = append(updates, entry(k, uint64(5000+i), "u-"+k))
+	}
+	if got, want := tbl.DirtyRatioAfterMerge(updates, false), 0.5; got < want {
+		t.Fatalf("predicted dirty ratio %f for a full overwrite, want >= %f", got, want)
 	}
 	if _, err := tbl.Merge(updates, false, device.Bg); err != nil {
 		t.Fatal(err)
@@ -180,21 +186,26 @@ func TestDirtyRatioAndRewrite(t *testing.T) {
 	if r := tbl.DirtyRatio(); r < 0.4 {
 		t.Fatalf("dirty ratio = %f after full overwrite", r)
 	}
-	fileBefore := tbl.FileBytes()
-	if err := tbl.Rewrite(device.Bg); err != nil {
+	live, _, err := tbl.AllEntries(device.Bg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.DirtyRatio() != 0 || tbl.StaleBytes() != 0 {
-		t.Fatal("rewrite left stale data")
+	f2, _ := dev.Create("s2")
+	next, err := Build(f2, Options{}, live, device.Bg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tbl.FileBytes() >= fileBefore {
-		t.Fatalf("rewrite did not shrink file: %d -> %d", fileBefore, tbl.FileBytes())
+	if next.DirtyRatio() != 0 || next.StaleBytes() != 0 {
+		t.Fatal("rebuilt generation carries stale data")
+	}
+	if next.FileBytes() >= tbl.FileBytes() {
+		t.Fatalf("rebuild did not shrink the file: %d -> %d", tbl.FileBytes(), next.FileBytes())
 	}
 	for i := 0; i < 1000; i += 111 {
 		k := fmt.Sprintf("key-%05d", i)
-		v, _, found, _ := tbl.Get([]byte(k), keys.MaxSeq, device.Fg)
+		v, _, found, _ := next.Get([]byte(k), keys.MaxSeq, device.Fg)
 		if !found || string(v) != "u-"+k {
-			t.Fatalf("after rewrite %s: %q %v", k, v, found)
+			t.Fatalf("after rebuild %s: %q %v", k, v, found)
 		}
 	}
 }
@@ -204,7 +215,18 @@ func TestExtractOverlapping(t *testing.T) {
 	f, _ := dev.Create("s1")
 	tbl, _ := Build(f, Options{}, sortedEntries(1000, 1), device.Bg)
 	span := keys.Range{Lo: []byte("key-00300"), Hi: []byte("key-00400")}
-	extracted, st, err := tbl.ExtractOverlapping([]keys.Range{span}, device.Bg)
+	var extracted []Entry
+	keep := func(es []Entry) error { extracted = es; return nil }
+	// A failed move must leave the table exactly as it was: the deeper
+	// level does not hold the entries, so the blocks may not be dirtied.
+	moveErr := errors.New("deeper level failed")
+	if _, err := tbl.ExtractOverlapping([]keys.Range{span}, device.Bg, func([]Entry) error { return moveErr }); err != moveErr {
+		t.Fatalf("failed move: err = %v", err)
+	}
+	if tbl.StaleBytes() != 0 || tbl.NumEntries() != 1000 {
+		t.Fatalf("failed move changed the table: stale=%d entries=%d", tbl.StaleBytes(), tbl.NumEntries())
+	}
+	st, err := tbl.ExtractOverlapping([]keys.Range{span}, device.Bg, keep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,9 +247,10 @@ func TestExtractOverlapping(t *testing.T) {
 		}
 	}
 	// Idempotent when nothing overlaps.
-	extracted2, st2, err := tbl.ExtractOverlapping([]keys.Range{span}, device.Bg)
-	if err != nil || len(extracted2) != 0 || st2.BlocksDirtied != 0 {
-		t.Fatalf("second extract: %d entries, %d blocks, err=%v", len(extracted2), st2.BlocksDirtied, err)
+	extracted = nil
+	st2, err := tbl.ExtractOverlapping([]keys.Range{span}, device.Bg, keep)
+	if err != nil || len(extracted) != 0 || st2.BlocksDirtied != 0 {
+		t.Fatalf("second extract: %d entries, %d blocks, err=%v", len(extracted), st2.BlocksDirtied, err)
 	}
 }
 
@@ -377,12 +400,13 @@ func TestRandomizedMergeModel(t *testing.T) {
 	}
 }
 
-func TestIterSurvivesRewrite(t *testing.T) {
+// TestIterSnapshotAcrossMerge merges into the table mid-scan. Merges only
+// append, so the iterator keeps walking the block snapshot it took at
+// NewIter: every pre-merge key exactly once, in order, old values.
+func TestIterSnapshotAcrossMerge(t *testing.T) {
 	dev := newDev()
 	f, _ := dev.Create("s1")
 	tbl, _ := Build(f, Options{}, sortedEntries(1000, 1), device.Bg)
-	// Dirty the table so Rewrite has something to reclaim.
-	tbl.Merge([]Entry{entry("key-00100", 5000, "x")}, false, device.Bg)
 
 	it := tbl.NewIter(device.Fg)
 	it.First()
@@ -394,9 +418,16 @@ func TestIterSurvivesRewrite(t *testing.T) {
 			t.Fatalf("order violated after %d entries", seen)
 		}
 		prev = append(prev[:0], it.Key().User...)
+		if want := "val-" + string(prev); string(it.Value()) != want {
+			t.Fatalf("%s = %q, want the snapshot's %q", prev, it.Value(), want)
+		}
 		if seen == 300 {
-			// Full compaction recycles every offset mid-scan.
-			if err := tbl.Rewrite(device.Bg); err != nil {
+			// Dirty every block, the ones already passed and the ones ahead.
+			var updates []Entry
+			for i := 0; i < 1000; i += 7 {
+				updates = append(updates, entry(fmt.Sprintf("key-%05d", i), uint64(5000+i), "x"))
+			}
+			if _, err := tbl.Merge(updates, false, device.Bg); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -404,14 +435,15 @@ func TestIterSurvivesRewrite(t *testing.T) {
 	if it.Err() != nil {
 		t.Fatal(it.Err())
 	}
-	// The iterator refreshed its snapshot and resumed past the last key; it
-	// must see every remaining key exactly once.
 	if seen != 1000 {
-		t.Fatalf("saw %d entries across a rewrite, want 1000", seen)
+		t.Fatalf("saw %d entries across a merge, want 1000", seen)
 	}
 }
 
-func TestGetRetriesAcrossRewrite(t *testing.T) {
+// TestGetConcurrentWithMerge runs lock-free point reads against a table
+// while merges dirty and append blocks under them: a read returns a value
+// some merge wrote, never an error or bytes from a half-written block.
+func TestGetConcurrentWithMerge(t *testing.T) {
 	dev := newDev()
 	f, _ := dev.Create("s1")
 	tbl, _ := Build(f, Options{}, sortedEntries(2000, 1), device.Bg)
@@ -431,18 +463,19 @@ func TestGetRetriesAcrossRewrite(t *testing.T) {
 				done <- fmt.Errorf("get %s: %w", k, err)
 				return
 			}
-			if found && !bytes.HasPrefix(v, []byte("val-")) && !bytes.HasPrefix(v, []byte("re-")) {
+			if !found {
+				done <- fmt.Errorf("get %s: missing", k)
+				return
+			}
+			if !bytes.HasPrefix(v, []byte("val-")) && !bytes.HasPrefix(v, []byte("re-")) {
 				done <- fmt.Errorf("get %s returned garbage %q", k, v)
 				return
 			}
 		}
 	}()
-	for round := 0; round < 30; round++ {
-		tbl.Merge([]Entry{entry(fmt.Sprintf("key-%05d", round*37), uint64(10000+round), fmt.Sprintf("re-%d", round))}, false, device.Bg)
-		if round%5 == 4 {
-			if err := tbl.Rewrite(device.Bg); err != nil {
-				t.Fatal(err)
-			}
+	for round := 0; round < 60; round++ {
+		if _, err := tbl.Merge([]Entry{entry(fmt.Sprintf("key-%05d", round*37%2000), uint64(10000+round), fmt.Sprintf("re-%d", round))}, false, device.Bg); err != nil {
+			t.Fatal(err)
 		}
 	}
 	close(stop)

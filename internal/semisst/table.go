@@ -2,8 +2,7 @@ package semisst
 
 import (
 	"bytes"
-	"fmt"
-	"sort"
+	"strconv"
 
 	"hyperdb/internal/block"
 	"hyperdb/internal/compress"
@@ -137,16 +136,17 @@ func (t *Table) findLiveBlock(user []byte) int {
 	return lo - 1
 }
 
-// readBlockData fetches one data block, via the page cache when configured.
-// gen namespaces cache keys per rewrite generation so blocks cached before a
-// full compaction can never serve the offsets it recycled. The cache holds
-// stored (possibly compressed) bytes; tagged blocks decompress after the
-// fetch, and a torn or corrupted payload fails closed with an error.
-func (t *Table) readBlockData(gen uint64, bm *BlockMeta, op device.Op) ([]byte, error) {
+// readBlockData fetches one data block for a foreground read, via the page
+// cache when configured. The cache holds stored (possibly compressed) bytes;
+// tagged blocks decompress after the fetch, and a torn or corrupted payload
+// fails closed with an error.
+func (t *Table) readBlockData(bm *BlockMeta, op device.Op) ([]byte, error) {
 	var key string
 	data := []byte(nil)
 	if t.opts.PageCache != nil {
-		key = fmt.Sprintf("%s@%d#%d", t.f.Name(), gen, bm.Handle.Offset)
+		kb := make([]byte, 0, 64)
+		kb = strconv.AppendUint(append(kb, t.cachePrefix...), bm.Handle.Offset, 16)
+		key = string(kb)
 		if cached, ok := t.opts.PageCache.Get(key); ok {
 			data = cached
 		}
@@ -168,183 +168,147 @@ func (t *Table) readBlockData(gen uint64, bm *BlockMeta, op device.Op) ([]byte, 
 
 // Get returns the newest version of user visible at snapshot seq. found is
 // false when the table holds no version; tombstones return found=true with
-// kind=KindDelete. Reads run lock-free against the device; a full
-// compaction that recycles offsets mid-read is detected via the generation
-// counter and the lookup retries.
+// kind=KindDelete. The block metadata is snapshotted under the lock and the
+// device read runs lock-free: a block's bytes stay where they were written
+// for the life of the file, dirty or not.
 func (t *Table) Get(user []byte, seq uint64, op device.Op) (value []byte, kind keys.Kind, found bool, err error) {
-	for {
-		t.mu.RLock()
-		gen := t.gen
-		li := t.findLiveBlock(user)
-		if li < 0 {
-			t.mu.RUnlock()
-			return nil, 0, false, nil
-		}
-		bm := t.blocks[t.live[li]]
-		t.mu.RUnlock()
-
-		if !bm.Filter.Contains(user) {
-			return nil, 0, false, nil
-		}
-		data, rerr := t.readBlockData(gen, &bm, op)
-		value, kind, found, err = nil, 0, false, rerr
-		if err == nil {
-			var it *block.Iter
-			it, err = block.NewIter(data)
-			if err == nil {
-				it.SeekGE(keys.MakeSearchKey(user, seq))
-				if it.Valid() && bytes.Equal(it.Key().User, user) {
-					value = append([]byte(nil), it.Value()...)
-					kind = it.Key().Kind
-					found = true
-				} else {
-					err = it.Err()
-				}
-			}
-		}
-		t.mu.RLock()
-		stale := t.gen != gen
-		t.mu.RUnlock()
-		if stale {
-			continue // raced a rewrite; metadata and data are refreshed now
-		}
-		return value, kind, found, err
-	}
-}
-
-// ReadBlockEntries reads and decodes the entries of one live block (by its
-// position in LiveBlockMetas order). Callers are mutators serialised with
-// rewrites, so no generation retry is needed.
-func (t *Table) ReadBlockEntries(bm BlockMeta, op device.Op) ([]Entry, error) {
-	if op.Background {
-		// Compaction and migration stream whole blocks; the device grants
-		// streaming commands the sequential discount.
-		op.Sequential = true
-	}
 	t.mu.RLock()
-	gen := t.gen
+	li := t.findLiveBlock(user)
+	if li < 0 {
+		t.mu.RUnlock()
+		return nil, 0, false, nil
+	}
+	bm := t.blocks[t.live[li]]
 	t.mu.RUnlock()
-	data, err := t.readBlockData(gen, &bm, op)
+
+	if !bm.Filter.Contains(user) {
+		return nil, 0, false, nil
+	}
+	data, err := t.readBlockData(&bm, op)
 	if err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
 	it, err := block.NewIter(data)
 	if err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
-	var out []Entry
-	for it.First(); it.Valid(); it.Next() {
-		k := it.Key()
-		out = append(out, Entry{
-			Key:   keys.InternalKey{User: append([]byte(nil), k.User...), Seq: k.Seq, Kind: k.Kind},
-			Value: append([]byte(nil), it.Value()...),
-		})
+	it.SeekGE(keys.MakeSearchKey(user, seq))
+	if it.Valid() && bytes.Equal(it.Key().User, user) {
+		return append([]byte(nil), it.Value()...), it.Key().Kind, true, nil
 	}
-	return out, it.Err()
+	return nil, 0, false, it.Err()
 }
 
-// MergeStats reports what a Merge did, feeding the experiment counters.
+// MergeStats reports what a Merge or ExtractOverlapping did. BytesRead is
+// what the device charged for the victim blocks: page-rounded extent bytes.
 type MergeStats struct {
 	BlocksDirtied int
-	EntriesRead   int
-	EntriesMerged int
 	BytesRead     int64
+}
+
+// overlapping returns the live blocks whose key range overlaps any of spans,
+// in key order: their indices into t.blocks and metadata snapshots.
+func (t *Table) overlapping(spans []keys.Range) (idx []int, metas []BlockMeta) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, li := range t.live {
+		r := t.blocks[li].Range()
+		for _, s := range spans {
+			if r.Overlaps(s) {
+				idx = append(idx, li)
+				metas = append(metas, t.blocks[li])
+				break
+			}
+		}
+	}
+	return idx, metas
+}
+
+// spanOf returns the closed-open user-key range a sorted run covers.
+func spanOf(entries []Entry) keys.Range {
+	return keys.Range{Lo: entries[0].Key.User, Hi: keys.Successor(entries[len(entries)-1].Key.User)}
 }
 
 // Merge integrates incoming (sorted by user key, one version per key, newest
 // versions) into the table: live blocks overlapping incoming are read and
 // dirtied, their surviving entries merged with incoming, and the result
 // appended as fresh blocks (Fig. 5). Tombstones in incoming are retained
-// (dropOnMerge false) or dropped (true, for the bottom level).
+// (dropTombstones false) or dropped (true, for the bottom level).
 func (t *Table) Merge(incoming []Entry, dropTombstones bool, op device.Op) (MergeStats, error) {
 	var st MergeStats
 	if len(incoming) == 0 {
 		return st, nil
 	}
-	span := keys.Range{
-		Lo: incoming[0].Key.User,
-		Hi: keys.Successor(incoming[len(incoming)-1].Key.User),
-	}
-
-	// Identify overlapping live blocks.
-	t.mu.RLock()
-	var dirty []int // indices into t.blocks
-	var victims []BlockMeta
-	for _, li := range t.live {
-		b := t.blocks[li]
-		if b.Range().Overlaps(span) {
-			dirty = append(dirty, li)
-			victims = append(victims, b)
-		}
-	}
-	t.mu.RUnlock()
-
-	// Read surviving entries from the dirty blocks.
-	var existing []Entry
-	for _, bm := range victims {
-		es, err := t.ReadBlockEntries(bm, op)
-		if err != nil {
-			return st, err
-		}
-		existing = append(existing, es...)
-		st.EntriesRead += len(es)
-		st.BytesRead += int64(bm.Handle.Size)
+	dirty, victims := t.overlapping([]keys.Range{spanOf(incoming)})
+	existing, n, err := t.readRun(victims, op)
+	st.BytesRead = n
+	if err != nil {
+		return st, err
 	}
 	st.BlocksDirtied = len(dirty)
-
-	merged := mergeEntries(existing, incoming, dropTombstones)
-	st.EntriesMerged = len(merged)
-	return st, t.appendMerge(merged, dirty, op)
+	return st, t.appendMerge(MergeSorted(existing, incoming, dropTombstones), dirty, op)
 }
 
-// ExtractOverlapping dirties every live block whose key range overlaps any
-// of spans and returns their live entries in user-key order. Preemptive
-// compaction uses this to carve blocks out of an intermediate level before
-// pushing their contents deeper (§3.4).
-func (t *Table) ExtractOverlapping(spans []keys.Range, op device.Op) ([]Entry, MergeStats, error) {
-	var st MergeStats
+// DirtyRatioAfterMerge predicts, from block metadata alone, the DirtyRatio a
+// Merge of incoming would leave: the stale bytes plus the victims it would
+// dirty, over everything the file would then hold. The merged blocks are
+// counted as the incoming payload only, a lower bound (survivors of the
+// victims come on top), so the prediction errs high — except under a codec
+// that shrinks incoming below its payload size.
+func (t *Table) DirtyRatioAfterMerge(incoming []Entry, dropTombstones bool) float64 {
+	if len(incoming) == 0 {
+		return t.DirtyRatio()
+	}
+	var in int64
+	for _, e := range incoming {
+		if !dropTombstones || e.Key.Kind != keys.KindDelete {
+			in += int64(len(e.Key.User) + len(e.Value))
+		}
+	}
+	span := spanOf(incoming)
 	t.mu.RLock()
-	var dirty []int
-	var victims []BlockMeta
+	defer t.mu.RUnlock()
+	var live, victim int64
 	for _, li := range t.live {
-		b := t.blocks[li]
-		r := b.Range()
-		for _, s := range spans {
-			if r.Overlaps(s) {
-				dirty = append(dirty, li)
-				victims = append(victims, b)
-				break
-			}
+		b := &t.blocks[li]
+		live += int64(b.Handle.Size)
+		if b.Range().Overlaps(span) {
+			victim += int64(b.Handle.Size)
 		}
 	}
-	t.mu.RUnlock()
+	if total := live + in + t.stale; total > 0 {
+		return float64(t.stale+victim) / float64(total)
+	}
+	return 0
+}
+
+// ExtractOverlapping carves every live block whose key range overlaps any of
+// spans out of the table (§3.4's preemptive compaction): their entries are
+// handed to move in user-key order, and only once move has returned nil —
+// the deeper level durably holds them — are the blocks dirtied. If move
+// fails the table is unchanged.
+func (t *Table) ExtractOverlapping(spans []keys.Range, op device.Op, move func([]Entry) error) (MergeStats, error) {
+	var st MergeStats
+	dirty, victims := t.overlapping(spans)
 	if len(dirty) == 0 {
-		return nil, st, nil
+		return st, nil
 	}
-	var out []Entry
-	for _, bm := range victims {
-		es, err := t.ReadBlockEntries(bm, op)
-		if err != nil {
-			return nil, st, err
-		}
-		out = append(out, es...)
-		st.EntriesRead += len(es)
-		st.BytesRead += int64(bm.Handle.Size)
+	entries, n, err := t.readRun(victims, op)
+	st.BytesRead = n
+	if err != nil {
+		return st, err
+	}
+	if err := move(entries); err != nil {
+		return st, err
 	}
 	st.BlocksDirtied = len(dirty)
-	return out, st, t.appendMerge(nil, dirty, op)
+	return st, t.appendMerge(nil, dirty, op)
 }
 
 // MergeSorted merges two runs sorted by user key; on collision the entry
 // with the larger sequence number wins. Tombstones are elided when
 // dropTombstones is set (bottom-level merges).
 func MergeSorted(old, new []Entry, dropTombstones bool) []Entry {
-	return mergeEntries(old, new, dropTombstones)
-}
-
-// mergeEntries merges two sorted runs by user key; on collision the entry
-// with the larger sequence wins. Tombstones are elided when dropTombstones.
-func mergeEntries(old, new []Entry, dropTombstones bool) []Entry {
 	out := make([]Entry, 0, len(old)+len(new))
 	i, j := 0, 0
 	emit := func(e Entry) {
@@ -381,99 +345,36 @@ func mergeEntries(old, new []Entry, dropTombstones bool) []Entry {
 	return out
 }
 
-// Rewrite performs a full compaction of the table in place: live entries are
-// read, the file reset, and everything rewritten as clean blocks. Reclaims
-// all stale space (§3.4's full-compaction path). The generation bump makes
-// concurrent lock-free readers retry instead of consuming recycled offsets.
-//
-// Rewrite is NOT crash-safe: the truncate durably destroys the old image
-// before the new one syncs. The LSM's full-compaction path therefore swaps
-// in a freshly built generation file instead (lsm.MaybeCompact); Rewrite
-// remains for callers that manage crash atomicity themselves.
-func (t *Table) Rewrite(op device.Op) error {
-	entries, err := t.AllEntries(op)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	t.blocks = nil
-	t.live = nil
-	t.stale = 0
-	t.idxBytes = 0
-	t.gen++
-	if err := t.f.Truncate(0); err != nil {
-		t.mu.Unlock()
-		return err
-	}
-	t.mu.Unlock()
-	return t.appendMerge(entries, nil, op)
-}
-
-// AllEntries reads every live entry in user-key order.
-func (t *Table) AllEntries(op device.Op) ([]Entry, error) {
-	metas := t.LiveBlockMetas()
-	var out []Entry
-	for _, bm := range metas {
-		es, err := t.ReadBlockEntries(bm, op)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, es...)
-	}
-	// Blocks are disjoint and sorted, so out is already sorted; assert in
-	// debug-style by a cheap adjacent check only when small.
-	if len(out) < 1<<12 && !sort.SliceIsSorted(out, func(a, b int) bool {
-		return bytes.Compare(out[a].Key.User, out[b].Key.User) < 0
-	}) {
-		return nil, fmt.Errorf("semisst: %q live blocks out of order", t.f.Name())
-	}
-	return out, nil
+// AllEntries reads every live entry in user-key order and reports the bytes
+// the device charged for them.
+func (t *Table) AllEntries(op device.Op) ([]Entry, int64, error) {
+	return t.readRun(t.LiveBlockMetas(), op)
 }
 
 // Iter iterates live entries in user-key order, streaming one block at a
-// time (used by scans and full compactions feeding deeper levels). If a
-// full compaction rewrites the table mid-scan, the iterator transparently
-// refreshes its block snapshot and resumes after the last key it returned.
+// time (foreground scans). It walks the block snapshot taken at NewIter:
+// merges only append, so the snapshot stays readable for the life of the
+// file.
 type Iter struct {
-	t       *Table
-	op      device.Op
-	metas   []BlockMeta
-	gen     uint64
-	bi      int
-	cur     *block.Iter
-	lastKey []byte
-	err     error
+	t     *Table
+	op    device.Op
+	metas []BlockMeta
+	bi    int
+	cur   *block.Iter
+	err   error
 }
 
 // NewIter returns an iterator over the table's live entries.
 func (t *Table) NewIter(op device.Op) *Iter {
-	t.mu.RLock()
-	gen := t.gen
-	t.mu.RUnlock()
-	return &Iter{t: t, op: op, metas: t.LiveBlockMetas(), gen: gen, bi: -1}
+	return &Iter{t: t, op: op, metas: t.LiveBlockMetas(), bi: -1}
 }
 
 func (it *Iter) loadBlock(i int) bool {
-	it.t.mu.RLock()
-	gen := it.t.gen
-	it.t.mu.RUnlock()
-	if gen != it.gen {
-		// The table was rewritten under us: refresh the snapshot and
-		// resume just past the last key we returned.
-		it.gen = gen
-		it.metas = it.t.LiveBlockMetas()
-		if it.lastKey != nil {
-			resume := keys.Successor(it.lastKey)
-			it.seekLocked(resume)
-			return it.cur != nil
-		}
-		i = 0
-	}
 	if i >= len(it.metas) {
 		it.cur = nil
 		return false
 	}
-	data, err := it.t.readBlockData(it.gen, &it.metas[i], it.op)
+	data, err := it.t.readBlockData(&it.metas[i], it.op)
 	if err != nil {
 		it.err, it.cur = err, nil
 		return false
@@ -485,37 +386,6 @@ func (it *Iter) loadBlock(i int) bool {
 	}
 	it.bi, it.cur = i, b
 	return true
-}
-
-// seekLocked positions at the first entry >= user within the current meta
-// snapshot (no generation re-check; loadBlock handles that).
-func (it *Iter) seekLocked(user []byte) {
-	lo, hi := 0, len(it.metas)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(it.metas[mid].Last, user) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(it.metas) {
-		it.cur = nil
-		return
-	}
-	data, err := it.t.readBlockData(it.gen, &it.metas[lo], it.op)
-	if err != nil {
-		it.err, it.cur = err, nil
-		return
-	}
-	b, err := block.NewIter(data)
-	if err != nil {
-		it.err, it.cur = err, nil
-		return
-	}
-	it.bi, it.cur = lo, b
-	it.cur.SeekGE(keys.MakeSearchKey(user, keys.MaxSeq))
-	it.skipExhausted()
 }
 
 // First positions at the first live entry.
@@ -567,13 +437,7 @@ func (it *Iter) skipExhausted() {
 }
 
 // Valid reports whether the iterator is positioned at an entry.
-func (it *Iter) Valid() bool {
-	if it.cur != nil && it.cur.Valid() {
-		it.lastKey = append(it.lastKey[:0], it.cur.Key().User...)
-		return true
-	}
-	return false
-}
+func (it *Iter) Valid() bool { return it.cur != nil && it.cur.Valid() }
 
 // Key returns the current internal key.
 func (it *Iter) Key() keys.InternalKey { return it.cur.Key() }

@@ -63,11 +63,7 @@ func (m *Manager) PrepareMigration(z *Zone) (*Batch, error) {
 	delete(m.zoneByID, z.id)
 	// Snapshot the zone's index entries. The zone's range bounds the scan.
 	var refs []locRef
-	lo := encodeKey64(z.lo)
-	var hi []byte
-	if z.hi != ^uint64(0) {
-		hi = encodeKey64(z.hi)
-	}
+	lo, hi := z.scanBounds()
 	m.index.Ascend(lo, hi, func(k []byte, loc Location) bool {
 		if loc.ZoneID == z.id {
 			refs = append(refs, locRef{key: k, loc: loc})

@@ -17,9 +17,11 @@ import (
 // Zone structure is rebuilt approximately: each recovered page is assigned
 // to the key-range zone owning its first live key (created on demand with
 // fresh Eq. 1–2 estimates). Because the original placement grouped adjacent
-// keys per page, the rebuilt zones closely track the pre-crash layout; any
-// drift only affects future placement and migration batching, never
-// lookups. Returns the manager and the largest sequence number seen.
+// keys per page, the rebuilt zones closely track the pre-crash layout; a
+// zone left holding keys outside its range is marked so (Zone.strays), and
+// the drift only affects future placement and migration batching, never
+// lookups or what a demotion carries. Returns the manager and the largest
+// sequence number seen.
 func Recover(cfg Config) (*Manager, uint64, error) {
 	cfg.fill()
 	m := &Manager{
@@ -106,7 +108,11 @@ func Recover(cfg Config) (*Manager, uint64, error) {
 
 	// Pass 2: assign pages to zones and rebuild accounting. Each page joins
 	// the zone of its first live key; all live slots on the page count
-	// toward that zone. Superseded slots become reusable free slots.
+	// toward that zone, including keys outside its range — the page was
+	// written by the hot zone, or the freshly estimated zone grid cuts it in
+	// two. Such a zone is marked: demoting or splitting it frees its pages
+	// wholesale, so it must collect its objects by zone id over the whole
+	// index, not over its range. Superseded slots become reusable free slots.
 	type pageKey struct {
 		c    int
 		page uint32
@@ -121,12 +127,14 @@ func Recover(cfg Config) (*Manager, uint64, error) {
 		loc := r.loc
 		pk := pageKey{int(loc.Class), loc.Page}
 		z, ok := pageZone[pk]
+		k64 := Key64(r.key)
 		if !ok {
-			k64 := Key64(r.key)
 			if z = m.zoneFor(k64); z == nil {
 				z = m.createZone(k64)
 			}
 			pageZone[pk] = z
+		} else if !z.contains(k64) {
+			z.strays = true
 		}
 		if z.pages[pk.c] == nil {
 			z.pages[pk.c] = make(map[uint32]struct{})

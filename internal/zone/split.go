@@ -2,7 +2,6 @@ package zone
 
 import (
 	"bytes"
-	"math"
 
 	"hyperdb/internal/device"
 )
@@ -52,11 +51,7 @@ func (m *Manager) SplitZone(z *Zone) (int, error) {
 	}
 	delete(m.zoneByID, z.id)
 	var refs []locRef
-	lo := encodeKey64(z.lo)
-	var hi []byte
-	if z.hi != math.MaxUint64 {
-		hi = encodeKey64(z.hi)
-	}
+	lo, hi := z.scanBounds()
 	m.index.Ascend(lo, hi, func(k []byte, loc Location) bool {
 		if loc.ZoneID == z.id {
 			refs = append(refs, locRef{key: bytes.Clone(k), loc: loc})

@@ -36,6 +36,9 @@ type Zone struct {
 	lo  uint64 // inclusive
 	hi  uint64 // exclusive; math.MaxUint64 means "through the top"
 	hot bool
+	// strays marks a zone rebuilt by Recover whose pages hold keys outside
+	// [lo, hi); see scanBounds.
+	strays bool
 
 	// Zone mapper state: pages owned per class, the open page per class,
 	// and freed slots available for reuse.
@@ -57,6 +60,20 @@ func newZone(id uint32, lo, hi uint64, hot bool, nClasses int) *Zone {
 		open:      make([]openPage, nClasses),
 		freeSlots: make([][]slotRef, nClasses),
 	}
+}
+
+// scanBounds returns the index bounds that enclose every object of the zone:
+// its key range, or the whole index for a recovered zone with strays. The
+// callers free the zone's pages wholesale afterwards, so an object the scan
+// missed would be destroyed.
+func (z *Zone) scanBounds() (lo, hi []byte) {
+	if z.strays {
+		return nil, nil
+	}
+	if z.hi != math.MaxUint64 {
+		hi = encodeKey64(z.hi)
+	}
+	return encodeKey64(z.lo), hi
 }
 
 // contains reports whether key position k64 falls in the zone's range.
