@@ -2,11 +2,12 @@ package leveled
 
 import (
 	"bytes"
-	"container/heap"
 	"fmt"
+	"slices"
 
 	"hyperdb/internal/device"
 	"hyperdb/internal/keys"
+	"hyperdb/internal/mergeiter"
 )
 
 // CompactOnce performs one compaction: all of L0 (plus overlapping L1) into
@@ -62,21 +63,10 @@ func (l *LSM) planLocked() (plan, bool) {
 	// sustained ingest starves every level below L1.
 	if len(l.levels[0]) >= l.opts.L0Compact && !l.activeOut[1] {
 		srcs := append([]*table(nil), l.levels[0]...)
-		busy := false
-		for _, t := range srcs {
-			if l.busy[t] {
-				busy = true
-				break
-			}
-		}
-		if !busy {
-			var span keys.Range
-			for i, t := range srcs {
-				if i == 0 {
-					span = t.rang()
-				} else {
-					span = span.Union(t.rang())
-				}
+		if !slices.ContainsFunc(srcs, func(t *table) bool { return l.busy[t] }) {
+			span := srcs[0].rang()
+			for _, t := range srcs[1:] {
+				span = span.Union(t.rang())
 			}
 			if overlaps, ok := l.overlapsLocked(1, span); ok {
 				return plan{level: 0, target: 1, srcs: srcs, overlaps: overlaps}, true
@@ -138,98 +128,32 @@ func (l *LSM) overlapsLocked(level int, span keys.Range) ([]*table, bool) {
 // mergeInto merges the plan's inputs, writes the result as new target-level
 // tables, and installs them.
 func (l *LSM) mergeInto(p plan, op device.Op) error {
-	bottom := p.target == l.opts.MaxLevels-1
-
 	all := append(append([]*table(nil), p.srcs...), p.overlaps...)
 	var readBytes int64
-	h := make(tableHeap, 0, len(all))
 	for _, t := range all {
 		readBytes += t.meta.TotalSize
-		it := t.reader.NewIter(device.Op{Background: true, Sequential: true})
-		it.First()
-		if it.Valid() {
-			h = append(h, &tableIter{it: it})
-		} else if err := it.Err(); err != nil {
-			return err
-		}
 	}
-	heap.Init(&h)
 	l.traffic[p.target].ReadBytes.Add(uint64(readBytes))
 	l.traffic[p.target].Compactions.Inc()
 
-	// Drain the heap into merged entries, newest version per user key.
-	var merged []Entry
-	var lastUser []byte
-	haveLast := false
-	for len(h) > 0 {
-		top := h[0]
-		k := top.it.Key()
-		if !haveLast || !bytes.Equal(k.User, lastUser) {
-			if k.Kind != keys.KindDelete || !bottom {
-				merged = append(merged, Entry{
-					Key: keys.InternalKey{
-						User: append([]byte(nil), k.User...),
-						Seq:  k.Seq,
-						Kind: k.Kind,
-					},
-					Value: append([]byte(nil), top.it.Value()...),
-				})
-			}
-			lastUser = append(lastUser[:0], k.User...)
-			haveLast = true
-		}
-		top.it.Next()
-		if top.it.Valid() {
-			heap.Fix(&h, 0)
-		} else {
-			if err := top.it.Err(); err != nil {
-				return err
-			}
-			heap.Pop(&h)
-		}
+	newTables, err := l.rewrite(all, p.target, op)
+	if err != nil {
+		return err
 	}
-
-	// Write the new run.
-	var newTables []*table
-	rest := merged
-	for len(rest) > 0 {
-		n := len(rest)
-		tbl, r, err := l.buildTable(p.target, rest, op)
-		if err != nil {
-			return err
-		}
-		rest = r
-		if len(rest) == n {
-			return fmt.Errorf("leveled: compaction made no progress")
-		}
-		newTables = append(newTables, tbl)
+	for _, tbl := range newTables {
 		l.traffic[p.target].WriteBytes.Add(uint64(tbl.meta.TotalSize))
 	}
 
 	// Install: remove inputs, insert the new run sorted by smallest key.
 	l.mu.Lock()
 	remove := func(level int, victims []*table) {
-		out := l.levels[level][:0]
-		for _, t := range l.levels[level] {
-			dead := false
-			for _, v := range victims {
-				if t == v {
-					dead = true
-					break
-				}
-			}
-			if !dead {
-				out = append(out, t)
-			}
-		}
-		l.levels[level] = out
+		l.levels[level] = slices.DeleteFunc(l.levels[level], func(t *table) bool { return slices.Contains(victims, t) })
 	}
 	remove(p.level, p.srcs)
 	remove(p.target, p.overlaps)
 	l.levels[p.target] = append(l.levels[p.target], newTables...)
 	sortTables(l.levels[p.target])
-	unstall := len(l.levels[0]) < l.opts.L0Stall
-	if unstall {
+	if len(l.levels[0]) < l.opts.L0Stall {
 		close(l.stallCh)
 		l.stallCh = make(chan struct{})
 	}
@@ -244,36 +168,43 @@ func (l *LSM) mergeInto(p plan, op device.Op) error {
 }
 
 func sortTables(ts []*table) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && bytes.Compare(ts[j].meta.Smallest, ts[j-1].meta.Smallest) < 0; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
+	slices.SortStableFunc(ts, func(a, b *table) int { return bytes.Compare(a.meta.Smallest, b.meta.Smallest) })
+}
+
+// rewrite merges tables — newest version per user key, tombstones kept
+// unless level is the bottom one, where nothing is left for them to shadow
+// — and writes the result as fresh tables at level. Compaction and crash
+// repair both rewrite through it.
+func (l *LSM) rewrite(tables []*table, level int, op device.Op) ([]*table, error) {
+	srcs := make([]mergeiter.Source, len(tables))
+	for i, t := range tables {
+		it := t.reader.NewIter(device.BgSeq)
+		it.First()
+		srcs[i] = it
+	}
+	var merged []Entry
+	m := mergeiter.Merge(srcs, level == l.opts.MaxLevels-1)
+	for ; m.Valid(); m.Next() {
+		k := m.Key()
+		merged = append(merged, Entry{
+			Key:   keys.InternalKey{User: bytes.Clone(k.User), Seq: k.Seq, Kind: k.Kind},
+			Value: bytes.Clone(m.Value()),
+		})
+	}
+	if err := m.Err(); err != nil {
+		return nil, err
+	}
+	var out []*table
+	for len(merged) > 0 {
+		tbl, rest, err := l.buildTable(level, merged, op)
+		if err != nil {
+			return nil, err
 		}
+		if len(rest) == len(merged) {
+			return nil, fmt.Errorf("leveled: rewrite into L%d made no progress", level)
+		}
+		out = append(out, tbl)
+		merged = rest
 	}
-}
-
-// tableIter adapts an sstable iterator for the merge heap.
-type tableIter struct {
-	it interface {
-		Valid() bool
-		Next()
-		Key() keys.InternalKey
-		Value() []byte
-		Err() error
-	}
-}
-
-type tableHeap []*tableIter
-
-func (h tableHeap) Len() int { return len(h) }
-func (h tableHeap) Less(i, j int) bool {
-	return keys.Compare(h[i].it.Key(), h[j].it.Key()) < 0
-}
-func (h tableHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *tableHeap) Push(x any)   { *h = append(*h, x.(*tableIter)) }
-func (h *tableHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return out, nil
 }

@@ -2,22 +2,20 @@ package leveled
 
 import (
 	"bytes"
-	"container/heap"
 
 	"hyperdb/internal/device"
 	"hyperdb/internal/keys"
+	"hyperdb/internal/mergeiter"
 )
 
 // ScanIter streams live user keys in order across every level, resolving
-// versions by sequence and eliding tombstones. Callers must Close the
-// iterator to release its table references.
+// versions by sequence and eliding tombstones: one source per L0 table and,
+// per deeper level, one chain of its key-disjoint tables opened only as the
+// scan reaches them. Key and Value are views valid until Next. Callers must
+// Close the iterator to release its table references.
 type ScanIter struct {
-	h      tableHeap
+	*mergeiter.Iter
 	tables []*table
-	key    []byte
-	value  []byte
-	valid  bool
-	err    error
 }
 
 // Close releases the iterator's table references. Idempotent.
@@ -26,88 +24,45 @@ func (s *ScanIter) Close() {
 		t.release()
 	}
 	s.tables = nil
-	s.valid = false
 }
+
+// Key returns the current user key.
+func (s *ScanIter) Key() []byte { return s.Iter.Key().User }
 
 // NewScanIter opens a merged iterator at the first key >= lo (nil = start).
 func (l *LSM) NewScanIter(lo []byte, op device.Op) *ScanIter {
 	s := &ScanIter{}
+	levelEnd := make([]int, 0, l.opts.MaxLevels)
 	l.mu.RLock()
-	var tables []*table
-	for level := 0; level < l.opts.MaxLevels; level++ {
-		tables = append(tables, l.levels[level]...)
-	}
-	for _, t := range tables {
-		t.acquire()
+	for _, tables := range l.levels {
+		for _, t := range tables {
+			if lo == nil || bytes.Compare(t.meta.Largest, lo) >= 0 {
+				t.acquire()
+				s.tables = append(s.tables, t)
+			}
+		}
+		levelEnd = append(levelEnd, len(s.tables))
 	}
 	l.mu.RUnlock()
-	s.tables = tables
-	for _, t := range tables {
-		if lo != nil && bytes.Compare(t.meta.Largest, lo) < 0 {
-			continue
-		}
+
+	open := func(t *table) mergeiter.Source {
 		it := t.reader.NewIter(op)
 		if lo == nil {
 			it.First()
 		} else {
 			it.SeekGE(keys.MakeSearchKey(lo, keys.MaxSeq))
 		}
-		if it.Valid() {
-			s.h = append(s.h, &tableIter{it: it})
-		} else if err := it.Err(); err != nil {
-			s.err = err
+		return it
+	}
+	var srcs []mergeiter.Source
+	for _, t := range s.tables[:levelEnd[0]] {
+		srcs = append(srcs, open(t))
+	}
+	for level := 1; level < len(levelEnd); level++ {
+		if run := s.tables[levelEnd[level-1]:levelEnd[level]]; len(run) > 0 {
+			srcs = append(srcs, mergeiter.NewConcat(len(run), func(i int) mergeiter.Source { return open(run[i]) }))
 		}
 	}
-	heap.Init(&s.h)
-	s.advance()
+	s.Iter = mergeiter.Merge(srcs, true)
 	return s
 }
-
-func (s *ScanIter) advance() {
-	s.valid = false
-	for len(s.h) > 0 {
-		top := s.h[0]
-		k := top.it.Key()
-		user := append([]byte(nil), k.User...)
-		kind := k.Kind
-		value := append([]byte(nil), top.it.Value()...)
-		// Drain older versions of this user key.
-		for len(s.h) > 0 {
-			cur := s.h[0]
-			ck := cur.it.Key()
-			if !bytes.Equal(ck.User, user) {
-				break
-			}
-			cur.it.Next()
-			if cur.it.Valid() {
-				heap.Fix(&s.h, 0)
-			} else {
-				if err := cur.it.Err(); err != nil {
-					s.err = err
-					return
-				}
-				heap.Pop(&s.h)
-			}
-		}
-		if kind == keys.KindDelete {
-			continue
-		}
-		s.key, s.value, s.valid = user, value, true
-		return
-	}
-}
-
-// Valid reports whether the iterator is positioned at an entry.
-func (s *ScanIter) Valid() bool { return s.valid }
-
-// Next advances to the next live user key.
-func (s *ScanIter) Next() { s.advance() }
-
-// Key returns the current user key.
-func (s *ScanIter) Key() []byte { return s.key }
-
-// Value returns the current value.
-func (s *ScanIter) Value() []byte { return s.value }
-
-// Err returns the first error encountered.
-func (s *ScanIter) Err() error { return s.err }

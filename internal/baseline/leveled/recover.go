@@ -2,13 +2,11 @@ package leveled
 
 import (
 	"bytes"
-	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
 
 	"hyperdb/internal/device"
-	"hyperdb/internal/keys"
 	"hyperdb/internal/sstable"
 )
 
@@ -130,9 +128,12 @@ func (l *LSM) repairLevel(level int) error {
 		if len(group) == 1 {
 			out = append(out, tables[i])
 		} else {
-			merged, err := l.mergeGroup(group, level)
+			merged, err := l.rewrite(group, level, device.BgSeq)
 			if err != nil {
 				return err
+			}
+			for _, t := range group {
+				t.release()
 			}
 			out = append(out, merged...)
 		}
@@ -141,71 +142,4 @@ func (l *LSM) repairLevel(level int) error {
 	sortTables(out)
 	l.levels[level] = out
 	return nil
-}
-
-// mergeGroup heap-merges overlapping tables (newest version per user key)
-// into fresh tables at the level, then deletes the inputs.
-func (l *LSM) mergeGroup(group []*table, level int) ([]*table, error) {
-	op := device.BgSeq
-	bottom := level == l.opts.MaxLevels-1
-	h := make(tableHeap, 0, len(group))
-	for _, t := range group {
-		it := t.reader.NewIter(op)
-		it.First()
-		if it.Valid() {
-			h = append(h, &tableIter{it: it})
-		} else if err := it.Err(); err != nil {
-			return nil, err
-		}
-	}
-	heap.Init(&h)
-	var merged []Entry
-	var lastUser []byte
-	haveLast := false
-	for len(h) > 0 {
-		top := h[0]
-		k := top.it.Key()
-		if !haveLast || !bytes.Equal(k.User, lastUser) {
-			if k.Kind != keys.KindDelete || !bottom {
-				merged = append(merged, Entry{
-					Key: keys.InternalKey{
-						User: append([]byte(nil), k.User...),
-						Seq:  k.Seq,
-						Kind: k.Kind,
-					},
-					Value: append([]byte(nil), top.it.Value()...),
-				})
-			}
-			lastUser = append(lastUser[:0], k.User...)
-			haveLast = true
-		}
-		top.it.Next()
-		if top.it.Valid() {
-			heap.Fix(&h, 0)
-		} else {
-			if err := top.it.Err(); err != nil {
-				return nil, err
-			}
-			heap.Pop(&h)
-		}
-	}
-
-	var newTables []*table
-	rest := merged
-	for len(rest) > 0 {
-		n := len(rest)
-		tbl, r, err := l.buildTable(level, rest, op)
-		if err != nil {
-			return nil, err
-		}
-		rest = r
-		if len(rest) == n {
-			return nil, fmt.Errorf("leveled: repair made no progress")
-		}
-		newTables = append(newTables, tbl)
-	}
-	for _, t := range group {
-		t.release()
-	}
-	return newTables, nil
 }

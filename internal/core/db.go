@@ -357,29 +357,32 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	}
 	p := db.partFor(key)
 	hot := p.tracker.Record(key)
-
-	v, _, tomb, found, err := p.zones.Get(key, device.Fg)
+	v, found, fromTree, err := p.lookup(key)
 	if err != nil {
 		return nil, err
 	}
-	if found {
-		if tomb {
-			return nil, ErrNotFound
-		}
-		return v, nil
-	}
-
-	v, kind, found, err := p.tree.Get(key, keys.MaxSeq, device.Fg)
-	if err != nil {
-		return nil, err
-	}
-	if !found || kind == keys.KindDelete {
+	if !found {
 		return nil, ErrNotFound
 	}
-	if hot {
+	if hot && fromTree {
 		db.enqueuePromotion(p, key, v)
 	}
 	return v, nil
+}
+
+// lookup reads key's newest live version: zone tier first, then the tree —
+// the direction data moves, so a demotion racing the read cannot hide the
+// key. fromTree reports which tier answered.
+func (p *partition) lookup(key []byte) (v []byte, found, fromTree bool, err error) {
+	v, _, tomb, found, err := p.zones.Get(key, device.Fg)
+	if err != nil || found {
+		return v, found && !tomb, false, err
+	}
+	v, kind, found, err := p.tree.Get(key, keys.MaxSeq, device.Fg)
+	if err != nil || !found || kind == keys.KindDelete {
+		return nil, false, false, err
+	}
+	return v, true, true, nil
 }
 
 // enqueuePromotion hands a hot capacity-tier object to the partition's

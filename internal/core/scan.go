@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 
 	"hyperdb/internal/device"
 	"hyperdb/internal/keys"
@@ -53,92 +54,90 @@ func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
 }
 
 // scanPartition merges one partition's two tiers from lo upward.
+//
+// Sources are consulted in the direction data moves — zone tier, then the
+// tree (which goes on L1 → Lmax) — so a demotion racing the scan cannot hide
+// a key: one that left the zone index before the refs were taken was durable
+// in the tree before the tree iterator was opened. The zone tier is read in
+// chunks of index refs, and every chunk repeats that order: refs first, then
+// a tree iterator opened at the chunk's start, which costs a block per level
+// and not one per table. A ref whose slot was freed in the meantime falls
+// back to a point lookup.
 func (db *DB) scanPartition(p *partition, lo []byte, limit int) ([]KV, error) {
-	// Snapshot the zone tier's index entries in range. Values are read
-	// afterwards (sequential point queries).
 	type zref struct {
 		key []byte
 		loc zone.Location
 	}
-	var zrefs []zref
-	zi := 0
-	chunk := limit * 4 // headroom for tombstones shadowing LSM keys
-	if chunk < 64 {
-		chunk = 64
-	}
-	exhausted := false
-	fill := func(from []byte) {
-		zrefs = zrefs[:0]
-		zi = 0
-		n := 0
-		p.zones.Scan(from, nil, func(k []byte, loc zone.Location) bool {
-			n++
-			zrefs = append(zrefs, zref{key: append([]byte(nil), k...), loc: loc})
-			return n < chunk
-		})
-		exhausted = n < chunk
-	}
-	fill(lo)
-
-	ti := p.tree.NewScanIter(lo, device.Fg)
-	defer ti.Close()
 	var prefetch *zone.ScanReader
 	if db.opts.ScanPrefetch {
 		prefetch = p.zones.NewScanReader()
 	}
-	readZone := func(key []byte, loc zone.Location) ([]byte, error) {
+	// readZone returns the live value behind a zone ref, if there is one.
+	readZone := func(r zref) (v []byte, ok bool, err error) {
+		if r.loc.Tombstone {
+			return nil, false, nil
+		}
 		if prefetch != nil {
-			return prefetch.Read(key, loc, device.Fg)
+			v, err = prefetch.Read(r.key, r.loc, device.Fg)
+		} else {
+			v, err = p.zones.ReadAt(r.key, r.loc, device.Fg)
 		}
-		return p.zones.ReadAt(key, loc, device.Fg)
+		if errors.Is(err, zone.ErrMoved) {
+			v, ok, _, err = p.lookup(r.key)
+			return v, ok, err
+		}
+		return v, err == nil, err
 	}
+
 	out := make([]KV, 0, limit)
-	for len(out) < limit {
-		if zi >= len(zrefs) && !exhausted {
-			// Refill the zone cursor past the last consumed key.
-			fill(keys.Successor(zrefs[len(zrefs)-1].key))
-		}
-		var zk []byte
-		if zi < len(zrefs) {
-			zk = zrefs[zi].key
-		}
-		tValid := ti.Valid()
-		if zk == nil && !tValid {
-			break
-		}
-		switch {
-		case zk != nil && (!tValid || bytes.Compare(zk, ti.Key()) < 0):
-			// Zone-tier key only.
-			if !zrefs[zi].loc.Tombstone {
-				v, err := readZone(zk, zrefs[zi].loc)
-				if err == nil {
-					out = append(out, KV{Key: zk, Value: v})
-				}
-				// A racing migration moved the object; the LSM iterator
-				// was opened before, so skip rather than double-count.
-			}
-			zi++
-		case zk != nil && bytes.Equal(zk, ti.Key()):
-			// Both tiers: the zone tier is authoritative (newest or an
-			// authoritative tombstone).
-			if !zrefs[zi].loc.Tombstone {
-				v, err := readZone(zk, zrefs[zi].loc)
-				if err == nil {
-					out = append(out, KV{Key: zk, Value: v})
+	zrefs := make([]zref, 0, limit)
+	for from := lo; ; from = keys.Successor(zrefs[len(zrefs)-1].key) {
+		want := limit - len(out)
+		zrefs = zrefs[:0]
+		p.zones.Scan(from, nil, func(k []byte, loc zone.Location) bool {
+			zrefs = append(zrefs, zref{key: bytes.Clone(k), loc: loc})
+			return len(zrefs) < want
+		})
+		// A full chunk means the zone tier may hold more keys behind it:
+		// tree keys past the chunk's last ref wait for the next chunk.
+		more := len(zrefs) == want
+		ti := p.tree.NewScanIter(from, device.Fg)
+		zi := 0
+		for len(out) < limit && (zi < len(zrefs) || (!more && ti.Valid())) {
+			c := 1 // which tier holds the smaller key: <0 zone, 0 both, >0 tree
+			if zi < len(zrefs) {
+				c = -1
+				if ti.Valid() {
+					c = bytes.Compare(zrefs[zi].key, ti.Key())
 				}
 			}
+			if c > 0 {
+				out = append(out, KV{Key: bytes.Clone(ti.Key()), Value: bytes.Clone(ti.Value())})
+				ti.Next()
+				continue
+			}
+			// The zone tier is authoritative for the keys it holds: the
+			// newest version, or a tombstone shadowing the tree's.
+			v, ok, err := readZone(zrefs[zi])
+			if err != nil {
+				ti.Close()
+				return nil, err
+			}
+			if ok {
+				out = append(out, KV{Key: zrefs[zi].key, Value: v})
+			}
 			zi++
-			ti.Next()
-		default:
-			out = append(out, KV{
-				Key:   append([]byte(nil), ti.Key()...),
-				Value: append([]byte(nil), ti.Value()...),
-			})
-			ti.Next()
+			if c == 0 {
+				ti.Next()
+			}
+		}
+		err := ti.Err()
+		ti.Close()
+		if err != nil {
+			return nil, err
+		}
+		if !more || len(out) == limit {
+			return out, nil
 		}
 	}
-	if err := ti.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"hyperdb/internal/device"
@@ -136,5 +137,104 @@ func TestScanTombstoneShadowsLSMAtPartitionBoundary(t *testing.T) {
 		if !bytes.Equal(kvs[i].Key, k8(w.k)) || string(kvs[i].Value) != w.v {
 			t.Fatalf("scan[%d] = %x=%q, want %x=%q", i, kvs[i].Key, kvs[i].Value, k8(w.k), w.v)
 		}
+	}
+}
+
+// TestScanDuringDemotionReturnsEveryKey pages through the whole keyspace, the
+// way a replica bootstrap does, while another goroutine keeps overwriting
+// keys and stepping migration and compaction on a tier a tenth the size of
+// the data. No key is ever deleted, so every pass must return every key: a
+// demotion moving an object between the scan's look at the zone index and
+// its look at the tree, or freeing a slot between the index snapshot and the
+// slot read, must not make an acked key invisible.
+func TestScanDuringDemotionReturnsEveryKey(t *testing.T) {
+	db := openCore(t, 2<<20, false)
+	const n = 20000
+	key := func(i int) []byte { return k8(uint64(i) << 49) }
+	val := func(i, ver int) []byte { return []byte(fmt.Sprintf("%05d-%08d-%080d", i, ver, 0)) }
+	for i := 0; i < n; i++ {
+		if err := db.Put(key(i), val(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		rng := rand.New(rand.NewSource(1))
+		for ver := 1; ; {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			for j := 0; j < 64; j, ver = j+1, ver+1 {
+				i := rng.Intn(n)
+				if err := db.Put(key(i), val(i, ver)); err != nil {
+					done <- err
+					return
+				}
+			}
+			for p := 0; p < db.Partitions(); p++ {
+				if err := db.MigrationStep(p); err != nil {
+					done <- err
+					return
+				}
+				for {
+					did, err := db.CompactionStep(p)
+					if err != nil {
+						done <- err
+						return
+					}
+					if !did {
+						break
+					}
+				}
+			}
+		}
+	}()
+	stopped := false
+	stopWriter := func() error {
+		stopped = true
+		close(stop)
+		return <-done
+	}
+	defer func() {
+		if !stopped { // a failed pass: the writer must not outlive the test
+			stopWriter()
+		}
+	}()
+
+	for pass := 0; pass < 20; pass++ {
+		next := 0
+		for start := []byte(nil); ; {
+			kvs, err := db.Scan(start, 1000)
+			if err != nil {
+				t.Fatalf("pass %d: %v", pass, err)
+			}
+			for _, kv := range kvs {
+				if !bytes.Equal(kv.Key, key(next)) {
+					t.Fatalf("pass %d: got key %x where key %d (%x) belongs", pass, kv.Key, next, key(next))
+				}
+				if !bytes.HasPrefix(kv.Value, []byte(fmt.Sprintf("%05d-", next))) {
+					t.Fatalf("pass %d: key %d carries value %q", pass, next, kv.Value)
+				}
+				next++
+			}
+			if len(kvs) < 1000 {
+				break
+			}
+			start = keys.Successor(kvs[len(kvs)-1].Key)
+		}
+		if next != n {
+			t.Fatalf("pass %d returned %d of %d keys", pass, next, n)
+		}
+	}
+	if err := stopWriter(); err != nil {
+		t.Fatal(err)
+	}
+	if db.Stats().Zone.Migrations == 0 {
+		t.Fatal("nothing was demoted while the scans ran")
 	}
 }

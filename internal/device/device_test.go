@@ -380,3 +380,84 @@ func TestEnsureAllocatedChargesNothing(t *testing.T) {
 		t.Fatalf("used = %d", d.Used())
 	}
 }
+
+// TestFileMatchesFlatModel drives a file through random appends, in-place
+// writes, zero extensions, truncations and hole punches whose sizes straddle
+// the extents the contents are stored in, and checks every read — and the
+// ledger — against a flat byte slice.
+func TestFileMatchesFlatModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 20; round++ {
+		d := unthrottled(0)
+		f, _ := d.Create("a")
+		var model []byte
+		random := func(n int) []byte {
+			p := make([]byte, n)
+			rng.Read(p)
+			return p
+		}
+		size := func() int { // mostly small, sometimes several extents
+			if rng.Intn(4) == 0 {
+				return rng.Intn(3 * extentSize)
+			}
+			return rng.Intn(6000)
+		}
+		for step := 0; step < 300; step++ {
+			switch rng.Intn(7) {
+			case 0, 1:
+				p := random(size())
+				off, err := f.Append(p)
+				if err != nil || off != int64(len(model)) {
+					t.Fatalf("append at %d: off %d, %v", len(model), off, err)
+				}
+				model = append(model, p...)
+			case 2: // may leave a zero gap and extend the file
+				p := random(size())
+				off := rng.Intn(len(model) + 5000)
+				if err := f.WriteAt(p, int64(off), Fg); err != nil {
+					t.Fatal(err)
+				}
+				if end := off + len(p); end > len(model) {
+					model = append(model, make([]byte, end-len(model))...)
+				}
+				copy(model[off:], p)
+			case 3:
+				n := len(model) + size()
+				if err := f.EnsureAllocated(int64(n)); err != nil {
+					t.Fatal(err)
+				}
+				model = append(model, make([]byte, n-len(model))...)
+			case 4:
+				n := rng.Intn(len(model) + 1)
+				if err := f.Truncate(int64(n)); err != nil {
+					t.Fatal(err)
+				}
+				model = model[:n:n] // what follows must read back as zeros once regrown
+			case 5:
+				if pages := (len(model) + 4095) / 4096; pages > 0 {
+					p := rng.Intn(pages)
+					f.PunchHole(int64(p))
+					clear(model[p*4096 : min(len(model), (p+1)*4096)])
+				}
+			}
+			if f.Size() != int64(len(model)) {
+				t.Fatalf("round %d step %d: size %d, model %d", round, step, f.Size(), len(model))
+			}
+			off := rng.Intn(len(model) + 100)
+			got := make([]byte, size())
+			n, err := f.ReadAt(got, int64(off), Fg)
+			want := model[min(off, len(model)):min(off+len(got), len(model))]
+			if err != nil || n != len(want) || !bytes.Equal(got[:n], want) {
+				t.Fatalf("round %d step %d: read [%d,+%d) returned %d bytes (%v), model has %d", round, step, off, len(got), n, err, len(want))
+			}
+		}
+		all := make([]byte, len(model))
+		if n, _ := f.ReadAt(all, 0, Fg); n != len(model) || !bytes.Equal(all, model) {
+			t.Fatalf("round %d: final contents differ from the model", round)
+		}
+		holes := int64(len(f.holes))
+		if want := (int64(len(model))+4095)/4096 - holes; d.Used() != want*4096 {
+			t.Fatalf("round %d: ledger holds %d bytes for %d pages less %d holes", round, d.Used(), want+holes, holes)
+		}
+	}
+}

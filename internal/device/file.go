@@ -20,7 +20,7 @@ type File struct {
 	name string
 
 	mu       sync.RWMutex
-	buf      []byte
+	buf      extents
 	pages    int64          // extent pages covering buf (incl. punched holes)
 	holes    map[int64]bool // punched (deallocated) page indices
 	dirtyLo  int64          // first dirty byte not yet synced; -1 when clean
@@ -59,14 +59,7 @@ func (f *File) PunchHole(pageIdx int64) {
 		f.holes[pageIdx] = true
 		f.dev.freePages(1)
 		ps := int64(f.dev.PageSize())
-		lo := pageIdx * ps
-		hi := lo + ps
-		if lo < int64(len(f.buf)) {
-			if hi > int64(len(f.buf)) {
-				hi = int64(len(f.buf))
-			}
-			clear(f.buf[lo:hi])
-		}
+		f.buf.clear(pageIdx*ps, (pageIdx+1)*ps)
 	}
 }
 
@@ -98,7 +91,7 @@ func (f *File) PageSize() int { return f.dev.PageSize() }
 func (f *File) Size() int64 {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return int64(len(f.buf))
+	return f.buf.size
 }
 
 // AllocatedBytes returns the page-rounded on-device footprint, excluding
@@ -156,14 +149,15 @@ func (f *File) Append(data []byte) (int64, error) {
 	if f.released {
 		return 0, ErrClosed
 	}
-	off := int64(len(f.buf))
+	off := f.buf.size
 	if err := f.ensureCapacity(off + int64(len(data))); err != nil {
 		return 0, err
 	}
 	if err := f.unholeRange(off, int64(len(data))); err != nil {
 		return 0, err
 	}
-	f.buf = append(f.buf, data...)
+	f.buf.grow(off + int64(len(data)))
+	f.buf.writeAt(data, off)
 	if len(data) > 0 {
 		if f.dirtyLo < 0 {
 			f.dirtyLo = off
@@ -283,10 +277,8 @@ func (f *File) writeAtLocked(p []byte, off int64, op Op) error {
 		f.mu.Unlock()
 		return err
 	}
-	if end > int64(len(f.buf)) {
-		f.buf = append(f.buf, make([]byte, end-int64(len(f.buf)))...)
-	}
-	copy(f.buf[off:end], p)
+	f.buf.grow(end)
+	f.buf.writeAt(p, off)
 	f.mu.Unlock()
 
 	if len(p) > 0 {
@@ -308,9 +300,7 @@ func (f *File) EnsureAllocated(size int64) error {
 	if err := f.ensureCapacity(size); err != nil {
 		return err
 	}
-	if size > int64(len(f.buf)) {
-		f.buf = append(f.buf, make([]byte, size-int64(len(f.buf)))...)
-	}
+	f.buf.grow(size)
 	return nil
 }
 
@@ -326,7 +316,7 @@ func (f *File) ReadAt(p []byte, off int64, op Op) (int, error) {
 		f.mu.RUnlock()
 		return 0, ErrClosed
 	}
-	if off >= int64(len(f.buf)) {
+	if off >= f.buf.size {
 		f.mu.RUnlock()
 		return 0, nil
 	}
@@ -334,7 +324,7 @@ func (f *File) ReadAt(p []byte, off int64, op Op) (int, error) {
 		f.mu.RUnlock()
 		return 0, ErrInjected
 	}
-	n := copy(p, f.buf[off:])
+	n := f.buf.readAt(p, off)
 	f.mu.RUnlock()
 
 	if n > 0 {
@@ -365,8 +355,8 @@ func (f *File) Truncate(size int64) error {
 	if f.released {
 		return ErrClosed
 	}
-	if size < 0 || size > int64(len(f.buf)) {
-		return fmt.Errorf("device: truncate size %d out of range [0,%d]", size, len(f.buf))
+	if size < 0 || size > f.buf.size {
+		return fmt.Errorf("device: truncate size %d out of range [0,%d]", size, f.buf.size)
 	}
 	f.truncateLocked(size)
 	return nil
@@ -388,7 +378,7 @@ func (f *File) powerCut() {
 // truncateLocked shrinks buf to size and returns freed pages; caller holds
 // f.mu and has validated size.
 func (f *File) truncateLocked(size int64) {
-	f.buf = f.buf[:size]
+	f.buf.truncate(size)
 	ps := int64(f.dev.PageSize())
 	need := (size + ps - 1) / ps
 	if need < f.pages {
@@ -423,5 +413,5 @@ func (f *File) release() {
 	f.dev.freePages(f.pages - int64(len(f.holes)))
 	f.pages = 0
 	f.holes = nil
-	f.buf = nil
+	f.buf = extents{}
 }

@@ -1,24 +1,22 @@
 package lsm
 
 import (
-	"bytes"
-	"container/heap"
+	"sort"
 
 	"hyperdb/internal/device"
-	"hyperdb/internal/keys"
+	"hyperdb/internal/mergeiter"
 	"hyperdb/internal/semisst"
 )
 
-// TreeIter merges all tables overlapping a scan range into one user-key
-// ordered stream, resolving multi-level versions by sequence number and
-// eliding tombstones.
+// TreeIter streams the live user keys at or above a start key in order: one
+// lazily opened chain of segment tables per level, merged newest version
+// first with tombstones elided. Key and Value are views valid until Next.
+// Callers must Close the iterator to release its table references.
 type TreeIter struct {
-	h       iterHeap
+	*mergeiter.Iter
 	entries []*fileEntry
-	key     []byte
-	value   []byte
-	valid   bool
-	err     error
+	its     []semisst.Iter // parallel to entries: each table's block snapshot
+	opened  int            // tables positioned so far, for tests and benchmarks
 }
 
 // Close releases the iterator's table references. Idempotent.
@@ -27,118 +25,65 @@ func (s *TreeIter) Close() {
 		fe.release()
 	}
 	s.entries = nil
-	s.valid = false
 }
-
-type heapItem struct {
-	it *semisst.Iter
-}
-
-type iterHeap []*heapItem
-
-func (h iterHeap) Len() int { return len(h) }
-func (h iterHeap) Less(i, j int) bool {
-	return keys.Compare(h[i].it.Key(), h[j].it.Key()) < 0
-}
-func (h iterHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *iterHeap) Push(x any)   { *h = append(*h, x.(*heapItem)) }
-func (h *iterHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// NewScanIter returns an iterator over user keys in [lo, hi) across all
-// levels. hi == nil means unbounded. Charges reads as foreground scans.
-func (t *Tree) NewScanIter(lo []byte, op device.Op) *TreeIter {
-	scan := &TreeIter{}
-	t.mu.RLock()
-	var tables []*semisst.Table
-	for level := 1; level <= t.opts.MaxLevels; level++ {
-		for _, fe := range t.levels[level] {
-			r := fe.table.Range()
-			if r.Hi != nil && lo != nil && bytes.Compare(r.Hi, lo) <= 0 {
-				continue
-			}
-			fe.acquire()
-			scan.entries = append(scan.entries, fe)
-			tables = append(tables, fe.table)
-		}
-	}
-	t.mu.RUnlock()
-	for _, tbl := range tables {
-		it := tbl.NewIter(op)
-		if lo == nil {
-			it.First()
-		} else {
-			it.SeekGE(lo)
-		}
-		if it.Valid() {
-			scan.h = append(scan.h, &heapItem{it: it})
-		} else if err := it.Err(); err != nil {
-			scan.err = err
-		}
-	}
-	heap.Init(&scan.h)
-	scan.advance()
-	return scan
-}
-
-// advance pops the next distinct user key, resolving versions.
-func (s *TreeIter) advance() {
-	s.valid = false
-	for len(s.h) > 0 {
-		// The heap orders by internal key: the newest version of the
-		// smallest user key surfaces first.
-		top := s.h[0]
-		k := top.it.Key()
-		user := append([]byte(nil), k.User...)
-		kind := k.Kind
-		value := append([]byte(nil), top.it.Value()...)
-		seq := k.Seq
-		// Drain every older version of this user key from all iterators.
-		for len(s.h) > 0 {
-			cur := s.h[0]
-			ck := cur.it.Key()
-			if !bytes.Equal(ck.User, user) {
-				break
-			}
-			if ck.Seq > seq {
-				seq, kind = ck.Seq, ck.Kind
-				value = append(value[:0], cur.it.Value()...)
-			}
-			cur.it.Next()
-			if cur.it.Valid() {
-				heap.Fix(&s.h, 0)
-			} else {
-				if err := cur.it.Err(); err != nil {
-					s.err = err
-					return
-				}
-				heap.Pop(&s.h)
-			}
-		}
-		if kind == keys.KindDelete {
-			continue // tombstone: skip this user key entirely
-		}
-		s.key, s.value, s.valid = user, value, true
-		return
-	}
-}
-
-// Valid reports whether the iterator is positioned at an entry.
-func (s *TreeIter) Valid() bool { return s.valid }
-
-// Next advances to the next distinct live user key.
-func (s *TreeIter) Next() { s.advance() }
 
 // Key returns the current user key.
-func (s *TreeIter) Key() []byte { return s.key }
+func (s *TreeIter) Key() []byte { return s.Iter.Key().User }
 
-// Value returns the current value.
-func (s *TreeIter) Value() []byte { return s.value }
+// NewScanIter returns an iterator over the user keys >= lo (nil = from the
+// start) across all levels, charging reads with op.
+//
+// A level's tables cover disjoint, segment-ordered key ranges, so its
+// candidates are the segments from lo's upward, and a table is positioned —
+// a block read and decoded — only when the scan reaches it: at creation that
+// is the first candidate of each level, nothing behind it. What creation
+// does take of every candidate, in one hold of the tree lock and without
+// I/O, is its block snapshot, shallow level before deep. Data only moves
+// down and a destination is durable before its source lets go of the data,
+// so a key that left a table before that table's snapshot is in the later
+// snapshot of the deeper table it went to; and since no table is replaced
+// while the lock is held, that deeper table is the one listed here.
+func (t *Tree) NewScanIter(lo []byte, op device.Op) *TreeIter {
+	s := &TreeIter{}
+	levelEnd := make([]int, 0, t.opts.MaxLevels)
+	t.mu.RLock()
+	for level := 1; level <= t.opts.MaxLevels; level++ {
+		first, from := 0, len(s.entries)
+		if lo != nil {
+			first = t.segFor(level, lo)
+		}
+		for seg, fe := range t.levels[level] {
+			if seg >= first {
+				fe.acquire()
+				s.entries = append(s.entries, fe)
+			}
+		}
+		run := s.entries[from:]
+		sort.Slice(run, func(a, b int) bool { return run[a].seg < run[b].seg })
+		levelEnd = append(levelEnd, len(s.entries))
+	}
+	s.its = make([]semisst.Iter, len(s.entries))
+	for i, fe := range s.entries {
+		s.its[i] = fe.table.NewIter(op)
+	}
+	t.mu.RUnlock()
 
-// Err returns the first error encountered.
-func (s *TreeIter) Err() error { return s.err }
+	srcs := make([]mergeiter.Source, 0, len(levelEnd))
+	from := 0
+	for _, end := range levelEnd {
+		if run := s.its[from:end]; len(run) > 0 {
+			srcs = append(srcs, mergeiter.NewConcat(len(run), func(i int) mergeiter.Source {
+				s.opened++
+				if lo == nil {
+					run[i].First()
+				} else {
+					run[i].SeekGE(lo)
+				}
+				return &run[i]
+			}))
+		}
+		from = end
+	}
+	s.Iter = mergeiter.Merge(srcs, true)
+	return s
+}

@@ -164,6 +164,14 @@ type Table struct {
 	stale    int64       // bytes in dirty data blocks
 	maxSeq   uint64
 	idxBytes int64 // size of the current persisted index block
+
+	// liveMetas is blocks[live[i]] for every i, in a slice that is never
+	// written again once published: recomputeLive builds a new one. Readers
+	// take the slice header under mu and use it lock-free, so a block
+	// snapshot costs a pointer, not a copy; it stays readable for the life
+	// of the file because blocks are only ever appended.
+	liveMetas []BlockMeta
+
 	// cachePrefix namespaces the table's page-cache keys. File offsets are
 	// never recycled (blocks are only appended; a full compaction builds a
 	// new generation file), so name + offset identifies a block for good.
@@ -291,7 +299,8 @@ func (t *Table) Close() {
 	}
 }
 
-// recomputeLive rebuilds the sorted live-block index. Caller holds mu.
+// recomputeLive rebuilds the sorted live-block index and publishes a fresh
+// liveMetas snapshot. Caller holds mu.
 func (t *Table) recomputeLive() {
 	t.live = t.live[:0]
 	for i := range t.blocks {
@@ -302,6 +311,10 @@ func (t *Table) recomputeLive() {
 	sort.Slice(t.live, func(a, b int) bool {
 		return bytes.Compare(t.blocks[t.live[a]].First, t.blocks[t.live[b]].First) < 0
 	})
+	t.liveMetas = make([]BlockMeta, len(t.live))
+	for i, li := range t.live {
+		t.liveMetas[i] = t.blocks[li]
+	}
 }
 
 // appendMerge marks dirtyIdx blocks invalid, appends entries as fresh blocks

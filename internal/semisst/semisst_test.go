@@ -440,6 +440,41 @@ func TestIterSnapshotAcrossMerge(t *testing.T) {
 	}
 }
 
+// TestNewIterSharesTheLiveSnapshot pins that a table snapshot is a pointer,
+// not a copy: NewIter allocates nothing whatever the block count, every
+// iterator between two merges walks the same published slice, and a merge
+// publishes a new slice instead of touching the one iterators hold.
+func TestNewIterSharesTheLiveSnapshot(t *testing.T) {
+	dev := newDev()
+	for _, n := range []int{20, 20000} {
+		f, _ := dev.Create(fmt.Sprintf("s%d", n))
+		tbl, err := Build(f, Options{}, sortedEntries(n, 1), device.Bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var it Iter
+		if allocs := testing.AllocsPerRun(100, func() { it = tbl.NewIter(device.Fg) }); allocs != 0 {
+			t.Fatalf("NewIter over %d blocks allocates %v times", tbl.NumLiveBlocks(), allocs)
+		}
+		held := tbl.LiveBlockMetas()
+		if &it.metas[0] != &held[0] {
+			t.Fatal("NewIter copied the block metadata")
+		}
+		before := append([]BlockMeta(nil), held...)
+		if _, err := tbl.Merge([]Entry{entry("key-00003", 90000, "x")}, false, device.Bg); err != nil {
+			t.Fatal(err)
+		}
+		if now := tbl.LiveBlockMetas(); &now[0] == &held[0] {
+			t.Fatal("the merge reused the published snapshot")
+		}
+		for i := range held {
+			if held[i].Handle != before[i].Handle || !held[i].Valid || held[i].Filter == nil || len(held[i].Keys) != before[i].Entries {
+				t.Fatalf("the merge wrote into the snapshot an iterator holds, block %d", i)
+			}
+		}
+	}
+}
+
 // TestGetConcurrentWithMerge runs lock-free point reads against a table
 // while merges dirty and append blocks under them: a read returns a value
 // some merge wrote, never an error or bytes from a half-written block.

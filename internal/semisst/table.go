@@ -78,16 +78,13 @@ func (t *Table) Range() keys.Range {
 	return keys.Range{Lo: append([]byte(nil), first...), Hi: keys.Successor(last)}
 }
 
-// LiveBlockMetas returns snapshots of the valid blocks in key order. The
-// Keys slices are shared, not copied; treat as read-only.
+// LiveBlockMetas returns the valid blocks in key order as of now: the
+// table's published snapshot, shared with every other reader and never
+// written again. Read-only.
 func (t *Table) LiveBlockMetas() []BlockMeta {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]BlockMeta, 0, len(t.live))
-	for _, li := range t.live {
-		out = append(out, t.blocks[li])
-	}
-	return out
+	return t.liveMetas
 }
 
 // ChargeIndexRead accounts one read of the table's index block, against the
@@ -113,27 +110,23 @@ func (t *Table) ChargeIndexRead(op device.Op) {
 	t.f.ReadAt(buf, t.f.Size()-footerSize-n, op)
 }
 
-// findLiveBlock returns the position in t.live of the block whose range
-// contains user, or -1. Caller holds mu (read).
-func (t *Table) findLiveBlock(user []byte) int {
-	lo, hi := 0, len(t.live)
+// findBlock returns the block of a live snapshot whose range contains user,
+// or nil.
+func findBlock(metas []BlockMeta, user []byte) *BlockMeta {
+	lo, hi := 0, len(metas)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(t.blocks[t.live[mid]].First, user) <= 0 {
+		if bytes.Compare(metas[mid].First, user) <= 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	// lo is the first block with First > user; candidate is lo-1.
-	if lo == 0 {
-		return -1
+	if lo == 0 || bytes.Compare(user, metas[lo-1].Last) > 0 {
+		return nil
 	}
-	b := &t.blocks[t.live[lo-1]]
-	if bytes.Compare(user, b.Last) > 0 {
-		return -1
-	}
-	return lo - 1
+	return &metas[lo-1]
 }
 
 // readBlockData fetches one data block for a foreground read, via the page
@@ -168,23 +161,15 @@ func (t *Table) readBlockData(bm *BlockMeta, op device.Op) ([]byte, error) {
 
 // Get returns the newest version of user visible at snapshot seq. found is
 // false when the table holds no version; tombstones return found=true with
-// kind=KindDelete. The block metadata is snapshotted under the lock and the
-// device read runs lock-free: a block's bytes stay where they were written
-// for the life of the file, dirty or not.
+// kind=KindDelete. The search and the device read run lock-free on the live
+// snapshot: a block's bytes stay where they were written for the life of the
+// file, dirty or not.
 func (t *Table) Get(user []byte, seq uint64, op device.Op) (value []byte, kind keys.Kind, found bool, err error) {
-	t.mu.RLock()
-	li := t.findLiveBlock(user)
-	if li < 0 {
-		t.mu.RUnlock()
+	bm := findBlock(t.LiveBlockMetas(), user)
+	if bm == nil || !bm.Filter.Contains(user) {
 		return nil, 0, false, nil
 	}
-	bm := t.blocks[t.live[li]]
-	t.mu.RUnlock()
-
-	if !bm.Filter.Contains(user) {
-		return nil, 0, false, nil
-	}
-	data, err := t.readBlockData(&bm, op)
+	data, err := t.readBlockData(bm, op)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -352,9 +337,8 @@ func (t *Table) AllEntries(op device.Op) ([]Entry, int64, error) {
 }
 
 // Iter iterates live entries in user-key order, streaming one block at a
-// time (foreground scans). It walks the block snapshot taken at NewIter:
-// merges only append, so the snapshot stays readable for the life of the
-// file.
+// time (foreground scans). It walks the live snapshot as of NewIter: merges
+// only append, so the snapshot stays readable for the life of the file.
 type Iter struct {
 	t     *Table
 	op    device.Op
@@ -364,9 +348,11 @@ type Iter struct {
 	err   error
 }
 
-// NewIter returns an iterator over the table's live entries.
-func (t *Table) NewIter(op device.Op) *Iter {
-	return &Iter{t: t, op: op, metas: t.LiveBlockMetas(), bi: -1}
+// NewIter returns an unpositioned iterator over the table's live entries;
+// call First or SeekGE. It takes the snapshot and does no I/O, and it is a
+// value so that a scan can hold one per candidate table in a single slice.
+func (t *Table) NewIter(op device.Op) Iter {
+	return Iter{t: t, op: op, metas: t.LiveBlockMetas(), bi: -1}
 }
 
 func (it *Iter) loadBlock(i int) bool {

@@ -343,6 +343,16 @@ func (m *Manager) vcacheStore(key []byte, seq uint64, value []byte) {
 	m.vcacheBytes += need
 }
 
+// cachedValueLocked returns a copy of key's value-cache entry when it holds
+// version seq. Caller holds mu in any mode: writers reuse the cached buffers
+// in place, so the copy must be taken under the lock.
+func (m *Manager) cachedValueLocked(key []byte, seq uint64) ([]byte, bool) {
+	if e, ok := m.vcache[string(key)]; ok && e.seq == seq {
+		return bytes.Clone(e.val), true
+	}
+	return nil, false
+}
+
 // vcacheDelete drops key's entry. Caller holds mu. Sequence validation
 // already makes stale entries unservable; this just reclaims the budget.
 func (m *Manager) vcacheDelete(key []byte) {
@@ -500,12 +510,10 @@ func (m *Manager) Get(key []byte, op device.Op) (value []byte, seq uint64, tombs
 		m.mu.RUnlock()
 		return nil, loc.Seq, true, true, nil
 	}
-	// Value cache: one zero-allocation map probe while the read lock is
-	// already held. A hit whose sequence matches the index entry is the
-	// newest version by construction. Writers reuse value buffers in
-	// place, so the clone must complete before the lock is released.
-	if e, ok := m.vcache[string(key)]; ok && e.seq == loc.Seq {
-		v := bytes.Clone(e.val)
+	// Value cache: one map probe while the read lock is already held. A hit
+	// whose sequence matches the index entry is the newest version by
+	// construction.
+	if v, ok := m.cachedValueLocked(key, loc.Seq); ok {
 		m.mu.RUnlock()
 		return v, loc.Seq, false, true, nil
 	}
@@ -592,10 +600,20 @@ func (m *Manager) Scan(lo, hi []byte, fn func(key []byte, loc Location) bool) {
 	m.index.Ascend(lo, hi, fn)
 }
 
+// ErrMoved reports that the object a Location named is no longer there: a
+// migration, split or hot-zone eviction freed its slot after the location was
+// taken. The newest version is wherever a fresh lookup finds it.
+var ErrMoved = errors.New("zone: object moved")
+
 // ReadAt fetches the object at loc (used by scans after collecting
-// locations). Charges a page read through the cache.
+// locations): from the value cache when it still holds loc's version, else a
+// page read through the page cache.
 func (m *Manager) ReadAt(key []byte, loc Location, op device.Op) ([]byte, error) {
 	m.mu.RLock()
+	if v, ok := m.cachedValueLocked(key, loc.Seq); ok {
+		m.mu.RUnlock()
+		return v, nil
+	}
 	sf := m.slotFiles[loc.Class]
 	ck := m.cacheKey(int(loc.Class), loc.Page)
 	m.mu.RUnlock()
@@ -614,12 +632,16 @@ func (m *Manager) ReadAt(key []byte, loc Location, op device.Op) ([]byte, error)
 	if m.cfg.PageCache != nil {
 		m.cfg.PageCache.Put(ck, page)
 	}
-	_, tomb, k, v, err := sf.decodeSlotInPage(page, loc.Slot)
-	if err != nil {
-		return nil, err
-	}
-	if tomb || !bytes.Equal(k, key) {
-		return nil, fmt.Errorf("zone: object %q moved", key)
+	return sf.objectInPage(page, loc.Slot, key)
+}
+
+// objectInPage returns a copy of key's value from slot s of a fetched page,
+// or ErrMoved when the slot holds anything else — another key, a tombstone,
+// or the zeros and torn bytes of a freed page.
+func (sf *slotFile) objectInPage(page []byte, s uint16, key []byte) ([]byte, error) {
+	_, tomb, k, v, err := sf.decodeSlotInPage(page, s)
+	if err != nil || tomb || !bytes.Equal(k, key) {
+		return nil, fmt.Errorf("%w: %q", ErrMoved, key)
 	}
 	return bytes.Clone(v), nil
 }
@@ -732,14 +754,19 @@ func (m *Manager) NewScanReader() *ScanReader {
 	return &ScanReader{m: m, pages: make(map[scanPageKey][]byte)}
 }
 
-// Read fetches the object at loc, reusing previously fetched pages.
+// Read fetches the object at loc from the value cache, a previously fetched
+// page, or the device.
 func (r *ScanReader) Read(key []byte, loc Location, op device.Op) ([]byte, error) {
+	r.m.mu.RLock()
+	v, ok := r.m.cachedValueLocked(key, loc.Seq)
+	sf := r.m.slotFiles[loc.Class]
+	r.m.mu.RUnlock()
+	if ok {
+		return v, nil
+	}
 	pk := scanPageKey{loc.Class, loc.Page}
 	page, ok := r.pages[pk]
 	if !ok {
-		r.m.mu.RLock()
-		sf := r.m.slotFiles[loc.Class]
-		r.m.mu.RUnlock()
 		var err error
 		op.Sequential = true
 		page, err = sf.readPage(loc.Page, op)
@@ -748,12 +775,5 @@ func (r *ScanReader) Read(key []byte, loc Location, op device.Op) ([]byte, error
 		}
 		r.pages[pk] = page
 	}
-	r.m.mu.RLock()
-	sf := r.m.slotFiles[loc.Class]
-	r.m.mu.RUnlock()
-	_, tomb, k, v, err := sf.decodeSlotInPage(page, loc.Slot)
-	if err != nil || tomb || !bytes.Equal(k, key) {
-		return nil, fmt.Errorf("zone: object %q moved", key)
-	}
-	return bytes.Clone(v), nil
+	return sf.objectInPage(page, loc.Slot, key)
 }

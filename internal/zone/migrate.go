@@ -33,72 +33,89 @@ type locRef struct {
 	loc Location
 }
 
-// PrepareMigration detaches zone z from the group and reads its objects out
-// of the slot files at page granularity. New writes to the zone's key range
-// create a fresh zone; concurrent updates to migrated keys simply supersede
-// them (CommitMigration compares sequence numbers).
-//
-// The returned batch's entries are sorted by key — the zone's limited key
-// range is what makes this cheap (§3.2). PageReads counts the distinct pages
-// fetched, the experiment metric behind Figure 9b.
-func (m *Manager) PrepareMigration(z *Zone) (*Batch, error) {
-	m.mu.Lock()
-	// Detach: remove from the ordered zone list so the range can be
-	// re-zoned, and from zoneByID so concurrent updates to migrated keys
-	// allocate fresh slots instead of writing in place into pages that are
-	// about to be freed. A zone already detached by a racing migration
-	// (foreground stall vs background worker) yields a nil batch.
-	found := false
-	for i, zz := range m.zones {
-		if zz == z {
-			m.zones = append(m.zones[:i], m.zones[i+1:]...)
-			found = true
-			break
-		}
+// detachLocked takes key-range zone z out of the group and returns its index
+// entries in key order. Off the ordered zone list, the range can be re-zoned;
+// off zoneByID, concurrent updates to its keys allocate fresh slots instead
+// of writing in place into pages that are about to be freed, so the zone's
+// slots are stable from here on. ok is false when a racing caller (foreground
+// stall vs background worker) already detached z. Caller holds mu.
+func (m *Manager) detachLocked(z *Zone) (refs []locRef, ok bool) {
+	i := 0
+	for i < len(m.zones) && m.zones[i] != z {
+		i++
 	}
-	if !found {
-		m.mu.Unlock()
-		return nil, nil
+	if i == len(m.zones) {
+		return nil, false
 	}
+	m.zones = append(m.zones[:i], m.zones[i+1:]...)
 	delete(m.zoneByID, z.id)
-	// Snapshot the zone's index entries. The zone's range bounds the scan.
-	var refs []locRef
 	lo, hi := z.scanBounds()
+	return m.zoneRefsLocked(z, lo, hi), true
+}
+
+// zoneRefsLocked snapshots the index entries in [lo, hi) that live in z. The
+// keys are the index's own: immutable, so not cloned. Caller holds mu.
+func (m *Manager) zoneRefsLocked(z *Zone, lo, hi []byte) []locRef {
+	var refs []locRef
 	m.index.Ascend(lo, hi, func(k []byte, loc Location) bool {
 		if loc.ZoneID == z.id {
 			refs = append(refs, locRef{key: k, loc: loc})
 		}
 		return true
 	})
-	m.mu.Unlock()
+	return refs
+}
 
-	// Read pages outside the lock; the zone is detached so its slots are
-	// stable (slot reuse only happens through the zone, which no new write
-	// can reach).
-	batch := &Batch{zone: z}
-	type pageKey struct {
-		class int8
-		page  uint32
-	}
-	pages := make(map[pageKey][]byte)
+// readObjects reads the slot behind every ref of a detached zone, outside the
+// lock, fetching each distinct page once as a background read however many
+// of the objects sit on it. fn gets the decoded object — key and value are
+// views into the page — or the slot's decode error, in refs order. It returns
+// the number of pages fetched.
+func (m *Manager) readObjects(refs []locRef, fn func(r locRef, tomb bool, k, v []byte, err error) error) (int, error) {
+	pages := make(map[scanPageKey][]byte)
 	for _, r := range refs {
-		pk := pageKey{r.loc.Class, r.loc.Page}
+		sf := m.slotFiles[r.loc.Class]
+		pk := scanPageKey{r.loc.Class, r.loc.Page}
 		page, ok := pages[pk]
 		if !ok {
 			var err error
-			page, err = m.slotFiles[r.loc.Class].readPage(r.loc.Page, device.Bg)
-			if err != nil {
-				return nil, err
+			if page, err = sf.readPage(r.loc.Page, device.Bg); err != nil {
+				return len(pages), err
 			}
 			pages[pk] = page
-			batch.PageReads++
 		}
-		_, tomb, k, v, err := m.slotFiles[r.loc.Class].decodeSlotInPage(page, r.loc.Slot)
+		_, tomb, k, v, err := sf.decodeSlotInPage(page, r.loc.Slot)
+		if err := fn(r, tomb, k, v, err); err != nil {
+			return len(pages), err
+		}
+	}
+	return len(pages), nil
+}
+
+// PrepareMigration detaches zone z from the group and reads its objects out
+// of the slot files at page granularity. New writes to the zone's key range
+// create a fresh zone; concurrent updates to migrated keys simply supersede
+// them (CommitMigration compares sequence numbers). A zone a racing
+// migration already took yields a nil batch.
+//
+// The returned batch's entries are sorted by key — the zone's limited key
+// range is what makes this cheap (§3.2). PageReads counts the distinct pages
+// fetched, the experiment metric behind Figure 9b.
+func (m *Manager) PrepareMigration(z *Zone) (*Batch, error) {
+	m.mu.Lock()
+	refs, ok := m.detachLocked(z)
+	m.mu.Unlock()
+	if !ok {
+		return nil, nil
+	}
+	batch := &Batch{zone: z, Entries: make([]MigEntry, 0, len(refs))}
+	var err error
+	batch.PageReads, err = m.readObjects(refs, func(r locRef, tomb bool, k, v []byte, err error) error {
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !bytes.Equal(k, r.key) {
-			return nil, fmt.Errorf("zone: migration found %q at slot of %q", k, r.key)
+			return fmt.Errorf("zone: migration found %q at slot of %q", k, r.key)
 		}
 		batch.Entries = append(batch.Entries, MigEntry{
 			Key:       bytes.Clone(k),
@@ -106,6 +123,10 @@ func (m *Manager) PrepareMigration(z *Zone) (*Batch, error) {
 			Seq:       r.loc.Seq,
 			Tombstone: tomb,
 		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Index iteration order is already sorted; assert the invariant cheaply.
 	if !sort.SliceIsSorted(batch.Entries, func(a, b int) bool {
@@ -185,44 +206,31 @@ func (m *Manager) EvictHotZone(isHot func(key []byte) bool) error {
 	defer m.evictMu.Unlock()
 	m.mu.Lock()
 	old := m.hot
-	m.hot = newZone(0, 0, ^uint64(0), true, len(m.cfg.Classes))
-	// Collect the old hot zone's entries from the index.
-	var refs []locRef
-	m.index.Ascend(nil, nil, func(k []byte, loc Location) bool {
-		if loc.ZoneID == old.id && old == m.zoneByID[loc.ZoneID] {
-			refs = append(refs, locRef{key: bytes.Clone(k), loc: loc})
-		}
-		return true
-	})
-	// Swap IDs so new hot writes are distinguishable: give the rebuilt hot
-	// zone a fresh id and register it.
-	m.hot.id = m.nextZone
+	// The rebuilt hot zone gets a fresh id, so new hot writes are
+	// distinguishable, and the old one leaves zoneByID like any detached
+	// zone: its slots are stable until its pages are freed below.
+	m.hot = newZone(m.nextZone, 0, ^uint64(0), true, len(m.cfg.Classes))
 	m.nextZone++
 	m.zoneByID[m.hot.id] = m.hot
 	delete(m.zoneByID, old.id)
+	refs := m.zoneRefsLocked(old, nil, nil)
 	m.mu.Unlock()
 
-	for _, r := range refs {
-		page, err := m.slotFiles[r.loc.Class].readPage(r.loc.Page, device.Bg)
-		if err != nil {
-			return err
-		}
-		_, tomb, k, v, err := m.slotFiles[r.loc.Class].decodeSlotInPage(page, r.loc.Slot)
+	_, err := m.readObjects(refs, func(r locRef, tomb bool, k, v []byte, err error) error {
 		if err != nil || !bytes.Equal(k, r.key) {
-			continue // superseded concurrently
+			return nil // superseded concurrently
 		}
 		m.mu.Lock()
+		defer m.mu.Unlock()
 		cur, ok := m.index.Get(r.key)
 		if !ok || cur.Seq != r.loc.Seq || cur.ZoneID != old.id {
-			m.mu.Unlock()
-			continue // superseded concurrently
+			return nil // superseded concurrently
 		}
 		switch {
 		case isHot != nil && isHot(r.key):
 			// Still hot: keep in the rebuilt hot zone.
 			loc, err := m.writeObject(m.hot, int(r.loc.Class), k, v, r.loc.Seq, tomb, r.loc.Promoted, device.Bg)
 			if err != nil {
-				m.mu.Unlock()
 				return err
 			}
 			m.index.Set(r.key, loc)
@@ -240,13 +248,15 @@ func (m *Manager) EvictHotZone(isHot func(key []byte) bool) error {
 			}
 			loc, err := m.writeObject(z, int(r.loc.Class), k, v, r.loc.Seq, tomb, false, device.Bg)
 			if err != nil {
-				m.mu.Unlock()
 				return err
 			}
 			m.index.Set(r.key, loc)
 			m.hotEvictRelocated.Inc()
 		}
-		m.mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	// Free the old hot zone's pages.

@@ -31,61 +31,27 @@ func (m *Manager) PickOversizedZone() (*Zone, int64) {
 // sized by the current Eq. 1–2 estimate, and its pages freed. All I/O is
 // background traffic. Returns the number of objects moved.
 func (m *Manager) SplitZone(z *Zone) (int, error) {
-	m.mu.Lock()
 	if z.hot {
-		m.mu.Unlock()
 		return 0, nil
 	}
 	// Detach, like a migration: new writes re-zone on the fly.
-	found := false
-	for i, zz := range m.zones {
-		if zz == z {
-			m.zones = append(m.zones[:i], m.zones[i+1:]...)
-			found = true
-			break
-		}
-	}
-	if !found {
-		m.mu.Unlock()
+	m.mu.Lock()
+	refs, ok := m.detachLocked(z)
+	m.mu.Unlock()
+	if !ok {
 		return 0, nil
 	}
-	delete(m.zoneByID, z.id)
-	var refs []locRef
-	lo, hi := z.scanBounds()
-	m.index.Ascend(lo, hi, func(k []byte, loc Location) bool {
-		if loc.ZoneID == z.id {
-			refs = append(refs, locRef{key: bytes.Clone(k), loc: loc})
-		}
-		return true
-	})
-	m.mu.Unlock()
 
 	moved := 0
-	type pageID struct {
-		c    int8
-		page uint32
-	}
-	pages := make(map[pageID][]byte)
-	for _, r := range refs {
-		pid := pageID{r.loc.Class, r.loc.Page}
-		page, ok := pages[pid]
-		if !ok {
-			var err error
-			page, err = m.slotFiles[r.loc.Class].readPage(r.loc.Page, device.Bg)
-			if err != nil {
-				return moved, err
-			}
-			pages[pid] = page
-		}
-		_, tomb, k, v, err := m.slotFiles[r.loc.Class].decodeSlotInPage(page, r.loc.Slot)
+	_, err := m.readObjects(refs, func(r locRef, tomb bool, k, v []byte, err error) error {
 		if err != nil || !bytes.Equal(k, r.key) {
-			continue
+			return nil
 		}
 		m.mu.Lock()
+		defer m.mu.Unlock()
 		cur, ok := m.index.Get(r.key)
 		if !ok || cur.Seq != r.loc.Seq || cur.ZoneID != z.id {
-			m.mu.Unlock()
-			continue // superseded concurrently
+			return nil // superseded concurrently
 		}
 		k64 := Key64(r.key)
 		dst := m.zoneFor(k64)
@@ -94,12 +60,14 @@ func (m *Manager) SplitZone(z *Zone) (int, error) {
 		}
 		nloc, err := m.writeObject(dst, int(r.loc.Class), k, v, r.loc.Seq, tomb, r.loc.Promoted, device.Bg)
 		if err != nil {
-			m.mu.Unlock()
-			return moved, err
+			return err
 		}
 		m.index.Set(r.key, nloc)
 		moved++
-		m.mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return moved, err
 	}
 
 	m.mu.Lock()

@@ -258,6 +258,50 @@ func TestEvictHotZone(t *testing.T) {
 	}
 }
 
+// TestBackgroundMovesReadEachPageOnce pins the cost of the three movers that
+// empty a zone — demotion, split and hot-zone eviction: however many objects
+// share a page, the page is one background read.
+func TestBackgroundMovesReadEachPageOnce(t *testing.T) {
+	const n = 600 // 67-byte objects: 32 to a page in the 128 B class
+	fill := func(m *Manager, hot bool) (pages uint64) {
+		for i := 0; i < n; i++ {
+			if err := m.Put(k8(uint64(i)<<20), bytes.Repeat([]byte{byte(i)}, 40), uint64(i+1), hot, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		z := m.hot
+		if !hot {
+			z = m.zones[0]
+		}
+		if int(z.Objects()) != n || z.PageCount() >= n/8 {
+			t.Fatalf("fixture: %d objects on %d pages", z.Objects(), z.PageCount())
+		}
+		return uint64(z.PageCount())
+	}
+	for name, move := range map[string]func(m *Manager) error{
+		"EvictHotZone":     func(m *Manager) error { return m.EvictHotZone(func([]byte) bool { return false }) },
+		"SplitZone":        func(m *Manager) error { _, err := m.SplitZone(m.zones[0]); return err },
+		"PrepareMigration": func(m *Manager) error { _, err := m.PrepareMigration(m.zones[0]); return err },
+	} {
+		m, dev := newMgr(t, 0, 1<<20)
+		pages := fill(m, name == "EvictHotZone")
+		before := dev.Counters().BgReadOps.Load()
+		if err := move(m); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := dev.Counters().BgReadOps.Load() - before; got != pages {
+			t.Fatalf("%s moved %d objects on %d pages with %d background reads", name, n, pages, got)
+		}
+		if name != "PrepareMigration" { // that one's objects are in the batch
+			for i := 0; i < n; i++ {
+				if v, _, _, found, err := m.Get(k8(uint64(i)<<20), device.Fg); err != nil || !found || len(v) != 40 || v[0] != byte(i) {
+					t.Fatalf("%s: key %d afterwards: %q %v %v", name, i, v, found, err)
+				}
+			}
+		}
+	}
+}
+
 func TestDemotionScorePrefersColdDenseZones(t *testing.T) {
 	m, _ := newMgr(t, 0, 4<<10)
 	// Create objects across two zones; then read one zone a lot.
