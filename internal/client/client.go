@@ -3,16 +3,19 @@
 // pool of TCP connections; concurrent calls on one connection pipeline
 // naturally (each is tagged with a request id and matched to its response),
 // which is exactly the traffic shape the server's coalescing queue turns
-// into WriteBatch/MultiGet group commits.
+// into WriteBatch/MultiGet group commits. A connection has no goroutine of
+// its own: a lone call writes its request and reads its own response.
 package client
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"hyperdb/internal/cluster"
@@ -162,27 +165,32 @@ func (c *Client) conn(i int) (*conn, error) {
 	return nil, fmt.Errorf("client: dial %s: %w", c.opts.Addr, lastErr)
 }
 
-// call runs one request→response exchange on a round-robin pool slot.
-func (c *Client) call(op wire.Op, payload []byte) (wire.Frame, error) {
+// call runs one request→response exchange on a round-robin pool slot. enc
+// appends the request payload to the connection's write buffer (nil: empty
+// payload). A connection the server closed while it sat idle is redialed
+// once, before the request is written, so the caller never sees it.
+func (c *Client) call(op wire.Op, enc func([]byte) []byte) (wire.Frame, error) {
 	if c.closed.Load() {
 		return wire.Frame{}, ErrClosed
 	}
 	slot := int(c.next.Add(1)-1) % c.opts.Conns
-	cn, err := c.conn(slot)
-	if err != nil {
-		return wire.Frame{}, err
+	for redialed := false; ; redialed = true {
+		cn, err := c.conn(slot)
+		if err != nil {
+			return wire.Frame{}, err
+		}
+		resp, err := cn.roundTrip(op, enc)
+		if err == errIdleClosed && !redialed {
+			continue
+		}
+		return resp, err
 	}
-	resp, err := cn.roundTrip(op, payload)
-	if err != nil {
-		return wire.Frame{}, err
-	}
-	return resp, nil
 }
 
 // callOK is call plus the common status handling for ops whose success
 // payload is all the caller needs.
-func (c *Client) callOK(op wire.Op, payload []byte) ([]byte, error) {
-	resp, err := c.call(op, payload)
+func (c *Client) callOK(op wire.Op, enc func([]byte) []byte) ([]byte, error) {
+	resp, err := c.call(op, enc)
 	if err != nil {
 		return nil, err
 	}
@@ -231,18 +239,18 @@ func (c *Client) Ping() error {
 
 // Put writes key=value; the write is durable on the server when Put returns.
 func (c *Client) Put(key, value []byte) error {
-	_, err := c.callOK(wire.OpPut, wire.AppendPutReq(nil, key, value))
+	_, err := c.callOK(wire.OpPut, func(b []byte) []byte { return wire.AppendPutReq(b, key, value) })
 	return err
 }
 
 // Get returns the value for key, or ErrNotFound.
 func (c *Client) Get(key []byte) ([]byte, error) {
-	return c.callOK(wire.OpGet, wire.AppendKeyReq(nil, key))
+	return c.callOK(wire.OpGet, func(b []byte) []byte { return wire.AppendKeyReq(b, key) })
 }
 
 // Delete removes key. Deleting an absent key is not an error.
 func (c *Client) Delete(key []byte) error {
-	_, err := c.callOK(wire.OpDel, wire.AppendKeyReq(nil, key))
+	_, err := c.callOK(wire.OpDel, func(b []byte) []byte { return wire.AppendKeyReq(b, key) })
 	return err
 }
 
@@ -251,7 +259,7 @@ func (c *Client) Delete(key []byte) error {
 // one engine write; missing keys count from 0, non-counter values fail,
 // and results saturate at the int64 range.
 func (c *Client) Incr(key []byte, delta int64) (int64, error) {
-	p, err := c.callOK(wire.OpIncr, wire.AppendIncrReq(nil, key, delta))
+	p, err := c.callOK(wire.OpIncr, func(b []byte) []byte { return wire.AppendIncrReq(b, key, delta) })
 	if err != nil {
 		return 0, err
 	}
@@ -265,14 +273,14 @@ func (c *Client) Incr(key []byte, delta int64) (int64, error) {
 // WriteBatch applies ops as one request; the server folds it — along with
 // any concurrently pipelined writes — into a single engine WriteBatch.
 func (c *Client) WriteBatch(ops []wire.BatchOp) error {
-	_, err := c.callOK(wire.OpBatch, wire.AppendBatchReq(nil, ops))
+	_, err := c.callOK(wire.OpBatch, func(b []byte) []byte { return wire.AppendBatchReq(b, ops) })
 	return err
 }
 
 // MultiGet returns values positionally aligned with keys; absent keys
 // yield nil entries.
 func (c *Client) MultiGet(keys [][]byte) ([][]byte, error) {
-	p, err := c.callOK(wire.OpMGet, wire.AppendMGetReq(nil, keys))
+	p, err := c.callOK(wire.OpMGet, func(b []byte) []byte { return wire.AppendMGetReq(b, keys) })
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +300,7 @@ func (c *Client) Scan(start []byte, limit int) ([]wire.KV, error) {
 	if limit < 0 {
 		limit = 0
 	}
-	p, err := c.callOK(wire.OpScan, wire.AppendScanReq(nil, start, uint32(limit)))
+	p, err := c.callOK(wire.OpScan, func(b []byte) []byte { return wire.AppendScanReq(b, start, uint32(limit)) })
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +337,7 @@ func (c *Client) ShardMap() (*cluster.Map, error) {
 // plus tail), then the source flips the map and the new version returns.
 // Blocks until the migration completes.
 func (c *Client) Handoff(slots []uint32) (*cluster.Map, error) {
-	p, err := c.callOK(wire.OpHandoff, wire.AppendHandoffReq(nil, slots))
+	p, err := c.callOK(wire.OpHandoff, func(b []byte) []byte { return wire.AppendHandoffReq(b, slots) })
 	if err != nil {
 		return nil, err
 	}
@@ -340,31 +348,63 @@ func (c *Client) Handoff(slots []uint32) (*cluster.Map, error) {
 	return m, nil
 }
 
-// conn is one pooled pipelined connection.
+// conn is one pooled pipelined connection. It owns no goroutine: whichever
+// caller finds no call in flight becomes the reader — it reads frames off
+// the socket itself, returns on its own id and hands every other frame to
+// the caller waiting for it. When the reader's own response arrives first
+// the role moves to a caller still waiting, so concurrent callers pipeline
+// on the connection exactly as they would behind a dedicated reader, and a
+// lone call crosses no goroutine boundary on this side at all.
 type conn struct {
-	nc net.Conn
-	bw *bufio.Writer
+	nc       net.Conn
+	br       *bufio.Reader // the reader's alone
+	maxFrame uint32
+	// raw reaches the transport's descriptor for the idle check; nil when
+	// the dialed conn has none (see idleClosed).
+	raw        syscall.RawConn
+	rawRead    func(fd uintptr) bool // conn.probe, bound once
+	peerClosed bool                  // probe's verdict; the reader's alone
 
-	wmu sync.Mutex // serializes frame writes
+	wmu  sync.Mutex // serializes frame writes, guards wbuf
+	wbuf []byte     // every request is encoded here, in place, once
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// pending maps the id of every call in flight to the channel its caller
+	// waits on; the reader's own entry is nil. reading says a reader exists,
+	// and is false only while pending is empty.
 	pending map[uint64]chan result
-	err     error // sticky; set once the reader dies
+	reading bool
+	err     error // sticky; set once the connection dies
 	nextID  uint64
 }
 
+// result is what a waiting caller receives: its response, the error that
+// killed the connection, or — lead set — the reader role.
 type result struct {
 	frame wire.Frame
 	err   error
+	lead  bool
 }
+
+// errIdleClosed reports a connection the server closed while no call was in
+// flight, detected before the request was written: call redials and retries.
+var errIdleClosed = errors.New("client: connection closed by server while idle")
+
+// maxKeptRequest bounds the write buffer a connection keeps between calls.
+const maxKeptRequest = 64 << 10
 
 func newConn(nc net.Conn, maxFrame uint32) *conn {
 	cn := &conn{
-		nc:      nc,
-		bw:      bufio.NewWriterSize(nc, 64<<10),
-		pending: make(map[uint64]chan result),
+		nc:       nc,
+		br:       bufio.NewReaderSize(nc, 64<<10),
+		maxFrame: maxFrame,
+		pending:  make(map[uint64]chan result),
 	}
-	go cn.readLoop(maxFrame)
+	if sc, ok := nc.(syscall.Conn); ok {
+		if raw, err := sc.SyscallConn(); err == nil {
+			cn.raw, cn.rawRead = raw, cn.probe
+		}
+	}
 	return cn
 }
 
@@ -374,47 +414,61 @@ func (cn *conn) broken() bool {
 	return cn.err != nil
 }
 
-// close fails every pending call with err and closes the socket.
-func (cn *conn) close(err error) {
+// close kills the connection: err becomes its sticky error unless it already
+// has one, every waiting call fails with the sticky error, and the socket
+// closes — which is how a reader blocked on it finds out. It returns the
+// sticky error.
+func (cn *conn) close(err error) error {
 	cn.mu.Lock()
 	if cn.err == nil {
 		cn.err = err
 	}
+	err = cn.err
 	pend := cn.pending
 	cn.pending = make(map[uint64]chan result)
 	cn.mu.Unlock()
 	cn.nc.Close()
 	for _, ch := range pend {
-		ch <- result{err: err}
-	}
-}
-
-// readLoop dispatches response frames to their waiting callers by id.
-func (cn *conn) readLoop(maxFrame uint32) {
-	br := bufio.NewReaderSize(cn.nc, 64<<10)
-	for {
-		f, err := wire.ReadFrame(br, maxFrame)
-		if err != nil {
-			cn.close(fmt.Errorf("client: connection lost: %w", err))
-			return
-		}
-		cn.mu.Lock()
-		ch, ok := cn.pending[f.ID]
-		delete(cn.pending, f.ID)
-		cn.mu.Unlock()
-		if ok {
-			// Detach the payload from the reader's buffer before handing
-			// it to the caller's goroutine.
-			f.Payload = append([]byte(nil), f.Payload...)
-			ch <- result{frame: f}
+		if ch != nil {
+			// A full channel holds the reader role, on its way to a caller
+			// that will meet the closed socket itself.
+			select {
+			case ch <- result{err: err}:
+			default:
+			}
 		}
 	}
+	return err
 }
 
-// roundTrip registers a pending id, writes the request, and blocks for the
+// idleClosed reports whether the peer closed the connection while no call
+// was in flight, by one non-blocking read on the descriptor: end of stream,
+// a reset, or bytes nobody asked for all mean the connection is not worth a
+// request. Only the reader calls it, and only with nothing in flight.
+//
+// The check needs the raw descriptor. A deadline cannot stand in for it:
+// Go's poller answers a read whose deadline has passed without issuing the
+// read, so it never sees the end of stream, and a deadline still ahead parks
+// the caller until it passes. A transport without a descriptor skips the
+// check; its dead idle connection fails one call and the next redials.
+func (cn *conn) idleClosed() bool {
+	if cn.raw == nil {
+		return false
+	}
+	cn.peerClosed = false
+	return cn.raw.Read(cn.rawRead) != nil || cn.peerClosed
+}
+
+func (cn *conn) probe(fd uintptr) bool {
+	var b [1]byte
+	_, err := syscall.Read(int(fd), b[:])
+	cn.peerClosed = err != syscall.EAGAIN && err != syscall.EWOULDBLOCK && err != syscall.EINTR
+	return true // never wait for readability
+}
+
+// roundTrip registers a pending id, writes the request, and returns its
 // response. Concurrent callers interleave here — that is the pipelining.
-func (cn *conn) roundTrip(op wire.Op, payload []byte) (wire.Frame, error) {
-	ch := make(chan result, 1)
+func (cn *conn) roundTrip(op wire.Op, enc func([]byte) []byte) (wire.Frame, error) {
 	cn.mu.Lock()
 	if cn.err != nil {
 		err := cn.err
@@ -423,25 +477,71 @@ func (cn *conn) roundTrip(op wire.Op, payload []byte) (wire.Frame, error) {
 	}
 	cn.nextID++
 	id := cn.nextID
+	var ch chan result // stays nil for the reader
+	if cn.reading {
+		ch = make(chan result, 1)
+	}
+	cn.reading = true
 	cn.pending[id] = ch
 	cn.mu.Unlock()
 
-	buf := wire.AppendFrame(make([]byte, 0, wire.EncodedLen(len(payload))),
-		wire.Frame{Op: op, ID: id, Payload: payload})
+	// No reader means no call in flight: the connection has sat idle, and
+	// nothing has looked at the socket since the last response.
+	if ch == nil && cn.idleClosed() {
+		cn.close(fmt.Errorf("client: connection lost: %w", io.EOF))
+		return wire.Frame{}, errIdleClosed
+	}
+
 	cn.wmu.Lock()
-	_, werr := cn.bw.Write(buf)
-	if werr == nil {
-		werr = cn.bw.Flush()
+	b := wire.BeginFrame(cn.wbuf[:0], op, wire.StatusOK, id)
+	if enc != nil {
+		b = enc(b)
+	}
+	b = wire.FinishFrame(b, 0)
+	_, werr := cn.nc.Write(b)
+	if cn.wbuf = b; cap(b) > maxKeptRequest {
+		cn.wbuf = nil
 	}
 	cn.wmu.Unlock()
 	if werr != nil {
-		cn.mu.Lock()
-		delete(cn.pending, id)
-		cn.mu.Unlock()
 		cn.close(fmt.Errorf("client: write: %w", werr))
 		return wire.Frame{}, werr
 	}
 
-	r := <-ch
-	return r.frame, r.err
+	if ch != nil {
+		r := <-ch
+		if !r.lead {
+			return r.frame, r.err
+		}
+	}
+	for {
+		f, err := wire.ReadFrame(cn.br, cn.maxFrame)
+		if err != nil {
+			return wire.Frame{}, cn.close(fmt.Errorf("client: connection lost: %w", err))
+		}
+		cn.mu.Lock()
+		w := cn.pending[f.ID]
+		delete(cn.pending, f.ID)
+		if f.ID == id {
+			cn.passLead()
+			cn.mu.Unlock()
+			return f, nil
+		}
+		cn.mu.Unlock()
+		if w != nil {
+			w <- result{frame: f}
+		}
+	}
+}
+
+// passLead ends the caller's time as reader: the role goes to a call still
+// waiting, or lapses when there is none. Caller holds mu and has removed its
+// own entry, so every channel in pending is a waiter's — empty, because a
+// waiter's frame is sent only after its entry is deleted.
+func (cn *conn) passLead() {
+	for _, w := range cn.pending {
+		w <- result{lead: true}
+		return
+	}
+	cn.reading = false
 }

@@ -349,7 +349,7 @@ func (s *Session) primaryGate() Token {
 // PutSeq is Put returning the committed position (the write's session
 // token).
 func (c *Client) PutSeq(key, value []byte) (Token, error) {
-	p, err := c.callOK(wire.OpPutV2, wire.AppendPutReq(nil, key, value))
+	p, err := c.callOK(wire.OpPutV2, func(b []byte) []byte { return wire.AppendPutReq(b, key, value) })
 	if err != nil {
 		return Token{}, err
 	}
@@ -358,7 +358,7 @@ func (c *Client) PutSeq(key, value []byte) (Token, error) {
 
 // DeleteSeq is Delete returning the committed position.
 func (c *Client) DeleteSeq(key []byte) (Token, error) {
-	p, err := c.callOK(wire.OpDelV2, wire.AppendKeyReq(nil, key))
+	p, err := c.callOK(wire.OpDelV2, func(b []byte) []byte { return wire.AppendKeyReq(b, key) })
 	if err != nil {
 		return Token{}, err
 	}
@@ -367,7 +367,7 @@ func (c *Client) DeleteSeq(key []byte) (Token, error) {
 
 // WriteBatchSeq is WriteBatch returning the committed position.
 func (c *Client) WriteBatchSeq(ops []wire.BatchOp) (Token, error) {
-	p, err := c.callOK(wire.OpBatchV2, wire.AppendBatchReq(nil, ops))
+	p, err := c.callOK(wire.OpBatchV2, func(b []byte) []byte { return wire.AppendBatchReq(b, ops) })
 	if err != nil {
 		return Token{}, err
 	}
@@ -377,7 +377,7 @@ func (c *Client) WriteBatchSeq(ops []wire.BatchOp) (Token, error) {
 // IncrSeq is Incr returning the post-merge value and the committed
 // position (the merge's session token).
 func (c *Client) IncrSeq(key []byte, delta int64) (int64, Token, error) {
-	p, err := c.callOK(wire.OpIncrV2, wire.AppendIncrReq(nil, key, delta))
+	p, err := c.callOK(wire.OpIncrV2, func(b []byte) []byte { return wire.AppendIncrReq(b, key, delta) })
 	if err != nil {
 		return 0, Token{}, err
 	}
@@ -395,7 +395,7 @@ func (c *Client) IncrSeq(key []byte, delta int64) (int64, Token, error) {
 // ErrNotFound, and ErrNotReady alike, though sessions must not fold
 // NOT_READY positions in (that would silently clamp the gate).
 func (c *Client) GetSeq(key []byte, gate Token) ([]byte, Token, error) {
-	resp, err := c.call(wire.OpGetV2, wire.AppendGetV2Req(nil, key, gate.Seq, gate.Epoch))
+	resp, err := c.call(wire.OpGetV2, func(b []byte) []byte { return wire.AppendGetV2Req(b, key, gate.Seq, gate.Epoch) })
 	if err != nil {
 		return nil, Token{}, err
 	}
@@ -424,7 +424,7 @@ func (c *Client) GetSeq(key []byte, gate Token) ([]byte, Token, error) {
 
 // MultiGetSeq is the session MultiGet; absent keys yield nil entries.
 func (c *Client) MultiGetSeq(keys [][]byte, gate Token) ([][]byte, Token, error) {
-	resp, err := c.call(wire.OpMGetV2, wire.AppendMGetV2Req(nil, keys, gate.Seq, gate.Epoch))
+	resp, err := c.call(wire.OpMGetV2, func(b []byte) []byte { return wire.AppendMGetV2Req(b, keys, gate.Seq, gate.Epoch) })
 	if err != nil {
 		return nil, Token{}, err
 	}
@@ -453,7 +453,9 @@ func (c *Client) ScanSeq(start []byte, limit int, gate Token) ([]wire.KV, Token,
 	if limit < 0 {
 		limit = 0
 	}
-	resp, err := c.call(wire.OpScanV2, wire.AppendScanV2Req(nil, start, uint32(limit), gate.Seq, gate.Epoch))
+	resp, err := c.call(wire.OpScanV2, func(b []byte) []byte {
+		return wire.AppendScanV2Req(b, start, uint32(limit), gate.Seq, gate.Epoch)
+	})
 	if err != nil {
 		return nil, Token{}, err
 	}

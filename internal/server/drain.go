@@ -19,13 +19,15 @@ func satSub(a, b int64) int64 {
 	return hyperdb.SatAdd(a, -b)
 }
 
-// drainLoop is the engine-owning goroutine: it blocks for one request,
+// drainLoop is the queue-owning goroutine: it blocks for one request,
 // sweeps everything else already queued into the same cycle, and processes
 // the cycle with writes grouped into one DB.WriteBatch and point reads into
 // one DB.MultiGet. Coalescing needs no timer to appear — while one cycle is
 // inside the engine, pipelined requests pile up behind it, so the next
 // cycle drains a batch. CoalesceWait adds an optional bounded linger for
 // latency-insensitive deployments that want fatter batches at low load.
+// Each cycle holds cycles exclusive: no inline cycle overlaps it, and the
+// ones that started earlier have committed before it begins.
 func (s *Server) drainLoop() {
 	defer s.drainWG.Done()
 	for {
@@ -33,7 +35,11 @@ func (s *Server) drainLoop() {
 		if !ok {
 			return
 		}
-		s.process(s.collect(first))
+		batch := s.collect(first)
+		s.cycles.Lock()
+		s.stats.QueuedCycles.Inc()
+		s.process(batch)
+		s.cycles.Unlock()
 	}
 }
 
@@ -68,7 +74,9 @@ func (s *Server) collect(first *request) []*request {
 	return batch
 }
 
-// process answers one drained cycle. Writes run before reads so a
+// process answers one cycle: whatever the drainer collected, or the single
+// request a reader goroutine serves inline (several of those may run at
+// once, each under a shared hold of cycles). Writes run before reads so a
 // connection that pipelines PUT k then GET k observes its own write even
 // when both land in the same cycle.
 func (s *Server) process(batch []*request) {
@@ -77,10 +85,13 @@ func (s *Server) process(batch []*request) {
 	epoch := s.epoch()
 
 	// Phase 0a: handoff barriers and shard ownership. Closing a barrier
-	// proves every write acked in an earlier cycle has committed: cycles are
-	// serial, and the flip driver installs the successor map before
-	// enqueueing its barrier, so any moved-slot write in this or a later
-	// cycle is checked under the new map and bounced rather than committed.
+	// proves every write acked in an earlier cycle has committed: only the
+	// drainer meets a barrier, holding cycles exclusive, so every inline
+	// cycle that read the old map has finished and every drain cycle before
+	// this one has too; and the flip driver installs the successor map
+	// before enqueueing its barrier, so any moved-slot write in this or a
+	// later cycle, on either path, is checked under the new map and bounced
+	// rather than committed.
 	if s.cfg.Cluster != nil {
 		kept := batch[:0]
 		for _, r := range batch {
@@ -98,8 +109,8 @@ func (s *Server) process(batch []*request) {
 
 	// Phase 0b: park session reads whose minSeq token is ahead of the node's
 	// applied position. Parking moves the wait onto a per-request goroutine
-	// so the drainer — the engine's only driver — never blocks on
-	// replication progress. NoReadGate (the consistency harness's control
+	// so neither the drainer nor a connection's reader blocks on replication
+	// progress. NoReadGate (the consistency harness's control
 	// knob) serves them stale instead. A token naming a different non-zero
 	// write lineage is refused outright: its sequence is meaningless against
 	// this node's history, and waiting would dress the mismatch up as lag.
@@ -195,7 +206,9 @@ func (s *Server) process(batch []*request) {
 		}
 	}
 	if len(wops) > 0 {
+		s.writes.Lock()
 		seq, err := s.cfg.DB.WriteBatchSeq(wops)
+		s.writes.Unlock()
 		s.stats.WriteBatches.Inc()
 		s.stats.WriteOps.Add(uint64(len(wops)))
 		for _, r := range wreqs {
@@ -362,12 +375,14 @@ func (s *Server) countSessionRead(r *request) {
 	}
 }
 
-// park moves a gated session read off the drainer onto its own goroutine,
-// which waits (bounded by Config.ReadWait, aborted by shutdown) for the
-// node's applied position to reach the request's token. On success the
-// request re-enters the queue and the gate passes on the next drain — the
-// readable position never moves backward. Otherwise the request answers
-// NOT_READY with the node's position and the client retries elsewhere.
+// park moves a gated session read off the cycle that met it onto its own
+// goroutine, detaching it from an inline cycle's reply buffer: from here on
+// it is answered through the connection's writer. The goroutine waits
+// (bounded by Config.ReadWait, aborted by shutdown) for the node's applied
+// position to reach the request's token. On success the request re-enters
+// the queue and the gate passes on the next drain — the readable position
+// never moves backward. Otherwise the request answers NOT_READY with the
+// node's position and the client retries elsewhere.
 //
 // Shutdown safety: a parked request still holds its connection's in-flight
 // slot, so readerWG.Wait — which precedes close(s.queue) — cannot return
@@ -375,6 +390,7 @@ func (s *Server) countSessionRead(r *request) {
 // drainer. A requeue therefore always strictly precedes the queue close.
 func (s *Server) park(r *request) {
 	s.stats.ReplReadParked.Inc()
+	r.inline = false
 	go func() {
 		start := time.Now()
 		ok := s.cfg.DB.WaitReadable(r.minSeq, s.cfg.ReadWait, s.stopWait)
@@ -457,6 +473,7 @@ func (s *Server) checkOwnership(r *request) bool {
 // close.
 func (s *Server) parkAcquiring(r *request, ch <-chan struct{}) {
 	s.stats.AcquireParked.Inc()
+	r.inline = false
 	go func() {
 		t := time.NewTimer(time.Until(r.acqDeadline))
 		defer t.Stop()
@@ -538,11 +555,18 @@ func (s *Server) clusterText() string {
 	return b.String()
 }
 
-// reply answers the request and releases its backpressure slot. The
-// response is enqueued before the slot frees, which keeps the writer
+// reply answers the request and releases its backpressure slot. An inline
+// request's frame joins its connection's inline buffer, which the reader
+// goroutine — the caller — writes out when the cycle ends; any other goes to
+// the writer, enqueued before the slot frees, which keeps the writer
 // channel's capacity invariant (see conn.out).
 func (r *request) reply(st wire.Status, payload []byte) {
-	r.c.send(wire.AppendFrame(nil, wire.Frame{Op: r.op, Status: st, ID: r.id, Payload: payload}))
+	f := wire.Frame{Op: r.op, Status: st, ID: r.id, Payload: payload}
+	if r.inline {
+		r.c.ibuf = wire.AppendFrame(r.c.ibuf, f)
+	} else {
+		r.c.send(response{frame: wire.AppendFrame(nil, f), start: r.start})
+	}
 	<-r.c.inflight
 }
 

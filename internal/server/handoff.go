@@ -9,10 +9,12 @@
 // in an ordering that makes losing an acked write impossible:
 //
 //  1. target applies the full snapshot, asks to flip (HANDOFF_FLIP)
-//  2. source installs the successor map — from this instant its drainer
-//     bounces moved-slot ops with WRONG_SHARD instead of committing them
-//  3. source runs a drainer barrier: cycles are serial, so when it closes,
-//     every write acked under the old map has committed to the log
+//  2. source installs the successor map — from this instant every cycle,
+//     drained or inline, bounces moved-slot ops with WRONG_SHARD instead of
+//     committing them
+//  3. source runs a drainer barrier: a drain cycle excludes every inline
+//     cycle and follows every earlier drain cycle, so when it closes, every
+//     write acked under the old map has committed to the log
 //  4. flipSeq = log head ≥ every such write; WaitResolved(flipSeq) then a
 //     pre-closed-stop cursor drain ships the remaining filtered tail
 //  5. source answers the flip with the new map — written after the final
@@ -188,9 +190,9 @@ func (s *Server) runHandoffSource(c *conn, helloID uint64, targetGroup uint32, s
 		return stopErr
 	}
 
-	// Flip. Install first, so the drainer checks every later cycle under
-	// the new map; the barrier then proves all old-map acked writes have
-	// committed, bounding them by the log head.
+	// Flip. Install first, so every later cycle is checked under the new
+	// map; the barrier then proves all old-map acked writes have committed,
+	// bounding them by the log head.
 	cm := n.Map()
 	for _, sl := range slots {
 		if cm.Slots[sl] != n.Self() {
@@ -360,10 +362,7 @@ func (s *Server) pullSlots(m *cluster.Map, src uint32, slots []uint32) (*cluster
 		if len(kvs) > 0 {
 			ops := make([]hyperdb.BatchOp, len(kvs))
 			for i, kv := range kvs {
-				ops[i] = hyperdb.BatchOp{
-					Key:   append([]byte(nil), kv.Key...),
-					Value: append([]byte(nil), kv.Value...),
-				}
+				ops[i] = hyperdb.BatchOp{Key: kv.Key, Value: kv.Value} // alias the frame: ReadFrame's payload is ours
 			}
 			if _, err := s.cfg.DB.WriteBatchSeq(ops); err != nil {
 				return nil, err
@@ -396,13 +395,7 @@ func (s *Server) pullSlots(m *cluster.Map, src uint32, slots []uint32) (*cluster
 			}
 			ops := make([]hyperdb.BatchOp, len(wops))
 			for i, op := range wops {
-				ops[i] = hyperdb.BatchOp{
-					Key:    append([]byte(nil), op.Key...),
-					Value:  append([]byte(nil), op.Value...),
-					Delete: op.Delete,
-					Merge:  op.Merge,
-					Delta:  op.Delta,
-				}
+				ops[i] = hyperdb.BatchOp{Key: op.Key, Value: op.Value, Delete: op.Delete, Merge: op.Merge, Delta: op.Delta}
 			}
 			if _, err := s.cfg.DB.WriteBatchSeq(ops); err != nil {
 				return nil, err

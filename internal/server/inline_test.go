@@ -1,0 +1,418 @@
+package server
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"strconv"
+	"sync"
+	"testing"
+	"time"
+
+	"hyperdb"
+	"hyperdb/internal/wire"
+)
+
+// frameLog collects every frame a raw connection delivers, keyed by id,
+// until the socket fails; wire.ReadFrame checks each frame's length and CRC,
+// so a torn or interleaved frame ends the collection with an error instead
+// of a count.
+type frameLog struct {
+	mu     sync.Mutex
+	frames map[uint64][]wire.Frame
+	got    chan uint64 // every id as it arrives
+	err    error
+}
+
+func collectFrames(nc io.Reader) *frameLog {
+	l := &frameLog{frames: make(map[uint64][]wire.Frame), got: make(chan uint64, 1<<16)}
+	go func() {
+		defer close(l.got)
+		for {
+			f, err := wire.ReadFrame(nc, wire.MaxFrame)
+			if err != nil {
+				l.mu.Lock()
+				l.err = err
+				l.mu.Unlock()
+				return
+			}
+			l.mu.Lock()
+			l.frames[f.ID] = append(l.frames[f.ID], f)
+			l.mu.Unlock()
+			l.got <- f.ID
+		}
+	}()
+	return l
+}
+
+// await blocks until id has arrived; a dead stream or ten seconds of silence
+// is an error.
+func (l *frameLog) await(id uint64) error {
+	timeout := time.After(10 * time.Second)
+	for {
+		l.mu.Lock()
+		n, err := len(l.frames[id]), l.err
+		l.mu.Unlock()
+		if n > 0 {
+			return nil
+		}
+		select {
+		case _, ok := <-l.got:
+			if !ok {
+				return fmt.Errorf("stream ended before id %d arrived: %v", id, err)
+			}
+		case <-timeout:
+			return fmt.Errorf("id %d never answered", id)
+		}
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestInlineHandoffUnderMixedTraffic is the tentpole's ordering test: eight
+// closed-loop routing clients (lone requests, served inline on whichever
+// node owns the key) and one raw connection pipelining 64-deep PUT k/GET k
+// pairs at the source (queued) keep writing while every slot of group 0
+// moves to group 1. Afterwards every acked write must read back from the new
+// owner at its last acked version — a write the source acked after its
+// barrier closed would be missing from the shipped tail — and every
+// pipelined GET that was served must have seen the PUT before it.
+func TestInlineHandoffUnderMixedTraffic(t *testing.T) {
+	envs := newClusterEnv(t, 2, 16)
+	seed := dialClusterTest(t, envs[0].addr, envs[1].addr).Map()
+	moved := seed.SlotsOf(0)
+
+	const closedLoop, keysEach = 8, 12
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	acked := make([]map[string]int, closedLoop+1) // per writer: key → last acked version
+	errs := make(chan error, 1024)                // never fills: each goroutine stops at its first few
+	val := func(k []byte, v int) []byte { return []byte(fmt.Sprintf("%s=%d", k, v)) }
+	for w := 0; w < closedLoop; w++ {
+		acked[w] = make(map[string]int)
+		cc := dialClusterTest(t, envs[0].addr, envs[1].addr)
+		// Each writer owns its keys, half in the moving slots, half not.
+		keys := append(keysOwnedBy(t, seed, 0, keysEach/2, fmt.Sprintf("cl%d", w)),
+			keysOwnedBy(t, seed, 1, keysEach/2, fmt.Sprintf("cl%d", w))...)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := keys[i%len(keys)]
+				if err := cc.Put(k, val(k, i)); err != nil {
+					errs <- fmt.Errorf("writer %d put %s: %w", w, k, err)
+					return
+				}
+				acked[w][string(k)] = i
+				if got, err := cc.Get(k); err != nil || !bytes.Equal(got, val(k, i)) {
+					errs <- fmt.Errorf("writer %d get %s = %q, %v; want version %d", w, k, got, err, i)
+					return
+				}
+			}
+		}(w)
+	}
+
+	// The pipelining connection talks to the source directly, on keys in the
+	// moving slots: served until the flip, bounced WRONG_SHARD after it.
+	const depth = 64
+	pipeKeys := keysOwnedBy(t, seed, 0, 8, "pipe")
+	pipeAcked := make(map[string]int)
+	acked[closedLoop] = pipeAcked
+	nc := rawDial(t, envs[0].addr)
+	log := collectFrames(nc)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var id uint64
+		for round := 0; ; round++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var buf []byte
+			first := id + 1
+			for j := 0; j < depth; j++ {
+				k := pipeKeys[j%len(pipeKeys)]
+				ver := round*depth + j
+				id++
+				buf = wire.AppendFrame(buf, wire.Frame{Op: wire.OpPut, ID: id, Payload: wire.AppendPutReq(nil, k, val(k, ver))})
+				id++
+				buf = wire.AppendFrame(buf, wire.Frame{Op: wire.OpGet, ID: id, Payload: wire.AppendKeyReq(nil, k)})
+			}
+			if _, err := nc.Write(buf); err != nil {
+				errs <- fmt.Errorf("pipeline write: %w", err)
+				return
+			}
+			for i := first; i <= id; i++ {
+				if err := log.await(i); err != nil {
+					errs <- err
+					return
+				}
+			}
+			log.mu.Lock()
+			for j := 0; j < depth; j++ {
+				k := pipeKeys[j%len(pipeKeys)]
+				ver := round*depth + j
+				put, get := log.frames[first+uint64(2*j)], log.frames[first+uint64(2*j)+1]
+				if len(put) != 1 || len(get) != 1 {
+					errs <- fmt.Errorf("pipeline pair %d answered %d/%d times", j, len(put), len(get))
+					break
+				}
+				switch {
+				case put[0].Status == wire.StatusOK:
+					pipeAcked[string(k)] = ver
+					// The slot may flip between the two. A served GET shows
+					// this PUT, or a later PUT of the key that shared its
+					// cycle (a cycle runs its writes before its reads).
+					if get[0].Status == wire.StatusOK {
+						_, num, _ := bytes.Cut(get[0].Payload, []byte("="))
+						if got, err := strconv.Atoi(string(num)); err != nil || got < ver || got >= (round+1)*depth {
+							errs <- fmt.Errorf("pipelined GET %s = %q after PUT of version %d", k, get[0].Payload, ver)
+						}
+					}
+				case put[0].Status != wire.StatusWrongShard:
+					errs <- fmt.Errorf("pipelined PUT %s: status %s", k, put[0].Status)
+				case get[0].Status == wire.StatusOK:
+					errs <- fmt.Errorf("pipelined GET %s served after its PUT was bounced", k)
+				}
+			}
+			log.mu.Unlock()
+		}
+	}()
+
+	// Let both kinds of traffic run against the old map, flip, then let them
+	// run against the new one.
+	src, dst := envs[0].srv.Stats(), envs[1].srv.Stats()
+	waitFor(t, "inline and queued cycles on the source", func() bool {
+		return src.InlineCycles.Load() >= 200 && src.QueuedCycles.Load() >= 20
+	})
+	nm, err := dialTest(t, envs[1], 1).Handoff(moved)
+	if err != nil {
+		t.Fatalf("handoff: %v", err)
+	}
+	after := dst.InlineCycles.Load()
+	waitFor(t, "traffic under the new map", func() bool {
+		return src.WrongShard.Load() > 0 && dst.InlineCycles.Load() >= after+200
+	})
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	for _, s := range moved {
+		if nm.OwnerGroup(s) != 1 {
+			t.Fatalf("slot %d still owned by group %d", s, nm.OwnerGroup(s))
+		}
+	}
+
+	if got := src.InlineCycles.Load() + src.QueuedCycles.Load(); got != src.Drains.Load() {
+		t.Fatalf("inline %d + queued %d cycles != drains %d", src.InlineCycles.Load(), src.QueuedCycles.Load(), src.Drains.Load())
+	}
+
+	// The new owner holds every acked write at its last acked version.
+	final := dialTest(t, envs[1], 1)
+	checked := 0
+	for w, m := range acked {
+		for k, ver := range m {
+			if seed.OwnerGroup(seed.SlotOf([]byte(k))) != 0 {
+				continue
+			}
+			got, err := final.Get([]byte(k))
+			if err != nil || !bytes.Equal(got, val([]byte(k), ver)) {
+				t.Fatalf("writer %d: moved key %s = %q, %v on the new owner; last acked version %d", w, k, got, err, ver)
+			}
+			checked++
+		}
+	}
+	if len(pipeAcked) == 0 {
+		t.Fatal("the pipelining connection never got a PUT acked before the flip")
+	}
+	t.Logf("verified %d moved keys on the new owner; source ran %d inline and %d queued cycles",
+		checked, src.InlineCycles.Load(), src.QueuedCycles.Load())
+}
+
+// TestParkedReadSharesConnectionWithInlineAndQueued: a gated session read on
+// an otherwise idle connection to a follower that will never catch up starts
+// inline, parks, and is answered later through the writer goroutine; the
+// same connection meanwhile sends lone requests (queued while the read holds
+// its slot, inline again once it is answered) and pipelined bursts. Every id
+// must be answered exactly once over a stream whose every frame passes its
+// CRC — the two goroutines writing the socket never interleave.
+func TestParkedReadSharesConnectionWithInlineAndQueued(t *testing.T) {
+	env, _ := newReplEnv(t, true, nil, func(c *Config) { c.ReadWait = 2 * time.Millisecond })
+	nc := rawDial(t, env.addr)
+	log := collectFrames(nc)
+
+	var id uint64
+	var gated []uint64
+	ping := func() wire.Frame {
+		id++
+		return wire.Frame{Op: wire.OpPing, ID: id, Payload: []byte(fmt.Sprintf("echo-%d", id))}
+	}
+	const rounds = 25
+	for r := 0; r < rounds; r++ {
+		id++
+		gated = append(gated, id)
+		sendFrame(t, nc, wire.Frame{Op: wire.OpGetV2, ID: id, Payload: wire.AppendGetV2Req(nil, []byte("k"), 1<<40, 0)})
+		// Lone requests, one at a time, until the parked read resolves: the
+		// ones right after its reply race the writer goroutine for the socket.
+		// Three more follow it: alone on the connection again, so inline.
+		for after := 0; after < 3; {
+			f := ping()
+			sendFrame(t, nc, f)
+			if err := log.await(f.ID); err != nil {
+				t.Fatal(err)
+			}
+			log.mu.Lock()
+			if len(log.frames[gated[r]]) > 0 {
+				after++
+			}
+			log.mu.Unlock()
+		}
+		var burst []byte
+		first := id + 1
+		for j := 0; j < 32; j++ {
+			burst = wire.AppendFrame(burst, ping())
+		}
+		if _, err := nc.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		for i := first; i <= id; i++ {
+			if err := log.await(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	if log.err != nil {
+		t.Fatalf("stream broke: %v", log.err)
+	}
+	isGated := make(map[uint64]bool)
+	for _, g := range gated {
+		isGated[g] = true
+	}
+	for i := uint64(1); i <= id; i++ {
+		fs := log.frames[i]
+		if len(fs) != 1 {
+			t.Fatalf("id %d answered %d times", i, len(fs))
+		}
+		switch {
+		case isGated[i]:
+			if fs[0].Status != wire.StatusNotReady {
+				t.Fatalf("gated read %d: status %s, want not ready", i, fs[0].Status)
+			}
+		case fs[0].Status != wire.StatusOK || string(fs[0].Payload) != fmt.Sprintf("echo-%d", i):
+			t.Fatalf("ping %d: status %s payload %q", i, fs[0].Status, fs[0].Payload)
+		}
+	}
+	st := env.srv.Stats()
+	if st.ReplReadParked.Load() != rounds {
+		t.Fatalf("parked %d reads, want %d", st.ReplReadParked.Load(), rounds)
+	}
+	if st.InlineCycles.Load() < rounds || st.QueuedCycles.Load() < rounds {
+		t.Fatalf("inline %d / queued %d cycles: lone requests on a settled connection must go inline, bursts must queue",
+			st.InlineCycles.Load(), st.QueuedCycles.Load())
+	}
+	if st.InlineService.Count() == 0 || st.QueuedService.Count() == 0 {
+		t.Fatalf("service-time histograms empty: inline %d queued %d", st.InlineService.Count(), st.QueuedService.Count())
+	}
+}
+
+// TestShutdownDuringInlineCycles: closed-loop clients keep lone requests in
+// flight on every connection while Shutdown runs. Each call is answered or
+// fails (never hangs), Shutdown returns, and recovery finds every acked
+// write.
+func TestShutdownDuringInlineCycles(t *testing.T) {
+	env := newTestEnv(t, nil)
+	const clients = 8
+	var wg sync.WaitGroup
+	acked := make([]int, clients) // writer w acked keys 0..acked[w]-1
+	for w := 0; w < clients; w++ {
+		c := dialTest(t, env, 1)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				if err := c.Put([]byte(fmt.Sprintf("sd-%d-%06d", w, i)), []byte("v")); err != nil {
+					return // refused or dropped by the shutdown: not acked
+				}
+				acked[w] = i + 1
+			}
+		}(w)
+	}
+	waitFor(t, "inline cycles", func() bool { return env.srv.Stats().InlineCycles.Load() >= 200 })
+	done := make(chan error, 1)
+	go func() { done <- env.srv.Shutdown() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Shutdown did not return while inline cycles were running")
+	}
+	wg.Wait()
+
+	re, err := hyperdb.Recover(env.opts)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer re.Close()
+	total := 0
+	for w, n := range acked {
+		for i := 0; i < n; i++ {
+			if _, err := re.Get([]byte(fmt.Sprintf("sd-%d-%06d", w, i))); err != nil {
+				t.Fatalf("acked key sd-%d-%06d lost: %v", w, i, err)
+			}
+		}
+		total += n
+	}
+	if total == 0 {
+		t.Fatal("no write was acked before shutdown")
+	}
+	t.Logf("shutdown mid-traffic: %d acked writes recovered", total)
+}
+
+// TestMergesNeverRunInline: a lone INCR still takes the queue — the drainer
+// is where deltas fold and where a merge's read-modify-write is alone with
+// the engine — while the lone GET after it is served inline.
+func TestMergesNeverRunInline(t *testing.T) {
+	env := newTestEnv(t, nil)
+	c := dialTest(t, env, 1)
+	st := env.srv.Stats()
+	if _, err := c.Incr([]byte("n"), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteBatch([]wire.BatchOp{{Key: []byte("n"), Merge: true, Delta: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if in, q := st.InlineCycles.Load(), st.QueuedCycles.Load(); in != 0 || q != 2 {
+		t.Fatalf("after two lone merges: %d inline, %d queued cycles; want 0 and 2", in, q)
+	}
+	if v, err := c.Get([]byte("n")); err != nil || !bytes.Equal(v, hyperdb.EncodeCounter(3)) {
+		t.Fatalf("get: %x %v", v, err)
+	}
+	if in := st.InlineCycles.Load(); in != 1 {
+		t.Fatalf("lone GET ran %d inline cycles, want 1", in)
+	}
+}

@@ -17,7 +17,7 @@ import (
 
 // newReplEnv builds a served engine with replication wired: follower mode
 // and/or a log tee plus the server-side Primary.
-func newReplEnv(t *testing.T, follower bool, logCfg *repl.LogConfig) (*testEnv, *repl.Log) {
+func newReplEnv(t *testing.T, follower bool, logCfg *repl.LogConfig, mutate ...func(*Config)) (*testEnv, *repl.Log) {
 	t.Helper()
 	opts := hyperdb.Options{
 		NVMeDevice:     device.New(device.UnthrottledProfile("nvme", 32<<20)),
@@ -39,6 +39,9 @@ func newReplEnv(t *testing.T, follower bool, logCfg *repl.LogConfig) (*testEnv, 
 	cfg := Config{DB: db, OwnDB: true, MaxInflight: 64, Logf: t.Logf}
 	if log != nil {
 		cfg.Repl = &repl.Primary{DB: db, Log: log}
+	}
+	for _, m := range mutate {
+		m(&cfg)
 	}
 	srv, err := New(cfg)
 	if err != nil {

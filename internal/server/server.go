@@ -1,15 +1,23 @@
 // Package server is hyperd's network front door: a TCP listener that
-// decodes wire-protocol frames and feeds them to a HyperDB instance through
-// a coalescing queue. Pipelined writes from any number of connections group
-// into one DB.WriteBatch per drain cycle and pipelined point reads into one
-// DB.MultiGet, so the engine's batch hot path — not per-request locking —
-// carries the served load.
+// decodes wire-protocol frames and serves them from a HyperDB instance.
+//
+// A request takes one of two paths, chosen from what the server can see of
+// the connection's traffic. A lone request — nothing else of its connection
+// unanswered, nothing buffered behind it — is served where it was read: the
+// connection's reader goroutine runs the cycle and writes the reply itself,
+// concurrently with every other connection's lone requests. Anything
+// pipelined goes through the coalescing queue, whose one drainer goroutine
+// groups the writes of all connections into one DB.WriteBatch per drain
+// cycle and the point reads into one DB.MultiGet, so pipelined load rides
+// the engine's batch path. Both paths run the same Server.process.
 //
 // Concurrency layout: every connection owns a reader goroutine (decode →
-// submit) and a writer goroutine (response → socket); one drainer goroutine
-// owns the engine. Per-connection backpressure is an in-flight semaphore:
-// a reader blocks once MaxInflight of its requests are unanswered, which
-// bounds the coalescing queue at conns × MaxInflight entries.
+// serve inline or submit) and a writer goroutine (queued responses →
+// socket); one drainer goroutine owns the queue. Inline cycles hold
+// Server.cycles shared, drain cycles hold it exclusive. Per-connection
+// backpressure is an in-flight semaphore: a reader blocks once MaxInflight
+// of its requests are unanswered, which bounds the coalescing queue at
+// conns × MaxInflight entries.
 package server
 
 import (
@@ -18,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,6 +143,19 @@ type Server struct {
 	queue chan *request
 	stats Stats
 
+	// cycles orders inline cycles against drain cycles: a reader goroutine
+	// serving a lone request holds it shared (TryRLock — a running drain
+	// cycle or barrier sends the request to the queue instead), the drainer
+	// holds it exclusive. A drain cycle therefore starts only after every
+	// inline cycle that began before it has committed, which is what a
+	// handoff barrier proves when it closes.
+	cycles sync.RWMutex
+	// writes serialises engine writes across inline cycles. The engine tags
+	// a write with its sequence before applying it, so only a single writer
+	// keeps per-key apply order equal to sequence order — the order
+	// followers and recovery replay. Reads never take it.
+	writes sync.Mutex
+
 	mu     sync.Mutex
 	conns  map[*conn]struct{}
 	closed bool // guarded by mu: no new conns once set
@@ -169,6 +191,8 @@ func New(cfg Config) (*Server, error) {
 		stopWait: make(chan struct{}),
 	}
 	s.stats.ReplReadWait = stats.NewHistogram()
+	s.stats.InlineService = stats.NewHistogram()
+	s.stats.QueuedService = stats.NewHistogram()
 	s.drainWG.Add(1)
 	go s.drainLoop()
 	return s, nil
@@ -255,7 +279,8 @@ func (s *Server) logf(format string, args ...any) {
 func (s *Server) Stats() *Stats { return &s.stats }
 
 // Shutdown performs the graceful stop sequence: stop accepting, interrupt
-// connection readers (pipelined requests already received stay in flight),
+// connection readers (an inline cycle under way finishes and replies first;
+// pipelined requests already received stay in flight),
 // drain the coalescing queue so every in-flight request gets its response,
 // flush and close all connections, and — when the server owns the DB —
 // DrainBackground and Close the engine. Safe to call more than once and
@@ -317,12 +342,24 @@ func (s *Server) shutdown() error {
 	return nil
 }
 
-// request is one decoded, admitted client request waiting in the
-// coalescing queue. Exactly one respond* call answers it.
+// request is one decoded, admitted client request, served inline or waiting
+// in the coalescing queue. Its byte slices alias the frame body
+// wire.ReadFrame allocated for it alone. Exactly one reply answers it.
 type request struct {
 	c  *conn
 	id uint64
 	op wire.Op
+	// start is when the frame was decoded; the service-time histograms
+	// measure from it.
+	start time.Time
+	// inline is set while the request's reply belongs in its connection's
+	// inline buffer: the reader goroutine is running its cycle. A request
+	// that parks clears it and is answered through the writer.
+	inline bool
+	// merge marks a request carrying a counter merge. Merges always queue:
+	// the drainer is where same-key deltas fold, and its exclusive hold on
+	// cycles keeps a merge's read-modify-write clear of concurrent puts.
+	merge bool
 
 	key   []byte         // GET/DEL/SCAN start/INCR
 	value []byte         // PUT
@@ -357,17 +394,33 @@ type request struct {
 // bufferedReader sizes the per-connection read buffer.
 const readBufSize = 64 << 10
 
+// response is one encoded reply frame on its way to the writer goroutine.
+// start is the request's decode time; zero for replies to frames that never
+// became requests.
+type response struct {
+	frame []byte
+	start time.Time
+}
+
 type conn struct {
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader
+	// wmu guards bw: the writer goroutine and the reader's inline replies
+	// both write whole frames under it, so frames never interleave.
+	wmu sync.Mutex
 	bw  *bufio.Writer
+
+	// ibuf collects the reply frames of the inline cycle under way and cycle
+	// is that cycle's one-element batch; both belong to the reader goroutine.
+	ibuf  []byte
+	cycle [1]*request
 
 	// out carries encoded responses to the writer. Capacity MaxInflight+2
 	// exceeds the most responses that can be outstanding at once (at most
 	// MaxInflight semaphore-holding requests plus the reader's own single
 	// synchronous error reply), so enqueues never block in steady state.
-	out chan []byte
+	out chan response
 	// inflight is the per-connection backpressure semaphore.
 	inflight chan struct{}
 	// dead is closed when the writer abandons the socket; responders then
@@ -391,7 +444,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 		nc:       nc,
 		br:       bufio.NewReaderSize(nc, readBufSize),
 		bw:       bufio.NewWriterSize(nc, readBufSize),
-		out:      make(chan []byte, s.cfg.MaxInflight+2),
+		out:      make(chan response, s.cfg.MaxInflight+2),
 		inflight: make(chan struct{}, s.cfg.MaxInflight),
 		dead:     make(chan struct{}),
 		wdone:    make(chan struct{}),
@@ -469,8 +522,54 @@ func (c *conn) readLoop() {
 			continue
 		}
 		c.inflight <- struct{}{} // backpressure: blocks at MaxInflight
-		c.srv.queue <- req
+		if !c.serveInline(req) {
+			c.srv.queue <- req
+		}
 	}
+}
+
+// maxKeptReply bounds the inline reply buffer a connection keeps between
+// requests; one large SCAN must not pin its reply for the connection's life.
+const maxKeptReply = 64 << 10
+
+// serveInline runs req's cycle on this reader goroutine when nothing could
+// be gained by queueing it: the connection has nothing else unanswered (so
+// its requests still execute in arrival order), nothing is buffered behind
+// the request (so there is nothing to coalesce it with), it carries no merge,
+// and no drain cycle or barrier is running. It reports false, having done
+// nothing, when the request must take the queue.
+//
+// The shared lock is released before the reply touches the socket: a client
+// that does not read blocks this goroutine — its own — and nobody else.
+func (c *conn) serveInline(req *request) bool {
+	s := c.srv
+	if len(c.inflight) != 1 || c.br.Buffered() != 0 || req.merge || !s.cycles.TryRLock() {
+		return false
+	}
+	req.inline = true
+	c.cycle[0] = req
+	s.stats.InlineCycles.Inc()
+	s.process(c.cycle[:])
+	s.cycles.RUnlock()
+	c.cycle[0] = nil
+	if len(c.ibuf) == 0 {
+		return true // parked: the writer goroutine answers it
+	}
+	c.wmu.Lock()
+	_, err := c.bw.Write(c.ibuf)
+	if err == nil {
+		err = c.bw.Flush()
+	}
+	c.wmu.Unlock()
+	if c.ibuf = c.ibuf[:0]; cap(c.ibuf) > maxKeptReply {
+		c.ibuf = nil
+	}
+	if err != nil {
+		c.kill()
+		return true
+	}
+	s.stats.InlineService.Record(time.Since(req.start))
+	return true
 }
 
 // serveRepl hands the connection to the replication subsystem. The writer
@@ -523,146 +622,61 @@ func (c *conn) finishReads() {
 	c.kill()
 }
 
-// decode turns a frame into a queued request. Slices are copied out of the
-// frame's buffer because the request outlives this read iteration.
+// decode turns a frame into a request. Keys and values alias the frame's
+// payload, which wire.ReadFrame allocated for this frame alone, so they
+// outlive the read iteration — on the queue, parked, or inside the engine —
+// without a copy.
 func (c *conn) decode(f wire.Frame) (*request, error) {
 	if !f.Op.Valid() {
 		return nil, fmt.Errorf("unknown op %d", uint8(f.Op))
 	}
-	req := &request{c: c, id: f.ID, op: f.Op}
+	req := &request{c: c, id: f.ID, op: f.Op, start: time.Now()}
+	var err error
+	var limit uint32
 	switch f.Op {
 	case wire.OpPing:
-		req.echo = append([]byte(nil), f.Payload...)
-	case wire.OpPut:
-		k, v, err := wire.DecodePutReq(f.Payload)
-		if err != nil {
-			return nil, err
+		req.echo = f.Payload
+	case wire.OpPut, wire.OpPutV2:
+		req.key, req.value, err = wire.DecodePutReq(f.Payload)
+	case wire.OpGet, wire.OpDel, wire.OpDelV2:
+		req.key, err = wire.DecodeKeyReq(f.Payload)
+	case wire.OpBatch, wire.OpBatchV2:
+		req.batch, err = wire.DecodeBatchReq(f.Payload)
+		for _, b := range req.batch {
+			req.merge = req.merge || b.Merge
 		}
-		req.key = append([]byte(nil), k...)
-		req.value = append([]byte(nil), v...)
-	case wire.OpGet, wire.OpDel:
-		k, err := wire.DecodeKeyReq(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		req.key = append([]byte(nil), k...)
-	case wire.OpBatch:
-		ops, err := wire.DecodeBatchReq(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		for i := range ops {
-			ops[i].Key = append([]byte(nil), ops[i].Key...)
-			ops[i].Value = append([]byte(nil), ops[i].Value...)
-		}
-		req.batch = ops
 	case wire.OpMGet:
-		ks, err := wire.DecodeMGetReq(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		for i := range ks {
-			ks[i] = append([]byte(nil), ks[i]...)
-		}
-		req.keys = ks
+		req.keys, err = wire.DecodeMGetReq(f.Payload)
 	case wire.OpScan:
-		start, limit, err := wire.DecodeScanReq(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		req.key = append([]byte(nil), start...)
-		req.limit = int(limit)
-		if req.limit > c.srv.cfg.MaxScanLimit {
-			req.limit = c.srv.cfg.MaxScanLimit
-		}
-	case wire.OpStats:
+		req.key, limit, err = wire.DecodeScanReq(f.Payload)
+	case wire.OpStats, wire.OpShardMap:
 		if len(f.Payload) != 0 {
-			return nil, errors.New("stats takes no payload")
+			err = fmt.Errorf("%s takes no payload", strings.ToLower(f.Op.String()))
 		}
-	case wire.OpPutV2:
-		k, v, err := wire.DecodePutReq(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		req.key = append([]byte(nil), k...)
-		req.value = append([]byte(nil), v...)
-		req.sess = true
-	case wire.OpDelV2:
-		k, err := wire.DecodeKeyReq(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		req.key = append([]byte(nil), k...)
-		req.sess = true
-	case wire.OpBatchV2:
-		ops, err := wire.DecodeBatchReq(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		for i := range ops {
-			ops[i].Key = append([]byte(nil), ops[i].Key...)
-			ops[i].Value = append([]byte(nil), ops[i].Value...)
-		}
-		req.batch = ops
-		req.sess = true
 	case wire.OpGetV2:
-		k, minSeq, minEpoch, err := wire.DecodeGetV2Req(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		req.key = append([]byte(nil), k...)
-		req.sess = true
-		req.minSeq = minSeq
-		req.minEpoch = minEpoch
+		req.key, req.minSeq, req.minEpoch, err = wire.DecodeGetV2Req(f.Payload)
 	case wire.OpMGetV2:
-		ks, minSeq, minEpoch, err := wire.DecodeMGetV2Req(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		for i := range ks {
-			ks[i] = append([]byte(nil), ks[i]...)
-		}
-		req.keys = ks
-		req.sess = true
-		req.minSeq = minSeq
-		req.minEpoch = minEpoch
+		req.keys, req.minSeq, req.minEpoch, err = wire.DecodeMGetV2Req(f.Payload)
 	case wire.OpScanV2:
-		start, limit, minSeq, minEpoch, err := wire.DecodeScanV2Req(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		req.key = append([]byte(nil), start...)
-		req.limit = int(limit)
-		if req.limit > c.srv.cfg.MaxScanLimit {
-			req.limit = c.srv.cfg.MaxScanLimit
-		}
-		req.sess = true
-		req.minSeq = minSeq
-		req.minEpoch = minEpoch
-	case wire.OpIncr:
-		k, delta, err := wire.DecodeIncrReq(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		req.key = append([]byte(nil), k...)
-		req.delta = delta
-	case wire.OpIncrV2:
-		k, delta, err := wire.DecodeIncrReq(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		req.key = append([]byte(nil), k...)
-		req.delta = delta
-		req.sess = true
-	case wire.OpShardMap:
-		if len(f.Payload) != 0 {
-			return nil, errors.New("shardmap takes no payload")
-		}
+		req.key, limit, req.minSeq, req.minEpoch, err = wire.DecodeScanV2Req(f.Payload)
+	case wire.OpIncr, wire.OpIncrV2:
+		req.key, req.delta, err = wire.DecodeIncrReq(f.Payload)
+		req.merge = true
 	case wire.OpReplFrame, wire.OpReplAck, wire.OpReplSnapshot,
 		wire.OpReplFrame2, wire.OpHandoffFlip:
 		// Push-stream ops are only meaningful inside a REPL_HELLO or
 		// HANDOFF_HELLO stream; as requests they have no response protocol.
-		return nil, fmt.Errorf("%s outside a replication stream", f.Op)
+		err = fmt.Errorf("%s outside a replication stream", f.Op)
+	}
+	if err != nil {
+		return nil, err
+	}
+	switch f.Op {
+	case wire.OpPutV2, wire.OpDelV2, wire.OpBatchV2, wire.OpGetV2, wire.OpMGetV2, wire.OpScanV2, wire.OpIncrV2:
+		req.sess = true
+	}
+	if req.limit = int(limit); req.limit > c.srv.cfg.MaxScanLimit {
+		req.limit = c.srv.cfg.MaxScanLimit
 	}
 	return req, nil
 }
@@ -687,20 +701,21 @@ func (c *conn) decodeHandoff(f wire.Frame) (*request, error) {
 }
 
 // send enqueues an encoded response frame, dropping it if the writer died.
-func (c *conn) send(frame []byte) {
+func (c *conn) send(r response) {
 	select {
-	case c.out <- frame:
+	case c.out <- r:
 	case <-c.dead:
 	}
 }
 
 // respondError answers a request that never entered the queue.
 func (c *conn) respondError(id uint64, op wire.Op, st wire.Status, msg string) {
-	c.send(wire.AppendFrame(nil, wire.Frame{Op: op, Status: st, ID: id, Payload: []byte(msg)}))
+	c.send(response{frame: wire.AppendFrame(nil, wire.Frame{Op: op, Status: st, ID: id, Payload: []byte(msg)})})
 }
 
-// writeLoop flushes encoded responses to the socket, batching frames that
-// are already queued into one flush.
+// writeLoop flushes queued responses to the socket, batching frames that
+// are already queued into one flush. sent holds the decode times of the
+// frames written since the last flush; flushing closes their service times.
 func (c *conn) writeLoop() {
 	defer c.srv.writerWG.Done()
 	defer close(c.wdone)
@@ -711,55 +726,60 @@ func (c *conn) writeLoop() {
 			c.nc.Close()
 		}
 	}()
+	var sent []time.Time
+	write := func(r response) bool {
+		c.wmu.Lock()
+		_, err := c.bw.Write(r.frame)
+		c.wmu.Unlock()
+		if err != nil {
+			c.kill()
+			return false
+		}
+		if !r.start.IsZero() {
+			sent = append(sent, r.start)
+		}
+		return true
+	}
+	flush := func() bool {
+		c.wmu.Lock()
+		err := c.bw.Flush()
+		c.wmu.Unlock()
+		if err != nil {
+			c.kill()
+			return false
+		}
+		for _, t := range sent {
+			c.srv.stats.QueuedService.Record(time.Since(t))
+		}
+		sent = sent[:0]
+		return true
+	}
+	// final is set once no further response can arrive (the reader finished
+	// with everything enqueued, or the drainer exited): the loop then writes
+	// the channel's remnant, flushes, and exits.
+	final := false
 	for {
-		var frame []byte
+		var r response
 		select {
-		case frame = <-c.out:
+		case r = <-c.out:
 		default:
 			// Nothing pending: flush what we have, then sleep until the
 			// next response, writer death, or end-of-world.
-			if err := c.bw.Flush(); err != nil {
-				c.kill()
+			if !flush() || final {
 				return
 			}
 			select {
-			case frame = <-c.out:
+			case r = <-c.out:
 			case <-c.dead:
-				// Reader finished and all responses are enqueued; drain
-				// the channel remnant, flush, and exit.
-				if !c.drainOut() {
-					return
-				}
+				final = true
 				continue
 			case <-c.srv.flushed:
-				if !c.drainOut() {
-					return
-				}
+				final = true
 				continue
 			}
 		}
-		if _, err := c.bw.Write(frame); err != nil {
-			c.kill()
+		if !write(r) {
 			return
-		}
-	}
-}
-
-// drainOut writes any still-queued responses. It returns false when the
-// channel is empty (caller exits after the final flush).
-func (c *conn) drainOut() bool {
-	wrote := false
-	for {
-		select {
-		case frame := <-c.out:
-			if _, err := c.bw.Write(frame); err != nil {
-				c.kill()
-				return false
-			}
-			wrote = true
-		default:
-			c.bw.Flush()
-			return wrote
 		}
 	}
 }

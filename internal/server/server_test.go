@@ -26,7 +26,7 @@ type testEnv struct {
 	opts hyperdb.Options
 }
 
-func newTestEnv(t *testing.T, mutate func(*Config)) *testEnv {
+func newTestEnv(t testing.TB, mutate func(*Config)) *testEnv {
 	t.Helper()
 	opts := hyperdb.Options{
 		NVMeDevice:     device.New(device.UnthrottledProfile("nvme", 32<<20)),
@@ -57,7 +57,7 @@ func newTestEnv(t *testing.T, mutate func(*Config)) *testEnv {
 	return &testEnv{srv: srv, addr: addr.String(), db: db, opts: opts}
 }
 
-func dialTest(t *testing.T, env *testEnv, conns int) *client.Client {
+func dialTest(t testing.TB, env *testEnv, conns int) *client.Client {
 	t.Helper()
 	c, err := client.Dial(client.Options{Addr: env.addr, Conns: conns})
 	if err != nil {

@@ -33,8 +33,9 @@ func getVarint(p []byte) (int64, []byte, error) {
 	return v, p[n:], nil
 }
 
-// getBytes consumes one length-prefixed byte string. The result aliases p.
-// maxLen of 0 means "bounded only by the remaining payload".
+// getBytes consumes one length-prefixed byte string. The result aliases p,
+// capped at its own length (see ReadFrame's ownership rule). maxLen of 0
+// means "bounded only by the remaining payload".
 func getBytes(p []byte, maxLen int) ([]byte, []byte, error) {
 	n, rest, err := getUvarint(p)
 	if err != nil {
@@ -43,7 +44,7 @@ func getBytes(p []byte, maxLen int) ([]byte, []byte, error) {
 	if n > uint64(len(rest)) || (maxLen > 0 && n > uint64(maxLen)) {
 		return nil, nil, ErrBadPayload
 	}
-	return rest[:n], rest[n:], nil
+	return rest[:n:n], rest[n:], nil
 }
 
 // --- PUT: klen | key | value (value runs to the end of the payload) ---

@@ -226,7 +226,9 @@ var (
 	ErrBadPayload    = errors.New("wire: malformed payload")
 )
 
-// Frame is one decoded protocol frame. Payload aliases the decode buffer.
+// Frame is one decoded protocol frame. Payload aliases the bytes it was
+// decoded from: the caller's buffer for DecodeFrame, a fresh allocation the
+// caller owns for ReadFrame.
 type Frame struct {
 	Op      Op
 	Status  Status
@@ -238,16 +240,28 @@ type Frame struct {
 // payload bytes.
 func EncodedLen(payloadLen int) int { return 4 + minBody + payloadLen }
 
+// BeginFrame appends a frame's header to dst with the length left blank;
+// the caller appends the payload in place and closes the frame with
+// FinishFrame, so a payload is encoded once, straight into the buffer that
+// goes to the socket.
+func BeginFrame(dst []byte, op Op, st Status, id uint64) []byte {
+	dst = append(dst, 0, 0, 0, 0, byte(op), byte(st))
+	return binary.BigEndian.AppendUint64(dst, id)
+}
+
+// FinishFrame closes the frame BeginFrame opened at dst[start:]: it patches
+// the length and appends the CRC over everything after it.
+func FinishFrame(dst []byte, start int) []byte {
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start))
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start+4:]))
+}
+
 // AppendFrame appends the encoded frame to dst and returns the result.
 func AppendFrame(dst []byte, f Frame) []byte {
-	body := headerLen + len(f.Payload) + 4
-	dst = binary.BigEndian.AppendUint32(dst, uint32(body))
-	crcFrom := len(dst)
-	dst = append(dst, byte(f.Op), byte(f.Status))
-	dst = binary.BigEndian.AppendUint64(dst, f.ID)
+	start := len(dst)
+	dst = BeginFrame(dst, f.Op, f.Status, f.ID)
 	dst = append(dst, f.Payload...)
-	crc := crc32.ChecksumIEEE(dst[crcFrom:])
-	return binary.BigEndian.AppendUint32(dst, crc)
+	return FinishFrame(dst, start)
 }
 
 // DecodeFrame parses one frame from the start of buf, returning the frame
@@ -288,6 +302,12 @@ func DecodeFrame(buf []byte, maxFrame uint32) (Frame, int, error) {
 // ReadFrame reads exactly one frame from r. The allocation for the body is
 // bounded by maxFrame (MaxFrame when zero). io.EOF is returned only on a
 // clean boundary; a partial frame yields io.ErrUnexpectedEOF.
+//
+// Ownership: the payload is a fresh allocation owned by the caller. No later
+// ReadFrame reuses it, so keys and values decoded out of it may be kept, or
+// handed to another goroutine, without copying. Its capacity ends where the
+// payload does, and every byte string the payload decoders return is capped
+// the same way, so appending to one never writes into its neighbour.
 func ReadFrame(r io.Reader, maxFrame uint32) (Frame, error) {
 	if maxFrame == 0 || maxFrame > MaxFrame {
 		maxFrame = MaxFrame
@@ -310,15 +330,15 @@ func ReadFrame(r io.Reader, maxFrame uint32) (Frame, error) {
 		}
 		return Frame{}, err
 	}
-	want := binary.BigEndian.Uint32(b[len(b)-4:])
-	if crc32.ChecksumIEEE(b[:len(b)-4]) != want {
+	end := len(b) - 4
+	if crc32.ChecksumIEEE(b[:end]) != binary.BigEndian.Uint32(b[end:]) {
 		return Frame{}, ErrBadCRC
 	}
 	return Frame{
 		Op:      Op(b[0]),
 		Status:  Status(b[1]),
 		ID:      binary.BigEndian.Uint64(b[2:10]),
-		Payload: b[headerLen : len(b)-4],
+		Payload: b[headerLen:end:end],
 	}, nil
 }
 

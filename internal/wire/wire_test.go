@@ -184,3 +184,66 @@ func TestPayloadMalformed(t *testing.T) {
 		t.Error("oversized key length decoded")
 	}
 }
+
+// TestBeginFinishFrameMatchesAppendFrame: encoding a payload in place
+// between BeginFrame and FinishFrame yields byte-for-byte the frame
+// AppendFrame builds from a separately encoded payload, at any offset in a
+// reused buffer.
+func TestBeginFinishFrameMatchesAppendFrame(t *testing.T) {
+	k, v := []byte("key"), bytes.Repeat([]byte("v"), 300)
+	want := AppendFrame(nil, Frame{Op: OpPut, ID: 99, Payload: AppendPutReq(nil, k, v)})
+	buf := AppendFrame(nil, Frame{Op: OpPing, ID: 1}) // an earlier frame in the same buffer
+	start := len(buf)
+	buf = BeginFrame(buf, OpPut, StatusOK, 99)
+	buf = AppendPutReq(buf, k, v)
+	buf = FinishFrame(buf, start)
+	if !bytes.Equal(buf[start:], want) {
+		t.Fatalf("in-place frame differs from AppendFrame:\n got %x\nwant %x", buf[start:], want)
+	}
+	if f, n, err := DecodeFrame(buf[start:], 0); err != nil || n != len(want) || f.ID != 99 {
+		t.Fatalf("decode in-place frame: %+v %d %v", f, n, err)
+	}
+	empty := FinishFrame(BeginFrame(nil, OpStats, StatusOK, 7), 0)
+	if !bytes.Equal(empty, AppendFrame(nil, Frame{Op: OpStats, ID: 7})) {
+		t.Fatalf("empty in-place frame differs: %x", empty)
+	}
+}
+
+// TestReadFrameOwnsItsPayload pins ReadFrame's ownership rule: consecutive
+// frames off one stream never share backing memory, so a decoded key or
+// value survives later reads untouched, and a payload's capacity stops at
+// its end, so growing a decoded field cannot reach the bytes beside it.
+func TestReadFrameOwnsItsPayload(t *testing.T) {
+	var stream []byte
+	stream = AppendFrame(stream, Frame{Op: OpPut, ID: 1, Payload: AppendPutReq(nil, []byte("k1"), []byte("first"))})
+	stream = AppendFrame(stream, Frame{Op: OpPut, ID: 2, Payload: AppendPutReq(nil, []byte("k2"), []byte("again"))})
+	r := bytes.NewReader(stream)
+	f1, err := ReadFrame(r, 0)
+	if err != nil {
+		t.Fatalf("first: %v", err)
+	}
+	k1, v1, err := DecodePutReq(f1.Payload)
+	if err != nil {
+		t.Fatalf("decode first: %v", err)
+	}
+	f2, err := ReadFrame(r, 0)
+	if err != nil {
+		t.Fatalf("second: %v", err)
+	}
+	for i := range f2.Payload {
+		f2.Payload[i] = 0xEE // scribbling on the second frame must not reach the first
+	}
+	if string(k1) != "k1" || string(v1) != "first" {
+		t.Fatalf("first frame's fields changed after the second read: %q %q", k1, v1)
+	}
+	if cap(f1.Payload) != len(f1.Payload) {
+		t.Fatalf("payload cap %d runs past its len %d (into the CRC)", cap(f1.Payload), len(f1.Payload))
+	}
+	if cap(k1) != len(k1) || cap(v1) != len(v1) {
+		t.Fatalf("decoded fields not capped: key %d/%d value %d/%d", len(k1), cap(k1), len(v1), cap(v1))
+	}
+	_ = append(k1, 'X') // reallocates; must not overwrite the value that follows the key
+	if string(v1) != "first" {
+		t.Fatalf("appending to the key clobbered the value: %q", v1)
+	}
+}

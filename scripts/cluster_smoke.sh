@@ -8,8 +8,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-NODE_A="${HYPERD_SHARD_A:-127.0.0.1:49820}"
-NODE_B="${HYPERD_SHARD_B:-127.0.0.1:49821}"
+# The default ports sit below Linux's ephemeral range (32768-60999): the
+# kernel hands ports in that range to outgoing connections, one that drew a
+# listener's port sits in TIME_WAIT for 60 s after it closes, and hyperd then
+# dies with "address already in use" — which is what happened whenever the
+# test suite or a benchmark ran on loopback just before this script.
+NODE_A="${HYPERD_SHARD_A:-127.0.0.1:29820}"
+NODE_B="${HYPERD_SHARD_B:-127.0.0.1:29821}"
 SLOTS=32
 BIN=$(mktemp -d)
 APID=""

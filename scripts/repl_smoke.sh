@@ -15,11 +15,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PRIMARY="${HYPERD_PRIMARY:-127.0.0.1:49810}"
-FOLLOWER="${HYPERD_FOLLOWER:-127.0.0.1:49811}"
-AE_PRIMARY="${HYPERD_AE_PRIMARY:-127.0.0.1:49812}"
-AE_FOLLOWER="${HYPERD_AE_FOLLOWER:-127.0.0.1:49813}"
-AE_FRESH="${HYPERD_AE_FRESH:-127.0.0.1:49814}"
+# The default ports sit below Linux's ephemeral range (32768-60999): the
+# kernel hands ports in that range to outgoing connections, one that drew a
+# listener's port sits in TIME_WAIT for 60 s after it closes, and hyperd then
+# dies with "address already in use" — which is what happened whenever the
+# test suite or a benchmark ran on loopback just before this script.
+PRIMARY="${HYPERD_PRIMARY:-127.0.0.1:29810}"
+FOLLOWER="${HYPERD_FOLLOWER:-127.0.0.1:29811}"
+AE_PRIMARY="${HYPERD_AE_PRIMARY:-127.0.0.1:29812}"
+AE_FOLLOWER="${HYPERD_AE_FOLLOWER:-127.0.0.1:29813}"
+AE_FRESH="${HYPERD_AE_FRESH:-127.0.0.1:29814}"
 BIN=$(mktemp -d)
 PPID_D=""
 FPID_D=""

@@ -6,7 +6,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ADDR="${HYPERD_ADDR:-127.0.0.1:49800}"
+# The default port sits below Linux's ephemeral range (32768-60999): the
+# kernel hands ports in that range to outgoing connections, one that drew a
+# listener's port sits in TIME_WAIT for 60 s after it closes, and hyperd then
+# dies with "address already in use" — which is what happened whenever the
+# test suite or a benchmark ran on loopback just before this script.
+ADDR="${HYPERD_ADDR:-127.0.0.1:29800}"
 BIN=$(mktemp -d)
 trap 'rm -rf "$BIN"' EXIT
 
