@@ -363,7 +363,7 @@ type conn struct {
 	// the dialed conn has none (see idleClosed).
 	raw        syscall.RawConn
 	rawRead    func(fd uintptr) bool // conn.probe, bound once
-	peerClosed bool                  // probe's verdict; the reader's alone
+	peerClosed bool                  // probe's verdict; guarded by mu
 
 	wmu  sync.Mutex // serializes frame writes, guards wbuf
 	wbuf []byte     // every request is encoded here, in place, once
@@ -444,7 +444,8 @@ func (cn *conn) close(err error) error {
 // idleClosed reports whether the peer closed the connection while no call
 // was in flight, by one non-blocking read on the descriptor: end of stream,
 // a reset, or bytes nobody asked for all mean the connection is not worth a
-// request. Only the reader calls it, and only with nothing in flight.
+// request. Only a caller about to become the reader calls it, holding mu:
+// that is what keeps "nothing in flight" true for as long as the read takes.
 //
 // The check needs the raw descriptor. A deadline cannot stand in for it:
 // Go's poller answers a read whose deadline has passed without issuing the
@@ -458,6 +459,9 @@ func (cn *conn) idleClosed() bool {
 	cn.peerClosed = false
 	return cn.raw.Read(cn.rawRead) != nil || cn.peerClosed
 }
+
+// idleProbeHook, when a test sets it, runs just before the idle probe.
+var idleProbeHook func()
 
 func (cn *conn) probe(fd uintptr) bool {
 	var b [1]byte
@@ -475,22 +479,30 @@ func (cn *conn) roundTrip(op wire.Op, enc func([]byte) []byte) (wire.Frame, erro
 		cn.mu.Unlock()
 		return wire.Frame{}, err
 	}
-	cn.nextID++
-	id := cn.nextID
 	var ch chan result // stays nil for the reader
 	if cn.reading {
 		ch = make(chan result, 1)
+	} else {
+		// No reader means no call in flight: the connection has sat idle, and
+		// nothing has looked at the socket since the last response. That
+		// holds only while mu does — once it is released a second caller can
+		// write and be answered, and the probe would eat the first byte of
+		// its response — so the probe runs before the role is published.
+		if idleProbeHook != nil {
+			idleProbeHook()
+		}
+		if cn.idleClosed() {
+			cn.err = fmt.Errorf("client: connection lost: %w", io.EOF)
+			cn.mu.Unlock()
+			cn.nc.Close() // pending is empty: nobody to fail
+			return wire.Frame{}, errIdleClosed
+		}
 	}
+	cn.nextID++
+	id := cn.nextID
 	cn.reading = true
 	cn.pending[id] = ch
 	cn.mu.Unlock()
-
-	// No reader means no call in flight: the connection has sat idle, and
-	// nothing has looked at the socket since the last response.
-	if ch == nil && cn.idleClosed() {
-		cn.close(fmt.Errorf("client: connection lost: %w", io.EOF))
-		return wire.Frame{}, errIdleClosed
-	}
 
 	cn.wmu.Lock()
 	b := wire.BeginFrame(cn.wbuf[:0], op, wire.StatusOK, id)

@@ -195,3 +195,59 @@ func TestIdleKilledConnectionRedialsTransparently(t *testing.T) {
 		t.Fatalf("dialed %d times, want 2 (one transparent redial)", got)
 	}
 }
+
+// TestIdleProbeCannotEatAnotherCallersResponse: caller B finds no call in
+// flight and is about to probe the idle socket when caller C starts a call on
+// the same connection. Were the probe to run after B had let go of the
+// connection's lock, C would become a waiter, write, be answered, and the
+// probe's one-byte read would take the first byte of C's response for
+// "bytes nobody asked for" and close the connection under it. The hook parks
+// B at the probe until the server has answered somebody (the broken order) or
+// C has visibly had time to and could not (the probe excludes it); either
+// way both calls must succeed on the one connection.
+func TestIdleProbeCannotEatAnotherCallersResponse(t *testing.T) {
+	answered := make(chan struct{}, 2)
+	var dials atomic.Int64
+	addr := scriptedServer(t, func(_ int, nc net.Conn) {
+		defer nc.Close()
+		dials.Add(1)
+		for {
+			f, err := wire.ReadFrame(nc, 0)
+			if err != nil || pong(nc, f.ID) != nil {
+				return
+			}
+			answered <- struct{}{}
+		}
+	})
+	c, err := Dial(Options{Addr: addr, Conns: 1, RedialAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	second := make(chan error, 1)
+	var parked atomic.Bool
+	idleProbeHook = func() {
+		if parked.Swap(true) {
+			return
+		}
+		go func() { second <- c.Ping() }()
+		select {
+		case <-answered:
+			// C's response is on its way; give it time to reach the socket.
+			time.Sleep(20 * time.Millisecond)
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	defer func() { idleProbeHook = nil }()
+
+	if err := c.Ping(); err != nil {
+		t.Fatalf("the probing call: %v", err)
+	}
+	if err := within(t, "the call that arrived during the probe", second); err != nil {
+		t.Fatalf("the call that arrived during the probe: %v", err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("%d connections dialed, want 1: the probe killed a live connection", n)
+	}
+}

@@ -108,19 +108,27 @@ func (db *DB) MigrationStep(pid int) error {
 		break
 	}
 
-	// Rebuild one oversized zone per pass (§3.2's periodic zone rebuild),
-	// so bootstrap-era zones shrink to the current width estimate before
-	// they are ever demoted wholesale. A split transiently doubles the
-	// zone's footprint; when the device cannot absorb that, leave the zone
-	// alone — an oversized zone under a skewed workload is usually the
-	// *hottest* range, and demoting it here would evict exactly the data
-	// the tier exists to serve. The watermark demotion below still reclaims
-	// space by score when pressure is real.
-	if z, zBytes := p.zones.PickOversizedZone(); z != nil {
-		free := db.opts.NVMe.Capacity() - db.opts.NVMe.Used()
-		if free > 2*zBytes {
-			if _, err := p.zones.SplitZone(z); err != nil {
-				return err
+	// Rebuild one oversized zone per pass (§3.2's periodic zone rebuild), so
+	// bootstrap-era zones shrink to the current width estimate — but only
+	// while the partition is resident, its capacity tier still empty. A split
+	// transiently doubles the zone's footprint; when the device cannot absorb
+	// that, leave the zone alone — an oversized zone under a skewed workload
+	// is usually the *hottest* range, and the watermark demotion below still
+	// reclaims space by score when pressure is real.
+	//
+	// Once the partition has demoted anything it is tiered: a zone fills and
+	// leaves within one tier cycle, Eq. 2 sizes its successor from the
+	// resident density, and rewriting it first costs a slot read and a
+	// sector write (768 device bytes for a 152-byte object) on data that is
+	// about to go. There an oversized zone is not rebuilt; it is the first
+	// demotion victim instead (see victim).
+	if p.tree.Empty() {
+		if z, zBytes := p.zones.PickOversizedZone(); z != nil {
+			free := db.opts.NVMe.Capacity() - db.opts.NVMe.Used()
+			if free > 2*zBytes {
+				if _, err := p.zones.SplitZone(z); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -130,7 +138,7 @@ func (db *DB) MigrationStep(pid int) error {
 	// watermark (§3.5).
 	if db.opts.NVMe.UsedFraction() >= db.opts.HighWatermark {
 		for db.opts.NVMe.UsedFraction() >= db.opts.LowWatermark {
-			z := p.zones.PickDemotionVictim()
+			z := p.victim()
 			if z == nil {
 				break
 			}
@@ -147,6 +155,19 @@ func (db *DB) MigrationStep(pid int) error {
 	}
 	db.wake(p.wakeComp)
 	return nil
+}
+
+// victim picks the partition's next zone to demote: by §3.5 score, except
+// that a tiered partition sends an oversized zone first. That is what bounds
+// a migration batch there — OversizeFactor×B plus what arrives before the
+// next pass — now that such a zone is no longer split.
+func (p *partition) victim() *zone.Zone {
+	if !p.tree.Empty() {
+		if z, _ := p.zones.PickOversizedZone(); z != nil {
+			return z
+		}
+	}
+	return p.zones.PickDemotionVictim()
 }
 
 // demoteZone migrates one zone into the capacity tier's L1. A nil batch

@@ -81,6 +81,7 @@ func (db *DB) Stats() Stats {
 		s.Zone.Objects += zs.Objects
 		s.Zone.PayloadBytes += zs.PayloadBytes
 		s.Zone.Zones += zs.Zones
+		s.Zone.MaxZoneBytes = max(s.Zone.MaxZoneBytes, zs.MaxZoneBytes)
 		s.Zone.Migrations += zs.Migrations
 		s.Zone.MigratedObjects += zs.MigratedObjects
 		s.Zone.MigrationPageReads += zs.MigrationPageReads
@@ -88,6 +89,7 @@ func (db *DB) Stats() Stats {
 		s.Zone.Relocations += zs.Relocations
 		s.Zone.HotEvictDropped += zs.HotEvictDropped
 		s.Zone.HotEvictRelocated += zs.HotEvictRelocated
+		s.Zone.Bg.Add(zs.Bg)
 		s.PromotionsDropped += p.promoDrop.Load()
 		s.Trackers = append(s.Trackers, p.tracker.Stats())
 		for l := 1; l <= maxLevels; l++ {
@@ -126,6 +128,15 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "Zone tier: objects=%d zones=%d payload=%s migrations=%d (objects=%d, pageReads=%d) inPlace=%d\n",
 		s.Zone.Objects, s.Zone.Zones, stats.FormatBytes(uint64(s.Zone.PayloadBytes)),
 		s.Zone.Migrations, s.Zone.MigratedObjects, s.Zone.MigrationPageReads, s.Zone.InPlaceUpdates)
+	// The performance tier's background bytes by mechanism; "other" is what
+	// the device booked that the zone tier did not issue (index mirror
+	// traffic, the recovery scan). The two are not read at one instant.
+	bg := s.Zone.Bg
+	other := max(s.NVMe.BgReadBytes+s.NVMe.BgWriteBytes, bg.Total()) - bg.Total()
+	fmt.Fprintf(&b, "nvme background: demote{r=%s} rebuild{r=%s w=%s} promote{w=%s} hot-evict{r=%s w=%s} other=%s\n",
+		stats.FormatBytes(bg.DemotionRead), stats.FormatBytes(bg.RebuildRead), stats.FormatBytes(bg.RebuildWrite),
+		stats.FormatBytes(bg.PromotionWrite), stats.FormatBytes(bg.HotEvictRead), stats.FormatBytes(bg.HotEvictWrite),
+		stats.FormatBytes(other))
 	for _, l := range s.Levels {
 		if l.Tables == 0 && l.CompactWrite == 0 {
 			continue

@@ -221,6 +221,10 @@ func (f *File) Sync(op Op) error {
 	return nil
 }
 
+// WriteCharge returns the write volume the device books for a write of n
+// bytes: n rounded up to whole sectors.
+func (d *Device) WriteCharge(n int64) int64 { return sectorRound(d, n) }
+
 // sectorRound rounds n up to the device's write (sector) granularity.
 func sectorRound(d *Device, n int64) int64 {
 	s := int64(d.profile.SectorSize)

@@ -604,6 +604,22 @@ func Fig11(s Scale, progress io.Writer) (*Table, error) {
 			lsm = a.db.LSM()
 		case *prismAdapter:
 			lsm = a.db.LSM()
+		case *hyperAdapter:
+			// The performance tier's background bytes by mechanism; the
+			// rest of nvmeBg is the capacity tier's index mirror.
+			bg := a.Stats().Zone.Bg
+			for _, c := range []struct {
+				name  string
+				bytes uint64
+			}{
+				{"nvmeBg", nv.BgReadBytes + nv.BgWriteBytes},
+				{"demoteRead", bg.DemotionRead},
+				{"rebuildRead", bg.RebuildRead}, {"rebuildWrite", bg.RebuildWrite},
+				{"promoteWrite", bg.PromotionWrite},
+				{"hotEvictRead", bg.HotEvictRead}, {"hotEvictWrite", bg.HotEvictWrite},
+			} {
+				cells = append(cells, Cell{c.name, float64(c.bytes) / (1 << 20), "MiB"})
+			}
 		}
 		if lsm != nil {
 			for l := 0; l < lsm.MaxLevels(); l++ {

@@ -258,6 +258,20 @@ func (t *Tree) TotalFileBytes() int64 {
 	return file
 }
 
+// Empty reports whether the tree holds no table at any level: the partition
+// has never demoted anything (or everything it demoted has since been deleted
+// and compacted away). Tables are durable, so the answer survives Recover.
+func (t *Tree) Empty() bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for l := 1; l <= t.opts.MaxLevels; l++ {
+		if len(t.levels[l]) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Levels returns the configured maximum depth.
 func (t *Tree) Levels() int { return t.opts.MaxLevels }
 

@@ -74,6 +74,7 @@ type Stats struct {
 	Objects            int64
 	PayloadBytes       int64
 	Zones              int
+	MaxZoneBytes       int64 // payload of the largest key-range zone
 	Migrations         uint64
 	MigratedObjects    uint64
 	MigrationPageReads uint64
@@ -81,6 +82,37 @@ type Stats struct {
 	Relocations        uint64
 	HotEvictDropped    uint64
 	HotEvictRelocated  uint64
+	// Bg is the tier's background-byte ledger.
+	Bg BgBytes
+}
+
+// BgBytes attributes the performance tier's background traffic to the
+// mechanism that issued it, in bytes as the device books them: whole pages
+// per read, sector-rounded slots per write. Demotion and rebuild writes that
+// land on the capacity tier are the LSM's to count, not the zone tier's.
+type BgBytes struct {
+	DemotionRead   uint64 // PrepareMigration reading a zone out
+	RebuildRead    uint64 // SplitZone reading an oversized zone
+	RebuildWrite   uint64 // SplitZone re-placing its objects
+	PromotionWrite uint64 // Promote copying a capacity-tier object up
+	HotEvictRead   uint64 // EvictHotZone reading the old hot zone
+	HotEvictWrite  uint64 // EvictHotZone keeping or relocating its objects
+}
+
+// Add accumulates o into b.
+func (b *BgBytes) Add(o BgBytes) {
+	b.DemotionRead += o.DemotionRead
+	b.RebuildRead += o.RebuildRead
+	b.RebuildWrite += o.RebuildWrite
+	b.PromotionWrite += o.PromotionWrite
+	b.HotEvictRead += o.HotEvictRead
+	b.HotEvictWrite += o.HotEvictWrite
+}
+
+// Total sums the ledger.
+func (b BgBytes) Total() uint64 {
+	return b.DemotionRead + b.RebuildRead + b.RebuildWrite +
+		b.PromotionWrite + b.HotEvictRead + b.HotEvictWrite
 }
 
 // Manager is one partition's zone group: slot files, the zone mapper, the
@@ -107,9 +139,12 @@ type Manager struct {
 	// every read, which makes stale entries (relocations, migrations,
 	// racing writers) unservable rather than wrong. Writers mutate entries
 	// in place under mu, reusing value buffers, so readers must finish
-	// cloning before releasing mu.RLock.
+	// cloning before releasing mu.RLock. Entries also form a list in
+	// insertion order, oldest at vcacheOld: the eviction order.
 	vcache      map[string]*valueEnt
 	vcacheBytes int64
+	vcacheOld   *valueEnt
+	vcacheNew   *valueEnt
 
 	migrations         stats.Counter
 	migratedObjects    stats.Counter
@@ -118,10 +153,29 @@ type Manager struct {
 	relocations        stats.Counter
 	hotEvictDropped    stats.Counter
 	hotEvictRelocated  stats.Counter
+	// bg is the ledger behind Stats.Bg; every background read and write
+	// names the counter it is booked to (readObjects, writeObject).
+	bg struct {
+		demotionRead, rebuildRead, rebuildWrite     stats.Counter
+		promotionWrite, hotEvictRead, hotEvictWrite stats.Counter
+	}
 }
 
 // NewManager creates the slot files and an empty zone group.
 func NewManager(cfg Config) (*Manager, error) {
+	m := emptyManager(cfg)
+	for _, cls := range m.cfg.Classes {
+		sf, err := newSlotFile(m.cfg.Dev, fmt.Sprintf("p%d-slab%d", m.cfg.Partition, cls), cls)
+		if err != nil {
+			return nil, err
+		}
+		m.slotFiles = append(m.slotFiles, sf)
+	}
+	return m, nil
+}
+
+// emptyManager is a manager with its hot zone and no slot files yet.
+func emptyManager(cfg Config) *Manager {
 	cfg.fill()
 	m := &Manager{
 		cfg:      cfg,
@@ -130,16 +184,9 @@ func NewManager(cfg Config) (*Manager, error) {
 		nextZone: 1,
 		vcache:   make(map[string]*valueEnt),
 	}
-	for _, cls := range cfg.Classes {
-		sf, err := newSlotFile(cfg.Dev, fmt.Sprintf("p%d-slab%d", cfg.Partition, cls), cls)
-		if err != nil {
-			return nil, err
-		}
-		m.slotFiles = append(m.slotFiles, sf)
-	}
 	m.hot = newZone(0, 0, math.MaxUint64, true, len(cfg.Classes))
 	m.zoneByID[0] = m.hot
-	return m, nil
+	return m
 }
 
 // zoneFor finds the live key-range zone containing k64, or nil.
@@ -241,9 +288,10 @@ func (m *Manager) createZone(k64 uint64) *Zone {
 	return z
 }
 
-// writeObject stores an object into zone z, allocating a slot. Caller holds
-// mu. Returns the new location.
-func (m *Manager) writeObject(z *Zone, c int, k, v []byte, seq uint64, tombstone, promoted bool, op device.Op) (Location, error) {
+// writeObject stores an object into zone z, allocating a slot. A nil bg is a
+// foreground write; otherwise the write is background traffic, booked to
+// that ledger counter. Caller holds mu. Returns the new location.
+func (m *Manager) writeObject(z *Zone, c int, k, v []byte, seq uint64, tombstone, promoted bool, bg *stats.Counter) (Location, error) {
 	sf := m.slotFiles[c]
 	ref, ok := z.takeSlot(c, sf.slotsPerPage)
 	if !ok {
@@ -253,8 +301,15 @@ func (m *Manager) writeObject(z *Zone, c int, k, v []byte, seq uint64, tombstone
 		}
 		ref = z.addPage(c, page, sf.slotsPerPage)
 	}
+	op := device.Fg
+	if bg != nil {
+		op = device.Bg
+	}
 	if err := sf.writeSlot(ref.page, ref.slot, seq, tombstone, k, v, op); err != nil {
 		return Location{}, err
+	}
+	if bg != nil {
+		bg.Add(uint64(m.cfg.Dev.WriteCharge(int64(sf.slotSize))))
 	}
 	m.invalidateCache(c, ref.page)
 	size := int32(slotHeaderSize + len(k) + len(v))
@@ -306,14 +361,21 @@ func (m *Manager) invalidateCache(c int, page uint32) {
 type valueEnt struct {
 	seq uint64
 	val []byte
+	// key is the entry's map key; older and newer link the insertion-order
+	// list.
+	key          string
+	older, newer *valueEnt
 }
 
 // vcacheEntOverhead approximates per-entry bookkeeping (map cell, header).
 const vcacheEntOverhead = 64
 
 // vcacheStore publishes key's newest value. Caller holds mu. When over
-// budget it evicts map-iteration-order (pseudo-random) victims first; an
-// entry larger than the whole budget is simply not cached.
+// budget it evicts the entries that were inserted first: under independent
+// references FIFO hits as often as a uniform random victim would, and it is
+// the same victim on every run, which map iteration order — the policy this
+// replaces, and a worse one than either — was not. An entry larger than the
+// whole budget is simply not cached.
 func (m *Manager) vcacheStore(key []byte, seq uint64, value []byte) {
 	if m.cfg.ValueCacheBytes <= 0 {
 		return
@@ -329,18 +391,37 @@ func (m *Manager) vcacheStore(key []byte, seq uint64, value []byte) {
 		return
 	}
 	need := int64(len(key)+len(value)) + vcacheEntOverhead
-	for m.vcacheBytes+need > m.cfg.ValueCacheBytes && len(m.vcache) > 0 {
-		for k, e := range m.vcache {
-			delete(m.vcache, k)
-			m.vcacheBytes -= int64(len(k)+len(e.val)) + vcacheEntOverhead
-			break
-		}
+	for m.vcacheBytes+need > m.cfg.ValueCacheBytes && m.vcacheOld != nil {
+		m.vcacheRemove(m.vcacheOld)
 	}
 	if m.vcacheBytes+need > m.cfg.ValueCacheBytes {
 		return
 	}
-	m.vcache[string(key)] = &valueEnt{seq: seq, val: bytes.Clone(value)}
+	e := &valueEnt{seq: seq, val: bytes.Clone(value), key: string(key), older: m.vcacheNew}
+	if e.older != nil {
+		e.older.newer = e
+	} else {
+		m.vcacheOld = e
+	}
+	m.vcacheNew = e
+	m.vcache[e.key] = e
 	m.vcacheBytes += need
+}
+
+// vcacheRemove unlinks e and returns its bytes to the budget. Caller holds mu.
+func (m *Manager) vcacheRemove(e *valueEnt) {
+	if e.older != nil {
+		e.older.newer = e.newer
+	} else {
+		m.vcacheOld = e.newer
+	}
+	if e.newer != nil {
+		e.newer.older = e.older
+	} else {
+		m.vcacheNew = e.older
+	}
+	delete(m.vcache, e.key)
+	m.vcacheBytes -= int64(len(e.key)+len(e.val)) + vcacheEntOverhead
 }
 
 // cachedValueLocked returns a copy of key's value-cache entry when it holds
@@ -357,8 +438,7 @@ func (m *Manager) cachedValueLocked(key []byte, seq uint64) ([]byte, bool) {
 // already makes stale entries unservable; this just reclaims the budget.
 func (m *Manager) vcacheDelete(key []byte) {
 	if e, ok := m.vcache[string(key)]; ok {
-		delete(m.vcache, string(key))
-		m.vcacheBytes -= int64(len(key)+len(e.val)) + vcacheEntOverhead
+		m.vcacheRemove(e)
 	}
 }
 
@@ -413,7 +493,7 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot, promoted bool) e
 				z = m.createZone(k64)
 			}
 		}
-		loc, err := m.writeObject(z, c, key, value, seq, false, promoted, device.Fg)
+		loc, err := m.writeObject(z, c, key, value, seq, false, promoted, nil)
 		if err != nil {
 			return err
 		}
@@ -438,7 +518,7 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot, promoted bool) e
 			z = m.createZone(k64)
 		}
 	}
-	loc, err := m.writeObject(z, c, key, value, seq, false, promoted, device.Fg)
+	loc, err := m.writeObject(z, c, key, value, seq, false, promoted, nil)
 	if err != nil {
 		return err
 	}
@@ -488,7 +568,7 @@ func (m *Manager) deleteLocked(key []byte, seq uint64) error {
 	if z == nil {
 		z = m.createZone(k64)
 	}
-	loc, err := m.writeObject(z, c, key, nil, seq, true, false, device.Fg)
+	loc, err := m.writeObject(z, c, key, nil, seq, true, false, nil)
 	if err != nil {
 		return err
 	}
@@ -575,7 +655,7 @@ func (m *Manager) Promote(key, value []byte, seq uint64) error {
 	if _, ok := m.index.Get(key); ok {
 		return nil
 	}
-	loc, err := m.writeObject(m.hot, c, key, value, seq, false, true, device.Bg)
+	loc, err := m.writeObject(m.hot, c, key, value, seq, false, true, &m.bg.promotionWrite)
 	if err != nil {
 		return err
 	}
@@ -669,15 +749,17 @@ func (m *Manager) PayloadBytes() int64 {
 func (m *Manager) Stats() Stats {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	var payload int64
+	var payload, largest int64
 	payload += m.hot.bytes
 	for _, z := range m.zones {
 		payload += z.bytes
+		largest = max(largest, z.bytes)
 	}
 	return Stats{
 		Objects:            int64(m.index.Len()),
 		PayloadBytes:       payload,
 		Zones:              len(m.zones),
+		MaxZoneBytes:       largest,
 		Migrations:         m.migrations.Load(),
 		MigratedObjects:    m.migratedObjects.Load(),
 		MigrationPageReads: m.migrationPageReads.Load(),
@@ -685,6 +767,14 @@ func (m *Manager) Stats() Stats {
 		Relocations:        m.relocations.Load(),
 		HotEvictDropped:    m.hotEvictDropped.Load(),
 		HotEvictRelocated:  m.hotEvictRelocated.Load(),
+		Bg: BgBytes{
+			DemotionRead:   m.bg.demotionRead.Load(),
+			RebuildRead:    m.bg.rebuildRead.Load(),
+			RebuildWrite:   m.bg.rebuildWrite.Load(),
+			PromotionWrite: m.bg.promotionWrite.Load(),
+			HotEvictRead:   m.bg.hotEvictRead.Load(),
+			HotEvictWrite:  m.bg.hotEvictWrite.Load(),
+		},
 	}
 }
 

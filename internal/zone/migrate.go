@@ -3,9 +3,11 @@ package zone
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hyperdb/internal/device"
+	"hyperdb/internal/stats"
 )
 
 // PickDemotionVictim returns the key-range zone with the best §3.5
@@ -68,10 +70,10 @@ func (m *Manager) zoneRefsLocked(z *Zone, lo, hi []byte) []locRef {
 
 // readObjects reads the slot behind every ref of a detached zone, outside the
 // lock, fetching each distinct page once as a background read however many
-// of the objects sit on it. fn gets the decoded object — key and value are
-// views into the page — or the slot's decode error, in refs order. It returns
-// the number of pages fetched.
-func (m *Manager) readObjects(refs []locRef, fn func(r locRef, tomb bool, k, v []byte, err error) error) (int, error) {
+// of the objects sit on it, and books the pages to ledger. fn gets the decoded
+// object — key and value are views into the page — or the slot's decode
+// error, in refs order. It returns the number of pages fetched.
+func (m *Manager) readObjects(refs []locRef, ledger *stats.Counter, fn func(r locRef, tomb bool, k, v []byte, err error) error) (int, error) {
 	pages := make(map[scanPageKey][]byte)
 	for _, r := range refs {
 		sf := m.slotFiles[r.loc.Class]
@@ -83,6 +85,7 @@ func (m *Manager) readObjects(refs []locRef, fn func(r locRef, tomb bool, k, v [
 				return len(pages), err
 			}
 			pages[pk] = page
+			ledger.Add(uint64(sf.pageSize))
 		}
 		_, tomb, k, v, err := sf.decodeSlotInPage(page, r.loc.Slot)
 		if err := fn(r, tomb, k, v, err); err != nil {
@@ -110,7 +113,7 @@ func (m *Manager) PrepareMigration(z *Zone) (*Batch, error) {
 	}
 	batch := &Batch{zone: z, Entries: make([]MigEntry, 0, len(refs))}
 	var err error
-	batch.PageReads, err = m.readObjects(refs, func(r locRef, tomb bool, k, v []byte, err error) error {
+	batch.PageReads, err = m.readObjects(refs, &m.bg.demotionRead, func(r locRef, tomb bool, k, v []byte, err error) error {
 		if err != nil {
 			return err
 		}
@@ -151,26 +154,33 @@ func (m *Manager) CommitMigration(b *Batch) {
 			m.vcacheDelete(e.Key)
 		}
 	}
-	for c, pageSet := range b.zone.pages {
-		for p := range pageSet {
-			m.invalidateCache(c, p)
-			m.slotFiles[c].freePage(p)
-		}
-	}
-	m.slotFilesAdjust(-b.zone.bytes, -b.zone.objects)
+	m.freeZoneLocked(b.zone)
 	m.migrations.Inc()
 	m.migratedObjects.Add(uint64(len(b.Entries)))
 }
 
-// slotFilesAdjust spreads aggregate byte/object deltas across slot files for
-// the Eq. 1 estimate after a whole-zone drop. Caller holds mu.
-func (m *Manager) slotFilesAdjust(bytesDelta, objectsDelta int64) {
+// freeZoneLocked returns a detached zone's pages to the slot files — in page
+// order, so that which page the next allocation reuses does not depend on
+// map iteration — and takes what is left of its payload out of the Eq. 1
+// estimate. Caller holds mu.
+func (m *Manager) freeZoneLocked(z *Zone) {
+	for c, pageSet := range z.pages {
+		pages := make([]uint32, 0, len(pageSet))
+		for p := range pageSet {
+			pages = append(pages, p)
+		}
+		slices.Sort(pages)
+		for _, p := range pages {
+			m.invalidateCache(c, p)
+			m.slotFiles[c].freePage(p)
+		}
+	}
 	// Aggregate-only adjustment: Eq. 1 uses ΣF_k/ΣN_k, so attributing the
 	// delta to the first file keeps the ratio exact without per-class
 	// bookkeeping during wholesale zone drops.
 	if len(m.slotFiles) > 0 {
-		m.slotFiles[0].bytes += bytesDelta
-		m.slotFiles[0].objects += objectsDelta
+		m.slotFiles[0].bytes -= z.bytes
+		m.slotFiles[0].objects -= z.objects
 	}
 }
 
@@ -216,7 +226,7 @@ func (m *Manager) EvictHotZone(isHot func(key []byte) bool) error {
 	refs := m.zoneRefsLocked(old, nil, nil)
 	m.mu.Unlock()
 
-	_, err := m.readObjects(refs, func(r locRef, tomb bool, k, v []byte, err error) error {
+	_, err := m.readObjects(refs, &m.bg.hotEvictRead, func(r locRef, tomb bool, k, v []byte, err error) error {
 		if err != nil || !bytes.Equal(k, r.key) {
 			return nil // superseded concurrently
 		}
@@ -229,7 +239,7 @@ func (m *Manager) EvictHotZone(isHot func(key []byte) bool) error {
 		switch {
 		case isHot != nil && isHot(r.key):
 			// Still hot: keep in the rebuilt hot zone.
-			loc, err := m.writeObject(m.hot, int(r.loc.Class), k, v, r.loc.Seq, tomb, r.loc.Promoted, device.Bg)
+			loc, err := m.writeObject(m.hot, int(r.loc.Class), k, v, r.loc.Seq, tomb, r.loc.Promoted, &m.bg.hotEvictWrite)
 			if err != nil {
 				return err
 			}
@@ -246,7 +256,7 @@ func (m *Manager) EvictHotZone(isHot func(key []byte) bool) error {
 			if z == nil {
 				z = m.createZone(k64)
 			}
-			loc, err := m.writeObject(z, int(r.loc.Class), k, v, r.loc.Seq, tomb, false, device.Bg)
+			loc, err := m.writeObject(z, int(r.loc.Class), k, v, r.loc.Seq, tomb, false, &m.bg.hotEvictWrite)
 			if err != nil {
 				return err
 			}
@@ -261,13 +271,7 @@ func (m *Manager) EvictHotZone(isHot func(key []byte) bool) error {
 
 	// Free the old hot zone's pages.
 	m.mu.Lock()
-	for c, pageSet := range old.pages {
-		for p := range pageSet {
-			m.invalidateCache(c, p)
-			m.slotFiles[c].freePage(p)
-		}
-	}
-	m.slotFilesAdjust(-old.bytes, -old.objects)
+	m.freeZoneLocked(old)
 	m.mu.Unlock()
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 
-	"hyperdb/internal/btree"
 	"hyperdb/internal/device"
 )
 
@@ -23,14 +22,8 @@ import (
 // lookups or what a demotion carries. Returns the manager and the largest
 // sequence number seen.
 func Recover(cfg Config) (*Manager, uint64, error) {
-	cfg.fill()
-	m := &Manager{
-		cfg:      cfg,
-		zoneByID: make(map[uint32]*Zone),
-		nextZone: 1,
-		vcache:   make(map[string]*valueEnt),
-	}
-	m.index = btree.New[Location]()
+	m := emptyManager(cfg)
+	cfg = m.cfg // with defaults filled
 	for _, cls := range cfg.Classes {
 		name := fmt.Sprintf("p%d-slab%d", cfg.Partition, cls)
 		f, err := cfg.Dev.Open(name)
@@ -43,18 +36,8 @@ func Recover(cfg Config) (*Manager, uint64, error) {
 			m.slotFiles = append(m.slotFiles, nf)
 			continue
 		}
-		ps := cfg.Dev.PageSize()
-		spp := ps / cls
-		if spp < 1 {
-			spp = 1
-		}
-		m.slotFiles = append(m.slotFiles, &slotFile{
-			f: f, slotSize: cls, pageSize: ps, slotsPerPage: spp,
-			scratch: make([]byte, cls),
-		})
+		m.slotFiles = append(m.slotFiles, wrapSlotFile(cfg.Dev, f, cls))
 	}
-	m.hot = newZone(0, 0, ^uint64(0), true, len(cfg.Classes))
-	m.zoneByID[0] = m.hot
 
 	// Pass 1: scan every allocated page of every slot file and index the
 	// newest valid version per key. Charged as background sequential reads —

@@ -107,6 +107,11 @@ func newSlotFile(dev *device.Device, name string, slotSize int) (*slotFile, erro
 	if err != nil {
 		return nil, err
 	}
+	return wrapSlotFile(dev, f, slotSize), nil
+}
+
+// wrapSlotFile lays a size class's geometry over its backing file.
+func wrapSlotFile(dev *device.Device, f *device.File, slotSize int) *slotFile {
 	ps := dev.PageSize()
 	spp := ps / slotSize
 	if spp < 1 {
@@ -115,7 +120,7 @@ func newSlotFile(dev *device.Device, name string, slotSize int) (*slotFile, erro
 	return &slotFile{
 		f: f, slotSize: slotSize, pageSize: ps, slotsPerPage: spp,
 		scratch: make([]byte, slotSize),
-	}, nil
+	}
 }
 
 // allocPage returns a page index, reusing freed (hole-punched) pages first.

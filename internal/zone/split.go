@@ -1,10 +1,6 @@
 package zone
 
-import (
-	"bytes"
-
-	"hyperdb/internal/device"
-)
+import "bytes"
 
 // OversizeFactor: a zone holding more than OversizeFactor × BatchSize of
 // payload is due for a rebuild. Oversized zones appear when the width
@@ -43,7 +39,7 @@ func (m *Manager) SplitZone(z *Zone) (int, error) {
 	}
 
 	moved := 0
-	_, err := m.readObjects(refs, func(r locRef, tomb bool, k, v []byte, err error) error {
+	_, err := m.readObjects(refs, &m.bg.rebuildRead, func(r locRef, tomb bool, k, v []byte, err error) error {
 		if err != nil || !bytes.Equal(k, r.key) {
 			return nil
 		}
@@ -58,7 +54,7 @@ func (m *Manager) SplitZone(z *Zone) (int, error) {
 		if dst == nil {
 			dst = m.createZone(k64)
 		}
-		nloc, err := m.writeObject(dst, int(r.loc.Class), k, v, r.loc.Seq, tomb, r.loc.Promoted, device.Bg)
+		nloc, err := m.writeObject(dst, int(r.loc.Class), k, v, r.loc.Seq, tomb, r.loc.Promoted, &m.bg.rebuildWrite)
 		if err != nil {
 			return err
 		}
@@ -71,13 +67,7 @@ func (m *Manager) SplitZone(z *Zone) (int, error) {
 	}
 
 	m.mu.Lock()
-	for c, pageSet := range z.pages {
-		for p := range pageSet {
-			m.invalidateCache(c, p)
-			m.slotFiles[c].freePage(p)
-		}
-	}
-	m.slotFilesAdjust(-z.bytes, -z.objects)
+	m.freeZoneLocked(z)
 	m.mu.Unlock()
 	return moved, nil
 }
