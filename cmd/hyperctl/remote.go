@@ -13,12 +13,14 @@ import (
 	"hyperdb/internal/client"
 )
 
-// remote runs one wire-protocol subcommand against a hyperd at -addr.
-// With -policy or -followers, reads route through a client Session — gated
-// per policy against the follower addresses — and the serving node and
-// resulting session token print to stderr; -token seeds the session from a
-// token carried across invocations (scripts chain them for read-your-writes
-// across processes).
+// remote runs one wire-protocol subcommand against a hyperd at -addr. Every
+// data subcommand goes through a client Session: with none of -policy,
+// -followers or -token that is the plain client (primary policy, no
+// followers, zero seed token); with any of them reads route per policy
+// against the follower addresses and the serving node and resulting session
+// token print to stderr; -token seeds the session from a token carried
+// across invocations (scripts chain them for read-your-writes across
+// processes).
 func remote(cmd string, args []string) {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:4980", "hyperd address (the primary, in session mode)")
@@ -32,18 +34,6 @@ func remote(cmd string, args []string) {
 	if *readPolicy != "" {
 		*policyName = *readPolicy
 	}
-
-	if cmd == "badframe" {
-		badframe(*addr)
-		return
-	}
-
-	c, err := client.Dial(client.Options{Addr: *addr, Conns: 1})
-	if err != nil {
-		fatal(err)
-	}
-	defer c.Close()
-
 	sessionMode := false
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
@@ -51,121 +41,63 @@ func remote(cmd string, args []string) {
 			sessionMode = true
 		}
 	})
-	if sessionMode {
-		sessionRemote(cmd, c, *policyName, *followers, *token, *limit, rest)
-		return
+	badArgs := func(operands string) {
+		flags := "[-addr A]"
+		if sessionMode {
+			flags += " [-policy P] [-followers A,B] [-token N]"
+		}
+		fatalf("usage: hyperctl %s %s %s", cmd, flags, operands)
 	}
 
+	if cmd == "badframe" {
+		badframe(*addr)
+		return
+	}
+	c, err := client.Dial(client.Options{Addr: *addr, Conns: 1})
+	if err != nil {
+		fatal(err)
+	}
+	defer c.Close()
+
 	switch cmd {
-	case "ping":
-		t0 := time.Now()
-		if err := c.Ping(); err != nil {
-			fatal(err)
+	case "ping", "stats":
+		if sessionMode {
+			fatalf("%s does not take session flags (-policy/-followers/-token)", cmd)
 		}
-		fmt.Printf("PONG %v\n", time.Since(t0).Round(time.Microsecond))
-	case "put":
-		if len(rest) != 2 {
-			fatalf("usage: hyperctl put [-addr A] <key> <value>")
+		if cmd == "ping" {
+			t0 := time.Now()
+			if err := c.Ping(); err != nil {
+				fatal(err)
+			}
+			fmt.Printf("PONG %v\n", time.Since(t0).Round(time.Microsecond))
+			return
 		}
-		if err := c.Put([]byte(rest[0]), []byte(rest[1])); err != nil {
-			fatal(err)
-		}
-		fmt.Println("OK")
-	case "get":
-		if len(rest) != 1 {
-			fatalf("usage: hyperctl get [-addr A] <key>")
-		}
-		v, err := c.Get([]byte(rest[0]))
-		if errors.Is(err, client.ErrNotFound) {
-			fmt.Fprintln(os.Stderr, "(not found)")
-			os.Exit(1)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		os.Stdout.Write(append(v, '\n'))
-	case "del":
-		if len(rest) != 1 {
-			fatalf("usage: hyperctl del [-addr A] <key>")
-		}
-		if err := c.Delete([]byte(rest[0])); err != nil {
-			fatal(err)
-		}
-		fmt.Println("OK")
-	case "incr":
-		key, delta := incrArgs(rest, "hyperctl incr [-addr A] <key> [delta]")
-		v, err := c.Incr(key, delta)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(v)
-	case "mget":
-		if len(rest) == 0 {
-			fatalf("usage: hyperctl mget [-addr A] <key>...")
-		}
-		keys := make([][]byte, len(rest))
-		for i, k := range rest {
-			keys[i] = []byte(k)
-		}
-		vals, err := c.MultiGet(keys)
-		if err != nil {
-			fatal(err)
-		}
-		printMGet(rest, vals)
-	case "scan":
-		var start []byte
-		if len(rest) > 1 {
-			fatalf("usage: hyperctl scan [-addr A] [-limit N] [start]")
-		}
-		if len(rest) == 1 {
-			start = []byte(rest[0])
-		}
-		kvs, err := c.Scan(start, *limit)
-		if err != nil {
-			fatal(err)
-		}
-		for _, kv := range kvs {
-			fmt.Printf("%q %q\n", kv.Key, kv.Value)
-		}
-		fmt.Fprintf(os.Stderr, "(%d pairs)\n", len(kvs))
-	case "stats":
 		text, err := c.Stats()
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Print(text)
+		return
 	}
-}
 
-// sessionRemote runs one subcommand through a client Session: reads route
-// follower-first per the policy, writes return a token, and the serving
-// node + token print to stderr so scripts can chain invocations.
-func sessionRemote(cmd string, primary *client.Client, policyName, followerList, token string, limit int, rest []string) {
-	policy, err := client.ParseReadPolicy(policyName)
+	policy, err := client.ParseReadPolicy(*policyName)
 	if err != nil {
 		fatal(err)
 	}
-	seed, err := client.ParseToken(token)
+	seed, err := client.ParseToken(*token)
 	if err != nil {
 		fatal(err)
 	}
-	var fcs []*client.Client
-	if followerList != "" {
-		for _, a := range strings.Split(followerList, ",") {
-			fc, err := client.Dial(client.Options{Addr: strings.TrimSpace(a), Conns: 1})
-			if err != nil {
-				fatal(err)
-			}
-			defer fc.Close()
-			fcs = append(fcs, fc)
-		}
-	}
-	sess := client.NewSession(primary, fcs, policy)
+	sess := client.NewSession(c, dialFollowers(*followers), policy)
 	sess.SeedToken(seed)
+	// note reports where a session-mode call landed, on stderr so scripts can
+	// chain invocations; the plain client says nothing.
 	note := func(read bool) {
-		if read {
+		switch {
+		case !sessionMode:
+		case read:
 			fmt.Fprintf(os.Stderr, "(served by %s, token %s)\n", sess.LastNode(), sess.Token())
-		} else {
+		default:
 			fmt.Fprintf(os.Stderr, "(token %s)\n", sess.Token())
 		}
 	}
@@ -173,7 +105,7 @@ func sessionRemote(cmd string, primary *client.Client, policyName, followerList,
 	switch cmd {
 	case "put":
 		if len(rest) != 2 {
-			fatalf("usage: hyperctl put [-addr A] [-policy P] <key> <value>")
+			badArgs("<key> <value>")
 		}
 		if err := sess.Put([]byte(rest[0]), []byte(rest[1])); err != nil {
 			fatal(err)
@@ -182,7 +114,7 @@ func sessionRemote(cmd string, primary *client.Client, policyName, followerList,
 		note(false)
 	case "del":
 		if len(rest) != 1 {
-			fatalf("usage: hyperctl del [-addr A] [-policy P] <key>")
+			badArgs("<key>")
 		}
 		if err := sess.Delete([]byte(rest[0])); err != nil {
 			fatal(err)
@@ -191,7 +123,7 @@ func sessionRemote(cmd string, primary *client.Client, policyName, followerList,
 		note(false)
 	case "get":
 		if len(rest) != 1 {
-			fatalf("usage: hyperctl get [-addr A] [-policy P] [-followers A,B] [-token N] <key>")
+			badArgs("<key>")
 		}
 		v, err := sess.Get([]byte(rest[0]))
 		if errors.Is(err, client.ErrNotFound) {
@@ -205,8 +137,16 @@ func sessionRemote(cmd string, primary *client.Client, policyName, followerList,
 		os.Stdout.Write(append(v, '\n'))
 		note(true)
 	case "incr":
-		key, delta := incrArgs(rest, "hyperctl incr [-addr A] [-policy P] <key> [delta]")
-		v, err := sess.Incr(key, delta)
+		if len(rest) < 1 || len(rest) > 2 {
+			badArgs("<key> [delta]")
+		}
+		delta := int64(1)
+		if len(rest) == 2 {
+			if delta, err = strconv.ParseInt(rest[1], 10, 64); err != nil {
+				fatalf("bad delta %q: %v", rest[1], err)
+			}
+		}
+		v, err := sess.Incr([]byte(rest[0]), delta)
 		if err != nil {
 			fatal(err)
 		}
@@ -214,7 +154,7 @@ func sessionRemote(cmd string, primary *client.Client, policyName, followerList,
 		note(false)
 	case "mget":
 		if len(rest) == 0 {
-			fatalf("usage: hyperctl mget [-addr A] [-policy P] [-followers A,B] [-token N] <key>...")
+			badArgs("<key>...")
 		}
 		keys := make([][]byte, len(rest))
 		for i, k := range rest {
@@ -224,17 +164,23 @@ func sessionRemote(cmd string, primary *client.Client, policyName, followerList,
 		if err != nil {
 			fatal(err)
 		}
-		printMGet(rest, vals)
+		for i, k := range rest {
+			if vals[i] == nil {
+				fmt.Printf("%q (not found)\n", k)
+			} else {
+				fmt.Printf("%q %q\n", k, vals[i])
+			}
+		}
 		note(true)
 	case "scan":
 		var start []byte
 		if len(rest) > 1 {
-			fatalf("usage: hyperctl scan [-addr A] [-policy P] [-followers A,B] [-token N] [-limit N] [start]")
+			badArgs("[-limit N] [start]")
 		}
 		if len(rest) == 1 {
 			start = []byte(rest[0])
 		}
-		kvs, err := sess.Scan(start, limit)
+		kvs, err := sess.Scan(start, *limit)
 		if err != nil {
 			fatal(err)
 		}
@@ -243,36 +189,24 @@ func sessionRemote(cmd string, primary *client.Client, policyName, followerList,
 		}
 		fmt.Fprintf(os.Stderr, "(%d pairs)\n", len(kvs))
 		note(true)
-	default:
-		fatalf("%s does not take session flags (-policy/-followers/-token)", cmd)
 	}
 }
 
-// incrArgs parses `incr <key> [delta]`; delta defaults to 1.
-func incrArgs(rest []string, usage string) ([]byte, int64) {
-	if len(rest) < 1 || len(rest) > 2 {
-		fatalf("usage: %s", usage)
+// dialFollowers dials each address of a comma-separated follower list. The
+// clients live until the process exits.
+func dialFollowers(list string) []*client.Client {
+	if list == "" {
+		return nil
 	}
-	delta := int64(1)
-	if len(rest) == 2 {
-		d, err := strconv.ParseInt(rest[1], 10, 64)
+	var fcs []*client.Client
+	for _, a := range strings.Split(list, ",") {
+		fc, err := client.Dial(client.Options{Addr: strings.TrimSpace(a), Conns: 1})
 		if err != nil {
-			fatalf("bad delta %q: %v", rest[1], err)
+			fatal(err)
 		}
-		delta = d
+		fcs = append(fcs, fc)
 	}
-	return []byte(rest[0]), delta
-}
-
-// printMGet renders MultiGet results: one line per key, absent keys marked.
-func printMGet(keys []string, vals [][]byte) {
-	for i, k := range keys {
-		if vals[i] == nil {
-			fmt.Printf("%q (not found)\n", k)
-		} else {
-			fmt.Printf("%q %q\n", k, vals[i])
-		}
-	}
+	return fcs
 }
 
 // rywCmd implements `hyperctl ryw`: a live read-your-writes probe. It
@@ -302,18 +236,7 @@ func rywCmd(args []string) {
 		fatal(err)
 	}
 	defer pc.Close()
-	var fcs []*client.Client
-	if *followerList != "" {
-		for _, a := range strings.Split(*followerList, ",") {
-			fc, err := client.Dial(client.Options{Addr: strings.TrimSpace(a), Conns: 1})
-			if err != nil {
-				fatal(err)
-			}
-			defer fc.Close()
-			fcs = append(fcs, fc)
-		}
-	}
-	sess := client.NewSession(pc, fcs, policy)
+	sess := client.NewSession(pc, dialFollowers(*followerList), policy)
 
 	served := map[string]int{}
 	stale := 0
@@ -424,7 +347,7 @@ func badframe(addr string) {
 		fatal(err)
 	}
 	defer nc.Close()
-	garbage := []byte{0, 0, 0, 14, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	garbage := []byte{0, 0, 0, 16, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	if _, err := nc.Write(garbage); err != nil {
 		fatal(err)
 	}

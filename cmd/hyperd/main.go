@@ -19,7 +19,7 @@
 //	hyperd -addr :4980 -role primary -repl-sync
 //	hyperd -addr :4981 -role follower -upstream 127.0.0.1:4980
 //
-// Followers serve session (v2) reads: a read carrying a session token is
+// Followers serve session reads: a read carrying a session token is
 // answered once the node has applied that position, waiting up to
 // -read-wait before refusing with NOT_READY so the client retries on the
 // primary. See hyperctl's -policy flag and DESIGN.md §follower reads.

@@ -222,12 +222,9 @@ func (db *DB) WaitReadable(min uint64, timeout time.Duration, abort <-chan struc
 	return db.inner.WaitReadable(min, timeout, abort)
 }
 
-// GetSession, MultiGetSession and ScanSession are the session-read variants:
-// alongside the result they return the node's readable sequence, sampled so
-// that nothing the read observed is newer than the token.
-func (db *DB) GetSession(key []byte) ([]byte, uint64, error) { return db.inner.GetSession(key) }
-
-// MultiGetSession is MultiGet plus the session token.
+// MultiGetSession and ScanSession are the session-read variants: alongside
+// the result they return the node's readable sequence, sampled so that
+// nothing the read observed is newer than the token.
 func (db *DB) MultiGetSession(keys [][]byte) ([][]byte, uint64, error) {
 	return db.inner.MultiGetSession(keys)
 }

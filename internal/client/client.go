@@ -165,11 +165,12 @@ func (c *Client) conn(i int) (*conn, error) {
 	return nil, fmt.Errorf("client: dial %s: %w", c.opts.Addr, lastErr)
 }
 
-// call runs one request→response exchange on a round-robin pool slot. enc
-// appends the request payload to the connection's write buffer (nil: empty
-// payload). A connection the server closed while it sat idle is redialed
-// once, before the request is written, so the caller never sees it.
-func (c *Client) call(op wire.Op, enc func([]byte) []byte) (wire.Frame, error) {
+// call runs one request→response exchange on a round-robin pool slot. gate
+// rides in the request frame (zero: no gate); enc appends the request
+// payload to the connection's write buffer (nil: empty payload). A
+// connection the server closed while it sat idle is redialed once, before
+// the request is written, so the caller never sees it.
+func (c *Client) call(op wire.Op, gate Token, enc func([]byte) []byte) (wire.Frame, error) {
 	if c.closed.Load() {
 		return wire.Frame{}, ErrClosed
 	}
@@ -179,7 +180,7 @@ func (c *Client) call(op wire.Op, enc func([]byte) []byte) (wire.Frame, error) {
 		if err != nil {
 			return wire.Frame{}, err
 		}
-		resp, err := cn.roundTrip(op, enc)
+		resp, err := cn.roundTrip(op, gate, enc)
 		if err == errIdleClosed && !redialed {
 			continue
 		}
@@ -187,17 +188,21 @@ func (c *Client) call(op wire.Op, enc func([]byte) []byte) (wire.Frame, error) {
 	}
 }
 
-// callOK is call plus the common status handling for ops whose success
-// payload is all the caller needs.
-func (c *Client) callOK(op wire.Op, enc func([]byte) []byte) ([]byte, error) {
-	resp, err := c.call(op, enc)
+// callOK is call plus the common status handling: the success payload, and
+// the position the response frame carries — the node's applied (or, for a
+// write, committed) sequence and its epoch. The position is also valid
+// beside ErrNotFound and ErrNotReady, though a session must not fold a
+// NOT_READY position in (that would silently clamp its gate).
+func (c *Client) callOK(op wire.Op, gate Token, enc func([]byte) []byte) ([]byte, Token, error) {
+	resp, err := c.call(op, gate, enc)
 	if err != nil {
-		return nil, err
+		return nil, Token{}, err
 	}
+	tok := Token{Seq: resp.Seq, Epoch: resp.Epoch}
 	if resp.Status != wire.StatusOK {
-		return nil, statusErr(resp)
+		return nil, tok, statusErr(resp)
 	}
-	return resp.Payload, nil
+	return resp.Payload, tok, nil
 }
 
 // WrongShardError is returned when a keyed op landed on a node that does
@@ -219,6 +224,8 @@ func statusErr(f wire.Frame) error {
 	switch f.Status {
 	case wire.StatusNotFound:
 		return ErrNotFound
+	case wire.StatusNotReady:
+		return ErrNotReady
 	case wire.StatusRateLimited:
 		return ErrRateLimited
 	case wire.StatusWrongShard:
@@ -231,97 +238,150 @@ func statusErr(f wire.Frame) error {
 	return fmt.Errorf("client: %s: %s (%s)", f.Op, f.Status, f.Payload)
 }
 
-// Ping round-trips an empty frame.
-func (c *Client) Ping() error {
-	_, err := c.callOK(wire.OpPing, nil)
-	return err
+// Every data op has one implementation, the *Seq form: reads take the gate
+// the server must have reached before answering (the zero Token asks for
+// nothing) and every op returns the position it was served at, which is
+// what a Session folds into its token. The plain forms below them are the
+// same call with a zero gate and the position dropped.
+
+// PutSeq writes key=value — durable on the server when it returns — and
+// returns the committed position (the write's session token).
+func (c *Client) PutSeq(key, value []byte) (Token, error) {
+	_, tok, err := c.callOK(wire.OpPut, Token{}, func(b []byte) []byte { return wire.AppendPutReq(b, key, value) })
+	return tok, err
 }
 
-// Put writes key=value; the write is durable on the server when Put returns.
-func (c *Client) Put(key, value []byte) error {
-	_, err := c.callOK(wire.OpPut, func(b []byte) []byte { return wire.AppendPutReq(b, key, value) })
-	return err
+// DeleteSeq removes key, returning the committed position. Deleting an
+// absent key is not an error.
+func (c *Client) DeleteSeq(key []byte) (Token, error) {
+	_, tok, err := c.callOK(wire.OpDel, Token{}, func(b []byte) []byte { return wire.AppendKeyReq(b, key) })
+	return tok, err
 }
 
-// Get returns the value for key, or ErrNotFound.
-func (c *Client) Get(key []byte) ([]byte, error) {
-	return c.callOK(wire.OpGet, func(b []byte) []byte { return wire.AppendKeyReq(b, key) })
+// WriteBatchSeq applies ops as one request, returning the committed
+// position; the server folds it — along with any concurrently pipelined
+// writes — into a single engine WriteBatch.
+func (c *Client) WriteBatchSeq(ops []wire.BatchOp) (Token, error) {
+	_, tok, err := c.callOK(wire.OpBatch, Token{}, func(b []byte) []byte { return wire.AppendBatchReq(b, ops) })
+	return tok, err
 }
 
-// Delete removes key. Deleting an absent key is not an error.
-func (c *Client) Delete(key []byte) error {
-	_, err := c.callOK(wire.OpDel, func(b []byte) []byte { return wire.AppendKeyReq(b, key) })
-	return err
-}
-
-// Incr atomically adds delta to the counter at key and returns the
-// post-merge value. The server folds pipelined deltas to the same key into
-// one engine write; missing keys count from 0, non-counter values fail,
-// and results saturate at the int64 range.
-func (c *Client) Incr(key []byte, delta int64) (int64, error) {
-	p, err := c.callOK(wire.OpIncr, func(b []byte) []byte { return wire.AppendIncrReq(b, key, delta) })
+// IncrSeq atomically adds delta to the counter at key and returns the
+// post-merge value and the committed position. The server folds pipelined
+// deltas to the same key into one engine write; missing keys count from 0,
+// non-counter values fail, and results saturate at the int64 range.
+func (c *Client) IncrSeq(key []byte, delta int64) (int64, Token, error) {
+	p, tok, err := c.callOK(wire.OpIncr, Token{}, func(b []byte) []byte { return wire.AppendIncrReq(b, key, delta) })
 	if err != nil {
-		return 0, err
+		return 0, tok, err
 	}
 	v, err := wire.DecodeIncrResp(p)
 	if err != nil {
-		return 0, fmt.Errorf("client: bad INCR response: %w", err)
+		return 0, Token{}, fmt.Errorf("client: bad INCR response: %w", err)
 	}
-	return v, nil
+	return v, tok, nil
 }
 
-// WriteBatch applies ops as one request; the server folds it — along with
-// any concurrently pipelined writes — into a single engine WriteBatch.
-func (c *Client) WriteBatch(ops []wire.BatchOp) error {
-	_, err := c.callOK(wire.OpBatch, func(b []byte) []byte { return wire.AppendBatchReq(b, ops) })
-	return err
+// GetSeq returns the value for key, or ErrNotFound. The server answers only
+// once its applied position reaches gate, or refuses with ErrNotReady after
+// its bounded wait or because the gate names a different write lineage.
+func (c *Client) GetSeq(key []byte, gate Token) ([]byte, Token, error) {
+	return c.callOK(wire.OpGet, gate, func(b []byte) []byte { return wire.AppendKeyReq(b, key) })
 }
 
-// MultiGet returns values positionally aligned with keys; absent keys
+// MultiGetSeq returns values positionally aligned with keys; absent keys
 // yield nil entries.
-func (c *Client) MultiGet(keys [][]byte) ([][]byte, error) {
-	p, err := c.callOK(wire.OpMGet, func(b []byte) []byte { return wire.AppendMGetReq(b, keys) })
+func (c *Client) MultiGetSeq(keys [][]byte, gate Token) ([][]byte, Token, error) {
+	p, tok, err := c.callOK(wire.OpMGet, gate, func(b []byte) []byte { return wire.AppendMGetReq(b, keys) })
 	if err != nil {
-		return nil, err
+		return nil, tok, err
 	}
 	vals, err := wire.DecodeMGetResp(p)
 	if err != nil {
-		return nil, fmt.Errorf("client: bad MGET response: %w", err)
+		return nil, Token{}, fmt.Errorf("client: bad MGET response: %w", err)
 	}
 	if len(vals) != len(keys) {
-		return nil, fmt.Errorf("client: MGET returned %d values for %d keys", len(vals), len(keys))
+		return nil, Token{}, fmt.Errorf("client: MGET returned %d values for %d keys", len(vals), len(keys))
 	}
-	return vals, nil
+	return vals, tok, nil
 }
 
-// Scan returns up to limit pairs with key >= start in key order. The
+// ScanSeq returns up to limit pairs with key >= start in key order. The
 // server caps limit at its MaxScanLimit.
-func (c *Client) Scan(start []byte, limit int) ([]wire.KV, error) {
+func (c *Client) ScanSeq(start []byte, limit int, gate Token) ([]wire.KV, Token, error) {
 	if limit < 0 {
 		limit = 0
 	}
-	p, err := c.callOK(wire.OpScan, func(b []byte) []byte { return wire.AppendScanReq(b, start, uint32(limit)) })
+	p, tok, err := c.callOK(wire.OpScan, gate, func(b []byte) []byte { return wire.AppendScanReq(b, start, uint32(limit)) })
 	if err != nil {
-		return nil, err
+		return nil, tok, err
 	}
 	kvs, err := wire.DecodeScanResp(p)
 	if err != nil {
-		return nil, fmt.Errorf("client: bad SCAN response: %w", err)
+		return nil, Token{}, fmt.Errorf("client: bad SCAN response: %w", err)
 	}
-	return kvs, nil
+	return kvs, tok, nil
+}
+
+// Put is PutSeq without the position.
+func (c *Client) Put(key, value []byte) error {
+	_, err := c.PutSeq(key, value)
+	return err
+}
+
+// Get is an ungated GetSeq without the position.
+func (c *Client) Get(key []byte) ([]byte, error) {
+	v, _, err := c.GetSeq(key, Token{})
+	return v, err
+}
+
+// Delete is DeleteSeq without the position.
+func (c *Client) Delete(key []byte) error {
+	_, err := c.DeleteSeq(key)
+	return err
+}
+
+// Incr is IncrSeq without the position.
+func (c *Client) Incr(key []byte, delta int64) (int64, error) {
+	v, _, err := c.IncrSeq(key, delta)
+	return v, err
+}
+
+// WriteBatch is WriteBatchSeq without the position.
+func (c *Client) WriteBatch(ops []wire.BatchOp) error {
+	_, err := c.WriteBatchSeq(ops)
+	return err
+}
+
+// MultiGet is an ungated MultiGetSeq without the position.
+func (c *Client) MultiGet(keys [][]byte) ([][]byte, error) {
+	vals, _, err := c.MultiGetSeq(keys, Token{})
+	return vals, err
+}
+
+// Scan is an ungated ScanSeq without the position.
+func (c *Client) Scan(start []byte, limit int) ([]wire.KV, error) {
+	kvs, _, err := c.ScanSeq(start, limit, Token{})
+	return kvs, err
+}
+
+// Ping round-trips an empty frame.
+func (c *Client) Ping() error {
+	_, _, err := c.callOK(wire.OpPing, Token{}, nil)
+	return err
 }
 
 // Stats returns the server's stats text: "key value" lines for the server
 // section, a blank line, then the engine's human-readable summary.
 func (c *Client) Stats() (string, error) {
-	p, err := c.callOK(wire.OpStats, nil)
+	p, _, err := c.callOK(wire.OpStats, Token{}, nil)
 	return string(p), err
 }
 
 // ShardMap fetches the node's current shard map. Fails on a node running
 // without cluster mode.
 func (c *Client) ShardMap() (*cluster.Map, error) {
-	p, err := c.callOK(wire.OpShardMap, nil)
+	p, _, err := c.callOK(wire.OpShardMap, Token{}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +397,7 @@ func (c *Client) ShardMap() (*cluster.Map, error) {
 // plus tail), then the source flips the map and the new version returns.
 // Blocks until the migration completes.
 func (c *Client) Handoff(slots []uint32) (*cluster.Map, error) {
-	p, err := c.callOK(wire.OpHandoff, func(b []byte) []byte { return wire.AppendHandoffReq(b, slots) })
+	p, _, err := c.callOK(wire.OpHandoff, Token{}, func(b []byte) []byte { return wire.AppendHandoffReq(b, slots) })
 	if err != nil {
 		return nil, err
 	}
@@ -470,9 +530,10 @@ func (cn *conn) probe(fd uintptr) bool {
 	return true // never wait for readability
 }
 
-// roundTrip registers a pending id, writes the request, and returns its
-// response. Concurrent callers interleave here — that is the pipelining.
-func (cn *conn) roundTrip(op wire.Op, enc func([]byte) []byte) (wire.Frame, error) {
+// roundTrip registers a pending id, writes the request with gate in its
+// frame, and returns its response. Concurrent callers interleave here — that
+// is the pipelining.
+func (cn *conn) roundTrip(op wire.Op, gate Token, enc func([]byte) []byte) (wire.Frame, error) {
 	cn.mu.Lock()
 	if cn.err != nil {
 		err := cn.err
@@ -505,7 +566,7 @@ func (cn *conn) roundTrip(op wire.Op, enc func([]byte) []byte) (wire.Frame, erro
 	cn.mu.Unlock()
 
 	cn.wmu.Lock()
-	b := wire.BeginFrame(cn.wbuf[:0], op, wire.StatusOK, id)
+	b := wire.BeginFrame(cn.wbuf[:0], wire.Frame{Op: op, ID: id, Seq: gate.Seq, Epoch: gate.Epoch})
 	if enc != nil {
 		b = enc(b)
 	}

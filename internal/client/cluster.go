@@ -19,10 +19,10 @@ type ClusterOptions struct {
 	Seeds []string
 	// Conns is the pool size per node. Default 1.
 	Conns int
-	// MaxRetries caps WRONG_SHARD bounces per operation before giving up.
-	// Each bounce carries the server's map, so convergence normally takes
-	// one retry; the cap only bites when the map churns faster than the
-	// client can chase it. Default 8.
+	// MaxRetries caps the rounds of WRONG_SHARD bounces per operation before
+	// giving up. Each bounce carries the server's map, so convergence
+	// normally takes one retry; the cap only bites when the map churns
+	// faster than the client can chase it. Default 8.
 	MaxRetries int
 	// DialTimeout bounds each connection attempt. Default 5s.
 	DialTimeout time.Duration
@@ -42,6 +42,8 @@ type Cluster struct {
 
 	retries   atomic.Uint64 // WRONG_SHARD bounces retried
 	refetches atomic.Uint64 // explicit map refetches after no-progress bounces
+
+	plain ClusterSession // the tokenless session behind the plain operations
 }
 
 // DialCluster fetches the shard map from the first reachable seed and
@@ -60,6 +62,7 @@ func DialCluster(opts ClusterOptions) (*Cluster, error) {
 		opts.DialTimeout = 5 * time.Second
 	}
 	cc := &Cluster{opts: opts, pool: make(map[string]*Client)}
+	cc.plain.cc = cc
 	var lastErr error
 	for _, addr := range opts.Seeds {
 		c, err := cc.clientFor(addr)
@@ -163,144 +166,38 @@ func (cc *Cluster) refresh(skip string) {
 	}
 }
 
-// do routes one keyed operation: look up the owner under the cached map,
-// run fn against it, and on a WRONG_SHARD bounce adopt the carried map and
-// retry, up to MaxRetries. Two consecutive bounces that fail to advance
-// the map trigger a refetch from another group.
-func (cc *Cluster) do(key []byte, fn func(addr string, c *Client) error) error {
+// route sends n keyed items to their owners: it splits the items still
+// unsent by owning group under the cached map, calls send once per group
+// with that group's item indexes, and on a WRONG_SHARD bounce adopts the
+// carried map and re-splits what the bounced groups held — items already
+// sent are never sent again — up to MaxRetries rounds. Two consecutive
+// rounds whose bounces taught the client nothing newer (the refusing node's
+// map is no newer than ours) trigger a refetch from another group. Every
+// keyed op, single or multi, plain or session, goes through here.
+func (cc *Cluster) route(n int, key func(i int) []byte, send func(addr string, c *Client, idx []int) error) error {
+	done := make([]bool, n)
 	stuck := 0
-	for attempt := 0; attempt < cc.opts.MaxRetries; attempt++ {
+	for round := 0; round < cc.opts.MaxRetries; round++ {
 		m := cc.Map()
-		addr := m.Owner(key)
-		c, err := cc.clientFor(addr)
-		if err != nil {
-			return err
-		}
-		err = fn(addr, c)
-		var ws *WrongShardError
-		if !errors.As(err, &ws) {
-			return err
-		}
-		cc.retries.Add(1)
-		if cc.adopt(ws.Map) {
-			stuck = 0
-			continue
-		}
-		if stuck++; stuck >= 2 {
-			cc.refresh(addr)
-			stuck = 0
-		}
-	}
-	return fmt.Errorf("client: key still unrouted after %d wrong-shard bounces", cc.opts.MaxRetries)
-}
-
-// Put writes key=value on the key's owner.
-func (cc *Cluster) Put(key, value []byte) error {
-	return cc.do(key, func(_ string, c *Client) error { return c.Put(key, value) })
-}
-
-// Get reads key from its owner, or ErrNotFound.
-func (cc *Cluster) Get(key []byte) ([]byte, error) {
-	var out []byte
-	err := cc.do(key, func(_ string, c *Client) error {
-		v, err := c.Get(key)
-		out = v
-		return err
-	})
-	return out, err
-}
-
-// Delete removes key on its owner.
-func (cc *Cluster) Delete(key []byte) error {
-	return cc.do(key, func(_ string, c *Client) error { return c.Delete(key) })
-}
-
-// Incr adds delta to the counter at key on its owner.
-func (cc *Cluster) Incr(key []byte, delta int64) (int64, error) {
-	var out int64
-	err := cc.do(key, func(_ string, c *Client) error {
-		v, err := c.Incr(key, delta)
-		out = v
-		return err
-	})
-	return out, err
-}
-
-// MultiGet splits keys by owning group, issues one MGET per group, and
-// reassembles values positionally. Groups that bounce are re-split under
-// the adopted map and retried; already-fetched values are kept.
-func (cc *Cluster) MultiGet(keys [][]byte) ([][]byte, error) {
-	vals := make([][]byte, len(keys))
-	done := make([]bool, len(keys))
-	remaining := len(keys)
-	for attempt := 0; attempt < cc.opts.MaxRetries; attempt++ {
-		if remaining == 0 {
-			return vals, nil
-		}
-		m := cc.Map()
-		groups := cc.splitKeys(m, keys, done)
-		bounced := false
-		for addr, idx := range groups {
-			c, err := cc.clientFor(addr)
-			if err != nil {
-				return nil, err
-			}
-			sub := make([][]byte, len(idx))
-			for j, i := range idx {
-				sub[j] = keys[i]
-			}
-			vs, err := c.MultiGet(sub)
-			var ws *WrongShardError
-			if errors.As(err, &ws) {
-				cc.retries.Add(1)
-				cc.adopt(ws.Map)
-				bounced = true
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			for j, i := range idx {
-				vals[i] = vs[j]
-				done[i] = true
-				remaining--
+		groups := make(map[string][]int)
+		for i := range done {
+			if !done[i] {
+				addr := m.Owner(key(i))
+				groups[addr] = append(groups[addr], i)
 			}
 		}
-		if !bounced {
-			return vals, nil
-		}
-	}
-	return nil, fmt.Errorf("client: multiget still unrouted after %d wrong-shard bounces", cc.opts.MaxRetries)
-}
-
-// WriteBatch splits ops by owning group and applies one sub-batch per
-// group. Atomicity holds per group, not across the whole batch — a
-// cross-shard batch is N independent group commits (see DESIGN.md).
-func (cc *Cluster) WriteBatch(ops []wire.BatchOp) error {
-	done := make([]bool, len(ops))
-	remaining := len(ops)
-	for attempt := 0; attempt < cc.opts.MaxRetries; attempt++ {
-		if remaining == 0 {
-			return nil
-		}
-		m := cc.Map()
-		groups := cc.splitOps(m, ops, done)
-		bounced := false
+		bounced, learned := "", false
 		for addr, idx := range groups {
 			c, err := cc.clientFor(addr)
 			if err != nil {
 				return err
 			}
-			sub := make([]wire.BatchOp, len(idx))
-			for j, i := range idx {
-				sub[j] = ops[i]
-			}
-			err = c.WriteBatch(sub)
+			err = send(addr, c, idx)
 			var ws *WrongShardError
 			if errors.As(err, &ws) {
 				cc.retries.Add(1)
-				cc.adopt(ws.Map)
-				bounced = true
+				learned = cc.adopt(ws.Map) || learned
+				bounced = addr
 				continue
 			}
 			if err != nil {
@@ -308,238 +205,174 @@ func (cc *Cluster) WriteBatch(ops []wire.BatchOp) error {
 			}
 			for _, i := range idx {
 				done[i] = true
-				remaining--
 			}
 		}
-		if !bounced {
+		switch {
+		case bounced == "":
 			return nil
+		case learned:
+			stuck = 0
+		default:
+			if stuck++; stuck >= 2 {
+				cc.refresh(bounced)
+				stuck = 0
+			}
 		}
 	}
-	return fmt.Errorf("client: batch still unrouted after %d wrong-shard bounces", cc.opts.MaxRetries)
+	return fmt.Errorf("client: keys still unrouted after %d rounds of wrong-shard bounces", cc.opts.MaxRetries)
 }
 
-func (cc *Cluster) splitKeys(m *cluster.Map, keys [][]byte, done []bool) map[string][]int {
-	groups := make(map[string][]int)
-	for i, k := range keys {
-		if !done[i] {
-			addr := m.Owner(k)
-			groups[addr] = append(groups[addr], i)
-		}
-	}
-	return groups
-}
+// The plain operations are the session's with no token kept: a zero gate
+// out, the returned position dropped.
 
-func (cc *Cluster) splitOps(m *cluster.Map, ops []wire.BatchOp, done []bool) map[string][]int {
-	groups := make(map[string][]int)
-	for i := range ops {
-		if !done[i] {
-			addr := m.Owner(ops[i].Key)
-			groups[addr] = append(groups[addr], i)
-		}
-	}
-	return groups
-}
+// Put writes key=value on the key's owner.
+func (cc *Cluster) Put(key, value []byte) error { return cc.plain.Put(key, value) }
+
+// Get reads key from its owner, or ErrNotFound.
+func (cc *Cluster) Get(key []byte) ([]byte, error) { return cc.plain.Get(key) }
+
+// Delete removes key on its owner.
+func (cc *Cluster) Delete(key []byte) error { return cc.plain.Delete(key) }
+
+// Incr adds delta to the counter at key on its owner.
+func (cc *Cluster) Incr(key []byte, delta int64) (int64, error) { return cc.plain.Incr(key, delta) }
+
+// MultiGet splits keys by owning group, issues one MGET per group, and
+// reassembles values positionally.
+func (cc *Cluster) MultiGet(keys [][]byte) ([][]byte, error) { return cc.plain.MultiGet(keys) }
+
+// WriteBatch splits ops by owning group and applies one sub-batch per
+// group. Atomicity holds per group, not across the whole batch — a
+// cross-shard batch is N independent group commits (see DESIGN.md).
+func (cc *Cluster) WriteBatch(ops []wire.BatchOp) error { return cc.plain.WriteBatch(ops) }
 
 // ClusterSession is session consistency over a sharded cluster: writes and
 // reads route per key, and the session token is kept per group — each
 // shard's primary mints its own (sequence, epoch) line, so one scalar
 // token cannot order positions across shards. A batch straddling shards
 // merges each group's applied position into that group's token only.
-//
-// singleToken mode collapses the map to one token merged across groups —
-// the legacy behaviour, kept as a fallback for single-group deployments
-// where it is exact (and cheaper to carry around).
 type ClusterSession struct {
-	cc          *Cluster
-	singleToken bool
+	cc *Cluster
 
 	mu   sync.Mutex
-	toks map[string]Token // per group address
-	tok  Token            // singleToken mode
+	toks map[string]Token // per group address; nil keeps no tokens (Cluster.plain)
 }
 
-// NewClusterSession builds a session over a routing client. perShard
-// selects the per-group token map (correct across shards); false falls
-// back to one merged token, exact only while every key lives in one group.
-func NewClusterSession(cc *Cluster, perShard bool) *ClusterSession {
-	return &ClusterSession{cc: cc, singleToken: !perShard, toks: make(map[string]Token)}
+// NewClusterSession builds a session over a routing client.
+func NewClusterSession(cc *Cluster) *ClusterSession {
+	return &ClusterSession{cc: cc, toks: make(map[string]Token)}
 }
 
-// Tokens returns a copy of the per-group token map (singleToken mode: one
-// entry keyed "").
+// Tokens returns a copy of the per-group token map.
 func (s *ClusterSession) Tokens() map[string]Token {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]Token, len(s.toks)+1)
-	if s.singleToken {
-		out[""] = s.tok
-		return out
-	}
+	out := make(map[string]Token, len(s.toks))
 	for a, t := range s.toks {
 		out[a] = t
 	}
 	return out
 }
 
+// gate is the token a request to addr's group carries.
 func (s *ClusterSession) gate(addr string) Token {
+	if s.toks == nil {
+		return Token{}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.singleToken {
-		return s.tok
-	}
 	return s.toks[addr]
 }
 
+// observe folds a position answered by addr's group into that group's token.
 func (s *ClusterSession) observe(addr string, t Token) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.singleToken {
-		s.tok = mergeToken(s.tok, t)
+	if s.toks == nil {
 		return
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.toks[addr] = mergeToken(s.toks[addr], t)
+}
+
+// each routes n keyed items through the session: fn runs once per owning
+// group, gated on that group's token, and the position of each group's
+// answer folds into that group's token alone.
+func (s *ClusterSession) each(n int, key func(i int) []byte, fn func(c *Client, gate Token, idx []int) (Token, error)) error {
+	return s.cc.route(n, key, func(addr string, c *Client, idx []int) error {
+		tok, err := fn(c, s.gate(addr), idx)
+		if answered(err) {
+			s.observe(addr, tok)
+		}
+		return err
+	})
+}
+
+// one is each for a single key.
+func (s *ClusterSession) one(key []byte, fn func(c *Client, gate Token) (Token, error)) error {
+	return s.each(1, func(int) []byte { return key }, func(c *Client, gate Token, _ []int) (Token, error) {
+		return fn(c, gate)
+	})
 }
 
 // Put writes through the key's owner and folds the committed position into
 // that group's token.
 func (s *ClusterSession) Put(key, value []byte) error {
-	return s.cc.do(key, func(addr string, c *Client) error {
-		tok, err := c.PutSeq(key, value)
-		if err == nil {
-			s.observe(addr, tok)
-		}
-		return err
-	})
+	return s.one(key, func(c *Client, _ Token) (Token, error) { return c.PutSeq(key, value) })
 }
 
 // Delete removes key through its owner, updating that group's token.
 func (s *ClusterSession) Delete(key []byte) error {
-	return s.cc.do(key, func(addr string, c *Client) error {
-		tok, err := c.DeleteSeq(key)
-		if err == nil {
-			s.observe(addr, tok)
-		}
-		return err
-	})
+	return s.one(key, func(c *Client, _ Token) (Token, error) { return c.DeleteSeq(key) })
 }
 
 // Incr adds delta to the counter at key through its owner.
-func (s *ClusterSession) Incr(key []byte, delta int64) (int64, error) {
-	var out int64
-	err := s.cc.do(key, func(addr string, c *Client) error {
-		v, tok, err := c.IncrSeq(key, delta)
-		if err == nil {
-			s.observe(addr, tok)
-			out = v
-		}
-		return err
+func (s *ClusterSession) Incr(key []byte, delta int64) (v int64, err error) {
+	err = s.one(key, func(c *Client, _ Token) (tok Token, err error) {
+		v, tok, err = c.IncrSeq(key, delta)
+		return tok, err
 	})
-	return out, err
+	return v, err
 }
 
 // Get reads key from its owner, gated on the group's token.
-func (s *ClusterSession) Get(key []byte) ([]byte, error) {
-	var out []byte
-	err := s.cc.do(key, func(addr string, c *Client) error {
-		v, tok, err := c.GetSeq(key, s.gate(addr))
-		if err == nil || errors.Is(err, ErrNotFound) {
-			s.observe(addr, tok)
-			out = v
-		}
-		return err
+func (s *ClusterSession) Get(key []byte) (v []byte, err error) {
+	err = s.one(key, func(c *Client, gate Token) (tok Token, err error) {
+		v, tok, err = c.GetSeq(key, gate)
+		return tok, err
 	})
-	return out, err
+	return v, err
 }
 
 // MultiGet splits keys by owning group, gates each sub-request on that
-// group's token, and merges each group's applied position back into its
-// own entry — the per-shard token merge for batches straddling shards.
+// group's token, and reassembles values positionally; absent keys yield nil
+// entries.
 func (s *ClusterSession) MultiGet(keys [][]byte) ([][]byte, error) {
 	vals := make([][]byte, len(keys))
-	done := make([]bool, len(keys))
-	remaining := len(keys)
-	for attempt := 0; attempt < s.cc.opts.MaxRetries; attempt++ {
-		if remaining == 0 {
-			return vals, nil
+	err := s.each(len(keys), func(i int) []byte { return keys[i] }, func(c *Client, gate Token, idx []int) (Token, error) {
+		sub := make([][]byte, len(idx))
+		for j, i := range idx {
+			sub[j] = keys[i]
 		}
-		m := s.cc.Map()
-		groups := s.cc.splitKeys(m, keys, done)
-		bounced := false
-		for addr, idx := range groups {
-			c, err := s.cc.clientFor(addr)
-			if err != nil {
-				return nil, err
-			}
-			sub := make([][]byte, len(idx))
-			for j, i := range idx {
-				sub[j] = keys[i]
-			}
-			vs, tok, err := c.MultiGetSeq(sub, s.gate(addr))
-			var ws *WrongShardError
-			if errors.As(err, &ws) {
-				s.cc.retries.Add(1)
-				s.cc.adopt(ws.Map)
-				bounced = true
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			s.observe(addr, tok)
-			for j, i := range idx {
-				vals[i] = vs[j]
-				done[i] = true
-				remaining--
-			}
+		vs, tok, err := c.MultiGetSeq(sub, gate)
+		for j := range vs {
+			vals[idx[j]] = vs[j]
 		}
-		if !bounced {
-			return vals, nil
-		}
+		return tok, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("client: multiget still unrouted after %d wrong-shard bounces", s.cc.opts.MaxRetries)
+	return vals, nil
 }
 
 // WriteBatch splits ops by owning group and folds each group's committed
 // position into its own token. Atomicity holds per group only.
 func (s *ClusterSession) WriteBatch(ops []wire.BatchOp) error {
-	done := make([]bool, len(ops))
-	remaining := len(ops)
-	for attempt := 0; attempt < s.cc.opts.MaxRetries; attempt++ {
-		if remaining == 0 {
-			return nil
+	return s.each(len(ops), func(i int) []byte { return ops[i].Key }, func(c *Client, _ Token, idx []int) (Token, error) {
+		sub := make([]wire.BatchOp, len(idx))
+		for j, i := range idx {
+			sub[j] = ops[i]
 		}
-		m := s.cc.Map()
-		groups := s.cc.splitOps(m, ops, done)
-		bounced := false
-		for addr, idx := range groups {
-			c, err := s.cc.clientFor(addr)
-			if err != nil {
-				return err
-			}
-			sub := make([]wire.BatchOp, len(idx))
-			for j, i := range idx {
-				sub[j] = ops[i]
-			}
-			tok, err := c.WriteBatchSeq(sub)
-			var ws *WrongShardError
-			if errors.As(err, &ws) {
-				s.cc.retries.Add(1)
-				s.cc.adopt(ws.Map)
-				bounced = true
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			s.observe(addr, tok)
-			for _, i := range idx {
-				done[i] = true
-				remaining--
-			}
-		}
-		if !bounced {
-			return nil
-		}
-	}
-	return fmt.Errorf("client: batch still unrouted after %d wrong-shard bounces", s.cc.opts.MaxRetries)
+		return c.WriteBatchSeq(sub)
+	})
 }

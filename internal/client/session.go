@@ -65,8 +65,8 @@ func (p ReadPolicy) String() string {
 
 // Token is a session's consistency position: the highest applied sequence
 // it has written or observed, qualified by the write-lineage epoch that
-// minted it. Epoch 0 means "lineage unknown" — a seeded or legacy token
-// that gates on sequence alone.
+// minted it. Epoch 0 means "lineage unknown" — a seeded token that gates
+// on sequence alone — and the zero Token is no gate at all.
 type Token struct {
 	Seq   uint64
 	Epoch uint64
@@ -120,10 +120,10 @@ func mergeToken(cur, t Token) Token {
 // Session is one logical client with session consistency: read-your-writes
 // and monotonic reads across the whole replication group. It tracks a
 // token — the highest (sequence, epoch) it has written or observed — folds
-// every v2 response into it, and sends it as the gate on follower reads.
-// Writes always go to the primary. Safe for concurrent use, though the
-// session guarantee is per causal chain: concurrent calls on one Session
-// order only through the shared token.
+// every response's position into it, and sends it as the gate on follower
+// reads. Writes always go to the primary. Safe for concurrent use, though
+// the session guarantee is per causal chain: concurrent calls on one
+// Session order only through the shared token.
 type Session struct {
 	primary   *Client
 	followers []*Client
@@ -186,21 +186,13 @@ func (s *Session) observe(t Token) {
 // session token, so a follower read issued next observes this write.
 func (s *Session) Put(key, value []byte) error {
 	tok, err := s.primary.PutSeq(key, value)
-	if err != nil {
-		return err
-	}
-	s.observe(tok)
-	return nil
+	return s.wrote(tok, err)
 }
 
 // Delete removes key through the primary, updating the session token.
 func (s *Session) Delete(key []byte) error {
 	tok, err := s.primary.DeleteSeq(key)
-	if err != nil {
-		return err
-	}
-	s.observe(tok)
-	return nil
+	return s.wrote(tok, err)
 }
 
 // Incr adds delta to the counter at key through the primary, returning the
@@ -208,21 +200,21 @@ func (s *Session) Delete(key []byte) error {
 // next observes the new count.
 func (s *Session) Incr(key []byte, delta int64) (int64, error) {
 	v, tok, err := s.primary.IncrSeq(key, delta)
-	if err != nil {
-		return 0, err
-	}
-	s.observe(tok)
-	return v, nil
+	return v, s.wrote(tok, err)
 }
 
 // WriteBatch applies ops through the primary, updating the session token.
 func (s *Session) WriteBatch(ops []wire.BatchOp) error {
 	tok, err := s.primary.WriteBatchSeq(ops)
-	if err != nil {
-		return err
+	return s.wrote(tok, err)
+}
+
+// wrote folds a successful write's committed position into the token.
+func (s *Session) wrote(tok Token, err error) error {
+	if err == nil {
+		s.observe(tok)
 	}
-	s.observe(tok)
-	return nil
+	return err
 }
 
 // readTarget picks the next read-serving node round-robin across the whole
@@ -241,245 +233,69 @@ func (s *Session) readTarget() (*Client, int) {
 	return s.followers[i], i
 }
 
-// gate is the token a follower read carries: the session token under the
-// bounded policy, zero (no gate) under any.
-func (s *Session) gate() Token {
-	if s.policy == ReadBounded {
-		return s.Token()
-	}
-	return Token{}
+// answered reports whether a read's outcome is an answer from the node —
+// a value or a definite miss — whose position the session may fold in, as
+// opposed to a refusal or transport failure worth retrying on the primary.
+func answered(err error) bool {
+	return err == nil || errors.Is(err, ErrNotFound)
 }
 
-// fallthroughToPrimary reports whether a follower read error should retry
-// on the primary (refusals and transport failures) rather than surface.
-func fallthroughToPrimary(err error) bool {
-	return err != nil && !errors.Is(err, ErrNotFound)
-}
-
-// Get reads key with the session's policy: follower first (gated per
-// policy), primary fallback on refusal or failure. A fallback keeps the
-// token as its minSeq — after a failover that lost the session's observed
-// writes, the new primary refuses too rather than serve a stale value, and
-// Get returns ErrNotReady.
-func (s *Session) Get(key []byte) ([]byte, error) {
-	var gate Token // deliberate primary reads carry no gate
+// read runs one read under the session's policy: follower first, gated on
+// the session token under the bounded policy and ungated under any, then the
+// primary on refusal or failure. A deliberate primary read sends a zero
+// gate — the primary is definitionally current for its own group, and zero
+// is how the server tells routed reads from fallbacks. A bounded-policy
+// fallback keeps the token as its gate, so a primary that lost the session's
+// observed writes (failover without sync acks) refuses too rather than
+// silently rewinding the session, and the read returns ErrNotReady.
+func (s *Session) read(fn func(c *Client, gate Token) (Token, error)) error {
+	var gate Token
 	if f, i := s.readTarget(); f != nil {
-		v, tok, err := f.GetSeq(key, s.gate())
-		if !fallthroughToPrimary(err) {
+		if s.policy == ReadBounded {
+			gate = s.Token()
+		}
+		tok, err := fn(f, gate)
+		if answered(err) {
 			s.observe(tok)
 			s.lastNode.Store(int64(i))
-			return v, err
+			return err
 		}
-		s.noteFallback(err)
-		gate = s.primaryGate()
+		s.fallbacks.Add(1)
+		if errors.Is(err, ErrNotReady) {
+			s.notReady.Add(1)
+		}
 	}
-	v, tok, err := s.primary.GetSeq(key, gate)
-	if err == nil || errors.Is(err, ErrNotFound) {
+	tok, err := fn(s.primary, gate)
+	if answered(err) {
 		s.observe(tok)
 		s.lastNode.Store(-1)
 	}
+	return err
+}
+
+// Get reads key under the session's policy.
+func (s *Session) Get(key []byte) (v []byte, err error) {
+	err = s.read(func(c *Client, gate Token) (tok Token, err error) {
+		v, tok, err = c.GetSeq(key, gate)
+		return tok, err
+	})
 	return v, err
 }
 
 // MultiGet is Get for many keys; absent keys yield nil entries.
-func (s *Session) MultiGet(keys [][]byte) ([][]byte, error) {
-	var gate Token
-	if f, i := s.readTarget(); f != nil {
-		vals, tok, err := f.MultiGetSeq(keys, s.gate())
-		if !fallthroughToPrimary(err) {
-			s.observe(tok)
-			s.lastNode.Store(int64(i))
-			return vals, err
-		}
-		s.noteFallback(err)
-		gate = s.primaryGate()
-	}
-	vals, tok, err := s.primary.MultiGetSeq(keys, gate)
-	if err == nil {
-		s.observe(tok)
-		s.lastNode.Store(-1)
-	}
+func (s *Session) MultiGet(keys [][]byte) (vals [][]byte, err error) {
+	err = s.read(func(c *Client, gate Token) (tok Token, err error) {
+		vals, tok, err = c.MultiGetSeq(keys, gate)
+		return tok, err
+	})
 	return vals, err
 }
 
 // Scan reads up to limit pairs with key >= start under the session policy.
-func (s *Session) Scan(start []byte, limit int) ([]wire.KV, error) {
-	var gate Token
-	if f, i := s.readTarget(); f != nil {
-		kvs, tok, err := f.ScanSeq(start, limit, s.gate())
-		if !fallthroughToPrimary(err) {
-			s.observe(tok)
-			s.lastNode.Store(int64(i))
-			return kvs, err
-		}
-		s.noteFallback(err)
-		gate = s.primaryGate()
-	}
-	kvs, tok, err := s.primary.ScanSeq(start, limit, gate)
-	if err == nil {
-		s.observe(tok)
-		s.lastNode.Store(-1)
-	}
-	return kvs, err
-}
-
-func (s *Session) noteFallback(err error) {
-	s.fallbacks.Add(1)
-	if errors.Is(err, ErrNotReady) {
-		s.notReady.Add(1)
-	}
-}
-
-// primaryGate is the gate a primary-routed read carries. A deliberate
-// primary read sends a zero token — the primary is definitionally current
-// for its own group, and zero is how the server distinguishes routed reads
-// from fallbacks. A bounded-policy session with followers only reaches the
-// primary as a fallback, which keeps the token so a primary that lost the
-// session's writes (failover without sync acks) refuses instead of
-// silently rewinding the session.
-func (s *Session) primaryGate() Token {
-	if s.policy == ReadBounded && len(s.followers) > 0 {
-		return s.Token()
-	}
-	return Token{}
-}
-
-// --- v2 (session) calls on Client ---
-
-// PutSeq is Put returning the committed position (the write's session
-// token).
-func (c *Client) PutSeq(key, value []byte) (Token, error) {
-	p, err := c.callOK(wire.OpPutV2, func(b []byte) []byte { return wire.AppendPutReq(b, key, value) })
-	if err != nil {
-		return Token{}, err
-	}
-	return decodeTok(p)
-}
-
-// DeleteSeq is Delete returning the committed position.
-func (c *Client) DeleteSeq(key []byte) (Token, error) {
-	p, err := c.callOK(wire.OpDelV2, func(b []byte) []byte { return wire.AppendKeyReq(b, key) })
-	if err != nil {
-		return Token{}, err
-	}
-	return decodeTok(p)
-}
-
-// WriteBatchSeq is WriteBatch returning the committed position.
-func (c *Client) WriteBatchSeq(ops []wire.BatchOp) (Token, error) {
-	p, err := c.callOK(wire.OpBatchV2, func(b []byte) []byte { return wire.AppendBatchReq(b, ops) })
-	if err != nil {
-		return Token{}, err
-	}
-	return decodeTok(p)
-}
-
-// IncrSeq is Incr returning the post-merge value and the committed
-// position (the merge's session token).
-func (c *Client) IncrSeq(key []byte, delta int64) (int64, Token, error) {
-	p, err := c.callOK(wire.OpIncrV2, func(b []byte) []byte { return wire.AppendIncrReq(b, key, delta) })
-	if err != nil {
-		return 0, Token{}, err
-	}
-	seq, epoch, v, err := wire.DecodeIncrV2Resp(p)
-	if err != nil {
-		return 0, Token{}, fmt.Errorf("client: bad INCR2 response: %w", err)
-	}
-	return v, Token{Seq: seq, Epoch: epoch}, nil
-}
-
-// GetSeq is the session read: the server answers only once its applied
-// position reaches the gate (or refuses with ErrNotReady after its bounded
-// wait, or because the gate names a different write lineage). The returned
-// token is the serving node's applied position — valid on success,
-// ErrNotFound, and ErrNotReady alike, though sessions must not fold
-// NOT_READY positions in (that would silently clamp the gate).
-func (c *Client) GetSeq(key []byte, gate Token) ([]byte, Token, error) {
-	resp, err := c.call(wire.OpGetV2, func(b []byte) []byte { return wire.AppendGetV2Req(b, key, gate.Seq, gate.Epoch) })
-	if err != nil {
-		return nil, Token{}, err
-	}
-	switch resp.Status {
-	case wire.StatusOK:
-		seq, epoch, v, err := wire.DecodeGetV2Resp(resp.Payload)
-		if err != nil {
-			return nil, Token{}, fmt.Errorf("client: bad GET2 response: %w", err)
-		}
-		return v, Token{Seq: seq, Epoch: epoch}, nil
-	case wire.StatusNotFound:
-		tok, err := decodeTok(resp.Payload)
-		if err != nil {
-			return nil, Token{}, err
-		}
-		return nil, tok, ErrNotFound
-	case wire.StatusNotReady:
-		tok, err := decodeTok(resp.Payload)
-		if err != nil {
-			return nil, Token{}, err
-		}
-		return nil, tok, ErrNotReady
-	}
-	return nil, Token{}, statusErr(resp)
-}
-
-// MultiGetSeq is the session MultiGet; absent keys yield nil entries.
-func (c *Client) MultiGetSeq(keys [][]byte, gate Token) ([][]byte, Token, error) {
-	resp, err := c.call(wire.OpMGetV2, func(b []byte) []byte { return wire.AppendMGetV2Req(b, keys, gate.Seq, gate.Epoch) })
-	if err != nil {
-		return nil, Token{}, err
-	}
-	switch resp.Status {
-	case wire.StatusOK:
-		seq, epoch, vals, err := wire.DecodeMGetV2Resp(resp.Payload)
-		if err != nil {
-			return nil, Token{}, fmt.Errorf("client: bad MGET2 response: %w", err)
-		}
-		if len(vals) != len(keys) {
-			return nil, Token{}, fmt.Errorf("client: MGET2 returned %d values for %d keys", len(vals), len(keys))
-		}
-		return vals, Token{Seq: seq, Epoch: epoch}, nil
-	case wire.StatusNotReady:
-		tok, err := decodeTok(resp.Payload)
-		if err != nil {
-			return nil, Token{}, err
-		}
-		return nil, tok, ErrNotReady
-	}
-	return nil, Token{}, statusErr(resp)
-}
-
-// ScanSeq is the session Scan.
-func (c *Client) ScanSeq(start []byte, limit int, gate Token) ([]wire.KV, Token, error) {
-	if limit < 0 {
-		limit = 0
-	}
-	resp, err := c.call(wire.OpScanV2, func(b []byte) []byte {
-		return wire.AppendScanV2Req(b, start, uint32(limit), gate.Seq, gate.Epoch)
+func (s *Session) Scan(start []byte, limit int) (kvs []wire.KV, err error) {
+	err = s.read(func(c *Client, gate Token) (tok Token, err error) {
+		kvs, tok, err = c.ScanSeq(start, limit, gate)
+		return tok, err
 	})
-	if err != nil {
-		return nil, Token{}, err
-	}
-	switch resp.Status {
-	case wire.StatusOK:
-		seq, epoch, kvs, err := wire.DecodeScanV2Resp(resp.Payload)
-		if err != nil {
-			return nil, Token{}, fmt.Errorf("client: bad SCAN2 response: %w", err)
-		}
-		return kvs, Token{Seq: seq, Epoch: epoch}, nil
-	case wire.StatusNotReady:
-		tok, err := decodeTok(resp.Payload)
-		if err != nil {
-			return nil, Token{}, err
-		}
-		return nil, tok, ErrNotReady
-	}
-	return nil, Token{}, statusErr(resp)
-}
-
-func decodeTok(p []byte) (Token, error) {
-	seq, epoch, err := wire.DecodeAppliedSeq(p)
-	if err != nil {
-		return Token{}, fmt.Errorf("client: bad applied-seq payload: %w", err)
-	}
-	return Token{Seq: seq, Epoch: epoch}, nil
+	return kvs, err
 }

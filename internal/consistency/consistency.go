@@ -201,7 +201,7 @@ type node struct {
 	addr string
 	log  *repl.Log
 	// fol is the follower applier once attached; the server's Epoch hook
-	// reads it so v2 responses carry the lineage the applier is on.
+	// reads it so responses carry the lineage the applier is on.
 	fol atomic.Pointer[repl.Follower]
 }
 

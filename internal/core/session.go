@@ -84,17 +84,8 @@ func (db *DB) WaitReadable(min uint64, timeout time.Duration, abort <-chan struc
 	}
 }
 
-// GetSession is Get plus the session token: it returns the node's readable
-// sequence sampled such that no observed state can be newer than the token.
-// A missing key returns ErrNotFound with a valid token.
-func (db *DB) GetSession(key []byte) (value []byte, appliedSeq uint64, err error) {
-	db.applyRW.RLock()
-	defer db.applyRW.RUnlock()
-	value, err = db.Get(key)
-	return value, db.ReadableSeq(), err
-}
-
-// MultiGetSession is MultiGet plus the session token.
+// MultiGetSession is MultiGet plus the session token: the node's readable
+// sequence, sampled such that no observed state can be newer than the token.
 func (db *DB) MultiGetSession(keyList [][]byte) (vals [][]byte, appliedSeq uint64, err error) {
 	db.applyRW.RLock()
 	defer db.applyRW.RUnlock()

@@ -107,22 +107,22 @@ func (s *Server) process(batch []*request) {
 		batch = kept
 	}
 
-	// Phase 0b: park session reads whose minSeq token is ahead of the node's
-	// applied position. Parking moves the wait onto a per-request goroutine
-	// so neither the drainer nor a connection's reader blocks on replication
-	// progress. NoReadGate (the consistency harness's control
-	// knob) serves them stale instead. A token naming a different non-zero
-	// write lineage is refused outright: its sequence is meaningless against
-	// this node's history, and waiting would dress the mismatch up as lag.
+	// Phase 0b: park reads whose gate — the token in the request frame — is
+	// ahead of the node's applied position; a zero token gates nothing.
+	// Parking moves the wait onto a per-request goroutine so neither the
+	// drainer nor a connection's reader blocks on replication progress.
+	// NoReadGate (the consistency harness's control knob) serves them stale
+	// instead. A token naming a different non-zero write lineage is refused
+	// outright: its sequence is meaningless against this node's history, and
+	// waiting would dress the mismatch up as lag.
 	if !s.cfg.NoReadGate {
 		kept := batch[:0]
 		for _, r := range batch {
-			if r.sess && r.op != wire.OpPutV2 && r.op != wire.OpDelV2 && r.op != wire.OpBatchV2 &&
-				r.op != wire.OpIncrV2 {
+			if r.gated() {
 				if r.minEpoch != 0 && epoch != 0 && r.minEpoch != epoch {
 					s.stats.EpochRejected.Inc()
 					s.stats.ReplReadNotReady.Inc()
-					r.reply(wire.StatusNotReady, wire.AppendAppliedSeq(nil, s.cfg.DB.ReadableSeq(), epoch))
+					r.reply(wire.StatusNotReady, s.cfg.DB.ReadableSeq(), epoch, nil)
 					continue
 				}
 				if r.minSeq > s.cfg.DB.ReadableSeq() {
@@ -136,9 +136,9 @@ func (s *Server) process(batch []*request) {
 	}
 
 	// Phase 1: group every write op in queue order into one WriteBatch. The
-	// batch's last committed sequence answers the session (v2) writes: it is
-	// ≥ every sequence the request's own ops drew, so gating a follower read
-	// on it observes them all.
+	// batch's last committed sequence is the position every write's reply
+	// carries: it is ≥ every sequence the request's own ops drew, so gating a
+	// follower read on it observes them all.
 	//
 	// Counter merges additionally coalesce before submission: consecutive
 	// deltas to the same key (with no intervening put or delete of that key)
@@ -182,15 +182,15 @@ func (s *Server) process(batch []*request) {
 	}
 	for _, r := range batch {
 		switch r.op {
-		case wire.OpPut, wire.OpPutV2:
+		case wire.OpPut:
 			wops = append(wops, hyperdb.BatchOp{Key: r.key, Value: r.value})
 			wreqs = append(wreqs, r)
 			clobber(r.key)
-		case wire.OpDel, wire.OpDelV2:
+		case wire.OpDel:
 			wops = append(wops, hyperdb.BatchOp{Key: r.key, Delete: true})
 			wreqs = append(wreqs, r)
 			clobber(r.key)
-		case wire.OpBatch, wire.OpBatchV2:
+		case wire.OpBatch:
 			for _, b := range r.batch {
 				if b.Merge {
 					addMerge(b.Key, b.Delta)
@@ -200,7 +200,7 @@ func (s *Server) process(batch []*request) {
 				}
 			}
 			wreqs = append(wreqs, r)
-		case wire.OpIncr, wire.OpIncrV2:
+		case wire.OpIncr:
 			entry, prefix := addMerge(r.key, r.delta)
 			incrs = append(incrs, incrRef{r: r, entry: entry, prefix: prefix})
 		}
@@ -213,17 +213,14 @@ func (s *Server) process(batch []*request) {
 		s.stats.WriteOps.Add(uint64(len(wops)))
 		for _, r := range wreqs {
 			s.stats.countOp(r.op)
-			switch {
-			case err != nil:
+			if err != nil {
 				// WriteBatch may have applied a prefix; every write in the
 				// cycle reports the failure rather than guessing which
 				// side of the prefix it landed on.
 				r.fail(err)
-			case r.sess:
-				r.reply(wire.StatusOK, wire.AppendAppliedSeq(nil, seq, epoch))
-			default:
-				r.reply(wire.StatusOK, nil)
+				continue
 			}
+			r.reply(wire.StatusOK, seq, epoch, nil)
 		}
 		for _, ir := range incrs {
 			s.stats.countOp(ir.r.op)
@@ -241,78 +238,45 @@ func (s *Server) process(batch []*request) {
 			// the unsaturated case; within saturation of the int64 range
 			// each reply stays clamped to the same bound the engine hit.
 			val := satSub(final, satSub(wops[ir.entry].Delta, ir.prefix))
-			if ir.r.sess {
-				ir.r.reply(wire.StatusOK, wire.AppendIncrV2Resp(nil, seq, epoch, val))
-			} else {
-				ir.r.reply(wire.StatusOK, wire.AppendIncrResp(nil, val))
-			}
+			ir.r.reply(wire.StatusOK, seq, epoch, wire.AppendIncrResp(nil, val))
 		}
 	}
 
-	// Phase 2: group every point read into one MultiGet. Session reads ride
-	// the same engine call — MultiGetSession additionally samples the token
-	// their responses carry, under the lock that keeps it ≥ anything read.
+	// Phase 2: group every point read into one MultiGet. MultiGetSession
+	// also samples the position the replies carry, under the lock that keeps
+	// it ≥ anything the reads observed.
 	var keys [][]byte
 	var rreqs []*request
-	sessRead := false
 	for _, r := range batch {
 		switch r.op {
-		case wire.OpGet, wire.OpGetV2:
+		case wire.OpGet:
 			keys = append(keys, r.key)
 			rreqs = append(rreqs, r)
-			sessRead = sessRead || r.sess
-		case wire.OpMGet, wire.OpMGetV2:
+		case wire.OpMGet:
 			keys = append(keys, r.keys...)
 			rreqs = append(rreqs, r)
-			sessRead = sessRead || r.sess
 		}
 	}
 	if len(keys) > 0 {
-		var vals [][]byte
-		var seq uint64
-		var err error
-		if sessRead {
-			vals, seq, err = s.cfg.DB.MultiGetSession(keys)
-		} else {
-			vals, err = s.cfg.DB.MultiGet(keys)
-		}
+		vals, seq, err := s.cfg.DB.MultiGetSession(keys)
 		s.stats.ReadBatches.Inc()
 		s.stats.ReadOps.Add(uint64(len(keys)))
 		off := 0
 		for _, r := range rreqs {
 			s.stats.countOp(r.op)
-			if r.sess {
-				s.countSessionRead(r)
-			}
+			s.countSessionRead(r)
 			switch {
 			case err != nil:
 				r.fail(err)
-				if r.op == wire.OpMGet || r.op == wire.OpMGetV2 {
-					off += len(r.keys)
-				} else {
-					off++
-				}
-			case r.op == wire.OpGet, r.op == wire.OpGetV2:
-				v := vals[off]
-				off++
-				switch {
-				case v == nil && r.sess:
-					r.reply(wire.StatusNotFound, wire.AppendAppliedSeq(nil, seq, epoch))
-				case v == nil:
-					r.reply(wire.StatusNotFound, nil)
-				case r.sess:
-					r.reply(wire.StatusOK, wire.AppendGetV2Resp(nil, seq, epoch, v))
-				default:
-					r.reply(wire.StatusOK, v)
-				}
-			default: // OpMGet / OpMGetV2
-				sub := vals[off : off+len(r.keys)]
+			case r.op == wire.OpMGet:
+				r.reply(wire.StatusOK, seq, epoch, wire.AppendMGetResp(nil, vals[off:off+len(r.keys)]))
 				off += len(r.keys)
-				if r.sess {
-					r.reply(wire.StatusOK, wire.AppendMGetV2Resp(nil, seq, epoch, sub))
-				} else {
-					r.reply(wire.StatusOK, wire.AppendMGetResp(nil, sub))
-				}
+			case vals[off] == nil:
+				r.reply(wire.StatusNotFound, seq, epoch, nil)
+				off++
+			default:
+				r.reply(wire.StatusOK, seq, epoch, vals[off])
+				off++
 			}
 		}
 	}
@@ -322,35 +286,26 @@ func (s *Server) process(batch []*request) {
 		switch r.op {
 		case wire.OpPing:
 			s.stats.countOp(r.op)
-			r.reply(wire.StatusOK, r.echo)
-		case wire.OpScan, wire.OpScanV2:
+			r.reply(wire.StatusOK, 0, 0, r.echo)
+		case wire.OpScan:
 			s.stats.countOp(r.op)
-			if r.sess {
-				s.countSessionRead(r)
-				kvs, seq, err := s.cfg.DB.ScanSession(r.key, r.limit)
-				if err != nil {
-					r.fail(err)
-					continue
-				}
-				r.reply(wire.StatusOK, wire.AppendScanV2Resp(nil, seq, epoch, toWireKVs(kvs)))
-				continue
-			}
-			kvs, err := s.cfg.DB.Scan(r.key, r.limit)
+			s.countSessionRead(r)
+			kvs, seq, err := s.cfg.DB.ScanSession(r.key, r.limit)
 			if err != nil {
 				r.fail(err)
 				continue
 			}
-			r.reply(wire.StatusOK, wire.AppendScanResp(nil, toWireKVs(kvs)))
+			r.reply(wire.StatusOK, seq, epoch, wire.AppendScanResp(nil, toWireKVs(kvs)))
 		case wire.OpStats:
 			s.stats.countOp(r.op)
-			r.reply(wire.StatusOK, []byte(s.statsText()))
+			r.reply(wire.StatusOK, 0, 0, []byte(s.statsText()))
 		case wire.OpShardMap:
 			s.stats.countOp(r.op)
 			if s.cfg.Cluster == nil {
-				r.reply(wire.StatusBadRequest, []byte("cluster mode not enabled"))
+				r.reply(wire.StatusBadRequest, 0, 0, []byte("cluster mode not enabled"))
 				continue
 			}
-			r.reply(wire.StatusOK, s.cfg.Cluster.Map().Encode(nil))
+			r.reply(wire.StatusOK, 0, 0, s.cfg.Cluster.Map().Encode(nil))
 		}
 	}
 }
@@ -363,19 +318,29 @@ func toWireKVs(kvs []hyperdb.KV) []wire.KV {
 	return out
 }
 
-// countSessionRead accounts one served session read. A read carrying a
-// token that lands on a primary-role node is (under the bounded policy) a
-// fallback retry after a follower's NOT_READY — clients deliberately
-// routing to the primary send minSeq 0, which a primary trivially
-// satisfies.
+// gated reports whether the request is a read whose frame carried a
+// non-zero token. A token on any other op is ignored.
+func (r *request) gated() bool {
+	return r.minSeq|r.minEpoch != 0 && (r.op == wire.OpGet || r.op == wire.OpMGet || r.op == wire.OpScan)
+}
+
+// countSessionRead accounts one served read under the repl_read_* rule (see
+// Stats): it counts when it carried a gate or this node is a follower. A
+// gated read that lands on a primary-role node is (under the bounded policy)
+// a fallback retry after a follower's NOT_READY — clients deliberately
+// routing to the primary send a zero token.
 func (s *Server) countSessionRead(r *request) {
+	follower := s.cfg.DB.IsFollower()
+	if !r.gated() && !follower {
+		return
+	}
 	s.stats.ReplReadServed.Inc()
-	if r.minSeq > 0 && !s.cfg.DB.IsFollower() {
+	if !follower {
 		s.stats.ReplReadFallbacks.Inc()
 	}
 }
 
-// park moves a gated session read off the cycle that met it onto its own
+// park moves a gated read off the cycle that met it onto its own
 // goroutine, detaching it from an inline cycle's reply buffer: from here on
 // it is answered through the connection's writer. The goroutine waits
 // (bounded by Config.ReadWait, aborted by shutdown) for the node's applied
@@ -400,7 +365,7 @@ func (s *Server) park(r *request) {
 			return
 		}
 		s.stats.ReplReadNotReady.Inc()
-		r.reply(wire.StatusNotReady, wire.AppendAppliedSeq(nil, s.cfg.DB.ReadableSeq(), s.epoch()))
+		r.reply(wire.StatusNotReady, s.cfg.DB.ReadableSeq(), s.epoch(), nil)
 	}()
 }
 
@@ -432,14 +397,13 @@ func (s *Server) checkOwnership(r *request) bool {
 		}
 	}
 	switch r.op {
-	case wire.OpPut, wire.OpPutV2, wire.OpGet, wire.OpGetV2,
-		wire.OpDel, wire.OpDelV2, wire.OpIncr, wire.OpIncrV2:
+	case wire.OpPut, wire.OpGet, wire.OpDel, wire.OpIncr:
 		check(r.key)
-	case wire.OpBatch, wire.OpBatchV2:
+	case wire.OpBatch:
 		for _, b := range r.batch {
 			check(b.Key)
 		}
-	case wire.OpMGet, wire.OpMGetV2:
+	case wire.OpMGet:
 		for _, k := range r.keys {
 			check(k)
 		}
@@ -461,7 +425,7 @@ func (s *Server) checkOwnership(r *request) bool {
 		}
 	}
 	s.stats.WrongShard.Inc()
-	r.reply(wire.StatusWrongShard, n.Map().Encode(nil))
+	r.reply(wire.StatusWrongShard, 0, 0, n.Map().Encode(nil))
 	return false
 }
 
@@ -555,13 +519,16 @@ func (s *Server) clusterText() string {
 	return b.String()
 }
 
-// reply answers the request and releases its backpressure slot. An inline
+// reply answers the request and releases its backpressure slot. (seq, epoch)
+// is the position the answer was served at, which a session folds into its
+// token: a write's committed sequence, a read's applied sequence, a
+// NOT_READY's current one; zero on replies that have none. An inline
 // request's frame joins its connection's inline buffer, which the reader
 // goroutine — the caller — writes out when the cycle ends; any other goes to
 // the writer, enqueued before the slot frees, which keeps the writer
 // channel's capacity invariant (see conn.out).
-func (r *request) reply(st wire.Status, payload []byte) {
-	f := wire.Frame{Op: r.op, Status: st, ID: r.id, Payload: payload}
+func (r *request) reply(st wire.Status, seq, epoch uint64, payload []byte) {
+	f := wire.Frame{Op: r.op, Status: st, ID: r.id, Seq: seq, Epoch: epoch, Payload: payload}
 	if r.inline {
 		r.c.ibuf = wire.AppendFrame(r.c.ibuf, f)
 	} else {
@@ -572,5 +539,5 @@ func (r *request) reply(st wire.Status, payload []byte) {
 
 // fail answers with StatusError and the engine's message.
 func (r *request) fail(err error) {
-	r.reply(wire.StatusError, []byte(err.Error()))
+	r.reply(wire.StatusError, 0, 0, []byte(err.Error()))
 }

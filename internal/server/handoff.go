@@ -252,7 +252,7 @@ func (s *Server) runHandoffTarget(r *request) {
 	}
 	s.stats.Handoffs.Inc()
 	s.logf("handoff: acquired %d slots (map v%d)", len(r.slots), nm.Version)
-	r.reply(wire.StatusOK, nm.Encode(nil))
+	r.reply(wire.StatusOK, 0, 0, nm.Encode(nil))
 }
 
 func (s *Server) handoffTarget(slots []uint32) (*cluster.Map, error) {

@@ -319,6 +319,77 @@ func TestClusterWrongShardRetryStorm(t *testing.T) {
 	}
 }
 
+// TestClusterFanoutRefetchesPastStaleNode: a node that lost its map (it
+// restarted from its seed map) bounces keys with a map no newer than the
+// client's, which teaches the client nothing. The single-key path always
+// escaped that by refetching the map from another group after two such
+// bounces; the multi-key fan-out ignored whether a bounce taught it anything,
+// burned MaxRetries against the stale node and failed. Both now share one
+// loop and one rule.
+func TestClusterFanoutRefetchesPastStaleNode(t *testing.T) {
+	envs := newClusterEnv(t, 2, 8)
+	n0 := envs[0].srv.cfg.Cluster
+	v1 := n0.Map()
+	moved := v1.SlotsOf(0)[:1]
+	// Group 0 has seen its slot leave (v2) and come back (v3); group 1 missed
+	// both and still serves v1, under which the slot is group 0's.
+	v2, err := v1.Reassign(moved, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := v2.Reassign(moved, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !n0.Install(v2) {
+		t.Fatal("v2 not installed")
+	}
+	// Two clients learn v2 — the slot is group 1's — just before v3 lands.
+	writer, reader := dialClusterTest(t, envs[0].addr), dialClusterTest(t, envs[0].addr)
+	if !n0.Install(v3) {
+		t.Fatal("v3 not installed")
+	}
+	if got := writer.Map().Version; got != v2.Version {
+		t.Fatalf("client seeded with map v%d, want v%d", got, v2.Version)
+	}
+
+	var inMoved, inOne [][]byte
+	for i := 0; len(inMoved) < 3 || len(inOne) < 3; i++ {
+		k := []byte(fmt.Sprintf("stale-%04d", i))
+		switch slot := v1.SlotOf(k); {
+		case slot == moved[0]:
+			inMoved = append(inMoved, k)
+		case v1.OwnerGroup(slot) == 1:
+			inOne = append(inOne, k)
+		}
+	}
+	keys := append(append([][]byte{}, inMoved[:3]...), inOne[:3]...)
+	var ops []wire.BatchOp
+	for _, k := range keys {
+		ops = append(ops, wire.BatchOp{Key: k, Value: append([]byte("v-"), k...)})
+	}
+	if err := writer.WriteBatch(ops); err != nil {
+		t.Fatalf("batch across a stale node: %v", err)
+	}
+	vals, err := reader.MultiGet(keys)
+	if err != nil {
+		t.Fatalf("multiget across a stale node: %v", err)
+	}
+	for i, k := range keys {
+		if string(vals[i]) != "v-"+string(k) {
+			t.Fatalf("multiget[%d] (%s) = %q", i, k, vals[i])
+		}
+	}
+	for _, cc := range []*client.Cluster{writer, reader} {
+		if got := cc.Map().Version; got != v3.Version {
+			t.Fatalf("client at map v%d afterwards, want v%d", got, v3.Version)
+		}
+		if cc.Refetches() == 0 {
+			t.Fatal("recovered without refetching: the stale node's bounce cannot have taught the client v3")
+		}
+	}
+}
+
 // TestClusterSessionPerShardTokens drives session consistency across two
 // shards: a batch straddling both groups must fold each group's applied
 // position into that group's own token (each shard mints an independent
@@ -332,7 +403,7 @@ func TestClusterSessionPerShardTokens(t *testing.T) {
 	k1 := keysOwnedBy(t, m, 1, 3, "sess")
 	all := append(append([][]byte{}, k0...), k1...)
 
-	sess := client.NewClusterSession(cc, true)
+	sess := client.NewClusterSession(cc)
 	var ops []wire.BatchOp
 	for _, k := range all {
 		ops = append(ops, wire.BatchOp{Key: k, Value: append([]byte("b-"), k...)})
@@ -386,20 +457,11 @@ func TestClusterSessionPerShardTokens(t *testing.T) {
 		t.Fatalf("untouched shard's token moved: %v -> %v", pre[m.Groups[1]], post[m.Groups[1]])
 	}
 
-	// The single-token fallback stays exact while keys live in one group…
-	solo := client.NewClusterSession(cc, false)
-	if err := solo.Put(k0[0], []byte("solo")); err != nil {
-		t.Fatalf("solo put: %v", err)
-	}
-	if v, err := solo.Get(k0[0]); err != nil || string(v) != "solo" {
-		t.Fatalf("solo get: %q, %v", v, err)
-	}
-	if tk := solo.Tokens()[""]; tk.Seq == 0 || tk.Epoch == 0 {
-		t.Fatalf("solo token unqualified: %v", tk)
-	}
-	// …and is refused — not silently clamped — the moment its token's
-	// lineage crosses shards: shard 1 cannot order shard 0's epoch.
-	if _, err := solo.Get(k1[0]); !errors.Is(err, client.ErrNotReady) {
-		t.Fatalf("cross-shard single-token get: %v, want ErrNotReady", err)
+	// One shard's token is refused — not silently clamped — by the other:
+	// shard 1 cannot order shard 0's epoch. (This is why the tokens are kept
+	// per group.)
+	c1 := dialTest(t, envs[1], 1)
+	if _, _, err := c1.GetSeq(k1[0], post[m.Groups[0]]); !errors.Is(err, client.ErrNotReady) {
+		t.Fatalf("cross-shard token get: %v, want ErrNotReady", err)
 	}
 }

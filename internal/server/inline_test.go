@@ -271,7 +271,7 @@ func TestParkedReadSharesConnectionWithInlineAndQueued(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		id++
 		gated = append(gated, id)
-		sendFrame(t, nc, wire.Frame{Op: wire.OpGetV2, ID: id, Payload: wire.AppendGetV2Req(nil, []byte("k"), 1<<40, 0)})
+		sendFrame(t, nc, wire.Frame{Op: wire.OpGet, ID: id, Seq: 1 << 40, Payload: wire.AppendKeyReq(nil, []byte("k"))})
 		// Lone requests, one at a time, until the parked read resolves: the
 		// ones right after its reply race the writer goroutine for the socket.
 		// Three more follow it: alone on the connection again, so inline.
@@ -318,8 +318,8 @@ func TestParkedReadSharesConnectionWithInlineAndQueued(t *testing.T) {
 		}
 		switch {
 		case isGated[i]:
-			if fs[0].Status != wire.StatusNotReady {
-				t.Fatalf("gated read %d: status %s, want not ready", i, fs[0].Status)
+			if fs[0].Status != wire.StatusNotReady || len(fs[0].Payload) != 0 {
+				t.Fatalf("gated read %d: status %s payload %q, want a bare not ready", i, fs[0].Status, fs[0].Payload)
 			}
 		case fs[0].Status != wire.StatusOK || string(fs[0].Payload) != fmt.Sprintf("echo-%d", i):
 			t.Fatalf("ping %d: status %s payload %q", i, fs[0].Status, fs[0].Payload)

@@ -27,16 +27,16 @@ func TestServeIncr(t *testing.T) {
 	if v, err := c.Get([]byte("hits")); err != nil || !bytes.Equal(v, hyperdb.EncodeCounter(3)) {
 		t.Fatalf("get after incr: %x %v", v, err)
 	}
-	// The session variant carries a usable token.
+	// The reply's position is a usable token.
 	v, tok, err := c.IncrSeq([]byte("hits"), 7)
 	if err != nil || v != 10 {
-		t.Fatalf("incr2: %d %v, want 10", v, err)
+		t.Fatalf("incr: %d %v, want 10", v, err)
 	}
 	if tok.Seq == 0 {
-		t.Fatal("incr2 returned zero sequence")
+		t.Fatal("incr returned zero sequence")
 	}
 	if got, _, err := c.GetSeq([]byte("hits"), tok); err != nil || !bytes.Equal(got, hyperdb.EncodeCounter(10)) {
-		t.Fatalf("gated read after incr2: %x %v", got, err)
+		t.Fatalf("gated read after incr: %x %v", got, err)
 	}
 }
 

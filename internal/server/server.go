@@ -63,13 +63,13 @@ type Config struct {
 	CoalesceWait time.Duration
 	// MaxScanLimit caps the limit a SCAN request may ask for. Default 4096.
 	MaxScanLimit int
-	// ReadWait bounds how long a gated session read (a v2 read whose minSeq
-	// token is ahead of this node's applied position) may wait for
-	// replication to catch up before the server answers StatusNotReady.
+	// ReadWait bounds how long a gated read (one whose frame token is ahead
+	// of this node's applied position) may wait for replication to catch up
+	// before the server answers StatusNotReady.
 	// Waiting happens on a parked goroutine, never on the drainer. Default
 	// 100ms; negative refuses immediately.
 	ReadWait time.Duration
-	// NoReadGate disables the minSeq gate: session reads are answered from
+	// NoReadGate disables the token gate: gated reads are answered from
 	// whatever state the node has, however stale. It exists so the
 	// consistency harness can prove it detects the staleness the gate
 	// prevents; production configurations leave it false.
@@ -101,10 +101,10 @@ type Config struct {
 	Cluster *cluster.Node
 	// Epoch reports the node's current write-lineage identifier: the
 	// replication log's epoch on a primary, the upstream epoch on a
-	// follower. Session (v2) responses carry it next to the applied
-	// sequence, and v2 reads whose token names a different non-zero epoch
-	// are refused NOT_READY — their sequences are not comparable to this
-	// lineage. Nil reports 0, which disables the check.
+	// follower. Responses carry it next to the applied sequence, and reads
+	// whose token names a different non-zero epoch are refused NOT_READY —
+	// their sequences are not comparable to this lineage. Nil reports 0,
+	// which disables the check.
 	Epoch func() uint64
 	// Logf receives connection-level diagnostics. Nil disables logging.
 	Logf func(format string, args ...any)
@@ -369,11 +369,9 @@ type request struct {
 	echo  []byte         // PING
 	delta int64          // INCR
 
-	// sess marks a session (v2) request: its response carries the node's
-	// applied (sequence, epoch), and for reads (minSeq, minEpoch) is the
-	// client's session token — the position the node must have applied, in
-	// the lineage it must share, before answering.
-	sess     bool
+	// (minSeq, minEpoch) is the request frame's token, a read's gate: the
+	// position the node must have applied, in the lineage it must share,
+	// before answering. Zero gates nothing.
 	minSeq   uint64
 	minEpoch uint64
 
@@ -630,17 +628,17 @@ func (c *conn) decode(f wire.Frame) (*request, error) {
 	if !f.Op.Valid() {
 		return nil, fmt.Errorf("unknown op %d", uint8(f.Op))
 	}
-	req := &request{c: c, id: f.ID, op: f.Op, start: time.Now()}
+	req := &request{c: c, id: f.ID, op: f.Op, minSeq: f.Seq, minEpoch: f.Epoch, start: time.Now()}
 	var err error
 	var limit uint32
 	switch f.Op {
 	case wire.OpPing:
 		req.echo = f.Payload
-	case wire.OpPut, wire.OpPutV2:
+	case wire.OpPut:
 		req.key, req.value, err = wire.DecodePutReq(f.Payload)
-	case wire.OpGet, wire.OpDel, wire.OpDelV2:
+	case wire.OpGet, wire.OpDel:
 		req.key, err = wire.DecodeKeyReq(f.Payload)
-	case wire.OpBatch, wire.OpBatchV2:
+	case wire.OpBatch:
 		req.batch, err = wire.DecodeBatchReq(f.Payload)
 		for _, b := range req.batch {
 			req.merge = req.merge || b.Merge
@@ -653,13 +651,7 @@ func (c *conn) decode(f wire.Frame) (*request, error) {
 		if len(f.Payload) != 0 {
 			err = fmt.Errorf("%s takes no payload", strings.ToLower(f.Op.String()))
 		}
-	case wire.OpGetV2:
-		req.key, req.minSeq, req.minEpoch, err = wire.DecodeGetV2Req(f.Payload)
-	case wire.OpMGetV2:
-		req.keys, req.minSeq, req.minEpoch, err = wire.DecodeMGetV2Req(f.Payload)
-	case wire.OpScanV2:
-		req.key, limit, req.minSeq, req.minEpoch, err = wire.DecodeScanV2Req(f.Payload)
-	case wire.OpIncr, wire.OpIncrV2:
+	case wire.OpIncr:
 		req.key, req.delta, err = wire.DecodeIncrReq(f.Payload)
 		req.merge = true
 	case wire.OpReplFrame, wire.OpReplAck, wire.OpReplSnapshot,
@@ -670,10 +662,6 @@ func (c *conn) decode(f wire.Frame) (*request, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	switch f.Op {
-	case wire.OpPutV2, wire.OpDelV2, wire.OpBatchV2, wire.OpGetV2, wire.OpMGetV2, wire.OpScanV2, wire.OpIncrV2:
-		req.sess = true
 	}
 	if req.limit = int(limit); req.limit > c.srv.cfg.MaxScanLimit {
 		req.limit = c.srv.cfg.MaxScanLimit

@@ -31,13 +31,16 @@ type Stats struct {
 	// ops counts completed requests per op code (indexed by wire.Op).
 	ops [32]stats.Counter
 
-	// Session-read (follower-read) accounting. ReplReadServed counts v2
-	// session reads answered on this node; ReplReadParked those whose token
-	// was ahead of the applied position and had to wait; ReplReadNotReady
-	// those refused after the bounded wait; ReplReadFallbacks token-carrying
-	// session reads served while in the primary role — under the bounded
-	// policy, retries after a follower's NOT_READY. ReplReadWait records how
-	// long parked reads waited.
+	// Session-read (follower-read) accounting. The rule: a GET, MGET or SCAN
+	// is a session read when its frame carried a non-zero token or the node
+	// serving it is a follower — a plain read of a primary is neither and
+	// counts nowhere here. ReplReadServed counts session reads answered on
+	// this node; ReplReadParked those whose token was ahead of the applied
+	// position and had to wait; ReplReadNotReady those refused, after the
+	// bounded wait or for naming another lineage; ReplReadFallbacks
+	// token-carrying reads served while in the primary role — under the
+	// bounded policy, retries after a follower's NOT_READY. ReplReadWait
+	// records how long parked reads waited.
 	ReplReadServed    stats.Counter
 	ReplReadParked    stats.Counter
 	ReplReadNotReady  stats.Counter
@@ -78,7 +81,7 @@ type Stats struct {
 	// Cluster accounting. WrongShard counts keyed ops bounced with
 	// StatusWrongShard (each carried the current map back to the client);
 	// AcquireParked those parked because a handoff into this node covered
-	// their slot; EpochRejected v2 reads refused because their token named a
+	// their slot; EpochRejected reads refused because their token named a
 	// different write lineage. Handoffs* count target-side slot migrations.
 	WrongShard     stats.Counter
 	AcquireParked  stats.Counter
@@ -153,8 +156,7 @@ func (s *Stats) String() string {
 	fmt.Fprintf(&b, "server.repl_active %d\n", s.ActiveReplConns())
 	for _, op := range []wire.Op{
 		wire.OpPing, wire.OpPut, wire.OpGet, wire.OpDel, wire.OpBatch, wire.OpMGet, wire.OpScan, wire.OpStats,
-		wire.OpPutV2, wire.OpDelV2, wire.OpBatchV2, wire.OpGetV2, wire.OpMGetV2, wire.OpScanV2,
-		wire.OpIncr, wire.OpIncrV2, wire.OpShardMap, wire.OpHandoff,
+		wire.OpIncr, wire.OpShardMap, wire.OpHandoff,
 	} {
 		fmt.Fprintf(&b, "server.ops.%s %d\n", strings.ToLower(op.String()), s.OpCount(op))
 	}

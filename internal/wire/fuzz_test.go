@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -13,7 +14,7 @@ import (
 // malloc limit rather than pass silently).
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 14})
+	f.Add([]byte{0, 0, 0, 16})
 	f.Add(AppendFrame(nil, Frame{Op: OpPing, ID: 1}))
 	f.Add(AppendFrame(nil, Frame{Op: OpPut, ID: 2, Payload: AppendPutReq(nil, []byte("k"), []byte("v"))}))
 	f.Add(AppendFrame(nil, Frame{Op: OpBatch, ID: 3, Payload: AppendBatchReq(nil, []BatchOp{
@@ -31,27 +32,33 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{Op: OpReplSnapshot, ID: 10, Payload: AppendReplSnapshot(nil, 5, []KV{
 		{Key: []byte("k"), Value: []byte("v")},
 	}, true)}))
-	// Session (v2) payloads: read requests with minSeq tokens, responses
-	// with appliedSeq prefixes, and the bare-seq bodies shared by v2 write
-	// responses and NOT_READY refusals.
-	f.Add(AppendFrame(nil, Frame{Op: OpGetV2, ID: 11, Payload: AppendGetV2Req(nil, []byte("k"), 99, 17)}))
-	f.Add(AppendFrame(nil, Frame{Op: OpGetV2, Status: StatusOK, ID: 11, Payload: AppendGetV2Resp(nil, 104, 17, []byte("v"))}))
-	f.Add(AppendFrame(nil, Frame{Op: OpGetV2, Status: StatusNotReady, ID: 11, Payload: AppendAppliedSeq(nil, 52, 17)}))
-	f.Add(AppendFrame(nil, Frame{Op: OpMGetV2, ID: 12, Payload: AppendMGetV2Req(nil, [][]byte{[]byte("a"), []byte("b")}, 7, 0)}))
-	f.Add(AppendFrame(nil, Frame{Op: OpMGetV2, Status: StatusOK, ID: 12, Payload: AppendMGetV2Resp(nil, 8, 17, [][]byte{[]byte("1"), nil})}))
-	f.Add(AppendFrame(nil, Frame{Op: OpScanV2, ID: 13, Payload: AppendScanV2Req(nil, []byte("s"), 10, 3, 17)}))
-	f.Add(AppendFrame(nil, Frame{Op: OpScanV2, Status: StatusOK, ID: 13, Payload: AppendScanV2Resp(nil, 20, 17, []KV{{Key: []byte("k"), Value: []byte("v")}})}))
-	f.Add(AppendFrame(nil, Frame{Op: OpPutV2, ID: 14, Payload: AppendPutReq(nil, []byte("k"), []byte("v"))}))
-	f.Add(AppendFrame(nil, Frame{Op: OpPutV2, Status: StatusOK, ID: 14, Payload: AppendAppliedSeq(nil, 105, 17)}))
-	f.Add(AppendFrame(nil, Frame{Op: OpBatchV2, ID: 15, Payload: AppendBatchReq(nil, []BatchOp{{Key: []byte("a"), Value: []byte("1")}})}))
-	// A truncated minSeq varint (continuation bit set, nothing follows).
-	f.Add(AppendFrame(nil, Frame{Op: OpGetV2, ID: 16, Payload: []byte{0x80}}))
-	// Merge frames: INCR/INCR2 requests and responses, merge ops in
-	// batches and repl frames, plus malformed deltas.
+	// Session frames: read requests gated on a (seq, epoch) token in the
+	// header, responses stamped with the serving position, and the bare
+	// positions of write responses and NOT_READY refusals.
+	f.Add(AppendFrame(nil, Frame{Op: OpGet, ID: 11, Seq: 99, Epoch: 17, Payload: AppendKeyReq(nil, []byte("k"))}))
+	f.Add(AppendFrame(nil, Frame{Op: OpGet, Status: StatusOK, ID: 11, Seq: 104, Epoch: 17, Payload: []byte("v")}))
+	f.Add(AppendFrame(nil, Frame{Op: OpGet, Status: StatusNotReady, ID: 11, Seq: 52, Epoch: 17}))
+	f.Add(AppendFrame(nil, Frame{Op: OpMGet, ID: 12, Seq: 7, Payload: AppendMGetReq(nil, [][]byte{[]byte("a"), []byte("b")})}))
+	f.Add(AppendFrame(nil, Frame{Op: OpMGet, Status: StatusOK, ID: 12, Seq: 8, Epoch: 17, Payload: AppendMGetResp(nil, [][]byte{[]byte("1"), nil})}))
+	f.Add(AppendFrame(nil, Frame{Op: OpScan, ID: 13, Seq: 3, Epoch: 17, Payload: AppendScanReq(nil, []byte("s"), 10)}))
+	f.Add(AppendFrame(nil, Frame{Op: OpScan, Status: StatusOK, ID: 13, Seq: 20, Epoch: 17, Payload: AppendScanResp(nil, []KV{{Key: []byte("k"), Value: []byte("v")}})}))
+	f.Add(AppendFrame(nil, Frame{Op: OpPut, ID: 14, Seq: 1, Epoch: 1, Payload: AppendPutReq(nil, []byte("k"), []byte("v"))}))
+	f.Add(AppendFrame(nil, Frame{Op: OpPut, Status: StatusOK, ID: 14, Seq: 105, Epoch: 17}))
+	f.Add(AppendFrame(nil, Frame{Op: OpBatch, Status: StatusOK, ID: 15, Seq: 1 << 63, Epoch: math.MaxUint64}))
+	// A gated GET whose payload is a truncated varint (continuation bit set,
+	// nothing follows), and a retired op byte behind a widest-possible token.
+	f.Add(AppendFrame(nil, Frame{Op: OpGet, ID: 16, Seq: math.MaxUint64, Epoch: 1 << 63, Payload: []byte{0x80}}))
+	f.Add(AppendFrame(nil, Frame{Op: opMax + 3, ID: 16, Seq: math.MaxUint64, Epoch: math.MaxUint64, Payload: AppendKeyReq(nil, []byte("k"))}))
+	// Header token varints that are truncated (the continuation runs into
+	// the CRC) or padded with a zero group, behind a valid checksum.
+	f.Add(reframe([]byte{byte(OpGet), 0, 0, 0, 0, 0, 0, 0, 0, 16, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}))
+	f.Add(reframe([]byte{byte(OpGet), 0, 0, 0, 0, 0, 0, 0, 0, 16, 0x80, 0x00, 0, 1, 'k', 0}))
+	// Merge frames: INCR requests and responses (plain and stamped), merge
+	// ops in batches and repl frames, plus malformed deltas.
 	f.Add(AppendFrame(nil, Frame{Op: OpIncr, ID: 17, Payload: AppendIncrReq(nil, []byte("c"), -42)}))
 	f.Add(AppendFrame(nil, Frame{Op: OpIncr, Status: StatusOK, ID: 17, Payload: AppendIncrResp(nil, 1<<62)}))
-	f.Add(AppendFrame(nil, Frame{Op: OpIncrV2, ID: 18, Payload: AppendIncrReq(nil, []byte("c"), 9223372036854775807)}))
-	f.Add(AppendFrame(nil, Frame{Op: OpIncrV2, Status: StatusOK, ID: 18, Payload: AppendIncrV2Resp(nil, 7, 17, -9223372036854775808)}))
+	f.Add(AppendFrame(nil, Frame{Op: OpIncr, ID: 18, Payload: AppendIncrReq(nil, []byte("c"), 9223372036854775807)}))
+	f.Add(AppendFrame(nil, Frame{Op: OpIncr, Status: StatusOK, ID: 18, Seq: 7, Epoch: 17, Payload: AppendIncrResp(nil, -9223372036854775808)}))
 	f.Add(AppendFrame(nil, Frame{Op: OpBatch, ID: 19, Payload: AppendBatchReq(nil, []BatchOp{
 		{Key: []byte("c"), Merge: true, Delta: 5}, {Key: []byte("d"), Value: []byte("v")},
 	})}))
@@ -85,7 +92,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{Op: OpShardMap, Status: StatusOK, ID: 30, Payload: []byte{1, 1, 1, 'a', 1, 5}}))
 	// Anti-entropy frames: the TREE_ROOT opener, a hash query, a hash
 	// response, the divergent-leaf fetch (and the legal empty fetch), plus a
-	// v3 hello response choosing anti-entropy mode.
+	// hello response choosing anti-entropy mode.
 	var treeRoot [TreeHashLen]byte
 	treeRoot[0], treeRoot[31] = 0xaa, 0x55
 	treeIDs := []uint32{2, 3, 1 << 10, 1<<11 - 1}
@@ -147,31 +154,9 @@ func FuzzDecodeFrame(f *testing.F) {
 			DecodeReplAck(fr.Payload)
 		case OpReplSnapshot:
 			DecodeReplSnapshot(fr.Payload)
-		case OpGetV2:
-			DecodeGetV2Req(fr.Payload)
-			DecodeGetV2Resp(fr.Payload)
-			DecodeAppliedSeq(fr.Payload)
-		case OpMGetV2:
-			DecodeMGetV2Req(fr.Payload)
-			DecodeMGetV2Resp(fr.Payload)
-		case OpScanV2:
-			DecodeScanV2Req(fr.Payload)
-			DecodeScanV2Resp(fr.Payload)
-		case OpPutV2:
-			DecodePutReq(fr.Payload)
-			DecodeAppliedSeq(fr.Payload)
-		case OpDelV2:
-			DecodeKeyReq(fr.Payload)
-			DecodeAppliedSeq(fr.Payload)
-		case OpBatchV2:
-			DecodeBatchReq(fr.Payload)
-			DecodeAppliedSeq(fr.Payload)
 		case OpIncr:
 			DecodeIncrReq(fr.Payload)
 			DecodeIncrResp(fr.Payload)
-		case OpIncrV2:
-			DecodeIncrReq(fr.Payload)
-			DecodeIncrV2Resp(fr.Payload)
 		case OpShardMap:
 			DecodeShardMap(fr.Payload)
 		case OpHandoff:
@@ -197,7 +182,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if serr != nil {
 			t.Fatalf("ReadFrame disagreed: %v", serr)
 		}
-		if sf.Op != fr.Op || sf.Status != fr.Status || sf.ID != fr.ID || !bytes.Equal(sf.Payload, fr.Payload) {
+		if sf.Op != fr.Op || sf.Status != fr.Status || sf.ID != fr.ID || sf.Seq != fr.Seq || sf.Epoch != fr.Epoch || !bytes.Equal(sf.Payload, fr.Payload) {
 			t.Fatalf("ReadFrame mismatch: %+v vs %+v", sf, fr)
 		}
 	})

@@ -7,20 +7,19 @@ import (
 
 // INCR codecs. An INCR request names a counter key and a signed int64
 // delta; the server folds concurrent deltas to the same key into one
-// net-delta write and answers with the post-merge value. The v2 (INCR2)
-// request reuses the v1 payload — like the other v2 write ops, only the
-// response differs: it prefixes the committed sequence so sessions can
-// gate follower reads on their own increments.
+// net-delta write and answers with the post-merge value; the response
+// frame's token is the committed position, so sessions can gate follower
+// reads on their own increments.
 
 // --- INCR request: klen | key | varint delta (nothing may follow) ---
 
-// AppendIncrReq encodes an INCR/INCR2 request payload.
+// AppendIncrReq encodes an INCR request payload.
 func AppendIncrReq(dst, key []byte, delta int64) []byte {
 	dst = appendBytes(dst, key)
 	return binary.AppendVarint(dst, delta)
 }
 
-// DecodeIncrReq decodes an INCR/INCR2 payload; key aliases p.
+// DecodeIncrReq decodes an INCR payload; key aliases p.
 func DecodeIncrReq(p []byte) (key []byte, delta int64, err error) {
 	key, rest, err := getBytes(p, MaxKeyLen)
 	if err != nil {
@@ -56,29 +55,4 @@ func DecodeIncrResp(p []byte) (int64, error) {
 		return 0, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, len(rest))
 	}
 	return value, nil
-}
-
-// --- INCR2 response: uvarint appliedSeq | uvarint epoch | varint value ---
-
-// AppendIncrV2Resp encodes an INCR2 success response.
-func AppendIncrV2Resp(dst []byte, appliedSeq, epoch uint64, value int64) []byte {
-	dst = binary.AppendUvarint(dst, appliedSeq)
-	dst = binary.AppendUvarint(dst, epoch)
-	return binary.AppendVarint(dst, value)
-}
-
-// DecodeIncrV2Resp decodes an INCR2 success response.
-func DecodeIncrV2Resp(p []byte) (appliedSeq, epoch uint64, value int64, err error) {
-	appliedSeq, epoch, rest, err := getSeqEpoch(p)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	value, rest, err = getVarint(rest)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if len(rest) != 0 {
-		return 0, 0, 0, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, len(rest))
-	}
-	return appliedSeq, epoch, value, nil
 }

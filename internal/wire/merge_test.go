@@ -17,10 +17,6 @@ func TestIncrRoundTrips(t *testing.T) {
 		if err != nil || v != delta {
 			t.Fatalf("incr resp %d: %v %d", delta, err, v)
 		}
-		seq, ep, v2, err := DecodeIncrV2Resp(AppendIncrV2Resp(nil, 42, 7, delta))
-		if err != nil || seq != 42 || ep != 7 || v2 != delta {
-			t.Fatalf("incr v2 resp %d: %v %d %d %d", delta, err, seq, ep, v2)
-		}
 	}
 }
 
@@ -49,8 +45,8 @@ func TestIncrMalformed(t *testing.T) {
 	if _, err := DecodeIncrResp(nil); !errors.Is(err, ErrBadPayload) {
 		t.Error("empty incr resp decoded")
 	}
-	if _, _, _, err := DecodeIncrV2Resp([]byte{1, 2}); !errors.Is(err, ErrBadPayload) {
-		t.Error("v2 resp missing value decoded")
+	if _, err := DecodeIncrResp(append(AppendIncrResp(nil, 7), 0)); !errors.Is(err, ErrBadPayload) {
+		t.Error("incr resp with trailing bytes decoded")
 	}
 }
 

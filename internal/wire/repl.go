@@ -12,16 +12,9 @@ import (
 // REPL_ACK frames flowing the other way on the same connection.
 
 // ReplProtoVersion is the replication stream version carried in HELLO.
-// Version 2 added the write-lineage epoch to both hello directions.
-// Version 3 adds a capability flags byte after the version; a flags-free
-// hello still encodes as version 2, so followers without capabilities stay
-// wire-identical to older binaries.
-const (
-	ReplProtoVersion  = 2
-	ReplProtoVersion3 = 3
-)
+const ReplProtoVersion = 3
 
-// Hello capability flags (version 3).
+// Hello capability flags.
 const (
 	// ReplFlagAntiEntropy advertises that the follower can run the
 	// Merkle-tree repair conversation instead of a full snapshot.
@@ -35,44 +28,30 @@ const (
 	ReplModeAntiEntropy = 2 // fell off the window with state: Merkle repair, then tail
 )
 
-// --- REPL_HELLO request: version | [flags] | epoch | lastApplied ---
+// --- REPL_HELLO request: version | flags | epoch | lastApplied ---
 
 // AppendReplHelloReq encodes a follower's subscription request. epoch is
 // the write-lineage identifier of the log the follower last replicated
 // from (0 when it has never attached), and lastApplied is the highest
 // sequence it has durably applied (0 for a fresh follower). A primary only
 // grants tail mode when the epoch matches its own log's epoch or the
-// follower holds no state at all. Non-zero flags force the version-3
-// encoding.
+// follower holds no state at all.
 func AppendReplHelloReq(dst []byte, epoch, lastApplied uint64, flags uint8) []byte {
-	if flags != 0 {
-		dst = append(dst, ReplProtoVersion3, flags)
-	} else {
-		dst = append(dst, ReplProtoVersion)
-	}
+	dst = append(dst, ReplProtoVersion, flags)
 	dst = binary.AppendUvarint(dst, epoch)
 	return binary.AppendUvarint(dst, lastApplied)
 }
 
-// DecodeReplHelloReq decodes a REPL_HELLO request payload; version-2
-// hellos decode with flags 0.
+// DecodeReplHelloReq decodes a REPL_HELLO request payload.
 func DecodeReplHelloReq(p []byte) (epoch, lastApplied uint64, flags uint8, err error) {
-	if len(p) == 0 {
-		return 0, 0, 0, fmt.Errorf("%w: empty hello", ErrBadPayload)
+	if len(p) < 2 {
+		return 0, 0, 0, fmt.Errorf("%w: short hello", ErrBadPayload)
 	}
-	body := p[1:]
-	switch p[0] {
-	case ReplProtoVersion:
-	case ReplProtoVersion3:
-		if len(body) == 0 {
-			return 0, 0, 0, fmt.Errorf("%w: hello v3 missing flags", ErrBadPayload)
-		}
-		flags = body[0]
-		body = body[1:]
-	default:
+	if p[0] != ReplProtoVersion {
 		return 0, 0, 0, fmt.Errorf("%w: repl proto version %d", ErrBadPayload, p[0])
 	}
-	epoch, rest, err := getUvarint(body)
+	flags = p[1]
+	epoch, rest, err := getUvarint(p[2:])
 	if err != nil {
 		return 0, 0, 0, err
 	}

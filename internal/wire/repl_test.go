@@ -9,11 +9,8 @@ func TestReplHelloRoundTrip(t *testing.T) {
 	for _, seq := range []uint64{0, 1, 1 << 40} {
 		for _, flags := range []uint8{0, ReplFlagAntiEntropy} {
 			p := AppendReplHelloReq(nil, seq*3+1, seq, flags)
-			if flags == 0 && p[0] != ReplProtoVersion {
-				t.Fatalf("flags-free hello not version 2: %d", p[0])
-			}
-			if flags != 0 && p[0] != ReplProtoVersion3 {
-				t.Fatalf("flagged hello not version 3: %d", p[0])
+			if p[0] != ReplProtoVersion || p[1] != flags {
+				t.Fatalf("hello opens %d %d, want version %d flags %d", p[0], p[1], ReplProtoVersion, flags)
 			}
 			epoch, got, gotFlags, err := DecodeReplHelloReq(p)
 			if err != nil || got != seq || epoch != seq*3+1 || gotFlags != flags {
@@ -30,11 +27,14 @@ func TestReplHelloRoundTrip(t *testing.T) {
 	if _, _, _, err := DecodeReplHelloReq(append(AppendReplHelloReq(nil, 3, 7, 0), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
-	if _, _, _, err := DecodeReplHelloReq([]byte{ReplProtoVersion, 5}); err == nil {
+	if _, _, _, err := DecodeReplHelloReq([]byte{ReplProtoVersion, 0, 5}); err == nil {
 		t.Fatal("truncated hello accepted")
 	}
-	if _, _, _, err := DecodeReplHelloReq([]byte{ReplProtoVersion3}); err == nil {
-		t.Fatal("v3 hello without flags byte accepted")
+	if _, _, _, err := DecodeReplHelloReq([]byte{ReplProtoVersion}); err == nil {
+		t.Fatal("hello without flags byte accepted")
+	}
+	if _, _, _, err := DecodeReplHelloReq([]byte{2, 3, 7}); err == nil {
+		t.Fatal("flags-free version-2 hello accepted")
 	}
 
 	for _, mode := range []uint8{ReplModeTail, ReplModeSnapshot, ReplModeAntiEntropy} {

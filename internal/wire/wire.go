@@ -2,12 +2,29 @@
 //
 // Every message — request or response — travels as one frame:
 //
-//	uint32   length   big-endian, bytes that follow (body), 14 ≤ length ≤ MaxFrame
+//	uint32   length   big-endian, bytes that follow (body), 16 ≤ length ≤ MaxFrame
 //	uint8    op       request op code (echoed in responses)
 //	uint8    status   0 in requests; a Status code in responses
 //	uint64   id       big-endian request id, chosen by the client, echoed back
+//	uvarint  seq      session token, sequence half (see Frame.Seq)
+//	uvarint  epoch    session token, write-lineage half
 //	[]byte   payload  op-specific encoding (see the Append*/Decode* pairs)
 //	uint32   crc      big-endian CRC-32 (IEEE) over op..payload
+//
+// The (seq, epoch) pair is what makes a plain op and a session op the same
+// op. In a request it is the reader's gate: "answer only once your applied
+// replication position is ≥ seq, and only if your write lineage is epoch";
+// 0,0 asks for nothing, and a node ignores the pair on ops that do not
+// read. In a response it is the position the answer was served at — a
+// write's committed sequence, a read's applied sequence, and on NOT_READY
+// the position the node had reached — which clients fold into their session
+// token for read-your-writes and monotonic reads. The epoch is the
+// write-lineage identifier minted by the replication log (package repl). A
+// request epoch of 0 makes no lineage claim and gates on the sequence alone,
+// which is what a freshly seeded session sends; a non-zero request epoch
+// that differs from the node's is answered NOT_READY, because sequences from
+// different lineages are not comparable and clamping would hide a failover
+// instead of surfacing it.
 //
 // Integers inside payloads are unsigned varints (encoding/binary); byte
 // strings are varint-length-prefixed. The codec never panics on malformed
@@ -47,26 +64,10 @@ const (
 	OpReplAck
 	OpReplSnapshot
 
-	// Session (payload version 2) ops. Requests for the read ops carry a
-	// minSeq token: the server answers only once its applied replication
-	// position reaches minSeq, or StatusNotReady after a bounded wait.
-	// Every v2 response carries the node's applied sequence so clients can
-	// maintain read-your-writes and monotonic-reads session tokens. The v2
-	// write ops take the v1 request payloads; only their responses differ
-	// (they return the batch's committed sequence).
-	OpGetV2
-	OpMGetV2
-	OpScanV2
-	OpPutV2
-	OpDelV2
-	OpBatchV2
-
-	// Merge ops. OpIncr adds an int64 delta to a counter key and returns
-	// the post-merge value; OpIncrV2 is the session variant whose response
-	// also carries the committed sequence. Deltas to the same key coalesce
-	// in the server drainer and commit as a single net-delta write.
+	// OpIncr adds an int64 delta to a counter key and returns the post-merge
+	// value. Deltas to the same key coalesce in the server drainer and commit
+	// as a single net-delta write.
 	OpIncr
-	OpIncrV2
 
 	// Cluster ops (package cluster). OpShardMap fetches the node's current
 	// shard map; every StatusWrongShard response also carries one, so a
@@ -124,22 +125,8 @@ func (o Op) String() string {
 		return "REPL_ACK"
 	case OpReplSnapshot:
 		return "REPL_SNAPSHOT"
-	case OpGetV2:
-		return "GET2"
-	case OpMGetV2:
-		return "MGET2"
-	case OpScanV2:
-		return "SCAN2"
-	case OpPutV2:
-		return "PUT2"
-	case OpDelV2:
-		return "DEL2"
-	case OpBatchV2:
-		return "BATCH2"
 	case OpIncr:
 		return "INCR"
-	case OpIncrV2:
-		return "INCR2"
 	case OpShardMap:
 		return "SHARDMAP"
 	case OpHandoff:
@@ -167,10 +154,11 @@ const (
 	StatusBadRequest   // payload decodes but the request is invalid
 	StatusError        // engine error; payload is the message text
 	StatusShuttingDown // server is shutting down and refused the request
-	// StatusNotReady answers a session read whose minSeq token the node
-	// could not reach within its bounded wait: the client should retry on
-	// another node (typically falling back to the primary). The payload is
-	// the node's applied sequence at the time of the refusal.
+	// StatusNotReady answers a read whose gate the node could not reach
+	// within its bounded wait, or whose epoch names another lineage: the
+	// client should retry on another node (typically falling back to the
+	// primary). The frame's (seq, epoch) is the node's position at the time
+	// of the refusal; the payload is empty.
 	StatusNotReady
 	// StatusRateLimited answers a request rejected by the connection's
 	// admission token bucket before it reached the drainer. The client may
@@ -211,9 +199,10 @@ const (
 	// force a large allocation.
 	MaxFrame = 16 << 20
 
-	// minBody is op(1)+status(1)+id(8)+crc(4) with an empty payload.
-	minBody   = 14
-	headerLen = 10 // op+status+id, before the payload
+	// minBody is op(1)+status(1)+id(8)+seq(1)+epoch(1)+crc(4): an empty
+	// payload behind a zero token.
+	minBody  = 16
+	fixedLen = 10 // op+status+id, before the token varints
 )
 
 // Protocol errors. ErrTruncated means more bytes may complete the frame;
@@ -230,23 +219,26 @@ var (
 // decoded from: the caller's buffer for DecodeFrame, a fresh allocation the
 // caller owns for ReadFrame.
 type Frame struct {
-	Op      Op
-	Status  Status
-	ID      uint64
+	Op     Op
+	Status Status
+	ID     uint64
+	// Seq and Epoch are the session token: a request's gate, a response's
+	// served-at position (see the package comment). Zero in frames that
+	// carry neither.
+	Seq     uint64
+	Epoch   uint64
 	Payload []byte
 }
 
-// EncodedLen returns the full on-wire size of a frame with payloadLen
-// payload bytes.
-func EncodedLen(payloadLen int) int { return 4 + minBody + payloadLen }
-
-// BeginFrame appends a frame's header to dst with the length left blank;
-// the caller appends the payload in place and closes the frame with
-// FinishFrame, so a payload is encoded once, straight into the buffer that
-// goes to the socket.
-func BeginFrame(dst []byte, op Op, st Status, id uint64) []byte {
-	dst = append(dst, 0, 0, 0, 0, byte(op), byte(st))
-	return binary.BigEndian.AppendUint64(dst, id)
+// BeginFrame appends the header of f to dst with the length left blank and
+// f.Payload ignored; the caller appends the payload in place and closes the
+// frame with FinishFrame, so a payload is encoded once, straight into the
+// buffer that goes to the socket.
+func BeginFrame(dst []byte, f Frame) []byte {
+	dst = append(dst, 0, 0, 0, 0, byte(f.Op), byte(f.Status))
+	dst = binary.BigEndian.AppendUint64(dst, f.ID)
+	dst = binary.AppendUvarint(dst, f.Seq)
+	return binary.AppendUvarint(dst, f.Epoch)
 }
 
 // FinishFrame closes the frame BeginFrame opened at dst[start:]: it patches
@@ -259,42 +251,75 @@ func FinishFrame(dst []byte, start int) []byte {
 // AppendFrame appends the encoded frame to dst and returns the result.
 func AppendFrame(dst []byte, f Frame) []byte {
 	start := len(dst)
-	dst = BeginFrame(dst, f.Op, f.Status, f.ID)
+	dst = BeginFrame(dst, f)
 	dst = append(dst, f.Payload...)
 	return FinishFrame(dst, start)
+}
+
+// checkLen validates a declared body length against the frame bounds.
+func checkLen(body, maxFrame uint32) error {
+	if maxFrame == 0 || maxFrame > MaxFrame {
+		maxFrame = MaxFrame
+	}
+	if body < minBody {
+		return ErrFrameTooSmall
+	}
+	if body > maxFrame {
+		return ErrFrameTooLarge
+	}
+	return nil
+}
+
+// parseBody decodes a whole frame body (op through crc) of at least minBody
+// bytes. The payload aliases b, its capacity ending where it does.
+func parseBody(b []byte) (Frame, error) {
+	end := len(b) - 4
+	if crc32.ChecksumIEEE(b[:end]) != binary.BigEndian.Uint32(b[end:]) {
+		return Frame{}, ErrBadCRC
+	}
+	f := Frame{Op: Op(b[0]), Status: Status(b[1]), ID: binary.BigEndian.Uint64(b[2:fixedLen])}
+	rest := b[fixedLen:end:end]
+	var err error
+	if f.Seq, rest, err = getTokenUvarint(rest); err != nil {
+		return Frame{}, err
+	}
+	if f.Epoch, rest, err = getTokenUvarint(rest); err != nil {
+		return Frame{}, err
+	}
+	f.Payload = rest
+	return f, nil
+}
+
+// getTokenUvarint consumes one header varint. Unlike the payload varints it
+// must be minimally encoded (no trailing zero group), so that a frame has
+// exactly one encoding and a decoded frame re-encodes to the bytes it came
+// from.
+func getTokenUvarint(p []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(p)
+	if n <= 0 || (n > 1 && p[n-1] == 0) {
+		return 0, nil, fmt.Errorf("%w: frame token", ErrBadPayload)
+	}
+	return v, p[n:], nil
 }
 
 // DecodeFrame parses one frame from the start of buf, returning the frame
 // and the number of bytes consumed. The returned payload aliases buf. It
 // never panics and never allocates, whatever buf holds.
 func DecodeFrame(buf []byte, maxFrame uint32) (Frame, int, error) {
-	if maxFrame == 0 || maxFrame > MaxFrame {
-		maxFrame = MaxFrame
-	}
 	if len(buf) < 4 {
 		return Frame{}, 0, ErrTruncated
 	}
 	body := binary.BigEndian.Uint32(buf)
-	if body < minBody {
-		return Frame{}, 0, ErrFrameTooSmall
-	}
-	if body > maxFrame {
-		return Frame{}, 0, ErrFrameTooLarge
+	if err := checkLen(body, maxFrame); err != nil {
+		return Frame{}, 0, err
 	}
 	total := 4 + int(body)
 	if len(buf) < total {
 		return Frame{}, 0, ErrTruncated
 	}
-	b := buf[4:total]
-	want := binary.BigEndian.Uint32(b[len(b)-4:])
-	if crc32.ChecksumIEEE(b[:len(b)-4]) != want {
-		return Frame{}, 0, ErrBadCRC
-	}
-	f := Frame{
-		Op:      Op(b[0]),
-		Status:  Status(b[1]),
-		ID:      binary.BigEndian.Uint64(b[2:10]),
-		Payload: b[headerLen : len(b)-4],
+	f, err := parseBody(buf[4:total])
+	if err != nil {
+		return Frame{}, 0, err
 	}
 	return f, total, nil
 }
@@ -309,19 +334,13 @@ func DecodeFrame(buf []byte, maxFrame uint32) (Frame, int, error) {
 // payload does, and every byte string the payload decoders return is capped
 // the same way, so appending to one never writes into its neighbour.
 func ReadFrame(r io.Reader, maxFrame uint32) (Frame, error) {
-	if maxFrame == 0 || maxFrame > MaxFrame {
-		maxFrame = MaxFrame
-	}
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return Frame{}, err // io.EOF on a clean frame boundary
 	}
 	body := binary.BigEndian.Uint32(lenBuf[:])
-	if body < minBody {
-		return Frame{}, ErrFrameTooSmall
-	}
-	if body > maxFrame {
-		return Frame{}, ErrFrameTooLarge
+	if err := checkLen(body, maxFrame); err != nil {
+		return Frame{}, err
 	}
 	b := make([]byte, body)
 	if _, err := io.ReadFull(r, b); err != nil {
@@ -330,21 +349,11 @@ func ReadFrame(r io.Reader, maxFrame uint32) (Frame, error) {
 		}
 		return Frame{}, err
 	}
-	end := len(b) - 4
-	if crc32.ChecksumIEEE(b[:end]) != binary.BigEndian.Uint32(b[end:]) {
-		return Frame{}, ErrBadCRC
-	}
-	return Frame{
-		Op:      Op(b[0]),
-		Status:  Status(b[1]),
-		ID:      binary.BigEndian.Uint64(b[2:10]),
-		Payload: b[headerLen:end:end],
-	}, nil
+	return parseBody(b)
 }
 
 // WriteFrame encodes f and writes it to w in one call.
 func WriteFrame(w io.Writer, f Frame) error {
-	buf := AppendFrame(make([]byte, 0, EncodedLen(len(f.Payload))), f)
-	_, err := w.Write(buf)
+	_, err := w.Write(AppendFrame(nil, f))
 	return err
 }

@@ -4,9 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
+	"math"
 	"testing"
 )
+
+// tokenEdges are the header-varint values worth pinning: zero (the plain
+// op), one byte, the widest ten-byte encodings.
+var tokenEdges = []uint64{0, 1, 1 << 63, math.MaxUint64}
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
@@ -16,28 +22,75 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Op: OpStats, ID: 7, Payload: bytes.Repeat([]byte("x"), 4096)},
 	}
 	for _, f := range frames {
-		buf := AppendFrame(nil, f)
-		if len(buf) != EncodedLen(len(f.Payload)) {
-			t.Fatalf("EncodedLen(%d) = %d, encoded %d bytes", len(f.Payload), EncodedLen(len(f.Payload)), len(buf))
+		for _, seq := range tokenEdges {
+			for _, epoch := range tokenEdges {
+				f.Seq, f.Epoch = seq, epoch
+				buf := AppendFrame(nil, f)
+				want := 4 + fixedLen + len(binary.AppendUvarint(nil, seq)) + len(binary.AppendUvarint(nil, epoch)) + len(f.Payload) + 4
+				if len(buf) != want {
+					t.Fatalf("frame with token %d@%d and %d payload bytes encoded to %d bytes, want %d", seq, epoch, len(f.Payload), len(buf), want)
+				}
+				got, n, err := DecodeFrame(buf, 0)
+				if err != nil {
+					t.Fatalf("decode: %v", err)
+				}
+				if n != len(buf) {
+					t.Fatalf("consumed %d of %d", n, len(buf))
+				}
+				// And through the stream reader.
+				rf, err := ReadFrame(bytes.NewReader(buf), 0)
+				if err != nil {
+					t.Fatalf("ReadFrame: %v", err)
+				}
+				for _, g := range []Frame{got, rf} {
+					if g.Op != f.Op || g.Status != f.Status || g.ID != f.ID || g.Seq != seq || g.Epoch != epoch || !bytes.Equal(g.Payload, f.Payload) {
+						t.Fatalf("round trip mismatch: %+v vs %+v", g, f)
+					}
+				}
+			}
 		}
-		got, n, err := DecodeFrame(buf, 0)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
+	}
+}
+
+// reframe wraps a hand-built body (op through payload) in a length prefix
+// and a valid CRC, so a test reaches the header parser behind the checksum.
+func reframe(body []byte) []byte {
+	buf := binary.BigEndian.AppendUint32(nil, uint32(len(body)+4))
+	buf = append(buf, body...)
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
+}
+
+// TestFrameTokenMalformed: a header varint that is truncated, overflows or
+// is padded fails the frame with ErrBadPayload from both decoders, behind a
+// valid CRC, and never panics.
+func TestFrameTokenMalformed(t *testing.T) {
+	fixed := []byte{byte(OpGet), 0, 0, 0, 0, 0, 0, 0, 0, 9}
+	over := bytes.Repeat([]byte{0xff}, 10)
+	over = append(over, 0x01) // eleven groups: past uint64
+	for name, tail := range map[string][]byte{
+		"seq continues into the crc":   {0x80, 0x80, 0x80, 0x80, 0x80, 0x80},
+		"epoch continues into the crc": {5, 0x80, 0x80, 0x80, 0x80, 0x80},
+		"seq overflows":                append(over, 0, 0, 0),
+		"epoch overflows":              append([]byte{5}, over...),
+		"seq padded":                   {0x80, 0x00, 0, 1, 'k', 0},
+		"epoch padded":                 {0, 0x81, 0x00, 1, 'k', 0},
+	} {
+		buf := reframe(append(append([]byte(nil), fixed...), tail...))
+		if _, n, err := DecodeFrame(buf, 0); !errors.Is(err, ErrBadPayload) || n != 0 {
+			t.Errorf("%s: DecodeFrame = %d, %v, want ErrBadPayload", name, n, err)
 		}
-		if n != len(buf) {
-			t.Fatalf("consumed %d of %d", n, len(buf))
+		if _, err := ReadFrame(bytes.NewReader(buf), 0); !errors.Is(err, ErrBadPayload) {
+			t.Errorf("%s: ReadFrame = %v, want ErrBadPayload", name, err)
 		}
-		if got.Op != f.Op || got.Status != f.Status || got.ID != f.ID || !bytes.Equal(got.Payload, f.Payload) {
-			t.Fatalf("round trip mismatch: %+v vs %+v", got, f)
-		}
-		// And through the stream reader.
-		rf, err := ReadFrame(bytes.NewReader(buf), 0)
-		if err != nil {
-			t.Fatalf("ReadFrame: %v", err)
-		}
-		if rf.ID != f.ID || !bytes.Equal(rf.Payload, f.Payload) {
-			t.Fatalf("ReadFrame mismatch")
-		}
+	}
+	// A body too short to hold both token bytes is refused by length alone.
+	if _, _, err := DecodeFrame(reframe(append(fixed, 0)), 0); !errors.Is(err, ErrFrameTooSmall) {
+		t.Errorf("one-token body: %v, want ErrFrameTooSmall", err)
+	}
+	// A frame cut inside its token is simply incomplete.
+	good := AppendFrame(nil, Frame{Op: OpGet, ID: 9, Seq: 1 << 63, Epoch: 7, Payload: AppendKeyReq(nil, []byte("k"))})
+	if _, _, err := DecodeFrame(good[:4+fixedLen+3], 0); !errors.Is(err, ErrTruncated) {
+		t.Errorf("cut inside the token: %v, want ErrTruncated", err)
 	}
 }
 
@@ -191,19 +244,22 @@ func TestPayloadMalformed(t *testing.T) {
 // reused buffer.
 func TestBeginFinishFrameMatchesAppendFrame(t *testing.T) {
 	k, v := []byte("key"), bytes.Repeat([]byte("v"), 300)
-	want := AppendFrame(nil, Frame{Op: OpPut, ID: 99, Payload: AppendPutReq(nil, k, v)})
+	hdr := Frame{Op: OpPut, ID: 99, Seq: 1 << 40, Epoch: 3}
+	want := hdr
+	want.Payload = AppendPutReq(nil, k, v)
+	wantBuf := AppendFrame(nil, want)
 	buf := AppendFrame(nil, Frame{Op: OpPing, ID: 1}) // an earlier frame in the same buffer
 	start := len(buf)
-	buf = BeginFrame(buf, OpPut, StatusOK, 99)
+	buf = BeginFrame(buf, hdr)
 	buf = AppendPutReq(buf, k, v)
 	buf = FinishFrame(buf, start)
-	if !bytes.Equal(buf[start:], want) {
-		t.Fatalf("in-place frame differs from AppendFrame:\n got %x\nwant %x", buf[start:], want)
+	if !bytes.Equal(buf[start:], wantBuf) {
+		t.Fatalf("in-place frame differs from AppendFrame:\n got %x\nwant %x", buf[start:], wantBuf)
 	}
-	if f, n, err := DecodeFrame(buf[start:], 0); err != nil || n != len(want) || f.ID != 99 {
+	if f, n, err := DecodeFrame(buf[start:], 0); err != nil || n != len(wantBuf) || f.ID != 99 || f.Seq != 1<<40 || f.Epoch != 3 {
 		t.Fatalf("decode in-place frame: %+v %d %v", f, n, err)
 	}
-	empty := FinishFrame(BeginFrame(nil, OpStats, StatusOK, 7), 0)
+	empty := FinishFrame(BeginFrame(nil, Frame{Op: OpStats, ID: 7}), 0)
 	if !bytes.Equal(empty, AppendFrame(nil, Frame{Op: OpStats, ID: 7})) {
 		t.Fatalf("empty in-place frame differs: %x", empty)
 	}
