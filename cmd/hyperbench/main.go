@@ -32,7 +32,6 @@ import (
 	"runtime/pprof"
 
 	"hyperdb/internal/harness"
-	"hyperdb/internal/hotness"
 )
 
 func main() {
@@ -43,7 +42,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention profile to this file")
 	blockProfile := flag.String("blockprofile", "", "write a blocking profile to this file")
-	hotMode := flag.String("hotness", "bloom", "HyperDB hotness tracker mode: bloom (paper-faithful) or sketch (O(1) memory)")
 	workload := flag.String("workload", "", "alternative workload instead of paper figures: counter, compress")
 	clients := flag.Int("clients", 32, "counter workload: client connections")
 	inflight := flag.Int("inflight", 16, "counter workload: pipelined increments per connection")
@@ -101,13 +99,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hyperbench: unknown -workload %q (want counter)\n", *workload)
 		os.Exit(2)
 	}
-	switch hotness.Mode(*hotMode) {
-	case hotness.ModeBloom, hotness.ModeSketch:
-	default:
-		fmt.Fprintf(os.Stderr, "hyperbench: -hotness must be %q or %q, got %q\n",
-			hotness.ModeBloom, hotness.ModeSketch, *hotMode)
-		os.Exit(2)
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -136,7 +127,6 @@ func main() {
 		scale = harness.DefaultScale().Mult(0.1)
 		scale.Throttled = false
 	}
-	scale.TrackerMode = hotness.Mode(*hotMode)
 	scale.Compress = *compressArg
 
 	figs := flag.Args()

@@ -44,7 +44,6 @@ import (
 	"hyperdb"
 	"hyperdb/internal/client"
 	"hyperdb/internal/cluster"
-	"hyperdb/internal/hotness"
 	"hyperdb/internal/repl"
 	"hyperdb/internal/server"
 )
@@ -73,7 +72,6 @@ func main() {
 		readWait    = flag.Duration("read-wait", 0, "max wait for a session read's token before NOT_READY (0 = default)")
 		connRate    = flag.Float64("conn-rate", 0, "per-connection request rate limit in ops/sec (0 = unlimited)")
 		connBurst   = flag.Int("conn-burst", 0, "per-connection rate-limit burst (0 = max(1, conn-rate))")
-		hotMode     = flag.String("hotness", "bloom", "hotness tracker mode: bloom (paper-faithful) or sketch (O(1) memory at huge key counts)")
 		peers       = flag.String("cluster", "", "comma-separated group addresses (all shard primaries, including this node) — enables cluster mode")
 		clusterSelf = flag.String("cluster-self", "", "this node's address as listed in -cluster (default: -addr)")
 		slots       = flag.Int("slots", cluster.DefaultSlots, "shard slot count (must match across the cluster)")
@@ -98,13 +96,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	switch hotness.Mode(*hotMode) {
-	case hotness.ModeBloom, hotness.ModeSketch:
-	default:
-		fmt.Fprintf(os.Stderr, "hyperd: -hotness must be %q or %q, got %q\n",
-			hotness.ModeBloom, hotness.ModeSketch, *hotMode)
-		os.Exit(2)
-	}
 	opts := hyperdb.Options{
 		Partitions:       *partitions,
 		NVMeCapacity:     *nvme,
@@ -116,7 +107,6 @@ func main() {
 		CompressMinLevel: *compressMin,
 		AntiEntropy:      *antiEntropy,
 	}
-	opts.Tracker.Mode = hotness.Mode(*hotMode)
 	// Any replicating role ships a log: a primary feeds its followers, and
 	// a follower re-ships what it applies so replicas can chain — and so it
 	// has a live log the moment it is promoted.

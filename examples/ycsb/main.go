@@ -43,13 +43,13 @@ func main() {
 	}
 	defer inst.Engine.Close()
 
-	fmt.Printf("loading %d records (%dB values) into %s...\n", *records, *valueSize, inst.Engine.Label())
+	fmt.Printf("loading %d records (%dB values) into %s...\n", *records, *valueSize, inst.Kind.Label())
 	if err := harness.Load(inst.Engine, *records, *valueSize, *clients, 7); err != nil {
 		log.Fatalf("load: %v", err)
 	}
 
 	fmt.Printf("running %d YCSB-%s ops with %d clients...\n", *ops, w.Name, *clients)
-	res, err := harness.Run(inst.Engine, harness.RunConfig{
+	res, err := harness.Run(inst, harness.RunConfig{
 		Clients:   *clients,
 		Ops:       *ops,
 		Workload:  w,

@@ -3,6 +3,7 @@ package leveled
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -294,5 +295,42 @@ func TestLevelBytesAndNeedsCompaction(t *testing.T) {
 	l.Ingest(sortedRun(0, 500, 1, "v"), device.Bg)
 	if l.LevelBytes(0) == 0 {
 		t.Fatal("level bytes not tracked")
+	}
+}
+
+// TestCompactorErrorReachesDrain runs the shared compaction thread over a
+// device whose next write fails once: the compaction it kills is retried and
+// succeeds, and the error is not lost — the next Drain returns it, once.
+func TestCompactorErrorReachesDrain(t *testing.T) {
+	l, dev := newLSM(t, 16<<10)
+	for r := 0; r < 2; r++ {
+		if err := l.Ingest(sortedRun(r*50, 200, uint64(r*1000+1), "v"), device.Bg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev.InjectFaults(device.FaultPlan{FailWriteAfter: 1})
+
+	stop, wake, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		l.RunCompactor(stop, wake, time.Hour) // woken by hand, so each round is observable
+	}()
+	for i := 0; l.TableCount(0) > 0; i++ {
+		if i == 100 {
+			t.Fatal("the failed compaction was never retried")
+		}
+		wake <- struct{}{}
+	}
+	close(stop)
+	<-done
+
+	if err := l.Drain(); !errors.Is(err, device.ErrInjected) {
+		t.Fatalf("drain after a failed background compaction = %v, want the injected fault", err)
+	}
+	if err := l.Drain(); err != nil {
+		t.Fatalf("second drain = %v, want nil", err)
+	}
+	if v, _, found, err := l.Get(k8(150<<32), keys.MaxSeq, device.Fg); err != nil || !found || string(v) != "v-150" {
+		t.Fatalf("after the retried compaction: %q %v %v", v, found, err)
 	}
 }

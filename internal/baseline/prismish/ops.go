@@ -3,10 +3,13 @@ package prismish
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"time"
 
 	"hyperdb/internal/baseline/leveled"
 	"hyperdb/internal/device"
+	"hyperdb/internal/engine"
 	"hyperdb/internal/keys"
 )
 
@@ -106,7 +109,23 @@ func (db *DB) putLocked(key, value []byte, tomb bool, seq uint64, op device.Op) 
 	return nil
 }
 
-// Get returns the value for key, or ErrNotFound. SATA hits are admitted
+// slotValue decodes l's slot out of its page and returns a copy of the value
+// if the slot still holds key, live. A slot a racing migration re-used (other
+// key, tombstone, bad checksum) reports false.
+func (db *DB) slotValue(page []byte, l loc, key []byte) ([]byte, bool) {
+	sf := db.slabs[l.class]
+	off := int(l.slot) * sf.slotSize
+	if off+sf.slotSize > len(page) {
+		return nil, false
+	}
+	_, tomb, k, v, err := decodeSlot(page[off : off+sf.slotSize])
+	if err != nil || tomb || !bytes.Equal(k, key) {
+		return nil, false
+	}
+	return bytes.Clone(v), true
+}
+
+// Get returns the value for key, or engine.ErrNotFound. SATA hits are admitted
 // back into the slab (the caching architecture's promotion path).
 func (db *DB) Get(key []byte) ([]byte, error) {
 	db.mu.RLock()
@@ -114,20 +133,15 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	db.mu.RUnlock()
 	if ok {
 		if l.tomb {
-			return nil, ErrNotFound
+			return nil, engine.ErrNotFound
 		}
 		page, err := db.readSlotPage(int(l.class), l.page, device.Fg)
 		if err != nil {
 			return nil, err
 		}
-		sf := db.slabs[l.class]
-		off := int(l.slot) * sf.slotSize
-		if off+sf.slotSize > len(page) {
-			return nil, ErrNotFound
-		}
-		_, tomb, k, v, err := decodeSlot(page[off : off+sf.slotSize])
-		if err != nil || tomb || !bytes.Equal(k, key) {
-			return nil, ErrNotFound
+		v, ok := db.slotValue(page, l, key)
+		if !ok {
+			return nil, engine.ErrNotFound
 		}
 		db.mu.Lock()
 		if cur, ok := db.index.Get(key); ok && cur.seq == l.seq {
@@ -135,7 +149,7 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 			db.index.Set(key, cur)
 		}
 		db.mu.Unlock()
-		return bytes.Clone(v), nil
+		return v, nil
 	}
 
 	v, kind, found, err := db.lsm.Get(key, keys.MaxSeq, device.Fg)
@@ -143,7 +157,7 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 		return nil, err
 	}
 	if !found || kind == keys.KindDelete {
-		return nil, ErrNotFound
+		return nil, engine.ErrNotFound
 	}
 	// Admission: copy the read object into the slab when there is room.
 	if db.usedFraction() < db.opts.HighWatermark {
@@ -152,19 +166,16 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	return v, nil
 }
 
-// BatchOp is one write in a WriteBatch: a put, or a delete when Delete is
-// set.
-type BatchOp struct {
-	Key    []byte
-	Value  []byte
-	Delete bool
-}
-
 // WriteBatch applies the ops under one lock acquisition, drawing a single
 // sequence block so slice order is sequence order (last-write-wins for
 // duplicates). On ErrNoSpace the lock is dropped, one migration batch runs
 // synchronously, and the batch resumes at the failed op.
-func (db *DB) WriteBatch(ops []BatchOp) error {
+func (db *DB) WriteBatch(ops []engine.BatchOp) error {
+	for i := range ops {
+		if ops[i].Merge {
+			return fmt.Errorf("prismish: merge op at batch index %d: no merge operator", i)
+		}
+	}
 	if len(ops) == 0 {
 		return nil
 	}
@@ -235,17 +246,10 @@ func (db *DB) MultiGet(keyList [][]byte) ([][]byte, error) {
 			}
 			pages[pid{p.l.class, p.l.page}] = pg
 		}
-		sf := db.slabs[p.l.class]
-		off := int(p.l.slot) * sf.slotSize
-		if off+sf.slotSize > len(pg) {
-			continue
+		if v, ok := db.slotValue(pg, p.l, key); ok {
+			out[p.idx] = v
+			refresh = append(refresh, p)
 		}
-		_, tomb, k2, v, err := decodeSlot(pg[off : off+sf.slotSize])
-		if err != nil || tomb || !bytes.Equal(k2, key) {
-			continue
-		}
-		out[p.idx] = bytes.Clone(v)
-		refresh = append(refresh, p)
 	}
 	if len(refresh) > 0 {
 		db.mu.Lock()
@@ -273,14 +277,8 @@ func (db *DB) MultiGet(keyList [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-// KV is one scan result.
-type KV struct {
-	Key   []byte
-	Value []byte
-}
-
 // Scan returns up to limit live keys >= start, merging slab and LSM.
-func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
+func (db *DB) Scan(start []byte, limit int) ([]engine.KV, error) {
 	type sref struct {
 		key []byte
 		l   loc
@@ -295,23 +293,23 @@ func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
 
 	it := db.lsm.NewScanIter(start, device.Fg)
 	defer it.Close()
-	out := make([]KV, 0, limit)
+	out := make([]engine.KV, 0, limit)
 	si := 0
-	readSlab := func(r sref) ([]byte, bool) {
+	// appendSlab reads srefs[si]'s slot. A slot a racing migration re-used is
+	// skipped; a device error is the scan's error, as it is Get's.
+	appendSlab := func() error {
+		r := srefs[si]
+		if r.l.tomb {
+			return nil
+		}
 		page, err := db.readSlotPage(int(r.l.class), r.l.page, device.Fg)
 		if err != nil {
-			return nil, false
+			return err
 		}
-		sf := db.slabs[r.l.class]
-		off := int(r.l.slot) * sf.slotSize
-		if off+sf.slotSize > len(page) {
-			return nil, false
+		if v, ok := db.slotValue(page, r.l, r.key); ok {
+			out = append(out, engine.KV{Key: r.key, Value: v})
 		}
-		_, tomb, k, v, err := decodeSlot(page[off : off+sf.slotSize])
-		if err != nil || tomb || !bytes.Equal(k, r.key) {
-			return nil, false
-		}
-		return bytes.Clone(v), true
+		return nil
 	}
 	for len(out) < limit {
 		var sk []byte
@@ -321,23 +319,16 @@ func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
 		switch {
 		case sk == nil && !it.Valid():
 			return out, it.Err()
-		case sk != nil && (!it.Valid() || bytes.Compare(sk, it.Key()) < 0):
-			if !srefs[si].l.tomb {
-				if v, ok := readSlab(srefs[si]); ok {
-					out = append(out, KV{Key: sk, Value: v})
-				}
+		case sk != nil && (!it.Valid() || bytes.Compare(sk, it.Key()) <= 0):
+			if err := appendSlab(); err != nil {
+				return nil, err
+			}
+			if it.Valid() && bytes.Equal(sk, it.Key()) {
+				it.Next() // the slab copy shadows the tree's
 			}
 			si++
-		case sk != nil && bytes.Equal(sk, it.Key()):
-			if !srefs[si].l.tomb {
-				if v, ok := readSlab(srefs[si]); ok {
-					out = append(out, KV{Key: sk, Value: v})
-				}
-			}
-			si++
-			it.Next()
 		default:
-			out = append(out, KV{Key: bytes.Clone(it.Key()), Value: bytes.Clone(it.Value())})
+			out = append(out, engine.KV{Key: bytes.Clone(it.Key()), Value: bytes.Clone(it.Value())})
 			it.Next()
 		}
 	}
@@ -448,7 +439,7 @@ func (db *DB) MigrateOnce() (int, error) {
 	}
 	// Victims were collected in key order (with at most one wrap); sort the
 	// wrapped tail into place for the LSM ingest.
-	sortEntries(entries)
+	slices.SortStableFunc(entries, func(a, b leveled.Entry) int { return bytes.Compare(a.Key.User, b.Key.User) })
 	// Backpressure: when the SATA LSM has L0 debt, the migration thread
 	// helps compact before ingesting more — otherwise a sustained uniform
 	// write load grows L0 without bound (and stalls client writes anyway,
@@ -485,14 +476,6 @@ func (db *DB) MigrateOnce() (int, error) {
 	return demoted, nil
 }
 
-func sortEntries(es []leveled.Entry) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && bytes.Compare(es[j].Key.User, es[j-1].Key.User) < 0; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
-}
-
 func (db *DB) migrationWorker() {
 	defer db.wg.Done()
 	t := time.NewTicker(db.opts.BackgroundInterval)
@@ -505,6 +488,9 @@ func (db *DB) migrationWorker() {
 		}
 		for db.usedFraction() >= db.opts.HighWatermark {
 			n, err := db.MigrateOnce()
+			if err != nil {
+				db.lsm.NoteBackgroundError(err)
+			}
 			if err != nil || n == 0 {
 				break
 			}
@@ -520,32 +506,20 @@ func (db *DB) migrationWorker() {
 	}
 }
 
-func (db *DB) compactionWorker() {
-	defer db.wg.Done()
-	t := time.NewTicker(db.opts.BackgroundInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-db.stopC:
-			return
-		case <-t.C:
-		}
-		for {
-			did, err := db.lsm.CompactOnce(device.Bg)
-			if err != nil || !did {
-				break
-			}
-			select {
-			case <-db.stopC:
-				return
-			default:
-			}
-		}
+// BackgroundStep demotes one batch of cold objects and runs at most one
+// compaction.
+func (db *DB) BackgroundStep() error {
+	if _, err := db.MigrateOnce(); err != nil {
+		return err
 	}
+	_, err := db.lsm.CompactOnce(device.Bg)
+	return err
 }
 
-// Drain migrates and compacts until quiescent (harness use).
-func (db *DB) Drain() error {
+// DrainBackground migrates down to the low watermark and compacts until
+// quiescent, then reports what the background workers failed at since the
+// last drain.
+func (db *DB) DrainBackground() error {
 	for db.usedFraction() >= db.opts.LowWatermark {
 		n, err := db.MigrateOnce()
 		if err != nil {
@@ -555,20 +529,7 @@ func (db *DB) Drain() error {
 			break
 		}
 	}
-	for {
-		did, err := db.lsm.CompactOnce(device.Bg)
-		if err != nil {
-			return err
-		}
-		if did {
-			continue
-		}
-		if db.lsm.Quiesced() {
-			return nil
-		}
-		// A background thread holds the remaining work; yield and re-check.
-		time.Sleep(time.Millisecond)
-	}
+	return db.lsm.Drain()
 }
 
 // LSM exposes the SATA tree for harness inspection.

@@ -24,11 +24,9 @@ import (
 	"hyperdb/internal/cache"
 	"hyperdb/internal/compress"
 	"hyperdb/internal/device"
+	"hyperdb/internal/engine"
 	"hyperdb/internal/stats"
 )
-
-// ErrNotFound is returned for missing or deleted keys.
-var ErrNotFound = fmt.Errorf("prismish: not found")
 
 // ErrTooLarge reports an object over the page size.
 var ErrTooLarge = fmt.Errorf("prismish: object exceeds page size")
@@ -152,8 +150,13 @@ type DB struct {
 	closed         atomic.Bool
 }
 
-// Open builds the engine.
-func Open(opts Options) (*DB, error) {
+var _ engine.Engine = (*DB)(nil)
+
+// newDB is the part of construction Open and Recover share: the struct, the
+// DRAM cache, the slab files (openSlab creates or reopens one) and the SATA
+// tree, which openLSM builds from the engine's leveled options.
+func newDB(opts Options, openSlab func(name string) (*device.File, error),
+	openLSM func(leveled.Options) (*leveled.LSM, error)) (*DB, error) {
 	if opts.NVMe == nil || opts.SATA == nil {
 		return nil, fmt.Errorf("prismish: both devices required")
 	}
@@ -164,20 +167,18 @@ func Open(opts Options) (*DB, error) {
 		index: btree.New[loc](),
 		stopC: make(chan struct{}),
 	}
+	ps := int64(opts.NVMe.PageSize())
 	for _, c := range classes {
-		f, err := opts.NVMe.Create(fmt.Sprintf("prismish-slab%d", c))
+		f, err := openSlab(fmt.Sprintf("prismish-slab%d", c))
 		if err != nil {
 			return nil, err
 		}
-		spp := opts.NVMe.PageSize() / c
-		if spp < 1 {
-			spp = 1
-		}
 		db.slabs = append(db.slabs, &slabFile{
-			f: f, slotSize: c, slotsPerPage: spp,
+			f: f, slotSize: c, slotsPerPage: max(int(ps)/c, 1),
+			nextPage: uint32((f.Size() + ps - 1) / ps),
 		})
 	}
-	l, err := leveled.New(leveled.Options{
+	l, err := openLSM(leveled.Options{
 		Name:      "prismish",
 		Place:     func(int, int64) *device.Device { return opts.SATA },
 		FileSize:  opts.FileSize,
@@ -191,14 +192,31 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.lsm = l
-	if !opts.DisableBackground {
-		db.wg.Add(1)
-		go db.migrationWorker()
-		for i := 0; i < opts.BackgroundThreads; i++ {
-			db.wg.Add(1)
-			go db.compactionWorker()
-		}
+	return db, nil
+}
+
+// startWorkers launches the migration thread and the compaction pool.
+func (db *DB) startWorkers() {
+	if db.opts.DisableBackground {
+		return
 	}
+	db.wg.Add(1 + db.opts.BackgroundThreads)
+	go db.migrationWorker()
+	for i := 0; i < db.opts.BackgroundThreads; i++ {
+		go func() {
+			defer db.wg.Done()
+			db.lsm.RunCompactor(db.stopC, nil, db.opts.BackgroundInterval)
+		}()
+	}
+}
+
+// Open builds the engine.
+func Open(opts Options) (*DB, error) {
+	db, err := newDB(opts, opts.NVMe.Create, leveled.New)
+	if err != nil {
+		return nil, err
+	}
+	db.startWorkers()
 	return db, nil
 }
 

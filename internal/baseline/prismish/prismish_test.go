@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hyperdb/internal/device"
+	"hyperdb/internal/engine"
 )
 
 func open(t testing.TB, nvmeCap int64) (*DB, *device.Device, *device.Device) {
@@ -52,7 +53,7 @@ func TestBasicOps(t *testing.T) {
 		}
 	}
 	db.Delete(k8(3 << 32))
-	if _, err := db.Get(k8(3 << 32)); !errors.Is(err, ErrNotFound) {
+	if _, err := db.Get(k8(3 << 32)); !errors.Is(err, engine.ErrNotFound) {
 		t.Fatalf("deleted: %v", err)
 	}
 }
@@ -200,6 +201,35 @@ func TestScanAcrossTiers(t *testing.T) {
 		if bytes.Compare(kvs[i-1].Key, kvs[i].Key) >= 0 {
 			t.Fatal("scan out of order")
 		}
+	}
+}
+
+// TestScanSurfacesDeviceError: a faulted NVMe read must fail the scan, as it
+// fails Get, instead of silently dropping the live key whose page it was.
+func TestScanSurfacesDeviceError(t *testing.T) {
+	// No DRAM cache to speak of, so the scan has to read the device.
+	nvme := device.New(device.UnthrottledProfile("nvme", 32<<20))
+	db, err := Open(Options{
+		NVMe: nvme, SATA: device.New(device.UnthrottledProfile("sata", 1<<30)),
+		CacheBytes: 1, DisableBackground: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := uint64(0); i < 400; i++ {
+		if err := db.Put(k8(i<<32), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nvme.InjectFaults(device.FaultPlan{FailReadAfter: 1})
+	kvs, err := db.Scan(k8(0), 100)
+	if !errors.Is(err, device.ErrInjected) {
+		t.Fatalf("scan over a faulted read: %d results, err = %v", len(kvs), err)
+	}
+	nvme.ClearFaults()
+	if kvs, err = db.Scan(k8(0), 100); err != nil || len(kvs) != 100 {
+		t.Fatalf("scan after the fault cleared: %d results, err = %v", len(kvs), err)
 	}
 }
 

@@ -2,12 +2,9 @@ package prismish
 
 import (
 	"bytes"
-	"fmt"
 	"sort"
 
 	"hyperdb/internal/baseline/leveled"
-	"hyperdb/internal/btree"
-	"hyperdb/internal/cache"
 	"hyperdb/internal/device"
 	"hyperdb/internal/keys"
 )
@@ -21,51 +18,20 @@ import (
 // leftover from a completed migration — its slot is freed, since the
 // migration's slot-free bookkeeping also lived only in memory.
 func Recover(opts Options) (*DB, error) {
-	if opts.NVMe == nil || opts.SATA == nil {
-		return nil, fmt.Errorf("prismish: both devices required")
-	}
-	opts.fill()
-	db := &DB{
-		opts:  opts,
-		dram:  cache.NewLRU(opts.CacheBytes, nil),
-		index: btree.New[loc](),
-		stopC: make(chan struct{}),
-	}
-	ps := opts.NVMe.PageSize()
-	for _, c := range classes {
-		name := fmt.Sprintf("prismish-slab%d", c)
-		f, err := opts.NVMe.Open(name)
-		if err != nil {
-			f, err = opts.NVMe.Create(name)
-			if err != nil {
-				return nil, err
-			}
+	var maxSeq uint64
+	db, err := newDB(opts, func(name string) (*device.File, error) {
+		if f, err := opts.NVMe.Open(name); err == nil {
+			return f, nil
 		}
-		spp := ps / c
-		if spp < 1 {
-			spp = 1
-		}
-		db.slabs = append(db.slabs, &slabFile{
-			f: f, slotSize: c, slotsPerPage: spp,
-			nextPage: uint32((f.Size() + int64(ps) - 1) / int64(ps)),
-		})
-	}
-
-	l, lsmSeq, err := leveled.Recover(leveled.Options{
-		Name:      "prismish",
-		Place:     func(int, int64) *device.Device { return opts.SATA },
-		FileSize:  opts.FileSize,
-		L1Target:  opts.L1Target,
-		Ratio:     opts.Ratio,
-		MaxLevels: opts.MaxLevels,
-		PageCache: db.dram,
-		Compress:  opts.Compress,
-	}, opts.SATA)
+		return opts.NVMe.Create(name)
+	}, func(lo leveled.Options) (l *leveled.LSM, err error) {
+		l, maxSeq, err = leveled.Recover(lo, opts.SATA)
+		return l, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	db.lsm = l
-	maxSeq := lsmSeq
+	ps := opts.NVMe.PageSize()
 
 	type cand struct {
 		key  []byte
@@ -134,13 +100,6 @@ func Recover(opts Options) (*DB, error) {
 	}
 	db.seq.Store(maxSeq)
 
-	if !opts.DisableBackground {
-		db.wg.Add(1)
-		go db.migrationWorker()
-		for i := 0; i < opts.BackgroundThreads; i++ {
-			db.wg.Add(1)
-			go db.compactionWorker()
-		}
-	}
+	db.startWorkers()
 	return db, nil
 }

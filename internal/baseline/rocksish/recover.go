@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"hyperdb/internal/baseline/leveled"
-	"hyperdb/internal/cache"
 	"hyperdb/internal/device"
 	"hyperdb/internal/keys"
 	"hyperdb/internal/skiplist"
@@ -21,48 +20,14 @@ import (
 // the next recovery replays records whose sequence numbers already exist in
 // the LSM, which is idempotent.
 func Recover(opts Options) (*DB, error) {
-	if opts.NVMe == nil || opts.SATA == nil {
-		return nil, fmt.Errorf("rocksish: both devices required")
-	}
-	opts.fill()
-	db := &DB{
-		opts:     opts,
-		mem:      skiplist.New(),
-		stop:     make(chan struct{}),
-		flushC:   make(chan struct{}, 1),
-		compactC: make(chan struct{}, 1),
-		flushed:  make(chan struct{}),
-	}
-
-	if opts.SecondaryCache {
-		// Flash-cache contents are not durable state: drop any leftover
-		// cache file and start the cache cold.
-		opts.NVMe.Remove("rocksish-sc")
-		budget := opts.NVMe.Capacity() * 9 / 10
-		fl, err := cache.NewFlash(opts.NVMe, "rocksish-sc", budget)
-		if err != nil {
-			return nil, err
-		}
-		db.bc = cache.NewTiered(opts.CacheBytes, fl)
-	} else {
-		db.bc = cache.NewLRU(opts.CacheBytes, nil)
-	}
-
-	l, lsmSeq, err := leveled.Recover(leveled.Options{
-		Name:      "rocksish",
-		Place:     db.place,
-		Fallback:  opts.SATA,
-		FileSize:  opts.FileSize,
-		L1Target:  opts.L1Target,
-		Ratio:     opts.Ratio,
-		MaxLevels: opts.MaxLevels,
-		PageCache: db.bc,
-		Compress:  opts.Compress,
-	}, opts.NVMe, opts.SATA)
+	var lsmSeq uint64
+	db, err := newDB(opts, func(lo leveled.Options) (l *leveled.LSM, err error) {
+		l, lsmSeq, err = leveled.Recover(lo, opts.NVMe, opts.SATA)
+		return l, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	db.lsm = l
 
 	walDev := opts.walDevice()
 	var gens []int
@@ -125,14 +90,7 @@ func Recover(opts Options) (*DB, error) {
 	}
 	db.seq.Store(walSeq)
 
-	if !opts.DisableBackground {
-		db.wg.Add(1)
-		go db.flushWorker()
-		for i := 0; i < opts.BackgroundThreads; i++ {
-			db.wg.Add(1)
-			go db.compactionWorker()
-		}
-	}
+	db.startWorkers()
 	return db, nil
 }
 

@@ -12,6 +12,7 @@
 package rocksish
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -22,13 +23,11 @@ import (
 	"hyperdb/internal/cache"
 	"hyperdb/internal/compress"
 	"hyperdb/internal/device"
+	"hyperdb/internal/engine"
 	"hyperdb/internal/keys"
 	"hyperdb/internal/skiplist"
 	"hyperdb/internal/wal"
 )
-
-// ErrNotFound is returned for missing or deleted keys.
-var ErrNotFound = fmt.Errorf("rocksish: not found")
 
 // Options configures the engine.
 type Options struct {
@@ -99,8 +98,12 @@ type DB struct {
 	closed   atomic.Bool
 }
 
-// Open builds the engine.
-func Open(opts Options) (*DB, error) {
+var _ engine.Engine = (*DB)(nil)
+
+// newDB is the part of construction Open and Recover share: the struct, the
+// block cache, and the tree, which openLSM builds from the engine's leveled
+// options (fresh, or recovered from the devices).
+func newDB(opts Options, openLSM func(leveled.Options) (*leveled.LSM, error)) (*DB, error) {
 	if opts.NVMe == nil || opts.SATA == nil {
 		return nil, fmt.Errorf("rocksish: both devices required")
 	}
@@ -115,7 +118,10 @@ func Open(opts Options) (*DB, error) {
 	}
 
 	if opts.SecondaryCache {
-		// Flash cache over most of the NVMe device.
+		// Flash cache over most of the NVMe device. Its contents are not
+		// durable state: a cache file left by a crashed instance is dropped
+		// and the cache starts cold.
+		opts.NVMe.Remove("rocksish-sc")
 		budget := opts.NVMe.Capacity() * 9 / 10
 		fl, err := cache.NewFlash(opts.NVMe, "rocksish-sc", budget)
 		if err != nil {
@@ -126,7 +132,7 @@ func Open(opts Options) (*DB, error) {
 		db.bc = cache.NewLRU(opts.CacheBytes, nil)
 	}
 
-	l, err := leveled.New(leveled.Options{
+	l, err := openLSM(leveled.Options{
 		Name:      "rocksish",
 		Place:     db.place,
 		Fallback:  opts.SATA,
@@ -141,21 +147,34 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.lsm = l
+	return db, nil
+}
 
-	w, err := wal.Open(opts.walDevice(), "rocksish-wal-0")
+// startWorkers launches the flush thread and the compaction pool.
+func (db *DB) startWorkers() {
+	if db.opts.DisableBackground {
+		return
+	}
+	db.wg.Add(1 + db.opts.BackgroundThreads)
+	go db.flushWorker()
+	for i := 0; i < db.opts.BackgroundThreads; i++ {
+		go func() {
+			defer db.wg.Done()
+			db.lsm.RunCompactor(db.stop, db.compactC, db.opts.BackgroundInterval)
+		}()
+	}
+}
+
+// Open builds the engine.
+func Open(opts Options) (*DB, error) {
+	db, err := newDB(opts, leveled.New)
 	if err != nil {
 		return nil, err
 	}
-	db.memWAL = w
-
-	if !opts.DisableBackground {
-		db.wg.Add(1)
-		go db.flushWorker()
-		for i := 0; i < opts.BackgroundThreads; i++ {
-			db.wg.Add(1)
-			go db.compactionWorker()
-		}
+	if db.memWAL, err = wal.Open(db.opts.walDevice(), "rocksish-wal-0"); err != nil {
+		return nil, err
 	}
+	db.startWorkers()
 	return db, nil
 }
 
@@ -288,18 +307,10 @@ func (db *DB) maybeRotateLocked() error {
 			}
 			db.mu.Lock()
 		}
-		db.imm = db.mem
-		db.mem = skiplist.New()
-		db.walGen++
-		nw, err := wal.Open(db.opts.walDevice(), fmt.Sprintf("rocksish-wal-%d", db.walGen))
-		if err != nil {
+		if err := db.rotateLocked(); err != nil {
 			db.mu.Unlock()
 			return err
 		}
-		db.walMu.Lock()
-		db.immWAL = db.memWAL
-		db.memWAL = nw
-		db.walMu.Unlock()
 		select {
 		case db.flushC <- struct{}{}:
 		default:
@@ -309,24 +320,38 @@ func (db *DB) maybeRotateLocked() error {
 	return nil
 }
 
-// BatchOp is one write in a WriteBatch: a put, or a delete when Delete is
-// set.
-type BatchOp struct {
-	Key    []byte
-	Value  []byte
-	Delete bool
+// rotateLocked makes the memtable immutable and starts a fresh one on the
+// next WAL generation. Caller holds db.mu and has seen db.imm nil.
+func (db *DB) rotateLocked() error {
+	nw, err := wal.Open(db.opts.walDevice(), fmt.Sprintf("rocksish-wal-%d", db.walGen+1))
+	if err != nil {
+		return err
+	}
+	db.walGen++
+	db.imm = db.mem
+	db.mem = skiplist.New()
+	db.walMu.Lock()
+	db.immWAL = db.memWAL
+	db.memWAL = nw
+	db.walMu.Unlock()
+	return nil
 }
 
 // WriteBatch is the group-commit write path: one stall check, one sequence
 // block, one WAL-lock acquisition for all appends, and one memtable lock for
 // all inserts with a single rotation check at the end. Slice order is
 // sequence order, so duplicate keys resolve last-write-wins.
-func (db *DB) WriteBatch(ops []BatchOp) error {
+func (db *DB) WriteBatch(ops []engine.BatchOp) error {
 	if db.closed.Load() {
 		return fmt.Errorf("rocksish: closed")
 	}
 	if len(ops) == 0 {
 		return nil
+	}
+	for i := range ops {
+		if ops[i].Merge {
+			return fmt.Errorf("rocksish: merge op at batch index %d: no merge operator", i)
+		}
 	}
 	db.stallWait()
 	n := uint64(len(ops))
@@ -369,19 +394,11 @@ func (db *DB) MultiGet(keyList [][]byte) ([][]byte, error) {
 
 	out := make([][]byte, len(keyList))
 	for i, key := range keyList {
-		if v, kind, ok := mem.Get(key, keys.MaxSeq); ok {
+		if v, kind, found := memGet(mem, imm, key); found {
 			if kind != keys.KindDelete {
 				out[i] = v
 			}
 			continue
-		}
-		if imm != nil {
-			if v, kind, ok := imm.Get(key, keys.MaxSeq); ok {
-				if kind != keys.KindDelete {
-					out[i] = v
-				}
-				continue
-			}
 		}
 		v, kind, found, err := db.lsm.Get(key, keys.MaxSeq, device.Fg)
 		if err != nil {
@@ -440,36 +457,21 @@ func (db *DB) flushWorker() {
 		case <-db.flushC:
 		case <-t.C:
 		}
-		db.FlushOnce()
-	}
-}
-
-func (db *DB) compactionWorker() {
-	defer db.wg.Done()
-	t := time.NewTicker(db.opts.BackgroundInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-db.stop:
-			return
-		case <-db.compactC:
-		case <-t.C:
-		}
-		for {
-			did, err := db.lsm.CompactOnce(device.Bg)
-			if err != nil || !did {
-				break
-			}
-			select {
-			case <-db.stop:
-				return
-			default:
-			}
+		if err := db.FlushOnce(); err != nil {
+			db.lsm.NoteBackgroundError(err)
 		}
 	}
 }
 
-// Get returns the value for key, or ErrNotFound.
+// memGet looks key up in the memtables, newest first.
+func memGet(mem, imm *skiplist.SkipList, key []byte) (v []byte, kind keys.Kind, found bool) {
+	if v, kind, found = mem.Get(key, keys.MaxSeq); found || imm == nil {
+		return v, kind, found
+	}
+	return imm.Get(key, keys.MaxSeq)
+}
+
+// Get returns the value for key, or engine.ErrNotFound.
 func (db *DB) Get(key []byte) ([]byte, error) {
 	if db.closed.Load() {
 		return nil, fmt.Errorf("rocksish: closed")
@@ -478,39 +480,25 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	mem, imm := db.mem, db.imm
 	db.mu.Unlock()
 
-	if v, kind, ok := mem.Get(key, keys.MaxSeq); ok {
+	if v, kind, found := memGet(mem, imm, key); found {
 		if kind == keys.KindDelete {
-			return nil, ErrNotFound
+			return nil, engine.ErrNotFound
 		}
 		return v, nil
-	}
-	if imm != nil {
-		if v, kind, ok := imm.Get(key, keys.MaxSeq); ok {
-			if kind == keys.KindDelete {
-				return nil, ErrNotFound
-			}
-			return v, nil
-		}
 	}
 	v, kind, found, err := db.lsm.Get(key, keys.MaxSeq, device.Fg)
 	if err != nil {
 		return nil, err
 	}
 	if !found || kind == keys.KindDelete {
-		return nil, ErrNotFound
+		return nil, engine.ErrNotFound
 	}
 	return v, nil
 }
 
-// KV is one scan result.
-type KV struct {
-	Key   []byte
-	Value []byte
-}
-
 // Scan returns up to limit live keys >= start in order, merging memtables
 // with the LSM.
-func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
+func (db *DB) Scan(start []byte, limit int) ([]engine.KV, error) {
 	db.mu.Lock()
 	mem, imm := db.mem, db.imm
 	db.mu.Unlock()
@@ -525,7 +513,7 @@ func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
 		immIt.SeekGE(keys.MakeSearchKey(start, keys.MaxSeq))
 	}
 
-	out := make([]KV, 0, limit)
+	out := make([]engine.KV, 0, limit)
 	for len(out) < limit {
 		// Find the smallest candidate user key across the three sources,
 		// preferring the newest version (mem > imm > lsm).
@@ -535,12 +523,12 @@ func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
 			bestKey, pick = memIt.Key().User, 0
 		}
 		if immIt != nil && immIt.Valid() {
-			if pick < 0 || lessB(immIt.Key().User, bestKey) {
+			if pick < 0 || bytes.Compare(immIt.Key().User, bestKey) < 0 {
 				bestKey, pick = immIt.Key().User, 1
 			}
 		}
 		if lsmIt.Valid() {
-			if pick < 0 || lessB(lsmIt.Key(), bestKey) {
+			if pick < 0 || bytes.Compare(lsmIt.Key(), bestKey) < 0 {
 				bestKey, pick = lsmIt.Key(), 2
 			}
 		}
@@ -561,85 +549,50 @@ func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
 			value = append([]byte(nil), lsmIt.Value()...)
 		}
 		// Advance every source past this user key.
-		for memIt.Valid() && equalB(memIt.Key().User, key) {
+		for memIt.Valid() && bytes.Equal(memIt.Key().User, key) {
 			memIt.Next()
 		}
 		if immIt != nil {
-			for immIt.Valid() && equalB(immIt.Key().User, key) {
+			for immIt.Valid() && bytes.Equal(immIt.Key().User, key) {
 				immIt.Next()
 			}
 		}
-		if lsmIt.Valid() && equalB(lsmIt.Key(), key) {
+		if lsmIt.Valid() && bytes.Equal(lsmIt.Key(), key) {
 			lsmIt.Next()
 		}
 		if !tomb {
-			out = append(out, KV{Key: key, Value: value})
+			out = append(out, engine.KV{Key: key, Value: value})
 		}
 	}
 	return out, lsmIt.Err()
 }
 
-func lessB(a, b []byte) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
-func equalB(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // LSM exposes the underlying leveled tree for harness inspection.
 func (db *DB) LSM() *leveled.LSM { return db.lsm }
 
-// Drain flushes the memtable and compacts until quiescent (harness use).
-func (db *DB) Drain() error {
+// BackgroundStep flushes the immutable memtable, if there is one, and runs
+// at most one compaction.
+func (db *DB) BackgroundStep() error {
+	if err := db.FlushOnce(); err != nil {
+		return err
+	}
+	_, err := db.lsm.CompactOnce(device.Bg)
+	return err
+}
+
+// DrainBackground flushes the memtable and compacts until quiescent, then
+// reports what the background workers failed at since the last drain.
+func (db *DB) DrainBackground() error {
 	db.mu.Lock()
 	if db.imm == nil && db.mem.Len() > 0 {
-		db.imm = db.mem
-		db.mem = skiplist.New()
-		db.walGen++
-		nw, err := wal.Open(db.opts.walDevice(), fmt.Sprintf("rocksish-wal-%d", db.walGen))
-		if err != nil {
+		if err := db.rotateLocked(); err != nil {
 			db.mu.Unlock()
 			return err
 		}
-		db.walMu.Lock()
-		db.immWAL = db.memWAL
-		db.memWAL = nw
-		db.walMu.Unlock()
 	}
 	db.mu.Unlock()
 	if err := db.FlushOnce(); err != nil {
 		return err
 	}
-	for {
-		did, err := db.lsm.CompactOnce(device.Bg)
-		if err != nil {
-			return err
-		}
-		if did {
-			continue
-		}
-		if db.lsm.Quiesced() {
-			return nil
-		}
-		// A background thread holds the remaining work; yield and re-check.
-		time.Sleep(time.Millisecond)
-	}
+	return db.lsm.Drain()
 }

@@ -8,8 +8,10 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"hyperdb/internal/device"
+	"hyperdb/internal/engine"
 )
 
 func open(t testing.TB, sc bool) (*DB, *device.Device, *device.Device) {
@@ -47,7 +49,7 @@ func TestPutGetDeleteFlow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Drain(); err != nil {
+	if err := db.DrainBackground(); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 2000; i++ {
@@ -59,13 +61,13 @@ func TestPutGetDeleteFlow(t *testing.T) {
 	if err := db.Delete(k8(5 << 32)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Get(k8(5 << 32)); !errors.Is(err, ErrNotFound) {
+	if _, err := db.Get(k8(5 << 32)); !errors.Is(err, engine.ErrNotFound) {
 		t.Fatalf("deleted: %v", err)
 	}
-	if err := db.Drain(); err != nil {
+	if err := db.DrainBackground(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Get(k8(5 << 32)); !errors.Is(err, ErrNotFound) {
+	if _, err := db.Get(k8(5 << 32)); !errors.Is(err, engine.ErrNotFound) {
 		t.Fatalf("deleted after drain: %v", err)
 	}
 }
@@ -85,7 +87,7 @@ func TestMemtableRotationAndWALCleanup(t *testing.T) {
 			}
 		}
 	}
-	db.Drain()
+	db.DrainBackground()
 	// Old WALs must have been removed: only the live one remains.
 	walCount := 0
 	for _, name := range nvme.List() {
@@ -122,10 +124,10 @@ func TestEmbeddingPlacesTopLevelsOnNVMe(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%500 == 0 {
-			db.Drain()
+			db.DrainBackground()
 		}
 	}
-	db.Drain()
+	db.DrainBackground()
 	if nvme.Counters().WriteBytes.Load() == 0 {
 		t.Fatal("embedding mode wrote nothing to NVMe")
 	}
@@ -148,7 +150,7 @@ func TestSecondaryCacheMode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.Drain()
+	db.DrainBackground()
 	// All tables on SATA in SC mode.
 	for _, name := range sata.List() {
 		_ = name
@@ -173,7 +175,7 @@ func TestScanMergesMemtableAndLSM(t *testing.T) {
 	for i := uint64(0); i < 500; i++ {
 		db.Put(k8(i<<32), []byte(fmt.Sprintf("lsm-%d", i)))
 	}
-	db.Drain()
+	db.DrainBackground()
 	// Fresh writes stay in the memtable.
 	for i := uint64(0); i < 500; i += 10 {
 		db.Put(k8(i<<32), []byte(fmt.Sprintf("mem-%d", i)))
@@ -228,7 +230,7 @@ func TestConcurrentWriters(t *testing.T) {
 		}(uint64(w))
 	}
 	wg.Wait()
-	if err := db.Drain(); err != nil {
+	if err := db.DrainBackground(); err != nil {
 		t.Fatal(err)
 	}
 	for w := uint64(0); w < 8; w++ {
@@ -239,5 +241,49 @@ func TestConcurrentWriters(t *testing.T) {
 				t.Fatalf("get w%d-%d: %q %v", w, i, v, err)
 			}
 		}
+	}
+}
+
+// TestFlushWorkerErrorReachesDrain runs with the workers on over a SATA
+// device whose next write fails once. Only the flush thread writes there
+// (every level is placed on SATA, the WAL is on NVMe), so the fault kills a
+// background flush; the retry succeeds, and the next DrainBackground still
+// reports the failure.
+func TestFlushWorkerErrorReachesDrain(t *testing.T) {
+	nvme := device.New(device.UnthrottledProfile("nvme", 2<<20))
+	sata := device.New(device.UnthrottledProfile("sata", 1<<30))
+	db, err := Open(Options{
+		NVMe: nvme, SATA: sata,
+		MemtableBytes:      512 << 10, // two memtables outgrow the NVMe level budget
+		FileSize:           64 << 10,
+		BackgroundThreads:  1,
+		BackgroundInterval: time.Hour, // the flush thread runs only when woken
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	sata.InjectFaults(device.FaultPlan{FailWriteAfter: 1})
+	for i := uint64(0); db.imm == nil; i++ { // single writer: imm is ours to read until it is set
+		if err := db.Put(k8(i), make([]byte, 1024)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The rotation left one wake-up in flushC. The second send below returns
+	// once the thread has come back for the first, i.e. after the flush the
+	// rotation asked for has run and failed.
+	db.flushC <- struct{}{}
+	db.flushC <- struct{}{}
+	if err := db.DrainBackground(); !errors.Is(err, device.ErrInjected) {
+		t.Fatalf("drain after a failed background flush = %v, want the injected fault", err)
+	}
+	if err := db.DrainBackground(); err != nil {
+		t.Fatalf("second drain = %v, want nil", err)
+	}
+	if len(nvme.List()) != 1 { // the live WAL; no table was placed here
+		t.Fatalf("NVMe holds %v, want only the live WAL", nvme.List())
+	}
+	if _, err := db.Get(k8(0)); err != nil {
+		t.Fatalf("get after the retried flush: %v", err)
 	}
 }

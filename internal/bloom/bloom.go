@@ -52,8 +52,8 @@ func New(n int, bitsPerKey int) *Filter {
 
 // Hash64 is the FNV-1a key hash every probe derives from. It is exported
 // so hot paths can hash a key once and share the result between the stripe
-// choice, the filter probes (AddHash/ContainsHash) and the frequency-sketch
-// probes, instead of rescanning the key per structure.
+// choice and the filter probes (AddHash/ContainsHash), instead of rescanning
+// the key per structure.
 func Hash64(key []byte) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)

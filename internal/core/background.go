@@ -201,6 +201,20 @@ func (db *DB) CompactionStep(pid int) (bool, error) {
 	return db.parts[pid].tree.MaybeCompact(device.Bg)
 }
 
+// BackgroundStep runs one migration pass and at most one compaction on every
+// partition: the unit a crash test steps the engine by.
+func (db *DB) BackgroundStep() error {
+	for pid := range db.parts {
+		if err := db.MigrationStep(pid); err != nil {
+			return err
+		}
+		if _, err := db.CompactionStep(pid); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // DrainBackground runs migration and compaction across all partitions until
 // the system is quiescent: NVMe below the low watermark (or nothing left to
 // demote) and no compaction debt. Benchmarks call this to flush background

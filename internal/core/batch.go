@@ -5,24 +5,13 @@ import (
 	"fmt"
 
 	"hyperdb/internal/device"
+	"hyperdb/internal/engine"
 	"hyperdb/internal/keys"
 	"hyperdb/internal/zone"
 )
 
-// BatchOp is one write in a WriteBatch: a put, a delete when Delete is set
-// (Value is ignored), or a counter merge when Merge is set — Delta is added
-// to the key's current counter value (missing key = 0, non-counter value =
-// ErrNotCounter) and the op commits the post-merge value. After a
-// successful WriteBatchSeq the engine has rewritten each merge op's Value
-// to its canonical 8-byte post-merge encoding, so callers can read results
-// out of their own slice. Merge and Delete are mutually exclusive.
-type BatchOp struct {
-	Key    []byte
-	Value  []byte
-	Delete bool
-	Merge  bool
-	Delta  int64
-}
+// BatchOp is one write in a WriteBatch; see engine.BatchOp.
+type BatchOp = engine.BatchOp
 
 // WriteBatch applies ops with batch-grouped amortisation: keys are grouped
 // per partition, each group takes the tracker and zone locks once, and the

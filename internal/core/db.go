@@ -9,6 +9,7 @@ import (
 
 	"hyperdb/internal/cache"
 	"hyperdb/internal/device"
+	"hyperdb/internal/engine"
 	"hyperdb/internal/hotness"
 	"hyperdb/internal/keys"
 	"hyperdb/internal/lsm"
@@ -20,7 +21,9 @@ import (
 var ErrClosed = errors.New("hyperdb: closed")
 
 // ErrNotFound is returned by Get for missing or deleted keys.
-var ErrNotFound = errors.New("hyperdb: not found")
+var ErrNotFound = engine.ErrNotFound
+
+var _ engine.Engine = (*DB)(nil)
 
 // ErrFollower is returned by foreground writes on a DB opened in follower
 // mode: replicas accept writes only through the replication apply path

@@ -160,9 +160,9 @@ func (o *Options) fill() {
 		// over fast enough for hot classification to engage.
 		//
 		// Only MaxFilters is needed here; the full Tracker.Fill() runs inside
-		// NewTracker *after* this derivation, so mode-dependent defaults (the
-		// sketch width in particular) see the real WindowCapacity rather than
-		// a placeholder.
+		// NewTracker *after* this derivation, so the defaults it derives from
+		// WindowCapacity (the stripe count) see the real value rather than a
+		// placeholder.
 		mf := o.Tracker.MaxFilters
 		if mf <= 0 {
 			mf = 4

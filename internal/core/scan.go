@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"hyperdb/internal/device"
+	"hyperdb/internal/engine"
 	"hyperdb/internal/keys"
 	"hyperdb/internal/zone"
 )
@@ -18,10 +19,7 @@ func kindOf(tombstone bool) keys.Kind {
 }
 
 // KV is one scan result.
-type KV struct {
-	Key   []byte
-	Value []byte
-}
+type KV = engine.KV
 
 // Scan returns up to limit live key-value pairs with key >= start, in key
 // order, merging the performance and capacity tiers. Per §4.2 the zone tier

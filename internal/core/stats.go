@@ -160,7 +160,6 @@ func (s Stats) String() string {
 	b.WriteByte('\n')
 	if len(s.Trackers) > 0 {
 		var agg hotness.Stats
-		agg.Mode = s.Trackers[0].Mode
 		var mem int64
 		for _, t := range s.Trackers {
 			agg.Seals += t.Seals
@@ -171,8 +170,8 @@ func (s Stats) String() string {
 			}
 			mem += t.MemoryBytes
 		}
-		fmt.Fprintf(&b, "hotness[%s]: mem=%s seals=%d depth=%d records=%d hot=%d (%.2f%%)\n",
-			agg.Mode, stats.FormatBytes(uint64(mem)), agg.Seals, agg.CascadeDepth,
+		fmt.Fprintf(&b, "hotness: mem=%s seals=%d depth=%d records=%d hot=%d (%.2f%%)\n",
+			stats.FormatBytes(uint64(mem)), agg.Seals, agg.CascadeDepth,
 			agg.Records, agg.HotHits, 100*agg.HotRate())
 	}
 	return b.String()

@@ -28,6 +28,7 @@ import (
 
 	"hyperdb/internal/core"
 	"hyperdb/internal/device"
+	"hyperdb/internal/engine"
 )
 
 type opKind uint8
@@ -235,7 +236,7 @@ func runCycle(c cycleConfig) (violation string, crashed bool) {
 				if !s.present || s.cur != string(v) {
 					return fmt.Sprintf("live get op %d: %s returned %dB, model %v", i, o.key, len(v), s.present), crashed
 				}
-			case errors.Is(err, ErrNotFound):
+			case errors.Is(err, engine.ErrNotFound):
 				if s.present {
 					return fmt.Sprintf("live get op %d: %s missing, model has %dB", i, o.key, len(s.cur)), crashed
 				}
@@ -252,7 +253,7 @@ func runCycle(c cycleConfig) (violation string, crashed bool) {
 				return fmt.Sprintf("trace bug: incr target %s holds a non-counter model value", o.key), crashed
 			}
 			want := core.SatAdd(base, o.delta)
-			v, err := eng.Incr([]byte(o.key), o.delta)
+			v, err := incr(eng, []byte(o.key), o.delta)
 			switch {
 			case err == nil:
 				if v != want {
@@ -261,7 +262,7 @@ func runCycle(c cycleConfig) (violation string, crashed bool) {
 				enc := string(core.EncodeCounter(want))
 				s.present, s.cur = true, enc
 				s.history[enc] = true
-			case errors.Is(err, ErrNotCounter):
+			case errors.Is(err, core.ErrNotCounter):
 				// Never legal here: the keyspaces are disjoint, so a
 				// non-counter base means the engine corrupted the value.
 				return fmt.Sprintf("live incr op %d: %s rejected as non-counter: %v", i, o.key, err), crashed
@@ -276,7 +277,7 @@ func runCycle(c cycleConfig) (violation string, crashed bool) {
 			// A failed background step crashes the system mid-flush/
 			// migration/compaction. No client op is in flight, so every
 			// acknowledged write must still be durable.
-			if err := eng.Step(); err != nil {
+			if err := eng.BackgroundStep(); err != nil {
 				crashed = true
 			}
 		}
@@ -299,7 +300,7 @@ func runCycle(c cycleConfig) (violation string, crashed bool) {
 	// Point reads against the model.
 	for k, s := range m {
 		v, err := reng.Get([]byte(k))
-		if err != nil && !errors.Is(err, ErrNotFound) {
+		if err != nil && !errors.Is(err, engine.ErrNotFound) {
 			return fmt.Sprintf("post-crash get %s: %v", k, err), crashed
 		}
 		present := err == nil
@@ -350,7 +351,7 @@ func runCycle(c cycleConfig) (violation string, crashed bool) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		if err := reng.Step(); err != nil {
+		if err := reng.BackgroundStep(); err != nil {
 			return fmt.Sprintf("post-recovery step %d: %v", i, err), crashed
 		}
 	}

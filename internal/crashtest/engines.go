@@ -8,6 +8,7 @@ import (
 	"hyperdb/internal/compress"
 	"hyperdb/internal/core"
 	"hyperdb/internal/device"
+	"hyperdb/internal/engine"
 )
 
 // crashCompress is the codec policy every engine runs its crash cycles
@@ -24,52 +25,30 @@ type Config struct {
 	SATA *device.Device
 }
 
-// ErrNotFound is the harness's uniform missing-key error; adapters map each
-// engine's sentinel onto it.
-var ErrNotFound = errors.New("crashtest: not found")
-
-// ErrNotCounter is the harness's uniform counter-type error: an Incr landed
-// on a value that is not a canonical 8-byte counter.
-var ErrNotCounter = errors.New("crashtest: not a counter")
-
-// KV is one scan result.
-type KV struct {
-	Key   []byte
-	Value []byte
-}
-
-// Engine is the uniform surface the harness drives. Step runs one bounded
-// round of background work (flush, migration, compaction) so crashes land
-// inside those code paths deterministically.
-type Engine interface {
-	Put(key, value []byte) error
-	Delete(key []byte) error
-	Get(key []byte) ([]byte, error)
-	// Incr adds delta to the counter at key (missing = base 0) and returns
-	// the post-merge value. HyperDB routes this through its merge operator;
-	// baselines emulate it with a read-modify-write.
-	Incr(key []byte, delta int64) (int64, error)
-	Scan(start []byte, limit int) ([]KV, error)
-	Step() error
-	Close() error
-}
-
-// rmwIncr emulates a merge for engines without one: read the counter, add
+// incr adds delta to the counter at key (missing = base 0) and returns the
+// post-merge value. Incr is not part of the engine contract — only HyperDB
+// has a merge operator — so an engine that has one uses it, and the
+// baselines emulate it with a read-modify-write: read the counter, add
 // saturating, write the new encoding back. Not atomic, which is fine — the
 // harness drives each engine single-threaded.
-func rmwIncr(get func([]byte) ([]byte, error), put func([]byte, []byte) error, key []byte, delta int64) (int64, error) {
+func incr(e engine.Engine, key []byte, delta int64) (int64, error) {
+	if m, ok := e.(interface {
+		Incr([]byte, int64) (int64, error)
+	}); ok {
+		return m.Incr(key, delta)
+	}
 	var base int64
-	switch cur, err := get(key); {
+	switch cur, err := e.Get(key); {
 	case err == nil:
 		if base, err = core.DecodeCounter(cur); err != nil {
-			return 0, ErrNotCounter
+			return 0, err
 		}
-	case errors.Is(err, ErrNotFound):
+	case errors.Is(err, engine.ErrNotFound):
 	default:
 		return 0, err
 	}
 	v := core.SatAdd(base, delta)
-	if err := put(key, core.EncodeCounter(v)); err != nil {
+	if err := e.Put(key, core.EncodeCounter(v)); err != nil {
 		return 0, err
 	}
 	return v, nil
@@ -81,54 +60,36 @@ type Factory struct {
 	Name    string
 	NVMeCap int64
 	SATACap int64
-	Open    func(Config) (Engine, error)
-	Recover func(Config) (Engine, error)
+	Open    func(Config) (engine.Engine, error)
+	Recover func(Config) (engine.Engine, error)
 }
 
 // Factories returns the three engines under crash test: HyperDB and the two
-// baselines. All run with background workers disabled — the trace's Step ops
-// drive flush/migration/compaction, which keeps every cycle deterministic
-// for a given seed.
+// baselines. All run with background workers disabled — the trace's step ops
+// drive flush/migration/compaction through BackgroundStep, which keeps every
+// cycle deterministic for a given seed.
 func Factories() []Factory {
 	return []Factory{
 		{
 			Name:    "hyperdb",
 			NVMeCap: 64 << 10,
 			SATACap: 1 << 20,
-			Open: func(c Config) (Engine, error) {
-				db, err := core.Open(hyperOpts(c))
-				return &hyperEngine{db}, err
-			},
-			Recover: func(c Config) (Engine, error) {
-				db, err := core.Recover(hyperOpts(c))
-				return &hyperEngine{db}, err
-			},
+			Open:    func(c Config) (engine.Engine, error) { return core.Open(hyperOpts(c)) },
+			Recover: func(c Config) (engine.Engine, error) { return core.Recover(hyperOpts(c)) },
 		},
 		{
 			Name:    "rocksish",
 			NVMeCap: 64 << 10,
 			SATACap: 2 << 20,
-			Open: func(c Config) (Engine, error) {
-				db, err := rocksish.Open(rocksOpts(c))
-				return &rocksEngine{db}, err
-			},
-			Recover: func(c Config) (Engine, error) {
-				db, err := rocksish.Recover(rocksOpts(c))
-				return &rocksEngine{db}, err
-			},
+			Open:    func(c Config) (engine.Engine, error) { return rocksish.Open(rocksOpts(c)) },
+			Recover: func(c Config) (engine.Engine, error) { return rocksish.Recover(rocksOpts(c)) },
 		},
 		{
 			Name:    "prismish",
 			NVMeCap: 64 << 10,
 			SATACap: 1 << 20,
-			Open: func(c Config) (Engine, error) {
-				db, err := prismish.Open(prismOpts(c))
-				return &prismEngine{db}, err
-			},
-			Recover: func(c Config) (Engine, error) {
-				db, err := prismish.Recover(prismOpts(c))
-				return &prismEngine{db}, err
-			},
+			Open:    func(c Config) (engine.Engine, error) { return prismish.Open(prismOpts(c)) },
+			Recover: func(c Config) (engine.Engine, error) { return prismish.Recover(prismOpts(c)) },
 		},
 	}
 }
@@ -147,45 +108,6 @@ func hyperOpts(c Config) core.Options {
 	}
 }
 
-type hyperEngine struct{ db *core.DB }
-
-func (e *hyperEngine) Put(k, v []byte) error { return e.db.Put(k, v) }
-func (e *hyperEngine) Delete(k []byte) error { return e.db.Delete(k) }
-func (e *hyperEngine) Get(k []byte) ([]byte, error) {
-	v, err := e.db.Get(k)
-	if errors.Is(err, core.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return v, err
-}
-func (e *hyperEngine) Incr(k []byte, d int64) (int64, error) {
-	v, err := e.db.Incr(k, d)
-	if errors.Is(err, core.ErrNotCounter) {
-		return 0, ErrNotCounter
-	}
-	return v, err
-}
-func (e *hyperEngine) Scan(start []byte, limit int) ([]KV, error) {
-	kvs, err := e.db.Scan(start, limit)
-	out := make([]KV, len(kvs))
-	for i, kv := range kvs {
-		out[i] = KV{Key: kv.Key, Value: kv.Value}
-	}
-	return out, err
-}
-func (e *hyperEngine) Step() error {
-	for pid := 0; pid < e.db.Partitions(); pid++ {
-		if err := e.db.MigrationStep(pid); err != nil {
-			return err
-		}
-		if _, err := e.db.CompactionStep(pid); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-func (e *hyperEngine) Close() error { return e.db.Close() }
-
 func rocksOpts(c Config) rocksish.Options {
 	return rocksish.Options{
 		NVMe:              c.NVMe,
@@ -200,35 +122,6 @@ func rocksOpts(c Config) rocksish.Options {
 		Compress:          crashCompress,
 	}
 }
-
-type rocksEngine struct{ db *rocksish.DB }
-
-func (e *rocksEngine) Put(k, v []byte) error { return e.db.Put(k, v) }
-func (e *rocksEngine) Delete(k []byte) error { return e.db.Delete(k) }
-func (e *rocksEngine) Get(k []byte) ([]byte, error) {
-	v, err := e.db.Get(k)
-	if errors.Is(err, rocksish.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return v, err
-}
-func (e *rocksEngine) Incr(k []byte, d int64) (int64, error) { return rmwIncr(e.Get, e.Put, k, d) }
-func (e *rocksEngine) Scan(start []byte, limit int) ([]KV, error) {
-	kvs, err := e.db.Scan(start, limit)
-	out := make([]KV, len(kvs))
-	for i, kv := range kvs {
-		out[i] = KV{Key: kv.Key, Value: kv.Value}
-	}
-	return out, err
-}
-func (e *rocksEngine) Step() error {
-	if err := e.db.FlushOnce(); err != nil {
-		return err
-	}
-	_, err := e.db.LSM().CompactOnce(device.Bg)
-	return err
-}
-func (e *rocksEngine) Close() error { return e.db.Close() }
 
 func prismOpts(c Config) prismish.Options {
 	return prismish.Options{
@@ -246,32 +139,3 @@ func prismOpts(c Config) prismish.Options {
 		Compress:          crashCompress,
 	}
 }
-
-type prismEngine struct{ db *prismish.DB }
-
-func (e *prismEngine) Put(k, v []byte) error { return e.db.Put(k, v) }
-func (e *prismEngine) Delete(k []byte) error { return e.db.Delete(k) }
-func (e *prismEngine) Get(k []byte) ([]byte, error) {
-	v, err := e.db.Get(k)
-	if errors.Is(err, prismish.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return v, err
-}
-func (e *prismEngine) Incr(k []byte, d int64) (int64, error) { return rmwIncr(e.Get, e.Put, k, d) }
-func (e *prismEngine) Scan(start []byte, limit int) ([]KV, error) {
-	kvs, err := e.db.Scan(start, limit)
-	out := make([]KV, len(kvs))
-	for i, kv := range kvs {
-		out[i] = KV{Key: kv.Key, Value: kv.Value}
-	}
-	return out, err
-}
-func (e *prismEngine) Step() error {
-	if _, err := e.db.MigrateOnce(); err != nil {
-		return err
-	}
-	_, err := e.db.LSM().CompactOnce(device.Bg)
-	return err
-}
-func (e *prismEngine) Close() error { return e.db.Close() }

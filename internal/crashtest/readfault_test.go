@@ -1,11 +1,13 @@
 package crashtest
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"hyperdb/internal/device"
+	"hyperdb/internal/engine"
 )
 
 // TestRecoverReadFaultFailsClosed arms a read fault during recovery itself.
@@ -33,10 +35,10 @@ func TestRecoverReadFaultFailsClosed(t *testing.T) {
 				case opDelete:
 					err = eng.Delete([]byte(o.key))
 				case opStep:
-					err = eng.Step()
+					err = eng.BackgroundStep()
 				default:
 					_, gerr := eng.Get([]byte(o.key))
-					if gerr != nil && gerr != ErrNotFound {
+					if gerr != nil && !errors.Is(gerr, engine.ErrNotFound) {
 						err = gerr
 					}
 				}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hyperdb/internal/device"
+	"hyperdb/internal/engine"
 )
 
 // tableCoord names a capacity-tier table slot; generations of one slot
@@ -28,7 +29,7 @@ func tableGens(sata *device.Device) map[tableCoord][]uint64 {
 
 // rewriteRun replays trace against a fresh hyperdb engine up to (not
 // including) op stop, tracking acked state; stop < 0 replays nothing.
-func rewriteRun(t *testing.T, f Factory, trace []op, stop int) (Engine, Config, map[string]string) {
+func rewriteRun(t *testing.T, f Factory, trace []op, stop int) (engine.Engine, Config, map[string]string) {
 	t.Helper()
 	cfg := Config{
 		NVMe: device.New(device.UnthrottledProfile("nvme", f.NVMeCap)),
@@ -45,7 +46,7 @@ func rewriteRun(t *testing.T, f Factory, trace []op, stop int) (Engine, Config, 
 	return eng, cfg, acked
 }
 
-func applyOp(t *testing.T, eng Engine, o op, acked map[string]string) {
+func applyOp(t *testing.T, eng engine.Engine, o op, acked map[string]string) {
 	t.Helper()
 	var err error
 	switch o.kind {
@@ -58,7 +59,7 @@ func applyOp(t *testing.T, eng Engine, o op, acked map[string]string) {
 			delete(acked, o.key)
 		}
 	case opStep:
-		err = eng.Step()
+		err = eng.BackgroundStep()
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", o, err)
@@ -120,7 +121,7 @@ func TestRewriteCrashAtEveryWrite(t *testing.T) {
 		}
 		when := fmt.Sprintf("%s write %d of step %d", name, n, step)
 		dev.InjectFaults(device.FaultPlan{Seed: n, FailWriteAfter: n, TornWrites: n%2 == 0})
-		if err := eng.Step(); !errors.Is(err, device.ErrInjected) && (err != nil || n <= writes) {
+		if err := eng.BackgroundStep(); !errors.Is(err, device.ErrInjected) && (err != nil || n <= writes) {
 			t.Fatalf("%s of %d: step returned %v", when, writes, err)
 		}
 		cfg.NVMe.PowerCut()
@@ -142,7 +143,7 @@ func TestRewriteCrashAtEveryWrite(t *testing.T) {
 			}
 		}
 		for i := 0; i < 2; i++ {
-			if err := reng.Step(); err != nil {
+			if err := reng.BackgroundStep(); err != nil {
 				t.Fatalf("%s: step after recovery: %v", when, err)
 			}
 		}

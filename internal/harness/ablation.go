@@ -5,7 +5,7 @@ import (
 	"io"
 
 	"hyperdb"
-	"hyperdb/internal/device"
+	"hyperdb/internal/core"
 	"hyperdb/internal/ycsb"
 )
 
@@ -38,33 +38,16 @@ func Ablation(s Scale, progress io.Writer) (*Table, error) {
 	}
 
 	for _, v := range variants {
-		cfg := s.config()
-		var nvme, sata *device.Device
-		if cfg.Unthrottled {
-			nvme = device.New(device.UnthrottledProfile("nvme", cfg.NVMeCapacity))
-			sata = device.New(device.UnthrottledProfile("sata", cfg.SATACapacity))
-		} else {
-			nvme = device.New(device.NVMeProfile(cfg.NVMeCapacity))
-			sata = device.New(device.SATAProfile(cfg.SATACapacity))
-		}
-		opts := hyperdb.Options{
-			NVMeDevice:     nvme,
-			SATADevice:     sata,
-			Partitions:     cfg.Partitions,
-			CacheBytes:     cfg.CacheBytes,
-			MigrationBatch: cfg.FileSize,
-		}
-		v.mut(&opts)
-		db, err := hyperdb.Open(opts)
+		inst, err := buildHyper(s.config(), v.mut)
 		if err != nil {
 			return nil, fmt.Errorf("ablation %s: %w", v.name, err)
 		}
-		eng := &hyperAdapter{db: db}
-		if err := Load(eng, s.Records, s.ValueSize, s.Clients, 7); err != nil {
+		db := inst.Engine.(*core.DB)
+		if err := Load(db, s.Records, s.ValueSize, s.Clients, 7); err != nil {
 			db.Close()
 			return nil, fmt.Errorf("ablation %s load: %w", v.name, err)
 		}
-		res, err := Run(eng, RunConfig{
+		res, err := Run(inst, RunConfig{
 			Clients: s.Clients, Ops: s.Ops, Workload: ycsb.WorkloadA,
 			Records: s.Records, ValueSize: s.ValueSize,
 		})
@@ -94,28 +77,12 @@ func Ablation(s Scale, progress io.Writer) (*Table, error) {
 	// Scan prefetcher (the §4.2 future-work optimisation): measured on the
 	// scan-heavy workload E, where it amortises zone page reads.
 	for _, prefetch := range []bool{false, true} {
-		cfg := s.config()
-		var nvme, sata *device.Device
-		if cfg.Unthrottled {
-			nvme = device.New(device.UnthrottledProfile("nvme", cfg.NVMeCapacity))
-			sata = device.New(device.UnthrottledProfile("sata", cfg.SATACapacity))
-		} else {
-			nvme = device.New(device.NVMeProfile(cfg.NVMeCapacity))
-			sata = device.New(device.SATAProfile(cfg.SATACapacity))
-		}
-		db, err := hyperdb.Open(hyperdb.Options{
-			NVMeDevice:     nvme,
-			SATADevice:     sata,
-			Partitions:     cfg.Partitions,
-			CacheBytes:     cfg.CacheBytes,
-			MigrationBatch: cfg.FileSize,
-			ScanPrefetch:   prefetch,
-		})
+		inst, err := buildHyper(s.config(), func(o *hyperdb.Options) { o.ScanPrefetch = prefetch })
 		if err != nil {
 			return nil, err
 		}
-		eng := &hyperAdapter{db: db}
-		if err := Load(eng, s.Records, s.ValueSize, s.Clients, 7); err != nil {
+		db := inst.Engine.(*core.DB)
+		if err := Load(db, s.Records, s.ValueSize, s.Clients, 7); err != nil {
 			db.Close()
 			return nil, err
 		}
@@ -123,7 +90,7 @@ func Ablation(s Scale, progress io.Writer) (*Table, error) {
 		if scanOps == 0 {
 			scanOps = 1
 		}
-		res, err := Run(eng, RunConfig{
+		res, err := Run(inst, RunConfig{
 			Clients: s.Clients, Ops: scanOps, Workload: ycsb.WorkloadE,
 			Records: s.Records, ValueSize: s.ValueSize,
 		})

@@ -22,7 +22,7 @@ func TestDiagYCSBA(t *testing.T) {
 		if err := Load(inst.Engine, s.Records, s.ValueSize, s.Clients, 7); err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(inst.Engine, RunConfig{
+		res, err := Run(inst, RunConfig{
 			Clients: s.Clients, Ops: s.Ops, Workload: ycsb.WorkloadA,
 			Records: s.Records, ValueSize: s.ValueSize,
 		})
@@ -30,7 +30,7 @@ func TestDiagYCSBA(t *testing.T) {
 			t.Fatal(err)
 		}
 		tput[kind] = res.Throughput
-		t.Logf("%s: tput=%.0f readP99=%v writeP99=%v", inst.Engine.Label(), res.Throughput, res.ReadLat.P99(), res.WriteLat.P99())
+		t.Logf("%s: tput=%.0f readP99=%v writeP99=%v", inst.Kind.Label(), res.Throughput, res.ReadLat.P99(), res.WriteLat.P99())
 		inst.Engine.Close()
 	}
 	// Guard against catastrophic regressions only: timing under a loaded CI

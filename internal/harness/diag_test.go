@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"hyperdb/internal/core"
 	"hyperdb/internal/ycsb"
 )
 
@@ -28,7 +29,7 @@ func TestDiagYCSBB(t *testing.T) {
 		}
 		nv0 := inst.NVMe.Counters().Snapshot()
 		sa0 := inst.SATA.Counters().Snapshot()
-		res, err := Run(inst.Engine, RunConfig{
+		res, err := Run(inst, RunConfig{
 			Clients: s.Clients, Ops: s.Ops, Workload: ycsb.WorkloadB,
 			Records: s.Records, ValueSize: s.ValueSize,
 		})
@@ -38,10 +39,10 @@ func TestDiagYCSBB(t *testing.T) {
 		nv := inst.NVMe.Counters().Snapshot().Sub(nv0)
 		sa := inst.SATA.Counters().Snapshot().Sub(sa0)
 		tput[kind] = res.Throughput
-		t.Logf("%s: tput=%.0f readP50=%v readP99=%v", inst.Engine.Label(), res.Throughput, res.ReadLat.Median(), res.ReadLat.P99())
+		t.Logf("%s: tput=%.0f readP50=%v readP99=%v", inst.Kind.Label(), res.Throughput, res.ReadLat.Median(), res.ReadLat.P99())
 		t.Logf("  NVMe: fgReadOps=%d bgReadOps=%d fgWriteOps=%d", nv.ReadOps-nv.BgReadOps, nv.BgReadOps, nv.WriteOps-nv.BgWriteOps)
 		t.Logf("  SATA: fgReadOps=%d bgReadOps=%d bgWriteBytes=%dMB", sa.ReadOps-sa.BgReadOps, sa.BgReadOps, sa.BgWriteBytes>>20)
-		if h, ok := inst.Engine.(*hyperAdapter); ok {
+		if h, ok := inst.Engine.(*core.DB); ok {
 			st := h.Stats()
 			t.Logf("  zone: objects=%d migrations=%d hotEvict=%d/%d promoDropped=%d cacheHits=%d cacheMiss=%d",
 				st.Zone.Objects, st.Zone.Migrations, st.Zone.HotEvictDropped, st.Zone.HotEvictRelocated, st.PromotionsDropped, st.CacheHits, st.CacheMisses)

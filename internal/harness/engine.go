@@ -7,51 +7,16 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 
 	"hyperdb"
 	"hyperdb/internal/baseline/prismish"
 	"hyperdb/internal/baseline/rocksish"
 	"hyperdb/internal/compress"
-	"hyperdb/internal/core"
 	"hyperdb/internal/device"
+	"hyperdb/internal/engine"
 	"hyperdb/internal/hotness"
 )
-
-// KV is one scan result.
-type KV struct {
-	Key   []byte
-	Value []byte
-}
-
-// BatchOp is one write in a WriteBatch: a put, or a delete when Delete is
-// set.
-type BatchOp struct {
-	Key    []byte
-	Value  []byte
-	Delete bool
-}
-
-// Engine is the uniform interface the runner drives. Every engine also
-// implements the batch calls so figures comparing batched throughput stay
-// apples-to-apples.
-type Engine interface {
-	Put(key, value []byte) error
-	Get(key []byte) ([]byte, error)
-	Delete(key []byte) error
-	// WriteBatch applies ops in slice order (last-write-wins duplicates).
-	WriteBatch(ops []BatchOp) error
-	// MultiGet returns values aligned with keys; nil marks a miss.
-	MultiGet(keys [][]byte) ([][]byte, error)
-	Scan(start []byte, limit int) ([]KV, error)
-	Drain() error
-	Close() error
-	Label() string
-}
-
-// ErrNotFound is the harness-normalised miss error.
-var ErrNotFound = errors.New("harness: not found")
 
 // EngineKind names the four §4.1 systems.
 type EngineKind string
@@ -66,6 +31,21 @@ const (
 
 // AllKinds lists the engines in the paper's presentation order.
 var AllKinds = []EngineKind{KindRocksDB, KindRocksDBSC, KindPrismDB, KindHyperDB}
+
+// Label is the name figures print for the kind.
+func (k EngineKind) Label() string {
+	switch k {
+	case KindHyperDB:
+		return "HyperDB"
+	case KindRocksDB:
+		return "RocksDB"
+	case KindRocksDBSC:
+		return "RocksDB-SC"
+	case KindPrismDB:
+		return "PrismDB"
+	}
+	return string(k)
+}
 
 // Config sizes one experiment's devices and engine parameters. The defaults
 // are the paper's setup scaled down ~400×: the paper loads 100 GiB and runs
@@ -91,7 +71,7 @@ type Config struct {
 	// DisableBackground turns engines' workers off (deterministic tests).
 	DisableBackground bool
 	// Tracker overrides HyperDB's hotness-tracker configuration (zero =
-	// paper defaults, bloom mode). Baseline engines ignore it.
+	// paper defaults). Baseline engines ignore it.
 	Tracker hotness.Config
 	// Compress names the capacity-tier block codec for every engine (same
 	// syntax as hyperdb.Options.Compress: "" / "off" disables, "on" / "lz"
@@ -124,59 +104,45 @@ func (c *Config) Fill() {
 	}
 }
 
-// Instance is a built engine plus its devices.
+// Instance is a built engine plus its devices. Engine is what the runner
+// drives; it is a *core.DB, *rocksish.DB or *prismish.DB, which figures that
+// need one engine's own counters reach by a type switch.
 type Instance struct {
-	Engine Engine
+	Engine engine.Engine
 	NVMe   *device.Device
 	SATA   *device.Device
 	Kind   EngineKind
 }
 
+// newDevices builds the simulated device pair cfg describes.
+func newDevices(cfg Config) (nvme, sata *device.Device) {
+	if cfg.Unthrottled {
+		return device.New(device.UnthrottledProfile("nvme", cfg.NVMeCapacity)),
+			device.New(device.UnthrottledProfile("sata", cfg.SATACapacity))
+	}
+	return device.New(device.NVMeProfile(cfg.NVMeCapacity)), device.New(device.SATAProfile(cfg.SATACapacity))
+}
+
 // Build constructs a fresh engine of the given kind over new devices.
 func Build(kind EngineKind, cfg Config) (*Instance, error) {
 	cfg.Fill()
+	if kind == KindHyperDB {
+		return buildHyper(cfg, func(*hyperdb.Options) {})
+	}
 	codec, err := compress.Parse(cfg.Compress)
 	if err != nil {
 		return nil, err
 	}
 	policy := compress.Policy{Codec: codec, MinLevel: 1}
-	var nvme, sata *device.Device
-	if cfg.Unthrottled {
-		nvme = device.New(device.UnthrottledProfile("nvme", cfg.NVMeCapacity))
-		sata = device.New(device.UnthrottledProfile("sata", cfg.SATACapacity))
-	} else {
-		nvme = device.New(device.NVMeProfile(cfg.NVMeCapacity))
-		sata = device.New(device.SATAProfile(cfg.SATACapacity))
-	}
+	nvme, sata := newDevices(cfg)
 	inst := &Instance{NVMe: nvme, SATA: sata, Kind: kind}
 	switch kind {
-	case KindHyperDB:
-		db, err := hyperdb.Open(hyperdb.Options{
-			NVMeDevice:        nvme,
-			SATADevice:        sata,
-			Partitions:        cfg.Partitions,
-			CacheBytes:        cfg.CacheBytes,
-			MigrationBatch:    cfg.FileSize,
-			DisableBackground: cfg.DisableBackground,
-			Tracker:           cfg.Tracker,
-			Compress:          cfg.Compress,
-		})
-		if err != nil {
-			return nil, err
-		}
-		inst.Engine = &hyperAdapter{db: db}
 	case KindRocksDB, KindRocksDBSC:
 		// Scale the memtable with the NVMe budget so the embedding
 		// deployment can actually host its top levels there, like the
 		// paper's RocksDB-with-db_paths setup.
-		mem := cfg.NVMeCapacity / 24
-		if mem < 128<<10 {
-			mem = 128 << 10
-		}
-		if mem > 64<<20 {
-			mem = 64 << 20
-		}
-		db, err := rocksish.Open(rocksish.Options{
+		mem := min(max(cfg.NVMeCapacity/24, 128<<10), 64<<20)
+		inst.Engine, err = rocksish.Open(rocksish.Options{
 			NVMe:              nvme,
 			SATA:              sata,
 			SecondaryCache:    kind == KindRocksDBSC,
@@ -190,12 +156,8 @@ func Build(kind EngineKind, cfg Config) (*Instance, error) {
 			DisableBackground: cfg.DisableBackground,
 			Compress:          policy,
 		})
-		if err != nil {
-			return nil, err
-		}
-		inst.Engine = &rocksAdapter{db: db, label: string(kind)}
 	case KindPrismDB:
-		db, err := prismish.Open(prismish.Options{
+		inst.Engine, err = prismish.Open(prismish.Options{
 			NVMe:              nvme,
 			SATA:              sata,
 			CacheBytes:        cfg.CacheBytes,
@@ -207,132 +169,33 @@ func Build(kind EngineKind, cfg Config) (*Instance, error) {
 			DisableBackground: cfg.DisableBackground,
 			Compress:          policy,
 		})
-		if err != nil {
-			return nil, err
-		}
-		inst.Engine = &prismAdapter{db: db}
 	default:
 		return nil, fmt.Errorf("harness: unknown engine %q", kind)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return inst, nil
 }
 
-type hyperAdapter struct{ db *hyperdb.DB }
-
-func (a *hyperAdapter) Put(k, v []byte) error { return a.db.Put(k, v) }
-func (a *hyperAdapter) Delete(k []byte) error { return a.db.Delete(k) }
-func (a *hyperAdapter) Drain() error          { return a.db.DrainBackground() }
-func (a *hyperAdapter) Close() error          { return a.db.Close() }
-func (a *hyperAdapter) Label() string         { return "HyperDB" }
-func (a *hyperAdapter) DB() *hyperdb.DB       { return a.db }
-func (a *hyperAdapter) Stats() core.Stats     { return a.db.Stats() }
-func (a *hyperAdapter) Get(k []byte) ([]byte, error) {
-	v, err := a.db.Get(k)
-	if errors.Is(err, hyperdb.ErrNotFound) {
-		return nil, ErrNotFound
+// buildHyper opens HyperDB over new devices with cfg's options after mut has
+// adjusted them (the ablation study changes one at a time).
+func buildHyper(cfg Config, mut func(*hyperdb.Options)) (*Instance, error) {
+	nvme, sata := newDevices(cfg)
+	opts := hyperdb.Options{
+		NVMeDevice:        nvme,
+		SATADevice:        sata,
+		Partitions:        cfg.Partitions,
+		CacheBytes:        cfg.CacheBytes,
+		MigrationBatch:    cfg.FileSize,
+		DisableBackground: cfg.DisableBackground,
+		Tracker:           cfg.Tracker,
+		Compress:          cfg.Compress,
 	}
-	return v, err
-}
-func (a *hyperAdapter) WriteBatch(ops []BatchOp) error {
-	hops := make([]hyperdb.BatchOp, len(ops))
-	for i, op := range ops {
-		hops[i] = hyperdb.BatchOp{Key: op.Key, Value: op.Value, Delete: op.Delete}
-	}
-	return a.db.WriteBatch(hops)
-}
-func (a *hyperAdapter) MultiGet(keys [][]byte) ([][]byte, error) {
-	return a.db.MultiGet(keys)
-}
-func (a *hyperAdapter) Scan(start []byte, limit int) ([]KV, error) {
-	kvs, err := a.db.Scan(start, limit)
+	mut(&opts)
+	db, err := hyperdb.Open(opts)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]KV, len(kvs))
-	for i, kv := range kvs {
-		out[i] = KV{Key: kv.Key, Value: kv.Value}
-	}
-	return out, nil
-}
-
-type rocksAdapter struct {
-	db    *rocksish.DB
-	label string
-}
-
-func (a *rocksAdapter) Put(k, v []byte) error { return a.db.Put(k, v) }
-func (a *rocksAdapter) Delete(k []byte) error { return a.db.Delete(k) }
-func (a *rocksAdapter) Drain() error          { return a.db.Drain() }
-func (a *rocksAdapter) Close() error          { return a.db.Close() }
-func (a *rocksAdapter) Label() string {
-	if a.label == string(KindRocksDBSC) {
-		return "RocksDB-SC"
-	}
-	return "RocksDB"
-}
-func (a *rocksAdapter) DB() *rocksish.DB { return a.db }
-func (a *rocksAdapter) Get(k []byte) ([]byte, error) {
-	v, err := a.db.Get(k)
-	if errors.Is(err, rocksish.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return v, err
-}
-func (a *rocksAdapter) WriteBatch(ops []BatchOp) error {
-	rops := make([]rocksish.BatchOp, len(ops))
-	for i, op := range ops {
-		rops[i] = rocksish.BatchOp{Key: op.Key, Value: op.Value, Delete: op.Delete}
-	}
-	return a.db.WriteBatch(rops)
-}
-func (a *rocksAdapter) MultiGet(keys [][]byte) ([][]byte, error) {
-	return a.db.MultiGet(keys)
-}
-func (a *rocksAdapter) Scan(start []byte, limit int) ([]KV, error) {
-	kvs, err := a.db.Scan(start, limit)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]KV, len(kvs))
-	for i, kv := range kvs {
-		out[i] = KV{Key: kv.Key, Value: kv.Value}
-	}
-	return out, nil
-}
-
-type prismAdapter struct{ db *prismish.DB }
-
-func (a *prismAdapter) Put(k, v []byte) error { return a.db.Put(k, v) }
-func (a *prismAdapter) Delete(k []byte) error { return a.db.Delete(k) }
-func (a *prismAdapter) Drain() error          { return a.db.Drain() }
-func (a *prismAdapter) Close() error          { return a.db.Close() }
-func (a *prismAdapter) Label() string         { return "PrismDB" }
-func (a *prismAdapter) DB() *prismish.DB      { return a.db }
-func (a *prismAdapter) Get(k []byte) ([]byte, error) {
-	v, err := a.db.Get(k)
-	if errors.Is(err, prismish.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return v, err
-}
-func (a *prismAdapter) WriteBatch(ops []BatchOp) error {
-	pops := make([]prismish.BatchOp, len(ops))
-	for i, op := range ops {
-		pops[i] = prismish.BatchOp{Key: op.Key, Value: op.Value, Delete: op.Delete}
-	}
-	return a.db.WriteBatch(pops)
-}
-func (a *prismAdapter) MultiGet(keys [][]byte) ([][]byte, error) {
-	return a.db.MultiGet(keys)
-}
-func (a *prismAdapter) Scan(start []byte, limit int) ([]KV, error) {
-	kvs, err := a.db.Scan(start, limit)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]KV, len(kvs))
-	for i, kv := range kvs {
-		out[i] = KV{Key: kv.Key, Value: kv.Value}
-	}
-	return out, nil
+	return &Instance{Engine: db.Engine(), NVMe: nvme, SATA: sata, Kind: KindHyperDB}, nil
 }

@@ -7,6 +7,9 @@ import (
 	"time"
 
 	"hyperdb/internal/baseline/leveled"
+	"hyperdb/internal/baseline/prismish"
+	"hyperdb/internal/baseline/rocksish"
+	"hyperdb/internal/core"
 	"hyperdb/internal/hotness"
 	"hyperdb/internal/stats"
 	"hyperdb/internal/ycsb"
@@ -23,9 +26,6 @@ type Scale struct {
 	NVMeRatio float64
 	SATACap   int64
 	Throttled bool
-	// TrackerMode selects HyperDB's hotness-tracker representation for
-	// every figure (empty = bloom, the paper default).
-	TrackerMode hotness.Mode
 	// Compress names the capacity-tier block codec for every engine
 	// (hyperbench -compress; empty = raw blocks, the paper default).
 	Compress string
@@ -68,7 +68,6 @@ func (s Scale) config() Config {
 		Unthrottled:  !s.Throttled,
 		CacheBytes:   s.datasetBytes() / 16,
 		FileSize:     512 << 10,
-		Tracker:      hotness.Config{Mode: s.TrackerMode},
 		Compress:     s.Compress,
 	}
 	c.Fill()
@@ -172,7 +171,7 @@ func Fig2(s Scale, progress io.Writer) (*Table, error) {
 			before := inst.NVMe.Counters().Snapshot()
 			inst.NVMe.ResetUtilization()
 			t0 := time.Now()
-			res, err := Run(inst.Engine, RunConfig{
+			res, err := Run(inst, RunConfig{
 				Clients: s.Clients, Ops: s.Ops, Workload: workloadU,
 				Records: s.Records, ValueSize: s.ValueSize,
 			})
@@ -186,7 +185,7 @@ func Fig2(s Scale, progress io.Writer) (*Table, error) {
 			usedFrac := inst.NVMe.UsedFraction()
 			inst.Engine.Close()
 			t.Rows = append(t.Rows, Row{
-				Label: fmt.Sprintf("%s/threads=%d", inst.Engine.Label(), threads),
+				Label: fmt.Sprintf("%s/threads=%d", inst.Kind.Label(), threads),
 				Cells: []Cell{
 					{"readBW", float64(d.ReadBytes) / dur / (1 << 20), "MiB/s"},
 					{"writeBW", float64(d.WriteBytes) / dur / (1 << 20), "MiB/s"},
@@ -196,7 +195,7 @@ func Fig2(s Scale, progress io.Writer) (*Table, error) {
 				},
 			})
 			if progress != nil {
-				fmt.Fprintf(progress, "fig2: %s threads=%d done\n", inst.Engine.Label(), threads)
+				fmt.Fprintf(progress, "fig2: %s threads=%d done\n", inst.Kind.Label(), threads)
 			}
 		}
 	}
@@ -227,7 +226,7 @@ func Fig3(s Scale, progress io.Writer) (*Table, error) {
 			before := inst.SATA.Counters().Snapshot()
 			inst.SATA.ResetUtilization()
 			t0 := time.Now()
-			if _, err := Run(inst.Engine, RunConfig{
+			if _, err := Run(inst, RunConfig{
 				Clients: s.Clients, Ops: s.Ops, Workload: workloadU,
 				Records: s.Records, ValueSize: s.ValueSize,
 			}); err != nil {
@@ -238,7 +237,7 @@ func Fig3(s Scale, progress io.Writer) (*Table, error) {
 			d := inst.SATA.Counters().Snapshot().Sub(before)
 			util := inst.SATA.Utilization()
 			row := Row{
-				Label: fmt.Sprintf("%s/threads=%d", inst.Engine.Label(), threads),
+				Label: fmt.Sprintf("%s/threads=%d", inst.Kind.Label(), threads),
 				Cells: []Cell{
 					{"bgBW", float64(d.BgReadBytes+d.BgWriteBytes) / dur / (1 << 20), "MiB/s"},
 					{"util", util * 100, "%"},
@@ -246,34 +245,27 @@ func Fig3(s Scale, progress io.Writer) (*Table, error) {
 			}
 			// Per-level breakdown at 8 threads (Fig. 3b).
 			if threads == 8 {
-				var lsm *leveled.LSM
-				switch a := inst.Engine.(type) {
-				case *rocksAdapter:
-					lsm = a.db.LSM()
-				case *prismAdapter:
-					lsm = a.db.LSM()
+				// Both baselines expose their tree; fig 3 runs no other kind.
+				lsm := inst.Engine.(interface{ LSM() *leveled.LSM }).LSM()
+				total := float64(0)
+				perLevel := make([]float64, lsm.MaxLevels())
+				for l := 0; l < lsm.MaxLevels(); l++ {
+					tr := lsm.Traffic(l)
+					perLevel[l] = float64(tr.ReadBytes.Load() + tr.WriteBytes.Load())
+					total += perLevel[l]
 				}
-				if lsm != nil {
-					total := float64(0)
-					perLevel := make([]float64, lsm.MaxLevels())
-					for l := 0; l < lsm.MaxLevels(); l++ {
-						tr := lsm.Traffic(l)
-						perLevel[l] = float64(tr.ReadBytes.Load() + tr.WriteBytes.Load())
-						total += perLevel[l]
+				for l, v := range perLevel {
+					pct := 0.0
+					if total > 0 {
+						pct = v / total * 100
 					}
-					for l, v := range perLevel {
-						pct := 0.0
-						if total > 0 {
-							pct = v / total * 100
-						}
-						row.Cells = append(row.Cells, Cell{fmt.Sprintf("L%d", l), pct, "%"})
-					}
+					row.Cells = append(row.Cells, Cell{fmt.Sprintf("L%d", l), pct, "%"})
 				}
 			}
 			inst.Engine.Close()
 			t.Rows = append(t.Rows, row)
 			if progress != nil {
-				fmt.Fprintf(progress, "fig3: %s threads=%d done\n", inst.Engine.Label(), threads)
+				fmt.Fprintf(progress, "fig3: %s threads=%d done\n", inst.Kind.Label(), threads)
 			}
 		}
 	}
@@ -348,7 +340,7 @@ func Fig8(s Scale, progress io.Writer) (*Table, error) {
 				inst.Engine.Close()
 				return nil, err
 			}
-			res, err := Run(inst.Engine, RunConfig{
+			res, err := Run(inst, RunConfig{
 				Clients: s.Clients, Ops: ops, Workload: w,
 				Records: s.Records, ValueSize: s.ValueSize,
 			})
@@ -402,7 +394,7 @@ func Fig9a(s Scale, progress io.Writer) (*Table, error) {
 				inst.Engine.Close()
 				return nil, err
 			}
-			res, err := Run(inst.Engine, RunConfig{
+			res, err := Run(inst, RunConfig{
 				Clients: s.Clients, Ops: s.Ops,
 				Workload: ycsb.WorkloadA.WithTheta(theta),
 				Records:  s.Records, ValueSize: s.ValueSize,
@@ -445,7 +437,7 @@ func Fig9b(s Scale, progress io.Writer) (*Table, error) {
 				inst.Engine.Close()
 				return nil, err
 			}
-			res, err := Run(inst.Engine, RunConfig{
+			res, err := Run(inst, RunConfig{
 				Clients: sc.Clients, Ops: sc.Ops, Workload: ycsb.WorkloadA,
 				Records: sc.Records, ValueSize: vs,
 			})
@@ -454,14 +446,14 @@ func Fig9b(s Scale, progress io.Writer) (*Table, error) {
 				return nil, err
 			}
 			cells := []Cell{{"tput", res.Throughput / 1000, "kops"}}
-			switch a := inst.Engine.(type) {
-			case *hyperAdapter:
-				st := a.Stats().Zone
+			switch db := inst.Engine.(type) {
+			case *core.DB:
+				st := db.Stats().Zone
 				if st.MigratedObjects > 0 {
 					cells = append(cells, Cell{"pagesPerObj", float64(st.MigrationPageReads) / float64(st.MigratedObjects), ""})
 				}
-			case *prismAdapter:
-				st := a.db.Stats()
+			case *prismish.DB:
+				st := db.Stats()
 				if st.MigratedObjects > 0 {
 					cells = append(cells, Cell{"pagesPerObj", float64(st.MigrationPageReads) / float64(st.MigratedObjects), ""})
 				}
@@ -494,7 +486,7 @@ func Fig9c(s Scale, progress io.Writer) (*Table, error) {
 				inst.Engine.Close()
 				return nil, err
 			}
-			res, err := Run(inst.Engine, RunConfig{
+			res, err := Run(inst, RunConfig{
 				Clients: sc.Clients, Ops: sc.Ops, Workload: ycsb.WorkloadA,
 				Records: sc.Records, ValueSize: sc.ValueSize,
 			})
@@ -530,7 +522,7 @@ func Fig10(s Scale, progress io.Writer) (*Table, error) {
 				inst.Engine.Close()
 				return nil, err
 			}
-			res, err := Run(inst.Engine, RunConfig{
+			res, err := Run(inst, RunConfig{
 				Clients: s.Clients, Ops: s.Ops,
 				Workload: ycsb.WorkloadA.WithTheta(theta),
 				Records:  s.Records, ValueSize: s.ValueSize,
@@ -576,7 +568,7 @@ func Fig11(s Scale, progress io.Writer) (*Table, error) {
 			inst.Engine.Close()
 			return nil, err
 		}
-		if _, err := Run(inst.Engine, RunConfig{
+		if _, err := Run(inst, RunConfig{
 			Clients: sc.Clients, Ops: sc.Ops,
 			Workload: ycsb.WorkloadA.WithTheta(0), // uniform
 			Records:  sc.Records, ValueSize: sc.ValueSize,
@@ -584,13 +576,13 @@ func Fig11(s Scale, progress io.Writer) (*Table, error) {
 			inst.Engine.Close()
 			return nil, err
 		}
-		if err := inst.Engine.Drain(); err != nil {
+		if err := inst.Engine.DrainBackground(); err != nil {
 			inst.Engine.Close()
 			return nil, err
 		}
 		nv := inst.NVMe.Counters().Snapshot()
 		sa := inst.SATA.Counters().Snapshot()
-		label := inst.Engine.Label()
+		label := inst.Kind.Label()
 		cells := []Cell{
 			{"nvmeWrite", float64(nv.WriteBytes) / (1 << 20), "MiB"},
 			{"sataWrite", float64(sa.WriteBytes) / (1 << 20), "MiB"},
@@ -599,15 +591,15 @@ func Fig11(s Scale, progress io.Writer) (*Table, error) {
 			{"sataSpace", float64(inst.SATA.Used()) / (1 << 20), "MiB"},
 		}
 		var lsm *leveled.LSM
-		switch a := inst.Engine.(type) {
-		case *rocksAdapter:
-			lsm = a.db.LSM()
-		case *prismAdapter:
-			lsm = a.db.LSM()
-		case *hyperAdapter:
+		switch db := inst.Engine.(type) {
+		case *rocksish.DB:
+			lsm = db.LSM()
+		case *prismish.DB:
+			lsm = db.LSM()
+		case *core.DB:
 			// The performance tier's background bytes by mechanism; the
 			// rest of nvmeBg is the capacity tier's index mirror.
-			bg := a.Stats().Zone.Bg
+			bg := db.Stats().Zone.Bg
 			for _, c := range []struct {
 				name  string
 				bytes uint64

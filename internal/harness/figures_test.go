@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"hyperdb"
+	"hyperdb/internal/baseline/prismish"
+	"hyperdb/internal/core"
 	"hyperdb/internal/device"
+	"hyperdb/internal/engine"
 	"hyperdb/internal/ycsb"
 )
 
@@ -56,21 +59,21 @@ func TestFig9bMigrationLocality(t *testing.T) {
 		if err := Load(inst.Engine, s.Records, s.ValueSize, s.Clients, 7); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(inst.Engine, RunConfig{
+		if _, err := Run(inst, RunConfig{
 			Clients: s.Clients, Ops: s.Ops, Workload: ycsb.WorkloadA,
 			Records: s.Records, ValueSize: s.ValueSize,
 		}); err != nil {
 			t.Fatal(err)
 		}
-		switch a := inst.Engine.(type) {
-		case *hyperAdapter:
-			st := a.Stats().Zone
+		switch db := inst.Engine.(type) {
+		case *core.DB:
+			st := db.Stats().Zone
 			if st.MigratedObjects == 0 {
 				t.Fatal("hyperdb: no migrations")
 			}
 			perObj[kind] = float64(st.MigrationPageReads) / float64(st.MigratedObjects)
-		case *prismAdapter:
-			st := a.db.Stats()
+		case *prismish.DB:
+			st := db.Stats()
 			if st.MigratedObjects == 0 {
 				t.Fatal("prismdb: no migrations")
 			}
@@ -144,7 +147,7 @@ func TestScanPrefetchEquivalence(t *testing.T) {
 		t.Skip("NVMe traffic comparison is timing-sensitive under the race detector")
 	}
 	s := tinyScale()
-	var results [2][]KV
+	var results [2][]engine.KV
 	var reads [2]uint64
 	for i, prefetch := range []bool{false, true} {
 		cfg := s.config()
@@ -158,7 +161,7 @@ func TestScanPrefetchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := &hyperAdapter{db: db}
+		eng := db.Engine()
 		// One loader: the read counts are only comparable when both engines
 		// hold the same tier, and concurrent loaders interleave differently
 		// every run (four of them failed this test 18 times in 40).
@@ -188,10 +191,13 @@ func TestScanPrefetchEquivalence(t *testing.T) {
 	}
 }
 
-// TestHotQualityParity asserts the sketch tracker's promotion quality on a
-// zipfian YCSB-A run tracks the bloom reproduction baseline: recall against
-// the top-1% ground truth must not trail by more than 10 points, and the
-// background traffic its promotions trigger must stay within a few percent.
+// TestHotQualityParity pins the discriminator's promotion quality on a
+// zipfian YCSB-A run against the top-1% ground truth. The run has one client
+// and no background workers, so the row is exactly reproducible (recall
+// 100 %, precision 7.55 % — 2649 keys classified for 200 truly hot — when
+// this was written); the floors sit a little under it, so an edit that
+// blunts the classifier fails here while one that moves a handful of
+// borderline keys does not.
 func TestHotQualityParity(t *testing.T) {
 	// More ops than tinyScale: each partition's discriminator must seal
 	// several windows (capacity ~800 distinct keys here) for the 3-window
@@ -203,27 +209,16 @@ func TestHotQualityParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bRecall, ok1 := tbl.Get("bloom", "recall")
-	sRecall, ok2 := tbl.Get("sketch", "recall")
-	bTraffic, ok3 := tbl.Get("bloom", "bgTraffic")
-	sTraffic, ok4 := tbl.Get("sketch", "bgTraffic")
-	if !ok1 || !ok2 || !ok3 || !ok4 {
+	recall, ok1 := tbl.Get("bloom", "recall")
+	precision, ok2 := tbl.Get("bloom", "precision")
+	if !ok1 || !ok2 {
 		t.Fatalf("missing hotq cells: %v", tbl.Rows)
 	}
-	if bRecall <= 0 {
-		t.Fatalf("bloom recall %.1f%%: discriminator never engaged", bRecall)
+	t.Logf("recall %.2f%% precision %.2f%%", recall, precision)
+	if recall < 95 {
+		t.Errorf("recall %.1f%% under the 95%% floor", recall)
 	}
-	if sRecall < bRecall-10 {
-		t.Errorf("sketch recall %.1f%% trails bloom %.1f%% by more than 10 points", sRecall, bRecall)
-	}
-	// Background traffic at this unthrottled tiny scale is scheduling-
-	// dependent (worker/foreground races), so only a wide sanity band is
-	// asserted here; the recorded BENCH_hotness.json run compares traffic at
-	// full scale on throttled devices.
-	if bTraffic > 0 {
-		ratio := sTraffic / bTraffic
-		if ratio < 0.25 || ratio > 4 {
-			t.Errorf("sketch bg traffic %.1f MiB vs bloom %.1f MiB (ratio %.2f) outside sanity band", sTraffic, bTraffic, ratio)
-		}
+	if precision < 6 {
+		t.Errorf("precision %.1f%% under the 6%% floor", precision)
 	}
 }

@@ -3,8 +3,12 @@ package harness
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"sort"
 	"testing"
 
+	"hyperdb"
+	"hyperdb/internal/engine"
 	"hyperdb/internal/ycsb"
 )
 
@@ -21,16 +25,15 @@ func tinyConfig() Config {
 	}
 }
 
-// TestEnginesAgree loads every engine with the same data, applies the same
-// update stream, and verifies all four return identical values afterwards.
+// TestEnginesAgree drives every engine through the one engine.Engine
+// contract with the same seeded op stream — single writes, batches (a
+// duplicate key and a delete in each), point and multi reads, background
+// steps in between, a drain at the end — and checks every answer against one
+// model, so all four give identical answers.
 func TestEnginesAgree(t *testing.T) {
 	const records = 3000
 	const valueSize = 100
-
-	want := make(map[string][]byte)
-	for i := int64(0); i < records; i++ {
-		want[string(ycsb.Key(i))] = nil // filled below per engine deterministically
-	}
+	never := []byte("never-written")
 
 	for _, kind := range AllKinds {
 		kind := kind
@@ -41,57 +44,132 @@ func TestEnginesAgree(t *testing.T) {
 			}
 			defer inst.Engine.Close()
 			e := inst.Engine
+			model := map[string][]byte{}
+			put := func(k, v []byte) {
+				t.Helper()
+				if err := e.Put(k, v); err != nil {
+					t.Fatalf("put %x: %v", k, err)
+				}
+				model[string(k)] = v
+			}
+			del := func(k []byte) {
+				t.Helper()
+				if err := e.Delete(k); err != nil {
+					t.Fatalf("delete %x: %v", k, err)
+				}
+				delete(model, string(k))
+			}
+			check := func(k, got []byte, err error) {
+				t.Helper()
+				want, ok := model[string(k)]
+				switch {
+				case !ok && !errors.Is(err, engine.ErrNotFound):
+					t.Fatalf("key %x: expected engine.ErrNotFound, got v=%d err=%v", k, len(got), err)
+				case !ok && !errors.Is(err, hyperdb.ErrNotFound):
+					t.Fatalf("key %x: %v is not hyperdb.ErrNotFound", k, err)
+				case ok && (err != nil || !bytes.Equal(got, want)):
+					t.Fatalf("key %x: got %q err=%v, want %q", k, got, err, want)
+				}
+			}
 
-			// Deterministic load: value = key repeated.
+			// Deterministic load (value = key repeated), overwrite a slice
+			// of keys, delete a few.
 			for i := int64(0); i < records; i++ {
 				k := ycsb.Key(i)
-				v := bytes.Repeat(k, valueSize/len(k))
-				if err := e.Put(k, v); err != nil {
-					t.Fatalf("put %d: %v", i, err)
-				}
+				put(k, bytes.Repeat(k, valueSize/len(k)))
 			}
-			// Overwrite a slice of keys.
 			for i := int64(0); i < records; i += 3 {
 				k := ycsb.Key(i)
-				if err := e.Put(k, append([]byte("v2-"), k...)); err != nil {
-					t.Fatalf("update %d: %v", i, err)
-				}
+				put(k, append([]byte("v2-"), k...))
 			}
-			// Delete a few.
 			for i := int64(1); i < records; i += 17 {
-				if err := e.Delete(ycsb.Key(i)); err != nil {
-					t.Fatalf("delete %d: %v", i, err)
+				del(ycsb.Key(i))
+			}
+
+			rng := rand.New(rand.NewSource(20))
+			key := func() []byte { return ycsb.Key(rng.Int63n(records)) }
+			val := func() []byte { return ycsb.Value(rng, 16+rng.Intn(valueSize)) }
+			for i := 0; i < 4000; i++ {
+				switch r := rng.Intn(10); {
+				case r < 3:
+					put(key(), val())
+				case r < 4:
+					del(key())
+				case r < 6:
+					k := key()
+					v, err := e.Get(k)
+					check(k, v, err)
+				case r < 8:
+					// Slice order is apply order: the second write to dup
+					// wins, and gone is deleted after it was written.
+					dup, gone := key(), key()
+					ops := []engine.BatchOp{
+						{Key: dup, Value: val()},
+						{Key: gone, Value: val()},
+						{Key: key(), Value: val()},
+						{Key: dup, Value: val()},
+						{Key: gone, Delete: true},
+					}
+					if err := e.WriteBatch(ops); err != nil {
+						t.Fatalf("batch: %v", err)
+					}
+					for _, op := range ops {
+						if op.Delete {
+							delete(model, string(op.Key))
+						} else {
+							model[string(op.Key)] = op.Value
+						}
+					}
+				default:
+					ks := [][]byte{key(), never, key(), key()}
+					vs, err := e.MultiGet(ks)
+					if err != nil || len(vs) != len(ks) {
+						t.Fatalf("multiget: %d values, err=%v", len(vs), err)
+					}
+					for j, k := range ks {
+						if want := model[string(k)]; !bytes.Equal(vs[j], want) || (want == nil) != (vs[j] == nil) {
+							t.Fatalf("multiget %x: got %q, want %q", k, vs[j], want)
+						}
+					}
+				}
+				if i%64 == 0 {
+					if err := e.BackgroundStep(); err != nil {
+						t.Fatalf("background step: %v", err)
+					}
 				}
 			}
-			if err := e.Drain(); err != nil {
+			if err := e.DrainBackground(); err != nil {
 				t.Fatalf("drain: %v", err)
 			}
+
 			for i := int64(0); i < records; i++ {
 				k := ycsb.Key(i)
 				v, err := e.Get(k)
-				deleted := i%17 == 1
-				updated := i%3 == 0
-				switch {
-				case deleted && !updated || (deleted && updated && i%17 == 1):
-					// Deletions happened after updates, so deleted wins.
-					if !errors.Is(err, ErrNotFound) {
-						t.Fatalf("key %d: expected ErrNotFound, got v=%d err=%v", i, len(v), err)
-					}
-				case updated:
-					if err != nil {
-						t.Fatalf("key %d: %v", i, err)
-					}
-					if want := append([]byte("v2-"), k...); !bytes.Equal(v, want) {
-						t.Fatalf("key %d: got %q want %q", i, v, want)
-					}
-				default:
-					if err != nil {
-						t.Fatalf("key %d: %v", i, err)
-					}
-					if want := bytes.Repeat(k, valueSize/len(k)); !bytes.Equal(v, want) {
-						t.Fatalf("key %d: wrong value", i)
+				check(k, v, err)
+			}
+			live := make([]string, 0, len(model))
+			for k := range model {
+				live = append(live, k)
+			}
+			sort.Strings(live)
+			for _, start := range [][]byte{nil, ycsb.Key(77), []byte(live[len(live)-3])} {
+				at := sort.SearchStrings(live, string(start))
+				want := live[at:min(at+200, len(live))]
+				got, err := e.Scan(start, 200)
+				if err != nil || len(got) != len(want) {
+					t.Fatalf("scan from %x: %d results, err=%v, want %d", start, len(got), err, len(want))
+				}
+				for j, kv := range got {
+					if string(kv.Key) != want[j] || !bytes.Equal(kv.Value, model[want[j]]) {
+						t.Fatalf("scan from %x: result %d = %x, want %x", start, j, kv.Key, want[j])
 					}
 				}
+			}
+
+			// Only HyperDB has a merge operator; the baselines refuse the op.
+			err = e.WriteBatch([]engine.BatchOp{{Key: []byte("ctr"), Merge: true, Delta: 1}})
+			if (err == nil) != (kind == KindHyperDB) {
+				t.Fatalf("merge op: err=%v", err)
 			}
 		})
 	}
@@ -110,7 +188,7 @@ func TestRunSmoke(t *testing.T) {
 			if err := Load(inst.Engine, 2000, 128, 4, 7); err != nil {
 				t.Fatalf("load: %v", err)
 			}
-			res, err := Run(inst.Engine, RunConfig{
+			res, err := Run(inst, RunConfig{
 				Clients:   4,
 				Ops:       4000,
 				Workload:  ycsb.WorkloadA,
@@ -132,7 +210,7 @@ func TestRunSmoke(t *testing.T) {
 
 // TestScanAgree verifies scans return identical ordered results everywhere.
 func TestScanAgree(t *testing.T) {
-	var ref []KV
+	var ref []engine.KV
 	for _, kind := range AllKinds {
 		inst, err := Build(kind, tinyConfig())
 		if err != nil {
@@ -145,7 +223,7 @@ func TestScanAgree(t *testing.T) {
 				t.Fatalf("%s put: %v", kind, err)
 			}
 		}
-		if err := e.Drain(); err != nil {
+		if err := e.DrainBackground(); err != nil {
 			t.Fatalf("%s drain: %v", kind, err)
 		}
 		got, err := e.Scan(ycsb.Key(77), 64)

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hyperdb/internal/engine"
 	"hyperdb/internal/stats"
 	"hyperdb/internal/ycsb"
 )
@@ -57,7 +58,7 @@ type Result struct {
 // Load fills the engine with records keys (indices 0..records-1, keys
 // FNV-scrambled) in a uniformly random order, using the given client count,
 // then drains background work. This is §4.1's load phase.
-func Load(e Engine, records int64, valueSize, clients int, seed int64) error {
+func Load(e engine.Engine, records int64, valueSize, clients int, seed int64) error {
 	if clients <= 0 {
 		clients = 8
 	}
@@ -93,17 +94,18 @@ func Load(e Engine, records int64, valueSize, clients int, seed int64) error {
 		return err
 	default:
 	}
-	return e.Drain()
+	return e.DrainBackground()
 }
 
 // Run replays cfg.Ops operations against the engine with concurrent clients
 // and returns the measured result. Read misses on keys that exist are
 // errors; misses on never-inserted keys are not (workload D/E insert
 // streams race with reads of the newest records).
-func Run(e Engine, cfg RunConfig) (Result, error) {
+func Run(inst *Instance, cfg RunConfig) (Result, error) {
 	cfg.fill()
+	e := inst.Engine
 	res := Result{
-		Engine:   e.Label(),
+		Engine:   inst.Kind.Label(),
 		Workload: cfg.Workload.Name,
 		ReadLat:  stats.NewHistogram(),
 		WriteLat: stats.NewHistogram(),
@@ -132,7 +134,7 @@ func Run(e Engine, cfg RunConfig) (Result, error) {
 				switch op.Type {
 				case ycsb.OpRead:
 					_, err = e.Get(op.Key)
-					if errors.Is(err, ErrNotFound) {
+					if errors.Is(err, engine.ErrNotFound) {
 						err = nil
 					}
 					res.ReadLat.Record(time.Since(t0))
@@ -147,7 +149,7 @@ func Run(e Engine, cfg RunConfig) (Result, error) {
 					res.ScanLat.Record(time.Since(t0))
 				case ycsb.OpRMW:
 					_, err = e.Get(op.Key)
-					if errors.Is(err, ErrNotFound) {
+					if errors.Is(err, engine.ErrNotFound) {
 						err = nil
 					}
 					if err == nil {

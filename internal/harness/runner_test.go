@@ -24,7 +24,7 @@ func TestResultString(t *testing.T) {
 	if err := Load(inst.Engine, 1000, 64, 2, 3); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(inst.Engine, RunConfig{
+	res, err := Run(inst, RunConfig{
 		Clients: 2, Ops: 500, Workload: ycsb.WorkloadA, Records: 1000, ValueSize: 64,
 	})
 	if err != nil {
@@ -68,7 +68,7 @@ func TestRunErrorsPropagate(t *testing.T) {
 	// Workload E scans against an empty store: not an error. But a closed
 	// engine is.
 	inst.Engine.Close()
-	if _, err := Run(inst.Engine, RunConfig{
+	if _, err := Run(inst, RunConfig{
 		Clients: 1, Ops: 10, Workload: ycsb.WorkloadA, Records: 10, ValueSize: 8,
 	}); err == nil {
 		t.Fatal("run against closed engine should fail")

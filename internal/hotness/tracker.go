@@ -7,57 +7,32 @@
 // interval stayed below the window size for several windows in a row, which
 // (Fig. 6a) strongly predicts the next access will come soon as well.
 //
-// Two window representations are supported, selected by Config.Mode:
-//
-//   - ModeBloom (default, paper-faithful): each window is a set of bloom
-//     filters sized for WindowCapacity keys, and "appears in a window" is
-//     filter membership. Memory scales linearly with WindowCapacity — and
-//     WindowCapacity scales with the partition's object budget, so at huge
-//     key cardinality the open window dominates DRAM.
-//   - ModeSketch (the scale path): each window is a fixed-size Count-Min
-//     Sketch with conservative update, "appears" means "estimated count ≥
-//     the window's noise threshold", and the open window's occupancy is a
-//     HyperLogLog cardinality estimate instead of an exact per-add counter.
-//     Memory is O(1) in key cardinality with a tunable error bound;
-//     WindowCapacity only sets the seal cadence.
+// Each window is a set of bloom filters sized for WindowCapacity keys, and
+// "appears in a window" is filter membership. (A second, fixed-memory
+// representation existed until commit 2d24bae; DESIGN.md records what it
+// measured and why it went.)
 //
 // The tracker sits on the foreground path of every Put/Get/Delete, so it is
 // built to scale with concurrent clients: keys are hashed exactly once
-// (stripe choice, bloom probes, sketch probes and the HLL all derive from
-// the same 64-bit hash), the open window is striped by key hash (each
-// stripe owns independently locked state), sealed windows are immutable and
-// published through an atomic.Pointer snapshot, and sealing is
-// single-writer. Record touches exactly one stripe mutex; IsHot and the
+// (stripe choice and the bloom probes derive from the same 64-bit hash),
+// the open window is striped by key hash (each stripe owns independently
+// locked state), sealed windows are immutable and published through an
+// atomic.Pointer snapshot, and sealing is single-writer. Record touches exactly one stripe mutex; IsHot and the
 // hotness half of Record take no locks at all.
 package hotness
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"hyperdb/internal/bloom"
-	"hyperdb/internal/sketch"
-)
-
-// Mode selects the open/sealed window representation.
-type Mode string
-
-// Tracker modes. The empty string means ModeBloom.
-const (
-	ModeBloom  Mode = "bloom"
-	ModeSketch Mode = "sketch"
 )
 
 // Config sizes a Tracker.
 type Config struct {
-	// Mode selects bloom windows (paper-faithful reproduction default) or
-	// fixed-size sketch windows (O(1) memory at huge key cardinality).
-	Mode Mode
 	// WindowCapacity is the number of distinct keys a window absorbs before
 	// sealing. The paper sets it to the number of objects the partition's
-	// NVMe share can store. In sketch mode it is the seal cadence only; the
-	// sketch footprint does not grow with it past a fixed cap.
+	// NVMe share can store.
 	WindowCapacity int
 	// BitsPerKey sizes each bloom filter (paper: 10, <1% false positives).
 	BitsPerKey int
@@ -66,32 +41,14 @@ type Config struct {
 	// HotThreshold is the consecutive-window count that classifies a key as
 	// hot (paper: 3).
 	HotThreshold int
-	// Stripes overrides the open window's stripe count. 0 derives it: in
-	// bloom mode from WindowCapacity (each stripe's filter share must stay
-	// large enough to hold its accuracy under hash imbalance), in sketch
-	// mode from GOMAXPROCS (windows are fixed-size, so stripes exist purely
-	// to keep concurrent Records off each other's locks). Capped at 16.
+	// Stripes overrides the open window's stripe count. 0 derives it from
+	// WindowCapacity (each stripe's filter share must stay large enough to
+	// hold its accuracy under hash imbalance). Capped at 16.
 	Stripes int
-	// SketchWidth is the per-stripe Count-Min row width (counters). 0
-	// derives it from the stripe's window share, capped at 32 Ki counters —
-	// the cap is what makes sketch-mode memory flat in cardinality.
-	SketchWidth int
-	// SketchDepth is the Count-Min row count (0 = 4, δ = e⁻⁴ ≈ 1.8%).
-	SketchDepth int
-	// SketchMinCount floors the per-window classification threshold: a key
-	// "appears" in a sealed sketch window when its estimated count reaches
-	// max(SketchMinCount, the window's collision-noise threshold). 0 = 1.
-	SketchMinCount int
-	// HLLPrecision is the per-stripe HyperLogLog precision for open-window
-	// cardinality (0 = 12: 4 KiB per stripe, ~1.6% standard error).
-	HLLPrecision int
 }
 
 // Fill applies the paper's defaults to unset fields.
 func (c *Config) Fill() {
-	if c.Mode == "" {
-		c.Mode = ModeBloom
-	}
 	if c.WindowCapacity <= 0 {
 		c.WindowCapacity = 1 << 16
 	}
@@ -108,67 +65,17 @@ func (c *Config) Fill() {
 		c.HotThreshold = c.MaxFilters
 	}
 	if c.Stripes <= 0 {
-		if c.Mode == ModeSketch {
-			// Windows are fixed-size sketches: striping costs a constant
-			// amount of memory per stripe regardless of WindowCapacity, so
-			// derive the count from expected concurrency alone. 2× absorbs
-			// goroutine oversubscription.
-			c.Stripes = 2 * runtime.GOMAXPROCS(0)
-		} else {
-			// Keep every stripe's expected share large enough that the
-			// per-stripe filter stays accurate under hash imbalance; tiny
-			// (test-sized) windows degenerate to a single stripe.
-			c.Stripes = c.WindowCapacity / 512
-		}
-		if c.Stripes > 16 {
-			c.Stripes = 16
-		}
-		if c.Stripes < 1 {
-			c.Stripes = 1
-		}
-	}
-	if c.SketchDepth <= 0 {
-		c.SketchDepth = 4
-	}
-	if c.SketchMinCount <= 0 {
-		c.SketchMinCount = 1
-	}
-	if c.HLLPrecision <= 0 {
-		c.HLLPrecision = 12
-	}
-	if c.SketchWidth <= 0 {
-		// 4× the stripe's distinct-key share keeps sealed-window collision
-		// noise near bloom's false-positive rate while the window is small;
-		// the cap bounds memory once WindowCapacity outgrows it (the sealed
-		// window then classifies by count threshold, not presence).
-		share := c.WindowCapacity / c.Stripes
-		w := 4 * share
-		if w < 1<<8 {
-			w = 1 << 8
-		}
-		if w > 1<<15 {
-			w = 1 << 15
-		}
-		c.SketchWidth = w
+		// Keep every stripe's expected share large enough that the
+		// per-stripe filter stays accurate under hash imbalance; tiny
+		// (test-sized) windows degenerate to a single stripe.
+		c.Stripes = min(max(c.WindowCapacity/512, 1), 16)
 	}
 }
 
-// stripe is one independently locked slice of the open window. Exactly one
-// of the bloom/sketch field sets is live, per the tracker's mode.
+// stripe is one independently locked slice of the open window.
 type stripe struct {
-	mu sync.Mutex
-
-	// Bloom mode: the open filter.
-	open *bloom.Filter
-
-	// Sketch mode: the open frequency sketch, the stripe's distinct-key
-	// estimator, the access count feeding the seal-time noise threshold,
-	// and the last cardinality estimate published to the tracker's shared
-	// occupancy counter (all guarded by mu).
-	cms     *sketch.CMS
-	hll     *sketch.HLL
-	adds    uint64
-	lastEst int64
+	mu   sync.Mutex
+	open *bloom.Filter // the open filter
 
 	// Discriminator-health counters (striped so the shared-counter
 	// contention stays off the hot path; Stats sums them).
@@ -176,41 +83,24 @@ type stripe struct {
 	hotHits atomic.Uint64
 }
 
-// window is one sealed discriminator window, frozen at rotation. Exactly
-// one of blooms/cms is non-nil. Windows are immutable after sealing, so
-// readers need no locks.
-type window struct {
-	blooms []*bloom.Filter
-	cms    []*sketch.CMS
-	// minCounts is the per-stripe classification threshold for sketch
-	// windows: max(SketchMinCount, the stripe's collision-noise floor at
-	// seal time).
-	minCounts []uint32
-}
-
-// containsHash reports whether the key hashed to h (in stripe si) appeared
-// in the window.
-func (w *window) containsHash(si int, h uint64) bool {
-	if w.blooms != nil {
-		return w.blooms[si].ContainsHash(h)
-	}
-	return w.cms[si].AtLeastHash(h, w.minCounts[si])
-}
+// window is one sealed discriminator window: one filter per stripe, frozen
+// at rotation. Windows are immutable after sealing, so readers need no
+// locks.
+type window []*bloom.Filter
 
 // Tracker is one partition's cascading discriminator. Safe for concurrent
 // use: Record takes one stripe mutex, IsHot takes none.
 type Tracker struct {
 	cfg       Config
-	stripeCap int   // bloom mode: distinct-key capacity of each stripe's filter
-	perWindow int64 // memory footprint of one window (filters or sketches)
-	hllBytes  int64 // sketch mode: open-window HLL footprint across stripes
+	stripeCap int   // distinct-key capacity of each stripe's filter
+	perWindow int64 // memory footprint of one window's filters
 
 	stripes   []stripe
-	occupancy atomic.Int64 // open-window distinct keys: exact (bloom) or HLL-estimated (sketch)
+	occupancy atomic.Int64 // distinct keys in the open window
 	seals     atomic.Uint64
 
-	sealMu  sync.Mutex                // serialises window rotation
-	cascade atomic.Pointer[[]*window] // sealed windows, oldest first
+	sealMu  sync.Mutex               // serialises window rotation
+	cascade atomic.Pointer[[]window] // sealed windows, oldest first
 }
 
 // NewTracker returns a tracker with cfg (zero fields take paper defaults).
@@ -220,33 +110,20 @@ func NewTracker(cfg Config) *Tracker {
 		cfg:     cfg,
 		stripes: make([]stripe, cfg.Stripes),
 	}
-	if cfg.Mode == ModeSketch {
-		for i := range t.stripes {
-			st := &t.stripes[i]
-			st.cms = sketch.NewCMS(cfg.SketchWidth, cfg.SketchDepth)
-			st.hll = sketch.NewHLL(cfg.HLLPrecision)
-			t.perWindow += st.cms.SizeBytes()
-			t.hllBytes += st.hll.SizeBytes()
-		}
-	} else {
-		// 25% slack absorbs hash imbalance across stripes without inflating
-		// the false-positive rate of the busier stripes.
-		per := (cfg.WindowCapacity + cfg.Stripes - 1) / cfg.Stripes
-		per += per / 4
-		t.stripeCap = per
-		for i := range t.stripes {
-			t.stripes[i].open = bloom.New(per, cfg.BitsPerKey)
-			t.perWindow += t.stripes[i].open.SizeBytes()
-		}
+	// 25% slack absorbs hash imbalance across stripes without inflating
+	// the false-positive rate of the busier stripes.
+	per := (cfg.WindowCapacity + cfg.Stripes - 1) / cfg.Stripes
+	per += per / 4
+	t.stripeCap = per
+	for i := range t.stripes {
+		t.stripes[i].open = bloom.New(per, cfg.BitsPerKey)
+		t.perWindow += t.stripes[i].open.SizeBytes()
 	}
 	return t
 }
 
-// Mode returns the resolved window representation.
-func (t *Tracker) Mode() Mode { return t.cfg.Mode }
-
 // stripeIndex maps the 64-bit key hash to a stripe (mixed away from the
-// low/high halves the filter and sketch probes consume).
+// low/high halves the filter probes consume).
 func (t *Tracker) stripeIndex(h uint64) int {
 	if len(t.stripes) == 1 {
 		return 0
@@ -255,29 +132,10 @@ func (t *Tracker) stripeIndex(h uint64) int {
 }
 
 // record inserts the hashed key into stripe si's open window and reports
-// the occupancy delta the caller must publish (bloom: 1 for a distinct
-// insert; sketch: the change in the stripe's HLL cardinality estimate).
+// the occupancy delta the caller must publish: 1 for a distinct insert.
 func (t *Tracker) record(si int, h uint64) int64 {
 	st := &t.stripes[si]
 	st.records.Add(1)
-	if t.cfg.Mode == ModeSketch {
-		st.mu.Lock()
-		st.cms.AddHash(h)
-		st.adds++
-		var delta int64
-		if st.hll.AddHash(h) {
-			// A register rose, so the cardinality estimate moved; republish
-			// the stripe's contribution to the shared occupancy counter.
-			// When no register changes (repeat keys, warmed-up registers)
-			// the estimate is provably unchanged and the float math is
-			// skipped entirely.
-			est := int64(st.hll.Estimate())
-			delta = est - st.lastEst
-			st.lastEst = est
-		}
-		st.mu.Unlock()
-		return delta
-	}
 	st.mu.Lock()
 	changed := st.open.AddHash(h)
 	st.mu.Unlock()
@@ -333,23 +191,6 @@ func (t *Tracker) RecordBatch(keys [][]byte, hot []bool) {
 	}
 }
 
-// noiseFloor is the seal-time classification threshold for one sketch
-// stripe: twice the stripe's mean counter load (truncated), floored at
-// SketchMinCount. While load stays near or below 1 counter collisions are
-// rare under conservative update, so the threshold remains 1 and the window
-// keeps bloom's presence semantics — rounding up here would silently drop
-// the once-per-window tail that bloom catches. Once the window's traffic
-// outgrows the fixed sketch, only counts standing above the collision noise
-// classify as "appeared".
-func (t *Tracker) noiseFloor(adds uint64) uint32 {
-	min := uint32(t.cfg.SketchMinCount)
-	load := float64(adds) / float64(t.cfg.SketchWidth)
-	if n := uint32(2 * load); n > min {
-		return n
-	}
-	return min
-}
-
 // seal rotates the open window onto the cascade. Single-writer: concurrent
 // callers queue on sealMu and all but the first observe the reset counter
 // and leave. Stripe state collected under their own locks is immutable
@@ -360,33 +201,16 @@ func (t *Tracker) seal() {
 	if t.occupancy.Load() < int64(t.cfg.WindowCapacity) {
 		return // another sealer already rotated this window
 	}
-	w := &window{}
-	if t.cfg.Mode == ModeSketch {
-		w.cms = make([]*sketch.CMS, len(t.stripes))
-		w.minCounts = make([]uint32, len(t.stripes))
-		for i := range t.stripes {
-			st := &t.stripes[i]
-			st.mu.Lock()
-			w.cms[i] = st.cms
-			w.minCounts[i] = t.noiseFloor(st.adds)
-			st.cms = sketch.NewCMS(t.cfg.SketchWidth, t.cfg.SketchDepth)
-			st.hll.Reset() // the HLL is never published; reuse it
-			st.adds = 0
-			st.lastEst = 0
-			st.mu.Unlock()
-		}
-	} else {
-		w.blooms = make([]*bloom.Filter, len(t.stripes))
-		for i := range t.stripes {
-			st := &t.stripes[i]
-			st.mu.Lock()
-			w.blooms[i] = st.open
-			st.open = bloom.New(t.stripeCap, t.cfg.BitsPerKey)
-			st.mu.Unlock()
-		}
+	w := make(window, len(t.stripes))
+	for i := range t.stripes {
+		st := &t.stripes[i]
+		st.mu.Lock()
+		w[i] = st.open
+		st.open = bloom.New(t.stripeCap, t.cfg.BitsPerKey)
+		st.mu.Unlock()
 	}
 	t.occupancy.Store(0)
-	var ws []*window
+	var ws []window
 	if old := t.cascade.Load(); old != nil {
 		ws = append(ws, *old...)
 	}
@@ -414,7 +238,7 @@ func (t *Tracker) isHotHash(si int, h uint64) bool {
 	ws := *c
 	run := 0
 	for i := len(ws) - 1; i >= 0; i-- {
-		if ws[i].containsHash(si, h) {
+		if ws[i][si].ContainsHash(h) {
 			run++
 			if run >= t.cfg.HotThreshold {
 				return true
@@ -440,21 +264,13 @@ func (t *Tracker) CascadeDepth() int {
 }
 
 // MemoryBytes estimates the tracker's current footprint: sealed windows
-// plus the open one, plus (sketch mode) the open window's HLL estimators.
+// plus the open one.
 func (t *Tracker) MemoryBytes() int64 {
-	return t.perWindow*int64(t.CascadeDepth()+1) + t.hllBytes
-}
-
-// FullMemoryBytes is the footprint with the cascade at MaxFilters — the
-// steady-state number capacity planning (and the O(1)-memory CI check)
-// cares about, independent of how many windows have sealed so far.
-func (t *Tracker) FullMemoryBytes() int64 {
-	return t.perWindow*int64(t.cfg.MaxFilters+1) + t.hllBytes
+	return t.perWindow * int64(t.CascadeDepth()+1)
 }
 
 // Stats is a point-in-time discriminator-health snapshot.
 type Stats struct {
-	Mode         Mode
 	Seals        uint64
 	CascadeDepth int
 	MemoryBytes  int64
@@ -476,7 +292,6 @@ func (s Stats) HotRate() float64 {
 // Stats snapshots the tracker's health counters.
 func (t *Tracker) Stats() Stats {
 	s := Stats{
-		Mode:         t.cfg.Mode,
 		Seals:        t.seals.Load(),
 		CascadeDepth: t.CascadeDepth(),
 		MemoryBytes:  t.MemoryBytes(),
@@ -495,14 +310,7 @@ func (t *Tracker) Reset() {
 	for i := range t.stripes {
 		st := &t.stripes[i]
 		st.mu.Lock()
-		if t.cfg.Mode == ModeSketch {
-			st.cms.Reset()
-			st.hll.Reset()
-			st.adds = 0
-			st.lastEst = 0
-		} else {
-			st.open = bloom.New(t.stripeCap, t.cfg.BitsPerKey)
-		}
+		st.open = bloom.New(t.stripeCap, t.cfg.BitsPerKey)
 		st.mu.Unlock()
 	}
 	t.occupancy.Store(0)

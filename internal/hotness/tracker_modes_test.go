@@ -3,22 +3,17 @@ package hotness
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 )
 
-// bothModes runs f against the bloom- and sketch-backed trackers so the two
-// representations are held to identical discriminator semantics.
-func bothModes(t *testing.T, f func(t *testing.T, mode Mode)) {
-	for _, m := range []Mode{ModeBloom, ModeSketch} {
-		t.Run(string(m), func(t *testing.T) { f(t, m) })
-	}
-}
+// The tests below were tables over the tracker's window representations.
+// Bloom windows are the one that remains; its case keeps the name "bloom" so
+// each test stays one series in CI history.
 
 func TestModesAgreeOnCascadeSemantics(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
-		tr := NewTracker(Config{Mode: mode, WindowCapacity: 64, HotThreshold: 3, MaxFilters: 4})
+	t.Run("bloom", func(t *testing.T) {
+		tr := NewTracker(Config{WindowCapacity: 64, HotThreshold: 3, MaxFilters: 4})
 		key := []byte("popular")
 		for w := 0; w < 3; w++ {
 			tr.Record(key)
@@ -29,7 +24,7 @@ func TestModesAgreeOnCascadeSemantics(t *testing.T) {
 		}
 
 		// A key with a gap in its appearances must not classify.
-		tr2 := NewTracker(Config{Mode: mode, WindowCapacity: 64, HotThreshold: 3, MaxFilters: 4})
+		tr2 := NewTracker(Config{WindowCapacity: 64, HotThreshold: 3, MaxFilters: 4})
 		bursty := []byte("bursty")
 		tr2.Record(bursty)
 		fillWindow(tr2, "w0")
@@ -61,101 +56,28 @@ func TestModesAgreeOnCascadeSemantics(t *testing.T) {
 	})
 }
 
-// TestSketchNoiseFloor: once a window's traffic outgrows the fixed sketch,
-// the seal-time threshold rises above presence so that only keys accessed
-// well above the collision noise "appear" — a once-per-window straggler must
-// not ride counter collisions into the hot set.
-func TestSketchNoiseFloor(t *testing.T) {
-	tr := NewTracker(Config{
-		Mode: ModeSketch, WindowCapacity: 2000, HotThreshold: 3, MaxFilters: 4,
-		Stripes: 1, SketchWidth: 256,
-	})
-	hot, cold := []byte("frequent"), []byte("straggler")
-	var buf [8]byte
-	for w := 0; w < 3; w++ {
-		for i := 0; i < 100; i++ {
-			tr.Record(hot)
-		}
-		tr.Record(cold)
-		start := tr.SealedWindows()
-		for i := 0; tr.SealedWindows() == start; i++ {
-			binary.BigEndian.PutUint64(buf[:], uint64(w)<<32|uint64(i))
-			tr.Record(buf[:])
-			if i > 1<<20 {
-				t.Fatal("window never sealed")
-			}
-		}
-	}
-	if !tr.IsHot(hot) {
-		t.Fatal("key accessed 100×/window must stand above the noise floor")
-	}
-	if tr.IsHot(cold) {
-		t.Fatal("once-per-window key must fall below the noise floor in overloaded windows")
-	}
-}
-
-// TestSketchMemoryFlatInCardinality is the unit-level O(1)-memory check:
-// growing WindowCapacity by 1000× must leave the sketch tracker's
-// steady-state footprint within 2× (it saturates at the width cap), while
-// the bloom tracker's grows with capacity as the paper sizes it.
-func TestSketchMemoryFlatInCardinality(t *testing.T) {
-	mem := func(mode Mode, cap int) int64 {
-		return NewTracker(Config{Mode: mode, WindowCapacity: cap, Stripes: 8}).FullMemoryBytes()
-	}
-	small, large := mem(ModeSketch, 100_000), mem(ModeSketch, 100_000_000)
-	if large > 2*small {
-		t.Fatalf("sketch footprint grew %d → %d bytes over 1000× cardinality", small, large)
-	}
-	bSmall, bLarge := mem(ModeBloom, 100_000), mem(ModeBloom, 100_000_000)
-	if bLarge < 100*bSmall {
-		t.Fatalf("bloom footprint %d → %d did not scale with capacity — baseline broken?", bSmall, bLarge)
-	}
-}
-
-// TestStripeDerivationByMode pins the Fill rules: bloom stripes follow
-// WindowCapacity (filter-accuracy driven), sketch stripes follow expected
-// concurrency (fixed-size windows), and both clamp to [1, 16].
+// TestStripeDerivationByMode pins the Fill rule: stripes follow
+// WindowCapacity (filter-accuracy driven) and clamp to [1, 16]; an explicit
+// count is respected.
 func TestStripeDerivationByMode(t *testing.T) {
-	c := Config{Mode: ModeBloom, WindowCapacity: 1 << 16}
-	c.Fill()
-	if c.Stripes != 16 {
-		t.Fatalf("bloom 64Ki window: stripes = %d, want 16", c.Stripes)
-	}
-	c = Config{Mode: ModeBloom, WindowCapacity: 64}
-	c.Fill()
-	if c.Stripes != 1 {
-		t.Fatalf("bloom tiny window: stripes = %d, want 1", c.Stripes)
-	}
-
-	want := 2 * runtime.GOMAXPROCS(0)
-	if want > 16 {
-		want = 16
-	}
-	if want < 1 {
-		want = 1
-	}
-	for _, cap := range []int{64, 1 << 16, 1 << 26} {
-		c = Config{Mode: ModeSketch, WindowCapacity: cap}
+	for _, tc := range []struct{ capacity, set, want int }{
+		{capacity: 1 << 16, want: 16},
+		{capacity: 64, want: 1},
+		{capacity: 2048, want: 4},
+		{capacity: 1 << 26, want: 16},
+		{set: 5, want: 5},
+	} {
+		c := Config{WindowCapacity: tc.capacity, Stripes: tc.set}
 		c.Fill()
-		if c.Stripes != want {
-			t.Fatalf("sketch stripes = %d at capacity %d, want %d (concurrency-derived, capacity-independent)",
-				c.Stripes, cap, want)
-		}
-	}
-
-	// Explicit stripe counts are respected in both modes.
-	for _, m := range []Mode{ModeBloom, ModeSketch} {
-		c = Config{Mode: m, Stripes: 5}
-		c.Fill()
-		if c.Stripes != 5 {
-			t.Fatalf("%s: explicit Stripes overridden to %d", m, c.Stripes)
+		if c.Stripes != tc.want {
+			t.Fatalf("window %d, Stripes %d: filled to %d, want %d", tc.capacity, tc.set, c.Stripes, tc.want)
 		}
 	}
 }
 
 func TestTrackerStatsCounters(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
-		tr := NewTracker(Config{Mode: mode, WindowCapacity: 64, HotThreshold: 1, MaxFilters: 2})
+	t.Run("bloom", func(t *testing.T) {
+		tr := NewTracker(Config{WindowCapacity: 64, HotThreshold: 1, MaxFilters: 2})
 		key := []byte("k")
 		tr.Record(key)
 		fillWindow(tr, "w0")
@@ -164,9 +86,6 @@ func TestTrackerStatsCounters(t *testing.T) {
 			t.Fatal("key in the sealed window must be hot at threshold 1")
 		}
 		s := tr.Stats()
-		if s.Mode != mode {
-			t.Fatalf("stats mode = %q", s.Mode)
-		}
 		if s.Records != before.Records+1 || s.HotHits != before.HotHits+1 {
 			t.Fatalf("counters did not advance: %+v → %+v", before, s)
 		}
@@ -180,11 +99,11 @@ func TestTrackerStatsCounters(t *testing.T) {
 }
 
 // TestConcurrentRecordSealStress hammers Record/RecordBatch/IsHot/Stats from
-// many goroutines while windows churn; run with -race this is the
-// sketch-mode mirror of the bloom tracker's concurrency guarantee.
+// many goroutines while windows churn; run with -race this is the tracker's
+// concurrency guarantee.
 func TestConcurrentRecordSealStress(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
-		tr := NewTracker(Config{Mode: mode, WindowCapacity: 256, HotThreshold: 2, MaxFilters: 3, Stripes: 4})
+	t.Run("bloom", func(t *testing.T) {
+		tr := NewTracker(Config{WindowCapacity: 256, HotThreshold: 2, MaxFilters: 3, Stripes: 4})
 		const goroutines = 8
 		iters := 3000
 		if testing.Short() {
