@@ -86,10 +86,7 @@ const slotHeader = 19
 
 // slotCRC checksums a slot's header prefix and payload.
 func slotCRC(buf []byte, kl, vl int) uint32 {
-	h := crc32.NewIEEE()
-	h.Write(buf[:15])
-	h.Write(buf[slotHeader : slotHeader+kl+vl])
-	return h.Sum32()
+	return crc32.Update(crc32.ChecksumIEEE(buf[:15]), crc32.IEEETable, buf[slotHeader:slotHeader+kl+vl])
 }
 
 var classes = []int{64, 128, 256, 512, 1024, 2048, 4096}

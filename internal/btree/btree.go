@@ -6,7 +6,10 @@
 // partition's lock, matching the paper's shared-nothing design.
 package btree
 
-import "bytes"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 const (
 	degree   = 32           // minimum children per internal node
@@ -14,9 +17,24 @@ const (
 	minItems = degree - 1   // minimum items per non-root node
 )
 
+// item carries its key's Prefix inline so a descent orders items by integer
+// compares on memory it has already loaded; the key bytes, each in their
+// own allocation, are read only on a prefix tie.
 type item[V any] struct {
+	pfx uint64
 	key []byte
 	val V
+}
+
+// Prefix returns k's first 8 bytes as a big-endian integer, zero-padded.
+// Prefix(a) < Prefix(b) implies a < b bytewise; equal prefixes decide nothing.
+func Prefix(k []byte) uint64 {
+	if len(k) >= 8 {
+		return binary.BigEndian.Uint64(k)
+	}
+	var b [8]byte
+	copy(b[:], k)
+	return binary.BigEndian.Uint64(b[:])
 }
 
 type node[V any] struct {
@@ -27,18 +45,19 @@ type node[V any] struct {
 func (n *node[V]) leaf() bool { return len(n.children) == 0 }
 
 // search returns the index of the first item with key >= k and whether an
-// exact match sits at that index.
-func (n *node[V]) search(k []byte) (int, bool) {
+// exact match sits at that index. p must be Prefix(k).
+func (n *node[V]) search(p uint64, k []byte) (int, bool) {
 	lo, hi := 0, len(n.items)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(n.items[mid].key, k) < 0 {
+		it := &n.items[mid]
+		if it.pfx < p || (it.pfx == p && bytes.Compare(it.key, k) < 0) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(n.items) && bytes.Equal(n.items[lo].key, k)
+	return lo, lo < len(n.items) && n.items[lo].pfx == p && bytes.Equal(n.items[lo].key, k)
 }
 
 // Map is an ordered map from []byte keys to V.
@@ -56,9 +75,10 @@ func (t *Map[V]) Len() int { return t.size }
 // Get returns the value for key k.
 func (t *Map[V]) Get(k []byte) (V, bool) {
 	var zero V
+	p := Prefix(k)
 	n := t.root
 	for n != nil {
-		i, ok := n.search(k)
+		i, ok := n.search(p, k)
 		if ok {
 			return n.items[i].val, true
 		}
@@ -76,9 +96,10 @@ func (t *Map[V]) Get(k []byte) (V, bool) {
 // structural change (any Set or Delete); callers must hold whatever lock
 // guards the tree for as long as they use it.
 func (t *Map[V]) Ref(k []byte) *V {
+	p := Prefix(k)
 	n := t.root
 	for n != nil {
-		i, ok := n.search(k)
+		i, ok := n.search(p, k)
 		if ok {
 			return &n.items[i].val
 		}
@@ -93,8 +114,9 @@ func (t *Map[V]) Ref(k []byte) *V {
 // Set inserts or replaces the value for key k. The key slice is stored as
 // given; callers that reuse buffers must clone first.
 func (t *Map[V]) Set(k []byte, v V) {
+	it := item[V]{pfx: Prefix(k), key: k, val: v}
 	if t.root == nil {
-		t.root = &node[V]{items: []item[V]{{key: k, val: v}}}
+		t.root = &node[V]{items: []item[V]{it}}
 		t.size = 1
 		return
 	}
@@ -103,7 +125,7 @@ func (t *Map[V]) Set(k []byte, v V) {
 		t.root = &node[V]{children: []*node[V]{old}}
 		t.root.splitChild(0)
 	}
-	if t.root.insert(k, v) {
+	if t.root.insert(it) {
 		t.size++
 	}
 }
@@ -130,30 +152,30 @@ func (n *node[V]) splitChild(i int) {
 	n.children[i+1] = right
 }
 
-// insert adds k below n (which must not be full). Returns true if the tree
+// insert adds it below n (which must not be full). Returns true if the tree
 // grew (false = replaced existing).
-func (n *node[V]) insert(k []byte, v V) bool {
-	i, ok := n.search(k)
+func (n *node[V]) insert(it item[V]) bool {
+	i, ok := n.search(it.pfx, it.key)
 	if ok {
-		n.items[i].val = v
+		n.items[i].val = it.val
 		return false
 	}
 	if n.leaf() {
 		n.items = append(n.items, item[V]{})
 		copy(n.items[i+1:], n.items[i:])
-		n.items[i] = item[V]{key: k, val: v}
+		n.items[i] = it
 		return true
 	}
 	if len(n.children[i].items) >= maxItems {
 		n.splitChild(i)
-		if c := bytes.Compare(k, n.items[i].key); c > 0 {
+		if c := bytes.Compare(it.key, n.items[i].key); c > 0 {
 			i++
 		} else if c == 0 {
-			n.items[i].val = v
+			n.items[i].val = it.val
 			return false
 		}
 	}
-	return n.children[i].insert(k, v)
+	return n.children[i].insert(it)
 }
 
 // Delete removes key k, reporting whether it was present.
@@ -161,7 +183,7 @@ func (t *Map[V]) Delete(k []byte) bool {
 	if t.root == nil {
 		return false
 	}
-	deleted := t.root.delete(k)
+	deleted := t.root.delete(Prefix(k), k)
 	if len(t.root.items) == 0 && !t.root.leaf() {
 		t.root = t.root.children[0]
 	}
@@ -174,8 +196,8 @@ func (t *Map[V]) Delete(k []byte) bool {
 	return deleted
 }
 
-func (n *node[V]) delete(k []byte) bool {
-	i, ok := n.search(k)
+func (n *node[V]) delete(p uint64, k []byte) bool {
+	i, ok := n.search(p, k)
 	if n.leaf() {
 		if !ok {
 			return false
@@ -189,15 +211,12 @@ func (n *node[V]) delete(k []byte) bool {
 		n.items[i] = pred
 		n.ensureChild(i)
 		// The item may have moved during rebalancing; re-resolve.
-		j, stillHere := n.search(pred.key)
-		if stillHere {
-			return n.children[j].delete(pred.key)
-		}
-		return n.children[j].delete(pred.key)
+		j, _ := n.search(pred.pfx, pred.key)
+		return n.children[j].delete(pred.pfx, pred.key)
 	}
 	n.ensureChild(i)
-	j, _ := n.search(k)
-	return n.children[j].delete(k)
+	j, _ := n.search(p, k)
+	return n.children[j].delete(p, k)
 }
 
 func (n *node[V]) max() item[V] {
@@ -265,7 +284,7 @@ func (t *Map[V]) Ascend(lo, hi []byte, fn func(k []byte, v V) bool) {
 func (n *node[V]) ascend(lo, hi []byte, fn func(k []byte, v V) bool) bool {
 	start := 0
 	if lo != nil {
-		start, _ = n.search(lo)
+		start, _ = n.search(Prefix(lo), lo)
 	}
 	for i := start; i <= len(n.items); i++ {
 		if !n.leaf() {

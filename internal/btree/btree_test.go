@@ -3,7 +3,6 @@ package btree
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -100,54 +99,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-// TestAgainstReferenceModel drives random operations against map+sort.
-func TestAgainstReferenceModel(t *testing.T) {
-	m := New[uint64]()
-	ref := map[string]uint64{}
-	rng := rand.New(rand.NewSource(77))
-	for op := 0; op < 200000; op++ {
-		k := fmt.Sprintf("%05d", rng.Intn(5000))
-		switch rng.Intn(3) {
-		case 0, 1:
-			v := rng.Uint64()
-			m.Set([]byte(k), v)
-			ref[k] = v
-		case 2:
-			got := m.Delete([]byte(k))
-			_, want := ref[k]
-			if got != want {
-				t.Fatalf("op %d: delete(%s) = %v, want %v", op, k, got, want)
-			}
-			delete(ref, k)
-		}
-		if op%10000 == 0 {
-			if m.Len() != len(ref) {
-				t.Fatalf("op %d: len %d != ref %d", op, m.Len(), len(ref))
-			}
-		}
-	}
-	// Final full comparison including iteration order.
-	var refKeys []string
-	for k := range ref {
-		refKeys = append(refKeys, k)
-	}
-	sort.Strings(refKeys)
-	i := 0
-	m.Ascend(nil, nil, func(k []byte, v uint64) bool {
-		if string(k) != refKeys[i] {
-			t.Fatalf("iter %d: %q != %q", i, k, refKeys[i])
-		}
-		if v != ref[refKeys[i]] {
-			t.Fatalf("iter %d: value mismatch", i)
-		}
-		i++
-		return true
-	})
-	if i != len(refKeys) {
-		t.Fatalf("iterated %d, want %d", i, len(refKeys))
-	}
-}
-
 func TestQuickSetThenGet(t *testing.T) {
 	m := New[int]()
 	i := 0
@@ -195,17 +146,6 @@ func BenchmarkBTreeSet(b *testing.B) {
 	m := New[int]()
 	for i := 0; i < b.N; i++ {
 		m.Set(keyOf(i), i)
-	}
-}
-
-func BenchmarkBTreeGet(b *testing.B) {
-	m := New[int]()
-	for i := 0; i < 100000; i++ {
-		m.Set(keyOf(i), i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Get(keyOf(i % 100000))
 	}
 }
 

@@ -57,10 +57,7 @@ func encodeSlot(dst []byte, ts uint64, tombstone bool, k, v []byte) {
 
 // slotCRC computes the slot checksum: header fields (crc zeroed) + payload.
 func slotCRC(buf []byte, kl, vl int) uint32 {
-	h := crc32.NewIEEE()
-	h.Write(buf[:15])
-	h.Write(buf[slotHeaderSize : slotHeaderSize+kl+vl])
-	return h.Sum32()
+	return crc32.Update(crc32.ChecksumIEEE(buf[:15]), crc32.IEEETable, buf[slotHeaderSize:slotHeaderSize+kl+vl])
 }
 
 // decodeSlot parses a slot, returning ts, tombstone flag, key and value
@@ -166,16 +163,6 @@ func (sf *slotFile) writeSlot(p uint32, s uint16, ts uint64, tombstone bool, k, 
 		buf[i] = 0
 	}
 	return sf.f.WriteAt(buf, sf.slotOffset(p, s), op)
-}
-
-// readSlot fetches the object at (page, slot), charging one page read unless
-// the caller provides pageData already fetched for this page.
-func (sf *slotFile) readSlot(p uint32, s uint16, op device.Op) (ts uint64, tombstone bool, k, v []byte, err error) {
-	buf := make([]byte, sf.slotSize)
-	if _, err = sf.f.ReadAt(buf, sf.slotOffset(p, s), op); err != nil {
-		return 0, false, nil, nil, err
-	}
-	return decodeSlot(buf)
 }
 
 // readPage fetches an entire page, charging one page read.

@@ -1,20 +1,18 @@
 package zone
 
 import (
-	"encoding/binary"
 	"math"
 	"sync/atomic"
+
+	"hyperdb/internal/btree"
 )
 
 // Key64 maps a user key to its position in the 64-bit prefix keyspace used
-// for zone ranges (big-endian first 8 bytes, zero-padded). Zone ranges are
+// for zone ranges (btree.Prefix: big-endian first 8 bytes, zero-padded — the
+// same integer the index orders its items by). Zone ranges are
 // intervals of this space; keys sharing an 8-byte prefix land in the same
 // zone, which only affects range-width estimation, not correctness.
-func Key64(k []byte) uint64 {
-	var b [8]byte
-	copy(b[:], k)
-	return binary.BigEndian.Uint64(b[:])
-}
+func Key64(k []byte) uint64 { return btree.Prefix(k) }
 
 // slotRef addresses one slot in a size class's file.
 type slotRef struct {

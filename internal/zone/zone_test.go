@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -387,6 +388,25 @@ func TestKey64(t *testing.T) {
 	}
 	if Key64(nil) != 0 {
 		t.Fatal("nil key should map to 0")
+	}
+}
+
+// TestSlotCRCMatchesStreamingHash pins the slot checksum to the formula every
+// slot already on a device was written with (a streaming IEEE hash fed the
+// 15 header bytes, then the payload), at every payload size a slot can hold:
+// a slot persisted before slotCRC stopped allocating a hash.Hash32 must
+// still decode.
+func TestSlotCRCMatchesStreamingHash(t *testing.T) {
+	buf := make([]byte, 4096)
+	rand.New(rand.NewSource(20)).Read(buf)
+	for n := 0; n <= len(buf)-slotHeaderSize; n++ {
+		kl := n % 9
+		h := crc32.NewIEEE()
+		h.Write(buf[:15])
+		h.Write(buf[slotHeaderSize : slotHeaderSize+n])
+		if got, want := slotCRC(buf, kl, n-kl), h.Sum32(); got != want {
+			t.Fatalf("payload %d: slotCRC %08x, streaming hash %08x", n, got, want)
+		}
 	}
 }
 
