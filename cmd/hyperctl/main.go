@@ -110,9 +110,9 @@ func recoverDemo(args []string) {
 	fmt.Println("simulated crash (in-memory state discarded)")
 
 	t0 := time.Now()
-	re, err := hyperdb.Recover(opts)
+	re, err := hyperdb.Open(opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "recover:", err)
+		fmt.Fprintln(os.Stderr, "reopen:", err)
 		os.Exit(1)
 	}
 	defer re.Close()

@@ -21,19 +21,18 @@ type BlockCache interface {
 // blocks for the SATA-resident LSM. Hits cost an NVMe page read; fills cost
 // an NVMe page write — the "higher extra write volume" §4.2 observes.
 type Flash struct {
-	mu      sync.Mutex
-	f       *device.File
-	dev     *device.Device
-	budget  int64
-	used    int64
-	items   map[string]*list.Element
-	order   *list.List // front = most recent
-	free    []flashExtent
-	tail    int64
-	hits    uint64
-	misses  uint64
-	fills   uint64
-	crcErrs uint64
+	mu     sync.Mutex
+	f      *device.File
+	dev    *device.Device
+	budget int64
+	used   int64
+	items  map[string]*list.Element
+	order  *list.List // front = most recent
+	free   []flashExtent
+	tail   int64
+	hits   uint64
+	misses uint64
+	fills  uint64
 }
 
 type flashExtent struct {
@@ -102,9 +101,6 @@ func (c *Flash) Get(key string) ([]byte, bool) {
 		}
 		if crc32.ChecksumIEEE(buf) != crc {
 			// The extent raced a recycler; drop the entry and miss.
-			c.mu.Lock()
-			c.crcErrs++
-			c.mu.Unlock()
 			c.Delete(key)
 			return nil, false
 		}
@@ -197,13 +193,6 @@ func (c *Flash) Stats() (hits, misses, fills uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.fills
-}
-
-// CRCErrors returns the number of reads dropped by checksum verification.
-func (c *Flash) CRCErrors() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.crcErrs
 }
 
 // Tiered layers a DRAM LRU over a Flash cache: DRAM evictions spill to

@@ -274,8 +274,7 @@ func (db *DB) ApplySnapshotChunk(ops []BatchOp, seq uint64) error {
 // MultiGet looks up every key and returns positionally aligned values; a
 // missing or deleted key yields nil (no ErrNotFound per key, so one cold key
 // doesn't fail the batch). Lookups are grouped per partition: one tracker
-// pass, one zone index-lock acquisition, and page reads shared across keys
-// that land on the same slot page. Hot capacity-tier hits are queued for
+// pass, and page reads shared across keys that land on the same slot page. Hot capacity-tier hits are queued for
 // promotion exactly like Get.
 func (db *DB) MultiGet(keyList [][]byte) ([][]byte, error) {
 	if db.closed.Load() {

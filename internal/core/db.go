@@ -118,7 +118,13 @@ type DB struct {
 	stop      chan struct{}
 }
 
-// Open assembles a DB over the two devices.
+// Open assembles a DB over the two devices and whatever they hold: nothing,
+// or a previous instance's state after a crash or a clean Close. The
+// performance tier recovers KVell-style by scanning slot files and keeping
+// the newest checksummed version per key; the capacity tier reopens its
+// self-describing semi-SSTables; either creates what an empty device lacks.
+// The hotness trackers start cold — access history is ephemeral by design
+// (§3.3), so objects re-earn hot status.
 func Open(opts Options) (*DB, error) {
 	if opts.NVMe == nil || opts.SATA == nil {
 		return nil, fmt.Errorf("hyperdb: both NVMe and SATA devices are required")
@@ -142,13 +148,14 @@ func Open(opts Options) (*DB, error) {
 		metaDev = opts.NVMe
 	}
 	hotCap := int64(float64(opts.NVMe.Capacity()) / float64(p) * opts.HotZoneFraction)
+	var maxSeq uint64
 	for i := 0; i < opts.Partitions; i++ {
 		lo := uint64(i) * width
 		hi := lo + width
 		if i == opts.Partitions-1 {
 			hi = math.MaxUint64
 		}
-		zm, err := zone.NewManager(zone.Config{
+		zm, zseq, err := zone.Recover(zone.Config{
 			Dev:         opts.NVMe,
 			Partition:   i,
 			BatchSize:   opts.MigrationBatch,
@@ -159,9 +166,9 @@ func Open(opts Options) (*DB, error) {
 			ValueCacheBytes: opts.CacheBytes / int64(4*opts.Partitions),
 		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("hyperdb: open partition %d zones: %w", i, err)
 		}
-		tree := lsm.New(lsm.Options{
+		tree, tseq, err := lsm.Recover(lsm.Options{
 			Dev:           opts.SATA,
 			Partition:     i,
 			KeyLo:         lo,
@@ -179,6 +186,10 @@ func Open(opts Options) (*DB, error) {
 			Compress:      opts.CompressPolicy,
 			Seed:          uint64(i + 1),
 		})
+		if err != nil {
+			return nil, fmt.Errorf("hyperdb: open partition %d tree: %w", i, err)
+		}
+		maxSeq = max(maxSeq, zseq, tseq)
 		part := &partition{
 			id:       i,
 			keyLo:    lo,
@@ -193,6 +204,13 @@ func Open(opts Options) (*DB, error) {
 		part.promoSlots.Store(int64(opts.PromoteQueue))
 		db.parts = append(db.parts, part)
 	}
+	db.seq.Store(maxSeq)
+	// A follower must not accept replicated entries at or below the
+	// sequences its devices already hold; a snapshot bootstrap resets this
+	// position explicitly. Everything found on the devices is fully applied,
+	// so the readable position starts there too.
+	db.replApplied.Store(maxSeq)
+	db.readSeq.Store(maxSeq)
 	if !opts.DisableBackground {
 		for _, part := range db.parts {
 			db.wg.Add(2)
@@ -244,33 +262,47 @@ func (db *DB) nextSeq() uint64 { return db.seq.Add(1) }
 
 // Put writes key=value. The write is durable in the performance tier when
 // Put returns (in-place slot write, no WAL — §3.6).
-func (db *DB) Put(key, value []byte) error {
+func (db *DB) Put(key, value []byte) error { return db.writeOne(BatchOp{Key: key, Value: value}) }
+
+// Delete removes key by writing a tombstone that later migrates down.
+// Deleting an absent key is not an error.
+func (db *DB) Delete(key []byte) error { return db.writeOne(BatchOp{Key: key, Delete: true}) }
+
+// writeOne applies a single put or delete without the batch path's grouping.
+func (db *DB) writeOne(op BatchOp) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
 	if db.follower.Load() {
 		return ErrFollower
 	}
-	if len(key) == 0 {
+	if len(op.Key) == 0 {
 		return fmt.Errorf("hyperdb: empty key")
 	}
 	if db.opts.Tee != nil {
 		// Replicated deployments route every write through the batch path so
 		// the tee sees one committed, seq-tagged entry per logical write.
-		return db.WriteBatch([]BatchOp{{Key: key, Value: value}})
+		return db.WriteBatch([]BatchOp{op})
 	}
-	p := db.partFor(key)
-	hot := p.tracker.Record(key)
+	if db.tree != nil {
+		db.tree.MarkKey(op.Key)
+	}
+	p := db.partFor(op.Key)
+	hot := p.tracker.Record(op.Key)
 	// One sequence per logical write, even across stall retries, so the
 	// crash tests' seq-based uncertainty windows stay tight.
 	seq := db.nextSeq()
-	err := p.zones.Put(key, value, seq, hot, false)
+	apply := func() error {
+		if op.Delete {
+			return p.zones.Delete(op.Key, seq)
+		}
+		return p.zones.Put(op.Key, op.Value, seq, hot, false)
+	}
+	err := apply()
 	if errors.Is(err, device.ErrNoSpace) {
 		// Background demotion lagged behind the write rate: migrate
 		// synchronously (the write-stall analogue) and retry.
-		err = db.putStalled(p, func() error {
-			return p.zones.Put(key, value, seq, hot, false)
-		})
+		err = db.putStalled(p, apply)
 	}
 	if err != nil {
 		return err
@@ -320,36 +352,6 @@ func (db *DB) putStalled(p *partition, retry func() error) error {
 		}
 	}
 	return retry()
-}
-
-// Delete removes key by writing a tombstone that later migrates down.
-func (db *DB) Delete(key []byte) error {
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	if db.follower.Load() {
-		return ErrFollower
-	}
-	if len(key) == 0 {
-		return fmt.Errorf("hyperdb: empty key")
-	}
-	if db.opts.Tee != nil {
-		return db.WriteBatch([]BatchOp{{Key: key, Delete: true}})
-	}
-	p := db.partFor(key)
-	p.tracker.Record(key)
-	seq := db.nextSeq()
-	err := p.zones.Delete(key, seq)
-	if errors.Is(err, device.ErrNoSpace) {
-		err = db.putStalled(p, func() error {
-			return p.zones.Delete(key, seq)
-		})
-	}
-	if err != nil {
-		return err
-	}
-	db.maybeTriggerMigration(p)
-	return nil
 }
 
 // Get returns the value for key, or ErrNotFound. Hot objects found in the
@@ -457,3 +459,14 @@ func (db *DB) MerkleTree() *merkle.Tree { return db.tree }
 
 // Options returns the resolved configuration.
 func (db *DB) Options() Options { return db.opts }
+
+// NVMe returns the performance-tier device (for harness inspection).
+func (db *DB) NVMe() *device.Device { return db.opts.NVMe }
+
+// SATA returns the capacity-tier device (for harness inspection).
+func (db *DB) SATA() *device.Device { return db.opts.SATA }
+
+// Engine returns db. It dates from when the root package's DB wrapped this
+// one; bench/ still calls it, and the benchmark PR deletes it together with
+// the root package's second options struct.
+func (db *DB) Engine() *DB { return db }

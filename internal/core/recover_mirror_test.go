@@ -76,7 +76,7 @@ func TestRecoverWithIndexMirror(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Recover(mirrorTestOpts(nvme, sata))
+	re, err := Open(mirrorTestOpts(nvme, sata))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRecoverWithIndexMirror(t *testing.T) {
 	if _, err := nvme.Create("p0-L1-S0-G9999.sst.idx"); err != nil {
 		t.Fatal(err)
 	}
-	re2, err := Recover(mirrorTestOpts(nvme, sata))
+	re2, err := Open(mirrorTestOpts(nvme, sata))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestRecoverWithoutMirror(t *testing.T) {
 		t.Fatalf("mirror disabled but %d .sst.idx files on NVMe", got)
 	}
 	db.Close()
-	re, err := Recover(opts)
+	re, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -361,7 +361,7 @@ func TestRecoverStaysTieredAndSurvivesDemotionCut(t *testing.T) {
 		r.nvme.PowerCut()
 		r.sata.PowerCut()
 		dev.ClearFaults()
-		re, err := Recover(regimeOpts(r.nvme, r.sata, 8<<10, true))
+		re, err := Open(regimeOpts(r.nvme, r.sata, 8<<10, true))
 		if err != nil {
 			t.Fatalf("%s: recover: %v", when, err)
 		}

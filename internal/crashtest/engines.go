@@ -69,13 +69,15 @@ type Factory struct {
 // drive flush/migration/compaction through BackgroundStep, which keeps every
 // cycle deterministic for a given seed.
 func Factories() []Factory {
+	// HyperDB's Open opens whatever the devices hold.
+	openHyper := func(c Config) (engine.Engine, error) { return core.Open(hyperOpts(c)) }
 	return []Factory{
 		{
 			Name:    "hyperdb",
 			NVMeCap: 64 << 10,
 			SATACap: 1 << 20,
-			Open:    func(c Config) (engine.Engine, error) { return core.Open(hyperOpts(c)) },
-			Recover: func(c Config) (engine.Engine, error) { return core.Recover(hyperOpts(c)) },
+			Open:    openHyper,
+			Recover: openHyper,
 		},
 		{
 			Name:    "rocksish",

@@ -338,20 +338,6 @@ func (f *File) ReadAt(p []byte, off int64, op Op) (int, error) {
 	return n, nil
 }
 
-// ReadPage reads the page containing offset off (page-aligned retrieval),
-// charging exactly one page. Returns the page's bytes (may be short at EOF)
-// and the page-aligned offset it begins at.
-func (f *File) ReadPage(off int64, op Op) ([]byte, int64, error) {
-	ps := int64(f.dev.PageSize())
-	base := off / ps * ps
-	buf := make([]byte, ps)
-	n, err := f.ReadAt(buf, base, op)
-	if err != nil {
-		return nil, 0, err
-	}
-	return buf[:n], base, nil
-}
-
 // Truncate shrinks the file to size bytes, returning now-unused pages.
 func (f *File) Truncate(size int64) error {
 	f.mu.Lock()

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"hyperdb"
-	"hyperdb/internal/core"
 	"hyperdb/internal/ycsb"
 )
 
@@ -42,7 +41,7 @@ func Ablation(s Scale, progress io.Writer) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ablation %s: %w", v.name, err)
 		}
-		db := inst.Engine.(*core.DB)
+		db := inst.Engine.(*hyperdb.DB)
 		if err := Load(db, s.Records, s.ValueSize, s.Clients, 7); err != nil {
 			db.Close()
 			return nil, fmt.Errorf("ablation %s load: %w", v.name, err)
@@ -81,7 +80,7 @@ func Ablation(s Scale, progress io.Writer) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		db := inst.Engine.(*core.DB)
+		db := inst.Engine.(*hyperdb.DB)
 		if err := Load(db, s.Records, s.ValueSize, s.Clients, 7); err != nil {
 			db.Close()
 			return nil, err

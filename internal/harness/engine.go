@@ -197,5 +197,5 @@ func buildHyper(cfg Config, mut func(*hyperdb.Options)) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Instance{Engine: db.Engine(), NVMe: nvme, SATA: sata, Kind: KindHyperDB}, nil
+	return &Instance{Engine: db, NVMe: nvme, SATA: sata, Kind: KindHyperDB}, nil
 }

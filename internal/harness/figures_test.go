@@ -7,7 +7,6 @@ import (
 
 	"hyperdb"
 	"hyperdb/internal/baseline/prismish"
-	"hyperdb/internal/core"
 	"hyperdb/internal/device"
 	"hyperdb/internal/engine"
 	"hyperdb/internal/ycsb"
@@ -66,7 +65,7 @@ func TestFig9bMigrationLocality(t *testing.T) {
 			t.Fatal(err)
 		}
 		switch db := inst.Engine.(type) {
-		case *core.DB:
+		case *hyperdb.DB:
 			st := db.Stats().Zone
 			if st.MigratedObjects == 0 {
 				t.Fatal("hyperdb: no migrations")
@@ -153,7 +152,7 @@ func TestScanPrefetchEquivalence(t *testing.T) {
 		cfg := s.config()
 		nvme := device.New(device.UnthrottledProfile("nvme", cfg.NVMeCapacity))
 		sata := device.New(device.UnthrottledProfile("sata", cfg.SATACapacity))
-		db, err := hyperdb.Open(hyperdb.Options{
+		eng, err := hyperdb.Open(hyperdb.Options{
 			NVMeDevice: nvme, SATADevice: sata,
 			Partitions: cfg.Partitions, MigrationBatch: cfg.FileSize,
 			ScanPrefetch: prefetch, DisableBackground: true,
@@ -161,7 +160,6 @@ func TestScanPrefetchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := db.Engine()
 		// One loader: the read counts are only comparable when both engines
 		// hold the same tier, and concurrent loaders interleave differently
 		// every run (four of them failed this test 18 times in 40).
@@ -175,7 +173,7 @@ func TestScanPrefetchEquivalence(t *testing.T) {
 		}
 		reads[i] = nvme.Counters().ReadBytes.Load() - before
 		results[i] = kvs
-		db.Close()
+		eng.Close()
 	}
 	if len(results[0]) != len(results[1]) {
 		t.Fatalf("prefetch changed result count: %d vs %d", len(results[0]), len(results[1]))

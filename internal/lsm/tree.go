@@ -246,18 +246,6 @@ func (t *Tree) SpaceAmp() float64 {
 	return float64(live+stale) / float64(live)
 }
 
-// TotalFileBytes returns the tree's on-device footprint.
-func (t *Tree) TotalFileBytes() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var file int64
-	for l := 1; l <= t.opts.MaxLevels; l++ {
-		_, fl := t.levelBytesLocked(l)
-		file += fl
-	}
-	return file
-}
-
 // Empty reports whether the tree holds no table at any level: the partition
 // has never demoted anything (or everything it demoted has since been deleted
 // and compacted away). Tables are durable, so the answer survives Recover.

@@ -97,7 +97,9 @@ func New(bits int) *Tree {
 		nodes: make([]Hash, 2<<uint(bits)),
 		dirty: make(map[uint32]struct{}, 1<<uint(bits)),
 	}
-	t.markAllLocked()
+	for b := uint32(0); b < 1<<t.bits; b++ {
+		t.dirty[b] = struct{}{} // every leaf starts unhashed
+	}
 	return t
 }
 
@@ -110,20 +112,6 @@ func (t *Tree) MarkKey(key []byte) {
 	t.mu.Lock()
 	t.dirty[b] = struct{}{}
 	t.mu.Unlock()
-}
-
-// MarkAll invalidates every leaf — used after wholesale state replacement
-// (snapshot bootstrap, anti-entropy repair).
-func (t *Tree) MarkAll() {
-	t.mu.Lock()
-	t.markAllLocked()
-	t.mu.Unlock()
-}
-
-func (t *Tree) markAllLocked() {
-	for b := uint32(0); b < 1<<t.bits; b++ {
-		t.dirty[b] = struct{}{}
-	}
 }
 
 // Snapshot rehashes the dirty leaves via scan, folds the changes up the

@@ -31,7 +31,7 @@ const sweepPairs = 256
 // position rather than the store's raw sequence counter — the two diverge
 // after a forced re-bootstrap onto a store that already held state.
 type Follower struct {
-	DB DB
+	DB *core.DB
 	// Log, when non-nil, is this node's own replication log (the engine's
 	// Tee). A snapshot bootstrap floors it at the snapshot sequence so that,
 	// after a promotion, downstream followers can't silently tail across
@@ -167,7 +167,7 @@ func (f *Follower) Run(nc net.Conn, stop <-chan struct{}) error {
 		if f.ApplyDelay != nil {
 			f.ApplyDelay(base)
 		}
-		if err := f.DB.ApplyReplicated(fromWireOps(wops), base); err != nil {
+		if err := f.DB.ApplyReplicated(wops, base); err != nil {
 			return fmt.Errorf("repl: apply entry at %d: %w", base, err)
 		}
 		last := base + uint64(len(wops)) - 1

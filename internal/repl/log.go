@@ -19,8 +19,6 @@ import (
 	"time"
 
 	"hyperdb/internal/core"
-	"hyperdb/internal/wal"
-	"hyperdb/internal/wire"
 )
 
 // ErrOverrun reports a cursor that needs entries already truncated from the
@@ -91,16 +89,17 @@ type Log struct {
 	change chan struct{}
 
 	// logBytes accumulates the encoded size of every appended entry — the
-	// uvarint base + batch-op frame each entry occupies on the wire and in
-	// the persisted log. This is the deployment's foreground WAL-bytes
-	// figure: the merge bench reads it to show delta folding shrinking the
-	// op-log proportionally.
+	// uvarint base + batch-op frame each entry occupies on the wire. This is
+	// the deployment's foreground op-log figure: the merge bench reads it to
+	// show delta folding shrinking the op-log proportionally.
 	logBytes atomic.Uint64
 }
 
-// NewLog builds an empty log. A primary reopened over existing data must
-// SetFloor(db.CommitSeq()) so stale followers are forced through a
-// snapshot rather than silently missing the pre-log history.
+// NewLog builds an empty log under a fresh epoch. Nothing of a log outlives
+// its process: a restarted node's followers present the old epoch and are
+// sent through a snapshot. The log claims the history from sequence 0, so it
+// must front an empty store (hyperd's devices are in memory and start so); over
+// a store that already holds data, ResetTo(db.CommitSeq()) first.
 func NewLog(cfg LogConfig) *Log {
 	cfg.fill()
 	return &Log{
@@ -130,9 +129,8 @@ func newEpoch() uint64 {
 // epoch does not match cannot prove its state is a prefix of this log's
 // history (it may carry writes from a dead primary's incarnation that
 // never shipped), so it is forced through a snapshot instead of tailing.
-// The epoch survives a clean shutdown via SaveTo/RecoverLog and is
-// re-minted after a crash, which is exactly when old state stops being
-// trustworthy.
+// It is minted per NewLog and again by ResetTo: a restart or a bootstrap is
+// exactly when old state stops being trustworthy.
 func (l *Log) Epoch() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -276,21 +274,6 @@ func (l *Log) truncateLocked() {
 			l.floor = e.last
 		}
 	}
-}
-
-// SetFloor raises the log's availability floor: followers at or below it
-// must bootstrap via snapshot. Used when a log fronts a store that already
-// holds history the log never saw (a recovered primary, or a follower that
-// itself bootstrapped from a snapshot).
-func (l *Log) SetFloor(seq uint64) {
-	l.mu.Lock()
-	if seq > l.floor {
-		l.floor = seq
-	}
-	if seq > l.head {
-		l.head = seq
-	}
-	l.mu.Unlock()
 }
 
 // ResetTo discards the retained window and the write lineage: the node's
@@ -531,8 +514,7 @@ func cloneOps(ops []core.BatchOp) []core.BatchOp {
 }
 
 // Bytes returns the cumulative encoded size of every entry appended to
-// this log — the wire/WAL footprint of the op stream (frame payloads; WAL
-// record framing excluded). Merge ops are appended unresolved (key +
+// this log — the wire footprint of the op stream (frame payloads). Merge ops are appended unresolved (key +
 // varint delta), so folding N deltas into one entry shrinks this figure by
 // construction.
 func (l *Log) Bytes() uint64 { return l.logBytes.Load() }
@@ -566,140 +548,4 @@ func uvarintLen(v uint64) uint64 {
 
 func varintLen(v int64) uint64 {
 	return uvarintLen(uint64(v)<<1 ^ uint64(v>>63)) // zig-zag, as encoding/binary
-}
-
-// Log persistence: the retained window survives a *clean* shutdown only.
-// Records written mid-flight cannot be trusted after a crash — a torn tail
-// or an entry synced before its apply would desynchronise the log from the
-// recovered store, silently diverging followers that tail from it — so
-// SaveTo stamps a terminal clean-shutdown marker and RecoverLog discards
-// everything unless that marker is the final record. After a crash the
-// primary starts an empty log floored at its recovered CommitSeq, forcing
-// followers through a snapshot, which is always safe.
-const (
-	recEntry = 1
-	recClean = 2
-)
-
-// SaveTo writes the retained committed window and the clean marker to w,
-// then syncs once (records stage through the unsynced append path).
-func (l *Log) SaveTo(w *wal.WAL) error {
-	l.mu.Lock()
-	if l.resolved != len(l.entries) {
-		l.mu.Unlock()
-		return errors.New("repl: SaveTo with unresolved entries")
-	}
-	floor := l.floor
-	epoch := l.epoch
-	var recs [][]byte
-	for _, e := range l.entries {
-		if e.state != stateCommitted {
-			continue
-		}
-		rec := append([]byte{recEntry}, wire.AppendReplFrame(nil, e.base, toWireOps(e.ops))...)
-		recs = append(recs, rec)
-	}
-	l.mu.Unlock()
-
-	for _, rec := range recs {
-		if err := w.AppendNoSync(rec); err != nil {
-			return err
-		}
-	}
-	marker := binary.AppendUvarint([]byte{recClean}, floor)
-	marker = binary.AppendUvarint(marker, epoch)
-	if err := w.AppendNoSync(marker); err != nil {
-		return err
-	}
-	return w.Sync()
-}
-
-// RecoverLog rebuilds a log from w. With a clean marker as the final record
-// the saved window is restored (and the WAL reset for the new instance);
-// anything else — empty log, torn tail, marker missing — yields a fresh log
-// floored at fallbackFloor.
-func RecoverLog(w *wal.WAL, cfg LogConfig, fallbackFloor uint64) (*Log, error) {
-	l := NewLog(cfg)
-	var entries []*entry
-	clean := false
-	err := w.Replay(func(rec []byte) error {
-		clean = false
-		if len(rec) == 0 {
-			return fmt.Errorf("repl: empty log record")
-		}
-		switch rec[0] {
-		case recEntry:
-			base, wops, err := wire.DecodeReplFrame(rec[1:])
-			if err != nil {
-				return fmt.Errorf("repl: bad log entry: %w", err)
-			}
-			e := &entry{base: base, last: base + uint64(len(wops)) - 1, ops: fromWireOps(wops), state: stateCommitted}
-			if n := len(entries); n > 0 && e.base <= entries[n-1].last {
-				return fmt.Errorf("repl: out-of-order saved entry at base %d", base)
-			}
-			entries = append(entries, e)
-		case recClean:
-			floor, n := binary.Uvarint(rec[1:])
-			if n <= 0 {
-				return fmt.Errorf("repl: bad clean marker")
-			}
-			epoch, n2 := binary.Uvarint(rec[1+n:])
-			if n2 <= 0 || epoch == 0 {
-				return fmt.Errorf("repl: bad clean marker epoch")
-			}
-			l.floor = floor
-			// A clean shutdown preserves the write lineage: followers that
-			// tailed this node can keep tailing after the restart.
-			l.epoch = epoch
-			clean = true
-		default:
-			return fmt.Errorf("repl: unknown log record kind %d", rec[0])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !clean {
-		fresh := NewLog(cfg)
-		fresh.floor = fallbackFloor
-		fresh.head = fallbackFloor
-		if err := w.Reset(); err != nil {
-			return nil, err
-		}
-		return fresh, nil
-	}
-	l.entries = entries
-	l.resolved = len(entries)
-	l.head = l.floor
-	if n := len(entries); n > 0 {
-		l.head = entries[n-1].last
-	}
-	// The marker is spent: a later crash must not replay into this window.
-	if err := w.Reset(); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-func toWireOps(ops []core.BatchOp) []wire.BatchOp {
-	out := make([]wire.BatchOp, len(ops))
-	for i, op := range ops {
-		out[i] = wire.BatchOp{Key: op.Key, Value: op.Value, Delete: op.Delete, Merge: op.Merge, Delta: op.Delta}
-	}
-	return out
-}
-
-func fromWireOps(ops []wire.BatchOp) []core.BatchOp {
-	out := make([]core.BatchOp, len(ops))
-	for i, op := range ops {
-		out[i] = core.BatchOp{
-			Key:    append([]byte(nil), op.Key...),
-			Value:  append([]byte(nil), op.Value...),
-			Delete: op.Delete,
-			Merge:  op.Merge,
-			Delta:  op.Delta,
-		}
-	}
-	return out
 }

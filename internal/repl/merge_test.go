@@ -1,12 +1,9 @@
 package repl
 
 import (
-	"bytes"
 	"testing"
 
 	"hyperdb/internal/core"
-	"hyperdb/internal/device"
-	"hyperdb/internal/wal"
 	"hyperdb/internal/wire"
 )
 
@@ -43,56 +40,6 @@ func TestLogShipsUnresolvedMergeDeltas(t *testing.T) {
 	}
 }
 
-func TestLogMergeSaveRecover(t *testing.T) {
-	dev := device.New(device.UnthrottledProfile("t", 0))
-	w, err := wal.Open(dev, "repl-log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := NewLog(LogConfig{})
-	e1 := []core.BatchOp{mergeOp("ctr", -42), op("a", "x")}
-	e2 := []core.BatchOp{{Key: []byte("ctr"), Delete: true}, mergeOp("ctr", 7)}
-	l.Commit(l.Append(1, e1), true)
-	l.Commit(l.Append(3, e2), true)
-	if err := l.SaveTo(w); err != nil {
-		t.Fatal(err)
-	}
-
-	w2, err := wal.Open(dev, "repl-log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := RecoverLog(w2, LogConfig{}, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, ok := r.Subscribe(0)
-	if !ok {
-		t.Fatal("tail of recovered log refused")
-	}
-	stop := make(chan struct{})
-	base, got1, err := cur.Next(stop)
-	if err != nil || base != 1 {
-		t.Fatalf("entry 1: base=%d err=%v", base, err)
-	}
-	if !got1[0].Merge || got1[0].Delta != -42 || !bytes.Equal(got1[0].Key, []byte("ctr")) {
-		t.Fatalf("merge op lost through save/recover: %+v", got1[0])
-	}
-	if got1[1].Merge || string(got1[1].Value) != "x" {
-		t.Fatalf("put op corrupted: %+v", got1[1])
-	}
-	base, got2, err := cur.Next(stop)
-	if err != nil || base != 3 {
-		t.Fatalf("entry 2: base=%d err=%v", base, err)
-	}
-	if !got2[0].Delete || got2[0].Merge {
-		t.Fatalf("delete op corrupted: %+v", got2[0])
-	}
-	if !got2[1].Merge || got2[1].Delta != 7 {
-		t.Fatalf("post-delete merge corrupted: %+v", got2[1])
-	}
-}
-
 func TestLogBytesAccountsEncodedEntries(t *testing.T) {
 	l := NewLog(LogConfig{})
 	if l.Bytes() != 0 {
@@ -103,13 +50,13 @@ func TestLogBytesAccountsEncodedEntries(t *testing.T) {
 	// delta and multi-byte varint cases.
 	e1 := []core.BatchOp{mergeOp("ctr", 300), mergeOp("c2", -1), op("key", "value")}
 	l.Commit(l.Append(1, e1), true)
-	want := uint64(len(wire.AppendReplFrame(nil, 1, toWireOps(e1))))
+	want := uint64(len(wire.AppendReplFrame(nil, 1, e1)))
 	if l.Bytes() != want {
 		t.Fatalf("Bytes() = %d after entry 1, want %d", l.Bytes(), want)
 	}
 	e2 := []core.BatchOp{{Key: []byte("k"), Delete: true}}
 	l.Commit(l.Append(4, e2), true)
-	want += uint64(len(wire.AppendReplFrame(nil, 4, toWireOps(e2))))
+	want += uint64(len(wire.AppendReplFrame(nil, 4, e2)))
 	if l.Bytes() != want {
 		t.Fatalf("Bytes() = %d after entry 2, want %d", l.Bytes(), want)
 	}

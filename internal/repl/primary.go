@@ -15,23 +15,12 @@ import (
 	"hyperdb/internal/wire"
 )
 
-// DB is the engine surface replication needs. Both *core.DB and the public
-// *hyperdb.DB satisfy it.
-type DB interface {
-	CommitSeq() uint64
-	Scan(start []byte, limit int) ([]core.KV, error)
-	ApplyReplicated(ops []core.BatchOp, base uint64) error
-	ApplySnapshotChunk(ops []core.BatchOp, seq uint64) error
-	IsFollower() bool
-	Promote()
-}
-
 // Primary ships the replication log to followers. One ServeConn call owns
 // one follower connection for its lifetime; the serving layer (or a test
 // harness over net.Pipe) hands the socket over after reading the follower's
 // REPL_HELLO.
 type Primary struct {
-	DB  DB
+	DB  *core.DB
 	Log *Log
 	// Tree, when non-nil, lets diverged followers rejoin via the Merkle
 	// anti-entropy conversation instead of a full snapshot. Wire it to the
@@ -214,7 +203,7 @@ func (p *Primary) ServeConn(nc net.Conn, br *bufio.Reader, epoch, lastApplied ui
 		}
 		err = writeFrame(bw, wire.Frame{
 			Op: wire.OpReplFrame, Status: wire.StatusOK, ID: base,
-			Payload: wire.AppendReplFrame(nil, base, toWireOps(ops)),
+			Payload: wire.AppendReplFrame(nil, base, ops),
 		})
 		if err != nil {
 			<-done
@@ -288,13 +277,9 @@ func (p *Primary) writeSnapshotKVs(bw *bufio.Writer, kvs []core.KV, snapSeq uint
 			size += len(kvs[n].Key) + len(kvs[n].Value)
 			n++
 		}
-		chunk := make([]wire.KV, n)
-		for i := 0; i < n; i++ {
-			chunk[i] = wire.KV{Key: kvs[i].Key, Value: kvs[i].Value}
-		}
 		err := writeFrame(bw, wire.Frame{
 			Op: wire.OpReplSnapshot, Status: wire.StatusOK,
-			Payload: wire.AppendReplSnapshot(nil, snapSeq, chunk, false),
+			Payload: wire.AppendReplSnapshot(nil, snapSeq, kvs[:n], false),
 		})
 		if err != nil {
 			return err
@@ -442,12 +427,11 @@ func (p *Primary) scanPairs(start []byte, limit int) ([]merkle.Pair, error) {
 // the window moved nothing the handoff target needs, so shipping it would
 // only burn bandwidth.
 func AppendFilteredFrame(base uint64, ops []core.BatchOp, keep func(key []byte) bool) []byte {
-	kept := make([]wire.BatchOp, 0, len(ops))
+	kept := make([]core.BatchOp, 0, len(ops))
 	for _, op := range ops {
-		if keep != nil && !keep(op.Key) {
-			continue
+		if keep == nil || keep(op.Key) {
+			kept = append(kept, op)
 		}
-		kept = append(kept, wire.BatchOp{Key: op.Key, Value: op.Value, Delete: op.Delete, Merge: op.Merge, Delta: op.Delta})
 	}
 	if len(kept) == 0 {
 		return nil

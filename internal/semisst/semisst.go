@@ -438,17 +438,6 @@ func (t *Table) appendMerge(entries []Entry, dirtyIdx []int, op device.Op) error
 	return nil
 }
 
-// dataEnd returns the offset just past the last data block. Caller holds mu.
-func (t *Table) dataEnd() int64 {
-	var end int64
-	for i := range t.blocks {
-		if e := int64(t.blocks[i].Handle.Offset + t.blocks[i].Handle.Size); e > end {
-			end = e
-		}
-	}
-	return end
-}
-
 // writeIndexLocked appends the index block and footer to the table file and
 // mirrors the index to the performance tier. Caller holds mu.
 func (t *Table) writeIndexLocked(op device.Op) error {

@@ -195,7 +195,7 @@ func (s *Server) process(batch []*request) {
 				if b.Merge {
 					addMerge(b.Key, b.Delta)
 				} else {
-					wops = append(wops, hyperdb.BatchOp{Key: b.Key, Value: b.Value, Delete: b.Delete})
+					wops = append(wops, b)
 					clobber(b.Key)
 				}
 			}
@@ -295,7 +295,7 @@ func (s *Server) process(batch []*request) {
 				r.fail(err)
 				continue
 			}
-			r.reply(wire.StatusOK, seq, epoch, wire.AppendScanResp(nil, toWireKVs(kvs)))
+			r.reply(wire.StatusOK, seq, epoch, wire.AppendScanResp(nil, kvs))
 		case wire.OpStats:
 			s.stats.countOp(r.op)
 			r.reply(wire.StatusOK, 0, 0, []byte(s.statsText()))
@@ -308,14 +308,6 @@ func (s *Server) process(batch []*request) {
 			r.reply(wire.StatusOK, 0, 0, s.cfg.Cluster.Map().Encode(nil))
 		}
 	}
-}
-
-func toWireKVs(kvs []hyperdb.KV) []wire.KV {
-	out := make([]wire.KV, len(kvs))
-	for i, kv := range kvs {
-		out[i] = wire.KV{Key: kv.Key, Value: kv.Value}
-	}
-	return out
 }
 
 // gated reports whether the request is a read whose frame carried a

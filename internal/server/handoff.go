@@ -393,11 +393,7 @@ func (s *Server) pullSlots(m *cluster.Map, src uint32, slots []uint32) (*cluster
 			if len(wops) == 0 {
 				continue
 			}
-			ops := make([]hyperdb.BatchOp, len(wops))
-			for i, op := range wops {
-				ops[i] = hyperdb.BatchOp{Key: op.Key, Value: op.Value, Delete: op.Delete, Merge: op.Merge, Delta: op.Delta}
-			}
-			if _, err := s.cfg.DB.WriteBatchSeq(ops); err != nil {
+			if _, err := s.cfg.DB.WriteBatchSeq(wops); err != nil {
 				return nil, err
 			}
 		case wire.OpHandoffFlip:

@@ -373,7 +373,7 @@ func TestShutdownDuringInlineCycles(t *testing.T) {
 	}
 	wg.Wait()
 
-	re, err := hyperdb.Recover(env.opts)
+	re, err := hyperdb.Open(env.opts)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}

@@ -349,7 +349,7 @@ func TestPipelinedCoalescingAndRecovery(t *testing.T) {
 	lateWG.Wait()
 
 	// Reopen from the same simulated devices and verify every acked write.
-	re, err := hyperdb.Recover(env.opts)
+	re, err := hyperdb.Open(env.opts)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}

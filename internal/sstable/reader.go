@@ -92,9 +92,6 @@ func OpenReader(f *device.File, pcache cache.BlockCache, op device.Op) (*Reader,
 	return r, nil
 }
 
-// NumBlocks returns the data block count.
-func (r *Reader) NumBlocks() int { return len(r.blocks) }
-
 // readBlock fetches a data block, via the page cache when available. The
 // cache holds stored (possibly compressed) bytes; Magic2 tables decompress
 // after the fetch, failing closed on any corrupted payload.

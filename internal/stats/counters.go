@@ -67,11 +67,6 @@ func (s Snapshot) TotalBytes() uint64 {
 	return s.ReadBytes + s.WriteBytes
 }
 
-// TotalWriteBytes returns all bytes written (foreground counters already
-// include background traffic recorded through the same device; the Bg*
-// fields are an attribution subset, not an addition).
-func (s Snapshot) TotalWriteBytes() uint64 { return s.WriteBytes }
-
 func (s Snapshot) String() string {
 	return fmt.Sprintf("read=%s(%d ops) write=%s(%d ops) bgRead=%s bgWrite=%s",
 		FormatBytes(s.ReadBytes), s.ReadOps, FormatBytes(s.WriteBytes), s.WriteOps,

@@ -3,6 +3,8 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+
+	"hyperdb/internal/engine"
 )
 
 // MaxKeyLen bounds a single key on the wire. The engine has no hard key
@@ -90,16 +92,11 @@ func DecodeKeyReq(p []byte) ([]byte, error) {
 // --- BATCH: count | per op: kind(0=put,1=del,2=merge) | klen | key |
 //     [vlen | value]  (put) | [varint delta]  (merge) ---
 
-// BatchOp is one write in a BATCH request. Value is ignored for deletes and
-// merges; Delta is meaningful only when Merge is set. Merge and Delete are
-// mutually exclusive (Delete wins on encode, matching the engine's LWW).
-type BatchOp struct {
-	Key    []byte
-	Value  []byte
-	Delete bool
-	Merge  bool
-	Delta  int64
-}
+// BatchOp is one write in a BATCH request: the engine's own op, so a decoded
+// request is applied as it is. Value is ignored for deletes and merges; Delta
+// is meaningful only when Merge is set. Merge and Delete are mutually
+// exclusive (Delete wins on encode, matching the engine's LWW).
+type BatchOp = engine.BatchOp
 
 // AppendBatchReq encodes a BATCH request payload.
 func AppendBatchReq(dst []byte, ops []BatchOp) []byte {
@@ -301,11 +298,9 @@ func DecodeScanReq(p []byte) (start []byte, limit uint32, err error) {
 
 // --- SCAN response: count | per pair: klen | key | vlen | value ---
 
-// KV is one SCAN result pair.
-type KV struct {
-	Key   []byte
-	Value []byte
-}
+// KV is one SCAN result pair: the engine's own, so a scan result is encoded
+// as it is.
+type KV = engine.KV
 
 // AppendScanResp encodes a SCAN response.
 func AppendScanResp(dst []byte, kvs []KV) []byte {

@@ -1,10 +1,6 @@
 package zone
 
-import (
-	"bytes"
-
-	"hyperdb/internal/device"
-)
+import "hyperdb/internal/device"
 
 // BatchOp is one write in an ApplyBatch call: a put, or a tombstone when
 // Delete is set. Seq and Hot are resolved by the caller (core.DB allocates
@@ -48,104 +44,19 @@ type GetResult struct {
 	Found     bool
 }
 
-// GetBatch looks up every key with one index-lock acquisition, then serves
-// the values with a page memo shared across the batch: two keys on the same
-// slot page cost one page read. Results are positionally aligned with keys.
+// GetBatch is Get for every key, with a page memo shared across the batch:
+// two keys on the same slot page cost one page read. Results are positionally
+// aligned with keys.
 func (m *Manager) GetBatch(keyList [][]byte, op device.Op) ([]GetResult, error) {
-	type pending struct {
-		idx int
-		loc Location
-		z   *Zone
-	}
 	res := make([]GetResult, len(keyList))
-	var reads []pending
-	m.mu.RLock()
-	for i, key := range keyList {
-		loc, ok := m.index.Get(key)
-		if !ok {
-			continue
-		}
-		if loc.Tombstone {
-			res[i] = GetResult{Seq: loc.Seq, Tombstone: true, Found: true}
-			continue
-		}
-		// Same value-cache fast path as Get: a sequence-matched entry is
-		// the newest version and needs no page at all.
-		if e, ok := m.vcache[string(key)]; ok && e.seq == loc.Seq {
-			res[i] = GetResult{Value: bytes.Clone(e.val), Seq: loc.Seq, Found: true}
-			continue
-		}
-		reads = append(reads, pending{idx: i, loc: loc, z: m.zoneByID[loc.ZoneID]})
+	var memo map[scanPageKey][]byte
+	if len(keyList) > 1 { // one key has no page to share
+		memo = make(map[scanPageKey][]byte)
 	}
-	m.mu.RUnlock()
-
-	pages := make(map[scanPageKey][]byte, len(reads))
-	for _, pd := range reads {
-		key := keyList[pd.idx]
-		sf := m.slotFiles[pd.loc.Class]
-		pk := scanPageKey{pd.loc.Class, pd.loc.Page}
-		page, havePage := pages[pk]
-		fromDevice := false
-		if !havePage {
-			ck := m.cacheKey(int(pd.loc.Class), pd.loc.Page)
-			if m.cfg.PageCache != nil {
-				if cached, hit := m.cfg.PageCache.Get(ck); hit {
-					// A cached page is trusted per slot only when the stored
-					// sequence matches the index entry (same staleness rule
-					// as Get); verified below.
-					page, havePage = cached, true
-				}
-			}
-			if !havePage {
-				var err error
-				page, err = sf.readPage(pd.loc.Page, op)
-				if err != nil {
-					return nil, err
-				}
-				fromDevice = true
-				if m.cfg.PageCache != nil {
-					m.cfg.PageCache.Put(ck, page)
-				}
-				if pd.z != nil && !op.Background {
-					pd.z.readIOs.Add(1)
-				}
-			}
-			pages[pk] = page
-		}
-		slotSeq, tomb, k, v, derr := sf.decodeSlotInPage(page, pd.loc.Slot)
-		if derr == nil && bytes.Equal(k, key) && slotSeq == pd.loc.Seq {
-			if tomb {
-				res[pd.idx] = GetResult{Seq: pd.loc.Seq, Tombstone: true, Found: true}
-			} else {
-				res[pd.idx] = GetResult{Value: bytes.Clone(v), Seq: pd.loc.Seq, Found: true}
-			}
-			continue
-		}
-		if fromDevice {
-			// Slot recycled by a racing migration: the value lives in the
-			// capacity tier now; report a miss so the caller falls through.
-			continue
-		}
-		// Stale memoised/cached page — refetch once from the device.
-		page, err := sf.readPage(pd.loc.Page, op)
-		if err != nil {
+	for i, key := range keyList {
+		var err error
+		if res[i], err = m.get(key, op, memo); err != nil {
 			return nil, err
-		}
-		pages[pk] = page
-		if m.cfg.PageCache != nil {
-			m.cfg.PageCache.Put(m.cacheKey(int(pd.loc.Class), pd.loc.Page), page)
-		}
-		if pd.z != nil && !op.Background {
-			pd.z.readIOs.Add(1)
-		}
-		_, tomb, k, v, derr = sf.decodeSlotInPage(page, pd.loc.Slot)
-		if derr != nil || !bytes.Equal(k, key) {
-			continue
-		}
-		if tomb {
-			res[pd.idx] = GetResult{Seq: pd.loc.Seq, Tombstone: true, Found: true}
-		} else {
-			res[pd.idx] = GetResult{Value: bytes.Clone(v), Seq: pd.loc.Seq, Found: true}
 		}
 	}
 	return res, nil

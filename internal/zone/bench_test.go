@@ -8,10 +8,7 @@ import (
 
 func BenchmarkPut(b *testing.B) {
 	dev := device.New(device.UnthrottledProfile("nvme", 0))
-	m, err := NewManager(Config{Dev: dev, Partition: 0, BatchSize: 4 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
+	m := openMgr(b, Config{Dev: dev, Partition: 0, BatchSize: 4 << 20})
 	val := make([]byte, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -23,7 +20,7 @@ func BenchmarkPut(b *testing.B) {
 
 func BenchmarkGetResident(b *testing.B) {
 	dev := device.New(device.UnthrottledProfile("nvme", 0))
-	m, _ := NewManager(Config{Dev: dev, Partition: 0, BatchSize: 4 << 20})
+	m := openMgr(b, Config{Dev: dev, Partition: 0, BatchSize: 4 << 20})
 	val := make([]byte, 128)
 	const n = 100_000
 	for i := 0; i < n; i++ {
@@ -39,7 +36,7 @@ func BenchmarkGetResident(b *testing.B) {
 
 func BenchmarkMigrationBatch(b *testing.B) {
 	dev := device.New(device.UnthrottledProfile("nvme", 0))
-	m, _ := NewManager(Config{Dev: dev, Partition: 0, BatchSize: 1 << 20})
+	m := openMgr(b, Config{Dev: dev, Partition: 0, BatchSize: 1 << 20})
 	val := make([]byte, 128)
 	seq := uint64(0)
 	b.ResetTimer()

@@ -16,10 +16,7 @@ func TestValueCacheEvictsOldestFirst(t *testing.T) {
 	val := make([]byte, 100)
 	per := int64(8+len(val)) + vcacheEntOverhead
 	dev := device.New(device.UnthrottledProfile("nvme", 0))
-	m, err := NewManager(Config{Dev: dev, BatchSize: 64 << 10, ValueCacheBytes: n * per})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := openMgr(t, Config{Dev: dev, BatchSize: 64 << 10, ValueCacheBytes: n * per})
 	cached := func(i uint64) bool {
 		_, ok := m.vcache[string(k8(i))]
 		return ok

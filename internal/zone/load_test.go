@@ -1,0 +1,360 @@
+package zone
+
+import (
+	"bytes"
+	"errors"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"hyperdb/internal/cache"
+	"hyperdb/internal/device"
+)
+
+// loadFixture is a manager holding two neighbours on one slot page — n at
+// sequence 1, k at sequence 2 — and the Location of k a scan took then.
+type loadFixture struct {
+	m    *Manager
+	dev  *device.Device
+	n, k []byte
+	v1   []byte
+	nloc Location
+	loc0 Location
+	p0   []byte // k's page as it was when loc0 was taken
+}
+
+func newLoadFixture(t *testing.T, vcacheBytes int64) *loadFixture {
+	t.Helper()
+	f := &loadFixture{n: k8(1), k: k8(2), v1: bytes.Repeat([]byte{1}, 20)}
+	f.dev = device.New(device.UnthrottledProfile("nvme", 0))
+	f.m = openMgr(t, Config{
+		Dev: f.dev, BatchSize: 64 << 10,
+		PageCache: cache.NewLRU(1<<20, nil), ValueCacheBytes: vcacheBytes,
+	})
+	f.put(t, f.n, f.v1, 1)
+	f.put(t, f.k, f.v1, 2)
+	f.m.Scan(nil, nil, func(key []byte, loc Location) bool {
+		if bytes.Equal(key, f.k) {
+			f.loc0 = loc
+		} else {
+			f.nloc = loc
+		}
+		return true
+	})
+	if f.loc0.Seq != 2 || f.nloc.Class != f.loc0.Class || f.nloc.Page != f.loc0.Page {
+		t.Fatalf("fixture: k at %+v, n at %+v — want one page", f.loc0, f.nloc)
+	}
+	f.p0 = f.page(t)
+	return f
+}
+
+func (f *loadFixture) put(t *testing.T, key, value []byte, seq uint64) {
+	t.Helper()
+	if err := f.m.Put(key, value, seq, false, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// page reads loc0's page off the device.
+func (f *loadFixture) page(t *testing.T) []byte {
+	t.Helper()
+	p, err := f.m.slotFiles[f.loc0.Class].readPage(f.loc0.Page, device.Bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestLoadRule drives the tier's one slot reader through every way a Location
+// goes stale, single-threaded: a Location is taken, the object is mutated,
+// the page cache (or a scan's page memo) is left without the page, with the
+// page as the device now has it, or with the page as it was — and each reader
+// must answer by the rule (key and sequence match, or the slot is not the
+// object) at an exact price in device reads. ReadAt and ScanReader.Read answer
+// for the Location: its version or ErrMoved. Get and GetBatch answer for the
+// key: the index's newest version, a tombstone only for a deleted key, or no
+// opinion once the key has left the tier. Only Get and GetBatch heat the zone.
+func TestLoadRule(t *testing.T) {
+	v2 := bytes.Repeat([]byte{2}, 20)   // same class as v1: updated in place
+	big := bytes.Repeat([]byte{3}, 200) // another class: relocated
+	const moved, none, tomb = "moved", "none", "tomb"
+	mutations := []struct {
+		name   string
+		mutate func(t *testing.T, f *loadFixture)
+		// readAt is what loc0 resolves to when neither cache nor memo holds
+		// the old page; get is what the key resolves to and getReads what a
+		// Get costs with the page cache cold.
+		readAt   string
+		get      string
+		getSeq   uint64
+		getReads uint64
+	}{
+		{"nothing", func(t *testing.T, f *loadFixture) {}, "v1", "v1", 2, 1},
+		{"update in place", func(t *testing.T, f *loadFixture) {
+			f.put(t, f.k, v2, 3)
+			if got := f.m.Stats().InPlaceUpdates; got != 1 {
+				t.Fatalf("fixture: %d in-place updates", got)
+			}
+		}, moved, "v2", 3, 1},
+		{"resize", func(t *testing.T, f *loadFixture) {
+			f.put(t, f.k, big, 3) // leaves a marker tombstone in loc0's slot
+			if got := f.m.Stats().Relocations; got != 1 {
+				t.Fatalf("fixture: %d relocations", got)
+			}
+		}, moved, "big", 3, 1},
+		{"resize, old slot reused", func(t *testing.T, f *loadFixture) {
+			f.put(t, f.k, big, 3)
+			f.put(t, k8(3), f.v1, 4)
+			if loc, _ := f.m.index.Get(k8(3)); loc.Page != f.loc0.Page || loc.Slot != f.loc0.Slot {
+				t.Fatalf("fixture: the new key went to %+v, not into the freed slot", loc)
+			}
+		}, moved, "big", 3, 1},
+		{"demotion", func(t *testing.T, f *loadFixture) {
+			b, err := f.m.PrepareMigration(f.m.zoneByID[f.loc0.ZoneID])
+			if err != nil || len(b.Entries) != 2 {
+				t.Fatalf("fixture: migration batch %+v, %v", b, err)
+			}
+			f.m.CommitMigration(b) // the page is freed: it reads back as zeros
+		}, moved, none, 0, 0},
+		{"delete", func(t *testing.T, f *loadFixture) {
+			if err := f.m.Delete(f.k, 3); err != nil {
+				t.Fatal(err)
+			}
+		}, moved, tomb, 3, 0},
+	}
+	// What the page cache holds for loc0's page when the read starts.
+	const (
+		absent = iota
+		fresh  // the page as the device has it now
+		stale  // the page as it was when loc0 was taken
+	)
+	values := map[string][]byte{"v1": bytes.Repeat([]byte{1}, 20), "v2": v2, "big": big}
+
+	for _, mu := range mutations {
+		for state, stateName := range []string{"absent", "fresh", "stale"} {
+			name := mu.name + ", page " + stateName + ": "
+			// setup builds the case up to the moment of the read and returns
+			// a device-read meter.
+			setup := func(t *testing.T) (*loadFixture, func() uint64) {
+				f := newLoadFixture(t, -1)
+				mu.mutate(t, f)
+				ck := f.m.cacheKey(int(f.loc0.Class), f.loc0.Page)
+				switch state {
+				case absent:
+					f.m.cfg.PageCache.Delete(ck)
+				case fresh:
+					f.m.cfg.PageCache.Put(ck, f.page(t))
+				case stale:
+					f.m.cfg.PageCache.Put(ck, f.p0)
+				}
+				before := f.dev.Counters().ReadOps.Load()
+				return f, func() uint64 { return f.dev.Counters().ReadOps.Load() - before }
+			}
+			// A page that still shows loc0's version — cached before the
+			// mutation, or never mutated — serves it without the device; any
+			// other page costs exactly one device read.
+			servesOld := state == stale || mu.readAt == "v1" && state == fresh
+			checkLoc := func(t *testing.T, got []byte, err error, reads uint64) {
+				t.Helper()
+				switch {
+				case servesOld:
+					if err != nil || !bytes.Equal(got, values["v1"]) || reads != 0 {
+						t.Fatalf("got %q, %v after %d device reads; want loc0's version from the page in hand", got, err, reads)
+					}
+				case mu.readAt == moved:
+					if !errors.Is(err, ErrMoved) || reads != 1 {
+						t.Fatalf("got %q, %v after %d device reads; want ErrMoved after one", got, err, reads)
+					}
+				default:
+					if err != nil || !bytes.Equal(got, values[mu.readAt]) || reads != 1 {
+						t.Fatalf("got %q, %v after %d device reads; want %s after one", got, err, reads, mu.readAt)
+					}
+				}
+			}
+			t.Run(name+"ReadAt", func(t *testing.T) {
+				f, reads := setup(t)
+				got, err := f.m.ReadAt(f.k, f.loc0, device.Fg)
+				checkLoc(t, got, err, reads())
+				if z := f.m.zoneByID[f.loc0.ZoneID]; z != nil && z.ReadIOs() != 0 {
+					t.Fatalf("a scan read heated the zone: readIOs %d", z.ReadIOs())
+				}
+			})
+			t.Run(name+"ScanReader", func(t *testing.T) {
+				// Without the page in its memo the scan reader is ReadAt.
+				f, reads := setup(t)
+				got, err := f.m.NewScanReader().Read(f.k, f.loc0, device.Fg)
+				checkLoc(t, got, err, reads())
+			})
+
+			// Get answers for the key. It pays for the page the index names
+			// now: loc0's page unless the object relocated, and that page is
+			// in the cache only if this case put its current image there.
+			wantReads := mu.getReads
+			if state == fresh && (mu.get == "v1" || mu.get == "v2") {
+				wantReads = 0
+			}
+			if state == stale && mu.get == "v1" {
+				wantReads = 0
+			}
+			checkKey := func(t *testing.T, r GetResult, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := GetResult{Value: values[mu.get], Seq: mu.getSeq, Tombstone: mu.get == tomb, Found: mu.get != none}
+				if !bytes.Equal(r.Value, want.Value) || r.Seq != want.Seq || r.Tombstone != want.Tombstone || r.Found != want.Found {
+					t.Fatalf("got %+v, want %+v", r, want)
+				}
+			}
+			heat := func(f *loadFixture) (n uint64) {
+				for _, z := range f.m.zoneByID {
+					n += uint64(z.ReadIOs())
+				}
+				return n
+			}
+			t.Run(name+"Get", func(t *testing.T) {
+				f, reads := setup(t)
+				v, seq, tombstone, found, err := f.m.Get(f.k, device.Fg)
+				checkKey(t, GetResult{v, seq, tombstone, found}, err)
+				if got := reads(); got != wantReads || heat(f) != wantReads {
+					t.Fatalf("%d device reads, readIOs %d; want %d of each", got, heat(f), wantReads)
+				}
+			})
+			t.Run(name+"GetBatch", func(t *testing.T) {
+				// The neighbour goes first and leaves its page in the memo
+				// for k — the stale image, if that is what the cache held.
+				f, reads := setup(t)
+				res, err := f.m.GetBatch([][]byte{f.n, f.k}, device.Fg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkKey(t, res[1], nil)
+				if mu.get != none && (!res[0].Found || !bytes.Equal(res[0].Value, f.v1)) {
+					t.Fatalf("neighbour: %+v", res[0])
+				}
+				// One read of the shared page serves both keys; a relocated
+				// k costs a second page, and a stale shared page is re-read
+				// only if k still lives on it.
+				want := wantReads
+				if state == absent && (mu.get == "big" || mu.get == tomb) {
+					want++
+				}
+				if got := reads(); got != want || heat(f) != want {
+					t.Fatalf("%d device reads, readIOs %d; want %d of each", got, heat(f), want)
+				}
+			})
+		}
+
+		t.Run(mu.name+", page in the scan memo: ScanReader", func(t *testing.T) {
+			// A scan that has read the neighbour keeps the page as it was.
+			f := newLoadFixture(t, -1)
+			r := f.m.NewScanReader()
+			if _, err := r.Read(f.n, f.nloc, device.Fg); err != nil {
+				t.Fatal(err)
+			}
+			mu.mutate(t, f)
+			before := f.dev.Counters().ReadOps.Load()
+			got, err := r.Read(f.k, f.loc0, device.Fg)
+			if reads := f.dev.Counters().ReadOps.Load() - before; err != nil || !bytes.Equal(got, f.v1) || reads != 0 {
+				t.Fatalf("got %q, %v after %d device reads; want loc0's version from the memo", got, err, reads)
+			}
+		})
+
+		t.Run(mu.name+", value cache on: Get", func(t *testing.T) {
+			// With the value cache on, the newest version never needs a page.
+			f := newLoadFixture(t, 1<<20)
+			mu.mutate(t, f)
+			before := f.dev.Counters().ReadOps.Load()
+			v, seq, tombstone, found, err := f.m.Get(f.k, device.Fg)
+			if err != nil || found != (mu.get != none) || tombstone != (mu.get == tomb) || seq != mu.getSeq || !bytes.Equal(v, values[mu.get]) {
+				t.Fatalf("Get: %q seq=%d tomb=%v found=%v err=%v; want %s at %d", v, seq, tombstone, found, err, mu.get, mu.getSeq)
+			}
+			if reads := f.dev.Counters().ReadOps.Load() - before; reads != 0 {
+				t.Fatalf("%d device reads with the value cached", reads)
+			}
+		})
+	}
+}
+
+// TestReadersNeverLoseALiveKey: one writer rewrites one key without pause,
+// alternating updates in place with resizes, while readers poll it through
+// every read path. The key exists throughout, so no reader may ever miss it
+// or see a tombstone; a Location a scan took may have moved (ErrMoved), and
+// then a Get must find the key.
+func TestReadersNeverLoseALiveKey(t *testing.T) {
+	dev := device.New(device.UnthrottledProfile("nvme", 0))
+	m := openMgr(t, Config{
+		Dev: dev, BatchSize: 64 << 10,
+		PageCache: cache.NewLRU(1<<20, nil), ValueCacheBytes: -1,
+	})
+	key := k8(7 << 40)
+	vals := [][]byte{bytes.Repeat([]byte{1}, 20), bytes.Repeat([]byte{2}, 20), bytes.Repeat([]byte{3}, 200)}
+	legal := func(v []byte) bool {
+		for _, want := range vals {
+			if bytes.Equal(v, want) {
+				return true
+			}
+		}
+		return false
+	}
+	for i := uint64(0); i < 64; i++ { // neighbours, so pages are shared
+		if err := m.Put(k8(7<<40|i), vals[0], i+1, false, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	var reads atomic.Uint64
+	reader := func(read func() (v []byte, found, tomb bool, err error)) {
+		defer wg.Done()
+		for !stop.Load() {
+			v, found, tomb, err := read()
+			reads.Add(1)
+			if err != nil || !found || tomb || !legal(v) {
+				t.Errorf("read %d: value %q found=%v tombstone=%v err=%v", reads.Load(), v, found, tomb, err)
+				stop.Store(true)
+			}
+		}
+	}
+	get := func() ([]byte, bool, bool, error) {
+		v, _, tomb, found, err := m.Get(key, device.Fg)
+		return v, found, tomb, err
+	}
+	wg.Add(3)
+	go reader(get)
+	go reader(func() ([]byte, bool, bool, error) {
+		res, err := m.GetBatch([][]byte{k8(7<<40 | 1), key}, device.Fg)
+		if err != nil {
+			return nil, false, false, err
+		}
+		return res[1].Value, res[1].Found, res[1].Tombstone, nil
+	})
+	go reader(func() ([]byte, bool, bool, error) {
+		var loc Location
+		found := false
+		m.Scan(key, nil, func(k []byte, l Location) bool {
+			loc, found = l, bytes.Equal(k, key)
+			return false
+		})
+		if !found || loc.Tombstone {
+			return nil, found, loc.Tombstone, nil
+		}
+		v, err := m.ReadAt(key, loc, device.Fg)
+		if errors.Is(err, ErrMoved) {
+			return get()
+		}
+		return v, true, false, err
+	})
+	seq := uint64(100)
+	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end) && !stop.Load(); seq++ {
+		if err := m.Put(key, vals[seq%3], seq, false, false); err != nil {
+			t.Errorf("put: %v", err)
+			break
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	t.Logf("%d reads against %d rewrites", reads.Load(), seq-100)
+}

@@ -161,19 +161,6 @@ type Manager struct {
 	}
 }
 
-// NewManager creates the slot files and an empty zone group.
-func NewManager(cfg Config) (*Manager, error) {
-	m := emptyManager(cfg)
-	for _, cls := range m.cfg.Classes {
-		sf, err := newSlotFile(m.cfg.Dev, fmt.Sprintf("p%d-slab%d", m.cfg.Partition, cls), cls)
-		if err != nil {
-			return nil, err
-		}
-		m.slotFiles = append(m.slotFiles, sf)
-	}
-	return m, nil
-}
-
 // emptyManager is a manager with its hot zone and no slot files yet.
 func emptyManager(cfg Config) *Manager {
 	cfg.fill()
@@ -580,64 +567,134 @@ func (m *Manager) deleteLocked(key []byte, seq uint64) error {
 // (fall through to the capacity tier); a tombstone returns found=true,
 // tombstone=true — authoritative deletion.
 func (m *Manager) Get(key []byte, op device.Op) (value []byte, seq uint64, tombstone, found bool, err error) {
-	m.mu.RLock()
-	loc, ok := m.index.Get(key)
-	if !ok {
-		m.mu.RUnlock()
-		return nil, 0, false, false, nil
-	}
-	if loc.Tombstone {
-		m.mu.RUnlock()
-		return nil, loc.Seq, true, true, nil
-	}
-	// Value cache: one map probe while the read lock is already held. A hit
-	// whose sequence matches the index entry is the newest version by
-	// construction.
-	if v, ok := m.cachedValueLocked(key, loc.Seq); ok {
-		m.mu.RUnlock()
-		return v, loc.Seq, false, true, nil
-	}
-	z := m.zoneByID[loc.ZoneID]
-	sf := m.slotFiles[loc.Class]
-	ck := m.cacheKey(int(loc.Class), loc.Page)
-	m.mu.RUnlock()
+	r, err := m.get(key, op, nil)
+	return r.Value, r.Seq, r.Tombstone, r.Found, err
+}
 
-	// Page cache first; misses charge one page read and bump the zone's
-	// read-I/O counter used by the demotion score. A cached page is only
-	// trusted when the slot's stored sequence matches the index entry —
-	// an in-place update that raced the caching of this page otherwise
-	// serves a stale value.
-	if m.cfg.PageCache != nil {
-		if page, hit := m.cfg.PageCache.Get(ck); hit {
-			slotSeq, tomb, k, v, derr := sf.decodeSlotInPage(page, loc.Slot)
-			if derr == nil && bytes.Equal(k, key) && slotSeq == loc.Seq && !tomb {
-				return bytes.Clone(v), loc.Seq, false, true, nil
-			}
-			// Stale cache entry (slot rewritten); fall through to device.
+// optimisticLoads is how many times get reads a slot without holding the
+// index lock before it pins the index for the read.
+const optimisticLoads = 3
+
+// get answers for key from the index and the slot the index names. A slot
+// that no longer holds the named version (ErrMoved) says nothing about the
+// key — it was updated in place, relocated, deleted or demoted since the
+// lookup — so the key is resolved again: only an index miss means the tier
+// has no opinion. After optimisticLoads tries the read happens under the
+// index lock, where no writer can move the object, so a reader terminates
+// against a writer that never pauses. Device reads heat the object's zone
+// (§3.5) whatever they found.
+func (m *Manager) get(key []byte, op device.Op, memo map[scanPageKey][]byte) (GetResult, error) {
+	for attempt := 0; ; attempt++ {
+		pinned := attempt == optimisticLoads
+		m.mu.RLock()
+		loc, ok := m.index.Get(key)
+		if !ok {
+			m.mu.RUnlock()
+			return GetResult{}, nil
+		}
+		if loc.Tombstone {
+			m.mu.RUnlock()
+			return GetResult{Seq: loc.Seq, Tombstone: true, Found: true}, nil
+		}
+		v, dev, err := m.load(key, loc, op, memo, pinned)
+		if pinned {
+			m.mu.RUnlock()
+		}
+		if dev && !op.Background {
+			m.heat(loc.ZoneID)
+		}
+		switch {
+		case err == nil:
+			return GetResult{Value: v, Seq: loc.Seq, Found: true}, nil
+		case !errors.Is(err, ErrMoved):
+			return GetResult{}, err
+		case pinned:
+			// No writer ran between the lookup and the read, so the slot
+			// did not move: it is damaged.
+			return GetResult{}, fmt.Errorf("zone: the slot the index names for %q at seq %d does not hold it", string(key), loc.Seq)
 		}
 	}
-	page, err := sf.readPage(loc.Page, op)
-	if err != nil {
-		return nil, 0, false, false, err
-	}
-	if m.cfg.PageCache != nil {
-		m.cfg.PageCache.Put(ck, page)
-	}
-	if z != nil && !op.Background {
+}
+
+// heat counts one foreground page read against zone id, if it is still in the
+// group. It follows a device read, next to which its lock costs nothing.
+func (m *Manager) heat(id uint32) {
+	m.mu.RLock()
+	if z := m.zoneByID[id]; z != nil {
 		z.readIOs.Add(1)
 	}
-	_, tomb, k, v, err := sf.decodeSlotInPage(page, loc.Slot)
-	if err != nil || !bytes.Equal(k, key) {
-		// The slot was recycled (or TRIMmed to zeros) by a migration that
-		// committed between our index lookup and the page read; the value
-		// now lives in the capacity tier, so report a miss and let the
-		// caller fall through.
-		return nil, 0, false, false, nil
+	m.mu.RUnlock()
+}
+
+// ErrMoved reports that the object a Location named is no longer there: an
+// update, delete, migration, split or hot-zone eviction rewrote or freed its
+// slot after the location was taken. The newest version is wherever a fresh
+// lookup finds it.
+var ErrMoved = errors.New("zone: object moved")
+
+// load returns a copy of the value of the object loc names — key at sequence
+// loc.Seq, not a tombstone — or ErrMoved when that version is not at loc any
+// more. It is the tier's one reader of slots and looks in a fixed order:
+// value cache, the caller's page memo (nil for none), page cache, device; a
+// device read fills the page cache and the memo, a page-cache hit the memo.
+//
+// Slots are rewritten in place, so a page that holds key proves nothing: the
+// slot is the object the index named iff key and sequence both match. A
+// cached or memoised page that disagrees is stale — a writer reached the slot
+// after the page was copied — so the device is read. A page fresh from the
+// device that disagrees means loc is stale, and only the index knows where
+// the newest version is now.
+//
+// The caller holds mu.RLock, which the value cache needs. load releases it
+// before it touches the page cache or the device unless pinned; a pinned load
+// of a loc taken under the same hold cannot find it stale. dev reports a
+// device read.
+func (m *Manager) load(key []byte, loc Location, op device.Op, memo map[scanPageKey][]byte, pinned bool) (value []byte, dev bool, err error) {
+	v, ok := m.cachedValueLocked(key, loc.Seq)
+	if !pinned {
+		m.mu.RUnlock()
 	}
-	if tomb {
-		return nil, loc.Seq, true, true, nil
+	if ok {
+		return v, false, nil
 	}
-	return bytes.Clone(v), loc.Seq, false, true, nil
+	sf := m.slotFiles[loc.Class]
+	named := func(page []byte) ([]byte, bool) {
+		seq, tomb, k, v, err := sf.decodeSlotInPage(page, loc.Slot)
+		if err != nil || tomb || seq != loc.Seq || !bytes.Equal(k, key) {
+			return nil, false
+		}
+		return bytes.Clone(v), true
+	}
+	pk := scanPageKey{loc.Class, loc.Page}
+	page, have := memo[pk]
+	var ck string
+	if !have && m.cfg.PageCache != nil {
+		ck = m.cacheKey(int(loc.Class), loc.Page)
+		if page, have = m.cfg.PageCache.Get(ck); have && memo != nil {
+			memo[pk] = page
+		}
+	}
+	if have {
+		if v, ok := named(page); ok {
+			return v, false, nil
+		}
+	}
+	if page, err = sf.readPage(loc.Page, op); err != nil {
+		return nil, false, err
+	}
+	if m.cfg.PageCache != nil {
+		if ck == "" { // the stale page came from the memo
+			ck = m.cacheKey(int(loc.Class), loc.Page)
+		}
+		m.cfg.PageCache.Put(ck, page)
+	}
+	if memo != nil {
+		memo[pk] = page
+	}
+	if v, ok := named(page); ok {
+		return v, true, nil
+	}
+	return nil, true, ErrMoved // bare: formatting key in would make every caller's key escape
 }
 
 // Promote inserts a capacity-tier object into the hot zone with the
@@ -680,50 +737,12 @@ func (m *Manager) Scan(lo, hi []byte, fn func(key []byte, loc Location) bool) {
 	m.index.Ascend(lo, hi, fn)
 }
 
-// ErrMoved reports that the object a Location named is no longer there: a
-// migration, split or hot-zone eviction freed its slot after the location was
-// taken. The newest version is wherever a fresh lookup finds it.
-var ErrMoved = errors.New("zone: object moved")
-
 // ReadAt fetches the object at loc (used by scans after collecting
-// locations): from the value cache when it still holds loc's version, else a
-// page read through the page cache.
+// locations), or ErrMoved when loc is stale.
 func (m *Manager) ReadAt(key []byte, loc Location, op device.Op) ([]byte, error) {
 	m.mu.RLock()
-	if v, ok := m.cachedValueLocked(key, loc.Seq); ok {
-		m.mu.RUnlock()
-		return v, nil
-	}
-	sf := m.slotFiles[loc.Class]
-	ck := m.cacheKey(int(loc.Class), loc.Page)
-	m.mu.RUnlock()
-	if m.cfg.PageCache != nil {
-		if page, hit := m.cfg.PageCache.Get(ck); hit {
-			slotSeq, tomb, k, v, err := sf.decodeSlotInPage(page, loc.Slot)
-			if err == nil && bytes.Equal(k, key) && slotSeq == loc.Seq && !tomb {
-				return bytes.Clone(v), nil
-			}
-		}
-	}
-	page, err := sf.readPage(loc.Page, op)
-	if err != nil {
-		return nil, err
-	}
-	if m.cfg.PageCache != nil {
-		m.cfg.PageCache.Put(ck, page)
-	}
-	return sf.objectInPage(page, loc.Slot, key)
-}
-
-// objectInPage returns a copy of key's value from slot s of a fetched page,
-// or ErrMoved when the slot holds anything else — another key, a tombstone,
-// or the zeros and torn bytes of a freed page.
-func (sf *slotFile) objectInPage(page []byte, s uint16, key []byte) ([]byte, error) {
-	_, tomb, k, v, err := sf.decodeSlotInPage(page, s)
-	if err != nil || tomb || !bytes.Equal(k, key) {
-		return nil, fmt.Errorf("%w: %q", ErrMoved, key)
-	}
-	return bytes.Clone(v), nil
+	v, _, err := m.load(key, loc, op, nil, false)
+	return v, err
 }
 
 // ObjectCount returns the number of index entries.
@@ -844,26 +863,11 @@ func (m *Manager) NewScanReader() *ScanReader {
 	return &ScanReader{m: m, pages: make(map[scanPageKey][]byte)}
 }
 
-// Read fetches the object at loc from the value cache, a previously fetched
-// page, or the device.
+// Read is ReadAt through the reader's page memo, charging its device reads as
+// sequential.
 func (r *ScanReader) Read(key []byte, loc Location, op device.Op) ([]byte, error) {
+	op.Sequential = true
 	r.m.mu.RLock()
-	v, ok := r.m.cachedValueLocked(key, loc.Seq)
-	sf := r.m.slotFiles[loc.Class]
-	r.m.mu.RUnlock()
-	if ok {
-		return v, nil
-	}
-	pk := scanPageKey{loc.Class, loc.Page}
-	page, ok := r.pages[pk]
-	if !ok {
-		var err error
-		op.Sequential = true
-		page, err = sf.readPage(loc.Page, op)
-		if err != nil {
-			return nil, err
-		}
-		r.pages[pk] = page
-	}
-	return sf.objectInPage(page, loc.Slot, key)
+	v, _, err := r.m.load(key, loc, op, r.pages, false)
+	return v, err
 }

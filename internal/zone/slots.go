@@ -140,8 +140,8 @@ func (sf *slotFile) allocPage() (uint32, error) {
 	return p, nil
 }
 
-// freePage returns page p to the free list and the device ledger (TRIM).
-// Contents remain readable until reuse.
+// freePage returns page p to the free list and the device ledger (TRIM); it
+// reads back as zeros from here on.
 func (sf *slotFile) freePage(p uint32) {
 	sf.freePages = append(sf.freePages, p)
 	sf.f.PunchHole(int64(p))

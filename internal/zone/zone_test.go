@@ -14,11 +14,17 @@ import (
 func newMgr(t testing.TB, capacity int64, batch int64) (*Manager, *device.Device) {
 	t.Helper()
 	dev := device.New(device.UnthrottledProfile("nvme", capacity))
-	m, err := NewManager(Config{Dev: dev, Partition: 0, BatchSize: batch})
+	return openMgr(t, Config{Dev: dev, Partition: 0, BatchSize: batch}), dev
+}
+
+// openMgr opens a manager over whatever cfg.Dev holds.
+func openMgr(t testing.TB, cfg Config) *Manager {
+	t.Helper()
+	m, _, err := Recover(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, dev
+	return m
 }
 
 func k8(i uint64) []byte {
@@ -412,10 +418,7 @@ func TestSlotCRCMatchesStreamingHash(t *testing.T) {
 
 func TestRecoverRebuildsIndex(t *testing.T) {
 	dev := device.New(device.UnthrottledProfile("nvme", 0))
-	m, err := NewManager(Config{Dev: dev, Partition: 0, BatchSize: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := openMgr(t, Config{Dev: dev, Partition: 0, BatchSize: 64 << 10})
 	// Writes, updates (in place and resized), deletes, a migration.
 	for i := uint64(0); i < 1000; i++ {
 		m.Put(k8(i<<40), make([]byte, 100), i+1, false, false)
@@ -486,7 +489,7 @@ func TestRecoverRebuildsIndex(t *testing.T) {
 func TestRecoverSlotReuseAccounting(t *testing.T) {
 	// After recovery, freed slots must be reusable without double counting.
 	dev := device.New(device.UnthrottledProfile("nvme", 0))
-	m, _ := NewManager(Config{Dev: dev, Partition: 0, BatchSize: 16 << 10})
+	m := openMgr(t, Config{Dev: dev, Partition: 0, BatchSize: 16 << 10})
 	for i := uint64(0); i < 200; i++ {
 		m.Put(k8(i<<40), make([]byte, 100), i+1, false, false)
 	}
@@ -519,10 +522,7 @@ func TestRecoverSlotReuseAccounting(t *testing.T) {
 func TestRecoverMixedPagesSurviveDemotion(t *testing.T) {
 	dev := device.New(device.UnthrottledProfile("nvme", 0))
 	cfg := Config{Dev: dev, Partition: 0, BatchSize: 16 << 10}
-	m, err := NewManager(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := openMgr(t, cfg)
 	want := map[string]uint64{}
 	seq := uint64(0)
 	put := func(key []byte, hot bool) {

@@ -92,10 +92,10 @@ func DefaultOptions() Options {
 }
 
 // resolve builds devices as needed and maps to the engine's option set.
-func (o Options) resolve() (core.Options, *device.Device, *device.Device, error) {
+func (o Options) resolve() (core.Options, error) {
 	codec, err := compress.Parse(o.Compress)
 	if err != nil {
-		return core.Options{}, nil, nil, err
+		return core.Options{}, err
 	}
 	minLevel := o.CompressMinLevel
 	if minLevel <= 0 {
@@ -150,5 +150,5 @@ func (o Options) resolve() (core.Options, *device.Device, *device.Device, error)
 		AntiEntropy:        o.AntiEntropy,
 		Follower:           o.Follower,
 		Tee:                o.Tee,
-	}, nvme, sata, nil
+	}, nil
 }

@@ -65,7 +65,7 @@ func TestRecoverRoundtrip(t *testing.T) {
 	}
 
 	// Recover from the same devices.
-	re, err := hyperdb.Recover(opts)
+	re, err := hyperdb.Open(opts)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -137,7 +137,7 @@ func TestRecoverEmptyDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Close()
-	re, err := hyperdb.Recover(opts)
+	re, err := hyperdb.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +147,6 @@ func TestRecoverEmptyDB(t *testing.T) {
 	}
 	if err := re.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRecoverRequiresDevices rejects recovery without device handles.
-func TestRecoverRequiresDevices(t *testing.T) {
-	if _, err := hyperdb.Recover(hyperdb.Options{}); err == nil {
-		t.Fatal("recover without devices should fail")
 	}
 }
 
@@ -175,12 +168,12 @@ func TestRecoverIdempotent(t *testing.T) {
 	db.DrainBackground()
 	db.Close()
 
-	r1, err := hyperdb.Recover(opts)
+	r1, err := hyperdb.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r1.Close()
-	r2, err := hyperdb.Recover(opts)
+	r2, err := hyperdb.Open(opts)
 	if err != nil {
 		t.Fatalf("second recover: %v", err)
 	}

@@ -7,6 +7,7 @@ for d in internal/*/ cmd/*/ bench/ examples/; do
   printf '%7d  %s\n' "$(count "$d")" "${d%/}"
 done
 printf '%7d  %s\n' "$(count . -maxdepth 1)" "(root package)"
+printf '%7d  %s\n' "$(( $(count . -maxdepth 1) + $(count internal/core internal/zone) ))" "product path (root+core+zone)"
 printf '%7d  %s\n' "$(count internal/wire internal/client internal/server)" "serving stack (wire+client+server)"
 printf '%7d  %s\n' "$(count internal/harness internal/crashtest internal/baseline)" "engines (harness+crashtest+baseline)"
 printf '%7d  %s\n' "$(count .)" "total"
