@@ -1,9 +1,7 @@
 // Package block implements the prefix-compressed sorted block format shared
 // by classic SSTables and semi-SSTables. Entries are (internal key, value)
 // pairs sorted by internal key; keys share prefixes with their predecessor
-// and restart points every N entries allow binary search. The same format,
-// with empty values, encodes the "all valid keys" index the semi-SSTable
-// keeps so compaction can read keys without touching data blocks (§3.2).
+// and restart points every N entries allow binary search.
 package block
 
 import (

@@ -24,6 +24,10 @@ type LevelStats struct {
 	// and raw-stored is the compaction traffic the codec saved.
 	RawBytes    uint64
 	StoredBytes uint64
+	// IndexBytes is what the level wrote that was not a data block: index
+	// blocks and footers, CompactWrite - StoredBytes. The two counters are
+	// not read at one instant, so it is clamped at zero.
+	IndexBytes uint64
 }
 
 // Stats is a point-in-time view of the engine for the experiment harness.
@@ -110,6 +114,10 @@ func (db *DB) Stats() Stats {
 			ls.StoredBytes += tr.StoredBytes.Load()
 		}
 	}
+	for i := range s.Levels {
+		ls := &s.Levels[i]
+		ls.IndexBytes = max(ls.CompactWrite, ls.StoredBytes) - ls.StoredBytes
+	}
 	if live > 0 {
 		s.SpaceAmp = float64(file) / float64(live)
 	} else {
@@ -141,9 +149,10 @@ func (s Stats) String() string {
 		if l.Tables == 0 && l.CompactWrite == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "L%d: tables=%d live=%s file=%s compactIO{r=%s w=%s} compactions=%d rewrites=%d",
+		fmt.Fprintf(&b, "L%d: tables=%d live=%s file=%s compactIO{r=%s w=%s index=%s} compactions=%d rewrites=%d",
 			l.Level, l.Tables, stats.FormatBytes(uint64(l.LiveBytes)), stats.FormatBytes(uint64(l.FileBytes)),
-			stats.FormatBytes(l.CompactReads), stats.FormatBytes(l.CompactWrite), l.Compactions, l.FullRewrites)
+			stats.FormatBytes(l.CompactReads), stats.FormatBytes(l.CompactWrite), stats.FormatBytes(l.IndexBytes),
+			l.Compactions, l.FullRewrites)
 		if l.StoredBytes > 0 && l.RawBytes != l.StoredBytes {
 			fmt.Fprintf(&b, " compress{raw=%s stored=%s ratio=%.2f}",
 				stats.FormatBytes(l.RawBytes), stats.FormatBytes(l.StoredBytes),

@@ -599,11 +599,17 @@ func Fig11(s Scale, progress io.Writer) (*Table, error) {
 		case *core.DB:
 			// The performance tier's background bytes by mechanism; the
 			// rest of nvmeBg is the capacity tier's index mirror.
-			bg := db.Stats().Zone.Bg
+			st := db.Stats()
+			bg := st.Zone.Bg
+			var index uint64 // of sataWrite: index blocks and footers
+			for _, l := range st.Levels {
+				index += l.IndexBytes
+			}
 			for _, c := range []struct {
 				name  string
 				bytes uint64
 			}{
+				{"index", index},
 				{"nvmeBg", nv.BgReadBytes + nv.BgWriteBytes},
 				{"demoteRead", bg.DemotionRead},
 				{"rebuildRead", bg.RebuildRead}, {"rebuildWrite", bg.RebuildWrite},

@@ -123,11 +123,14 @@ func (t *Tree) pushEntries(level int, entries []semisst.Entry, budget int, op de
 		if budget > 0 && !drop {
 			if spans := t.deepOverlapSpans(level, fe, slice, op); len(spans) > 0 {
 				deepIncoming, shallowIncoming := splitBySpans(slice, spans)
+				before := fe.table.FileBytes()
 				st, err := fe.table.ExtractOverlapping(spans, op, func(extracted []semisst.Entry) error {
 					deep := semisst.MergeSorted(extracted, deepIncoming, false)
 					return t.pushEntries(level+1, deep, budget-1, op)
 				})
 				t.traffic[level].ReadBytes.Add(uint64(st.BytesRead))
+				// A carve-out appends no data, only the index that records it.
+				t.traffic[level].WriteBytes.Add(uint64(fe.table.FileBytes() - before))
 				if err != nil {
 					return err
 				}

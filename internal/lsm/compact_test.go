@@ -283,6 +283,44 @@ func TestLevelReadBytesMatchDevice(t *testing.T) {
 	}
 }
 
+// TestLevelWriteBytesMatchDevice is the write half of the same ledger: the
+// capacity tier takes nothing but table appends, so the levels' WriteBytes
+// must sum to the device's BgWriteBytes. One-byte sectors make every Sync
+// charge exactly what was appended; a real device adds a sector remainder
+// per Sync on top.
+func TestLevelWriteBytesMatchDevice(t *testing.T) {
+	p := device.UnthrottledProfile("sata", 0)
+	p.SectorSize = 1
+	sata := device.New(p)
+	nvme := device.New(device.UnthrottledProfile("nvme", 0))
+	tr := New(Options{
+		Dev: sata, Ratio: 4, L1Segments: 2, FileSize: 16 << 10,
+		MaxLevels: 3, Depth: 2, MetaBackup: nvme,
+	})
+	seq := uint64(0)
+	for round := 0; round < 60; round++ {
+		if err := tr.MergeBatch(spread(round*131, 300, 7, seq, "v"), device.Bg); err != nil {
+			t.Fatal(err)
+		}
+		seq += 300
+		drain(t, tr)
+	}
+	var levels uint64
+	for l := 1; l <= 3; l++ {
+		levels += tr.Traffic(l).WriteBytes.Load()
+	}
+	if tr.Traffic(1).Compactions.Load() == 0 || tr.Traffic(3).WriteBytes.Load() == 0 {
+		t.Fatal("nothing compacted into the bottom level")
+	}
+	c := sata.Counters()
+	if dev := c.BgWriteBytes.Load(); levels != dev {
+		t.Fatalf("levels report %d bytes written, the device charged %d", levels, dev)
+	}
+	if fg := c.WriteBytes.Load() - c.BgWriteBytes.Load(); fg != 0 {
+		t.Fatalf("%d bytes of compaction writes were charged as foreground", fg)
+	}
+}
+
 // TestRecoverKeepsNewestOfTwoGenerations crashes between the two halves of a
 // generation swap: the new generation is durable and installed, the old one
 // not yet deleted (a scan still holds it). Recover must keep the newer,

@@ -11,7 +11,7 @@ import (
 
 // Recover rebuilds a capacity-tier tree from the semi-SSTables persisted on
 // the device. Semi-SSTables are self-describing (footer → index block with
-// block metadata, filters and key lists), and file names carry the
+// block metadata, filters and checksums), and file names carry the
 // (partition, level, segment, generation) coordinates, so no separate
 // manifest is required.
 //

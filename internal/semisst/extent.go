@@ -21,21 +21,28 @@ import (
 // filled: these blocks are about to turn dirty or be deleted.
 //
 // metas must be in key order, as LiveBlockMetas and overlapping return them;
-// the entries come back in that order. Values alias the private buffers and
-// user keys alias the blocks' index key lists, so nothing is cloned per
-// entry; every block is cross-checked against its key list, and the run
-// must ascend strictly, or the read fails closed. The int64 is what the
-// device charged: the page-rounded extent bytes.
+// the entries come back in that order. Every block, raw or tagged, must
+// match its index checksum before it is decoded — keys and values alike —
+// and must then hold exactly the entries its index segment counts, from
+// First to Last, the whole run ascending strictly; otherwise the read fails
+// closed. Values alias the private buffers and user keys one arena per run
+// (the block iterator rebuilds a prefix-compressed key in place, so a key
+// must be copied once; nothing else is allocated per entry). The int64 is
+// what the device charged: the page-rounded extent bytes.
 func (t *Table) readRun(metas []BlockMeta, op device.Op) ([]Entry, int64, error) {
 	if len(metas) == 0 {
 		return nil, 0, nil
 	}
 	op.Sequential = true
 	byOff := make([]int, len(metas))
-	nEntries := 0
+	// Capacity hints: exact when the index is honest and keys have one
+	// length, bounded by the bytes fetched when it is not.
+	nEntries, keyBytes := 0, 0
 	for i := range metas {
 		byOff[i] = i
-		nEntries += len(metas[i].Keys)
+		n := min(metas[i].Entries, int(metas[i].Handle.Size))
+		nEntries += n
+		keyBytes += n * len(metas[i].Last)
 	}
 	sort.Slice(byOff, func(a, b int) bool {
 		return metas[byOff[a]].Handle.Offset < metas[byOff[b]].Handle.Offset
@@ -75,9 +82,13 @@ func (t *Table) readRun(metas []BlockMeta, op device.Op) ([]Entry, int64, error)
 	}
 
 	out := make([]Entry, 0, nEntries)
+	arena := make([]byte, 0, min(keyBytes, int(charged)))
 	for i := range metas {
 		bm := &metas[i]
 		data := stored[i]
+		if err := t.checkBlock(bm, data); err != nil {
+			return nil, charged, err
+		}
 		if bm.Tagged {
 			var err error
 			if data, err = compress.Decode(data, maxRawBlock); err != nil {
@@ -88,26 +99,26 @@ func (t *Table) readRun(metas []BlockMeta, op device.Op) ([]Entry, int64, error)
 		if err != nil {
 			return nil, charged, err
 		}
-		n := 0
+		start := len(out)
 		for it.First(); it.Valid(); it.Next() {
 			k := it.Key()
-			if n >= len(bm.Keys) || !bytes.Equal(k.User, bm.Keys[n]) {
-				return nil, charged, fmt.Errorf("semisst: %q block at %d disagrees with its index key list", t.f.Name(), bm.Handle.Offset)
+			if len(out) > 0 && bytes.Compare(out[len(out)-1].Key.User, k.User) >= 0 {
+				return nil, charged, fmt.Errorf("semisst: %q entries out of order in block at %d", t.f.Name(), bm.Handle.Offset)
 			}
-			if len(out) > 0 && bytes.Compare(out[len(out)-1].Key.User, bm.Keys[n]) >= 0 {
-				return nil, charged, fmt.Errorf("semisst: %q live blocks out of order", t.f.Name())
+			if cap(arena)-len(arena) < len(k.User) {
+				// Earlier keys keep the chunk they sit in.
+				arena = make([]byte, 0, max(cap(arena), len(k.User)))
 			}
-			out = append(out, Entry{
-				Key:   keys.InternalKey{User: bm.Keys[n], Seq: k.Seq, Kind: k.Kind},
-				Value: it.Value(),
-			})
-			n++
+			arena = append(arena, k.User...)
+			user := arena[len(arena)-len(k.User) : len(arena) : len(arena)]
+			out = append(out, Entry{Key: keys.InternalKey{User: user, Seq: k.Seq, Kind: k.Kind}, Value: it.Value()})
 		}
 		if err := it.Err(); err != nil {
 			return nil, charged, err
 		}
-		if n != len(bm.Keys) {
-			return nil, charged, fmt.Errorf("semisst: %q block at %d holds %d of its %d indexed keys", t.f.Name(), bm.Handle.Offset, n, len(bm.Keys))
+		run := out[start:]
+		if len(run) != bm.Entries || len(run) > 0 && (!bytes.Equal(run[0].Key.User, bm.First) || !bytes.Equal(run[len(run)-1].Key.User, bm.Last)) {
+			return nil, charged, fmt.Errorf("semisst: %q block at %d disagrees with its index entry count or bounds", t.f.Name(), bm.Handle.Offset)
 		}
 	}
 	return out, charged, nil

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hyperdb/internal/cache"
 	"hyperdb/internal/compress"
 	"hyperdb/internal/device"
 	"hyperdb/internal/keys"
@@ -164,22 +165,28 @@ func stateOf(t *Table) tableState {
 }
 
 // TestExtentCorruptBlockFailsClosed damages one block in the middle of an
-// extent: the merge that reads it errors and the table is as it was. A
-// tagged block is caught by its payload CRC, a raw one by the cross-check
-// of its keys against the index key list.
+// extent: the merge that reads it errors and the table is as it was. Every
+// block is caught by its index checksum before it is decoded, wherever the
+// damage sits — the middle of a raw block is value bytes, which nothing
+// else covers.
 func TestExtentCorruptBlockFailsClosed(t *testing.T) {
-	for _, codec := range []compress.Codec{compress.LZ, compress.None} {
+	for _, tc := range []struct {
+		codec  compress.Codec
+		middle bool // else 3 bytes in: the first key
+	}{{compress.LZ, true}, {compress.None, false}, {compress.None, true}} {
+		codec := tc.codec
 		dev := newDev()
 		f, _ := dev.Create("s1")
-		tbl, err := Build(f, Options{Codec: codec}, compressibleEntries(400, 1), device.Bg)
+		pc := cache.NewLRU(1<<20, nil)
+		tbl, err := Build(f, Options{Codec: codec, PageCache: pc}, compressibleEntries(400, 1), device.Bg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		metas := tbl.LiveBlockMetas()
 		bm := metas[len(metas)/2]
-		off := int64(bm.Handle.Offset) + int64(bm.Handle.Size)/2
-		if codec == compress.None {
-			off = int64(bm.Handle.Offset) + 3 // first key's bytes
+		off := int64(bm.Handle.Offset) + 3
+		if tc.middle {
+			off = int64(bm.Handle.Offset) + int64(bm.Handle.Size)/2
 		}
 		if err := f.WriteAt([]byte{0xde, 0xad, 0xbe, 0xef}, off, device.Fg); err != nil {
 			t.Fatal(err)
@@ -187,20 +194,24 @@ func TestExtentCorruptBlockFailsClosed(t *testing.T) {
 		before := stateOf(tbl)
 		incoming := []Entry{entry("key-00000", 9000, "a"), entry("key-00399", 9001, "z")}
 		if _, err := tbl.Merge(incoming, false, device.Bg); err == nil {
-			t.Fatalf("codec %v: merge over a corrupted block succeeded", codec)
+			t.Fatalf("%+v: merge over a corrupted block succeeded", tc)
 		}
 		if _, _, err := tbl.AllEntries(device.Bg); err == nil {
-			t.Fatalf("codec %v: full read over a corrupted block succeeded", codec)
+			t.Fatalf("%+v: full read over a corrupted block succeeded", tc)
 		}
 		moved := false
 		if _, err := tbl.ExtractOverlapping([]keys.Range{bm.Range()}, device.Bg, func([]Entry) error { moved = true; return nil }); err == nil || moved {
-			t.Fatalf("codec %v: carve-out handed on a corrupted block (err=%v)", codec, err)
+			t.Fatalf("%+v: carve-out handed on a corrupted block (err=%v)", tc, err)
 		}
 		if after := stateOf(tbl); after != before {
-			t.Fatalf("codec %v: failed reads changed the table: %+v -> %+v", codec, before, after)
+			t.Fatalf("%+v: failed reads changed the table: %+v -> %+v", tc, before, after)
 		}
 		if err := tbl.CheckInvariants(); err != nil {
 			t.Fatal(err)
+		}
+		// A foreground read of the damaged block is neither served nor cached.
+		if v, _, found, err := tbl.Get(bm.Last, keys.MaxSeq, device.Fg); err == nil || found || v != nil || pc.Len() != 0 {
+			t.Fatalf("%+v: get inside the damage: %q %v %v, %d blocks cached", tc, v, found, err, pc.Len())
 		}
 		// Blocks outside the damage still serve.
 		if v, _, found, err := tbl.Get([]byte("key-00000"), keys.MaxSeq, device.Fg); err != nil || !found || !strings.HasSuffix(string(v), "key-00000") {

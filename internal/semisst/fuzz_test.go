@@ -23,11 +23,7 @@ func fuzzImage(tb testing.TB, codec compress.Codec) []byte {
 	if _, err := tbl.Merge([]Entry{entry("key-00003", 100, "merged")}, false, device.Bg); err != nil {
 		tb.Fatal(err)
 	}
-	img := make([]byte, f.Size())
-	if _, err := f.ReadAt(img, 0, device.Fg); err != nil {
-		tb.Fatal(err)
-	}
-	return img
+	return fileImage(tb, f)
 }
 
 // FuzzOpen opens a mutated table image and reads it every way the engine
@@ -42,16 +38,16 @@ func FuzzOpen(f *testing.F) {
 	// so Open must fall back to the first build's footer.
 	f.Add(raw[:len(raw)-footerSize/2])
 	f.Add(lz[:len(lz)-len(lz)/4])
+	// Damage a checksum must catch: an index that no longer matches its
+	// footer, a data block that no longer matches its index segment.
+	bad := bytes.Clone(raw)
+	bad[len(bad)-footerSize-1] ^= 0xff
+	f.Add(bad)
+	bad = bytes.Clone(lz)
+	bad[1] ^= 0xff
+	f.Add(bad)
 	f.Fuzz(func(t *testing.T, img []byte) {
-		dev := newDev()
-		file, _ := dev.Create("fuzz.sst")
-		if _, err := file.Append(img); err != nil {
-			t.Fatal(err)
-		}
-		if err := file.Sync(device.Bg); err != nil {
-			t.Fatal(err)
-		}
-		tbl, err := Open(file, Options{}, device.Bg)
+		tbl, err := openImage(t, img)
 		if err != nil {
 			return // failed closed
 		}

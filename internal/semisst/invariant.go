@@ -6,9 +6,9 @@ import (
 )
 
 // CheckInvariants validates the table's structural invariants: live blocks
-// strictly ordered and pairwise disjoint by key range, per-block key lists
-// matching the recorded bounds, and stale accounting consistent. Tests and
-// the harness call this after mutation storms.
+// strictly ordered and pairwise disjoint by key range, each block's bounds
+// in order, and the stale and live sums consistent with the blocks they
+// summarise. Tests and the harness call this after mutation storms.
 func (t *Table) CheckInvariants() error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -18,19 +18,8 @@ func (t *Table) CheckInvariants() error {
 		if !b.Valid {
 			return fmt.Errorf("semisst: live[%d] points at invalid block", i)
 		}
-		if len(b.Keys) != b.Entries {
-			return fmt.Errorf("semisst: block %d keys=%d entries=%d", li, len(b.Keys), b.Entries)
-		}
-		if b.Entries > 0 {
-			if !bytes.Equal(b.Keys[0], b.First) || !bytes.Equal(b.Keys[len(b.Keys)-1], b.Last) {
-				return fmt.Errorf("semisst: block %d bounds %q..%q disagree with keys %q..%q",
-					li, b.First, b.Last, b.Keys[0], b.Keys[len(b.Keys)-1])
-			}
-		}
-		for j := 1; j < len(b.Keys); j++ {
-			if bytes.Compare(b.Keys[j-1], b.Keys[j]) >= 0 {
-				return fmt.Errorf("semisst: block %d keys out of order at %d", li, j)
-			}
+		if bytes.Compare(b.First, b.Last) > 0 {
+			return fmt.Errorf("semisst: block %d bounds %q..%q out of order", li, b.First, b.Last)
 		}
 		if prevLast != nil && bytes.Compare(prevLast, b.First) >= 0 {
 			return fmt.Errorf("semisst: live blocks overlap: prev last %q >= first %q (block %d)",
@@ -38,14 +27,19 @@ func (t *Table) CheckInvariants() error {
 		}
 		prevLast = b.Last
 	}
-	var stale int64
+	var stale, live int64
+	entries := 0
 	for i := range t.blocks {
-		if !t.blocks[i].Valid {
-			stale += int64(t.blocks[i].Handle.Size)
+		if b := &t.blocks[i]; b.Valid {
+			live += int64(b.Handle.Size)
+			entries += b.Entries
+		} else {
+			stale += int64(b.Handle.Size)
 		}
 	}
-	if stale != t.stale {
-		return fmt.Errorf("semisst: stale accounting %d != computed %d", t.stale, stale)
+	if stale != t.stale || live != t.liveBytes || entries != t.liveEntries {
+		return fmt.Errorf("semisst: accounting stale=%d live=%d entries=%d != computed %d, %d, %d",
+			t.stale, t.liveBytes, t.liveEntries, stale, live, entries)
 	}
 	return nil
 }

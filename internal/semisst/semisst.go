@@ -1,18 +1,36 @@
 // Package semisst implements the semi-sorted string table of §3.2: entries
 // are sorted inside each data block, blocks may be appended after the file
 // is persisted, and the index block records every block's offset, key range,
-// validity, bloom filter and a prefix-compressed list of the block's live
-// keys. A merge never rewrites the whole file: superseded blocks are marked
-// dirty (dead space, reclaimed by a later full compaction); survivors stay
-// clean and in place; merged entries form fresh blocks appended at the tail
-// together with a new index block.
+// validity, bloom filter and checksum. A merge never rewrites the whole
+// file: superseded blocks are marked dirty (dead space, reclaimed by a later
+// full compaction); survivors stay clean and in place; merged entries form
+// fresh blocks appended at the tail together with a new index block.
 //
 // The live blocks of a table always cover pairwise-disjoint key ranges, so a
 // point lookup touches at most one data block.
 //
+// On-device format, one version (Magic names it; older images fail closed):
+//
+//	file   = { data block … | index | footer } repeated, newest last
+//	index  = maxSeq | nBlocks | segment per block, in file order
+//	segment, live  = offset | size | entries | flags(1 raw, 2 tagged) |
+//	                 first | last | filter | crc32(stored block bytes)
+//	segment, dirty = offset | size | entries | 0 | first | last
+//	footer = index offset u64 | index size u64 | crc32(index) u32 |
+//	         crc32(the 20 bytes before) u32 | Magic u64
+//
+// Integers are uvarints and byte strings length-prefixed, except the
+// fixed-width little-endian checksums and footer. The index lists no keys:
+// the planner decides on block key ranges alone (DESIGN.md, "Why the index
+// lists no keys"). Every byte is covered by a checksum that some reader
+// verifies before trusting it: the footer by its own crc, the index by the
+// footer's, and each data block by its segment's — checked by the
+// background run reader on every block it fetches and by foreground reads
+// whenever the bytes come from the device rather than the page cache.
+//
 // Following §3.1, the index can be mirrored to the performance tier
-// (Options.MetaBackup): compaction workers then read keys from the NVMe
-// mirror instead of the capacity tier — the "low-cost index lookup" the
+// (Options.MetaBackup): compaction workers then read block ranges from the
+// NVMe mirror instead of the capacity tier — the "low-cost index lookup" the
 // paper credits for cheap overlap scoring.
 package semisst
 
@@ -40,44 +58,40 @@ import (
 // are bounded far below the wire's 16 MiB frame cap.
 const maxRawBlock = 16 << 20
 
-// Magic identifies a semi-SSTable footer.
-const Magic = 0x5e3915ab1e5e3900
+// Magic identifies a semi-SSTable footer and, in its low byte, the format
+// version: 01 is the first whose index carries block checksums instead of
+// key lists.
+const Magic = 0x5e3915ab1e5e3901
 
-// footerSize is the fixed footer length: the index handle varints padded to
-// footerSize-12 bytes, a crc32 of that prefix, then the magic. The checksum
-// lets crash recovery distinguish a real footer from data bytes that happen
-// to end in the magic while scanning backward for the newest persisted
-// index.
+// footerSize is the fixed footer length. The footer's own checksum lets
+// crash recovery distinguish a real footer from data bytes that happen to
+// end in the magic while scanning backward for the newest persisted index;
+// the index checksum makes a damaged index fail the same way a torn one
+// does.
 const footerSize = 32
 
-// encodeFooter serialises a footer pointing at the index block.
-func encodeFooter(h sstable.Handle) []byte {
-	footer := sstable.EncodeHandle(nil, h)
-	for len(footer) < footerSize-12 {
-		footer = append(footer, 0)
-	}
-	var tail [12]byte
-	binary.LittleEndian.PutUint32(tail[0:], crc32.ChecksumIEEE(footer))
-	binary.LittleEndian.PutUint64(tail[4:], Magic)
-	return append(footer, tail[:]...)
+// encodeFooter serialises a footer pointing at the index block idx stored
+// at off.
+func encodeFooter(off int64, idx []byte) []byte {
+	footer := make([]byte, footerSize)
+	binary.LittleEndian.PutUint64(footer[0:], uint64(off))
+	binary.LittleEndian.PutUint64(footer[8:], uint64(len(idx)))
+	binary.LittleEndian.PutUint32(footer[16:], crc32.ChecksumIEEE(idx))
+	binary.LittleEndian.PutUint32(footer[20:], crc32.ChecksumIEEE(footer[:20]))
+	binary.LittleEndian.PutUint64(footer[24:], Magic)
+	return footer
 }
 
-// parseFooter validates magic and checksum and returns the index handle.
-func parseFooter(footer []byte) (sstable.Handle, bool) {
-	if len(footer) != footerSize {
-		return sstable.Handle{}, false
+// parseFooter validates magic and checksum and returns the index handle and
+// the checksum the index must have.
+func parseFooter(footer []byte) (h sstable.Handle, idxSum uint32, ok bool) {
+	if len(footer) != footerSize ||
+		binary.LittleEndian.Uint64(footer[24:]) != Magic ||
+		binary.LittleEndian.Uint32(footer[20:]) != crc32.ChecksumIEEE(footer[:20]) {
+		return sstable.Handle{}, 0, false
 	}
-	if binary.LittleEndian.Uint64(footer[footerSize-8:]) != Magic {
-		return sstable.Handle{}, false
-	}
-	if binary.LittleEndian.Uint32(footer[footerSize-12:]) != crc32.ChecksumIEEE(footer[:footerSize-12]) {
-		return sstable.Handle{}, false
-	}
-	h, err := sstable.DecodeHandle(footer[:footerSize-12])
-	if err != nil {
-		return sstable.Handle{}, false
-	}
-	return h, true
+	h = sstable.Handle{Offset: binary.LittleEndian.Uint64(footer[0:]), Size: binary.LittleEndian.Uint64(footer[8:])}
+	return h, binary.LittleEndian.Uint32(footer[16:]), true
 }
 
 // handleWithin reports whether h lies inside [0, limit) without overflowing;
@@ -99,10 +113,8 @@ type BlockMeta struct {
 	// or with the codec off — read back unchanged.
 	Tagged bool
 	Filter *bloom.Filter
-	// Keys holds the block's live user keys in sorted order. It mirrors the
-	// persisted index content so compaction never reads data blocks to
-	// discover overlap (§3.4).
-	Keys [][]byte
+	// Sum is the crc32 of the block's stored bytes (compressed, if Tagged).
+	Sum uint32
 	// enc caches the block's serialised index segment; blocks are immutable
 	// once written, so each merge's index rewrite reuses it instead of
 	// re-encoding every block in the table.
@@ -155,15 +167,20 @@ type Entry struct {
 
 // Table is an open semi-SSTable.
 type Table struct {
-	mu       sync.RWMutex
-	f        *device.File
-	metaF    *device.File // index mirror on the performance tier, may be nil
-	opts     Options
-	blocks   []BlockMeta // every block ever written, in file order
-	live     []int       // indices of valid blocks, sorted by First key
-	stale    int64       // bytes in dirty data blocks
-	maxSeq   uint64
-	idxBytes int64 // size of the current persisted index block
+	mu     sync.RWMutex
+	f      *device.File
+	metaF  *device.File // index mirror on the performance tier, may be nil
+	opts   Options
+	blocks []BlockMeta // every block ever written, in file order
+	live   []int       // indices of valid blocks, sorted by First key
+	stale  int64       // bytes in dirty data blocks
+	maxSeq uint64
+	// liveBytes and liveEntries sum Handle.Size and Entries over live;
+	// recomputeLive keeps them, so the planner's per-pass questions
+	// (LiveBytes, DirtyRatio, NumEntries) cost a field read, not a walk.
+	liveBytes   int64
+	liveEntries int
+	idxBytes    int64 // size of the current persisted index block
 
 	// liveMetas is blocks[live[i]] for every i, in a slice that is never
 	// written again once published: recomputeLive builds a new one. Readers
@@ -228,17 +245,18 @@ func Open(f *device.File, opts Options, op device.Op) (*Table, error) {
 	if _, err := f.ReadAt(footer, size-footerSize, op); err != nil {
 		return nil, err
 	}
-	if idxH, ok := parseFooter(footer); ok && handleWithin(idxH, size-footerSize) {
+	if idxH, sum, ok := parseFooter(footer); ok && handleWithin(idxH, size-footerSize) {
 		idx := make([]byte, idxH.Size)
 		if _, err := f.ReadAt(idx, int64(idxH.Offset), op); err != nil {
 			return nil, err
 		}
-		if t, err := openFromIndex(f, opts, idx); err == nil {
+		if t, err := openFromIndex(f, opts, idx, sum); err == nil {
 			return t, nil
 		}
 	}
-	// Torn tail: read the whole file once and scan backward for the newest
-	// offset that ends in a valid footer whose index decodes.
+	// Torn or damaged tail: read the whole file once and scan backward for
+	// the newest offset that ends in a valid footer whose index matches its
+	// checksum and decodes.
 	buf := make([]byte, size)
 	if _, err := f.ReadAt(buf, 0, device.Op{Background: op.Background, Sequential: true}); err != nil {
 		return nil, err
@@ -247,11 +265,11 @@ func Open(f *device.File, opts Options, op device.Op) (*Table, error) {
 		if binary.LittleEndian.Uint64(buf[end-8:end]) != Magic {
 			continue
 		}
-		h, ok := parseFooter(buf[end-footerSize : end])
+		h, sum, ok := parseFooter(buf[end-footerSize : end])
 		if !ok || !handleWithin(h, end-footerSize) {
 			continue
 		}
-		t, err := openFromIndex(f, opts, buf[h.Offset:int64(h.Offset)+int64(h.Size)])
+		t, err := openFromIndex(f, opts, buf[h.Offset:int64(h.Offset)+int64(h.Size)], sum)
 		if err != nil {
 			continue
 		}
@@ -265,8 +283,12 @@ func Open(f *device.File, opts Options, op device.Op) (*Table, error) {
 	return nil, fmt.Errorf("semisst: no valid footer in %q", f.Name())
 }
 
-// openFromIndex builds a Table from a decoded index payload.
-func openFromIndex(f *device.File, opts Options, idx []byte) (*Table, error) {
+// openFromIndex builds a Table from an index block, provided it has the
+// checksum its footer recorded.
+func openFromIndex(f *device.File, opts Options, idx []byte, sum uint32) (*Table, error) {
+	if crc32.ChecksumIEEE(idx) != sum {
+		return nil, fmt.Errorf("semisst: %q index checksum mismatch", f.Name())
+	}
 	t := newTable(f, opts)
 	t.idxBytes = int64(len(idx))
 	if err := t.decodeIndex(idx); err != nil {
@@ -312,8 +334,11 @@ func (t *Table) recomputeLive() {
 		return bytes.Compare(t.blocks[t.live[a]].First, t.blocks[t.live[b]].First) < 0
 	})
 	t.liveMetas = make([]BlockMeta, len(t.live))
+	t.liveBytes, t.liveEntries = 0, 0
 	for i, li := range t.live {
 		t.liveMetas[i] = t.blocks[li]
+		t.liveBytes += int64(t.blocks[li].Handle.Size)
+		t.liveEntries += t.blocks[li].Entries
 	}
 }
 
@@ -362,9 +387,10 @@ func (t *Table) appendMerge(entries []Entry, dirtyIdx []int, op device.Op) error
 	}
 
 	bb := block.NewBuilder(0)
-	var blockKeys [][]byte
+	var hashes []uint64    // bloom.Hash64 of the open block's keys
+	var first, last []byte // its bounds; last aliases the entry until flush
 	flush := func() error {
-		if len(blockKeys) == 0 {
+		if len(hashes) == 0 {
 			return nil
 		}
 		content := bb.Finish()
@@ -385,27 +411,31 @@ func (t *Table) appendMerge(entries []Entry, dirtyIdx []int, op device.Op) error
 		}
 		// The filter is sized to the block's actual key count so small
 		// blocks (large values) don't carry oversized filters in the index.
-		filter := bloom.New(len(blockKeys), t.opts.BloomBitsPerKey)
-		for _, u := range blockKeys {
-			filter.Add(u)
+		filter := bloom.New(len(hashes), t.opts.BloomBitsPerKey)
+		for _, h := range hashes {
+			filter.AddHash(h)
 		}
 		t.blocks = append(t.blocks, BlockMeta{
 			Handle:  sstable.Handle{Offset: uint64(off), Size: uint64(len(content))},
-			First:   blockKeys[0],
-			Last:    blockKeys[len(blockKeys)-1],
-			Entries: len(blockKeys),
+			First:   first,
+			Last:    append([]byte(nil), last...),
+			Entries: len(hashes),
 			Valid:   true,
 			Tagged:  tagged,
 			Filter:  filter,
-			Keys:    blockKeys,
+			Sum:     crc32.ChecksumIEEE(content),
 		})
 		bb.Reset()
-		blockKeys = nil
+		hashes = hashes[:0]
 		return nil
 	}
 	for _, e := range entries {
 		bb.Add(e.Key, e.Value)
-		blockKeys = append(blockKeys, append([]byte(nil), e.Key.User...))
+		if len(hashes) == 0 {
+			first = append([]byte(nil), e.Key.User...)
+		}
+		last = e.Key.User
+		hashes = append(hashes, bloom.Hash64(e.Key.User))
 		if e.Key.Seq > t.maxSeq {
 			t.maxSeq = e.Key.Seq
 		}
@@ -433,7 +463,6 @@ func (t *Table) appendMerge(entries []Entry, dirtyIdx []int, op device.Op) error
 	// compaction.
 	for _, i := range marked {
 		t.blocks[i].Filter = nil
-		t.blocks[i].Keys = nil
 	}
 	return nil
 }
@@ -447,8 +476,7 @@ func (t *Table) writeIndexLocked(op device.Op) error {
 	if err != nil {
 		return err
 	}
-	footer := encodeFooter(sstable.Handle{Offset: uint64(off), Size: uint64(len(idx))})
-	if _, err := t.f.Append(footer); err != nil {
+	if _, err := t.f.Append(encodeFooter(off, idx)); err != nil {
 		return err
 	}
 	if t.metaF != nil {
@@ -456,8 +484,8 @@ func (t *Table) writeIndexLocked(op device.Op) error {
 		// performance tier has no room for it, drop the mirror and fall
 		// back to charging index reads against the capacity tier. Only the
 		// planning view is mirrored — block handles, key ranges and
-		// validity — because that is all compaction consults; the full
-		// index (key lists, filters) stays in the table's own footer.
+		// validity — because that is all compaction consults; filters and
+		// checksums stay in the table's own index.
 		mirror := t.encodeMirrorLocked()
 		err := t.metaF.Truncate(0)
 		if err == nil {
@@ -478,36 +506,21 @@ func (t *Table) writeIndexLocked(op device.Op) error {
 	return nil
 }
 
-// encodeIndexLocked serialises maxSeq and per-block metadata, filters and
-// prefix-compressed key lists. Caller holds mu.
+// encodeIndexLocked serialises maxSeq and a segment per block. Caller holds
+// mu.
 func (t *Table) encodeIndexLocked() []byte {
-	var out []byte
-	var tmp [binary.MaxVarintLen64]byte
-	putUv := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		out = append(out, tmp[:n]...)
-	}
-	putBytes := func(b []byte) {
-		putUv(uint64(len(b)))
-		out = append(out, b...)
-	}
-	putUv(t.maxSeq)
-	putUv(uint64(len(t.blocks)))
+	out := binary.AppendUvarint(nil, t.maxSeq)
+	out = binary.AppendUvarint(out, uint64(len(t.blocks)))
 	for i := range t.blocks {
 		b := &t.blocks[i]
-		if b.Valid && b.enc == nil {
-			b.enc = encodeBlockSegment(b)
-		}
-		if b.Valid {
-			out = append(out, b.enc...)
+		if !b.Valid {
+			out = appendSegmentHead(out, b, 0)
 			continue
 		}
-		putUv(b.Handle.Offset)
-		putUv(b.Handle.Size)
-		putUv(uint64(b.Entries))
-		out = append(out, 0)
-		putBytes(b.First)
-		putBytes(b.Last)
+		if b.enc == nil {
+			b.enc = encodeBlockSegment(b)
+		}
+		out = append(out, b.enc...)
 	}
 	return out
 }
@@ -516,60 +529,42 @@ func (t *Table) encodeIndexLocked() []byte {
 // performance tier: per live block, its handle and key bounds. Caller holds
 // mu.
 func (t *Table) encodeMirrorLocked() []byte {
-	var out []byte
-	var tmp [binary.MaxVarintLen64]byte
-	putUv := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		out = append(out, tmp[:n]...)
-	}
-	putBytes := func(b []byte) {
-		putUv(uint64(len(b)))
-		out = append(out, b...)
-	}
-	putUv(uint64(len(t.live)))
+	out := binary.AppendUvarint(nil, uint64(len(t.live)))
 	for _, li := range t.live {
 		b := &t.blocks[li]
-		putUv(b.Handle.Offset)
-		putUv(b.Handle.Size)
-		putBytes(b.First)
-		putBytes(b.Last)
+		out = binary.AppendUvarint(out, b.Handle.Offset)
+		out = binary.AppendUvarint(out, b.Handle.Size)
+		out = appendBytes(appendBytes(out, b.First), b.Last)
 	}
 	return out
 }
 
-// encodeBlockSegment serialises one valid block's index entry (handle,
-// entry count, flags, bounds, filter, key list). The flags byte doubles as
-// the validity marker: 0 dirty, 1 valid raw block, 2 valid tagged
-// (compress-payload) block. Old indexes never contain 2, so decoding stays
-// backward compatible.
+// appendBytes appends p behind its length.
+func appendBytes(out, p []byte) []byte {
+	return append(binary.AppendUvarint(out, uint64(len(p))), p...)
+}
+
+// appendSegmentHead appends what every index segment starts with: handle,
+// entry count, flags and bounds. The flags byte doubles as the validity
+// marker: 0 dirty, 1 valid raw block, 2 valid tagged (compress-payload)
+// block.
+func appendSegmentHead(out []byte, b *BlockMeta, flags byte) []byte {
+	out = binary.AppendUvarint(out, b.Handle.Offset)
+	out = binary.AppendUvarint(out, b.Handle.Size)
+	out = binary.AppendUvarint(out, uint64(b.Entries))
+	out = append(out, flags)
+	return appendBytes(appendBytes(out, b.First), b.Last)
+}
+
+// encodeBlockSegment serialises one valid block's index segment: the head,
+// its filter and its checksum.
 func encodeBlockSegment(b *BlockMeta) []byte {
-	var out []byte
-	var tmp [binary.MaxVarintLen64]byte
-	putUv := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		out = append(out, tmp[:n]...)
-	}
-	putBytes := func(p []byte) {
-		putUv(uint64(len(p)))
-		out = append(out, p...)
-	}
-	putUv(b.Handle.Offset)
-	putUv(b.Handle.Size)
-	putUv(uint64(b.Entries))
+	flags := byte(1)
 	if b.Tagged {
-		out = append(out, 2)
-	} else {
-		out = append(out, 1)
+		flags = 2
 	}
-	putBytes(b.First)
-	putBytes(b.Last)
-	putBytes(b.Filter.Marshal())
-	kb := block.NewBuilder(0)
-	for _, u := range b.Keys {
-		kb.Add(keys.InternalKey{User: u, Seq: 0, Kind: keys.KindSet}, nil)
-	}
-	putBytes(kb.Finish())
-	return out
+	out := appendBytes(appendSegmentHead(nil, b, flags), b.Filter.Marshal())
+	return binary.LittleEndian.AppendUint32(out, b.Sum)
 }
 
 func (t *Table) decodeIndex(idx []byte) error {
@@ -623,6 +618,11 @@ func (t *Table) decodeIndex(idx []byte) error {
 		if err != nil {
 			return err
 		}
+		// No block decodes to more bytes than maxRawBlock, so none holds
+		// more entries; Entries sizes allocations in readRun.
+		if e > maxRawBlock {
+			return fmt.Errorf("semisst: block %d claims %d entries", i, e)
+		}
 		b.Entries = int(e)
 		if off >= len(idx) {
 			return fmt.Errorf("semisst: truncated index validity")
@@ -655,23 +655,11 @@ func (t *Table) decodeIndex(idx []byte) error {
 		if b.Filter, err = bloom.Unmarshal(fdata); err != nil {
 			return err
 		}
-		kdata, err := getBytes()
-		if err != nil {
-			return err
+		if len(idx)-off < 4 {
+			return fmt.Errorf("semisst: truncated block checksum")
 		}
-		kit, err := block.NewIter(kdata)
-		if err != nil {
-			return err
-		}
-		for kit.First(); kit.Valid(); kit.Next() {
-			b.Keys = append(b.Keys, append([]byte(nil), kit.Key().User...))
-		}
-		if err := kit.Err(); err != nil {
-			return err
-		}
-		if uint64(len(b.Keys)) != e {
-			return fmt.Errorf("semisst: block %d lists %d keys for %d entries", i, len(b.Keys), e)
-		}
+		b.Sum = binary.LittleEndian.Uint32(idx[off:])
+		off += 4
 		t.blocks = append(t.blocks, b)
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -468,7 +469,7 @@ func TestNewIterSharesTheLiveSnapshot(t *testing.T) {
 			t.Fatal("the merge reused the published snapshot")
 		}
 		for i := range held {
-			if held[i].Handle != before[i].Handle || !held[i].Valid || held[i].Filter == nil || len(held[i].Keys) != before[i].Entries {
+			if held[i].Handle != before[i].Handle || !held[i].Valid || held[i].Filter == nil || held[i].Sum != before[i].Sum {
 				t.Fatalf("the merge wrote into the snapshot an iterator holds, block %d", i)
 			}
 		}
@@ -519,5 +520,78 @@ func TestGetConcurrentWithMerge(t *testing.T) {
 	}
 	if err := tbl.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fileImage returns every byte of f.
+func fileImage(tb testing.TB, f *device.File) []byte {
+	img := make([]byte, f.Size())
+	if _, err := f.ReadAt(img, 0, device.Fg); err != nil {
+		tb.Fatal(err)
+	}
+	return img
+}
+
+// openImage stores img as a fresh file and opens it.
+func openImage(tb testing.TB, img []byte) (*Table, error) {
+	f, _ := newDev().Create("img.sst")
+	if _, err := f.Append(img); err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.Sync(device.Bg); err != nil {
+		tb.Fatal(err)
+	}
+	return Open(f, Options{}, device.Bg)
+}
+
+// TestIndexBitFlipFailsClosed flips every byte of a merged table's newest
+// index and footer in turn. Open may fall back to the pre-merge footer,
+// open the post-merge table, or refuse; it may never produce a third
+// table, nor one whose filters hide a key its blocks hold.
+func TestIndexBitFlipFailsClosed(t *testing.T) {
+	f, _ := newDev().Create("s1")
+	tbl, err := Build(f, Options{BlockSize: 256}, sortedEntries(60, 1), device.Bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, _, _ := tbl.AllEntries(device.Bg)
+	if _, err := tbl.Merge([]Entry{entry("key-00007", 500, "merged"), entry("key-00031", 501, "merged")}, false, device.Bg); err != nil {
+		t.Fatal(err)
+	}
+	post, _, _ := tbl.AllEntries(device.Bg)
+	img := fileImage(t, f)
+	tail := int(tbl.idxBytes) + footerSize
+	for off := len(img) - tail; off < len(img); off++ {
+		for _, mask := range []byte{0x01, 0xff} {
+			img[off] ^= mask
+			got, err := openImage(t, img)
+			img[off] ^= mask
+			if err != nil {
+				continue
+			}
+			where := fmt.Sprintf("byte %d of the %d-byte tail ^ %#x", off-(len(img)-tail), tail, mask)
+			run, _, err := got.AllEntries(device.Bg)
+			if err != nil || !reflect.DeepEqual(run, pre) && !reflect.DeepEqual(run, post) {
+				t.Fatalf("%s: opened a table of %d entries (err=%v) that is neither the pre-merge nor the post-merge one", where, len(run), err)
+			}
+			for _, e := range run {
+				if v, _, found, err := got.Get(e.Key.User, keys.MaxSeq, device.Fg); err != nil || !found || !bytes.Equal(v, e.Value) {
+					t.Fatalf("%s: get %q = %q found=%v err=%v, the table holds %q", where, e.Key.User, v, found, err, e.Value)
+				}
+			}
+		}
+	}
+}
+
+// TestIndexBytesPerBlock pins the index diet: a segment per block, no key
+// list, so small objects do not pay per-key index bytes on every merge.
+func TestIndexBytesPerBlock(t *testing.T) {
+	f, _ := newDev().Create("s1")
+	tbl, err := Build(f, Options{}, benchEntries(0, 15_000, 1, 1), device.Bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per := tbl.idxBytes / int64(tbl.NumLiveBlocks()); per > 128 {
+		t.Fatalf("index is %d bytes for %d blocks: %d per block, want <= 128", tbl.idxBytes, tbl.NumLiveBlocks(), per)
 	}
 }

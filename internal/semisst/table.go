@@ -2,6 +2,8 @@ package semisst
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
 	"strconv"
 
 	"hyperdb/internal/block"
@@ -14,11 +16,7 @@ import (
 func (t *Table) LiveBytes() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var n int64
-	for _, li := range t.live {
-		n += int64(t.blocks[li].Handle.Size)
-	}
-	return n
+	return t.liveBytes
 }
 
 // FileBytes returns the on-device footprint including dirty blocks and the
@@ -37,25 +35,17 @@ func (t *Table) StaleBytes() int64 {
 func (t *Table) DirtyRatio() float64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var live int64
-	for _, li := range t.live {
-		live += int64(t.blocks[li].Handle.Size)
-	}
-	if live+t.stale == 0 {
+	if t.liveBytes+t.stale == 0 {
 		return 0
 	}
-	return float64(t.stale) / float64(live+t.stale)
+	return float64(t.stale) / float64(t.liveBytes+t.stale)
 }
 
 // NumEntries returns the count of live entries.
 func (t *Table) NumEntries() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := 0
-	for _, li := range t.live {
-		n += t.blocks[li].Entries
-	}
-	return n
+	return t.liveEntries
 }
 
 // NumLiveBlocks returns the count of valid data blocks.
@@ -90,7 +80,7 @@ func (t *Table) LiveBlockMetas() []BlockMeta {
 // ChargeIndexRead accounts one read of the table's index block, against the
 // performance-tier mirror when configured (§3.1's low-cost index lookup) or
 // the table's own device otherwise. Compaction planners call this before
-// consulting block key lists.
+// consulting block key ranges.
 func (t *Table) ChargeIndexRead(op device.Op) {
 	t.mu.RLock()
 	n := t.idxBytes
@@ -129,10 +119,21 @@ func findBlock(metas []BlockMeta, user []byte) *BlockMeta {
 	return &metas[lo-1]
 }
 
+// checkBlock reports stored bytes that do not match the checksum bm's index
+// segment recorded for them.
+func (t *Table) checkBlock(bm *BlockMeta, stored []byte) error {
+	if crc32.ChecksumIEEE(stored) != bm.Sum {
+		return fmt.Errorf("semisst: %q block at %d fails its index checksum", t.f.Name(), bm.Handle.Offset)
+	}
+	return nil
+}
+
 // readBlockData fetches one data block for a foreground read, via the page
-// cache when configured. The cache holds stored (possibly compressed) bytes;
-// tagged blocks decompress after the fetch, and a torn or corrupted payload
-// fails closed with an error.
+// cache when configured. The cache holds stored (possibly compressed) bytes.
+// Bytes fresh from the device must match the block's index checksum before
+// they are cached or served, so a damaged block fails closed and a cache
+// hit, already verified, pays nothing; tagged blocks decompress after the
+// fetch.
 func (t *Table) readBlockData(bm *BlockMeta, op device.Op) ([]byte, error) {
 	var key string
 	data := []byte(nil)
@@ -147,6 +148,9 @@ func (t *Table) readBlockData(bm *BlockMeta, op device.Op) ([]byte, error) {
 	if data == nil {
 		data = make([]byte, bm.Handle.Size)
 		if _, err := t.f.ReadAt(data, int64(bm.Handle.Offset), op); err != nil {
+			return nil, err
+		}
+		if err := t.checkBlock(bm, data); err != nil {
 			return nil, err
 		}
 		if t.opts.PageCache != nil {
@@ -253,15 +257,13 @@ func (t *Table) DirtyRatioAfterMerge(incoming []Entry, dropTombstones bool) floa
 	span := spanOf(incoming)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var live, victim int64
+	var victim int64
 	for _, li := range t.live {
-		b := &t.blocks[li]
-		live += int64(b.Handle.Size)
-		if b.Range().Overlaps(span) {
+		if b := &t.blocks[li]; b.Range().Overlaps(span) {
 			victim += int64(b.Handle.Size)
 		}
 	}
-	if total := live + in + t.stale; total > 0 {
+	if total := t.liveBytes + in + t.stale; total > 0 {
 		return float64(t.stale+victim) / float64(total)
 	}
 	return 0
