@@ -33,28 +33,20 @@ func TestLRUEvictsByBytes(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Put(fmt.Sprintf("k%02d", i), make([]byte, 100))
 	}
-	if used := c.Used(); used > 16*300 {
-		t.Fatalf("used %d exceeds budget", used)
+	u := c.Usage()
+	if u.Used > 16*300 {
+		t.Fatalf("used %d exceeds budget", u.Used)
 	}
-	if c.Len() >= 100 {
+	if u.Entries >= 100 {
 		t.Fatal("nothing evicted")
 	}
 }
 
 func TestLRURecencyOrder(t *testing.T) {
-	// Budget fits two entries per shard (charge = key+value+64 ≈ 130);
-	// inserting a third evicts the least recent. Pick keys that share a
-	// shard by brute force.
-	c := NewLRU(16*300, nil)
-	// Find three keys in one shard.
-	shard0 := c.shardFor("probe")
-	var ks []string
-	for i := 0; len(ks) < 3; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if c.shardFor(k) == shard0 {
-			ks = append(ks, k)
-		}
-	}
+	// Budget fits two entries per shard (charge = key+value+entryOverhead
+	// ≈ 150); inserting a third evicts the least recent.
+	c := NewLRU(16*400, nil)
+	ks := sameShardKeys(c, 3)
 	c.Put(ks[0], make([]byte, 60))
 	c.Put(ks[1], make([]byte, 60))
 	c.Get(ks[0]) // refresh ks[0]
@@ -69,17 +61,10 @@ func TestLRURecencyOrder(t *testing.T) {
 
 func TestLRUOnEvict(t *testing.T) {
 	var evicted []string
-	c := NewLRU(16*200, func(key string, value []byte) {
+	c := NewLRU(16*400, func(key string, value []byte) {
 		evicted = append(evicted, key)
 	})
-	shard0 := c.shardFor("probe")
-	var ks []string
-	for i := 0; len(ks) < 4; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if c.shardFor(k) == shard0 {
-			ks = append(ks, k)
-		}
-	}
+	ks := sameShardKeys(c, 4)
 	for _, k := range ks {
 		c.Put(k, make([]byte, 80))
 	}
@@ -183,15 +168,8 @@ func TestFlashWritesAreBackground(t *testing.T) {
 func TestTiered(t *testing.T) {
 	dev := device.New(device.UnthrottledProfile("nvme", 1<<20))
 	fl, _ := NewFlash(dev, "flash", 64<<10)
-	tc := NewTiered(16*200, fl) // tiny DRAM: spills fast
-	shard := tc.dram.shardFor("probe")
-	var ks []string
-	for i := 0; len(ks) < 3; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if tc.dram.shardFor(k) == shard {
-			ks = append(ks, k)
-		}
-	}
+	tc := NewTiered(16*400, fl) // tiny DRAM: spills fast
+	ks := sameShardKeys(tc.dram, 3)
 	tc.Put(ks[0], make([]byte, 80))
 	tc.Put(ks[1], make([]byte, 80))
 	tc.Put(ks[2], make([]byte, 80)) // evicts ks[0] or ks[1] into flash

@@ -132,7 +132,7 @@ func Open(opts Options) (*DB, error) {
 	opts.fill()
 	db := &DB{
 		opts:   opts,
-		cache:  cache.NewLRU(opts.CacheBytes, nil),
+		cache:  cache.NewLRU(opts.CacheBytes+opts.CacheBytes/4, nil),
 		stop:   make(chan struct{}),
 		readCh: make(chan struct{}),
 	}
@@ -160,10 +160,7 @@ func Open(opts Options) (*DB, error) {
 			Partition:   i,
 			BatchSize:   opts.MigrationBatch,
 			HotCapacity: hotCap,
-			PageCache:   db.cache,
-			// A quarter of the DRAM budget, split across partitions, goes
-			// to the zone tier's per-key value cache.
-			ValueCacheBytes: opts.CacheBytes / int64(4*opts.Partitions),
+			Cache:       db.cache,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("hyperdb: open partition %d zones: %w", i, err)

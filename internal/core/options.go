@@ -36,7 +36,9 @@ type Options struct {
 	SATA *device.Device
 	// Partitions is the shared-nothing partition count (paper: 8).
 	Partitions int
-	// CacheBytes is the shared DRAM page cache (paper: 64 MiB).
+	// CacheBytes sizes the one DRAM cache both tiers share (paper: 64 MiB),
+	// which holds CacheBytes + CacheBytes/4: what the page cache and the zone
+	// tier's value caches held between them when they were separate.
 	CacheBytes int64
 	// MigrationBatch is B: zone capacity == semi-SSTable file size (§3.6).
 	MigrationBatch int64

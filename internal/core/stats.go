@@ -43,9 +43,16 @@ type Stats struct {
 	Zone zone.Stats
 	// Per-level LSM aggregates (index 0 = L1).
 	Levels []LevelStats
-	// DRAM cache.
-	CacheHits   uint64
-	CacheMisses uint64
+	// DRAM cache: probes (pages, blocks and objects alike) and, in the bytes
+	// the cache charges, what it holds — objects as against pages and
+	// blocks, and the warm share (entries that were hit, or are objects).
+	CacheHits        uint64
+	CacheMisses      uint64
+	CacheObjects     int
+	CacheObjectBytes int64
+	CacheWarmBytes   int64
+	CacheUsedBytes   int64
+	CacheCapacity    int64
 	// Promotions dropped on queue overflow.
 	PromotionsDropped uint64
 	// MergeOps counts counter merges resolved through the batch path.
@@ -70,7 +77,10 @@ func (db *DB) Stats() Stats {
 		NVMeCapacity: db.opts.NVMe.Capacity(),
 		SATAUsed:     db.opts.SATA.Used(),
 	}
-	s.CacheHits, s.CacheMisses = db.cache.Stats()
+	cu := db.cache.Usage()
+	s.CacheHits, s.CacheMisses = cu.Hits, cu.Misses
+	s.CacheObjects, s.CacheObjectBytes, s.CacheWarmBytes = cu.Objects, cu.ObjectBytes, cu.WarmBytes
+	s.CacheUsedBytes, s.CacheCapacity = cu.Used, cu.Capacity
 	s.MergeOps = db.mergeOps.Load()
 	s.BackgroundErrors = db.bgErrs.Load()
 	if msg := db.lastBgErr.Load(); msg != nil {
@@ -160,7 +170,13 @@ func (s Stats) String() string {
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "cache: hits=%d misses=%d  spaceAmp=%.2f promoDropped=%d mergeOps=%d\n",
+	var hit float64
+	if probes := s.CacheHits + s.CacheMisses; probes > 0 {
+		hit = float64(s.CacheHits) / float64(probes)
+	}
+	fmt.Fprintf(&b, "cache{hit=%.3f objects=%d objBytes=%s warm=%s used=%s/%s} hits=%d misses=%d  spaceAmp=%.2f promoDropped=%d mergeOps=%d\n",
+		hit, s.CacheObjects, stats.FormatBytes(uint64(s.CacheObjectBytes)), stats.FormatBytes(uint64(s.CacheWarmBytes)),
+		stats.FormatBytes(uint64(s.CacheUsedBytes)), stats.FormatBytes(uint64(s.CacheCapacity)),
 		s.CacheHits, s.CacheMisses, s.SpaceAmp, s.PromotionsDropped, s.MergeOps)
 	fmt.Fprintf(&b, "background: errors=%d", s.BackgroundErrors)
 	if s.LastBackgroundError != "" {

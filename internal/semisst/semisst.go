@@ -311,10 +311,14 @@ func (t *Table) MaxSeq() uint64 {
 	return t.maxSeq
 }
 
-// Close releases the index mirror (call when the table is deleted).
+// Close releases the index mirror and the table's cached blocks (call when
+// the table is deleted).
 func (t *Table) Close() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	for i := range t.blocks {
+		t.uncache(&t.blocks[i])
+	}
 	if t.metaF != nil {
 		t.opts.MetaBackup.Remove(t.metaF.Name())
 		t.metaF = nil
@@ -463,6 +467,7 @@ func (t *Table) appendMerge(entries []Entry, dirtyIdx []int, op device.Op) error
 	// compaction.
 	for _, i := range marked {
 		t.blocks[i].Filter = nil
+		t.uncache(&t.blocks[i])
 	}
 	return nil
 }

@@ -595,3 +595,65 @@ func TestIndexBytesPerBlock(t *testing.T) {
 		t.Fatalf("index is %d bytes for %d blocks: %d per block, want <= 128", tbl.idxBytes, tbl.NumLiveBlocks(), per)
 	}
 }
+
+// keySetCache is a BlockCache that never evicts, so what it still holds is
+// exactly what nobody deleted.
+type keySetCache map[string][]byte
+
+func (c keySetCache) Get(key string) ([]byte, bool) { v, ok := c[key]; return v, ok }
+func (c keySetCache) Put(key string, value []byte)  { c[key] = value }
+func (c keySetCache) Delete(key string)             { delete(c, key) }
+
+// TestDeadBlocksLeaveTheCache: a block nobody can ask for again — dirtied by a
+// merge, or part of a deleted table — does not wait in the shared cache to be
+// pushed out by live ones.
+func TestDeadBlocksLeaveTheCache(t *testing.T) {
+	pc := keySetCache{}
+	f, _ := newDev().Create("s1")
+	tbl, err := Build(f, Options{PageCache: pc}, sortedEntries(3000, 1), device.Bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := tbl.LiveBlockMetas()
+	for i := range before {
+		if _, err := tbl.readBlockData(&before[i], device.Fg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(pc) != len(before) || len(before) < 9 {
+		t.Fatalf("%d blocks cached of %d read", len(pc), len(before))
+	}
+
+	// Rewrite the middle third of the key range.
+	var incoming []Entry
+	for i := 1000; i < 2000; i++ {
+		incoming = append(incoming, entry(fmt.Sprintf("key-%05d", i), 5000+uint64(i), "new"))
+	}
+	st, err := tbl.Merge(incoming, false, device.Bg)
+	if err != nil || st.BlocksDirtied < len(before)/3 {
+		t.Fatalf("merge dirtied %d of %d blocks: %v", st.BlocksDirtied, len(before), err)
+	}
+	live := map[string]bool{}
+	for _, bm := range tbl.LiveBlockMetas() {
+		live[tbl.cacheKey(&bm)] = true
+	}
+	for key := range pc {
+		if !live[key] {
+			t.Fatalf("block %q was dirtied by the merge and is still cached", key)
+		}
+	}
+	if want := len(before) - st.BlocksDirtied; len(pc) != want {
+		t.Fatalf("%d blocks cached after the merge, want the %d clean ones", len(pc), want)
+	}
+
+	after := tbl.LiveBlockMetas()
+	for i := range after { // the merged blocks are read, then the table is deleted
+		if _, err := tbl.readBlockData(&after[i], device.Fg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl.Close()
+	if len(pc) != 0 {
+		t.Fatalf("%d blocks of a closed table are still cached", len(pc))
+	}
+}

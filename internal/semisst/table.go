@@ -138,9 +138,7 @@ func (t *Table) readBlockData(bm *BlockMeta, op device.Op) ([]byte, error) {
 	var key string
 	data := []byte(nil)
 	if t.opts.PageCache != nil {
-		kb := make([]byte, 0, 64)
-		kb = strconv.AppendUint(append(kb, t.cachePrefix...), bm.Handle.Offset, 16)
-		key = string(kb)
+		key = t.cacheKey(bm)
 		if cached, ok := t.opts.PageCache.Get(key); ok {
 			data = cached
 		}
@@ -161,6 +159,23 @@ func (t *Table) readBlockData(bm *BlockMeta, op device.Op) ([]byte, error) {
 		return compress.Decode(data, maxRawBlock)
 	}
 	return data, nil
+}
+
+// cacheKey names bm's stored bytes in the page cache.
+func (t *Table) cacheKey(bm *BlockMeta) string {
+	kb := make([]byte, 0, 64)
+	return string(strconv.AppendUint(append(kb, t.cachePrefix...), bm.Handle.Offset, 16))
+}
+
+// uncache drops a dead block — dirtied by a merge, or its table deleted —
+// from the page cache: nothing will ask for it again, and a block that was
+// read twice would otherwise sit in the cache's warm ring until live ones
+// pushed it out. A reader still on an old snapshot may put one back; it
+// enters cold and ages out unread.
+func (t *Table) uncache(bm *BlockMeta) {
+	if t.opts.PageCache != nil {
+		t.opts.PageCache.Delete(t.cacheKey(bm))
+	}
 }
 
 // Get returns the newest version of user visible at snapshot seq. found is

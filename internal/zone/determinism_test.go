@@ -1,64 +1,106 @@
 package zone
 
 import (
+	"bytes"
 	"sort"
 	"testing"
 
+	"hyperdb/internal/cache"
 	"hyperdb/internal/device"
 )
 
-// TestValueCacheEvictsOldestFirst: the value cache's victim is the entry
-// inserted first, whatever order the map iterates in; an update in place does
-// not renew an entry, and deleting from the middle keeps list and byte budget
-// consistent.
-func TestValueCacheEvictsOldestFirst(t *testing.T) {
-	const n = 8
-	val := make([]byte, 100)
-	per := int64(8+len(val)) + vcacheEntOverhead
-	dev := device.New(device.UnthrottledProfile("nvme", 0))
-	m := openMgr(t, Config{Dev: dev, BatchSize: 64 << 10, ValueCacheBytes: n * per})
-	cached := func(i uint64) bool {
-		_, ok := m.vcache[string(k8(i))]
-		return ok
+// TestSameTraceSameCacheAndReads: the cache's victims are a function of the
+// operations it saw — no map iteration, no clock — so two managers fed one
+// trace of point reads, batches, scans, writes, deletes, demotions and
+// hot-zone evictions, through a cache a third of the data, pay for exactly
+// the same device reads and end with the same objects and pages cached.
+func TestSameTraceSameCacheAndReads(t *testing.T) {
+	const nKeys, nOps = 4000, 50_000
+	type outcome struct {
+		reads        uint64
+		hits, misses uint64
+		usage        cache.Usage
+		cached       []byte // per key: its object's bytes if cached at the index's version
+		pages        int
 	}
-	for i := uint64(0); i < n; i++ {
-		m.Put(k8(i), val, i+1, false, false)
-	}
-	m.Put(k8(0), val, 100, false, false) // in place: still the oldest entry
-	m.Delete(k8(3), 101)                 // frees one entry's worth of budget
-	if cached(3) || m.vcacheBytes != (n-1)*per {
-		t.Fatalf("after a delete: key 3 cached=%v, %d bytes held, want %d", cached(3), m.vcacheBytes, (n-1)*per)
-	}
-	m.Put(k8(n), val, 102, false, false) // fits in the freed budget
-	for i := uint64(0); i <= n; i++ {
-		if cached(i) != (i != 3) {
-			t.Fatalf("key %d cached=%v before any eviction", i, cached(i))
+	run := func() outcome {
+		dev := device.New(device.UnthrottledProfile("nvme", 0))
+		c := cache.NewLRU(256<<10, nil)
+		m := openMgr(t, Config{Dev: dev, BatchSize: 64 << 10, Cache: c})
+		rng, seq := uint64(42), uint64(0)
+		next := func(n uint64) uint64 {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			return (rng >> 33) % n
 		}
-	}
-	// Each further insert evicts exactly the oldest survivor: 0, 1, 2, 4, …
-	survivors := []uint64{0, 1, 2, 4, 5, 6}
-	for j, victim := range survivors[:5] {
-		m.Put(k8(n+1+uint64(j)), val, 200+uint64(j), false, false)
-		if cached(victim) {
-			t.Fatalf("insert %d did not evict key %d", j, victim)
+		key := func() []byte { return k8(next(nKeys) * next(nKeys) / nKeys << 48) } // skewed
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
-		if next := survivors[j+1]; !cached(next) {
-			t.Fatalf("insert %d evicted key %d, younger than the victim %d", j, next, victim)
+		for i := 0; i < nOps; i++ {
+			switch r := next(100); {
+			case r < 40:
+				_, _, _, _, err := m.Get(key(), device.Fg)
+				must(err)
+			case r < 45:
+				_, err := m.GetBatch([][]byte{key(), key(), key()}, device.Fg)
+				must(err)
+			case r < 50:
+				var locs []locRef
+				m.Scan(key(), nil, func(k []byte, loc Location) bool {
+					locs = append(locs, locRef{k, loc})
+					return len(locs) < 20
+				})
+				sr := m.NewScanReader()
+				for _, l := range locs {
+					if !l.loc.Tombstone {
+						_, err := sr.Read(l.key, l.loc, device.Fg)
+						must(err)
+					}
+				}
+			case r < 95:
+				seq++
+				must(m.Put(key(), make([]byte, 40+100*next(2)), seq, next(10) == 0, false))
+			default:
+				seq++
+				must(m.Delete(key(), seq))
+			}
+			if i%5000 == 2499 {
+				if z := m.PickDemotionVictim(); z != nil {
+					b, err := m.PrepareMigration(z)
+					must(err)
+					m.CommitMigration(b)
+				}
+				must(m.EvictHotZone(func(k []byte) bool { return k[3]%2 == 0 }))
+			}
 		}
-	}
-	if m.vcacheBytes != n*per || len(m.vcache) != n {
-		t.Fatalf("cache holds %d entries in %d bytes, want %d in %d", len(m.vcache), m.vcacheBytes, n, n*per)
-	}
-	// The list and the map agree, oldest to newest.
-	count := 0
-	for e := m.vcacheOld; e != nil; e = e.newer {
-		if m.vcache[e.key] != e || (e.newer == nil) != (e == m.vcacheNew) {
-			t.Fatalf("list entry %x is not the map's, or the tail pointer is off", e.key)
+		o := outcome{reads: dev.Counters().ReadOps.Load(), usage: c.Usage()}
+		o.hits, o.misses = c.Stats()
+		m.Scan(nil, nil, func(k []byte, loc Location) bool {
+			var kb objectKeyBuf
+			v, _ := c.GetObject(string(m.objectKey(&kb, k)), loc.Seq, nil)
+			o.cached = append(append(o.cached, byte(len(v))), v...)
+			return true
+		})
+		for cl, sf := range m.slotFiles {
+			for p := uint32(0); p < sf.nextPage; p++ {
+				if _, ok := c.Get(m.cacheKey(cl, p)); ok {
+					o.pages = o.pages*31 + int(p) + cl
+				}
+			}
 		}
-		count++
+		return o
 	}
-	if count != len(m.vcache) {
-		t.Fatalf("list has %d entries, map %d", count, len(m.vcache))
+	a, b := run(), run()
+	if a.reads != b.reads || a.hits != b.hits || a.misses != b.misses || a.usage != b.usage || !bytes.Equal(a.cached, b.cached) || a.pages != b.pages {
+		t.Fatalf("two runs of one trace differ:\n %d reads, %d/%d hits/misses, %+v, pages %x\n %d reads, %d/%d hits/misses, %+v, pages %x",
+			a.reads, a.hits, a.misses, a.usage, a.pages, b.reads, b.hits, b.misses, b.usage, b.pages)
+	}
+	u := a.usage
+	if a.reads == 0 || a.hits == 0 || u.Objects == 0 || u.Entries == u.Objects || u.Used < u.Capacity/2 {
+		t.Fatalf("the trace did not exercise the cache: %d device reads, %d hits, %+v", a.reads, a.hits, u)
 	}
 }
 

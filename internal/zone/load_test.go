@@ -2,6 +2,7 @@ package zone
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -24,14 +25,11 @@ type loadFixture struct {
 	p0   []byte // k's page as it was when loc0 was taken
 }
 
-func newLoadFixture(t *testing.T, vcacheBytes int64) *loadFixture {
+func newLoadFixture(t *testing.T) *loadFixture {
 	t.Helper()
 	f := &loadFixture{n: k8(1), k: k8(2), v1: bytes.Repeat([]byte{1}, 20)}
 	f.dev = device.New(device.UnthrottledProfile("nvme", 0))
-	f.m = openMgr(t, Config{
-		Dev: f.dev, BatchSize: 64 << 10,
-		PageCache: cache.NewLRU(1<<20, nil), ValueCacheBytes: vcacheBytes,
-	})
+	f.m = openMgr(t, Config{Dev: f.dev, BatchSize: 64 << 10, Cache: cache.NewLRU(1<<20, nil)})
 	f.put(t, f.n, f.v1, 1)
 	f.put(t, f.k, f.v1, 2)
 	f.m.Scan(nil, nil, func(key []byte, loc Location) bool {
@@ -68,7 +66,7 @@ func (f *loadFixture) page(t *testing.T) []byte {
 
 // TestLoadRule drives the tier's one slot reader through every way a Location
 // goes stale, single-threaded: a Location is taken, the object is mutated,
-// the page cache (or a scan's page memo) is left without the page, with the
+// the cache (or a scan's page memo) is left without the page, with the
 // page as the device now has it, or with the page as it was — and each reader
 // must answer by the rule (key and sequence match, or the slot is not the
 // object) at an exact price in device reads. ReadAt and ScanReader.Read answer
@@ -137,16 +135,16 @@ func TestLoadRule(t *testing.T) {
 			// setup builds the case up to the moment of the read and returns
 			// a device-read meter.
 			setup := func(t *testing.T) (*loadFixture, func() uint64) {
-				f := newLoadFixture(t, -1)
+				f := newLoadFixture(t)
 				mu.mutate(t, f)
 				ck := f.m.cacheKey(int(f.loc0.Class), f.loc0.Page)
 				switch state {
 				case absent:
-					f.m.cfg.PageCache.Delete(ck)
+					f.m.cfg.Cache.Delete(ck)
 				case fresh:
-					f.m.cfg.PageCache.Put(ck, f.page(t))
+					f.m.cfg.Cache.Put(ck, f.page(t))
 				case stale:
-					f.m.cfg.PageCache.Put(ck, f.p0)
+					f.m.cfg.Cache.Put(ck, f.p0)
 				}
 				before := f.dev.Counters().ReadOps.Load()
 				return f, func() uint64 { return f.dev.Counters().ReadOps.Load() - before }
@@ -248,7 +246,7 @@ func TestLoadRule(t *testing.T) {
 
 		t.Run(mu.name+", page in the scan memo: ScanReader", func(t *testing.T) {
 			// A scan that has read the neighbour keeps the page as it was.
-			f := newLoadFixture(t, -1)
+			f := newLoadFixture(t)
 			r := f.m.NewScanReader()
 			if _, err := r.Read(f.n, f.nloc, device.Fg); err != nil {
 				t.Fatal(err)
@@ -262,16 +260,35 @@ func TestLoadRule(t *testing.T) {
 		})
 
 		t.Run(mu.name+", value cache on: Get", func(t *testing.T) {
-			// With the value cache on, the newest version never needs a page.
-			f := newLoadFixture(t, 1<<20)
-			mu.mutate(t, f)
-			before := f.dev.Counters().ReadOps.Load()
-			v, seq, tombstone, found, err := f.m.Get(f.k, device.Fg)
-			if err != nil || found != (mu.get != none) || tombstone != (mu.get == tomb) || seq != mu.getSeq || !bytes.Equal(v, values[mu.get]) {
-				t.Fatalf("Get: %q seq=%d tomb=%v found=%v err=%v; want %s at %d", v, seq, tombstone, found, err, mu.get, mu.getSeq)
-			}
-			if reads := f.dev.Counters().ReadOps.Load() - before; reads != 0 {
-				t.Fatalf("%d device reads with the value cached", reads)
+			// Writes do not fill the cache (no-write-allocate), reads do:
+			//
+			//	cached before the mutation by | first Get   | second Get
+			//	a Get                         | 0 reads     | 0 reads
+			//	nothing (bare Puts)           | getReads    | 0 reads
+			//
+			// A cached object follows its key through every mutation: an
+			// update or a resize refreshes it, a delete or a demotion drops it.
+			for _, seeded := range []bool{true, false} {
+				f := newLoadFixture(t)
+				if seeded {
+					if _, _, _, found, err := f.m.Get(f.k, device.Fg); err != nil || !found {
+						t.Fatalf("seeding Get: found=%v err=%v", found, err)
+					}
+				}
+				mu.mutate(t, f)
+				for attempt, want := range []uint64{mu.getReads, 0} {
+					if seeded {
+						want = 0
+					}
+					before := f.dev.Counters().ReadOps.Load()
+					v, seq, tombstone, found, err := f.m.Get(f.k, device.Fg)
+					if err != nil || found != (mu.get != none) || tombstone != (mu.get == tomb) || seq != mu.getSeq || !bytes.Equal(v, values[mu.get]) {
+						t.Fatalf("Get: %q seq=%d tomb=%v found=%v err=%v; want %s at %d", v, seq, tombstone, found, err, mu.get, mu.getSeq)
+					}
+					if reads := f.dev.Counters().ReadOps.Load() - before; reads != want {
+						t.Fatalf("seeded=%v, Get %d: %d device reads, want %d", seeded, attempt+1, reads, want)
+					}
+				}
 			}
 		})
 	}
@@ -284,10 +301,7 @@ func TestLoadRule(t *testing.T) {
 // then a Get must find the key.
 func TestReadersNeverLoseALiveKey(t *testing.T) {
 	dev := device.New(device.UnthrottledProfile("nvme", 0))
-	m := openMgr(t, Config{
-		Dev: dev, BatchSize: 64 << 10,
-		PageCache: cache.NewLRU(1<<20, nil), ValueCacheBytes: -1,
-	})
+	m := openMgr(t, Config{Dev: dev, BatchSize: 64 << 10, Cache: cache.NewLRU(1<<20, nil)})
 	key := k8(7 << 40)
 	vals := [][]byte{bytes.Repeat([]byte{1}, 20), bytes.Repeat([]byte{2}, 20), bytes.Repeat([]byte{3}, 200)}
 	legal := func(v []byte) bool {
@@ -357,4 +371,118 @@ func TestReadersNeverLoseALiveKey(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 	t.Logf("%d reads against %d rewrites", reads.Load(), seq-100)
+}
+
+// TestObjectCacheNeverServesStale: one writer walks 8 keys through versions
+// that describe themselves — updates in place, resizes, now and then a delete
+// — while the movers demote, split and rebuild the zones under it and four
+// readers poll. Whatever a Get finds must be a version the index held at some
+// point during the call, carrying that version's bytes, and a reader never
+// sees a key go back in time. A key the movers have demoted is simply not
+// found until it is written again.
+func TestObjectCacheNeverServesStale(t *testing.T) {
+	const nKeys = 8
+	dev := device.New(device.UnthrottledProfile("nvme", 0))
+	m := openMgr(t, Config{Dev: dev, BatchSize: 64 << 10, Cache: cache.NewLRU(1<<20, nil)})
+	key := func(k int) []byte { return k8(uint64(k+1) << 40) }
+	// Version v of key k: a delete every 16th, else the key and the version
+	// repeated through a value whose size class changes every 4th.
+	deleted := func(v uint64) bool { return v%16 == 0 }
+	value := func(k int, v uint64) []byte {
+		b := make([]byte, 24+16*(v%3)+200*(v/4%2))
+		for i := 0; i+8 <= len(b); i += 8 {
+			binary.BigEndian.PutUint64(b[i:], v<<8|uint64(k))
+		}
+		return b
+	}
+	var started, done [nKeys]atomic.Uint64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	fail := func(format string, args ...any) {
+		t.Errorf(format, args...)
+		stop.Store(true)
+	}
+
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var seen [nKeys]uint64
+			for i := r; !stop.Load(); i++ {
+				k := i % nKeys
+				lo := done[k].Load()
+				var v []byte
+				var seq uint64
+				var tomb, found bool
+				var err error
+				if i%5 == 0 {
+					var res []GetResult
+					if res, err = m.GetBatch([][]byte{key((k + 1) % nKeys), key(k)}, device.Fg); err == nil {
+						v, seq, tomb, found = res[1].Value, res[1].Seq, res[1].Tombstone, res[1].Found
+					}
+				} else {
+					v, seq, tomb, found, err = m.Get(key(k), device.Fg)
+				}
+				hi := started[k].Load()
+				switch {
+				case err != nil:
+					fail("reader %d, key %d: %v", r, k, err)
+				case !found:
+				case seq < lo || seq > hi || seq < seen[k]:
+					fail("reader %d, key %d: got version %d; the index held %d to %d during the call and this reader had seen %d", r, k, seq, lo, hi, seen[k])
+				case tomb != deleted(seq) || !tomb && !bytes.Equal(v, value(k, seq)):
+					fail("reader %d, key %d: version %d (tombstone %v) came with %d bytes of another version: %x", r, k, seq, tomb, len(v), v)
+				default:
+					seen[k] = seq
+				}
+			}
+		}(r)
+	}
+	wg.Add(1)
+	go func() { // the movers
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			var err error
+			switch z := m.PickDemotionVictim(); {
+			case i%3 == 0:
+				err = m.EvictHotZone(func(k []byte) bool { return (k[2]+byte(i))%2 == 0 })
+			case z == nil:
+			case i%3 == 1:
+				_, err = m.SplitZone(z)
+			default:
+				var b *Batch
+				if b, err = m.PrepareMigration(z); err == nil && b != nil {
+					m.CommitMigration(b)
+				}
+			}
+			if err != nil {
+				fail("mover: %v", err)
+			}
+		}
+	}()
+
+	v := uint64(0)
+	for end := time.Now().Add(400 * time.Millisecond); time.Now().Before(end) && !stop.Load(); {
+		v++
+		for k := 0; k < nKeys && !stop.Load(); k++ {
+			var err error
+			started[k].Store(v)
+			if deleted(v) {
+				err = m.Delete(key(k), v)
+			} else {
+				err = m.Put(key(k), value(k, v), v, (uint64(k)+v)%5 == 0, false)
+			}
+			if err != nil {
+				fail("writer: key %d version %d: %v", k, v, err)
+			}
+			done[k].Store(v)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	u := m.cfg.Cache.Usage()
+	t.Logf("%d versions of %d keys; cache %d hits, %d misses", v, nKeys, u.Hits, u.Misses)
+	if u.Hits == 0 || u.Misses == 0 {
+		t.Fatalf("the cache was not in play: %+v", u)
+	}
 }

@@ -46,20 +46,14 @@ type Config struct {
 	HotCapacity int64
 	// Classes are the slot sizes (defaults to 64B…4KiB powers of two).
 	Classes []int
-	// PageCache, if set, caches slot pages for reads.
-	PageCache cache.BlockCache
-	// ValueCacheBytes budgets the per-partition value cache, which keeps
-	// the newest written value per key so point reads skip the page cache
-	// and device entirely. 0 picks a default; negative disables it.
-	ValueCacheBytes int64
+	// Cache, if set, is the engine's DRAM cache: point reads cache the
+	// object they fetched, scans the slot pages they walked.
+	Cache *cache.LRU
 }
 
 func (c *Config) fill() {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 4 << 20
-	}
-	if c.ValueCacheBytes == 0 {
-		c.ValueCacheBytes = 8 << 20
 	}
 	if c.HotCapacity <= 0 {
 		c.HotCapacity = c.BatchSize * 4
@@ -133,19 +127,6 @@ type Manager struct {
 	hot       *Zone
 	nextZone  uint32
 
-	// vcache maps user key → newest written value, so point reads of
-	// recently written (or promoted) objects skip the page cache and the
-	// device. Entries are validated against the index entry's sequence on
-	// every read, which makes stale entries (relocations, migrations,
-	// racing writers) unservable rather than wrong. Writers mutate entries
-	// in place under mu, reusing value buffers, so readers must finish
-	// cloning before releasing mu.RLock. Entries also form a list in
-	// insertion order, oldest at vcacheOld: the eviction order.
-	vcache      map[string]*valueEnt
-	vcacheBytes int64
-	vcacheOld   *valueEnt
-	vcacheNew   *valueEnt
-
 	migrations         stats.Counter
 	migratedObjects    stats.Counter
 	migrationPageReads stats.Counter
@@ -169,7 +150,6 @@ func emptyManager(cfg Config) *Manager {
 		index:    btree.New[Location](),
 		zoneByID: make(map[uint32]*Zone),
 		nextZone: 1,
-		vcache:   make(map[string]*valueEnt),
 	}
 	m.hot = newZone(0, 0, math.MaxUint64, true, len(cfg.Classes))
 	m.zoneByID[0] = m.hot
@@ -337,95 +317,47 @@ func (m *Manager) cacheKey(c int, page uint32) string {
 }
 
 func (m *Manager) invalidateCache(c int, page uint32) {
-	if m.cfg.PageCache != nil {
-		m.cfg.PageCache.Delete(m.cacheKey(c, page))
+	if m.cfg.Cache != nil {
+		m.cfg.Cache.Delete(m.cacheKey(c, page))
 	}
 }
 
-// valueEnt is one value-cache entry. Writers overwrite seq and val in place
-// (holding mu), so the common same-size update costs one map probe, one
-// small copy, and no allocation.
-type valueEnt struct {
-	seq uint64
-	val []byte
-	// key is the entry's map key; older and newer link the insertion-order
-	// list.
-	key          string
-	older, newer *valueEnt
+// objectKeyBuf holds the cache key of an object with a user key of up to 27
+// bytes — with which the key, converted in place for a call that does not
+// keep it, never reaches the heap.
+type objectKeyBuf [32]byte
+
+// objectKey builds key's name in the cache in buf: 'V', disjoint from the
+// page keys' 'Z', the partition, the user key. Objects are cached under the
+// rule that makes a stale entry unservable rather than wrong: an entry tagged
+// s holds exactly version s of its key — a reader fills it with bytes that
+// matched the index entry's key and sequence (load), a writer refreshes it
+// with the version it is writing — and it is served only to a reader whose
+// index entry names s.
+func (m *Manager) objectKey(buf *objectKeyBuf, key []byte) []byte {
+	buf[0] = 'V'
+	binary.LittleEndian.PutUint32(buf[1:], uint32(m.cfg.Partition))
+	return append(buf[:5], key...)
 }
 
-// vcacheEntOverhead approximates per-entry bookkeeping (map cell, header).
-const vcacheEntOverhead = 64
-
-// vcacheStore publishes key's newest value. Caller holds mu. When over
-// budget it evicts the entries that were inserted first: under independent
-// references FIFO hits as often as a uniform random victim would, and it is
-// the same victim on every run, which map iteration order — the policy this
-// replaces, and a worse one than either — was not. An entry larger than the
-// whole budget is simply not cached.
-func (m *Manager) vcacheStore(key []byte, seq uint64, value []byte) {
-	if m.cfg.ValueCacheBytes <= 0 {
-		return
+// refreshObject keeps key's cached object, if there is one, current with the
+// version being written. A write caches nothing itself: most written objects
+// are not read before they are written again or leave the tier. Caller holds
+// mu, so refreshes reach the cache in index order.
+func (m *Manager) refreshObject(key []byte, seq uint64, value []byte) {
+	if m.cfg.Cache != nil {
+		var kb objectKeyBuf
+		m.cfg.Cache.RefreshObject(string(m.objectKey(&kb, key)), seq, value)
 	}
-	if e, ok := m.vcache[string(key)]; ok {
-		if len(e.val) == len(value) {
-			e.seq = seq
-			copy(e.val, value)
-			return
-		}
-		m.vcacheBytes += int64(len(value)) - int64(len(e.val))
-		e.seq, e.val = seq, bytes.Clone(value)
-		return
-	}
-	need := int64(len(key)+len(value)) + vcacheEntOverhead
-	for m.vcacheBytes+need > m.cfg.ValueCacheBytes && m.vcacheOld != nil {
-		m.vcacheRemove(m.vcacheOld)
-	}
-	if m.vcacheBytes+need > m.cfg.ValueCacheBytes {
-		return
-	}
-	e := &valueEnt{seq: seq, val: bytes.Clone(value), key: string(key), older: m.vcacheNew}
-	if e.older != nil {
-		e.older.newer = e
-	} else {
-		m.vcacheOld = e
-	}
-	m.vcacheNew = e
-	m.vcache[e.key] = e
-	m.vcacheBytes += need
 }
 
-// vcacheRemove unlinks e and returns its bytes to the budget. Caller holds mu.
-func (m *Manager) vcacheRemove(e *valueEnt) {
-	if e.older != nil {
-		e.older.newer = e.newer
-	} else {
-		m.vcacheOld = e.newer
-	}
-	if e.newer != nil {
-		e.newer.older = e.older
-	} else {
-		m.vcacheNew = e.older
-	}
-	delete(m.vcache, e.key)
-	m.vcacheBytes -= int64(len(e.key)+len(e.val)) + vcacheEntOverhead
-}
-
-// cachedValueLocked returns a copy of key's value-cache entry when it holds
-// version seq. Caller holds mu in any mode: writers reuse the cached buffers
-// in place, so the copy must be taken under the lock.
-func (m *Manager) cachedValueLocked(key []byte, seq uint64) ([]byte, bool) {
-	if e, ok := m.vcache[string(key)]; ok && e.seq == seq {
-		return bytes.Clone(e.val), true
-	}
-	return nil, false
-}
-
-// vcacheDelete drops key's entry. Caller holds mu. Sequence validation
-// already makes stale entries unservable; this just reclaims the budget.
-func (m *Manager) vcacheDelete(key []byte) {
-	if e, ok := m.vcache[string(key)]; ok {
-		m.vcacheRemove(e)
+// uncacheObject drops key's cached object: the key is deleted or has left the
+// tier. The tag rule already made the entry unservable; this returns its
+// bytes to the budget.
+func (m *Manager) uncacheObject(key []byte) {
+	if m.cfg.Cache != nil {
+		var kb objectKeyBuf
+		m.cfg.Cache.Delete(string(m.objectKey(&kb, key)))
 	}
 }
 
@@ -463,7 +395,7 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot, promoted bool) e
 			oldZone.bytes += int64(size) - int64(old.Size)
 			sf.bytes += int64(size) - int64(old.Size)
 			ref.Seq, ref.Size, ref.Promoted = seq, size, false
-			m.vcacheStore(key, seq, value)
+			m.refreshObject(key, seq, value)
 			m.inPlaceUpdates.Inc()
 			return nil
 		}
@@ -485,7 +417,7 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot, promoted bool) e
 			return err
 		}
 		m.index.Set(bytes.Clone(key), loc)
-		m.vcacheStore(key, seq, value)
+		m.refreshObject(key, seq, value)
 		if zoneLive {
 			sf := m.slotFiles[old.Class]
 			if err := sf.writeSlot(old.Page, old.Slot, seq, true, key, nil, device.Fg); err != nil {
@@ -509,8 +441,7 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot, promoted bool) e
 	if err != nil {
 		return err
 	}
-	m.index.Set(bytes.Clone(key), loc)
-	m.vcacheStore(key, seq, value)
+	m.index.Set(bytes.Clone(key), loc) // new to the tier: nothing cached to refresh
 	return nil
 }
 
@@ -529,7 +460,7 @@ func (m *Manager) deleteLocked(key []byte, seq uint64) error {
 		return ErrTooLarge
 	}
 
-	m.vcacheDelete(key)
+	m.uncacheObject(key)
 	if ref := m.index.Ref(key); ref != nil {
 		old := *ref
 		if z, live := m.zoneByID[old.ZoneID]; live {
@@ -588,15 +519,16 @@ func (m *Manager) get(key []byte, op device.Op, memo map[scanPageKey][]byte) (Ge
 		pinned := attempt == optimisticLoads
 		m.mu.RLock()
 		loc, ok := m.index.Get(key)
-		if !ok {
+		if !pinned || !ok || loc.Tombstone {
 			m.mu.RUnlock()
+		}
+		if !ok {
 			return GetResult{}, nil
 		}
 		if loc.Tombstone {
-			m.mu.RUnlock()
 			return GetResult{Seq: loc.Seq, Tombstone: true, Found: true}, nil
 		}
-		v, dev, err := m.load(key, loc, op, memo, pinned)
+		v, dev, err := m.load(key, loc, op, memo, true)
 		if pinned {
 			m.mu.RUnlock()
 		}
@@ -634,9 +566,12 @@ var ErrMoved = errors.New("zone: object moved")
 
 // load returns a copy of the value of the object loc names — key at sequence
 // loc.Seq, not a tombstone — or ErrMoved when that version is not at loc any
-// more. It is the tier's one reader of slots and looks in a fixed order:
-// value cache, the caller's page memo (nil for none), page cache, device; a
-// device read fills the page cache and the memo, a page-cache hit the memo.
+// more. It is the tier's one reader of slots and looks in a fixed order: the
+// cached object, the caller's page memo (nil for none), the cached page, the
+// device. A page fetched for a point read is not cached: the object it was
+// read for is, tagged loc.Seq, at a twentieth of the price. A scan walks
+// neighbours, so its pages are cached whole (and fill the memo, as a cached
+// page does).
 //
 // Slots are rewritten in place, so a page that holds key proves nothing: the
 // slot is the object the index named iff key and sequence both match. A
@@ -645,17 +580,17 @@ var ErrMoved = errors.New("zone: object moved")
 // device that disagrees means loc is stale, and only the index knows where
 // the newest version is now.
 //
-// The caller holds mu.RLock, which the value cache needs. load releases it
-// before it touches the page cache or the device unless pinned; a pinned load
-// of a loc taken under the same hold cannot find it stale. dev reports a
-// device read.
-func (m *Manager) load(key []byte, loc Location, op device.Op, memo map[scanPageKey][]byte, pinned bool) (value []byte, dev bool, err error) {
-	v, ok := m.cachedValueLocked(key, loc.Seq)
-	if !pinned {
-		m.mu.RUnlock()
-	}
-	if ok {
-		return v, false, nil
+// load takes no lock: the cache has its own, and a slot file is only read.
+// dev reports a device read.
+func (m *Manager) load(key []byte, loc Location, op device.Op, memo map[scanPageKey][]byte, point bool) (value []byte, dev bool, err error) {
+	c := m.cfg.Cache
+	var kb objectKeyBuf
+	var object string // key's name in the cache; on the stack, like kb
+	if c != nil {
+		object = string(m.objectKey(&kb, key))
+		if v, ok := c.GetObject(object, loc.Seq, nil); ok {
+			return v, false, nil
+		}
 	}
 	sf := m.slotFiles[loc.Class]
 	named := func(page []byte) ([]byte, bool) {
@@ -667,10 +602,8 @@ func (m *Manager) load(key []byte, loc Location, op device.Op, memo map[scanPage
 	}
 	pk := scanPageKey{loc.Class, loc.Page}
 	page, have := memo[pk]
-	var ck string
-	if !have && m.cfg.PageCache != nil {
-		ck = m.cacheKey(int(loc.Class), loc.Page)
-		if page, have = m.cfg.PageCache.Get(ck); have && memo != nil {
+	if !have && c != nil {
+		if page, have = c.Get(m.cacheKey(int(loc.Class), loc.Page)); have && memo != nil {
 			memo[pk] = page
 		}
 	}
@@ -682,19 +615,20 @@ func (m *Manager) load(key []byte, loc Location, op device.Op, memo map[scanPage
 	if page, err = sf.readPage(loc.Page, op); err != nil {
 		return nil, false, err
 	}
-	if m.cfg.PageCache != nil {
-		if ck == "" { // the stale page came from the memo
-			ck = m.cacheKey(int(loc.Class), loc.Page)
-		}
-		m.cfg.PageCache.Put(ck, page)
+	if c != nil && !point {
+		c.Put(m.cacheKey(int(loc.Class), loc.Page), page)
 	}
 	if memo != nil {
 		memo[pk] = page
 	}
-	if v, ok := named(page); ok {
-		return v, true, nil
+	v, ok := named(page)
+	if !ok {
+		return nil, true, ErrMoved // bare: formatting key in would make every caller's key escape
 	}
-	return nil, true, ErrMoved // bare: formatting key in would make every caller's key escape
+	if c != nil && point {
+		c.PutObject(object, loc.Seq, v)
+	}
+	return v, true, nil
 }
 
 // Promote inserts a capacity-tier object into the hot zone with the
@@ -717,7 +651,10 @@ func (m *Manager) Promote(key, value []byte, seq uint64) error {
 		return err
 	}
 	m.index.Set(bytes.Clone(key), loc)
-	m.vcacheStore(key, seq, value)
+	if m.cfg.Cache != nil { // promoted because it is being read: cache it
+		var kb objectKeyBuf
+		m.cfg.Cache.PutObject(string(m.objectKey(&kb, key)), seq, value)
+	}
 	return nil
 }
 
@@ -740,7 +677,6 @@ func (m *Manager) Scan(lo, hi []byte, fn func(key []byte, loc Location) bool) {
 // ReadAt fetches the object at loc (used by scans after collecting
 // locations), or ErrMoved when loc is stale.
 func (m *Manager) ReadAt(key []byte, loc Location, op device.Op) ([]byte, error) {
-	m.mu.RLock()
 	v, _, err := m.load(key, loc, op, nil, false)
 	return v, err
 }
@@ -867,7 +803,6 @@ func (m *Manager) NewScanReader() *ScanReader {
 // sequential.
 func (r *ScanReader) Read(key []byte, loc Location, op device.Op) ([]byte, error) {
 	op.Sequential = true
-	r.m.mu.RLock()
 	v, _, err := r.m.load(key, loc, op, r.pages, false)
 	return v, err
 }

@@ -151,7 +151,7 @@ func (m *Manager) CommitMigration(b *Batch) {
 	for _, e := range b.Entries {
 		if cur, ok := m.index.Get(e.Key); ok && cur.ZoneID == b.zone.id && cur.Seq == e.Seq {
 			m.index.Delete(e.Key)
-			m.vcacheDelete(e.Key)
+			m.uncacheObject(e.Key)
 		}
 	}
 	m.freeZoneLocked(b.zone)
@@ -247,7 +247,7 @@ func (m *Manager) EvictHotZone(isHot func(key []byte) bool) error {
 		case r.loc.Promoted:
 			// Cold promoted copy: drop without relocation.
 			m.index.Delete(r.key)
-			m.vcacheDelete(r.key)
+			m.uncacheObject(r.key)
 			m.hotEvictDropped.Inc()
 		default:
 			// Cold authoritative object: relocate into its key-range zone.

@@ -27,7 +27,8 @@ type Options struct {
 
 	// Partitions is the shared-nothing partition count (paper: 8).
 	Partitions int
-	// CacheBytes is the shared DRAM page cache budget (paper: 64 MiB).
+	// CacheBytes sizes the shared DRAM cache (paper: 64 MiB); the engine
+	// caches CacheBytes + CacheBytes/4, see core.Options.
 	CacheBytes int64
 	// MigrationBatch is B, the zone capacity and semi-SSTable file size.
 	MigrationBatch int64
