@@ -109,47 +109,90 @@ func (db *DB) putLocked(key, value []byte, tomb bool, seq uint64, op device.Op) 
 	return nil
 }
 
+// errMoved reports that a slot no longer holds the version an index entry
+// named: a write or a migration reached it after the lookup.
+var errMoved = errors.New("prismish: object moved")
+
 // slotValue decodes l's slot out of its page and returns a copy of the value
-// if the slot still holds key, live. A slot a racing migration re-used (other
-// key, tombstone, bad checksum) reports false.
+// if the slot holds key at l's sequence, live — the version the index named.
 func (db *DB) slotValue(page []byte, l loc, key []byte) ([]byte, bool) {
 	sf := db.slabs[l.class]
 	off := int(l.slot) * sf.slotSize
 	if off+sf.slotSize > len(page) {
 		return nil, false
 	}
-	_, tomb, k, v, err := decodeSlot(page[off : off+sf.slotSize])
-	if err != nil || tomb || !bytes.Equal(k, key) {
+	seq, tomb, k, v, err := decodeSlot(page[off : off+sf.slotSize])
+	if err != nil || tomb || seq != l.seq || !bytes.Equal(k, key) {
 		return nil, false
 	}
 	return bytes.Clone(v), true
 }
 
-// Get returns the value for key, or engine.ErrNotFound. SATA hits are admitted
+// readSlot returns the value of the version l names, or errMoved. A cached
+// page that disagrees may be a copy a writer has since made stale, so the
+// device is read (and its page cached); a device page that disagrees means l
+// is stale.
+func (db *DB) readSlot(l loc, key []byte) ([]byte, error) {
+	if page, ok := db.dram.Get(db.pageKey(int(l.class), l.page)); ok {
+		if v, ok := db.slotValue(page, l, key); ok {
+			return v, nil
+		}
+	}
+	page, err := db.devicePage(int(l.class), l.page, device.Fg)
+	if err != nil {
+		return nil, err
+	}
+	if v, ok := db.slotValue(page, l, key); ok {
+		return v, nil
+	}
+	return nil, errMoved
+}
+
+// optimisticReads is how many times Get reads a slot without holding the
+// index lock before it holds the lock across the read.
+const optimisticReads = 3
+
+// Get returns the value for key, or engine.ErrNotFound. A slot that does not
+// hold the version the index named says nothing about key — migration may
+// have freed it for a Put after moving key to the tree — so key is resolved
+// again: index, then tree. After optimisticReads tries the read happens under
+// the index lock, where no writer can reach the slot. SATA hits are admitted
 // back into the slab (the caching architecture's promotion path).
 func (db *DB) Get(key []byte) ([]byte, error) {
-	db.mu.RLock()
-	l, ok := db.index.Get(key)
-	db.mu.RUnlock()
-	if ok {
-		if l.tomb {
-			return nil, engine.ErrNotFound
+	for attempt := 0; ; attempt++ {
+		pinned := attempt == optimisticReads
+		db.mu.RLock()
+		l, ok := db.index.Get(key)
+		if !pinned || !ok {
+			db.mu.RUnlock()
 		}
-		page, err := db.readSlotPage(int(l.class), l.page, device.Fg)
-		if err != nil {
-			return nil, err
-		}
-		v, ok := db.slotValue(page, l, key)
 		if !ok {
+			break
+		}
+		if l.tomb {
+			if pinned {
+				db.mu.RUnlock()
+			}
 			return nil, engine.ErrNotFound
 		}
-		db.mu.Lock()
-		if cur, ok := db.index.Get(key); ok && cur.seq == l.seq {
-			cur.ref = true
-			db.index.Set(key, cur)
+		v, err := db.readSlot(l, key)
+		if pinned {
+			db.mu.RUnlock()
 		}
-		db.mu.Unlock()
-		return v, nil
+		switch {
+		case err == nil:
+			db.mu.Lock()
+			if cur, ok := db.index.Get(key); ok && cur.seq == l.seq {
+				cur.ref = true
+				db.index.Set(key, cur)
+			}
+			db.mu.Unlock()
+			return v, nil
+		case !errors.Is(err, errMoved):
+			return nil, err
+		case pinned:
+			return nil, fmt.Errorf("prismish: the slot the index names for %q at seq %d does not hold it", key, l.seq)
+		}
 	}
 
 	v, kind, found, err := db.lsm.Get(key, keys.MaxSeq, device.Fg)
@@ -249,7 +292,14 @@ func (db *DB) MultiGet(keyList [][]byte) ([][]byte, error) {
 		if v, ok := db.slotValue(pg, p.l, key); ok {
 			out[p.idx] = v
 			refresh = append(refresh, p)
+			continue
 		}
+		// The slot moved on since the index pass: resolve the key alone.
+		v, err := db.Get(key)
+		if err != nil && !errors.Is(err, engine.ErrNotFound) {
+			return nil, err
+		}
+		out[p.idx] = v
 	}
 	if len(refresh) > 0 {
 		db.mu.Lock()
@@ -295,19 +345,23 @@ func (db *DB) Scan(start []byte, limit int) ([]engine.KV, error) {
 	defer it.Close()
 	out := make([]engine.KV, 0, limit)
 	si := 0
-	// appendSlab reads srefs[si]'s slot. A slot a racing migration re-used is
-	// skipped; a device error is the scan's error, as it is Get's.
+	// appendSlab reads srefs[si]'s slot. A slot that moved on since the index
+	// pass is resolved by a point lookup; a device error is the scan's error,
+	// as it is Get's.
 	appendSlab := func() error {
 		r := srefs[si]
 		if r.l.tomb {
 			return nil
 		}
-		page, err := db.readSlotPage(int(r.l.class), r.l.page, device.Fg)
-		if err != nil {
-			return err
+		v, err := db.readSlot(r.l, r.key)
+		if errors.Is(err, errMoved) {
+			v, err = db.Get(r.key)
 		}
-		if v, ok := db.slotValue(page, r.l, r.key); ok {
+		switch {
+		case err == nil:
 			out = append(out, engine.KV{Key: r.key, Value: v})
+		case !errors.Is(err, engine.ErrNotFound):
+			return err
 		}
 		return nil
 	}

@@ -315,15 +315,18 @@ func (db *DB) pageKey(c int, page uint32) string {
 
 // readSlotPage fetches a slab page through the DRAM cache.
 func (db *DB) readSlotPage(c int, page uint32, op device.Op) ([]byte, error) {
-	ck := db.pageKey(c, page)
-	if p, ok := db.dram.Get(ck); ok {
+	if p, ok := db.dram.Get(db.pageKey(c, page)); ok {
 		return p, nil
 	}
-	sf := db.slabs[c]
+	return db.devicePage(c, page, op)
+}
+
+// devicePage reads a slab page from the device and caches it.
+func (db *DB) devicePage(c int, page uint32, op device.Op) ([]byte, error) {
 	buf := make([]byte, db.opts.NVMe.PageSize())
-	if _, err := sf.f.ReadAt(buf, int64(page)*int64(db.opts.NVMe.PageSize()), op); err != nil {
+	if _, err := db.slabs[c].f.ReadAt(buf, int64(page)*int64(len(buf)), op); err != nil {
 		return nil, err
 	}
-	db.dram.Put(ck, buf)
+	db.dram.Put(db.pageKey(c, page), buf)
 	return buf, nil
 }

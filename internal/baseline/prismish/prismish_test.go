@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hyperdb/internal/device"
 	"hyperdb/internal/engine"
@@ -245,7 +248,7 @@ func TestInPlaceUpdateKeepsSlot(t *testing.T) {
 
 func TestUsedFractionAccountsFreeSlots(t *testing.T) {
 	db, _, _ := open(t, 1<<20)
-	for i := uint64(0); i < 20000; i++ {
+	for i := uint64(0); i < 30000; i++ {
 		if err := db.Put(k8(i<<32), make([]byte, 100)); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
@@ -258,4 +261,100 @@ func TestUsedFractionAccountsFreeSlots(t *testing.T) {
 	if db.Stats().Migrations == 0 {
 		t.Fatal("no migrations despite slab pressure")
 	}
+}
+
+// TestReadersNeverLoseALiveKey: one writer inserts keys into a slab about
+// 2 000 objects deep, so migration runs all the time — the workers' and,
+// when the slab is full, the writer's own — and four readers look up keys
+// that are acked, with Get, MultiGet and Scan. Migration frees a victim's
+// slot once the key is in the tree and a Put takes it; a reader holding the
+// old location then finds another key in the slot. Every acked key must
+// still be found, with its own value. The readers ask for the newest keys,
+// the ones migration is moving.
+func TestReadersNeverLoseALiveKey(t *testing.T) {
+	nvme := device.New(device.UnthrottledProfile("nvme", 256<<10))
+	db, err := Open(Options{
+		NVMe: nvme, SATA: device.New(device.UnthrottledProfile("sata", 1<<30)),
+		CacheBytes: 64 << 10, BatchObjects: 64,
+		FileSize: 64 << 10, L1Target: 128 << 10, Ratio: 4, MaxLevels: 4,
+		BackgroundThreads: 1, BackgroundInterval: 100 * time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	key := func(i uint64) []byte { return k8(i << 20) }
+	value := func(i uint64) []byte { return bytes.Repeat(k8(i), 12) }
+
+	var acked atomic.Uint64
+	var stop atomic.Bool
+	var reads, misses atomic.Uint64
+	var wg sync.WaitGroup
+	check := func(i uint64, v []byte, err error) {
+		reads.Add(1)
+		if err != nil || !bytes.Equal(v, value(i)) {
+			if misses.Add(1) == 1 {
+				t.Errorf("acked key %d: value %x, err %v", i, v, err)
+			}
+		}
+	}
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for n := 0; !stop.Load(); n++ {
+				top := acked.Load()
+				if top == 0 {
+					continue
+				}
+				// The newest 2 000 keys: about what the slab holds, and what
+				// migration is moving out.
+				recent := func() uint64 { return top - 1 - uint64(rng.Int63n(int64(min(top, 2000)))) }
+				i := recent()
+				switch n % 3 {
+				case 0:
+					v, err := db.Get(key(i))
+					check(i, v, err)
+				case 1: // a batch is read key by key after one index pass
+					ids := make([]uint64, 16)
+					ks := make([][]byte, len(ids))
+					for x := range ids {
+						ids[x] = recent()
+						ks[x] = key(ids[x])
+					}
+					vs, err := db.MultiGet(ks)
+					for x, id := range ids {
+						if err != nil {
+							check(id, nil, err)
+						} else {
+							check(id, vs[x], nil)
+						}
+					}
+				case 2: // so is a scan, after it has opened the tree's iterator
+					kvs, err := db.Scan(key(i), 64)
+					for x := uint64(0); x < min(64, top-i); x++ {
+						switch {
+						case err != nil:
+							check(i+x, nil, err)
+						case x >= uint64(len(kvs)) || !bytes.Equal(kvs[x].Key, key(i+x)):
+							check(i+x, nil, fmt.Errorf("scan from key %d: pair %d is not the key", i, x))
+						default:
+							check(i+x, kvs[x].Value, nil)
+						}
+					}
+				}
+			}
+		}(r)
+	}
+	for i := uint64(0); i < 30000; i++ {
+		if err := db.Put(key(i), value(i)); err != nil {
+			t.Errorf("put %d: %v", i, err)
+			break
+		}
+		acked.Store(i + 1)
+	}
+	stop.Store(true)
+	wg.Wait()
+	t.Logf("%d reads, %d of them lost an acked key; %d migrations", reads.Load(), misses.Load(), db.Stats().Migrations)
 }

@@ -4,7 +4,11 @@
 // kinds of entry in one budget: pages and blocks, which table and slot
 // readers share by reference (BlockCache), and objects — one key's value at
 // one version — which it copies in and out (GetObject, PutObject,
-// RefreshObject).
+// RefreshObject). Objects also pass an admission test (TinyLFU): each shard
+// counts the object keys it is asked for and written under in a count-min
+// sketch, charged to the budget, and a fill that would evict gets in only if
+// its key has been counted more often than the entry it would evict. Pages
+// and blocks are neither counted nor tested.
 package cache
 
 import (
@@ -142,6 +146,11 @@ func (t *table) delete(i int) {
 // cold's oldest. A page read once — a scan — therefore passes through cold
 // without displacing anything that has been hit, and objects, which are
 // cached only because a point read asked for them, enter warm directly.
+//
+// freq counts object probes and refreshes; an object that has to evict to get
+// in is admitted only if it has been counted more often than its victim
+// (admit). capacity is what the entries may use: the shard's share of the
+// budget less the sketch.
 type shard struct {
 	mu          sync.Mutex
 	capacity    int64
@@ -152,8 +161,10 @@ type shard struct {
 	objectBytes int64
 	hits        uint64
 	misses      uint64
+	rejected    uint64
 	cold, warm  entry
 	items       table
+	freq        sketch
 	onEvict     func(key string, value []byte)
 }
 
@@ -175,7 +186,9 @@ func NewLRU(capacity int64, onEvict func(key string, value []byte)) *LRU {
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.capacity, s.warmCap = per, per/5*4
+		s.freq = newSketch(per)
+		s.capacity = per - s.freq.bytes()
+		s.warmCap = s.capacity / 5 * 4
 		s.items.slots = make([]*entry, 16)
 		s.onEvict = onEvict
 		s.cold.prev, s.cold.next = &s.cold, &s.cold
@@ -277,6 +290,20 @@ func (s *shard) evict(limit int64, spill *[]spilled) (last *entry) {
 	return last
 }
 
+// admit is TinyLFU's rule for an object that has to evict to get in: the
+// sketch must have counted it more often than the entry that would leave
+// first — cold's oldest, else warm's oldest. Without it every fill of a
+// one-hit object pushes out a hot one.
+func (s *shard) admit(h uint32) bool {
+	v := s.cold.prev
+	if v == &s.cold {
+		if v = s.warm.prev; v == &s.warm {
+			return true
+		}
+	}
+	return s.freq.estimate(h) > s.freq.estimate(hashKey(v.key))
+}
+
 func (s *shard) unlockAndSpill(spill []spilled) {
 	s.mu.Unlock()
 	for _, e := range spill {
@@ -343,11 +370,12 @@ func (c *LRU) Delete(key string) {
 }
 
 // GetObject appends key's cached object to dst[:0] when it is version tag,
-// and counts the use. The copy is taken under the shard lock: writers reuse
-// the cached buffer. Tags are below 1<<62.
+// and counts the use — in the sketch too, hit or miss. The copy is taken
+// under the shard lock: writers reuse the cached buffer. Tags are below 1<<62.
 func (c *LRU) GetObject(key string, tag uint64, dst []byte) ([]byte, bool) {
 	s, h := c.shardFor(key)
 	s.mu.Lock()
+	s.freq.add(h)
 	e, _ := s.items.find(h, key)
 	if e == nil || !e.object() || e.tag() != tag {
 		s.misses++
@@ -367,14 +395,17 @@ func (c *LRU) GetObject(key string, tag uint64, dst []byte) ([]byte, bool) {
 // PutObject caches a copy of value as version tag of key, unless key is
 // cached at that version or a newer one: a reader filling the cache after a
 // miss must not undo a writer's refresh. The object was asked for, so it
-// enters warm.
+// enters warm — if it is admitted: a key that is not cached and has to evict
+// to get in must be counted more often than the entry it would evict first
+// (admit). A refused fill only goes uncached; the caller has its value.
 func (c *LRU) PutObject(key string, tag uint64, value []byte) {
 	c.putObject(key, tag, value, true)
 }
 
 // RefreshObject replaces key's cached object with version tag, whatever
 // version it held, and does nothing when key is not cached: a write keeps
-// what readers brought in current but brings nothing in. It is not a use.
+// what readers brought in current but brings nothing in. It moves nothing
+// in the rings, but the sketch counts it: a written key is a used one.
 func (c *LRU) RefreshObject(key string, tag uint64, value []byte) {
 	c.putObject(key, tag, value, false)
 }
@@ -386,6 +417,9 @@ func (c *LRU) putObject(key string, tag uint64, value []byte, fill bool) {
 	tag &= tagMask
 	var spill []spilled
 	s.mu.Lock()
+	if !fill {
+		s.freq.add(h)
+	}
 	e, i := s.items.find(h, key)
 	switch {
 	case e == nil && !fill: // nothing to refresh
@@ -405,6 +439,8 @@ func (c *LRU) putObject(key string, tag uint64, value []byte, fill bool) {
 		s.book(e, +1)
 		s.trimWarm()
 		s.evict(s.capacity, &spill)
+	case e == nil && s.used+charge > s.capacity && !s.admit(h):
+		s.rejected++
 	default:
 		if e != nil {
 			s.remove(e, i) // a fill over an older version is an insert that recycles it
@@ -430,16 +466,19 @@ func (c *LRU) putObject(key string, tag uint64, value []byte, fill bool) {
 }
 
 // Usage says what the cache holds, in the bytes it charges — each entry's key
-// and value plus entryOverhead — and how its probes have gone.
+// and value plus entryOverhead, and the sketches — and how its probes have
+// gone.
 type Usage struct {
 	Capacity    int64
 	Used        int64
 	WarmBytes   int64 // of Used, entries that have been hit (or are objects)
+	SketchBytes int64 // of Used, the frequency sketches
 	Entries     int
 	Objects     int   // of Entries, objects rather than pages and blocks
 	ObjectBytes int64 // of Used
-	// Hits and Misses count Get and GetObject probes since creation.
-	Hits, Misses uint64
+	// Hits and Misses count Get and GetObject probes since creation;
+	// Rejected counts object fills admission refused.
+	Hits, Misses, Rejected uint64
 }
 
 // Usage sums the shards' accounts, each read under its lock.
@@ -448,14 +487,16 @@ func (c *LRU) Usage() Usage {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		u.Capacity += s.capacity
-		u.Used += s.used
+		u.Capacity += s.capacity + s.freq.bytes()
+		u.Used += s.used + s.freq.bytes()
 		u.WarmBytes += s.warmUsed
+		u.SketchBytes += s.freq.bytes()
 		u.Entries += s.items.n
 		u.Objects += int(s.objects)
 		u.ObjectBytes += s.objectBytes
 		u.Hits += s.hits
 		u.Misses += s.misses
+		u.Rejected += s.rejected
 		s.mu.Unlock()
 	}
 	return u

@@ -45,6 +45,49 @@ type model struct {
 	cold, warm        []modelEntry
 	capacity, warmCap int64
 	spilled           []string
+	freq              modelSketch
+	// admission off is the policy before the sketch: every fill gets in.
+	admission bool
+	rejected  uint64
+}
+
+// newModel is the reference for shard s: its budgets and its sketch's shape.
+func newModel(s *shard, admission bool) *model {
+	return &model{capacity: s.capacity, warmCap: s.warmCap, admission: admission,
+		freq: modelSketch{shape: sketch{widthBits: s.freq.widthBits, sample: s.freq.sample},
+			counts: make([]int, sketchRows<<s.freq.widthBits)}}
+}
+
+// modelSketch is the sketch with a whole int per counter and every step
+// spelled out; it borrows only the shape — where a key's counters are, and
+// when to age.
+type modelSketch struct {
+	shape     sketch
+	counts    []int
+	additions int
+}
+
+func (k *modelSketch) add(key string) {
+	for r := 0; r < sketchRows; r++ {
+		if i := k.shape.index(hashKey(key), r); k.counts[i] < 15 {
+			k.counts[i]++
+		}
+	}
+	k.additions++
+	if k.additions == k.shape.sample {
+		k.additions = 0
+		for i := range k.counts {
+			k.counts[i] /= 2
+		}
+	}
+}
+
+func (k *modelSketch) estimate(key string) int {
+	est := 15
+	for r := 0; r < sketchRows; r++ {
+		est = min(est, k.counts[k.shape.index(hashKey(key), r)])
+	}
+	return est
 }
 
 func sum(ring []modelEntry) (n int64) {
@@ -116,6 +159,7 @@ func (m *model) get(key string) ([]byte, bool) {
 }
 
 func (m *model) getObject(key string, tag uint64) ([]byte, bool) {
+	m.freq.add(key)
 	if e := m.find(key); e == nil || !e.object || e.tag != tag {
 		return nil, false
 	}
@@ -141,7 +185,11 @@ func (m *model) putPage(key string, value []byte) {
 func (m *model) putObject(key string, tag uint64, value []byte, fill bool) {
 	ne := modelEntry{key: key, value: bytes.Clone(value), tag: tag, object: true,
 		charge: int64(len(key)+objectBuf(len(value))) + entryOverhead}
+	if !fill {
+		m.freq.add(key) // a write is an access
+	}
 	e := m.find(key)
+	absent := e == nil
 	if e != nil && fill {
 		if e.object && e.tag >= tag {
 			return
@@ -156,9 +204,26 @@ func (m *model) putObject(key string, tag uint64, value []byte, fill bool) {
 		*e = ne
 		m.settle(m.capacity)
 	case fill && ne.charge <= m.capacity:
+		if absent && sum(m.cold)+sum(m.warm)+ne.charge > m.capacity && !m.admit(key) {
+			m.rejected++
+			return
+		}
 		m.settle(m.capacity - ne.charge)
 		m.put(ne, true)
 	}
+}
+
+// admit: the newcomer's estimate must beat that of the entry the fill would
+// evict first, cold's oldest, or warm's oldest when cold is empty.
+func (m *model) admit(key string) bool {
+	if !m.admission {
+		return true
+	}
+	victim := m.warm
+	if len(m.cold) > 0 {
+		victim = m.cold
+	}
+	return len(victim) == 0 || m.freq.estimate(key) > m.freq.estimate(victim[0].key)
 }
 
 // ringKeys walks one ring of s oldest first, checking the links and flags.
@@ -209,7 +274,7 @@ func runAgainstModel(t testing.TB, ops []byte) {
 	c := NewLRU(nShards*perShard, func(key string, _ []byte) { spilled = append(spilled, key) })
 	ks := sameShardKeys(c, 12)
 	s, _ := c.shardFor(ks[0])
-	m := &model{capacity: s.capacity, warmCap: s.warmCap}
+	m := newModel(s, true)
 	for i := 0; i+2 < len(ops); i += 3 {
 		op, key, arg := ops[i]%6, ks[int(ops[i+1])%len(ks)], ops[i+2]
 		// Sizes from 0 to 1 530 bytes: a few objects fill warm, two large
@@ -279,6 +344,9 @@ func runAgainstModel(t testing.TB, ops []byte) {
 		if !slices.Equal(spilled, m.spilled) {
 			t.Fatalf("%s: onEvict saw %v, model evicted pages %v", what, spilled, m.spilled)
 		}
+		if s.rejected != m.rejected {
+			t.Fatalf("%s: %d fills refused, model %d", what, s.rejected, m.rejected)
+		}
 	}
 }
 
@@ -295,6 +363,13 @@ var modelSeeds = [][]byte{
 	{4, 0, 4, 4, 0, 3, 3, 0, 4, 2, 0, 0, 4, 0, 3, 3, 0, 3},
 	// Entries over warm's cap are used in cold; one over the shard is refused.
 	{1, 0, 51, 0, 0, 0, 0, 0, 0, 4, 1, 51, 3, 1, 1, 1, 2, 49, 1, 3, 49, 1, 4, 49},
+	// Admission: seven objects fill the shard and two are hit; a newcomer
+	// seen once is refused, and admitted once it has been seen three times —
+	// more often than cold's oldest, less often than warm's newest.
+	{3, 0, 10, 4, 0, 10, 3, 1, 10, 4, 1, 10, 3, 2, 10, 4, 2, 10, 3, 3, 10, 4, 3, 10,
+		3, 4, 10, 4, 4, 10, 3, 5, 10, 4, 5, 10, 3, 6, 10, 4, 6, 10,
+		3, 1, 10, 3, 2, 10, 3, 1, 10, 3, 2, 10, 3, 1, 10, 3, 2, 10,
+		3, 7, 10, 4, 7, 10, 3, 7, 10, 3, 7, 10, 4, 7, 10, 3, 7, 10},
 }
 
 func TestLRUAgainstModel(t *testing.T) {

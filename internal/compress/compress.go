@@ -196,6 +196,12 @@ func matchAt(src []byte, cand, i int) bool {
 		binary.LittleEndian.Uint32(src[cand:]) == binary.LittleEndian.Uint32(src[i:])
 }
 
+// lzSlack is the room decodeLZ leaves past the declared length: a literal
+// run of up to 16 bytes, or a match, is copied in whole 8-byte words that may
+// overshoot the bytes it owns. The next token overwrites the overshoot, and
+// the slack is cut off at the end.
+const lzSlack = 16
+
 // decodeLZ expands an LZ token stream (payload without the tag byte),
 // enforcing the declared raw length, the allocation cap, and the raw
 // checksum. Any malformed input returns an error; none can panic.
@@ -213,44 +219,76 @@ func decodeLZ(p []byte, maxRaw int) ([]byte, error) {
 	}
 	sum := binary.LittleEndian.Uint32(p)
 	p = p[4:]
-	out := make([]byte, 0, int(rawLen))
-	for len(p) > 0 {
-		t := p[0]
-		p = p[1:]
+	out := make([]byte, int(rawLen)+lzSlack)
+	d, i := 0, 0 // bytes decoded, bytes of p read
+	for i < len(p) {
+		t := p[i]
+		i++
 		if t&1 == 0 { // literal run
 			n := int(t>>1) + 1
-			if n > len(p) {
+			if n > len(p)-i {
 				return nil, fmt.Errorf("compress: lz literal run past input")
 			}
-			if uint64(len(out)+n) > rawLen {
+			if uint64(d+n) > rawLen {
 				return nil, fmt.Errorf("compress: lz output exceeds declared length")
 			}
-			out = append(out, p[:n]...)
-			p = p[n:]
+			if n <= 16 && len(p)-i >= 16 {
+				src, dst := p[i:i+16], out[d:d+16]
+				binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(src))
+				binary.LittleEndian.PutUint64(dst[8:], binary.LittleEndian.Uint64(src[8:]))
+			} else {
+				copy(out[d:], p[i:i+n])
+			}
+			d += n
+			i += n
 			continue
 		}
 		length := int(t>>1) + lzMinMatch
-		dist, n := binary.Uvarint(p)
-		if n <= 0 {
-			return nil, fmt.Errorf("compress: truncated lz distance")
+		var dist uint64
+		switch { // a uvarint: one byte under 128, two under 16 KiB
+		case i < len(p) && p[i] < 0x80:
+			dist = uint64(p[i])
+			i++
+		case i+1 < len(p) && p[i+1] < 0x80:
+			dist = uint64(p[i]&0x7f) | uint64(p[i+1])<<7
+			i += 2
+		default:
+			if dist, n = binary.Uvarint(p[i:]); n <= 0 {
+				return nil, fmt.Errorf("compress: truncated lz distance")
+			}
+			i += n
 		}
-		p = p[n:]
-		if dist == 0 || dist > uint64(len(out)) {
+		if dist == 0 || dist > uint64(d) {
 			return nil, fmt.Errorf("compress: lz distance %d out of range", dist)
 		}
-		if uint64(len(out)+length) > rawLen {
+		if uint64(d+length) > rawLen {
 			return nil, fmt.Errorf("compress: lz output exceeds declared length")
 		}
-		// Byte-at-a-time copy: overlapping matches (dist < length) repeat
-		// the run, exactly like the encoder saw it.
-		j := len(out) - int(dist)
-		for k := 0; k < length; k++ {
-			out = append(out, out[j+k])
+		// A match repeats the bytes dist back, overlapping itself when
+		// dist < length. At a distance of 8 or more every word it reads is
+		// already final, so it is copied 8 bytes at a time; nearer, byte by
+		// byte, as the encoder saw it.
+		j := d - int(dist)
+		switch {
+		case dist >= 8 && length <= 16:
+			dst := out[d : d+16]
+			binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(out[j:]))
+			binary.LittleEndian.PutUint64(dst[8:], binary.LittleEndian.Uint64(out[j+8:]))
+		case dist >= 8:
+			for k := 0; k < length; k += 8 {
+				binary.LittleEndian.PutUint64(out[d+k:], binary.LittleEndian.Uint64(out[j+k:]))
+			}
+		default:
+			for k := 0; k < length; k++ {
+				out[d+k] = out[j+k]
+			}
 		}
+		d += length
 	}
-	if uint64(len(out)) != rawLen {
-		return nil, fmt.Errorf("compress: lz decoded %d bytes, declared %d", len(out), rawLen)
+	if uint64(d) != rawLen {
+		return nil, fmt.Errorf("compress: lz decoded %d bytes, declared %d", d, rawLen)
 	}
+	out = out[:d]
 	if crc32.ChecksumIEEE(out) != sum {
 		return nil, fmt.Errorf("compress: lz checksum mismatch")
 	}

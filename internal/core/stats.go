@@ -43,14 +43,17 @@ type Stats struct {
 	Zone zone.Stats
 	// Per-level LSM aggregates (index 0 = L1).
 	Levels []LevelStats
-	// DRAM cache: probes (pages, blocks and objects alike) and, in the bytes
-	// the cache charges, what it holds — objects as against pages and
-	// blocks, and the warm share (entries that were hit, or are objects).
+	// DRAM cache: probes (pages, blocks and objects alike), object fills
+	// admission refused and, in the bytes the cache charges, what it holds —
+	// objects as against pages and blocks, the warm share (entries that were
+	// hit, or are objects) and the frequency sketches.
 	CacheHits        uint64
 	CacheMisses      uint64
+	CacheRejected    uint64
 	CacheObjects     int
 	CacheObjectBytes int64
 	CacheWarmBytes   int64
+	CacheSketchBytes int64
 	CacheUsedBytes   int64
 	CacheCapacity    int64
 	// Promotions dropped on queue overflow.
@@ -78,8 +81,9 @@ func (db *DB) Stats() Stats {
 		SATAUsed:     db.opts.SATA.Used(),
 	}
 	cu := db.cache.Usage()
-	s.CacheHits, s.CacheMisses = cu.Hits, cu.Misses
+	s.CacheHits, s.CacheMisses, s.CacheRejected = cu.Hits, cu.Misses, cu.Rejected
 	s.CacheObjects, s.CacheObjectBytes, s.CacheWarmBytes = cu.Objects, cu.ObjectBytes, cu.WarmBytes
+	s.CacheSketchBytes = cu.SketchBytes
 	s.CacheUsedBytes, s.CacheCapacity = cu.Used, cu.Capacity
 	s.MergeOps = db.mergeOps.Load()
 	s.BackgroundErrors = db.bgErrs.Load()
@@ -174,9 +178,10 @@ func (s Stats) String() string {
 	if probes := s.CacheHits + s.CacheMisses; probes > 0 {
 		hit = float64(s.CacheHits) / float64(probes)
 	}
-	fmt.Fprintf(&b, "cache{hit=%.3f objects=%d objBytes=%s warm=%s used=%s/%s} hits=%d misses=%d  spaceAmp=%.2f promoDropped=%d mergeOps=%d\n",
+	fmt.Fprintf(&b, "cache{hit=%.3f objects=%d objBytes=%s warm=%s used=%s/%s rejected=%d sketch=%s} hits=%d misses=%d  spaceAmp=%.2f promoDropped=%d mergeOps=%d\n",
 		hit, s.CacheObjects, stats.FormatBytes(uint64(s.CacheObjectBytes)), stats.FormatBytes(uint64(s.CacheWarmBytes)),
 		stats.FormatBytes(uint64(s.CacheUsedBytes)), stats.FormatBytes(uint64(s.CacheCapacity)),
+		s.CacheRejected, stats.FormatBytes(uint64(s.CacheSketchBytes)),
 		s.CacheHits, s.CacheMisses, s.SpaceAmp, s.PromotionsDropped, s.MergeOps)
 	fmt.Fprintf(&b, "background: errors=%d", s.BackgroundErrors)
 	if s.LastBackgroundError != "" {

@@ -62,7 +62,7 @@ func TestStatsStringReadable(t *testing.T) {
 	defer db.Close()
 	db.Put([]byte("k"), []byte("v"))
 	s := db.Stats().String()
-	for _, want := range []string{"NVMe:", "SATA:", "Zone tier:", "cache{hit="} {
+	for _, want := range []string{"NVMe:", "SATA:", "Zone tier:", "cache{hit=", " rejected=0 sketch="} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("stats string missing %q:\n%s", want, s)
 		}
