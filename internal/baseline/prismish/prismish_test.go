@@ -248,7 +248,7 @@ func TestInPlaceUpdateKeepsSlot(t *testing.T) {
 
 func TestUsedFractionAccountsFreeSlots(t *testing.T) {
 	db, _, _ := open(t, 1<<20)
-	for i := uint64(0); i < 30000; i++ {
+	for i := uint64(0); i < 20000; i++ {
 		if err := db.Put(k8(i<<32), make([]byte, 100)); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}

@@ -4,11 +4,12 @@
 // kinds of entry in one budget: pages and blocks, which table and slot
 // readers share by reference (BlockCache), and objects — one key's value at
 // one version — which it copies in and out (GetObject, PutObject,
-// RefreshObject). Objects also pass an admission test (TinyLFU): each shard
-// counts the object keys it is asked for and written under in a count-min
-// sketch, charged to the budget, and a fill that would evict gets in only if
-// its key has been counted more often than the entry it would evict. Pages
-// and blocks are neither counted nor tested.
+// PromoteObject, RefreshObject). Objects also pass an admission test
+// (TinyLFU): each shard counts the object keys it is asked for and written
+// under in a count-min sketch, charged to the budget, and a fill that would
+// evict gets in only if its key has been counted more often than the entry it
+// would evict. Pages and blocks are neither counted nor tested, and a cache
+// that never sees an object never allocates a sketch.
 package cache
 
 import (
@@ -43,8 +44,8 @@ func (e *entry) tag() uint64  { return e.meta & tagMask }
 // entryOverhead is what an entry costs the heap beyond its key and value
 // bytes: the entry, its slot in an index three eighths to three quarters full
 // (11 to 21 bytes) and the key string's round-up to its size class.
-// TestEntryOverheadIsMeasured holds the constant to the measured figure, 77
-// to 85.
+// TestEntryOverheadIsMeasured holds the constant to the measured figure, 78
+// to 86.
 const entryOverhead = 80
 
 // objectBuf is the buffer size an object of n bytes gets: a multiple of 16,
@@ -150,7 +151,7 @@ func (t *table) delete(i int) {
 // freq counts object probes and refreshes; an object that has to evict to get
 // in is admitted only if it has been counted more often than its victim
 // (admit). capacity is what the entries may use: the shard's share of the
-// budget less the sketch.
+// budget, less the sketch once the first object call has made one (counting).
 type shard struct {
 	mu          sync.Mutex
 	capacity    int64
@@ -186,9 +187,7 @@ func NewLRU(capacity int64, onEvict func(key string, value []byte)) *LRU {
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.freq = newSketch(per)
-		s.capacity = per - s.freq.bytes()
-		s.warmCap = s.capacity / 5 * 4
+		s.capacity, s.warmCap = per, per/5*4
 		s.items.slots = make([]*entry, 16)
 		s.onEvict = onEvict
 		s.cold.prev, s.cold.next = &s.cold, &s.cold
@@ -304,6 +303,21 @@ func (s *shard) admit(h uint32) bool {
 	return s.freq.estimate(h) > s.freq.estimate(hashKey(v.key))
 }
 
+// counting readies s for an object call: the first one makes the sketch and
+// takes its bytes out of the entries' budget, evicting to fit. A cache of
+// pages and blocks alone — the baselines' — never pays for one. A shard too
+// small for its sketch holds no objects.
+func (s *shard) counting(spill *[]spilled) {
+	if s.freq.words != nil {
+		return
+	}
+	s.freq = newSketch(s.capacity)
+	s.capacity = max(s.capacity-s.freq.bytes(), 0)
+	s.warmCap = s.capacity / 5 * 4
+	s.trimWarm()
+	s.evict(s.capacity, spill)
+}
+
 func (s *shard) unlockAndSpill(spill []spilled) {
 	s.mu.Unlock()
 	for _, e := range spill {
@@ -374,18 +388,20 @@ func (c *LRU) Delete(key string) {
 // under the shard lock: writers reuse the cached buffer. Tags are below 1<<62.
 func (c *LRU) GetObject(key string, tag uint64, dst []byte) ([]byte, bool) {
 	s, h := c.shardFor(key)
+	var spill []spilled
 	s.mu.Lock()
+	s.counting(&spill)
 	s.freq.add(h)
 	e, _ := s.items.find(h, key)
 	if e == nil || !e.object() || e.tag() != tag {
 		s.misses++
-		s.mu.Unlock()
+		s.unlockAndSpill(spill)
 		return nil, false
 	}
 	s.hits++
 	s.use(e)
 	dst = append(dst[:0], e.value...)
-	s.mu.Unlock()
+	s.unlockAndSpill(spill)
 	if dst == nil {
 		dst = []byte{}
 	}
@@ -399,7 +415,14 @@ func (c *LRU) GetObject(key string, tag uint64, dst []byte) ([]byte, bool) {
 // to get in must be counted more often than the entry it would evict first
 // (admit). A refused fill only goes uncached; the caller has its value.
 func (c *LRU) PutObject(key string, tag uint64, value []byte) {
-	c.putObject(key, tag, value, true)
+	c.putObject(key, tag, value, fill)
+}
+
+// PromoteObject is PutObject without the admission test, for a key the
+// caller has found hot by a signal of its own — the zone tier's promotions,
+// chosen by the hotness tracker from reads the sketch never saw.
+func (c *LRU) PromoteObject(key string, tag uint64, value []byte) {
+	c.putObject(key, tag, value, promote)
 }
 
 // RefreshObject replaces key's cached object with version tag, whatever
@@ -407,28 +430,38 @@ func (c *LRU) PutObject(key string, tag uint64, value []byte) {
 // what readers brought in current but brings nothing in. It moves nothing
 // in the rings, but the sketch counts it: a written key is a used one.
 func (c *LRU) RefreshObject(key string, tag uint64, value []byte) {
-	c.putObject(key, tag, value, false)
+	c.putObject(key, tag, value, refresh)
 }
 
-func (c *LRU) putObject(key string, tag uint64, value []byte, fill bool) {
+// objectWrite is what putObject is asked to do.
+type objectWrite int
+
+const (
+	refresh objectWrite = iota // RefreshObject
+	fill                       // PutObject
+	promote                    // PromoteObject
+)
+
+func (c *LRU) putObject(key string, tag uint64, value []byte, op objectWrite) {
 	s, h := c.shardFor(key)
 	need := objectBuf(len(value))
 	charge := int64(len(key)+need) + entryOverhead
 	tag &= tagMask
 	var spill []spilled
 	s.mu.Lock()
-	if !fill {
+	s.counting(&spill)
+	if op == refresh {
 		s.freq.add(h)
 	}
 	e, i := s.items.find(h, key)
 	switch {
-	case e == nil && !fill: // nothing to refresh
-	case e != nil && fill && e.object() && e.tag() >= tag: // a slow reader's fill
+	case e == nil && op == refresh: // nothing to refresh
+	case e != nil && op != refresh && e.object() && e.tag() >= tag: // a slow reader's fill
 	case charge > s.capacity:
 		if e != nil {
 			s.remove(e, i)
 		}
-	case e != nil && !fill:
+	case e != nil && op == refresh:
 		s.book(e, -1)
 		if e.object() && cap(e.value) == need {
 			e.value = append(e.value[:0], value...)
@@ -439,7 +472,7 @@ func (c *LRU) putObject(key string, tag uint64, value []byte, fill bool) {
 		s.book(e, +1)
 		s.trimWarm()
 		s.evict(s.capacity, &spill)
-	case e == nil && s.used+charge > s.capacity && !s.admit(h):
+	case e == nil && op == fill && s.used+charge > s.capacity && !s.admit(h):
 		s.rejected++
 	default:
 		if e != nil {

@@ -45,17 +45,29 @@ type model struct {
 	cold, warm        []modelEntry
 	capacity, warmCap int64
 	spilled           []string
-	freq              modelSketch
+	freq              *modelSketch // nil until the first object call
 	// admission off is the policy before the sketch: every fill gets in.
 	admission bool
 	rejected  uint64
 }
 
-// newModel is the reference for shard s: its budgets and its sketch's shape.
+// newModel is the reference for shard s, which has not been used yet.
 func newModel(s *shard, admission bool) *model {
-	return &model{capacity: s.capacity, warmCap: s.warmCap, admission: admission,
-		freq: modelSketch{shape: sketch{widthBits: s.freq.widthBits, sample: s.freq.sample},
-			counts: make([]int, sketchRows<<s.freq.widthBits)}}
+	return &model{capacity: s.capacity, warmCap: s.warmCap, admission: admission}
+}
+
+// counting: the first object call makes the sketch, shaped and sized as the
+// shard's, and takes its bytes out of the budget.
+func (m *model) counting() {
+	if m.freq != nil {
+		return
+	}
+	shape := newSketch(m.capacity)
+	m.freq = &modelSketch{shape: sketch{widthBits: shape.widthBits, sample: shape.sample},
+		counts: make([]int, sketchRows<<shape.widthBits)}
+	m.capacity = max(m.capacity-shape.bytes(), 0)
+	m.warmCap = m.capacity / 5 * 4
+	m.settle(m.capacity)
 }
 
 // modelSketch is the sketch with a whole int per counter and every step
@@ -159,6 +171,7 @@ func (m *model) get(key string) ([]byte, bool) {
 }
 
 func (m *model) getObject(key string, tag uint64) ([]byte, bool) {
+	m.counting()
 	m.freq.add(key)
 	if e := m.find(key); e == nil || !e.object || e.tag != tag {
 		return nil, false
@@ -182,15 +195,16 @@ func (m *model) putPage(key string, value []byte) {
 	m.put(modelEntry{key: key, value: value, charge: charge}, false)
 }
 
-func (m *model) putObject(key string, tag uint64, value []byte, fill bool) {
+func (m *model) putObject(key string, tag uint64, value []byte, op objectWrite) {
 	ne := modelEntry{key: key, value: bytes.Clone(value), tag: tag, object: true,
 		charge: int64(len(key)+objectBuf(len(value))) + entryOverhead}
-	if !fill {
+	m.counting()
+	if op == refresh {
 		m.freq.add(key) // a write is an access
 	}
 	e := m.find(key)
 	absent := e == nil
-	if e != nil && fill {
+	if e != nil && op != refresh {
 		if e.object && e.tag >= tag {
 			return
 		}
@@ -203,8 +217,9 @@ func (m *model) putObject(key string, tag uint64, value []byte, fill bool) {
 	case e != nil:
 		*e = ne
 		m.settle(m.capacity)
-	case fill && ne.charge <= m.capacity:
-		if absent && sum(m.cold)+sum(m.warm)+ne.charge > m.capacity && !m.admit(key) {
+	case op != refresh && ne.charge <= m.capacity:
+		// Only a reader's fill is tested; a promotion is let in.
+		if op == fill && absent && sum(m.cold)+sum(m.warm)+ne.charge > m.capacity && !m.admit(key) {
 			m.rejected++
 			return
 		}
@@ -276,7 +291,7 @@ func runAgainstModel(t testing.TB, ops []byte) {
 	s, _ := c.shardFor(ks[0])
 	m := newModel(s, true)
 	for i := 0; i+2 < len(ops); i += 3 {
-		op, key, arg := ops[i]%6, ks[int(ops[i+1])%len(ks)], ops[i+2]
+		op, key, arg := ops[i]%7, ks[int(ops[i+1])%len(ks)], ops[i+2]
 		// Sizes from 0 to 1 530 bytes: a few objects fill warm, two large
 		// pages overflow the shard, and the largest is over warm's cap.
 		size, tag := int(arg%52)*30, uint64(arg%5)+1
@@ -306,10 +321,13 @@ func runAgainstModel(t testing.TB, ops []byte) {
 			}
 		case 4:
 			c.PutObject(key, tag, objectValue(tag, size))
-			m.putObject(key, tag, objectValue(tag, size), true)
+			m.putObject(key, tag, objectValue(tag, size), fill)
 		case 5:
 			c.RefreshObject(key, tag, objectValue(tag, size))
-			m.putObject(key, tag, objectValue(tag, size), false)
+			m.putObject(key, tag, objectValue(tag, size), refresh)
+		case 6:
+			c.PromoteObject(key, tag, objectValue(tag, size))
+			m.putObject(key, tag, objectValue(tag, size), promote)
 		}
 		cold, coldBytes := ringKeys(t, s, &s.cold)
 		warm, warmBytes := ringKeys(t, s, &s.warm)
@@ -347,6 +365,9 @@ func runAgainstModel(t testing.TB, ops []byte) {
 		if s.rejected != m.rejected {
 			t.Fatalf("%s: %d fills refused, model %d", what, s.rejected, m.rejected)
 		}
+		if s.capacity != m.capacity || s.warmCap != m.warmCap {
+			t.Fatalf("%s: budgets %d and %d for warm, model %d and %d", what, s.capacity, s.warmCap, m.capacity, m.warmCap)
+		}
 	}
 }
 
@@ -370,6 +391,13 @@ var modelSeeds = [][]byte{
 		3, 4, 10, 4, 4, 10, 3, 5, 10, 4, 5, 10, 3, 6, 10, 4, 6, 10,
 		3, 1, 10, 3, 2, 10, 3, 1, 10, 3, 2, 10, 3, 1, 10, 3, 2, 10,
 		3, 7, 10, 4, 7, 10, 3, 7, 10, 3, 7, 10, 4, 7, 10, 3, 7, 10},
+	// Three pages fill the shard; the first object call charges the sketch,
+	// which evicts the oldest.
+	{1, 0, 30, 1, 1, 30, 1, 2, 30, 3, 3, 1, 0, 0, 0, 0, 1, 0},
+	// A fill of a key never counted is refused from a full shard; its
+	// promotion is let in and hit.
+	{4, 0, 10, 4, 1, 10, 4, 2, 10, 4, 3, 10, 4, 4, 10, 4, 5, 10, 4, 6, 10,
+		4, 7, 10, 6, 7, 10, 3, 7, 10},
 }
 
 func TestLRUAgainstModel(t *testing.T) {
@@ -434,7 +462,9 @@ func TestScanDoesNotFlushHotObjects(t *testing.T) {
 // heap beyond its key and value bytes, measured where the engine's cache
 // lives: full, every insert evicting, on the shape it caches most (a 13-byte
 // key and a 128-byte object), at the benchmark's 10 MiB, where the index is
-// three fifths full, and at 24 MiB, where it has just doubled.
+// three fifths full, and at 24 MiB, where it has just doubled. The keys are
+// promoted: a stream of keys each seen once is what admission refuses, and a
+// refused fill would leave the cache as it was.
 func TestEntryOverheadIsMeasured(t *testing.T) {
 	if unsafe.Sizeof(entry{}) != 64 {
 		t.Fatalf("an entry is %d bytes, not the 64-byte size class entryOverhead assumes", unsafe.Sizeof(entry{}))
@@ -450,12 +480,17 @@ func TestEntryOverheadIsMeasured(t *testing.T) {
 	for _, capacity := range []int64{10 << 20, 24 << 20} {
 		before := heap()
 		c := NewLRU(capacity, nil)
-		for i := 0; i < int(capacity/25); i++ { // about ten times what fits
+		inserts := int(capacity / 25) // about ten times what fits
+		for i := 0; i < inserts; i++ {
 			binary.LittleEndian.PutUint64(key[5:], uint64(i))
-			c.PutObject(string(key[:]), 1, value)
+			c.PromoteObject(string(key[:]), 1, value)
 		}
 		u := c.Usage()
-		per := float64(heap()-before)/float64(u.Entries) - float64(len(key)+len(value))
+		if u.Rejected != 0 || u.Entries > inserts/5 {
+			t.Fatalf("%d inserts left %d entries, %d refused: the cache did not turn over", inserts, u.Entries, u.Rejected)
+		}
+		// The sketches are charged on their own line.
+		per := float64(heap()-before-uint64(u.SketchBytes))/float64(u.Entries) - float64(len(key)+len(value))
 		runtime.KeepAlive(c)
 		t.Logf("%d MiB, %d entries: an entry costs %.0f bytes beyond its key and value; entryOverhead = %d", capacity>>20, u.Entries, per, entryOverhead)
 		if per > entryOverhead*1.1 || per < entryOverhead*0.85 {
@@ -466,41 +501,56 @@ func TestEntryOverheadIsMeasured(t *testing.T) {
 
 var benchSink []byte
 
-// BenchmarkObjectCache prices the four things the zone tier does to the
-// object cache, on its key and value shape, with the shards at capacity.
+// BenchmarkObjectCache prices the things the zone tier does to the object
+// cache, on its key and value shape, with the shards at capacity. Every op of
+// the last two is a fill of a key never counted: PutObject refuses it (its
+// victim ties it at 0), PromoteObject lets it in and evicts.
 func BenchmarkObjectCache(b *testing.B) {
 	const n = 1 << 16
 	value := make([]byte, 128)
 	var kb [13]byte
 	kb[0] = 'V'
-	fill := func(c *LRU, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			binary.BigEndian.PutUint64(kb[5:], uint64(i))
-			c.PutObject(string(kb[:]), 1, value)
-		}
-	}
-	run := func(name string, capacity int64, op func(c *LRU, key string, i int)) {
+	// run times op b.N times on a cache preloaded with n keys, then asks want
+	// whether the ops did what they are named for.
+	run := func(name string, capacity int64, op func(c *LRU, key string, i int), want func(c *LRU, ops int) bool) {
 		b.Run(name, func(b *testing.B) {
 			c := NewLRU(capacity, nil)
-			fill(c, 0, n)
+			for i := 0; i < n; i++ {
+				binary.BigEndian.PutUint64(kb[5:], uint64(i))
+				c.PromoteObject(string(kb[:]), 1, value)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				binary.BigEndian.PutUint64(kb[5:], uint64(i*7919)%n)
 				op(c, string(kb[:]), i)
 			}
+			b.StopTimer()
+			if !want(c, b.N) {
+				b.Fatalf("%d ops left the cache at %+v", b.N, c.Usage())
+			}
 		})
 	}
 	dst := make([]byte, 0, 256)
-	run("hit", 1<<30, func(c *LRU, key string, _ int) { benchSink, _ = c.GetObject(key, 1, dst) })
-	run("refresh-hit", 1<<30, func(c *LRU, key string, i int) { c.RefreshObject(key, uint64(i), value) })
-	run("refresh-miss", 1<<20, func(c *LRU, key string, i int) {
+	run("hit", 1<<30, func(c *LRU, key string, _ int) { benchSink, _ = c.GetObject(key, 1, dst) },
+		func(c *LRU, ops int) bool { return c.Usage().Hits == uint64(ops) })
+	run("refresh-hit", 1<<30, func(c *LRU, key string, i int) { c.RefreshObject(key, uint64(i), value) },
+		func(c *LRU, _ int) bool { return c.Usage().Objects == n })
+	// The rest take keys the preload never used.
+	run("refresh-miss", 1<<20, func(c *LRU, _ string, i int) {
 		binary.BigEndian.PutUint64(kb[5:], uint64(n+i))
 		c.RefreshObject(string(kb[:]), uint64(i), value)
-	})
-	run("fill-with-eviction", 1<<20, func(c *LRU, key string, i int) {
+	}, func(c *LRU, _ int) bool { return c.Usage().Objects < n })
+	run("fill-refused", 1<<20, func(c *LRU, _ string, i int) {
 		binary.BigEndian.PutUint64(kb[5:], uint64(n+i))
 		c.PutObject(string(kb[:]), 1, value)
+	}, func(c *LRU, ops int) bool { return c.Usage().Rejected == uint64(ops) })
+	run("fill-with-eviction", 1<<20, func(c *LRU, _ string, i int) {
+		binary.BigEndian.PutUint64(kb[5:], uint64(n+i))
+		c.PromoteObject(string(kb[:]), 1, value)
+	}, func(c *LRU, ops int) bool {
+		_, ok := c.GetObject(string(kb[:]), 1, nil) // the last key promoted
+		return ok
 	})
 }
 

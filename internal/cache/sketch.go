@@ -20,10 +20,11 @@ type sketch struct {
 const (
 	sketchRows = 4
 	// sketchMaxWidth caps a row at 8 192 counters: 16 KiB a shard, what a
-	// 640 KiB shard — the benchmark's 10 MiB cache — gets from the fortieth
-	// rule. A larger shard keeps it, because the sketch's heap counts against
-	// what an entry is measured to cost (TestEntryOverheadIsMeasured): at a
-	// fortieth a 24 MiB cache would put 5.5 bytes an entry on top.
+	// 640 KiB shard — the benchmark's 10 MiB cache, where the sketch was
+	// sized — gets from the fortieth rule. A larger shard keeps it: a wider
+	// sketch was measured only at that cache, where doubling it to 512 KiB
+	// doubled tiered-read's extra device reads for 1 % fewer on resident-rw
+	// (DESIGN.md).
 	sketchMaxWidth = 8192
 	// sketchObject is the charge the sample is sized for: a short key and a
 	// value of 100-odd bytes, plus entryOverhead.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -97,6 +98,38 @@ func TestSketch(t *testing.T) {
 	}
 }
 
+// TestOnlyObjectCachesPayForASketch: a cache of pages alone — a baseline's
+// page or block cache — never makes a sketch and keeps its whole budget for
+// entries. The first object call to a shard makes that shard's, inside the
+// same budget, evicting to fit. A shard too small for one takes no objects.
+func TestOnlyObjectCachesPayForASketch(t *testing.T) {
+	const capacity = 1 << 20
+	c := NewLRU(capacity, nil)
+	page := make([]byte, 4096)
+	for i := 0; i < 2*capacity/len(page); i++ {
+		c.Put(fmt.Sprintf("Z%d", i), page)
+	}
+	if u := c.Usage(); u.SketchBytes != 0 || u.Capacity != capacity || u.Used < capacity*9/10 {
+		t.Fatalf("a full cache of pages: %+v", u)
+	}
+	c.GetObject("V1", 1, nil)
+	if u := c.Usage(); u.SketchBytes == 0 || u.SketchBytes > capacity/nShards/40 || u.Capacity != capacity || u.Used > u.Capacity {
+		t.Fatalf("after one object probe: %+v", u)
+	}
+
+	tiny := NewLRU(nShards, nil)
+	tiny.PutObject("V1", 1, []byte("x"))
+	tiny.PromoteObject("V1", 1, []byte("x"))
+	if u := tiny.Usage(); u.Objects != 0 || u.Used > u.Capacity {
+		t.Fatalf("a cache of 16 bytes: %+v", u)
+	}
+	for i := range tiny.shards {
+		if s := &tiny.shards[i]; s.capacity < 0 || s.warmCap < 0 {
+			t.Fatalf("shard %d: capacity %d, warm %d", i, s.capacity, s.warmCap)
+		}
+	}
+}
+
 // TestOneHitObjectsDoNotDisplaceHotOnes probes one shard's objects on a zipf
 // trace, filling on every miss, as the zone tier's point reads do. The shard
 // holds about 6 % of the keys; without admission every miss on a key read
@@ -118,7 +151,7 @@ func TestOneHitObjectsDoNotDisplaceHotOnes(t *testing.T) {
 			hits++
 		}
 		if _, ok := m.getObject(keys[i], 1); !ok {
-			m.putObject(keys[i], 1, value, true)
+			m.putObject(keys[i], 1, value, fill)
 		} else if measured {
 			modelHits++
 		}

@@ -486,3 +486,43 @@ func TestObjectCacheNeverServesStale(t *testing.T) {
 		t.Fatalf("the cache was not in play: %+v", u)
 	}
 }
+
+// TestPromotionIsCachedPastAdmission: the reads that make the hotness tracker
+// promote a key went to the capacity tier, so the cache's sketch never
+// counted them, and a full cache whose objects have each been written and
+// read twice would refuse the key as a fill. A promotion is let in: the next
+// Get is answered from DRAM.
+func TestPromotionIsCachedPastAdmission(t *testing.T) {
+	dev := device.New(device.UnthrottledProfile("nvme", 0))
+	c := cache.NewLRU(1<<20, nil)
+	m := openMgr(t, Config{Dev: dev, BatchSize: 64 << 10, Cache: c})
+	value := bytes.Repeat([]byte{7}, 100)
+	const nKeys = 8000 // about five times what the cache holds
+	for i := uint64(0); i < nKeys; i++ {
+		if err := m.Put(k8(i<<40), value, i+1, false, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for i := uint64(0); i < nKeys; i++ {
+			if _, _, _, found, err := m.Get(k8(i<<40), device.Fg); err != nil || !found {
+				t.Fatalf("key %d: found %v, %v", i, found, err)
+			}
+		}
+	}
+	if u := c.Usage(); u.Rejected == 0 {
+		t.Fatalf("no fill was refused: the cache is not full (%+v)", u)
+	}
+	hot := k8(1 << 62)
+	if err := m.Promote(hot, value, nKeys+1); err != nil {
+		t.Fatal(err)
+	}
+	reads, hits := dev.Counters().ReadOps.Load(), c.Usage().Hits
+	v, seq, _, found, err := m.Get(hot, device.Fg)
+	if err != nil || !found || seq != nKeys+1 || !bytes.Equal(v, value) {
+		t.Fatalf("promoted key: %x at %d, found %v, %v", v, seq, found, err)
+	}
+	if r, h := dev.Counters().ReadOps.Load()-reads, c.Usage().Hits-hits; r != 0 || h != 1 {
+		t.Fatalf("the first Get of a promoted object took %d device reads and %d cache hits; want 0 and 1", r, h)
+	}
+}

@@ -651,9 +651,11 @@ func (m *Manager) Promote(key, value []byte, seq uint64) error {
 		return err
 	}
 	m.index.Set(bytes.Clone(key), loc)
-	if m.cfg.Cache != nil { // promoted because it is being read: cache it
+	// Promoted because it is being read, so cached past admission: its reads
+	// went to the capacity tier, and the cache's sketch never counted them.
+	if m.cfg.Cache != nil {
 		var kb objectKeyBuf
-		m.cfg.Cache.PutObject(string(m.objectKey(&kb, key)), seq, value)
+		m.cfg.Cache.PromoteObject(string(m.objectKey(&kb, key)), seq, value)
 	}
 	return nil
 }
