@@ -2,7 +2,6 @@ package leveled
 
 import (
 	"bytes"
-	"fmt"
 	"slices"
 
 	"hyperdb/internal/device"
@@ -79,7 +78,7 @@ func (l *LSM) planLocked() (plan, bool) {
 		}
 		var n int64
 		for _, t := range l.levels[level] {
-			n += t.meta.TotalSize
+			n += t.size
 		}
 		if n <= l.target(level) || len(l.levels[level]) == 0 {
 			continue
@@ -131,7 +130,7 @@ func (l *LSM) mergeInto(p plan, op device.Op) error {
 	all := append(append([]*table(nil), p.srcs...), p.overlaps...)
 	var readBytes int64
 	for _, t := range all {
-		readBytes += t.meta.TotalSize
+		readBytes += t.size
 	}
 	l.traffic[p.target].ReadBytes.Add(uint64(readBytes))
 	l.traffic[p.target].Compactions.Inc()
@@ -141,7 +140,7 @@ func (l *LSM) mergeInto(p plan, op device.Op) error {
 		return err
 	}
 	for _, tbl := range newTables {
-		l.traffic[p.target].WriteBytes.Add(uint64(tbl.meta.TotalSize))
+		l.traffic[p.target].WriteBytes.Add(uint64(tbl.size))
 	}
 
 	// Install: remove inputs, insert the new run sorted by smallest key.
@@ -168,7 +167,7 @@ func (l *LSM) mergeInto(p plan, op device.Op) error {
 }
 
 func sortTables(ts []*table) {
-	slices.SortStableFunc(ts, func(a, b *table) int { return bytes.Compare(a.meta.Smallest, b.meta.Smallest) })
+	slices.SortStableFunc(ts, func(a, b *table) int { return bytes.Compare(a.smallest, b.smallest) })
 }
 
 // rewrite merges tables — newest version per user key, tombstones kept
@@ -178,9 +177,9 @@ func sortTables(ts []*table) {
 func (l *LSM) rewrite(tables []*table, level int, op device.Op) ([]*table, error) {
 	srcs := make([]mergeiter.Source, len(tables))
 	for i, t := range tables {
-		it := t.reader.NewIter(device.BgSeq)
+		it := t.sst.NewIter(device.BgSeq)
 		it.First()
-		srcs[i] = it
+		srcs[i] = &it
 	}
 	var merged []Entry
 	m := mergeiter.Merge(srcs, level == l.opts.MaxLevels-1)
@@ -199,9 +198,6 @@ func (l *LSM) rewrite(tables []*table, level int, op device.Op) ([]*table, error
 		tbl, rest, err := l.buildTable(level, merged, op)
 		if err != nil {
 			return nil, err
-		}
-		if len(rest) == len(merged) {
-			return nil, fmt.Errorf("leveled: rewrite into L%d made no progress", level)
 		}
 		out = append(out, tbl)
 		merged = rest

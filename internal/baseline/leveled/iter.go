@@ -4,7 +4,6 @@ import (
 	"bytes"
 
 	"hyperdb/internal/device"
-	"hyperdb/internal/keys"
 	"hyperdb/internal/mergeiter"
 )
 
@@ -36,7 +35,7 @@ func (l *LSM) NewScanIter(lo []byte, op device.Op) *ScanIter {
 	l.mu.RLock()
 	for _, tables := range l.levels {
 		for _, t := range tables {
-			if lo == nil || bytes.Compare(t.meta.Largest, lo) >= 0 {
+			if lo == nil || bytes.Compare(t.largest, lo) >= 0 {
 				t.acquire()
 				s.tables = append(s.tables, t)
 			}
@@ -46,13 +45,13 @@ func (l *LSM) NewScanIter(lo []byte, op device.Op) *ScanIter {
 	l.mu.RUnlock()
 
 	open := func(t *table) mergeiter.Source {
-		it := t.reader.NewIter(op)
+		it := t.sst.NewIter(op)
 		if lo == nil {
 			it.First()
 		} else {
-			it.SeekGE(keys.MakeSearchKey(lo, keys.MaxSeq))
+			it.SeekGE(lo)
 		}
-		return it
+		return &it
 	}
 	var srcs []mergeiter.Source
 	for _, t := range s.tables[:levelEnd[0]] {

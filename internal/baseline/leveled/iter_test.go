@@ -18,7 +18,7 @@ func fullMerge(t *testing.T, l *LSM) (want []Entry) {
 	var all []Entry
 	for _, tables := range l.levels {
 		for _, tbl := range tables {
-			it := tbl.reader.NewIter(device.Bg)
+			it := tbl.sst.NewIter(device.Bg)
 			for it.First(); it.Valid(); it.Next() {
 				k := it.Key()
 				all = append(all, Entry{
@@ -88,7 +88,7 @@ func TestScanIterMatchesFullMerge(t *testing.T) {
 		starts := [][]byte{nil, {}, k8(0), k8(^uint64(0))}
 		for _, tables := range l.levels { // a table's first and last key, and the gaps beside them
 			for _, tbl := range tables {
-				starts = append(starts, tbl.meta.Smallest, tbl.meta.Largest, keys.Successor(tbl.meta.Largest))
+				starts = append(starts, tbl.smallest, tbl.largest, keys.Successor(tbl.largest))
 			}
 		}
 		for i := 0; i < 8; i++ {

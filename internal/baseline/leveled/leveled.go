@@ -6,12 +6,18 @@
 // exponentially growing targets; compaction merges one victim table with
 // every overlapping table below, rewriting all of them — the rewrite
 // amplification Figure 3b attributes mostly to the deepest levels.
+//
+// A table is a semi-SSTable (internal/semisst) built once and never appended
+// to: a classic SSTable in HyperDB's format, one version per user key, every
+// block checksummed, so a damaged block fails a get, a scan and a compaction
+// alike instead of serving its bytes.
 package leveled
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -19,7 +25,7 @@ import (
 	"hyperdb/internal/compress"
 	"hyperdb/internal/device"
 	"hyperdb/internal/keys"
-	"hyperdb/internal/sstable"
+	"hyperdb/internal/semisst"
 	"hyperdb/internal/stats"
 )
 
@@ -51,10 +57,10 @@ type Options struct {
 	L0Stall int
 	// PageCache serves block reads.
 	PageCache cache.BlockCache
-	// BloomBits per key for table filters.
+	// BloomBits sizes each block's filter, in bits per key.
 	BloomBits int
 	// Compress picks the block codec per level; levels below the policy's
-	// MinLevel write the legacy raw format.
+	// MinLevel write raw blocks.
 	Compress compress.Policy
 }
 
@@ -82,31 +88,43 @@ func (o *Options) fill() {
 	}
 }
 
-// table is one SSTable plus its metadata. Tables are reference-counted:
-// the LSM holds one reference while the table is installed in a level, and
-// readers (gets, scans, compaction inputs) hold one for the duration of
-// their access, so a compaction can delist a table without yanking the file
-// out from under an in-flight read.
+// table is one fresh-only semi-SSTable plus the bounds and size the planner
+// reads without locking it. Tables are reference-counted: the LSM holds one
+// reference while the table is installed in a level, and readers (gets,
+// scans, compaction inputs) hold one for the duration of their access, so a
+// compaction can delist a table without yanking the file out from under an
+// in-flight read.
 type table struct {
-	reader *sstable.Reader
-	meta   sstable.Meta
-	file   *device.File
-	dev    *device.Device
-	refs   atomic.Int32
+	sst               *semisst.Table
+	dev               *device.Device
+	smallest, largest []byte // first and last user key
+	size              int64  // file bytes: data, index and footer
+	refs              atomic.Int32
+}
+
+// newTable wraps sst, which must hold at least one block, with the LSM's own
+// reference.
+func newTable(sst *semisst.Table, dev *device.Device) *table {
+	metas := sst.LiveBlockMetas()
+	t := &table{sst: sst, dev: dev, smallest: metas[0].First, largest: metas[len(metas)-1].Last, size: sst.FileBytes()}
+	t.refs.Store(1)
+	return t
 }
 
 // acquire takes a reader reference. Callers must hold l.mu (any mode) so
 // acquisition cannot race the final release.
 func (t *table) acquire() { t.refs.Add(1) }
 
-// release drops a reference, deleting the file at zero.
+// release drops a reference; the last one closes the table, so its blocks
+// leave the page cache, and deletes the file.
 func (t *table) release() {
 	if t.refs.Add(-1) == 0 {
-		t.dev.Remove(t.file.Name())
+		t.sst.Close()
+		t.dev.Remove(t.sst.File().Name())
 	}
 }
 
-func (t *table) rang() keys.Range { return t.meta.Range() }
+func (t *table) rang() keys.Range { return keys.Range{Lo: t.smallest, Hi: keys.Successor(t.largest)} }
 
 // LevelTraffic tallies compaction I/O per level (Figure 3b). RawBytes and
 // StoredBytes compare uncompressed vs on-device data-block sizes written at
@@ -179,7 +197,7 @@ func (l *LSM) LevelBytes(level int) int64 {
 	defer l.mu.RUnlock()
 	var n int64
 	for _, t := range l.levels[level] {
-		n += t.meta.TotalSize
+		n += t.size
 	}
 	return n
 }
@@ -197,142 +215,87 @@ func (l *LSM) target(level int) int64 {
 }
 
 // Entry is one sorted KV fed to Ingest.
-type Entry struct {
-	Key   keys.InternalKey
-	Value []byte
-}
+type Entry = semisst.Entry
 
-// Ingest writes sorted entries as one or more new L0 tables. This is the
-// memtable-flush / migration entry point. I/O is background.
+// Ingest writes entries, in internal-key order, as one or more new L0
+// tables. This is the memtable-flush / migration entry point. I/O is
+// background. A table holds one version per user key, so only the newest
+// version of each key is written: every baseline reads at keys.MaxSeq, so no
+// reader could see an older one. It compacts entries in place.
 func (l *LSM) Ingest(entries []Entry, op device.Op) error {
 	op.Background = true
 	op.Sequential = true
+	entries = slices.CompactFunc(entries, func(a, b Entry) bool { return bytes.Equal(a.Key.User, b.Key.User) })
 	for len(entries) > 0 {
-		n := len(entries)
 		tbl, rest, err := l.buildTable(0, entries, op)
 		if err != nil {
 			return err
 		}
 		entries = rest
-		if len(rest) == n {
-			return fmt.Errorf("leveled: ingest made no progress")
-		}
 		l.mu.Lock()
 		l.levels[0] = append(l.levels[0], tbl)
 		l.mu.Unlock()
-		l.traffic[0].WriteBytes.Add(uint64(tbl.meta.TotalSize))
+		l.traffic[0].WriteBytes.Add(uint64(tbl.size))
 	}
 	return nil
 }
 
-// buildTable streams entries into a new table at level until FileSize,
-// returning the table and the remaining entries.
+// buildTable writes the entries up to FileSize (at least one) as a new table
+// at level, returning the table and the remaining entries.
 func (l *LSM) buildTable(level int, entries []Entry, op device.Op) (*table, []Entry, error) {
 	l.mu.Lock()
 	l.nextGen++
 	gen := l.nextGen
 	l.mu.Unlock()
-	size := int64(0)
-	for _, e := range entries {
-		size += int64(len(e.Key.User) + len(e.Value) + 16)
-		if size > l.opts.FileSize {
-			break
-		}
+	n, size := 0, int64(0)
+	for n < len(entries) && size < l.opts.FileSize {
+		size += int64(len(entries[n].Key.User) + len(entries[n].Value) + 16)
+		n++
 	}
 	dev := l.opts.Place(level, size)
 	if dev == nil {
 		return nil, nil, fmt.Errorf("leveled: no device for level %d", level)
 	}
-	tbl, rest, err := l.buildTableOn(dev, level, gen, entries, op)
+	tbl, err := l.buildTableOn(dev, level, gen, entries[:n], op)
 	if errors.Is(err, device.ErrNoSpace) && l.opts.Fallback != nil && dev != l.opts.Fallback {
 		// The placement check raced other builders; retry on the fallback.
-		dev.Remove(fmt.Sprintf("%s-L%d-G%d.sst", l.opts.Name, level, gen))
-		return l.buildTableOn(l.opts.Fallback, level, gen, entries, op)
+		tbl, err = l.buildTableOn(l.opts.Fallback, level, gen, entries[:n], op)
 	}
-	return tbl, rest, err
+	return tbl, entries[n:], err
 }
 
-// buildTableOn writes one table on the given device.
-func (l *LSM) buildTableOn(dev *device.Device, level int, gen uint64, entries []Entry, op device.Op) (*table, []Entry, error) {
+// buildTableOn writes one table on the given device; a failed build leaves
+// no file.
+func (l *LSM) buildTableOn(dev *device.Device, level int, gen uint64, entries []Entry, op device.Op) (*table, error) {
 	name := fmt.Sprintf("%s-L%d-G%d.sst", l.opts.Name, level, gen)
 	f, err := dev.Create(name)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	w := sstable.NewWriter(f, sstable.WriterOptions{
+	sst, err := semisst.Build(f, l.tableOptions(level), entries, op)
+	if err != nil {
+		dev.Remove(name)
+		return nil, err
+	}
+	return newTable(sst, dev), nil
+}
+
+// tableOptions configures the tables of level: its codec, and its traffic
+// counters fed with every data block written.
+func (l *LSM) tableOptions(level int) semisst.Options {
+	return semisst.Options{
 		BloomBitsPerKey: l.opts.BloomBits,
-		ExpectedKeys:    int(l.opts.FileSize / 64),
-		Op:              op,
+		PageCache:       l.opts.PageCache,
 		Codec:           l.opts.Compress.CodecFor(level),
-	})
-	written := int64(0)
-	i := 0
-	for ; i < len(entries); i++ {
-		e := entries[i]
-		if err := w.Add(e.Key, e.Value); err != nil {
-			return nil, nil, err
-		}
-		written += int64(len(e.Key.User) + len(e.Value) + 16)
-		if written >= l.opts.FileSize && i+1 < len(entries) &&
-			!bytes.Equal(entries[i+1].Key.User, e.Key.User) {
-			i++
-			break
-		}
+		RawBytes:        &l.traffic[level].RawBytes,
+		StoredBytes:     &l.traffic[level].StoredBytes,
 	}
-	meta, err := w.Finish()
-	if err != nil {
-		dev.Remove(name)
-		return nil, nil, err
-	}
-	l.traffic[level].RawBytes.Add(uint64(meta.RawSize))
-	l.traffic[level].StoredBytes.Add(uint64(meta.DataSize))
-	r, err := sstable.OpenReader(f, l.opts.PageCache, op)
-	if err != nil {
-		dev.Remove(name)
-		return nil, nil, err
-	}
-	tbl := &table{reader: r, meta: meta, file: f, dev: dev}
-	tbl.refs.Store(1) // the LSM's own reference
-	return tbl, entries[i:], nil
 }
 
 // Get searches L0 newest-first then each deeper level.
 func (l *LSM) Get(user []byte, seq uint64, op device.Op) (value []byte, kind keys.Kind, found bool, err error) {
-	l.mu.RLock()
-	var candidates []*table
-	for i := len(l.levels[0]) - 1; i >= 0; i-- {
-		t := l.levels[0][i]
-		if t.rang().Contains(user) {
-			candidates = append(candidates, t)
-		}
-	}
-	deeper := make([]*table, 0, l.opts.MaxLevels)
-	for level := 1; level < l.opts.MaxLevels; level++ {
-		if t := findTable(l.levels[level], user); t != nil {
-			deeper = append(deeper, t)
-		}
-	}
-	all := append(candidates, deeper...)
-	for _, t := range all {
-		t.acquire()
-	}
-	l.mu.RUnlock()
-	defer func() {
-		for _, t := range all {
-			t.release()
-		}
-	}()
-
-	for _, t := range all {
-		v, k, ok, err := t.reader.Get(user, seq, op)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		if ok {
-			return v, k, true, nil
-		}
-	}
-	return nil, 0, false, nil
+	value, kind, _, found, err = l.GetWithSeq(user, seq, op)
+	return value, kind, found, err
 }
 
 // GetWithSeq is Get plus the matched version's sequence number. Crash
@@ -363,7 +326,7 @@ func (l *LSM) GetWithSeq(user []byte, seq uint64, op device.Op) (value []byte, k
 	}()
 
 	for _, t := range all {
-		v, k, es, ok, err := t.reader.GetEntry(user, seq, op)
+		v, k, es, ok, err := t.sst.GetEntry(user, seq, op)
 		if err != nil {
 			return nil, 0, 0, false, err
 		}
@@ -379,7 +342,7 @@ func findTable(tables []*table, user []byte) *table {
 	lo, hi := 0, len(tables)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(tables[mid].meta.Largest, user) < 0 {
+		if bytes.Compare(tables[mid].largest, user) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -388,7 +351,7 @@ func findTable(tables []*table, user []byte) *table {
 	if lo == len(tables) {
 		return nil
 	}
-	if bytes.Compare(tables[lo].meta.Smallest, user) <= 0 {
+	if bytes.Compare(tables[lo].smallest, user) <= 0 {
 		return tables[lo]
 	}
 	return nil
@@ -405,7 +368,7 @@ func (l *LSM) NeedsCompaction() (int, bool) {
 	for level := 1; level < l.opts.MaxLevels-1; level++ {
 		var n int64
 		for _, t := range l.levels[level] {
-			n += t.meta.TotalSize
+			n += t.size
 		}
 		if n > l.target(level) {
 			return level, true

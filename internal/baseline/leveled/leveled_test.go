@@ -334,3 +334,85 @@ func TestCompactorErrorReachesDrain(t *testing.T) {
 		t.Fatalf("after the retried compaction: %q %v %v", v, found, err)
 	}
 }
+
+// TestIngestKeepsNewestVersionOnly: a memtable flush can carry several
+// versions of one key, and a table holds one, so Ingest writes the newest.
+func TestIngestKeepsNewestVersionOnly(t *testing.T) {
+	l, _ := newLSM(t, 64<<10)
+	k := k8(7 << 32)
+	// Internal-key order, as a memtable yields them: newest version first.
+	if err := l.Ingest([]Entry{
+		{Key: keys.InternalKey{User: k, Seq: 9, Kind: keys.KindSet}, Value: []byte("new")},
+		{Key: keys.InternalKey{User: k, Seq: 4, Kind: keys.KindSet}, Value: []byte("old")},
+	}, device.Bg); err != nil {
+		t.Fatal(err)
+	}
+	if n := l.levels[0][0].sst.NumEntries(); n != 1 {
+		t.Fatalf("the table counts %d entries, want 1", n)
+	}
+	if v, _, found, err := l.Get(k, keys.MaxSeq, device.Fg); err != nil || !found || string(v) != "new" {
+		t.Fatalf("Get = %q %v %v, want the newer version", v, found, err)
+	}
+	if v, _, seq, found, err := l.GetWithSeq(k, keys.MaxSeq, device.Fg); err != nil || !found || string(v) != "new" || seq != 9 {
+		t.Fatalf("GetWithSeq = %q at %d, %v %v; want the newer version at 9", v, seq, found, err)
+	}
+}
+
+// TestDamagedBlockFailsClosed flips one byte of a value inside a raw data
+// block on the device (LZ payloads carry a CRC of their own). A point read, a
+// scan and a compaction that reach the block must each return an error, and
+// never the damaged value.
+func TestDamagedBlockFailsClosed(t *testing.T) {
+	l, dev := newLSM(t, 64<<10)
+	if err := l.Ingest(sortedRun(0, 300, 1, "damage-me"), device.Bg); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Ingest(sortedRun(1000, 300, 1000, "w"), device.Bg); err != nil {
+		t.Fatal(err)
+	}
+	target, want := k8(100<<32), []byte("damage-me-100")
+	damaged := 0
+	for _, name := range dev.List() {
+		f, err := dev.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := make([]byte, f.Size())
+		if _, err := f.ReadAt(img, 0, device.Bg); err != nil {
+			t.Fatal(err)
+		}
+		if i := bytes.Index(img, want); i >= 0 {
+			at := int64(i + len(want) - 1) // "…-100" now reads "…-101"
+			if err := f.WriteAt([]byte{img[at] ^ 1}, at, device.Bg); err != nil {
+				t.Fatal(err)
+			}
+			damaged++
+		}
+	}
+	if damaged != 1 {
+		t.Fatalf("found the value in %d files, want 1", damaged)
+	}
+
+	if v, _, found, err := l.Get(target, keys.MaxSeq, device.Fg); err == nil {
+		t.Fatalf("Get of a key in the damaged block = %q, found %v, no error", v, found)
+	}
+	if v, _, found, err := l.Get(k8(299<<32), keys.MaxSeq, device.Fg); err != nil || !found || string(v) != "damage-me-299" {
+		t.Fatalf("Get of a key in an undamaged block = %q %v %v", v, found, err)
+	}
+	it := l.NewScanIter(nil, device.Fg)
+	for ; it.Valid(); it.Next() {
+		if bytes.Equal(it.Key(), target) && !bytes.Equal(it.Value(), want) {
+			t.Fatalf("the scan served %q for %x", it.Value(), target)
+		}
+	}
+	if it.Err() == nil {
+		t.Fatal("a scan over the damaged block ended without an error")
+	}
+	it.Close()
+	if did, err := l.CompactOnce(device.Bg); !did || err == nil {
+		t.Fatalf("a compaction reading the damaged block: started %v, err %v; want an error", did, err)
+	}
+	if v, _, found, err := l.Get(target, keys.MaxSeq, device.Fg); err == nil {
+		t.Fatalf("after the failed compaction, Get = %q, found %v, no error", v, found)
+	}
+}

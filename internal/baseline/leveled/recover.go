@@ -7,12 +7,13 @@ import (
 	"strings"
 
 	"hyperdb/internal/device"
-	"hyperdb/internal/sstable"
+	"hyperdb/internal/semisst"
 )
 
-// Recover rebuilds a leveled LSM from the SSTables persisted on devs. File
-// names carry (level, generation); entries carry their sequence numbers, so
-// no manifest is needed.
+// Recover rebuilds a leveled LSM from the tables persisted on devs. File
+// names carry (level, generation) and entries their sequence numbers, so no
+// manifest is needed; each table's index holds its key bounds and largest
+// sequence, so no entry is read.
 //
 // Generation numbers are not a cross-level recency order — a deep compaction
 // output can have a higher generation than an L0 flush holding newer
@@ -21,8 +22,8 @@ import (
 // are serialized, so generation order is arrival order. A crash mid-compaction
 // can leave its outputs installed next to its not-yet-removed inputs; the
 // resulting same-level overlaps at L1+ are repaired by a sequence-aware merge
-// of each overlapping group into fresh tables. Structurally unreadable files
-// (cut before their footer synced) are deleted: their content is either
+// of each overlapping group into fresh tables. Files with no valid footer
+// (cut before it synced) are deleted: their content is either
 // replayable (flush, WAL retained) or still present in the compaction's
 // inputs. A device I/O error during open aborts recovery instead — the file
 // may be intact, so deleting it would turn a transient fault into data loss.
@@ -72,29 +73,17 @@ func Recover(opts Options, devs ...*device.Device) (*LSM, uint64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		r, err := sstable.OpenReader(f, l.opts.PageCache, device.BgSeq)
-		if err != nil {
-			if device.IsIOError(err) {
-				// Medium error, not a torn file: deleting would lose data.
-				return nil, 0, fmt.Errorf("leveled: recover %q: %w", c.name, err)
-			}
-			c.dev.Remove(c.name)
-			continue
-		}
-		meta, err := r.ComputeMeta(device.BgSeq)
+		sst, err := semisst.Open(f, l.tableOptions(level), device.BgSeq)
 		if err != nil && device.IsIOError(err) {
+			// Medium error, not a torn file: deleting would lose data.
 			return nil, 0, fmt.Errorf("leveled: recover %q: %w", c.name, err)
 		}
-		if err != nil || meta.Entries == 0 {
+		if err != nil || sst.NumLiveBlocks() == 0 {
 			c.dev.Remove(c.name)
 			continue
 		}
-		if meta.MaxSeq > maxSeq {
-			maxSeq = meta.MaxSeq
-		}
-		tbl := &table{reader: r, meta: meta, file: f, dev: c.dev}
-		tbl.refs.Store(1)
-		l.levels[level] = append(l.levels[level], tbl)
+		maxSeq = max(maxSeq, sst.MaxSeq())
+		l.levels[level] = append(l.levels[level], newTable(sst, c.dev))
 	}
 
 	for level := 1; level < l.opts.MaxLevels; level++ {
@@ -116,11 +105,11 @@ func (l *LSM) repairLevel(level int) error {
 	i := 0
 	for i < len(tables) {
 		group := []*table{tables[i]}
-		hi := tables[i].meta.Largest
+		hi := tables[i].largest
 		j := i + 1
-		for j < len(tables) && bytes.Compare(tables[j].meta.Smallest, hi) <= 0 {
-			if bytes.Compare(tables[j].meta.Largest, hi) > 0 {
-				hi = tables[j].meta.Largest
+		for j < len(tables) && bytes.Compare(tables[j].smallest, hi) <= 0 {
+			if bytes.Compare(tables[j].largest, hi) > 0 {
+				hi = tables[j].largest
 			}
 			group = append(group, tables[j])
 			j++

@@ -349,11 +349,12 @@ func (c *LRU) Get(key string) ([]byte, bool) {
 func (c *LRU) Put(key string, value []byte) {
 	s, h := c.shardFor(key)
 	charge := int64(len(key)+len(value)) + entryOverhead
+	var spill []spilled
+	s.mu.Lock() // before capacity: a shard's first object call shrinks it
 	if charge > s.capacity {
+		s.mu.Unlock()
 		return
 	}
-	var spill []spilled
-	s.mu.Lock()
 	if e, _ := s.items.find(h, key); e != nil {
 		s.book(e, -1)
 		e.value, e.meta = value, e.meta&warmBit

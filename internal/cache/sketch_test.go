@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -127,6 +128,33 @@ func TestOnlyObjectCachesPayForASketch(t *testing.T) {
 		if s := &tiny.shards[i]; s.capacity < 0 || s.warmCap < 0 {
 			t.Fatalf("shard %d: capacity %d, warm %d", i, s.capacity, s.warmCap)
 		}
+	}
+}
+
+// TestSketchChargeRacesPagePuts: a shard's first object call takes the
+// sketch out of its capacity while page Puts test their charge against it, as
+// when the zone tier's first point read meets the tree's block reads. Under
+// -race the two must be ordered by the shard lock.
+func TestSketchChargeRacesPagePuts(t *testing.T) {
+	c := NewLRU(1<<20, nil)
+	page := make([]byte, 1024)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			c.Put(fmt.Sprintf("Z%d", i), page)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			c.GetObject(fmt.Sprintf("V%d", i), 1, nil)
+		}
+	}()
+	wg.Wait()
+	if u := c.Usage(); u.SketchBytes == 0 || u.Used > u.Capacity {
+		t.Fatalf("after both: %+v", u)
 	}
 }
 

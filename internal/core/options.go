@@ -79,11 +79,6 @@ type Options struct {
 	PromoteQueue int
 	// AvgObjectSize seeds the tracker window estimate before data arrives.
 	AvgObjectSize int
-	// ScanPrefetch enables the range-scan page prefetcher — the
-	// optimisation §4.2 leaves as future work. Off by default so YCSB-E
-	// reproduces the paper's "no improvement" result; the ablation measures
-	// what it buys.
-	ScanPrefetch bool
 	// AntiEntropy maintains an incremental Merkle tree from every apply
 	// path, enabling O(divergence) replica rejoin (package merkle + repl).
 	AntiEntropy bool

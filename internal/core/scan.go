@@ -66,20 +66,12 @@ func (db *DB) scanPartition(p *partition, lo []byte, limit int) ([]KV, error) {
 		key []byte
 		loc zone.Location
 	}
-	var prefetch *zone.ScanReader
-	if db.opts.ScanPrefetch {
-		prefetch = p.zones.NewScanReader()
-	}
 	// readZone returns the live value behind a zone ref, if there is one.
 	readZone := func(r zref) (v []byte, ok bool, err error) {
 		if r.loc.Tombstone {
 			return nil, false, nil
 		}
-		if prefetch != nil {
-			v, err = prefetch.Read(r.key, r.loc, device.Fg)
-		} else {
-			v, err = p.zones.ReadAt(r.key, r.loc, device.Fg)
-		}
+		v, err = p.zones.ReadAt(r.key, r.loc, device.Fg)
 		if errors.Is(err, zone.ErrMoved) {
 			v, ok, _, err = p.lookup(r.key)
 			return v, ok, err

@@ -73,44 +73,5 @@ func Ablation(s Scale, progress io.Writer) (*Table, error) {
 		}
 	}
 
-	// Scan prefetcher (the §4.2 future-work optimisation): measured on the
-	// scan-heavy workload E, where it amortises zone page reads.
-	for _, prefetch := range []bool{false, true} {
-		inst, err := buildHyper(s.config(), func(o *hyperdb.Options) { o.ScanPrefetch = prefetch })
-		if err != nil {
-			return nil, err
-		}
-		db := inst.Engine.(*hyperdb.DB)
-		if err := Load(db, s.Records, s.ValueSize, s.Clients, 7); err != nil {
-			db.Close()
-			return nil, err
-		}
-		scanOps := s.Ops / 10
-		if scanOps == 0 {
-			scanOps = 1
-		}
-		res, err := Run(inst, RunConfig{
-			Clients: s.Clients, Ops: scanOps, Workload: ycsb.WorkloadE,
-			Records: s.Records, ValueSize: s.ValueSize,
-		})
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
-		st := db.Stats()
-		label := "scan-prefetch=off"
-		if prefetch {
-			label = "scan-prefetch=on"
-		}
-		t.Rows = append(t.Rows, Row{Label: label, Cells: []Cell{
-			{"tputE", res.Throughput / 1000, "kops"},
-			{"nvmeRead", float64(st.NVMe.ReadBytes) / (1 << 20), "MiB"},
-			{"scanP99", float64(res.ScanLat.P99()) / 1e3, "us"},
-		}})
-		db.Close()
-		if progress != nil {
-			fmt.Fprintf(progress, "ablation: %s %.0f kops\n", label, res.Throughput/1000)
-		}
-	}
 	return t, nil
 }

@@ -9,16 +9,20 @@ import (
 	"hyperdb/internal/keys"
 )
 
-// fuzzImage builds a small multi-block table, merges once so it carries a
-// superseded index and dirty blocks, and returns the file's bytes. Small on
-// purpose: the fuzzer minimizes every input that finds new coverage.
-func fuzzImage(tb testing.TB, codec compress.Codec) []byte {
+// fuzzImage builds a small multi-block table and returns the file's bytes:
+// merged once, so it carries a superseded index and dirty blocks, or fresh,
+// as the baselines write every table. Small on purpose: the fuzzer minimizes
+// every input that finds new coverage.
+func fuzzImage(tb testing.TB, codec compress.Codec, merge bool) []byte {
 	dev := newDev()
 	f, _ := dev.Create("seed.sst")
 	opts := Options{BlockSize: 64, Codec: codec}
 	tbl, err := Build(f, opts, sortedEntries(8, 1), device.Bg)
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if !merge {
+		return fileImage(tb, f)
 	}
 	if _, err := tbl.Merge([]Entry{entry("key-00003", 100, "merged")}, false, device.Bg); err != nil {
 		tb.Fatal(err)
@@ -31,9 +35,11 @@ func fuzzImage(tb testing.TB, codec compress.Codec) []byte {
 // reader. Nothing may panic, a read either errors or returns entries the
 // index vouches for, and a run that reads back is strictly ascending.
 func FuzzOpen(f *testing.F) {
-	raw, lz := fuzzImage(f, compress.None), fuzzImage(f, compress.LZ)
+	raw, lz := fuzzImage(f, compress.None, true), fuzzImage(f, compress.LZ, true)
 	f.Add(raw)
 	f.Add(lz)
+	f.Add(fuzzImage(f, compress.None, false))
+	f.Add(fuzzImage(f, compress.LZ, false))
 	// Torn tails: the merge's appended blocks, index and footer cut short,
 	// so Open must fall back to the first build's footer.
 	f.Add(raw[:len(raw)-footerSize/2])

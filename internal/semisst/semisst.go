@@ -32,6 +32,11 @@
 // (Options.MetaBackup): compaction workers then read block ranges from the
 // NVMe mirror instead of the capacity tier — the "low-cost index lookup" the
 // paper credits for cheap overlap scoring.
+//
+// It is the one table format of all three engines. HyperDB's tree appends to
+// its tables; the baselines' leveled LSM (internal/baseline/leveled) builds
+// each table once and never appends, and a table that was never appended to
+// is a classic SSTable: every block live, one index, one footer.
 package semisst
 
 import (
@@ -49,7 +54,6 @@ import (
 	"hyperdb/internal/compress"
 	"hyperdb/internal/device"
 	"hyperdb/internal/keys"
-	"hyperdb/internal/sstable"
 	"hyperdb/internal/stats"
 )
 
@@ -84,25 +88,31 @@ func encodeFooter(off int64, idx []byte) []byte {
 
 // parseFooter validates magic and checksum and returns the index handle and
 // the checksum the index must have.
-func parseFooter(footer []byte) (h sstable.Handle, idxSum uint32, ok bool) {
+func parseFooter(footer []byte) (h Handle, idxSum uint32, ok bool) {
 	if len(footer) != footerSize ||
 		binary.LittleEndian.Uint64(footer[24:]) != Magic ||
 		binary.LittleEndian.Uint32(footer[20:]) != crc32.ChecksumIEEE(footer[:20]) {
-		return sstable.Handle{}, 0, false
+		return Handle{}, 0, false
 	}
-	h = sstable.Handle{Offset: binary.LittleEndian.Uint64(footer[0:]), Size: binary.LittleEndian.Uint64(footer[8:])}
+	h = Handle{Offset: binary.LittleEndian.Uint64(footer[0:]), Size: binary.LittleEndian.Uint64(footer[8:])}
 	return h, binary.LittleEndian.Uint32(footer[16:]), true
 }
 
 // handleWithin reports whether h lies inside [0, limit) without overflowing;
 // handles come from bytes a crash or corruption may have mangled.
-func handleWithin(h sstable.Handle, limit int64) bool {
+func handleWithin(h Handle, limit int64) bool {
 	return limit >= 0 && h.Offset <= uint64(limit) && h.Size <= uint64(limit)-h.Offset
+}
+
+// Handle locates a block inside a table file.
+type Handle struct {
+	Offset uint64
+	Size   uint64
 }
 
 // BlockMeta describes one data block of a semi-SSTable.
 type BlockMeta struct {
-	Handle  sstable.Handle
+	Handle  Handle
 	First   []byte // first user key in the block
 	Last    []byte // last user key in the block
 	Entries int
@@ -420,7 +430,7 @@ func (t *Table) appendMerge(entries []Entry, dirtyIdx []int, op device.Op) error
 			filter.AddHash(h)
 		}
 		t.blocks = append(t.blocks, BlockMeta{
-			Handle:  sstable.Handle{Offset: uint64(off), Size: uint64(len(content))},
+			Handle:  Handle{Offset: uint64(off), Size: uint64(len(content))},
 			First:   first,
 			Last:    append([]byte(nil), last...),
 			Entries: len(hashes),

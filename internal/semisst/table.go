@@ -180,27 +180,34 @@ func (t *Table) uncache(bm *BlockMeta) {
 
 // Get returns the newest version of user visible at snapshot seq. found is
 // false when the table holds no version; tombstones return found=true with
-// kind=KindDelete. The search and the device read run lock-free on the live
-// snapshot: a block's bytes stay where they were written for the life of the
-// file, dirty or not.
+// kind=KindDelete.
 func (t *Table) Get(user []byte, seq uint64, op device.Op) (value []byte, kind keys.Kind, found bool, err error) {
+	value, kind, _, found, err = t.GetEntry(user, seq, op)
+	return value, kind, found, err
+}
+
+// GetEntry is Get plus the matched version's sequence, which the baselines'
+// crash recovery weighs against a fast-tier copy of the key. The search and
+// the device read run lock-free on the live snapshot: a block's bytes stay
+// where they were written for the life of the file, dirty or not.
+func (t *Table) GetEntry(user []byte, seq uint64, op device.Op) (value []byte, kind keys.Kind, entrySeq uint64, found bool, err error) {
 	bm := findBlock(t.LiveBlockMetas(), user)
 	if bm == nil || !bm.Filter.Contains(user) {
-		return nil, 0, false, nil
+		return nil, 0, 0, false, nil
 	}
 	data, err := t.readBlockData(bm, op)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, 0, false, err
 	}
 	it, err := block.NewIter(data)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, 0, false, err
 	}
 	it.SeekGE(keys.MakeSearchKey(user, seq))
 	if it.Valid() && bytes.Equal(it.Key().User, user) {
-		return append([]byte(nil), it.Value()...), it.Key().Kind, true, nil
+		return append([]byte(nil), it.Value()...), it.Key().Kind, it.Key().Seq, true, nil
 	}
-	return nil, 0, false, it.Err()
+	return nil, 0, 0, false, it.Err()
 }
 
 // MergeStats reports what a Merge or ExtractOverlapping did. BytesRead is

@@ -44,18 +44,12 @@ type GetResult struct {
 	Found     bool
 }
 
-// GetBatch is Get for every key, with a page memo shared across the batch:
-// two keys on the same slot page cost one page read. Results are positionally
-// aligned with keys.
+// GetBatch is Get for every key. Results are positionally aligned with keys.
 func (m *Manager) GetBatch(keyList [][]byte, op device.Op) ([]GetResult, error) {
 	res := make([]GetResult, len(keyList))
-	var memo map[scanPageKey][]byte
-	if len(keyList) > 1 { // one key has no page to share
-		memo = make(map[scanPageKey][]byte)
-	}
 	for i, key := range keyList {
 		var err error
-		if res[i], err = m.get(key, op, memo); err != nil {
+		if res[i], err = m.get(key, op); err != nil {
 			return nil, err
 		}
 	}

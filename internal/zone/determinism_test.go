@@ -53,10 +53,9 @@ func TestSameTraceSameCacheAndReads(t *testing.T) {
 					locs = append(locs, locRef{k, loc})
 					return len(locs) < 20
 				})
-				sr := m.NewScanReader()
 				for _, l := range locs {
 					if !l.loc.Tombstone {
-						_, err := sr.Read(l.key, l.loc, device.Fg)
+						_, err := m.ReadAt(l.key, l.loc, device.Fg)
 						must(err)
 					}
 				}

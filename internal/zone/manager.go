@@ -498,7 +498,7 @@ func (m *Manager) deleteLocked(key []byte, seq uint64) error {
 // (fall through to the capacity tier); a tombstone returns found=true,
 // tombstone=true — authoritative deletion.
 func (m *Manager) Get(key []byte, op device.Op) (value []byte, seq uint64, tombstone, found bool, err error) {
-	r, err := m.get(key, op, nil)
+	r, err := m.get(key, op)
 	return r.Value, r.Seq, r.Tombstone, r.Found, err
 }
 
@@ -514,7 +514,7 @@ const optimisticLoads = 3
 // index lock, where no writer can move the object, so a reader terminates
 // against a writer that never pauses. Device reads heat the object's zone
 // (§3.5) whatever they found.
-func (m *Manager) get(key []byte, op device.Op, memo map[scanPageKey][]byte) (GetResult, error) {
+func (m *Manager) get(key []byte, op device.Op) (GetResult, error) {
 	for attempt := 0; ; attempt++ {
 		pinned := attempt == optimisticLoads
 		m.mu.RLock()
@@ -528,7 +528,7 @@ func (m *Manager) get(key []byte, op device.Op, memo map[scanPageKey][]byte) (Ge
 		if loc.Tombstone {
 			return GetResult{Seq: loc.Seq, Tombstone: true, Found: true}, nil
 		}
-		v, dev, err := m.load(key, loc, op, memo, true)
+		v, dev, err := m.load(key, loc, op, true)
 		if pinned {
 			m.mu.RUnlock()
 		}
@@ -567,22 +567,21 @@ var ErrMoved = errors.New("zone: object moved")
 // load returns a copy of the value of the object loc names — key at sequence
 // loc.Seq, not a tombstone — or ErrMoved when that version is not at loc any
 // more. It is the tier's one reader of slots and looks in a fixed order: the
-// cached object, the caller's page memo (nil for none), the cached page, the
-// device. A page fetched for a point read is not cached: the object it was
-// read for is, tagged loc.Seq, at a twentieth of the price. A scan walks
-// neighbours, so its pages are cached whole (and fill the memo, as a cached
-// page does).
+// cached object, the cached page, the device. A page fetched for a point read
+// is not cached: the object it was read for is, tagged loc.Seq, at a
+// twentieth of the price. A scan walks neighbours, so its pages are cached
+// whole.
 //
 // Slots are rewritten in place, so a page that holds key proves nothing: the
 // slot is the object the index named iff key and sequence both match. A
-// cached or memoised page that disagrees is stale — a writer reached the slot
+// cached page that disagrees is stale — a writer reached the slot
 // after the page was copied — so the device is read. A page fresh from the
 // device that disagrees means loc is stale, and only the index knows where
 // the newest version is now.
 //
 // load takes no lock: the cache has its own, and a slot file is only read.
 // dev reports a device read.
-func (m *Manager) load(key []byte, loc Location, op device.Op, memo map[scanPageKey][]byte, point bool) (value []byte, dev bool, err error) {
+func (m *Manager) load(key []byte, loc Location, op device.Op, point bool) (value []byte, dev bool, err error) {
 	c := m.cfg.Cache
 	var kb objectKeyBuf
 	var object string // key's name in the cache; on the stack, like kb
@@ -600,26 +599,19 @@ func (m *Manager) load(key []byte, loc Location, op device.Op, memo map[scanPage
 		}
 		return bytes.Clone(v), true
 	}
-	pk := scanPageKey{loc.Class, loc.Page}
-	page, have := memo[pk]
-	if !have && c != nil {
-		if page, have = c.Get(m.cacheKey(int(loc.Class), loc.Page)); have && memo != nil {
-			memo[pk] = page
+	if c != nil {
+		if page, ok := c.Get(m.cacheKey(int(loc.Class), loc.Page)); ok {
+			if v, ok := named(page); ok {
+				return v, false, nil
+			}
 		}
 	}
-	if have {
-		if v, ok := named(page); ok {
-			return v, false, nil
-		}
-	}
-	if page, err = sf.readPage(loc.Page, op); err != nil {
+	page, err := sf.readPage(loc.Page, op)
+	if err != nil {
 		return nil, false, err
 	}
 	if c != nil && !point {
 		c.Put(m.cacheKey(int(loc.Class), loc.Page), page)
-	}
-	if memo != nil {
-		memo[pk] = page
 	}
 	v, ok := named(page)
 	if !ok {
@@ -679,7 +671,7 @@ func (m *Manager) Scan(lo, hi []byte, fn func(key []byte, loc Location) bool) {
 // ReadAt fetches the object at loc (used by scans after collecting
 // locations), or ErrMoved when loc is stale.
 func (m *Manager) ReadAt(key []byte, loc Location, op device.Op) ([]byte, error) {
-	v, _, err := m.load(key, loc, op, nil, false)
+	v, _, err := m.load(key, loc, op, false)
 	return v, err
 }
 
@@ -780,31 +772,4 @@ func (b *Batch) Range() keys.Range {
 		Lo: b.Entries[0].Key,
 		Hi: keys.Successor(b.Entries[len(b.Entries)-1].Key),
 	}
-}
-
-// ScanReader amortises page reads across one range scan: distinct pages are
-// fetched once and shared by every object on them. This implements the scan
-// optimisation the paper leaves as future work (§4.2) — without it, scans
-// are sequential point queries that may fetch the same page repeatedly.
-type ScanReader struct {
-	m     *Manager
-	pages map[scanPageKey][]byte
-}
-
-type scanPageKey struct {
-	class int8
-	page  uint32
-}
-
-// NewScanReader returns a reader with an empty page memo.
-func (m *Manager) NewScanReader() *ScanReader {
-	return &ScanReader{m: m, pages: make(map[scanPageKey][]byte)}
-}
-
-// Read is ReadAt through the reader's page memo, charging its device reads as
-// sequential.
-func (r *ScanReader) Read(key []byte, loc Location, op device.Op) ([]byte, error) {
-	op.Sequential = true
-	v, _, err := r.m.load(key, loc, op, r.pages, false)
-	return v, err
 }

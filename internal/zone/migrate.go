@@ -68,16 +68,22 @@ func (m *Manager) zoneRefsLocked(z *Zone, lo, hi []byte) []locRef {
 	return refs
 }
 
+// slotPage names one page of one slot file.
+type slotPage struct {
+	class int8
+	page  uint32
+}
+
 // readObjects reads the slot behind every ref of a detached zone, outside the
 // lock, fetching each distinct page once as a background read however many
 // of the objects sit on it, and books the pages to ledger. fn gets the decoded
 // object — key and value are views into the page — or the slot's decode
 // error, in refs order. It returns the number of pages fetched.
 func (m *Manager) readObjects(refs []locRef, ledger *stats.Counter, fn func(r locRef, tomb bool, k, v []byte, err error) error) (int, error) {
-	pages := make(map[scanPageKey][]byte)
+	pages := make(map[slotPage][]byte)
 	for _, r := range refs {
 		sf := m.slotFiles[r.loc.Class]
-		pk := scanPageKey{r.loc.Class, r.loc.Page}
+		pk := slotPage{r.loc.Class, r.loc.Page}
 		page, ok := pages[pk]
 		if !ok {
 			var err error

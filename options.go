@@ -62,9 +62,6 @@ type Options struct {
 	BackgroundInterval time.Duration
 	// AvgObjectSize seeds sizing estimates before data arrives.
 	AvgObjectSize int
-	// ScanPrefetch enables the range-scan page prefetcher (§4.2's future
-	// work). Off by default, matching the paper's evaluated system.
-	ScanPrefetch bool
 	// Compress names the capacity-tier block codec ("", "off" or "none"
 	// disables; "on" or "lz" enables the built-in LZ codec). Only
 	// semi-SSTable blocks at CompressMinLevel and deeper are compressed; the
@@ -146,7 +143,6 @@ func (o Options) resolve() (core.Options, error) {
 		DisableBackground:  o.DisableBackground,
 		BackgroundInterval: o.BackgroundInterval,
 		AvgObjectSize:      o.AvgObjectSize,
-		ScanPrefetch:       o.ScanPrefetch,
 		CompressPolicy:     compress.Policy{Codec: codec, MinLevel: minLevel},
 		AntiEntropy:        o.AntiEntropy,
 		Follower:           o.Follower,
