@@ -157,27 +157,6 @@ type LSM struct {
 	lastBgErr error // the newest of them
 }
 
-// New creates an empty leveled LSM.
-func New(opts Options) (*LSM, error) {
-	opts.fill()
-	if opts.Place == nil {
-		return nil, fmt.Errorf("leveled: Placement required")
-	}
-	l := &LSM{
-		opts:      opts,
-		levels:    make([][]*table, opts.MaxLevels),
-		rr:        make([]int, opts.MaxLevels),
-		busy:      make(map[*table]bool),
-		activeOut: make([]bool, opts.MaxLevels+1),
-		traffic:   make([]*LevelTraffic, opts.MaxLevels),
-		stallCh:   make(chan struct{}),
-	}
-	for i := range l.traffic {
-		l.traffic[i] = &LevelTraffic{}
-	}
-	return l, nil
-}
-
 // Traffic returns level k's compaction counters.
 func (l *LSM) Traffic(level int) *LevelTraffic { return l.traffic[level] }
 

@@ -18,7 +18,7 @@ import (
 func newLSM(t testing.TB, fileSize int64) (*LSM, *device.Device) {
 	t.Helper()
 	dev := device.New(device.UnthrottledProfile("d", 0))
-	l, err := New(Options{
+	l, _, err := Open(Options{
 		Name:      "t",
 		Place:     func(int, int64) *device.Device { return dev },
 		FileSize:  fileSize,
@@ -161,7 +161,7 @@ func TestScanIterMergesLevels(t *testing.T) {
 
 func TestStallSignals(t *testing.T) {
 	dev := device.New(device.UnthrottledProfile("d", 0))
-	l, _ := New(Options{
+	l, _, _ := Open(Options{
 		Name:      "t",
 		Place:     func(int, int64) *device.Device { return dev },
 		FileSize:  8 << 10,
@@ -195,7 +195,7 @@ func TestStallSignals(t *testing.T) {
 func TestPlacementRespected(t *testing.T) {
 	nvme := device.New(device.UnthrottledProfile("nvme", 0))
 	sata := device.New(device.UnthrottledProfile("sata", 0))
-	l, _ := New(Options{
+	l, _, _ := Open(Options{
 		Name: "t",
 		Place: func(level int, _ int64) *device.Device {
 			if level <= 1 {

@@ -10,10 +10,10 @@ import (
 	"hyperdb/internal/semisst"
 )
 
-// Recover rebuilds a leveled LSM from the tables persisted on devs. File
-// names carry (level, generation) and entries their sequence numbers, so no
-// manifest is needed; each table's index holds its key bounds and largest
-// sequence, so no entry is read.
+// Open builds a leveled LSM from the tables persisted on devs: none on empty
+// devices. File names carry (level, generation) and entries their sequence
+// numbers, so no manifest is needed; each table's index holds its key bounds
+// and largest sequence, so no entry is read.
 //
 // Generation numbers are not a cross-level recency order — a deep compaction
 // output can have a higher generation than an L0 flush holding newer
@@ -29,10 +29,22 @@ import (
 // may be intact, so deleting it would turn a transient fault into data loss.
 //
 // Returns the LSM and the largest sequence number seen.
-func Recover(opts Options, devs ...*device.Device) (*LSM, uint64, error) {
-	l, err := New(opts)
-	if err != nil {
-		return nil, 0, err
+func Open(opts Options, devs ...*device.Device) (*LSM, uint64, error) {
+	opts.fill()
+	if opts.Place == nil {
+		return nil, 0, fmt.Errorf("leveled: Placement required")
+	}
+	l := &LSM{
+		opts:      opts,
+		levels:    make([][]*table, opts.MaxLevels),
+		rr:        make([]int, opts.MaxLevels),
+		busy:      make(map[*table]bool),
+		activeOut: make([]bool, opts.MaxLevels+1),
+		traffic:   make([]*LevelTraffic, opts.MaxLevels),
+		stallCh:   make(chan struct{}),
+	}
+	for i := range l.traffic {
+		l.traffic[i] = &LevelTraffic{}
 	}
 	type cand struct {
 		dev   *device.Device

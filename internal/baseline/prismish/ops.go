@@ -14,7 +14,7 @@ import (
 )
 
 // usedFraction is the slab store's logical occupancy: allocated device
-// bytes minus reusable free slots/pages, over capacity. Slab pages persist
+// bytes minus reusable free slots, over capacity. Slab pages persist
 // across migrations (PrismDB keeps the NVMe >95% utilised, Fig. 2b), so the
 // raw device usage would never fall; free-slot accounting is what tells
 // migration when it has made room.
@@ -23,12 +23,10 @@ func (db *DB) usedFraction() float64 {
 	if capacity <= 0 {
 		return 0
 	}
-	ps := int64(db.opts.NVMe.PageSize())
 	db.mu.RLock()
 	var free int64
 	for _, sf := range db.slabs {
 		free += int64(len(sf.freeSlots)) * int64(sf.slotSize)
-		free += int64(len(sf.freePages)) * ps
 	}
 	db.mu.RUnlock()
 	used := db.opts.NVMe.Used() - free
@@ -38,65 +36,33 @@ func (db *DB) usedFraction() float64 {
 	return float64(used) / float64(capacity)
 }
 
-// Put writes key=value into the slab store (durable in-place page write).
-// When the slab is full and background migration has not yet freed slots,
-// the writer migrates synchronously and retries — the foreground-blocking
-// behaviour that shows up as PrismDB's write slowdowns in §4.2.
+// Put writes key=value into the slab store (durable in-place page write):
+// WriteBatch of one op.
 func (db *DB) Put(key, value []byte) error {
-	return db.putWithEviction(key, value, false)
+	return db.WriteBatch([]engine.BatchOp{{Key: key, Value: value}})
 }
 
-// Delete writes a tombstone that migrates down to delete the SATA copy.
+// Delete writes a tombstone that migrates down to delete the SATA copy:
+// WriteBatch of one op.
 func (db *DB) Delete(key []byte) error {
-	return db.putWithEviction(key, nil, true)
+	return db.WriteBatch([]engine.BatchOp{{Key: key, Delete: true}})
 }
 
-func (db *DB) putWithEviction(key, value []byte, tomb bool) error {
-	for attempt := 0; ; attempt++ {
-		err := db.put(key, value, tomb, device.Fg)
-		if err == nil || !errors.Is(err, device.ErrNoSpace) || attempt >= 64 {
-			return err
-		}
-		if _, merr := db.MigrateOnce(); merr != nil {
-			return merr
-		}
-	}
-}
-
-func (db *DB) put(key, value []byte, tomb bool, op device.Op) error {
-	seq := db.seq.Add(1)
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.putLocked(key, value, tomb, seq, op)
-}
-
-// putLocked is put's body with the sequence supplied by the caller (batches
-// allocate one block up front). Caller holds db.mu.
+// putLocked writes one object at seq. Caller holds db.mu. A resized object
+// takes its new slot, and the index names it, before the old slot is freed:
+// a put that finds no space leaves the object where it was.
 func (db *DB) putLocked(key, value []byte, tomb bool, seq uint64, op device.Op) error {
 	c := classFor(slotHeader + len(key) + len(value))
 	if c < 0 {
 		return ErrTooLarge
 	}
-	if old, ok := db.index.Get(key); ok {
-		if int(old.class) == c {
-			// In-place update.
-			if err := db.writeSlot(c, slotRef{page: old.page, slot: old.slot}, seq, tomb, key, value, op); err != nil {
-				return err
-			}
-			db.index.Set(bytes.Clone(key), loc{
-				class: old.class, page: old.page, slot: old.slot,
-				seq: seq, size: int32(slotHeader + len(key) + len(value)),
-				ref: true, tomb: tomb,
-			})
-			return nil
+	old, ok := db.index.Get(key)
+	r := slotRef{page: old.page, slot: old.slot}
+	if !ok || int(old.class) != c {
+		var err error
+		if r, err = db.allocSlot(c); err != nil {
+			return err
 		}
-		// Resized: free the old slot, take a new one.
-		db.slabs[old.class].freeSlots = append(db.slabs[old.class].freeSlots,
-			slotRef{page: old.page, slot: old.slot})
-	}
-	r, err := db.allocSlot(c)
-	if err != nil {
-		return err
 	}
 	if err := db.writeSlot(c, r, seq, tomb, key, value, op); err != nil {
 		return err
@@ -106,6 +72,10 @@ func (db *DB) putLocked(key, value []byte, tomb bool, seq uint64, op device.Op) 
 		seq: seq, size: int32(slotHeader + len(key) + len(value)),
 		ref: true, tomb: tomb,
 	})
+	if ok && int(old.class) != c {
+		db.slabs[old.class].freeSlots = append(db.slabs[old.class].freeSlots,
+			slotRef{page: old.page, slot: old.slot})
+	}
 	return nil
 }
 
@@ -148,17 +118,27 @@ func (db *DB) readSlot(l loc, key []byte) ([]byte, error) {
 	return nil, errMoved
 }
 
-// optimisticReads is how many times Get reads a slot without holding the
+// optimisticReads is how many times get reads a slot without holding the
 // index lock before it holds the lock across the read.
 const optimisticReads = 3
 
-// Get returns the value for key, or engine.ErrNotFound. A slot that does not
-// hold the version the index named says nothing about key — migration may
-// have freed it for a Put after moving key to the tree — so key is resolved
-// again: index, then tree. After optimisticReads tries the read happens under
-// the index lock, where no writer can reach the slot. SATA hits are admitted
-// back into the slab (the caching architecture's promotion path).
+// Get returns the value for key, or engine.ErrNotFound.
 func (db *DB) Get(key []byte) ([]byte, error) {
+	v, found, err := db.get(key)
+	if err == nil && !found {
+		err = engine.ErrNotFound
+	}
+	return v, err
+}
+
+// get is the per-key read Get and MultiGet share. found is false for a
+// missing or deleted key. A slot that does not hold the version the index
+// named says nothing about key — migration may have freed it for a Put after
+// moving key to the tree — so key is resolved again: index, then tree. After
+// optimisticReads tries the read happens under the index lock, where no
+// writer can reach the slot. SATA hits are admitted back into the slab (the
+// caching architecture's promotion path).
+func (db *DB) get(key []byte) ([]byte, bool, error) {
 	for attempt := 0; ; attempt++ {
 		pinned := attempt == optimisticReads
 		db.mu.RLock()
@@ -173,7 +153,7 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 			if pinned {
 				db.mu.RUnlock()
 			}
-			return nil, engine.ErrNotFound
+			return nil, false, nil
 		}
 		v, err := db.readSlot(l, key)
 		if pinned {
@@ -187,26 +167,28 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 				db.index.Set(key, cur)
 			}
 			db.mu.Unlock()
-			return v, nil
+			return v, true, nil
 		case !errors.Is(err, errMoved):
-			return nil, err
+			return nil, false, err
 		case pinned:
-			return nil, fmt.Errorf("prismish: the slot the index names for %q at seq %d does not hold it", key, l.seq)
+			return nil, false, fmt.Errorf("prismish: the slot the index names for %q at seq %d does not hold it", key, l.seq)
 		}
 	}
 
 	v, kind, found, err := db.lsm.Get(key, keys.MaxSeq, device.Fg)
-	if err != nil {
-		return nil, err
+	if err != nil || !found || kind == keys.KindDelete {
+		return nil, false, err
 	}
-	if !found || kind == keys.KindDelete {
-		return nil, engine.ErrNotFound
-	}
-	// Admission: copy the read object into the slab when there is room.
+	// Admission: copy the read object into the slab when there is room,
+	// charged to the background. It is best-effort: the read has its value
+	// whether or not the copy lands.
 	if db.usedFraction() < db.opts.HighWatermark {
-		db.put(key, v, false, device.Bg)
+		seq := db.seq.Add(1)
+		db.mu.Lock()
+		_ = db.putLocked(key, v, false, seq, device.Bg)
+		db.mu.Unlock()
 	}
-	return v, nil
+	return v, true, nil
 }
 
 // WriteBatch applies the ops under one lock acquisition, drawing a single
@@ -249,80 +231,15 @@ func (db *DB) WriteBatch(ops []engine.BatchOp) error {
 }
 
 // MultiGet returns values positionally aligned with keys (nil = missing or
-// deleted): one index-lock acquisition for the batch, a page memo shared
-// between keys on the same slab page, one clock-bit refresh pass, and LSM
-// fallback (with slab admission) for index misses.
+// deleted), reading each key as Get does.
 func (db *DB) MultiGet(keyList [][]byte) ([][]byte, error) {
 	out := make([][]byte, len(keyList))
-	type pend struct {
-		idx int
-		l   loc
-	}
-	var slab []pend
-	var lsmMiss []int
-	db.mu.RLock()
-	for i, k := range keyList {
-		if l, ok := db.index.Get(k); ok {
-			if !l.tomb {
-				slab = append(slab, pend{idx: i, l: l})
-			}
-		} else {
-			lsmMiss = append(lsmMiss, i)
-		}
-	}
-	db.mu.RUnlock()
-
-	type pid struct {
-		c    int8
-		page uint32
-	}
-	pages := make(map[pid][]byte, len(slab))
-	var refresh []pend
-	for _, p := range slab {
-		key := keyList[p.idx]
-		pg, ok := pages[pid{p.l.class, p.l.page}]
-		if !ok {
-			var err error
-			pg, err = db.readSlotPage(int(p.l.class), p.l.page, device.Fg)
-			if err != nil {
-				return nil, err
-			}
-			pages[pid{p.l.class, p.l.page}] = pg
-		}
-		if v, ok := db.slotValue(pg, p.l, key); ok {
-			out[p.idx] = v
-			refresh = append(refresh, p)
-			continue
-		}
-		// The slot moved on since the index pass: resolve the key alone.
-		v, err := db.Get(key)
-		if err != nil && !errors.Is(err, engine.ErrNotFound) {
-			return nil, err
-		}
-		out[p.idx] = v
-	}
-	if len(refresh) > 0 {
-		db.mu.Lock()
-		for _, p := range refresh {
-			if cur, ok := db.index.Get(keyList[p.idx]); ok && cur.seq == p.l.seq {
-				cur.ref = true
-				db.index.Set(keyList[p.idx], cur)
-			}
-		}
-		db.mu.Unlock()
-	}
-
-	for _, i := range lsmMiss {
-		v, kind, found, err := db.lsm.Get(keyList[i], keys.MaxSeq, device.Fg)
+	for i, key := range keyList {
+		v, _, err := db.get(key)
 		if err != nil {
 			return nil, err
 		}
-		if found && kind != keys.KindDelete {
-			out[i] = v
-			if db.usedFraction() < db.opts.HighWatermark {
-				db.put(keyList[i], v, false, device.Bg)
-			}
-		}
+		out[i] = v
 	}
 	return out, nil
 }

@@ -119,7 +119,6 @@ type slabFile struct {
 	nextPage     uint32
 	nextSlot     uint16
 	freeSlots    []slotRef // global — the scatter source
-	freePages    []uint32
 }
 
 type slotRef struct {
@@ -149,11 +148,12 @@ type DB struct {
 
 var _ engine.Engine = (*DB)(nil)
 
-// newDB is the part of construction Open and Recover share: the struct, the
-// DRAM cache, the slab files (openSlab creates or reopens one) and the SATA
-// tree, which openLSM builds from the engine's leveled options.
-func newDB(opts Options, openSlab func(name string) (*device.File, error),
-	openLSM func(leveled.Options) (*leveled.LSM, error)) (*DB, error) {
+// Open builds the engine over whatever the devices hold: nothing, or the
+// slab files and SATA tables a previous instance left after a crash or a
+// clean Close. The slab index and free lists lived only in memory, so they
+// are rebuilt by a scan of every slot (recoverSlabs). On empty devices that
+// is empty slabs and no table.
+func Open(opts Options) (*DB, error) {
 	if opts.NVMe == nil || opts.SATA == nil {
 		return nil, fmt.Errorf("prismish: both devices required")
 	}
@@ -166,16 +166,19 @@ func newDB(opts Options, openSlab func(name string) (*device.File, error),
 	}
 	ps := int64(opts.NVMe.PageSize())
 	for _, c := range classes {
-		f, err := openSlab(fmt.Sprintf("prismish-slab%d", c))
+		name := fmt.Sprintf("prismish-slab%d", c)
+		f, err := opts.NVMe.Open(name)
 		if err != nil {
-			return nil, err
+			if f, err = opts.NVMe.Create(name); err != nil {
+				return nil, err
+			}
 		}
 		db.slabs = append(db.slabs, &slabFile{
 			f: f, slotSize: c, slotsPerPage: max(int(ps)/c, 1),
 			nextPage: uint32((f.Size() + ps - 1) / ps),
 		})
 	}
-	l, err := openLSM(leveled.Options{
+	l, lsmSeq, err := leveled.Open(leveled.Options{
 		Name:      "prismish",
 		Place:     func(int, int64) *device.Device { return opts.SATA },
 		FileSize:  opts.FileSize,
@@ -184,36 +187,27 @@ func newDB(opts Options, openSlab func(name string) (*device.File, error),
 		MaxLevels: opts.MaxLevels,
 		PageCache: db.dram,
 		Compress:  opts.Compress,
-	})
+	}, opts.SATA)
 	if err != nil {
 		return nil, err
 	}
 	db.lsm = l
-	return db, nil
-}
-
-// startWorkers launches the migration thread and the compaction pool.
-func (db *DB) startWorkers() {
-	if db.opts.DisableBackground {
-		return
-	}
-	db.wg.Add(1 + db.opts.BackgroundThreads)
-	go db.migrationWorker()
-	for i := 0; i < db.opts.BackgroundThreads; i++ {
-		go func() {
-			defer db.wg.Done()
-			db.lsm.RunCompactor(db.stopC, nil, db.opts.BackgroundInterval)
-		}()
-	}
-}
-
-// Open builds the engine.
-func Open(opts Options) (*DB, error) {
-	db, err := newDB(opts, opts.NVMe.Create, leveled.New)
+	slabSeq, err := db.recoverSlabs()
 	if err != nil {
 		return nil, err
 	}
-	db.startWorkers()
+	db.seq.Store(max(lsmSeq, slabSeq))
+
+	if !opts.DisableBackground {
+		db.wg.Add(1 + opts.BackgroundThreads)
+		go db.migrationWorker()
+		for i := 0; i < opts.BackgroundThreads; i++ {
+			go func() {
+				defer db.wg.Done()
+				db.lsm.RunCompactor(db.stopC, nil, opts.BackgroundInterval)
+			}()
+		}
+	}
 	return db, nil
 }
 
@@ -267,17 +261,6 @@ func (db *DB) allocSlot(c int) (slotRef, error) {
 		sf.freeSlots = sf.freeSlots[:n-1]
 		return r, nil
 	}
-	if len(sf.freePages) > 0 {
-		p := sf.freePages[len(sf.freePages)-1]
-		if err := sf.f.Reallocate(int64(p)); err != nil {
-			return slotRef{}, err
-		}
-		sf.freePages = sf.freePages[:len(sf.freePages)-1]
-		for s := 1; s < sf.slotsPerPage; s++ {
-			sf.freeSlots = append(sf.freeSlots, slotRef{page: p, slot: uint16(s)})
-		}
-		return slotRef{page: p, slot: 0}, nil
-	}
 	if sf.nextSlot == 0 {
 		// Open a fresh page at the tail: a ledger operation, no traffic.
 		end := (int64(sf.nextPage) + 1) * int64(db.opts.NVMe.PageSize())
@@ -311,14 +294,6 @@ func (db *DB) pageKey(c int, page uint32) string {
 	b[1] = byte(c)
 	binary.LittleEndian.PutUint32(b[2:], page)
 	return string(b[:])
-}
-
-// readSlotPage fetches a slab page through the DRAM cache.
-func (db *DB) readSlotPage(c int, page uint32, op device.Op) ([]byte, error) {
-	if p, ok := db.dram.Get(db.pageKey(c, page)); ok {
-		return p, nil
-	}
-	return db.devicePage(c, page, op)
 }
 
 // devicePage reads a slab page from the device and caches it.

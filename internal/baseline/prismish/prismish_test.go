@@ -358,3 +358,43 @@ func TestReadersNeverLoseALiveKey(t *testing.T) {
 	wg.Wait()
 	t.Logf("%d reads, %d of them lost an acked key; %d migrations", reads.Load(), misses.Load(), db.Stats().Migrations)
 }
+
+// TestResizeWithoutSpaceKeepsFreeListsExact: a put that moves an object to
+// another size class and finds no space must leave the object's old slot in
+// use. A slot freed before the new one existed stayed named by the index and
+// was freed again on every retry, so two later writes could be handed one
+// slot. After the failing resize no slot is on a free list twice, and the
+// index names no free slot.
+func TestResizeWithoutSpaceKeepsFreeListsExact(t *testing.T) {
+	db, _, _ := open(t, 16<<10) // four pages, all of them 64-byte slots
+	small := bytes.Repeat([]byte{1}, 20)
+	for i := uint64(0); i < 4*4096/64; i++ {
+		if err := db.Put(k8(i<<32), small); err != nil {
+			t.Fatalf("fill %d: %v", i, err)
+		}
+	}
+	if err := db.Put(k8(0), bytes.Repeat([]byte{2}, 100)); !errors.Is(err, device.ErrNoSpace) {
+		t.Fatalf("resize on a full tier: %v, want ErrNoSpace", err)
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	type slot struct {
+		class int
+		slotRef
+	}
+	free := map[slot]bool{}
+	for c, sf := range db.slabs {
+		for _, r := range sf.freeSlots {
+			if free[slot{c, r}] {
+				t.Fatalf("class %d slot %+v is on the free list twice", classes[c], r)
+			}
+			free[slot{c, r}] = true
+		}
+	}
+	db.index.Ascend(nil, nil, func(k []byte, l loc) bool {
+		if free[slot{int(l.class), slotRef{l.page, l.slot}}] {
+			t.Errorf("key %x names free slot %+v of class %d", k, l, classes[l.class])
+		}
+		return true
+	})
+}

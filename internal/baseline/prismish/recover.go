@@ -4,34 +4,21 @@ import (
 	"bytes"
 	"sort"
 
-	"hyperdb/internal/baseline/leveled"
 	"hyperdb/internal/device"
 	"hyperdb/internal/keys"
 )
 
-// Recover rebuilds the engine from the devices after a crash. Slab writes
-// are durable in-place page writes, so the slot files themselves survive;
-// what is lost is the in-memory index and free lists. Recovery rescans every
-// slot: CRC-valid slots are candidates (torn or never-written slots fail the
-// checksum and become free), the newest sequence wins per key, and a
-// candidate whose key has an equal-or-newer version in the SATA LSM is a
-// leftover from a completed migration — its slot is freed, since the
-// migration's slot-free bookkeeping also lived only in memory.
-func Recover(opts Options) (*DB, error) {
-	var maxSeq uint64
-	db, err := newDB(opts, func(name string) (*device.File, error) {
-		if f, err := opts.NVMe.Open(name); err == nil {
-			return f, nil
-		}
-		return opts.NVMe.Create(name)
-	}, func(lo leveled.Options) (l *leveled.LSM, err error) {
-		l, maxSeq, err = leveled.Recover(lo, opts.SATA)
-		return l, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	ps := opts.NVMe.PageSize()
+// recoverSlabs rebuilds the slab index and free lists from the slot files
+// and returns the largest sequence they hold. Slab writes are durable
+// in-place page writes, so the slot files themselves survive; what is lost
+// is the in-memory index and free lists. Every slot is rescanned: CRC-valid
+// slots are candidates (torn or never-written slots fail the checksum and
+// become free), the newest sequence wins per key, and a candidate whose key
+// has an equal-or-newer version in the SATA LSM is a leftover from a
+// completed migration — its slot is freed, since the migration's slot-free
+// bookkeeping also lived only in memory.
+func (db *DB) recoverSlabs() (uint64, error) {
+	ps := db.opts.NVMe.PageSize()
 
 	type cand struct {
 		key  []byte
@@ -39,12 +26,13 @@ func Recover(opts Options) (*DB, error) {
 		free bool
 	}
 	var cands []cand
+	var maxSeq uint64
 	pageBuf := make([]byte, ps)
 	for ci, sf := range db.slabs {
 		nPages := sf.f.Size() / int64(ps)
 		for page := int64(0); page < nPages; page++ {
 			if _, err := sf.f.ReadAt(pageBuf, page*int64(ps), device.BgSeq); err != nil {
-				return nil, err
+				return 0, err
 			}
 			for slot := 0; slot < sf.slotsPerPage; slot++ {
 				buf := pageBuf[slot*sf.slotSize : (slot+1)*sf.slotSize]
@@ -84,7 +72,7 @@ func Recover(opts Options) (*DB, error) {
 		}
 		_, _, entrySeq, found, err := db.lsm.GetWithSeq(cands[i].key, keys.MaxSeq, device.BgSeq)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if found && entrySeq >= cands[i].l.seq {
 			cands[i].free = true // already migrated to the LSM
@@ -98,8 +86,5 @@ func Recover(opts Options) (*DB, error) {
 				slotRef{page: c.l.page, slot: c.l.slot})
 		}
 	}
-	db.seq.Store(maxSeq)
-
-	db.startWorkers()
-	return db, nil
+	return maxSeq, nil
 }

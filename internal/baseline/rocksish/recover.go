@@ -12,24 +12,14 @@ import (
 	"hyperdb/internal/wal"
 )
 
-// Recover rebuilds the engine from what survives on the devices after a
-// crash: the leveled LSM is recovered from its self-describing SSTables, and
-// every surviving WAL generation is replayed (oldest first) into a fresh
-// memtable. The replayed records are ingested into L0 before the old logs
-// are deleted, so a crash during recovery itself loses nothing — at worst
-// the next recovery replays records whose sequence numbers already exist in
-// the LSM, which is idempotent.
-func Recover(opts Options) (*DB, error) {
-	var lsmSeq uint64
-	db, err := newDB(opts, func(lo leveled.Options) (l *leveled.LSM, err error) {
-		l, lsmSeq, err = leveled.Recover(lo, opts.NVMe, opts.SATA)
-		return l, err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	walDev := opts.walDevice()
+// replayWALs replays every surviving WAL generation (oldest first) into the
+// memtable, ingests the records into L0, and only then deletes the old logs
+// and opens the next generation — so a crash during recovery itself loses
+// nothing: at worst the next open replays records whose sequence numbers
+// already exist in the LSM, which is idempotent. It returns the largest
+// sequence replayed.
+func (db *DB) replayWALs() (uint64, error) {
+	walDev := db.opts.walDevice()
 	var gens []int
 	for _, name := range walDev.List() {
 		var gen int
@@ -42,7 +32,7 @@ func Recover(opts Options) (*DB, error) {
 	for _, gen := range gens {
 		w, err := wal.Open(walDev, fmt.Sprintf("rocksish-wal-%d", gen))
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		err = w.Replay(func(p []byte) error {
 			kind, seq, k, v, err := decodeRecord(p)
@@ -56,7 +46,7 @@ func Recover(opts Options) (*DB, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 
@@ -68,7 +58,7 @@ func Recover(opts Options) (*DB, error) {
 			entries = append(entries, leveled.Entry{Key: it.Key(), Value: it.Value()})
 		}
 		if err := db.lsm.Ingest(entries, device.Bg); err != nil {
-			return nil, err
+			return 0, err
 		}
 		db.mem = skiplist.New()
 	}
@@ -78,20 +68,13 @@ func Recover(opts Options) (*DB, error) {
 	}
 	w, err := wal.Open(walDev, fmt.Sprintf("rocksish-wal-%d", db.walGen))
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	db.memWAL = w
 	for _, gen := range gens {
 		walDev.Remove(fmt.Sprintf("rocksish-wal-%d", gen))
 	}
-
-	if lsmSeq > walSeq {
-		walSeq = lsmSeq
-	}
-	db.seq.Store(walSeq)
-
-	db.startWorkers()
-	return db, nil
+	return walSeq, nil
 }
 
 // decodeRecord is the inverse of encodeRecord.

@@ -100,10 +100,12 @@ type DB struct {
 
 var _ engine.Engine = (*DB)(nil)
 
-// newDB is the part of construction Open and Recover share: the struct, the
-// block cache, and the tree, which openLSM builds from the engine's leveled
-// options (fresh, or recovered from the devices).
-func newDB(opts Options, openLSM func(leveled.Options) (*leveled.LSM, error)) (*DB, error) {
+// Open builds the engine over whatever the devices hold: nothing, or what a
+// previous instance left after a crash or a clean Close. The leveled LSM
+// reopens its self-describing tables, and every surviving WAL generation is
+// replayed into L0 (replayWALs). On empty devices that is no table and a
+// fresh rocksish-wal-0.
+func Open(opts Options) (*DB, error) {
 	if opts.NVMe == nil || opts.SATA == nil {
 		return nil, fmt.Errorf("rocksish: both devices required")
 	}
@@ -132,7 +134,7 @@ func newDB(opts Options, openLSM func(leveled.Options) (*leveled.LSM, error)) (*
 		db.bc = cache.NewLRU(opts.CacheBytes, nil)
 	}
 
-	l, err := openLSM(leveled.Options{
+	l, lsmSeq, err := leveled.Open(leveled.Options{
 		Name:      "rocksish",
 		Place:     db.place,
 		Fallback:  opts.SATA,
@@ -142,39 +144,27 @@ func newDB(opts Options, openLSM func(leveled.Options) (*leveled.LSM, error)) (*
 		MaxLevels: opts.MaxLevels,
 		PageCache: db.bc,
 		Compress:  opts.Compress,
-	})
+	}, opts.NVMe, opts.SATA)
 	if err != nil {
 		return nil, err
 	}
 	db.lsm = l
-	return db, nil
-}
-
-// startWorkers launches the flush thread and the compaction pool.
-func (db *DB) startWorkers() {
-	if db.opts.DisableBackground {
-		return
-	}
-	db.wg.Add(1 + db.opts.BackgroundThreads)
-	go db.flushWorker()
-	for i := 0; i < db.opts.BackgroundThreads; i++ {
-		go func() {
-			defer db.wg.Done()
-			db.lsm.RunCompactor(db.stop, db.compactC, db.opts.BackgroundInterval)
-		}()
-	}
-}
-
-// Open builds the engine.
-func Open(opts Options) (*DB, error) {
-	db, err := newDB(opts, leveled.New)
+	walSeq, err := db.replayWALs()
 	if err != nil {
 		return nil, err
 	}
-	if db.memWAL, err = wal.Open(db.opts.walDevice(), "rocksish-wal-0"); err != nil {
-		return nil, err
+	db.seq.Store(max(lsmSeq, walSeq))
+
+	if !opts.DisableBackground {
+		db.wg.Add(1 + opts.BackgroundThreads)
+		go db.flushWorker()
+		for i := 0; i < opts.BackgroundThreads; i++ {
+			go func() {
+				defer db.wg.Done()
+				db.lsm.RunCompactor(db.stop, db.compactC, opts.BackgroundInterval)
+			}()
+		}
 	}
-	db.startWorkers()
 	return db, nil
 }
 
@@ -239,14 +229,14 @@ func encodeRecord(kind keys.Kind, seq uint64, k, v []byte) []byte {
 	return buf
 }
 
-// Put writes key=value through the WAL (group commit) and memtable.
+// Put writes key=value through the WAL and memtable: WriteBatch of one op.
 func (db *DB) Put(key, value []byte) error {
-	return db.write(keys.KindSet, key, value)
+	return db.WriteBatch([]engine.BatchOp{{Key: key, Value: value}})
 }
 
-// Delete writes a tombstone.
+// Delete writes a tombstone: WriteBatch of one op.
 func (db *DB) Delete(key []byte) error {
-	return db.write(keys.KindDelete, key, nil)
+	return db.WriteBatch([]engine.BatchOp{{Key: key, Delete: true}})
 }
 
 // stallWait blocks while the LSM signals an L0-debt write stall,
@@ -263,28 +253,6 @@ func (db *DB) stallWait() {
 			break
 		}
 	}
-}
-
-func (db *DB) write(kind keys.Kind, key, value []byte) error {
-	if db.closed.Load() {
-		return fmt.Errorf("rocksish: closed")
-	}
-	db.stallWait()
-	seq := db.seq.Add(1)
-
-	// Hold the rotation lock across the append so a concurrent flush
-	// cannot retire (and delete) this WAL mid-write.
-	db.walMu.RLock()
-	err := db.memWAL.Append(encodeRecord(kind, seq, key, value))
-	db.walMu.RUnlock()
-	if err != nil {
-		return err
-	}
-
-	db.mu.Lock()
-	db.mem.Insert(keys.InternalKey{User: append([]byte(nil), key...), Seq: seq, Kind: kind},
-		append([]byte(nil), value...))
-	return db.maybeRotateLocked()
 }
 
 // maybeRotateLocked rotates the memtable when it crosses its budget. Called
@@ -337,10 +305,10 @@ func (db *DB) rotateLocked() error {
 	return nil
 }
 
-// WriteBatch is the group-commit write path: one stall check, one sequence
-// block, one WAL-lock acquisition for all appends, and one memtable lock for
-// all inserts with a single rotation check at the end. Slice order is
-// sequence order, so duplicate keys resolve last-write-wins.
+// WriteBatch is the one write path, group-committed: one stall check, one
+// sequence block, one WAL-lock acquisition for all appends, and one memtable
+// lock for all inserts with a single rotation check at the end. Slice order
+// is sequence order, so duplicate keys resolve last-write-wins.
 func (db *DB) WriteBatch(ops []engine.BatchOp) error {
 	if db.closed.Load() {
 		return fmt.Errorf("rocksish: closed")
@@ -357,13 +325,11 @@ func (db *DB) WriteBatch(ops []engine.BatchOp) error {
 	n := uint64(len(ops))
 	base := db.seq.Add(n) - n + 1
 
+	// Hold the rotation lock across the appends so a concurrent flush cannot
+	// retire (and delete) this WAL mid-write.
 	db.walMu.RLock()
 	for i := range ops {
-		kind := keys.KindSet
-		if ops[i].Delete {
-			kind = keys.KindDelete
-		}
-		if err := db.memWAL.Append(encodeRecord(kind, base+uint64(i), ops[i].Key, ops[i].Value)); err != nil {
+		if err := db.memWAL.Append(encodeRecord(kindOf(ops[i]), base+uint64(i), ops[i].Key, ops[i].Value)); err != nil {
 			db.walMu.RUnlock()
 			return err
 		}
@@ -372,14 +338,55 @@ func (db *DB) WriteBatch(ops []engine.BatchOp) error {
 
 	db.mu.Lock()
 	for i := range ops {
-		kind := keys.KindSet
-		if ops[i].Delete {
-			kind = keys.KindDelete
-		}
-		db.mem.Insert(keys.InternalKey{User: append([]byte(nil), ops[i].Key...), Seq: base + uint64(i), Kind: kind},
+		db.mem.Insert(keys.InternalKey{User: append([]byte(nil), ops[i].Key...), Seq: base + uint64(i), Kind: kindOf(ops[i])},
 			append([]byte(nil), ops[i].Value...))
 	}
 	return db.maybeRotateLocked()
+}
+
+func kindOf(op engine.BatchOp) keys.Kind {
+	if op.Delete {
+		return keys.KindDelete
+	}
+	return keys.KindSet
+}
+
+// memtables snapshots the mutable and immutable memtables.
+func (db *DB) memtables() (mem, imm *skiplist.SkipList) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.mem, db.imm
+}
+
+// get is the per-key read Get and MultiGet share: the memtables newest
+// first, then the tree. found is false for a missing or deleted key.
+func (db *DB) get(mem, imm *skiplist.SkipList, key []byte) (v []byte, found bool, err error) {
+	v, kind, found := mem.Get(key, keys.MaxSeq)
+	if !found && imm != nil {
+		v, kind, found = imm.Get(key, keys.MaxSeq)
+	}
+	if !found {
+		if v, kind, found, err = db.lsm.Get(key, keys.MaxSeq, device.Fg); err != nil {
+			return nil, false, err
+		}
+	}
+	if !found || kind == keys.KindDelete {
+		return nil, false, nil
+	}
+	return v, true, nil
+}
+
+// Get returns the value for key, or engine.ErrNotFound.
+func (db *DB) Get(key []byte) ([]byte, error) {
+	if db.closed.Load() {
+		return nil, fmt.Errorf("rocksish: closed")
+	}
+	mem, imm := db.memtables()
+	v, found, err := db.get(mem, imm, key)
+	if err == nil && !found {
+		err = engine.ErrNotFound
+	}
+	return v, err
 }
 
 // MultiGet returns values positionally aligned with keys (nil = missing or
@@ -388,25 +395,14 @@ func (db *DB) MultiGet(keyList [][]byte) ([][]byte, error) {
 	if db.closed.Load() {
 		return nil, fmt.Errorf("rocksish: closed")
 	}
-	db.mu.Lock()
-	mem, imm := db.mem, db.imm
-	db.mu.Unlock()
-
+	mem, imm := db.memtables()
 	out := make([][]byte, len(keyList))
 	for i, key := range keyList {
-		if v, kind, found := memGet(mem, imm, key); found {
-			if kind != keys.KindDelete {
-				out[i] = v
-			}
-			continue
-		}
-		v, kind, found, err := db.lsm.Get(key, keys.MaxSeq, device.Fg)
+		v, _, err := db.get(mem, imm, key)
 		if err != nil {
 			return nil, err
 		}
-		if found && kind != keys.KindDelete {
-			out[i] = v
-		}
+		out[i] = v
 	}
 	return out, nil
 }
@@ -463,45 +459,10 @@ func (db *DB) flushWorker() {
 	}
 }
 
-// memGet looks key up in the memtables, newest first.
-func memGet(mem, imm *skiplist.SkipList, key []byte) (v []byte, kind keys.Kind, found bool) {
-	if v, kind, found = mem.Get(key, keys.MaxSeq); found || imm == nil {
-		return v, kind, found
-	}
-	return imm.Get(key, keys.MaxSeq)
-}
-
-// Get returns the value for key, or engine.ErrNotFound.
-func (db *DB) Get(key []byte) ([]byte, error) {
-	if db.closed.Load() {
-		return nil, fmt.Errorf("rocksish: closed")
-	}
-	db.mu.Lock()
-	mem, imm := db.mem, db.imm
-	db.mu.Unlock()
-
-	if v, kind, found := memGet(mem, imm, key); found {
-		if kind == keys.KindDelete {
-			return nil, engine.ErrNotFound
-		}
-		return v, nil
-	}
-	v, kind, found, err := db.lsm.Get(key, keys.MaxSeq, device.Fg)
-	if err != nil {
-		return nil, err
-	}
-	if !found || kind == keys.KindDelete {
-		return nil, engine.ErrNotFound
-	}
-	return v, nil
-}
-
 // Scan returns up to limit live keys >= start in order, merging memtables
 // with the LSM.
 func (db *DB) Scan(start []byte, limit int) ([]engine.KV, error) {
-	db.mu.Lock()
-	mem, imm := db.mem, db.imm
-	db.mu.Unlock()
+	mem, imm := db.memtables()
 
 	lsmIt := db.lsm.NewScanIter(start, device.Fg)
 	defer lsmIt.Close()

@@ -3,10 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hyperdb/internal/device"
 	"hyperdb/internal/engine"
-	"hyperdb/internal/keys"
 	"hyperdb/internal/zone"
 )
 
@@ -64,7 +64,9 @@ func (db *DB) WriteBatchSeq(ops []BatchOp) (uint64, error) {
 	if tee != nil {
 		db.replMu.Lock()
 		base = db.seq.Add(n) - n + 1
-		tok = tee.Append(base, ops)
+		// The tee gets its own slice: an interface call would otherwise move
+		// every caller's ops to the heap, Put's one-op batch included.
+		tok = tee.Append(base, slices.Clone(ops))
 		db.replMu.Unlock()
 	} else {
 		base = db.seq.Add(n) - n + 1
@@ -91,6 +93,9 @@ func (db *DB) applyAt(ops []BatchOp, seqOf func(int) uint64) error {
 		for i := range ops {
 			db.tree.MarkKey(ops[i].Key)
 		}
+	}
+	if len(ops) == 1 {
+		return db.applyGroup(db.partFor(ops[0].Key), ops, []int{0}, seqOf)
 	}
 	// Group op indices per partition, preserving slice order within a group.
 	groups := make(map[*partition][]int, len(db.parts))
@@ -130,14 +135,14 @@ func (db *DB) applyGroup(p *partition, ops []BatchOp, idxs []int, seqOf func(int
 		}
 	}
 
-	keyList := make([][]byte, len(idxs))
+	var kb [1][]byte
+	var hb [1]bool
+	var zb [1]zone.BatchOp
+	keyList, hot, zops := scratch(kb[:], len(idxs)), scratch(hb[:], len(idxs)), scratch(zb[:], len(idxs))
 	for gi, i := range idxs {
 		keyList[gi] = ops[i].Key
 	}
-	hot := make([]bool, len(idxs))
 	p.tracker.RecordBatch(keyList, hot)
-
-	zops := make([]zone.BatchOp, len(idxs))
 	for gi, i := range idxs {
 		zops[gi] = zone.BatchOp{
 			Key:    ops[i].Key,
@@ -164,6 +169,15 @@ func (db *DB) applyGroup(p *partition, ops []BatchOp, idxs []int, seqOf func(int
 	}
 	db.maybeTriggerMigration(p)
 	return nil
+}
+
+// scratch returns buf[:n] when n fits in it and a new slice otherwise, so a
+// one-key group works in its caller's stack buffers.
+func scratch[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
 }
 
 // advanceSeqTo lifts the sequence counter to at least s, so sequences the
@@ -273,55 +287,49 @@ func (db *DB) ApplySnapshotChunk(ops []BatchOp, seq uint64) error {
 
 // MultiGet looks up every key and returns positionally aligned values; a
 // missing or deleted key yields nil (no ErrNotFound per key, so one cold key
-// doesn't fail the batch). Lookups are grouped per partition: one tracker
-// pass, and page reads shared across keys that land on the same slot page. Hot capacity-tier hits are queued for
-// promotion exactly like Get.
+// doesn't fail the batch). Keys are grouped per partition for one tracker
+// pass each, then every key is read as Get reads it.
 func (db *DB) MultiGet(keyList [][]byte) ([][]byte, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
 	out := make([][]byte, len(keyList))
-	if len(keyList) == 0 {
+	if len(keyList) == 1 {
+		if err := db.readGroup(db.partFor(keyList[0]), keyList, []int{0}, out); err != nil {
+			return nil, err
+		}
 		return out, nil
 	}
-
 	groups := make(map[*partition][]int, len(db.parts))
 	for i, k := range keyList {
 		p := db.partFor(k)
 		groups[p] = append(groups[p], i)
 	}
-
 	for p, idxs := range groups {
-		gk := make([][]byte, len(idxs))
-		for gi, i := range idxs {
-			gk[gi] = keyList[i]
-		}
-		hot := make([]bool, len(idxs))
-		p.tracker.RecordBatch(gk, hot)
-
-		res, err := p.zones.GetBatch(gk, device.Fg)
-		if err != nil {
+		if err := db.readGroup(p, keyList, idxs, out); err != nil {
 			return nil, err
-		}
-		for gi, r := range res {
-			i := idxs[gi]
-			switch {
-			case r.Found && !r.Tombstone:
-				out[i] = r.Value
-			case r.Found: // tombstone: authoritative miss
-			default:
-				v, kind, found, err := p.tree.Get(gk[gi], keys.MaxSeq, device.Fg)
-				if err != nil {
-					return nil, err
-				}
-				if found && kind != keys.KindDelete {
-					out[i] = v
-					if hot[gi] {
-						db.enqueuePromotion(p, gk[gi], v)
-					}
-				}
-			}
 		}
 	}
 	return out, nil
+}
+
+// readGroup reads one partition's keys of a MultiGet into out.
+func (db *DB) readGroup(p *partition, keyList [][]byte, idxs []int, out [][]byte) error {
+	var kb [1][]byte
+	var hb [1]bool
+	gk, hot := scratch(kb[:], len(idxs)), scratch(hb[:], len(idxs))
+	for gi, i := range idxs {
+		gk[gi] = keyList[i]
+	}
+	p.tracker.RecordBatch(gk, hot)
+	for gi, i := range idxs {
+		v, found, err := db.read(p, gk[gi], hot[gi])
+		if err != nil {
+			return err
+		}
+		if found {
+			out[i] = v
+		}
+	}
+	return nil
 }

@@ -299,3 +299,42 @@ func TestSingleOpWritesMarkMerkleLeaf(t *testing.T) {
 	}
 	check("Incr")
 }
+
+// TestOneOpCallsAllocateNothing: Put, Delete and Get are the one-op forms of
+// WriteBatch and MultiGet, and the benchmark workloads write through Put, so
+// a one-op batch must cost nothing on the heap. Without a tee, an update in
+// place, a delete and a prebuilt one-op WriteBatch allocate nothing; a Get
+// allocates the copy it returns, and a one-key MultiGet that and its result
+// slice.
+func TestOneOpCallsAllocateNothing(t *testing.T) {
+	db := openCore(t, 64<<20, false)
+	key, value := k8(1<<60), []byte("value")
+	if err := db.Put(key, value); err != nil {
+		t.Fatal(err)
+	}
+	batch := []BatchOp{{Key: key, Value: value}}
+	for _, c := range []struct {
+		name string
+		max  float64
+		call func() error
+	}{
+		{"Put", 0, func() error { return db.Put(key, value) }},
+		{"WriteBatch", 0, func() error { return db.WriteBatch(batch) }},
+		{"Get", 1, func() error { _, err := db.Get(key); return err }},
+		{"MultiGet", 2, func() error { _, err := db.MultiGet([][]byte{key}); return err }},
+		{"Delete", 0, func() error { return db.Delete(key) }},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(100, func() {
+			if e := c.call(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if allocs > c.max {
+			t.Errorf("%s: %.1f allocations per call, want at most %.0f", c.name, allocs, c.max)
+		}
+	}
+}

@@ -254,59 +254,14 @@ func (db *DB) IsHot(key []byte) bool {
 	return db.partFor(key).tracker.IsHot(key)
 }
 
-// nextSeq issues a globally unique, monotonically increasing sequence.
-func (db *DB) nextSeq() uint64 { return db.seq.Add(1) }
-
 // Put writes key=value. The write is durable in the performance tier when
-// Put returns (in-place slot write, no WAL — §3.6).
-func (db *DB) Put(key, value []byte) error { return db.writeOne(BatchOp{Key: key, Value: value}) }
+// Put returns (in-place slot write, no WAL — §3.6). It is WriteBatch of one
+// op; the op stays on the stack.
+func (db *DB) Put(key, value []byte) error { return db.WriteBatch([]BatchOp{{Key: key, Value: value}}) }
 
 // Delete removes key by writing a tombstone that later migrates down.
-// Deleting an absent key is not an error.
-func (db *DB) Delete(key []byte) error { return db.writeOne(BatchOp{Key: key, Delete: true}) }
-
-// writeOne applies a single put or delete without the batch path's grouping.
-func (db *DB) writeOne(op BatchOp) error {
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	if db.follower.Load() {
-		return ErrFollower
-	}
-	if len(op.Key) == 0 {
-		return fmt.Errorf("hyperdb: empty key")
-	}
-	if db.opts.Tee != nil {
-		// Replicated deployments route every write through the batch path so
-		// the tee sees one committed, seq-tagged entry per logical write.
-		return db.WriteBatch([]BatchOp{op})
-	}
-	if db.tree != nil {
-		db.tree.MarkKey(op.Key)
-	}
-	p := db.partFor(op.Key)
-	hot := p.tracker.Record(op.Key)
-	// One sequence per logical write, even across stall retries, so the
-	// crash tests' seq-based uncertainty windows stay tight.
-	seq := db.nextSeq()
-	apply := func() error {
-		if op.Delete {
-			return p.zones.Delete(op.Key, seq)
-		}
-		return p.zones.Put(op.Key, op.Value, seq, hot, false)
-	}
-	err := apply()
-	if errors.Is(err, device.ErrNoSpace) {
-		// Background demotion lagged behind the write rate: migrate
-		// synchronously (the write-stall analogue) and retry.
-		err = db.putStalled(p, apply)
-	}
-	if err != nil {
-		return err
-	}
-	db.maybeTriggerMigration(p)
-	return nil
-}
+// Deleting an absent key is not an error. It is WriteBatch of one op.
+func (db *DB) Delete(key []byte) error { return db.WriteBatch([]BatchOp{{Key: key, Delete: true}}) }
 
 // putStalled demotes zones synchronously until the write succeeds. The
 // device is shared, so when the writer's own partition has nothing left to
@@ -358,18 +313,25 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 		return nil, ErrClosed
 	}
 	p := db.partFor(key)
-	hot := p.tracker.Record(key)
-	v, found, fromTree, err := p.lookup(key)
+	v, found, err := db.read(p, key, p.tracker.Record(key))
 	if err != nil {
 		return nil, err
 	}
 	if !found {
 		return nil, ErrNotFound
 	}
-	if hot && fromTree {
+	return v, nil
+}
+
+// read is the per-key read Get and MultiGet share, for a key whose access
+// the caller has recorded: its newest live version, queued for promotion
+// when the tracker called it hot and the capacity tier answered.
+func (db *DB) read(p *partition, key []byte, hot bool) ([]byte, bool, error) {
+	v, found, fromTree, err := p.lookup(key)
+	if found && hot && fromTree {
 		db.enqueuePromotion(p, key, v)
 	}
-	return v, nil
+	return v, found, err
 }
 
 // lookup reads key's newest live version: zone tier first, then the tree —
@@ -411,7 +373,7 @@ func (db *DB) enqueuePromotion(p *partition, key, value []byte) {
 	}
 	pr.key = append(pr.key[:0], key...)
 	pr.value = append(pr.value[:0], value...)
-	pr.seq = db.nextSeq()
+	pr.seq = db.seq.Add(1)
 	// Cannot block: every send holds a reserved slot and the channel's
 	// capacity equals the slot count.
 	p.promoCh <- pr

@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"hyperdb/internal/device"
-	"hyperdb/internal/keys"
 )
 
 // ErrNotCounter is returned when a merge lands on an existing value that is
@@ -50,26 +47,12 @@ func SatAdd(a, b int64) int64 {
 }
 
 // counterBase resolves the pre-merge value of key from the partition's
-// current state: the zone tier is authoritative when it holds the key (a
-// tombstone means base 0), otherwise the LSM tree. A key found nowhere
+// current state, read as Get reads it. A key found nowhere, or deleted,
 // merges against 0.
 func (db *DB) counterBase(p *partition, key []byte) (int64, error) {
-	v, _, tomb, found, err := p.zones.Get(key, device.Fg)
-	if err != nil {
+	v, found, _, err := p.lookup(key)
+	if err != nil || !found {
 		return 0, err
-	}
-	if found {
-		if tomb {
-			return 0, nil
-		}
-		return DecodeCounter(v)
-	}
-	v, kind, found, err := p.tree.Get(key, keys.MaxSeq, device.Fg)
-	if err != nil {
-		return 0, err
-	}
-	if !found || kind == keys.KindDelete {
-		return 0, nil
 	}
 	return DecodeCounter(v)
 }

@@ -22,7 +22,11 @@ import (
 // order — and before the batch is applied. Commit resolves the entry once
 // the apply finishes; with ok=true it may block until downstream followers
 // acknowledge (synchronous replication), with ok=false the entry is dropped
-// (the batch failed and was never acknowledged to the client).
+// (the batch failed and was never acknowledged to the client). Append gets
+// its own copy of a foreground batch's op slice, so the caller's slice never
+// escapes through this interface call and a one-op Put allocates nothing;
+// the ops' key and value buffers are still the caller's, so an Append that
+// keeps them copies them.
 type Tee interface {
 	Append(base uint64, ops []BatchOp) (token uint64)
 	Commit(token uint64, ok bool)

@@ -291,7 +291,7 @@ func runCycle(c cycleConfig) (violation string, crashed bool) {
 	nvme.ClearFaults()
 	sata.ClearFaults()
 
-	reng, err := c.factory.Recover(cfg)
+	reng, err := c.factory.Open(cfg)
 	if err != nil {
 		return fmt.Sprintf("recover: %v", err), crashed
 	}

@@ -54,14 +54,14 @@ func incr(e engine.Engine, key []byte, delta int64) (int64, error) {
 	return v, nil
 }
 
-// Factory builds an engine fresh (Open) or from surviving device state
-// (Recover), plus the device capacities it is sized for.
+// Factory opens an engine over whatever its devices hold — nothing on a
+// fresh cycle, surviving state after a crash — plus the device capacities
+// it is sized for.
 type Factory struct {
 	Name    string
 	NVMeCap int64
 	SATACap int64
 	Open    func(Config) (engine.Engine, error)
-	Recover func(Config) (engine.Engine, error)
 }
 
 // Factories returns the three engines under crash test: HyperDB and the two
@@ -69,29 +69,24 @@ type Factory struct {
 // drive flush/migration/compaction through BackgroundStep, which keeps every
 // cycle deterministic for a given seed.
 func Factories() []Factory {
-	// HyperDB's Open opens whatever the devices hold.
-	openHyper := func(c Config) (engine.Engine, error) { return core.Open(hyperOpts(c)) }
 	return []Factory{
 		{
 			Name:    "hyperdb",
 			NVMeCap: 64 << 10,
 			SATACap: 1 << 20,
-			Open:    openHyper,
-			Recover: openHyper,
+			Open:    func(c Config) (engine.Engine, error) { return core.Open(hyperOpts(c)) },
 		},
 		{
 			Name:    "rocksish",
 			NVMeCap: 64 << 10,
 			SATACap: 2 << 20,
 			Open:    func(c Config) (engine.Engine, error) { return rocksish.Open(rocksOpts(c)) },
-			Recover: func(c Config) (engine.Engine, error) { return rocksish.Recover(rocksOpts(c)) },
 		},
 		{
 			Name:    "prismish",
 			NVMeCap: 64 << 10,
 			SATACap: 1 << 20,
 			Open:    func(c Config) (engine.Engine, error) { return prismish.Open(prismOpts(c)) },
-			Recover: func(c Config) (engine.Engine, error) { return prismish.Recover(prismOpts(c)) },
 		},
 	}
 }

@@ -53,7 +53,7 @@ func TestRecoverReadFaultFailsClosed(t *testing.T) {
 
 			nvme.InjectFaults(device.FaultPlan{Seed: 9, FailReadAfter: 1})
 			sata.InjectFaults(device.FaultPlan{Seed: 9, FailReadAfter: 1})
-			if _, err := f.Recover(cfg); err == nil {
+			if _, err := f.Open(cfg); err == nil {
 				t.Fatal("recovery with an armed read fault succeeded silently")
 			}
 			nvme.ClearFaults()
@@ -69,7 +69,7 @@ func TestRecoverReadFaultFailsClosed(t *testing.T) {
 				}
 			}
 
-			reng, err := f.Recover(cfg)
+			reng, err := f.Open(cfg)
 			if err != nil {
 				t.Fatalf("recover after clearing fault: %v", err)
 			}

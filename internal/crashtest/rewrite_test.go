@@ -127,7 +127,7 @@ func TestRewriteCrashAtEveryWrite(t *testing.T) {
 		cfg.NVMe.PowerCut()
 		cfg.SATA.PowerCut()
 		dev.ClearFaults()
-		reng, err := f.Recover(cfg)
+		reng, err := f.Open(cfg)
 		if err != nil {
 			t.Fatalf("%s: recover: %v", when, err)
 		}

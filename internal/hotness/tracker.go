@@ -146,37 +146,36 @@ func (t *Tracker) record(si int, h uint64) int64 {
 }
 
 // Record notes one access to key and returns whether the key is now
-// classified hot. This is the single call sites make on every read/update.
-// The key is scanned exactly once: stripe choice, window insert and the
-// cascade check all share one 64-bit hash.
+// classified hot. This is the single call sites make on every read/update:
+// RecordBatch of one key.
 func (t *Tracker) Record(key []byte) bool {
-	h := bloom.Hash64(key)
-	si := t.stripeIndex(h)
-	if delta := t.record(si, h); delta != 0 &&
-		t.occupancy.Add(delta) >= int64(t.cfg.WindowCapacity) {
-		t.seal()
-	}
-	hot := t.isHotHash(si, h)
-	if hot {
-		t.stripes[si].hotHits.Add(1)
-	}
-	return hot
+	hs := [1]uint64{bloom.Hash64(key)}
+	var hot [1]bool
+	t.recordHashes(hs[:], hot[:])
+	return hot[0]
 }
 
 // RecordBatch records every key and fills hot[i] with key i's resulting
-// classification. Each key is hashed once (the hashes are reused by the
-// classification pass), the occupancy counter is published once for the
-// whole batch, and one seal check covers it.
+// classification. Each key is scanned exactly once: stripe choice, window
+// insert and the cascade check all share one 64-bit hash.
 func (t *Tracker) RecordBatch(keys [][]byte, hot []bool) {
 	var arr [64]uint64
 	hs := arr[:0]
 	if len(keys) > len(arr) {
 		hs = make([]uint64, 0, len(keys))
 	}
-	var delta int64
 	for _, k := range keys {
-		h := bloom.Hash64(k)
-		hs = append(hs, h)
+		hs = append(hs, bloom.Hash64(k))
+	}
+	t.recordHashes(hs, hot)
+}
+
+// recordHashes is the body Record and RecordBatch share: insert every hashed
+// key into the open window, publish the occupancy once and check for a seal
+// once, then classify each key.
+func (t *Tracker) recordHashes(hs []uint64, hot []bool) {
+	var delta int64
+	for _, h := range hs {
 		delta += t.record(t.stripeIndex(h), h)
 	}
 	if delta != 0 && t.occupancy.Add(delta) >= int64(t.cfg.WindowCapacity) {

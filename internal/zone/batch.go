@@ -1,7 +1,5 @@
 package zone
 
-import "hyperdb/internal/device"
-
 // BatchOp is one write in an ApplyBatch call: a put, or a tombstone when
 // Delete is set. Seq and Hot are resolved by the caller (core.DB allocates
 // one sequence block per batch and classifies hotness via the tracker).
@@ -33,25 +31,4 @@ func (m *Manager) ApplyBatch(ops []BatchOp) (applied int, err error) {
 		}
 	}
 	return len(ops), nil
-}
-
-// GetResult is one key's outcome in a GetBatch call. Found=false means the
-// tier has no opinion; Tombstone=true is an authoritative deletion.
-type GetResult struct {
-	Value     []byte
-	Seq       uint64
-	Tombstone bool
-	Found     bool
-}
-
-// GetBatch is Get for every key. Results are positionally aligned with keys.
-func (m *Manager) GetBatch(keyList [][]byte, op device.Op) ([]GetResult, error) {
-	res := make([]GetResult, len(keyList))
-	for i, key := range keyList {
-		var err error
-		if res[i], err = m.get(key, op); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
 }

@@ -45,8 +45,10 @@ func TestSameTraceSameCacheAndReads(t *testing.T) {
 				_, _, _, _, err := m.Get(key(), device.Fg)
 				must(err)
 			case r < 45:
-				_, err := m.GetBatch([][]byte{key(), key(), key()}, device.Fg)
-				must(err)
+				for j := 0; j < 3; j++ {
+					_, _, _, _, err := m.Get(key(), device.Fg)
+					must(err)
+				}
 			case r < 50:
 				var locs []locRef
 				m.Scan(key(), nil, func(k []byte, loc Location) bool {

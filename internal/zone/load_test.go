@@ -71,9 +71,10 @@ func (f *loadFixture) page(t *testing.T) []byte {
 // (key and sequence match, or the slot is not the object) at an exact price
 // in device reads. ReadAt answers for the Location: its version or ErrMoved;
 // the ScanReader cases read as a scan does, the neighbour and then k, each
-// through ReadAt. Get and GetBatch answer for the key: the index's newest version, a
+// through ReadAt. Get answers for the key: the index's newest version, a
 // tombstone only for a deleted key, or no opinion once the key has left the
-// tier. Only Get and GetBatch heat the zone.
+// tier; the GetBatch cases read the neighbour and then k, each through Get.
+// Only Get heats the zone.
 func TestLoadRule(t *testing.T) {
 	v2 := bytes.Repeat([]byte{2}, 20)   // same class as v1: updated in place
 	big := bytes.Repeat([]byte{3}, 200) // another class: relocated
@@ -250,16 +251,18 @@ func TestLoadRule(t *testing.T) {
 				}
 			})
 			t.Run(name+"GetBatch", func(t *testing.T) {
-				// The neighbour goes first; a point read caches its object,
-				// not the page, so k pays as a Get does.
+				// A batch of the neighbour and k is a Get of each in turn. A
+				// point read caches its object, not the page, so k pays as a
+				// Get does.
 				f, reads := setup(t)
-				res, err := f.m.GetBatch([][]byte{f.n, f.k}, device.Fg)
+				nv, _, _, nfound, err := f.m.Get(f.n, device.Fg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkKey(t, res[1], nil)
-				if mu.get != none && (!res[0].Found || !bytes.Equal(res[0].Value, f.v1)) {
-					t.Fatalf("neighbour: %+v", res[0])
+				v, seq, tombstone, found, err := f.m.Get(f.k, device.Fg)
+				checkKey(t, GetResult{v, seq, tombstone, found}, err)
+				if mu.get != none && (!nfound || !bytes.Equal(nv, f.v1)) {
+					t.Fatalf("neighbour: %q found=%v", nv, nfound)
 				}
 				// The neighbour costs a read only when the cache has no page
 				// for it and it is still in the tier.
@@ -353,11 +356,10 @@ func TestReadersNeverLoseALiveKey(t *testing.T) {
 	wg.Add(3)
 	go reader(get)
 	go reader(func() ([]byte, bool, bool, error) {
-		res, err := m.GetBatch([][]byte{k8(7<<40 | 1), key}, device.Fg)
-		if err != nil {
+		if _, _, _, _, err := m.Get(k8(7<<40|1), device.Fg); err != nil {
 			return nil, false, false, err
 		}
-		return res[1].Value, res[1].Found, res[1].Tombstone, nil
+		return get()
 	})
 	go reader(func() ([]byte, bool, bool, error) {
 		var loc Location
@@ -429,12 +431,10 @@ func TestObjectCacheNeverServesStale(t *testing.T) {
 				var seq uint64
 				var tomb, found bool
 				var err error
-				if i%5 == 0 {
-					var res []GetResult
-					if res, err = m.GetBatch([][]byte{key((k + 1) % nKeys), key(k)}, device.Fg); err == nil {
-						v, seq, tomb, found = res[1].Value, res[1].Seq, res[1].Tombstone, res[1].Found
-					}
-				} else {
+				if i%5 == 0 { // a neighbour first, as a batch of two reads them
+					_, _, _, _, err = m.Get(key((k+1)%nKeys), device.Fg)
+				}
+				if err == nil {
 					v, seq, tomb, found, err = m.Get(key(k), device.Fg)
 				}
 				hi := started[k].Load()

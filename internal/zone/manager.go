@@ -502,6 +502,15 @@ func (m *Manager) Get(key []byte, op device.Op) (value []byte, seq uint64, tombs
 	return r.Value, r.Seq, r.Tombstone, r.Found, err
 }
 
+// GetResult is what get answers for one key. Found=false means the tier has
+// no opinion; Tombstone=true is an authoritative deletion.
+type GetResult struct {
+	Value     []byte
+	Seq       uint64
+	Tombstone bool
+	Found     bool
+}
+
 // optimisticLoads is how many times get reads a slot without holding the
 // index lock before it pins the index for the read.
 const optimisticLoads = 3
