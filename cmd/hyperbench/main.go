@@ -96,7 +96,7 @@ func main() {
 		}
 		return
 	default:
-		fmt.Fprintf(os.Stderr, "hyperbench: unknown -workload %q (want counter)\n", *workload)
+		fmt.Fprintf(os.Stderr, "hyperbench: unknown -workload %q (want counter or compress)\n", *workload)
 		os.Exit(2)
 	}
 

@@ -61,13 +61,7 @@ type KV = core.KV
 // original devices in NVMeDevice and SATADevice), which Open recovers. The
 // zero Options get paper defaults (8 partitions, 64 MiB DRAM cache, T=10,
 // k=2, T_clean=0.5, 1.5× space-amp limit) and fresh devices.
-func Open(opts Options) (*DB, error) {
-	resolved, err := opts.resolve()
-	if err != nil {
-		return nil, err
-	}
-	return core.Open(resolved)
-}
+func Open(opts Options) (*DB, error) { return core.Open(opts) }
 
 // CounterLen is the length of a canonical counter encoding.
 const CounterLen = core.CounterLen

@@ -46,13 +46,11 @@ func New(slots int, groups []string) (*Map, error) {
 	return m, nil
 }
 
-// Decode parses and validates an encoded map.
+// Decode parses an encoded map; wire.DecodeShardMap checks every invariant
+// ValidateShardMap does.
 func Decode(p []byte) (*Map, error) {
 	sm, err := wire.DecodeShardMap(p)
 	if err != nil {
-		return nil, err
-	}
-	if err := wire.ValidateShardMap(sm); err != nil {
 		return nil, err
 	}
 	return &Map{*sm}, nil

@@ -17,7 +17,7 @@ import (
 // zone when it outgrows its budget.
 func (db *DB) migrationWorker(p *partition) {
 	defer db.wg.Done()
-	t := time.NewTicker(db.opts.BackgroundInterval)
+	t := time.NewTicker(backgroundInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -47,7 +47,7 @@ func (db *DB) noteBackgroundError(what string, pid int, err error) {
 // preemptive block compaction (or pending full compaction) per pass.
 func (db *DB) compactionWorker(p *partition) {
 	defer db.wg.Done()
-	t := time.NewTicker(db.opts.BackgroundInterval)
+	t := time.NewTicker(backgroundInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -124,7 +124,7 @@ func (db *DB) MigrationStep(pid int) error {
 	// demotion victim instead (see victim).
 	if p.tree.Empty() {
 		if z, zBytes := p.zones.PickOversizedZone(); z != nil {
-			free := db.opts.NVMe.Capacity() - db.opts.NVMe.Used()
+			free := db.opts.NVMeDevice.Capacity() - db.opts.NVMeDevice.Used()
 			if free > 2*zBytes {
 				if _, err := p.zones.SplitZone(z); err != nil {
 					return err
@@ -136,8 +136,8 @@ func (db *DB) MigrationStep(pid int) error {
 	// When the tier crosses its high watermark, demote zones (one migration
 	// batch of adjacent keys each) until usage falls below the low
 	// watermark (§3.5).
-	if db.opts.NVMe.UsedFraction() >= db.opts.HighWatermark {
-		for db.opts.NVMe.UsedFraction() >= db.opts.LowWatermark {
+	if db.opts.NVMeDevice.UsedFraction() >= db.opts.HighWatermark {
+		for db.opts.NVMeDevice.UsedFraction() >= db.opts.LowWatermark {
 			z := p.victim()
 			if z == nil {
 				break

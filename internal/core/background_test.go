@@ -19,7 +19,7 @@ func TestWorkersRecordBackgroundErrors(t *testing.T) {
 	if st := db.Stats(); st.BackgroundErrors != 0 || st.LastBackgroundError != "" {
 		t.Fatalf("fresh engine reports background errors: %+v", st)
 	}
-	db.opts.SATA.InjectFaults(device.FaultPlan{Seed: 1, WriteErrorProb: 1})
+	db.opts.SATADevice.InjectFaults(device.FaultPlan{Seed: 1, WriteErrorProb: 1})
 	rng := rand.New(rand.NewSource(11))
 	var acked [][]byte
 	for i := 0; i < 30000; i++ {
@@ -50,7 +50,7 @@ func TestWorkersRecordBackgroundErrors(t *testing.T) {
 		t.Fatalf("stats rendering omits the background errors:\n%s", s)
 	}
 
-	db.opts.SATA.ClearFaults()
+	db.opts.SATADevice.ClearFaults()
 	if err := db.DrainBackground(); err != nil {
 		t.Fatalf("drain after the device healed: %v", err)
 	}
@@ -70,7 +70,7 @@ func TestWorkersRecordBackgroundErrors(t *testing.T) {
 // on to the demotions that free space, not return ErrNoSpace.
 func TestPromotionOntoFullTierIsDropped(t *testing.T) {
 	db := openCore(t, 1<<20, false)
-	ballast, err := db.opts.NVMe.Create("ballast")
+	ballast, err := db.opts.NVMeDevice.Create("ballast")
 	if err != nil {
 		t.Fatal(err)
 	}

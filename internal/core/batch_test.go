@@ -161,8 +161,8 @@ func TestWriteBatchStallFreesSpace(t *testing.T) {
 // paths against concurrent demotion and promotion.
 func TestHotPathStress(t *testing.T) {
 	db, err := Open(Options{
-		NVMe:           device.New(device.UnthrottledProfile("nvme", 4<<20)),
-		SATA:           device.New(device.UnthrottledProfile("sata", 1<<30)),
+		NVMeDevice:     device.New(device.UnthrottledProfile("nvme", 4<<20)),
+		SATADevice:     device.New(device.UnthrottledProfile("sata", 1<<30)),
 		Partitions:     1, // one partition: all goroutines contend on one tracker/zone manager
 		CacheBytes:     1 << 20,
 		MigrationBatch: 64 << 10,
@@ -250,8 +250,8 @@ func TestHotPathStress(t *testing.T) {
 // one hashed from scratch over the same store.
 func TestSingleOpWritesMarkMerkleLeaf(t *testing.T) {
 	db, err := Open(Options{
-		NVMe:        device.New(device.UnthrottledProfile("nvme", 16<<20)),
-		SATA:        device.New(device.UnthrottledProfile("sata", 1<<30)),
+		NVMeDevice:  device.New(device.UnthrottledProfile("nvme", 16<<20)),
+		SATADevice:  device.New(device.UnthrottledProfile("sata", 1<<30)),
 		Partitions:  2,
 		AntiEntropy: true, DisableBackground: true,
 	})

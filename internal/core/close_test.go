@@ -18,11 +18,10 @@ import (
 // panic or deadlock.
 func TestCloseConcurrent(t *testing.T) {
 	db, err := Open(Options{
-		NVMe:               device.New(device.UnthrottledProfile("nvme", 16<<20)),
-		SATA:               device.New(device.UnthrottledProfile("sata", 256<<20)),
-		Partitions:         2,
-		CacheBytes:         1 << 20,
-		BackgroundInterval: time.Millisecond, // busy workers during the race
+		NVMeDevice: device.New(device.UnthrottledProfile("nvme", 16<<20)),
+		SATADevice: device.New(device.UnthrottledProfile("sata", 256<<20)),
+		Partitions: 2,
+		CacheBytes: 1 << 20,
 	})
 	if err != nil {
 		t.Fatalf("open: %v", err)

@@ -16,8 +16,8 @@ import (
 func openCore(t testing.TB, nvmeCap int64, background bool) *DB {
 	t.Helper()
 	db, err := Open(Options{
-		NVMe:              device.New(device.UnthrottledProfile("nvme", nvmeCap)),
-		SATA:              device.New(device.UnthrottledProfile("sata", 1<<30)),
+		NVMeDevice:        device.New(device.UnthrottledProfile("nvme", nvmeCap)),
+		SATADevice:        device.New(device.UnthrottledProfile("sata", 1<<30)),
 		Partitions:        4,
 		CacheBytes:        2 << 20,
 		MigrationBatch:    128 << 10,

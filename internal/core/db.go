@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"hyperdb/internal/cache"
+	"hyperdb/internal/compress"
 	"hyperdb/internal/device"
 	"hyperdb/internal/engine"
 	"hyperdb/internal/hotness"
@@ -118,16 +119,18 @@ type DB struct {
 	stop      chan struct{}
 }
 
-// Open assembles a DB over the two devices and whatever they hold: nothing,
-// or a previous instance's state after a crash or a clean Close. The
+// Open assembles a DB over the two devices (built fresh when nil, see
+// Options) and whatever they hold: nothing, or a previous instance's state
+// after a crash or a clean Close. An unknown Compress codec fails it. The
 // performance tier recovers KVell-style by scanning slot files and keeping
 // the newest checksummed version per key; the capacity tier reopens its
 // self-describing semi-SSTables; either creates what an empty device lacks.
 // The hotness trackers start cold — access history is ephemeral by design
 // (§3.3), so objects re-earn hot status.
 func Open(opts Options) (*DB, error) {
-	if opts.NVMe == nil || opts.SATA == nil {
-		return nil, fmt.Errorf("hyperdb: both NVMe and SATA devices are required")
+	codec, err := compress.Parse(opts.Compress)
+	if err != nil {
+		return nil, err
 	}
 	opts.fill()
 	db := &DB{
@@ -144,10 +147,10 @@ func Open(opts Options) (*DB, error) {
 	p := uint64(opts.Partitions)
 	width := math.MaxUint64/p + 1
 	var metaDev *device.Device
-	if opts.MirrorIndexToNVMe {
-		metaDev = opts.NVMe
+	if !opts.DisableIndexMirror {
+		metaDev = opts.NVMeDevice
 	}
-	hotCap := int64(float64(opts.NVMe.Capacity()) / float64(p) * opts.HotZoneFraction)
+	hotCap := int64(float64(opts.NVMeDevice.Capacity()) / float64(p) * opts.HotZoneFraction)
 	var maxSeq uint64
 	for i := 0; i < opts.Partitions; i++ {
 		lo := uint64(i) * width
@@ -156,7 +159,7 @@ func Open(opts Options) (*DB, error) {
 			hi = math.MaxUint64
 		}
 		zm, zseq, err := zone.Recover(zone.Config{
-			Dev:         opts.NVMe,
+			Dev:         opts.NVMeDevice,
 			Partition:   i,
 			BatchSize:   opts.MigrationBatch,
 			HotCapacity: hotCap,
@@ -166,7 +169,7 @@ func Open(opts Options) (*DB, error) {
 			return nil, fmt.Errorf("hyperdb: open partition %d zones: %w", i, err)
 		}
 		tree, tseq, err := lsm.Recover(lsm.Options{
-			Dev:           opts.SATA,
+			Dev:           opts.SATADevice,
 			Partition:     i,
 			KeyLo:         lo,
 			KeyHi:         hi,
@@ -180,7 +183,7 @@ func Open(opts Options) (*DB, error) {
 			PowerK:        opts.PowerK,
 			PageCache:     db.cache,
 			MetaBackup:    metaDev,
-			Compress:      opts.CompressPolicy,
+			Compress:      compress.Policy{Codec: codec, MinLevel: opts.CompressMinLevel},
 			Seed:          uint64(i + 1),
 		})
 		if err != nil {
@@ -194,11 +197,11 @@ func Open(opts Options) (*DB, error) {
 			zones:    zm,
 			tree:     tree,
 			tracker:  hotness.NewTracker(opts.Tracker),
-			promoCh:  make(chan *promotion, opts.PromoteQueue),
+			promoCh:  make(chan *promotion, promoteQueue),
 			wakeMig:  make(chan struct{}, 1),
 			wakeComp: make(chan struct{}, 1),
 		}
-		part.promoSlots.Store(int64(opts.PromoteQueue))
+		part.promoSlots.Store(int64(promoteQueue))
 		db.parts = append(db.parts, part)
 	}
 	db.seq.Store(maxSeq)
@@ -390,7 +393,7 @@ func (db *DB) wake(ch chan struct{}) {
 // maybeTriggerMigration wakes the partition's migration worker when the
 // performance tier crosses its high watermark.
 func (db *DB) maybeTriggerMigration(p *partition) {
-	if db.opts.NVMe.UsedFraction() >= db.opts.HighWatermark || p.zones.HotZoneOver() {
+	if db.opts.NVMeDevice.UsedFraction() >= db.opts.HighWatermark || p.zones.HotZoneOver() {
 		db.wake(p.wakeMig)
 	}
 }
@@ -420,12 +423,11 @@ func (db *DB) MerkleTree() *merkle.Tree { return db.tree }
 func (db *DB) Options() Options { return db.opts }
 
 // NVMe returns the performance-tier device (for harness inspection).
-func (db *DB) NVMe() *device.Device { return db.opts.NVMe }
+func (db *DB) NVMe() *device.Device { return db.opts.NVMeDevice }
 
 // SATA returns the capacity-tier device (for harness inspection).
-func (db *DB) SATA() *device.Device { return db.opts.SATA }
+func (db *DB) SATA() *device.Device { return db.opts.SATADevice }
 
 // Engine returns db. It dates from when the root package's DB wrapped this
-// one; bench/ still calls it, and the benchmark PR deletes it together with
-// the root package's second options struct.
+// one; the benchmark under bench/ still calls it.
 func (db *DB) Engine() *DB { return db }

@@ -13,8 +13,8 @@ import (
 func openCoreWith(t testing.TB, mutate func(*Options)) *DB {
 	t.Helper()
 	opts := Options{
-		NVMe:              device.New(device.UnthrottledProfile("nvme", 64<<20)),
-		SATA:              device.New(device.UnthrottledProfile("sata", 1<<30)),
+		NVMeDevice:        device.New(device.UnthrottledProfile("nvme", 64<<20)),
+		SATADevice:        device.New(device.UnthrottledProfile("sata", 1<<30)),
 		Partitions:        4,
 		CacheBytes:        2 << 20,
 		MigrationBatch:    128 << 10,

@@ -11,7 +11,6 @@ import (
 	"math"
 	"time"
 
-	"hyperdb/internal/compress"
 	"hyperdb/internal/device"
 	"hyperdb/internal/hotness"
 )
@@ -32,76 +31,81 @@ type Tee interface {
 	Commit(token uint64, ok bool)
 }
 
-// Options configures a DB.
-type Options struct {
-	// NVMe is the performance-tier device (required).
-	NVMe *device.Device
-	// SATA is the capacity-tier device (required).
-	SATA *device.Device
-	// Partitions is the shared-nothing partition count (paper: 8).
-	Partitions int
-	// CacheBytes sizes the one DRAM cache both tiers share (paper: 64 MiB),
-	// which holds CacheBytes + CacheBytes/4: what the page cache and the zone
-	// tier's value caches held between them when they were separate.
-	CacheBytes int64
-	// MigrationBatch is B: zone capacity == semi-SSTable file size (§3.6).
-	MigrationBatch int64
-	// HighWatermark starts demotion when NVMe usage crosses it.
-	HighWatermark float64
-	// LowWatermark stops demotion once NVMe usage falls below it.
-	LowWatermark float64
-	// HotZoneFraction is the share of a partition's NVMe budget the hot
-	// zone may hold before eviction.
-	HotZoneFraction float64
-	// Tracker configures the per-partition cascading discriminator;
-	// WindowCapacity 0 derives it from the NVMe object budget (§3.3).
-	Tracker hotness.Config
-	// Ratio is the LSM size ratio T (paper: 10).
-	Ratio int
-	// L1Segments is the file count at L1 per partition.
-	L1Segments int
-	// MaxLevels bounds LSM depth.
-	MaxLevels int
-	// CompactionDepth is k, the preemptive chase depth.
-	CompactionDepth int
-	// TClean is the full-compaction dirty threshold (paper: 0.5).
-	TClean float64
-	// SpaceAmpLimit flips victim selection to dirtiest-first (paper: 1.5).
-	SpaceAmpLimit float64
-	// PowerK is the victim sampling width (paper: 8).
-	PowerK int
-	// MirrorIndexToNVMe keeps semi-SSTable index backups on the
-	// performance tier (§3.1). On by default via Open.
-	MirrorIndexToNVMe bool
-	// DisableBackground turns off the per-partition workers; tests and
-	// benchmarks then drive migration/compaction explicitly.
-	DisableBackground bool
-	// BackgroundInterval is the idle poll period of the workers.
-	BackgroundInterval time.Duration
-	// PromoteQueue bounds pending promotions per partition (the in-memory
+// Engine constants no caller tunes.
+const (
+	// promoteQueue bounds pending promotions per partition (the in-memory
 	// object cache of §3.5); overflow drops promotions best-effort.
-	PromoteQueue int
-	// AvgObjectSize seeds the tracker window estimate before data arrives.
-	AvgObjectSize int
-	// AntiEntropy maintains an incremental Merkle tree from every apply
-	// path, enabling O(divergence) replica rejoin (package merkle + repl).
+	promoteQueue = 1024
+	// avgObjectSize seeds the tracker window estimate before data arrives.
+	avgObjectSize = 160
+	// backgroundInterval is the idle poll period of the workers.
+	backgroundInterval = 2 * time.Millisecond
+)
+
+// Options configures Open. The zero value is the production engine: paper
+// defaults, the §3.1 index mirror on, and fresh paper-profile devices.
+type Options struct {
+	// NVMeDevice is the performance tier; nil builds one of NVMeCapacity.
+	NVMeDevice *device.Device
+	// SATADevice is the capacity tier; nil builds one of SATACapacity.
+	SATADevice *device.Device
+	// NVMeCapacity sizes a built NVMe device (zero: 256 MiB).
+	NVMeCapacity int64
+	// SATACapacity sizes a built SATA device (zero: 8 GiB).
+	SATACapacity int64
+	// Unthrottled builds zero-latency devices (zero: paper-profile timing).
+	Unthrottled bool
+	// Partitions is the shared-nothing partition count (zero: 8, the paper's).
+	Partitions int
+	// CacheBytes sizes the shared DRAM cache, CacheBytes*5/4 in all (zero: 64 MiB, the paper's).
+	CacheBytes int64
+	// MigrationBatch is B, the zone and semi-SSTable size (§3.6; zero: 2 MiB).
+	MigrationBatch int64
+	// HighWatermark starts demotion when NVMe usage crosses it (zero: 0.85).
+	HighWatermark float64
+	// LowWatermark stops demotion below it (zero: HighWatermark - 0.15).
+	LowWatermark float64
+	// HotZoneFraction is each partition's hot-zone share of NVMe (zero: 0.25).
+	HotZoneFraction float64
+	// Tracker configures the hotness cascade (zero: windows sized from the NVMe tier, §3.3).
+	Tracker hotness.Config
+	// Ratio is the LSM size ratio T (zero: 10, the paper's).
+	Ratio int
+	// L1Segments is the per-partition file count at L1 (zero: 2).
+	L1Segments int
+	// MaxLevels bounds LSM depth (zero: 4).
+	MaxLevels int
+	// CompactionDepth is k, the preemptive chase depth (zero: 2).
+	CompactionDepth int
+	// TClean is the full-compaction dirty threshold (zero: 0.5, the paper's).
+	TClean float64
+	// SpaceAmpLimit flips victim selection to dirtiest-first (zero: 1.5, the paper's).
+	SpaceAmpLimit float64
+	// PowerK is the victim sampling width (zero: 8, the paper's).
+	PowerK int
+	// DisableIndexMirror drops §3.1's NVMe backup of LSM indexes (zero: mirrored).
+	DisableIndexMirror bool
+	// DisableBackground stops the workers; the caller steps the background (zero: workers run).
+	DisableBackground bool
+	// Compress names the SATA block codec, "on"/"lz" or "off"/"none"; others fail Open (zero: raw).
+	Compress string
+	// CompressMinLevel is the shallowest LSM level the codec applies to (zero: 1).
+	CompressMinLevel int
+	// AntiEntropy keeps a Merkle tree for O(divergence) replica rejoin (zero: off).
 	AntiEntropy bool
-	// CompressPolicy compresses capacity-tier data blocks from MinLevel
-	// down; the zone tier (NVMe slots) always stays raw — cold data pays the
-	// CPU, the hot path does not. Zero value disables compression.
-	CompressPolicy compress.Policy
-	// Follower opens the DB in replica mode: foreground writes are rejected
-	// with ErrFollower and reads never enqueue promotions (promotion would
-	// mint local sequences that could collide with the primary's). Writes
-	// arrive only through ApplyReplicated/ApplySnapshotChunk until Promote
-	// flips the node to primary.
+	// Follower opens a replica that refuses writes until Promote (zero: primary).
 	Follower bool
-	// Tee, when non-nil, receives every committed foreground write (and, on
-	// followers, every replicated apply) for log shipping to replicas.
+	// Tee receives every committed write for log shipping (zero: none).
 	Tee Tee
 }
 
 func (o *Options) fill() {
+	if o.NVMeDevice == nil {
+		o.NVMeDevice = newDevice("nvme", o.NVMeCapacity, 256<<20, device.NVMeProfile, o.Unthrottled)
+	}
+	if o.SATADevice == nil {
+		o.SATADevice = newDevice("sata", o.SATACapacity, 8<<30, device.SATAProfile, o.Unthrottled)
+	}
 	if o.Partitions <= 0 {
 		o.Partitions = 8
 	}
@@ -144,14 +148,8 @@ func (o *Options) fill() {
 	if o.PowerK <= 0 {
 		o.PowerK = 8
 	}
-	if o.BackgroundInterval <= 0 {
-		o.BackgroundInterval = 2 * time.Millisecond
-	}
-	if o.PromoteQueue <= 0 {
-		o.PromoteQueue = 1024
-	}
-	if o.AvgObjectSize <= 0 {
-		o.AvgObjectSize = 160
+	if o.CompressMinLevel <= 0 {
+		o.CompressMinLevel = 1
 	}
 	if o.Tracker.WindowCapacity <= 0 {
 		// §3.6 sizes the filters from "the estimated number of objects that
@@ -169,10 +167,10 @@ func (o *Options) fill() {
 			mf = 4
 		}
 		perPart := int64(1 << 24)
-		if o.NVMe != nil && o.NVMe.Capacity() > 0 {
-			perPart = o.NVMe.Capacity() / int64(o.Partitions)
+		if o.NVMeDevice.Capacity() > 0 {
+			perPart = o.NVMeDevice.Capacity() / int64(o.Partitions)
 		}
-		w := perPart / int64(o.AvgObjectSize) / int64(mf)
+		w := perPart / avgObjectSize / int64(mf)
 		if w < 512 {
 			w = 512
 		}
@@ -181,4 +179,16 @@ func (o *Options) fill() {
 		}
 		o.Tracker.WindowCapacity = int(w)
 	}
+}
+
+// newDevice builds a simulated device of capacity (def when not positive):
+// the paper profile, or a zero-latency one when unthrottled.
+func newDevice(name string, capacity, def int64, profile func(int64) device.Profile, unthrottled bool) *device.Device {
+	if capacity <= 0 {
+		capacity = def
+	}
+	if unthrottled {
+		return device.New(device.UnthrottledProfile(name, capacity))
+	}
+	return device.New(profile(capacity))
 }

@@ -13,13 +13,12 @@ import (
 // indexes are mirrored to NVMe.
 func mirrorTestOpts(nvme, sata *device.Device) Options {
 	return Options{
-		NVMe:              nvme,
-		SATA:              sata,
+		NVMeDevice:        nvme,
+		SATADevice:        sata,
 		Partitions:        2,
 		CacheBytes:        64 << 10,
 		MigrationBatch:    8 << 10,
 		MaxLevels:         3,
-		MirrorIndexToNVMe: true,
 		DisableBackground: true,
 	}
 }
@@ -34,7 +33,7 @@ func countIdxMirrors(d *device.Device) int {
 	return n
 }
 
-// TestRecoverWithIndexMirror covers the MirrorIndexToNVMe path through
+// TestRecoverWithIndexMirror covers the index-mirror path through
 // Recover: index mirrors must exist on the performance tier before the
 // crash-free restart, survive it, and the recovered tree must serve every
 // key. Orphaned mirrors (whose table is gone) must be swept.
@@ -70,7 +69,7 @@ func TestRecoverWithIndexMirror(t *testing.T) {
 		t.Fatal("no migrations ran; test is not exercising the capacity tier")
 	}
 	if got := countIdxMirrors(nvme); got == 0 {
-		t.Fatal("MirrorIndexToNVMe=true but no .sst.idx files on the NVMe device")
+		t.Fatal("index mirror on but no .sst.idx files on the NVMe device")
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -128,7 +127,7 @@ func TestRecoverWithoutMirror(t *testing.T) {
 	nvme := device.New(device.UnthrottledProfile("nvme", 64<<10))
 	sata := device.New(device.UnthrottledProfile("sata", 8<<20))
 	opts := mirrorTestOpts(nvme, sata)
-	opts.MirrorIndexToNVMe = false
+	opts.DisableIndexMirror = true
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -31,24 +31,24 @@ type regimeRig struct {
 	beforePass func()
 }
 
-func regimeOpts(nvme, sata *device.Device, batch int64, mirror bool) Options {
+func regimeOpts(nvme, sata *device.Device, batch int64, noMirror bool) Options {
 	return Options{
-		NVMe:           nvme,
-		SATA:           sata,
+		NVMeDevice:     nvme,
+		SATADevice:     sata,
 		Partitions:     1,
 		CacheBytes:     256 << 10,
 		MigrationBatch: batch,
 		// A hot zone small enough to overflow, under a watermark that leaves
 		// room for rewriting it (an eviction holds old and new at once).
-		HotZoneFraction:   0.05,
-		HighWatermark:     0.7,
-		MirrorIndexToNVMe: mirror,
-		DisableBackground: true,
-		Tracker:           hotness.Config{WindowCapacity: 2048},
+		HotZoneFraction:    0.05,
+		HighWatermark:      0.7,
+		DisableIndexMirror: noMirror,
+		DisableBackground:  true,
+		Tracker:            hotness.Config{WindowCapacity: 2048},
 	}
 }
 
-func newRegimeRig(t *testing.T, nvmeCap, batch int64, mirror bool) *regimeRig {
+func newRegimeRig(t *testing.T, nvmeCap, batch int64, noMirror bool) *regimeRig {
 	t.Helper()
 	r := &regimeRig{
 		t:     t,
@@ -57,7 +57,7 @@ func newRegimeRig(t *testing.T, nvmeCap, batch int64, mirror bool) *regimeRig {
 		rng:   rand.New(rand.NewSource(16)),
 		acked: map[string][]byte{},
 	}
-	db, err := Open(regimeOpts(r.nvme, r.sata, batch, mirror))
+	db, err := Open(regimeOpts(r.nvme, r.sata, batch, noMirror))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +171,10 @@ func (r *regimeRig) ledger() zone.BgBytes { return r.db.Stats().Zone.Bg }
 // TestTieredPartitionStopsRebuilding: insert-heavy load over a small tier.
 // Until the partition's first demotion its oversized zones are rebuilt; from
 // then on the rebuild counters must not move and every background byte the
-// tier writes is a promotion's or a hot-zone eviction's.
+// tier writes is a promotion's or a hot-zone eviction's (so the index mirror,
+// whose backups are background NVMe writes too, is off).
 func TestTieredPartitionStopsRebuilding(t *testing.T) {
-	r := newRegimeRig(t, 2<<20, regimeBatch, false)
+	r := newRegimeRig(t, 2<<20, regimeBatch, true)
 	r.insertUntil(40000, "tiered", r.tiered)
 	at := r.ledger()
 	if at.RebuildWrite == 0 {
@@ -279,7 +280,7 @@ func TestOversizedZoneIsDemotedFirst(t *testing.T) {
 // background mechanism of the performance tier; with the index mirror off,
 // the ledger must account for the device's background bytes exactly.
 func TestNVMeLedgerMatchesDevice(t *testing.T) {
-	r := newRegimeRig(t, 2<<20, regimeBatch, false)
+	r := newRegimeRig(t, 2<<20, regimeBatch, true)
 	r.insert(30000)
 	r.heat()
 	st := r.db.Stats()
@@ -310,7 +311,7 @@ func TestNVMeLedgerMatchesDevice(t *testing.T) {
 // next pass starts over the high watermark with an oversized zone to demote.
 func tieredCrashRig(t *testing.T) *regimeRig {
 	t.Helper()
-	r := newRegimeRig(t, 512<<10, 8<<10, true)
+	r := newRegimeRig(t, 512<<10, 8<<10, false)
 	for i := 0; i < 60000; i++ {
 		if r.write(); !r.due() {
 			continue
@@ -361,7 +362,7 @@ func TestRecoverStaysTieredAndSurvivesDemotionCut(t *testing.T) {
 		r.nvme.PowerCut()
 		r.sata.PowerCut()
 		dev.ClearFaults()
-		re, err := Open(regimeOpts(r.nvme, r.sata, 8<<10, true))
+		re, err := Open(regimeOpts(r.nvme, r.sata, 8<<10, false))
 		if err != nil {
 			t.Fatalf("%s: recover: %v", when, err)
 		}

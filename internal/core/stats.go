@@ -74,11 +74,11 @@ type Stats struct {
 // Stats snapshots the engine.
 func (db *DB) Stats() Stats {
 	s := Stats{
-		NVMe:         db.opts.NVMe.Counters().Snapshot(),
-		SATA:         db.opts.SATA.Counters().Snapshot(),
-		NVMeUsed:     db.opts.NVMe.Used(),
-		NVMeCapacity: db.opts.NVMe.Capacity(),
-		SATAUsed:     db.opts.SATA.Used(),
+		NVMe:         db.opts.NVMeDevice.Counters().Snapshot(),
+		SATA:         db.opts.SATADevice.Counters().Snapshot(),
+		NVMeUsed:     db.opts.NVMeDevice.Used(),
+		NVMeCapacity: db.opts.NVMeDevice.Capacity(),
+		SATAUsed:     db.opts.SATADevice.Used(),
 	}
 	cu := db.cache.Usage()
 	s.CacheHits, s.CacheMisses, s.CacheRejected = cu.Hits, cu.Misses, cu.Rejected

@@ -14,7 +14,8 @@ import (
 // crashCompress is the codec policy every engine runs its crash cycles
 // under: compressed capacity-tier blocks from L1 down, so torn writes land
 // inside compressed payloads and recovery must fail them closed (drop the
-// torn table, keep serving) rather than decode garbage.
+// torn table, keep serving) rather than decode garbage. HyperDB names the
+// same policy as Compress "lz" (its CompressMinLevel defaults to 1).
 var crashCompress = compress.Policy{Codec: compress.LZ, MinLevel: 1}
 
 // Config carries the two simulated devices a cycle runs against. Capacities
@@ -93,15 +94,14 @@ func Factories() []Factory {
 
 func hyperOpts(c Config) core.Options {
 	return core.Options{
-		NVMe:              c.NVMe,
-		SATA:              c.SATA,
+		NVMeDevice:        c.NVMe,
+		SATADevice:        c.SATA,
 		Partitions:        2,
 		CacheBytes:        64 << 10,
 		MigrationBatch:    8 << 10,
 		MaxLevels:         3,
-		MirrorIndexToNVMe: true,
 		DisableBackground: true,
-		CompressPolicy:    crashCompress,
+		Compress:          "lz",
 	}
 }
 

@@ -30,13 +30,12 @@ func failoverCycle(seed int64, trace []op, failNVMe, failSATA int64, torn bool) 
 	rlog := repl.NewLog(repl.LogConfig{SyncAck: true})
 	mkOpts := func(nv, sa *device.Device) core.Options {
 		return core.Options{
-			NVMe:              nv,
-			SATA:              sa,
+			NVMeDevice:        nv,
+			SATADevice:        sa,
 			Partitions:        2,
 			CacheBytes:        64 << 10,
 			MigrationBatch:    8 << 10,
 			MaxLevels:         3,
-			MirrorIndexToNVMe: true,
 			DisableBackground: true,
 		}
 	}

@@ -178,13 +178,13 @@ func Build(kind EngineKind, cfg Config) (*Instance, error) {
 	return inst, nil
 }
 
-// buildHyper opens HyperDB over new devices with cfg's options after mut has
-// adjusted them (the ablation study changes one at a time).
+// buildHyper opens HyperDB, devices and all, from cfg's options after mut
+// has adjusted them (the ablation study changes one at a time).
 func buildHyper(cfg Config, mut func(*hyperdb.Options)) (*Instance, error) {
-	nvme, sata := newDevices(cfg)
 	opts := hyperdb.Options{
-		NVMeDevice:        nvme,
-		SATADevice:        sata,
+		NVMeCapacity:      cfg.NVMeCapacity,
+		SATACapacity:      cfg.SATACapacity,
+		Unthrottled:       cfg.Unthrottled,
 		Partitions:        cfg.Partitions,
 		CacheBytes:        cfg.CacheBytes,
 		MigrationBatch:    cfg.FileSize,
@@ -197,5 +197,5 @@ func buildHyper(cfg Config, mut func(*hyperdb.Options)) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Instance{Engine: db, NVMe: nvme, SATA: sata, Kind: KindHyperDB}, nil
+	return &Instance{Engine: db, NVMe: db.NVMe(), SATA: db.SATA(), Kind: KindHyperDB}, nil
 }

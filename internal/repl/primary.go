@@ -421,24 +421,6 @@ func (p *Primary) scanPairs(start []byte, limit int) ([]merkle.Pair, error) {
 	return pairs, nil
 }
 
-// AppendFilteredFrame encodes one log entry as a REPL_FRAME2 payload
-// covering [base, base+len(ops)-1], keeping only ops whose key passes keep
-// (nil keeps everything). It returns nil when no op survives the filter —
-// the window moved nothing the handoff target needs, so shipping it would
-// only burn bandwidth.
-func AppendFilteredFrame(base uint64, ops []core.BatchOp, keep func(key []byte) bool) []byte {
-	kept := make([]core.BatchOp, 0, len(ops))
-	for _, op := range ops {
-		if keep == nil || keep(op.Key) {
-			kept = append(kept, op)
-		}
-	}
-	if len(kept) == 0 {
-		return nil
-	}
-	return wire.AppendReplFrame2(nil, base, base+uint64(len(ops))-1, kept)
-}
-
 // Status reports the log's view for stats rendering.
 func (p *Primary) Status() LogStatus { return p.Log.Status() }
 

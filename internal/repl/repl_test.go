@@ -16,8 +16,8 @@ import (
 func openStore(t testing.TB, follower bool, tee core.Tee) *core.DB {
 	t.Helper()
 	db, err := core.Open(core.Options{
-		NVMe:              device.New(device.UnthrottledProfile("nvme", 64<<20)),
-		SATA:              device.New(device.UnthrottledProfile("sata", 1<<30)),
+		NVMeDevice:        device.New(device.UnthrottledProfile("nvme", 64<<20)),
+		SATADevice:        device.New(device.UnthrottledProfile("sata", 1<<30)),
 		Partitions:        2,
 		CacheBytes:        2 << 20,
 		MigrationBatch:    128 << 10,

@@ -18,8 +18,8 @@
 //  4. flipSeq = log head ≥ every such write; WaitResolved(flipSeq) then a
 //     pre-closed-stop cursor drain ships the remaining filtered tail
 //  5. source answers the flip with the new map — written after the final
-//     REPL_FRAME2, so by TCP stream order the target holds every pre-flip
-//     write when the response arrives
+//     tail BATCH frame, so by TCP stream order the target holds every
+//     pre-flip write when the response arrives
 //  6. target installs the new map and starts serving the slots
 //
 // Double ownership is impossible: the source stops serving at step 2 and
@@ -175,10 +175,8 @@ func (s *Server) runHandoffSource(c *conn, helloID uint64, targetGroup uint32, s
 			}
 			return err
 		}
-		if payload := repl.AppendFilteredFrame(base, ops, keep); payload != nil {
-			if err := writeHandoffFrame(c.bw, wire.Frame{Op: wire.OpReplFrame2, Status: wire.StatusOK, ID: base, Payload: payload}); err != nil {
-				return err
-			}
+		if err := shipTail(c.bw, base, ops, keep); err != nil {
+			return err
 		}
 	}
 	select {
@@ -226,10 +224,8 @@ func (s *Server) runHandoffSource(c *conn, helloID uint64, targetGroup uint32, s
 		if base > flipSeq {
 			break
 		}
-		if payload := repl.AppendFilteredFrame(base, ops, keep); payload != nil {
-			if err := writeHandoffFrame(c.bw, wire.Frame{Op: wire.OpReplFrame2, Status: wire.StatusOK, ID: base, Payload: payload}); err != nil {
-				return err
-			}
+		if err := shipTail(c.bw, base, ops, keep); err != nil {
+			return err
 		}
 	}
 	s.logf("handoff: flipped %d slots to group %d (map v%d, flip seq %d)", len(slots), targetGroup, next.Version, flipSeq)
@@ -374,8 +370,8 @@ func (s *Server) pullSlots(m *cluster.Map, src uint32, slots []uint32) (*cluster
 	}
 
 	// Ask for the flip, then keep applying tail frames until the response
-	// arrives. The source writes it after the final REPL_FRAME2, so stream
-	// order guarantees this node holds every pre-flip write by then.
+	// arrives. The source writes it after the final tail BATCH frame, so
+	// stream order guarantees this node holds every pre-flip write by then.
 	if err := writeHandoffFrame(bw, wire.Frame{Op: wire.OpHandoffFlip, ID: 2}); err != nil {
 		return nil, err
 	}
@@ -385,13 +381,10 @@ func (s *Server) pullSlots(m *cluster.Map, src uint32, slots []uint32) (*cluster
 			return nil, err
 		}
 		switch fr.Op {
-		case wire.OpReplFrame2:
-			_, _, wops, err := wire.DecodeReplFrame2(fr.Payload)
+		case wire.OpBatch:
+			wops, err := wire.DecodeBatchReq(fr.Payload)
 			if err != nil {
 				return nil, err
-			}
-			if len(wops) == 0 {
-				continue
 			}
 			if _, err := s.cfg.DB.WriteBatchSeq(wops); err != nil {
 				return nil, err
@@ -435,6 +428,21 @@ func (s *Server) sweepSlots(inMove func(key []byte) bool) error {
 		}
 		start = keys.Successor(kvs[len(kvs)-1].Key)
 	}
+}
+
+// shipTail sends the ops of one log entry whose keys keep accepts as a
+// BATCH frame, and nothing when none does.
+func shipTail(bw *bufio.Writer, base uint64, ops []hyperdb.BatchOp, keep func(key []byte) bool) error {
+	var kept []hyperdb.BatchOp
+	for _, op := range ops {
+		if keep(op.Key) {
+			kept = append(kept, op)
+		}
+	}
+	if len(kept) == 0 {
+		return nil
+	}
+	return writeHandoffFrame(bw, wire.Frame{Op: wire.OpBatch, Status: wire.StatusOK, ID: base, Payload: wire.AppendBatchReq(nil, kept)})
 }
 
 func writeHandoffFrame(bw *bufio.Writer, f wire.Frame) error {

@@ -654,8 +654,7 @@ func (c *conn) decode(f wire.Frame) (*request, error) {
 	case wire.OpIncr:
 		req.key, req.delta, err = wire.DecodeIncrReq(f.Payload)
 		req.merge = true
-	case wire.OpReplFrame, wire.OpReplAck, wire.OpReplSnapshot,
-		wire.OpReplFrame2, wire.OpHandoffFlip:
+	case wire.OpReplFrame, wire.OpReplAck, wire.OpReplSnapshot, wire.OpHandoffFlip:
 		// Push-stream ops are only meaningful inside a REPL_HELLO or
 		// HANDOFF_HELLO stream; as requests they have no response protocol.
 		err = fmt.Errorf("%s outside a replication stream", f.Op)

@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// Cluster payloads: the versioned shard map, the handoff admin/stream
-// messages, and the filtered log frame used while a slot range migrates.
+// Cluster payloads: the versioned shard map and the handoff admin/stream
+// messages.
 //
 // A shard map assigns every consistent-hash slot to one primary group.
 // Clients fetch it with OpShardMap, cache it, and route each key directly
@@ -232,43 +232,7 @@ func DecodeHandoffHelloResp(p []byte) (mapVersion, snapSeq uint64, err error) {
 // Sent target→source on the handoff stream once the target has applied the
 // full snapshot; an empty request body. The source keeps shipping tail
 // frames, flips ownership, and answers with the *new* shard map
-// (AppendShardMap) — written after the final REPL_FRAME2, so by stream
+// (AppendShardMap) — written after the final tail frame, so by stream
 // order the target holds every pre-flip write when the response arrives.
-
-// --- REPL_FRAME2 push: base | last | count | ops ---
-//
-// The handoff variant of REPL_FRAME: [base,last] is the sequence window
-// the source consumed from its log, and ops are the writes within it that
-// survived slot filtering — possibly none. The explicit window lets the
-// target track source progress even when every op in a batch belonged to a
-// slot that is not moving.
-
-// AppendReplFrame2 encodes one filtered log window.
-func AppendReplFrame2(dst []byte, base, last uint64, ops []BatchOp) []byte {
-	dst = binary.AppendUvarint(dst, base)
-	dst = binary.AppendUvarint(dst, last)
-	return AppendBatchReq(dst, ops)
-}
-
-// DecodeReplFrame2 decodes a REPL_FRAME2 payload; op slices alias p.
-func DecodeReplFrame2(p []byte) (base, last uint64, ops []BatchOp, err error) {
-	base, rest, err := getUvarint(p)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if base == 0 {
-		return 0, 0, nil, fmt.Errorf("%w: repl frame base 0", ErrBadPayload)
-	}
-	last, rest, err = getUvarint(rest)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if last < base {
-		return 0, 0, nil, fmt.Errorf("%w: repl frame window [%d,%d]", ErrBadPayload, base, last)
-	}
-	ops, err = DecodeBatchReq(rest)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return base, last, ops, nil
-}
+// Tail frames are BATCH pushes (AppendBatchReq) of the slot-filtered ops of
+// one log entry, the frame ID carrying the entry's base sequence.

@@ -84,37 +84,8 @@ func TestHandoffCodecs(t *testing.T) {
 	}
 }
 
-func TestReplFrame2RoundTrip(t *testing.T) {
-	ops := []BatchOp{
-		{Key: []byte("a"), Value: []byte("1")},
-		{Key: []byte("b"), Delete: true},
-		{Key: []byte("c"), Merge: true, Delta: -5},
-	}
-	base, last, got, err := DecodeReplFrame2(AppendReplFrame2(nil, 10, 14, ops))
-	if err != nil || base != 10 || last != 14 || len(got) != 3 {
-		t.Fatalf("frame2: %d %d %v %v", base, last, got, err)
-	}
-	if !got[2].Merge || got[2].Delta != -5 {
-		t.Fatalf("frame2 merge op lost: %+v", got[2])
-	}
-
-	// Zero surviving ops is legal — the whole point of the explicit window.
-	base, last, got, err = DecodeReplFrame2(AppendReplFrame2(nil, 15, 15, nil))
-	if err != nil || base != 15 || last != 15 || len(got) != 0 {
-		t.Fatalf("empty frame2: %d %d %v %v", base, last, got, err)
-	}
-
-	// Base 0 and inverted windows are rejected.
-	if _, _, _, err := DecodeReplFrame2(AppendReplFrame2(nil, 0, 3, nil)); err == nil {
-		t.Error("base-0 frame2 decoded")
-	}
-	if _, _, _, err := DecodeReplFrame2(AppendReplFrame2(nil, 7, 6, nil)); err == nil {
-		t.Error("inverted frame2 window decoded")
-	}
-}
-
 func TestClusterOpsValidAndNamed(t *testing.T) {
-	for _, op := range []Op{OpShardMap, OpHandoff, OpHandoffHello, OpHandoffFlip, OpReplFrame2} {
+	for _, op := range []Op{OpShardMap, OpHandoff, OpHandoffHello, OpHandoffFlip} {
 		if !op.Valid() {
 			t.Fatalf("op %d invalid", op)
 		}

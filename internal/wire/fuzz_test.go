@@ -84,10 +84,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{Op: OpHandoffHello, Status: StatusOK, ID: 26, Payload: AppendHandoffHelloResp(nil, 3, 1000)}))
 	f.Add(AppendFrame(nil, Frame{Op: OpHandoffFlip, ID: 27}))
 	f.Add(AppendFrame(nil, Frame{Op: OpHandoffFlip, Status: StatusOK, ID: 27, Payload: AppendShardMap(nil, sm)}))
-	f.Add(AppendFrame(nil, Frame{Op: OpReplFrame2, ID: 28, Payload: AppendReplFrame2(nil, 9, 12, []BatchOp{
+	// A handoff tail push (a BATCH frame whose ID is the log entry's base)
+	// and the op byte its retired frame type leaves reserved.
+	f.Add(AppendFrame(nil, Frame{Op: OpBatch, Status: StatusOK, ID: 28, Payload: AppendBatchReq(nil, []BatchOp{
 		{Key: []byte("r"), Value: []byte("1")}, {Key: []byte("s"), Delete: true},
 	})}))
-	f.Add(AppendFrame(nil, Frame{Op: OpReplFrame2, ID: 29, Payload: AppendReplFrame2(nil, 13, 13, nil)}))
+	f.Add(AppendFrame(nil, Frame{Op: opRetired18, ID: 29, Payload: AppendBatchReq(nil, nil)}))
 	// A shard map whose slot table names a group beyond the group table.
 	f.Add(AppendFrame(nil, Frame{Op: OpShardMap, Status: StatusOK, ID: 30, Payload: []byte{1, 1, 1, 'a', 1, 5}}))
 	// Anti-entropy frames: the TREE_ROOT opener, a hash query, a hash
@@ -167,8 +169,6 @@ func FuzzDecodeFrame(f *testing.F) {
 			DecodeHandoffHelloResp(fr.Payload)
 		case OpHandoffFlip:
 			DecodeShardMap(fr.Payload)
-		case OpReplFrame2:
-			DecodeReplFrame2(fr.Payload)
 		case OpTreeRoot:
 			DecodeTreeRoot(fr.Payload)
 		case OpTreeDiff:

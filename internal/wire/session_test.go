@@ -152,8 +152,13 @@ func TestSessionOpsRetired(t *testing.T) {
 			t.Fatalf("retired op byte %d still named %q", op, s)
 		}
 	}
+	// The handoff tail's retired frame keeps its byte reserved: unknown and
+	// unnamed, with every later op at its old number.
+	if opRetired18 != 18 || opRetired18.Valid() || opRetired18.String() != "Op(18)" {
+		t.Fatalf("retired op byte %d: valid=%v name %q", opRetired18, opRetired18.Valid(), opRetired18.String())
+	}
 	for op := OpPing; op < opMax; op++ {
-		if s := op.String(); len(s) == 0 || s[0] == 'O' || s[len(s)-1] == '2' && op != OpReplFrame2 {
+		if s := op.String(); op != opRetired18 && (len(s) == 0 || s[0] == 'O' || s[len(s)-1] == '2') {
 			t.Fatalf("op %d named %q", op, s)
 		}
 	}

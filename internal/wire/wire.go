@@ -76,14 +76,15 @@ const (
 	// range from its current owner. OpHandoffHello opens a handoff stream
 	// (target→source, first frame on its connection, like OpReplHello);
 	// OpHandoffFlip is the target's in-stream request for the source to
-	// flip ownership; OpReplFrame2 is the handoff variant of OpReplFrame
-	// whose explicit [base,last] window may contain zero surviving ops
-	// after slot filtering.
+	// flip ownership. The source ships the filtered log tail as OpBatch
+	// frames.
 	OpShardMap
 	OpHandoff
 	OpHandoffHello
 	OpHandoffFlip
-	OpReplFrame2
+	// opRetired18 was the handoff tail's own frame; it names no op, and it
+	// stays reserved so every later op keeps its number.
+	opRetired18
 
 	// Anti-entropy ops (Merkle-tree replica repair, package repl).
 	// OpTreeRoot is the primary's opening push on an anti-entropy stream:
@@ -97,7 +98,7 @@ const (
 )
 
 // Valid reports whether o is a known op code.
-func (o Op) Valid() bool { return o >= OpPing && o < opMax }
+func (o Op) Valid() bool { return o >= OpPing && o < opMax && o != opRetired18 }
 
 func (o Op) String() string {
 	switch o {
@@ -135,8 +136,6 @@ func (o Op) String() string {
 		return "HANDOFF_HELLO"
 	case OpHandoffFlip:
 		return "HANDOFF_FLIP"
-	case OpReplFrame2:
-		return "REPL_FRAME2"
 	case OpTreeRoot:
 		return "TREE_ROOT"
 	case OpTreeDiff:
