@@ -182,18 +182,21 @@ func (db *DB) get(key []byte) ([]byte, bool, error) {
 	// Admission: copy the read object into the slab when there is room,
 	// charged to the background. It is best-effort: the read has its value
 	// whether or not the copy lands.
+	// A write that reached the slab since the read is newer: keep it.
 	if db.usedFraction() < db.opts.HighWatermark {
-		seq := db.seq.Add(1)
 		db.mu.Lock()
-		_ = db.putLocked(key, v, false, seq, device.Bg)
+		if _, ok := db.index.Get(key); !ok {
+			_ = db.putLocked(key, v, false, db.seq.Add(1), device.Bg)
+		}
 		db.mu.Unlock()
 	}
 	return v, true, nil
 }
 
-// WriteBatch applies the ops under one lock acquisition, drawing a single
-// sequence block so slice order is sequence order (last-write-wins for
-// duplicates). On ErrNoSpace the lock is dropped, one migration batch runs
+// WriteBatch applies the ops in slice order under the index lock (last-write-
+// wins for duplicates). Each op draws its sequence under that lock as it
+// applies, so any key's writes apply in sequence order, across concurrent
+// batches too. On ErrNoSpace the lock is dropped, one migration batch runs
 // synchronously, and the batch resumes at the failed op.
 func (db *DB) WriteBatch(ops []engine.BatchOp) error {
 	for i := range ops {
@@ -204,13 +207,11 @@ func (db *DB) WriteBatch(ops []engine.BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	n := uint64(len(ops))
-	base := db.seq.Add(n) - n + 1
 	i, attempts := 0, 0
 	db.mu.Lock()
 	for i < len(ops) {
 		o := &ops[i]
-		err := db.putLocked(o.Key, o.Value, o.Delete, base+uint64(i), device.Fg)
+		err := db.putLocked(o.Key, o.Value, o.Delete, db.seq.Add(1), device.Fg)
 		if err == nil {
 			i++
 			continue

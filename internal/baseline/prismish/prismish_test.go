@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -397,4 +398,53 @@ func TestResizeWithoutSpaceKeepsFreeListsExact(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestWritesApplyInSequenceOrder has goroutines Put one key at once, round
+// after round, with values of alternating sizes, so writes alternate between
+// overwriting a slot in place and moving to another slab class. After every
+// round the index must name the highest sequence the engine drew, and the
+// store reopened from the devices — which keeps the key's highest-sequence
+// slot — must read what the live store reads.
+func TestWritesApplyInSequenceOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	const writers, rounds = 8, 200
+	db, _, _ := open(t, 32<<20)
+	key := k8(7)
+	for r := 0; r < rounds; r++ {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				v := bytes.Repeat([]byte{byte('a' + g)}, 16+200*((g+r)%2))
+				if err := db.Put(key, v); err != nil {
+					t.Error(err)
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		db.mu.RLock()
+		l, _ := db.index.Get(key)
+		db.mu.RUnlock()
+		if last := db.seq.Load(); l.seq != last {
+			t.Fatalf("round %d: the index names sequence %d, the last drawn is %d", r, l.seq, last)
+		}
+	}
+	live, err := db.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	re, err := Open(db.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got, err := re.Get(key); err != nil || !bytes.Equal(got, live) {
+		t.Fatalf("reopened: %.8q (%v), live store read %.8q", got, err, live)
+	}
 }

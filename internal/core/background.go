@@ -36,10 +36,10 @@ func (db *DB) migrationWorker(p *partition) {
 }
 
 // noteBackgroundError records a pass a worker gave up on; Stats reports the
-// count and the newest error.
+// count and the newest error, and the next DrainBackground returns them.
 func (db *DB) noteBackgroundError(what string, pid int, err error) {
-	msg := fmt.Sprintf("%s p%d: %v", what, pid, err)
-	db.lastBgErr.Store(&msg)
+	err = fmt.Errorf("%s p%d: %w", what, pid, err)
+	db.lastBgErr.Store(&err)
 	db.bgErrs.Add(1)
 }
 
@@ -218,10 +218,11 @@ func (db *DB) BackgroundStep() error {
 // DrainBackground runs migration and compaction across all partitions until
 // the system is quiescent: NVMe below the low watermark (or nothing left to
 // demote) and no compaction debt. Benchmarks call this to flush background
-// work out of measurement windows.
+// work out of measurement windows. It then reports — once — the passes the
+// workers abandoned on an error since the last drain, with the newest error.
 func (db *DB) DrainBackground() error {
-	for {
-		work := false
+	for work := true; work; {
+		work = false
 		for _, p := range db.parts {
 			before := p.zones.Stats().Migrations
 			if err := db.MigrationStep(p.id); err != nil {
@@ -241,8 +242,10 @@ func (db *DB) DrainBackground() error {
 				work = true
 			}
 		}
-		if !work {
-			return nil
-		}
 	}
+	noted := db.bgErrs.Load()
+	if n := noted - db.bgDrained.Swap(noted); n > 0 {
+		return fmt.Errorf("hyperdb: %d background errors since the last drain, last: %w", n, *db.lastBgErr.Load())
+	}
+	return nil
 }

@@ -51,8 +51,11 @@ func TestWorkersRecordBackgroundErrors(t *testing.T) {
 	}
 
 	db.opts.SATADevice.ClearFaults()
+	if err := db.DrainBackground(); err == nil {
+		t.Fatal("the drain after the device healed reported none of the workers' errors")
+	}
 	if err := db.DrainBackground(); err != nil {
-		t.Fatalf("drain after the device healed: %v", err)
+		t.Fatalf("second drain after the device healed: %v", err)
 	}
 	if db.Stats().Zone.Migrations == 0 {
 		t.Fatal("nothing migrated after the device healed")
@@ -61,6 +64,32 @@ func TestWorkersRecordBackgroundErrors(t *testing.T) {
 		if _, err := db.Get(k); err != nil {
 			t.Fatalf("acked key %x after background errors: %v", k, err)
 		}
+	}
+}
+
+// TestDrainReportsWorkerErrorOnce fails one capacity-tier write while the
+// workers demote. The drain that follows returns that error, once: the next
+// drain returns nil.
+func TestDrainReportsWorkerErrorOnce(t *testing.T) {
+	db := openCore(t, 3<<20, true)
+	db.opts.SATADevice.InjectFaults(device.FaultPlan{FailWriteAfter: 1})
+	rng := rand.New(rand.NewSource(12))
+	deadline := time.Now().Add(10 * time.Second)
+	for db.Stats().BackgroundErrors == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the workers never hit the injected write failure")
+		}
+		if err := db.Put(k8(rng.Uint64()), make([]byte, 128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.opts.SATADevice.ClearFaults()
+	err := db.DrainBackground()
+	if !errors.Is(err, device.ErrInjected) || !strings.Contains(err.Error(), "1 background errors") {
+		t.Fatalf("first drain: %v, want the one injected write failure", err)
+	}
+	if err := db.DrainBackground(); err != nil {
+		t.Fatalf("second drain: %v", err)
 	}
 }
 

@@ -16,13 +16,14 @@ type BatchOp = engine.BatchOp
 // WriteBatch applies ops with batch-grouped amortisation: keys are grouped
 // per partition, each group takes the tracker and zone locks once, and the
 // whole batch draws a single sequence block. Ordering follows the slice —
-// duplicate keys resolve last-write-wins. The batch is not atomic across
-// partitions (each partition group is its own lock scope), matching the
-// paper's shared-nothing design; an error may leave a prefix applied.
+// duplicate keys resolve last-write-wins — and concurrent batches apply
+// each key's writes in sequence order (see applyAt). The batch is not
+// atomic across partitions; an error may leave a prefix applied.
 //
 // When a replication tee is installed the batch is also appended to the
-// tee's log before the apply and committed after it; Commit may block until
-// followers acknowledge when synchronous replication is on.
+// tee's log before the apply and committed after it, with no partition
+// locked; Commit may block until followers acknowledge when synchronous
+// replication is on.
 func (db *DB) WriteBatch(ops []BatchOp) error {
 	_, err := db.WriteBatchSeq(ops)
 	return err
@@ -54,25 +55,26 @@ func (db *DB) WriteBatchSeq(ops []BatchOp) (uint64, error) {
 		}
 	}
 
-	// One sequence block for the batch; op i carries base+i so slice order
-	// is sequence order and duplicates resolve last-write-wins. With a tee
-	// the allocation and the log append share a critical section so the
+	// One sequence block for the batch, drawn once its partitions are
+	// locked; op i carries base+i so slice order is sequence order. With a
+	// tee the draw and the log append share a critical section so the
 	// shipped log's base order matches sequence order.
 	n := uint64(len(ops))
 	var base, tok uint64
 	tee := db.opts.Tee
-	if tee != nil {
-		db.replMu.Lock()
+	err := db.applyAt(ops, 1, func() uint64 {
+		if tee != nil {
+			db.replMu.Lock()
+			defer db.replMu.Unlock()
+		}
 		base = db.seq.Add(n) - n + 1
-		// The tee gets its own slice: an interface call would otherwise move
-		// every caller's ops to the heap, Put's one-op batch included.
-		tok = tee.Append(base, slices.Clone(ops))
-		db.replMu.Unlock()
-	} else {
-		base = db.seq.Add(n) - n + 1
-	}
-
-	err := db.applyAt(ops, func(i int) uint64 { return base + uint64(i) })
+		if tee != nil {
+			// The tee gets its own slice: an interface call would otherwise
+			// move every caller's ops to the heap, Put's one-op batch included.
+			tok = tee.Append(base, slices.Clone(ops))
+		}
+		return base
+	})
 	if tee != nil {
 		tee.Commit(tok, err == nil)
 	}
@@ -82,10 +84,12 @@ func (db *DB) WriteBatchSeq(ops []BatchOp) (uint64, error) {
 	return base + n - 1, nil
 }
 
-// applyAt applies ops grouped per partition, tagging op i with seqOf(i).
-// Shared by the foreground WriteBatch path and the replication appliers, so
+// applyAt applies ops grouped per partition, op i at sequence base+i*step
+// for the base draw returns. It write-locks every partition the ops touch,
+// in ascending id, before it calls draw, and unlocks them after the apply.
+// The foreground write path and the replication appliers share it, so
 // replicated writes exercise the identical tracker/zone/stall machinery.
-func (db *DB) applyAt(ops []BatchOp, seqOf func(int) uint64) error {
+func (db *DB) applyAt(ops []BatchOp, step uint64, draw func() uint64) error {
 	if db.tree != nil {
 		// Every apply path dirties the written keys' Merkle leaves, so the
 		// tree stays consistent on primaries, followers, and across
@@ -95,46 +99,42 @@ func (db *DB) applyAt(ops []BatchOp, seqOf func(int) uint64) error {
 		}
 	}
 	if len(ops) == 1 {
-		return db.applyGroup(db.partFor(ops[0].Key), ops, []int{0}, seqOf)
+		p := db.partFor(ops[0].Key)
+		p.writeMu.Lock()
+		defer p.writeMu.Unlock()
+		return db.applyGroup(p, ops, []int{0}, draw(), step)
 	}
-	// Group op indices per partition, preserving slice order within a group.
-	groups := make(map[*partition][]int, len(db.parts))
+	// Group op indices per partition, preserving slice order within a
+	// group; the slice order is the lock order.
+	groups := make([][]int, len(db.parts))
 	for i := range ops {
-		p := db.partFor(ops[i].Key)
-		groups[p] = append(groups[p], i)
+		id := db.partFor(ops[i].Key).id
+		groups[id] = append(groups[id], i)
 	}
-
-	for p, idxs := range groups {
-		if err := db.applyGroup(p, ops, idxs, seqOf); err != nil {
-			return err
+	for id, idxs := range groups {
+		if len(idxs) > 0 {
+			db.parts[id].writeMu.Lock()
+			defer db.parts[id].writeMu.Unlock()
+		}
+	}
+	base := draw()
+	for id, idxs := range groups {
+		if len(idxs) > 0 {
+			if err := db.applyGroup(db.parts[id], ops, idxs, base, step); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// applyGroup applies one partition's slice of a batch. Groups containing
-// merge ops first resolve them to plain puts under the partition's merge
-// lock, held across the zone apply so the read-modify-write cannot lose a
-// concurrently merging batch's update. (A plain Put racing a merge to the
-// same key through the direct engine API can still be absorbed — the
-// served path's single drainer serialises all writes, so this only
-// concerns embedded users mixing both on one key.)
-func (db *DB) applyGroup(p *partition, ops []BatchOp, idxs []int, seqOf func(int) uint64) error {
-	hasMerge := false
-	for _, i := range idxs {
-		if ops[i].Merge {
-			hasMerge = true
-			break
-		}
+// applyGroup applies one partition's slice of a batch under its write lock:
+// merge ops resolve to plain puts of their post-merge values, then the group
+// goes to the zone tier.
+func (db *DB) applyGroup(p *partition, ops []BatchOp, idxs []int, base, step uint64) error {
+	if err := db.resolveMerges(p, ops, idxs); err != nil {
+		return err
 	}
-	if hasMerge {
-		p.mergeMu.Lock()
-		defer p.mergeMu.Unlock()
-		if err := db.resolveMerges(p, ops, idxs); err != nil {
-			return err
-		}
-	}
-
 	var kb [1][]byte
 	var hb [1]bool
 	var zb [1]zone.BatchOp
@@ -147,7 +147,7 @@ func (db *DB) applyGroup(p *partition, ops []BatchOp, idxs []int, seqOf func(int
 		zops[gi] = zone.BatchOp{
 			Key:    ops[i].Key,
 			Value:  ops[i].Value,
-			Seq:    seqOf(i),
+			Seq:    base + uint64(i)*step,
 			Hot:    hot[gi],
 			Delete: ops[i].Delete,
 		}
@@ -232,7 +232,7 @@ func (db *DB) ApplyReplicated(ops []BatchOp, base uint64) error {
 	// (observing all of it, token ≥ last) — never a half-applied middle
 	// whose newest data would outrun the token it returns.
 	db.applyRW.Lock()
-	err := db.applyAt(ops, func(i int) uint64 { return base + uint64(i) })
+	err := db.applyAt(ops, 1, func() uint64 { return base })
 	if err == nil {
 		db.replApplied.Store(last)
 		db.advanceReadSeq(last)
@@ -280,7 +280,7 @@ func (db *DB) ApplySnapshotChunk(ops []BatchOp, seq uint64) error {
 		return nil
 	}
 	db.applyRW.Lock()
-	err := db.applyAt(ops, func(int) uint64 { return seq })
+	err := db.applyAt(ops, 0, func() uint64 { return seq })
 	db.applyRW.Unlock()
 	return err
 }

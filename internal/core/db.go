@@ -48,10 +48,10 @@ type partition struct {
 	tree    *lsm.Tree
 	tracker *hotness.Tracker
 
-	// mergeMu serialises merge resolution (read-modify-write of counter
-	// state) against other merging batches on this partition. Taken only
-	// for batches that contain merge ops.
-	mergeMu sync.Mutex
+	// writeMu is held by every write to the partition from its sequence
+	// draw to the end of its apply, so a key's writes apply in sequence
+	// order and a merge's read-modify-write sees no write in between.
+	writeMu sync.Mutex
 
 	promoCh chan *promotion
 	// promoSlots is the queue's free-slot semaphore: enqueuePromotion
@@ -105,9 +105,11 @@ type DB struct {
 	mergeOps atomic.Uint64
 
 	// bgErrs counts migration and compaction passes the workers abandoned
-	// on an error (the next pass retries); lastBgErr keeps the newest.
+	// on an error (the next pass retries); lastBgErr keeps the newest and
+	// bgDrained the count DrainBackground last reported up to.
 	bgErrs    atomic.Uint64
-	lastBgErr atomic.Pointer[string]
+	bgDrained atomic.Uint64
+	lastBgErr atomic.Pointer[error]
 
 	// tree is the incremental Merkle tree over the keyspace, maintained
 	// from every apply path when Options.AntiEntropy is set; nil otherwise.

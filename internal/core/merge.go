@@ -46,61 +46,67 @@ func SatAdd(a, b int64) int64 {
 	return s
 }
 
-// counterBase resolves the pre-merge value of key from the partition's
-// current state, read as Get reads it. A key found nowhere, or deleted,
-// merges against 0.
-func (db *DB) counterBase(p *partition, key []byte) (int64, error) {
-	v, found, _, err := p.lookup(key)
-	if err != nil || !found {
-		return 0, err
-	}
-	return DecodeCounter(v)
-}
-
 // resolveMerges rewrites every merge op in the group to a plain put of its
 // post-merge value, walking the group in slice order so an earlier put,
 // delete, or merge to the same key in the same batch is what a later merge
-// sees. Caller holds p.mergeMu so the read-modify-write against partition
-// state is atomic with respect to other merging batches. ops[i].Value is
-// mutated in place — WriteBatchSeq callers read post-merge values out of
-// their own slice after the call.
+// sees. Caller holds p.writeMu, so no other write reaches the partition
+// between a merge's read and its apply. ops[i].Value is mutated in place —
+// WriteBatchSeq callers read post-merge values out of their own slice after
+// the call.
 func (db *DB) resolveMerges(p *partition, ops []BatchOp, idxs []int) error {
-	// pending maps keys already written earlier in this group to their
-	// in-batch value; nil means deleted (base 0 for a following merge).
-	pending := make(map[string][]byte)
-	for _, i := range idxs {
-		op := &ops[i]
-		switch {
-		case op.Delete:
+	// pending maps keys written earlier in the group to their in-batch
+	// value, nil for a delete. It is built at the group's first merge, so a
+	// group without one allocates nothing.
+	var pending map[string][]byte
+	note := func(op *BatchOp) {
+		if op.Delete {
 			pending[string(op.Key)] = nil
-		case !op.Merge:
+		} else {
 			pending[string(op.Key)] = op.Value
-		default:
-			var base int64
-			if pv, ok := pending[string(op.Key)]; ok {
-				if pv != nil {
-					b, err := DecodeCounter(pv)
-					if err != nil {
-						return fmt.Errorf("merge %q: %w", op.Key, err)
-					}
-					base = b
+		}
+	}
+	for gi, i := range idxs {
+		op := &ops[i]
+		if op.Merge {
+			if pending == nil {
+				pending = make(map[string][]byte)
+				for _, j := range idxs[:gi] {
+					note(&ops[j])
 				}
-			} else {
-				b, err := db.counterBase(p, op.Key)
-				if err != nil {
-					if errors.Is(err, ErrNotCounter) {
-						return fmt.Errorf("merge %q: %w", op.Key, err)
-					}
-					return err
-				}
-				base = b
+			}
+			base, err := db.mergeBase(p, pending, op.Key)
+			if err != nil {
+				return err
 			}
 			op.Value = EncodeCounter(SatAdd(base, op.Delta))
-			pending[string(op.Key)] = op.Value
 			db.mergeOps.Add(1)
+		}
+		if pending != nil {
+			note(op)
 		}
 	}
 	return nil
+}
+
+// mergeBase is the counter a merge of key adds to: the group's last earlier
+// write to key if there is one, else key's value in the partition, read as
+// Get reads it. A key found nowhere, or deleted, counts from 0.
+func (db *DB) mergeBase(p *partition, pending map[string][]byte, key []byte) (int64, error) {
+	v, ok := pending[string(key)]
+	if ok && v == nil {
+		return 0, nil
+	}
+	if !ok {
+		var err error
+		if v, ok, _, err = p.lookup(key); err != nil || !ok {
+			return 0, err
+		}
+	}
+	n, err := DecodeCounter(v)
+	if err != nil {
+		return 0, fmt.Errorf("merge %q: %w", key, err)
+	}
+	return n, nil
 }
 
 // Incr atomically adds delta to the counter at key and returns the

@@ -16,9 +16,10 @@ import (
 )
 
 // Tee observes every committed foreground write for replication. Append is
-// called under the engine's replication mutex immediately after the batch's
-// sequence block is allocated — so calls arrive in strictly increasing base
-// order — and before the batch is applied. Commit resolves the entry once
+// called under the engine's replication mutex, with the batch's partitions
+// write-locked, immediately after the batch's sequence block is allocated —
+// so calls arrive in strictly increasing base order — and before the batch
+// is applied; it must not block. Commit resolves the entry once
 // the apply finishes; with ok=true it may block until downstream followers
 // acknowledge (synchronous replication), with ok=false the entry is dropped
 // (the batch failed and was never acknowledged to the client). Append gets

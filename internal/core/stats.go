@@ -87,8 +87,8 @@ func (db *DB) Stats() Stats {
 	s.CacheUsedBytes, s.CacheCapacity = cu.Used, cu.Capacity
 	s.MergeOps = db.mergeOps.Load()
 	s.BackgroundErrors = db.bgErrs.Load()
-	if msg := db.lastBgErr.Load(); msg != nil {
-		s.LastBackgroundError = *msg
+	if err := db.lastBgErr.Load(); err != nil {
+		s.LastBackgroundError = (*err).Error()
 	}
 
 	maxLevels := db.opts.MaxLevels

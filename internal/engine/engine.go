@@ -41,6 +41,8 @@ type Engine interface {
 	Get(key []byte) ([]byte, error)
 	Delete(key []byte) error
 	// WriteBatch applies ops in slice order (last-write-wins duplicates).
+	// Concurrent callers' ops apply per key in sequence order, the order
+	// recovery and replicas replay: a key reads as its newest write.
 	WriteBatch(ops []BatchOp) error
 	// MultiGet returns values aligned with keys; nil marks a miss.
 	MultiGet(keys [][]byte) ([][]byte, error)

@@ -48,7 +48,7 @@ func (s *Server) drainLoop() {
 func (s *Server) collect(first *request) []*request {
 	batch := append(make([]*request, 0, 64), first)
 	lingered := s.cfg.CoalesceWait <= 0
-	for len(batch) < s.cfg.QueueDepth {
+	for len(batch) < queueDepth {
 		select {
 		case r, ok := <-s.queue:
 			if !ok {
@@ -206,9 +206,7 @@ func (s *Server) process(batch []*request) {
 		}
 	}
 	if len(wops) > 0 {
-		s.writes.Lock()
 		seq, err := s.cfg.DB.WriteBatchSeq(wops)
-		s.writes.Unlock()
 		s.stats.WriteBatches.Inc()
 		s.stats.WriteOps.Add(uint64(len(wops)))
 		for _, r := range wreqs {

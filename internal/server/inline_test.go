@@ -393,26 +393,26 @@ func TestShutdownDuringInlineCycles(t *testing.T) {
 	t.Logf("shutdown mid-traffic: %d acked writes recovered", total)
 }
 
-// TestMergesNeverRunInline: a lone INCR still takes the queue — the drainer
-// is where deltas fold and where a merge's read-modify-write is alone with
-// the engine — while the lone GET after it is served inline.
-func TestMergesNeverRunInline(t *testing.T) {
+// TestLoneMergesRunInline: a lone INCR or merge batch takes the inline path
+// like any other lone request — the engine orders a merge against every
+// other write to its key — and reads back through it.
+func TestLoneMergesRunInline(t *testing.T) {
 	env := newTestEnv(t, nil)
 	c := dialTest(t, env, 1)
 	st := env.srv.Stats()
-	if _, err := c.Incr([]byte("n"), 1); err != nil {
-		t.Fatal(err)
+	if v, err := c.Incr([]byte("n"), 1); err != nil || v != 1 {
+		t.Fatalf("incr: %d %v", v, err)
 	}
 	if err := c.WriteBatch([]wire.BatchOp{{Key: []byte("n"), Merge: true, Delta: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if in, q := st.InlineCycles.Load(), st.QueuedCycles.Load(); in != 0 || q != 2 {
-		t.Fatalf("after two lone merges: %d inline, %d queued cycles; want 0 and 2", in, q)
+	if in, q := st.InlineCycles.Load(), st.QueuedCycles.Load(); in != 2 || q != 0 {
+		t.Fatalf("after two lone merges: %d inline, %d queued cycles; want 2 and 0", in, q)
 	}
 	if v, err := c.Get([]byte("n")); err != nil || !bytes.Equal(v, hyperdb.EncodeCounter(3)) {
 		t.Fatalf("get: %x %v", v, err)
 	}
-	if in := st.InlineCycles.Load(); in != 1 {
-		t.Fatalf("lone GET ran %d inline cycles, want 1", in)
+	if in := st.InlineCycles.Load(); in != 3 {
+		t.Fatalf("lone GET left %d inline cycles, want 3", in)
 	}
 }

@@ -198,3 +198,90 @@ func TestReplStreamOpsRejectedAsRequests(t *testing.T) {
 		t.Fatalf("stray ack got status %d, want BadRequest", f.Status)
 	}
 }
+
+// TestInlineMergesKeepFollowerInStep: many connections, one request at a
+// time each, increment and overwrite a few shared counters on a primary
+// whose follower tails its log. Lone INCRs are served inline, concurrently
+// with each other and with lone PUTs of the same keys, and the follower —
+// which replays the log by sequence — must still end with the primary's
+// values.
+func TestInlineMergesKeepFollowerInStep(t *testing.T) {
+	prim, plog := newReplEnv(t, false, &repl.LogConfig{})
+	fol, _ := newReplEnv(t, true, nil)
+	nc, err := net.Dial("tcp", prim.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	runDone := make(chan error, 1)
+	go func() { runDone <- (&repl.Follower{DB: fol.db}).Run(nc, stop) }()
+
+	const conns, calls = 8, 64
+	keys := [][]byte{[]byte("ctr-a"), []byte("ctr-b"), []byte("ctr-c")}
+	run := func(withPuts bool) {
+		t.Helper()
+		errs := make(chan error, conns)
+		for g := 0; g < conns; g++ {
+			c := dialTest(t, prim, 1)
+			go func(g int) {
+				for i := 0; i < calls; i++ {
+					k := keys[(g+i)%len(keys)]
+					var err error
+					if withPuts && i%4 == 3 {
+						err = c.Put(k, hyperdb.EncodeCounter(int64(g*calls+i)))
+					} else {
+						_, err = c.Incr(k, 1)
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}(g)
+		}
+		for g := 0; g < conns; g++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	st := prim.srv.Stats()
+	run(false)
+	if st.InlineCycles.Load() == 0 {
+		t.Fatalf("no INCR was served inline (%d queued cycles)", st.QueuedCycles.Load())
+	}
+	var total int64
+	for _, k := range keys {
+		v, err := prim.db.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ := hyperdb.DecodeCounter(v)
+		total += n
+	}
+	if total != conns*calls {
+		t.Fatalf("counters sum to %d after %d increments", total, conns*calls)
+	}
+	run(true)
+
+	for deadline := time.Now().Add(10 * time.Second); fol.db.ReadableSeq() < plog.Head(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower stuck at %d, log head %d", fol.db.ReadableSeq(), plog.Head())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, k := range keys {
+		pv, perr := prim.db.Get(k)
+		fv, ferr := fol.db.Get(k)
+		if perr != nil || ferr != nil || string(pv) != string(fv) {
+			t.Errorf("%s: primary %x (%v), follower %x (%v)", k, pv, perr, fv, ferr)
+		}
+	}
+	t.Logf("%d inline, %d queued cycles", st.InlineCycles.Load(), st.QueuedCycles.Load())
+	close(stop)
+	if err := <-runDone; err != nil {
+		t.Fatalf("follower run: %v", err)
+	}
+}

@@ -55,8 +55,6 @@ type Config struct {
 	MaxInflight int
 	// MaxFrame bounds accepted frame bodies. Default wire.MaxFrame.
 	MaxFrame uint32
-	// QueueDepth is the coalescing queue's capacity. Default 4096.
-	QueueDepth int
 	// CoalesceWait, when positive, lets a drain cycle that found fewer
 	// than two requests wait once for more to arrive before hitting the
 	// engine. Zero (the default) drains whatever is immediately pending.
@@ -123,9 +121,6 @@ func (c *Config) fill() error {
 	if c.MaxFrame == 0 || c.MaxFrame > wire.MaxFrame {
 		c.MaxFrame = wire.MaxFrame
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4096
-	}
 	if c.MaxScanLimit <= 0 {
 		c.MaxScanLimit = 4096
 	}
@@ -148,13 +143,9 @@ type Server struct {
 	// cycle or barrier sends the request to the queue instead), the drainer
 	// holds it exclusive. A drain cycle therefore starts only after every
 	// inline cycle that began before it has committed, which is what a
-	// handoff barrier proves when it closes.
+	// handoff barrier proves when it closes. Inline writes need no lock of
+	// their own: the engine applies each key's writes in sequence order.
 	cycles sync.RWMutex
-	// writes serialises engine writes across inline cycles. The engine tags
-	// a write with its sequence before applying it, so only a single writer
-	// keeps per-key apply order equal to sequence order — the order
-	// followers and recovery replay. Reads never take it.
-	writes sync.Mutex
 
 	mu     sync.Mutex
 	conns  map[*conn]struct{}
@@ -185,7 +176,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		queue:    make(chan *request, cfg.QueueDepth),
+		queue:    make(chan *request, queueDepth),
 		conns:    make(map[*conn]struct{}),
 		flushed:  make(chan struct{}),
 		stopWait: make(chan struct{}),
@@ -356,10 +347,6 @@ type request struct {
 	// inline buffer: the reader goroutine is running its cycle. A request
 	// that parks clears it and is answered through the writer.
 	inline bool
-	// merge marks a request carrying a counter merge. Merges always queue:
-	// the drainer is where same-key deltas fold, and its exclusive hold on
-	// cycles keeps a merge's read-modify-write clear of concurrent puts.
-	merge bool
 
 	key   []byte         // GET/DEL/SCAN start/INCR
 	value []byte         // PUT
@@ -389,8 +376,9 @@ type request struct {
 	acqDeadline time.Time
 }
 
-// bufferedReader sizes the per-connection read buffer.
-const readBufSize = 64 << 10
+// readBufSize sizes the per-connection read buffer; queueDepth is the
+// coalescing queue's capacity and the most requests one drain cycle takes.
+const readBufSize, queueDepth = 64 << 10, 4096
 
 // response is one encoded reply frame on its way to the writer goroutine.
 // start is the request's decode time; zero for replies to frames that never
@@ -533,15 +521,15 @@ const maxKeptReply = 64 << 10
 // serveInline runs req's cycle on this reader goroutine when nothing could
 // be gained by queueing it: the connection has nothing else unanswered (so
 // its requests still execute in arrival order), nothing is buffered behind
-// the request (so there is nothing to coalesce it with), it carries no merge,
-// and no drain cycle or barrier is running. It reports false, having done
+// the request (so there is nothing to coalesce it with), and no drain cycle
+// or barrier is running. It reports false, having done
 // nothing, when the request must take the queue.
 //
 // The shared lock is released before the reply touches the socket: a client
 // that does not read blocks this goroutine — its own — and nobody else.
 func (c *conn) serveInline(req *request) bool {
 	s := c.srv
-	if len(c.inflight) != 1 || c.br.Buffered() != 0 || req.merge || !s.cycles.TryRLock() {
+	if len(c.inflight) != 1 || c.br.Buffered() != 0 || !s.cycles.TryRLock() {
 		return false
 	}
 	req.inline = true
@@ -640,9 +628,6 @@ func (c *conn) decode(f wire.Frame) (*request, error) {
 		req.key, err = wire.DecodeKeyReq(f.Payload)
 	case wire.OpBatch:
 		req.batch, err = wire.DecodeBatchReq(f.Payload)
-		for _, b := range req.batch {
-			req.merge = req.merge || b.Merge
-		}
 	case wire.OpMGet:
 		req.keys, err = wire.DecodeMGetReq(f.Payload)
 	case wire.OpScan:
@@ -653,7 +638,6 @@ func (c *conn) decode(f wire.Frame) (*request, error) {
 		}
 	case wire.OpIncr:
 		req.key, req.delta, err = wire.DecodeIncrReq(f.Payload)
-		req.merge = true
 	case wire.OpReplFrame, wire.OpReplAck, wire.OpReplSnapshot, wire.OpHandoffFlip:
 		// Push-stream ops are only meaningful inside a REPL_HELLO or
 		// HANDOFF_HELLO stream; as requests they have no response protocol.
