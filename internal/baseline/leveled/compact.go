@@ -3,6 +3,7 @@ package leveled
 import (
 	"bytes"
 	"slices"
+	"time"
 
 	"hyperdb/internal/device"
 	"hyperdb/internal/keys"
@@ -45,6 +46,26 @@ func (l *LSM) CompactOnce(op device.Op) (bool, error) {
 	l.activeOut[plan.target] = false
 	l.mu.Unlock()
 	return true, err
+}
+
+// Drain compacts on the caller's goroutine until no level is over budget and
+// no compaction is in flight.
+func (l *LSM) Drain() error {
+	for {
+		did, err := l.CompactOnce(device.Bg)
+		if err != nil {
+			return err
+		}
+		if did {
+			continue
+		}
+		if l.Quiesced() {
+			break
+		}
+		// A background thread holds the remaining work; yield and re-check.
+		time.Sleep(time.Millisecond)
+	}
+	return nil
 }
 
 // plan is one compaction's inputs.

@@ -151,10 +151,6 @@ type LSM struct {
 
 	traffic []*LevelTraffic
 	stallCh chan struct{} // closed and replaced to broadcast un-stall
-
-	bgMu      sync.Mutex
-	bgErrs    int   // errors background workers gave up on since the last Drain
-	lastBgErr error // the newest of them
 }
 
 // Traffic returns level k's compaction counters.

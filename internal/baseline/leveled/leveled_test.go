@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hyperdb/internal/device"
+	"hyperdb/internal/engine"
 	"hyperdb/internal/keys"
 )
 
@@ -298,9 +299,11 @@ func TestLevelBytesAndNeedsCompaction(t *testing.T) {
 	}
 }
 
-// TestCompactorErrorReachesDrain runs the shared compaction thread over a
-// device whose next write fails once: the compaction it kills is retried and
-// succeeds, and the error is not lost — the next Drain returns it, once.
+// TestCompactorErrorReachesDrain runs the engines' compaction thread — the
+// shared worker loop over CompactOnce — over a device whose next write fails
+// once: the compaction it kills is retried and succeeds, Drain finds nothing
+// left, and the error is not lost — the ledger a DrainBackground ends with
+// returns it, once.
 func TestCompactorErrorReachesDrain(t *testing.T) {
 	l, dev := newLSM(t, 16<<10)
 	for r := 0; r < 2; r++ {
@@ -310,10 +313,11 @@ func TestCompactorErrorReachesDrain(t *testing.T) {
 	}
 	dev.InjectFaults(device.FaultPlan{FailWriteAfter: 1})
 
+	var errs engine.Errors
 	stop, wake, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		l.RunCompactor(stop, wake, time.Hour) // woken by hand, so each round is observable
+		engine.Work(stop, wake, &errs, func() (bool, error) { return l.CompactOnce(device.Bg) })
 	}()
 	for i := 0; l.TableCount(0) > 0; i++ {
 		if i == 100 {
@@ -324,11 +328,14 @@ func TestCompactorErrorReachesDrain(t *testing.T) {
 	close(stop)
 	<-done
 
-	if err := l.Drain(); !errors.Is(err, device.ErrInjected) {
-		t.Fatalf("drain after a failed background compaction = %v, want the injected fault", err)
-	}
 	if err := l.Drain(); err != nil {
-		t.Fatalf("second drain = %v, want nil", err)
+		t.Fatalf("drain after the retried compaction = %v, want nil", err)
+	}
+	if err := errs.Take(); !errors.Is(err, device.ErrInjected) {
+		t.Fatalf("errors after a failed background compaction = %v, want the injected fault", err)
+	}
+	if err := errs.Take(); err != nil {
+		t.Fatalf("second take = %v, want nil", err)
 	}
 	if v, _, found, err := l.Get(k8(150<<32), keys.MaxSeq, device.Fg); err != nil || !found || string(v) != "v-150" {
 		t.Fatalf("after the retried compaction: %q %v %v", v, found, err)

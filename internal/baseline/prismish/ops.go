@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"hyperdb/internal/baseline/leveled"
 	"hyperdb/internal/device"
@@ -246,28 +245,23 @@ func (db *DB) MultiGet(keyList [][]byte) ([][]byte, error) {
 }
 
 // Scan returns up to limit live keys >= start, merging slab and LSM.
+//
+// Data moves from the slab to the tree, so the slab is read first: a key
+// that left the index before its refs were taken was in the tree before the
+// tree iterator opened. The slab is read in chunks of index refs, and every
+// chunk repeats that order — refs, then a tree iterator opened at the
+// chunk's start — so a chunk of tombstones shadows the tree keys it covers
+// and tree keys past a full chunk wait for the next one.
 func (db *DB) Scan(start []byte, limit int) ([]engine.KV, error) {
 	type sref struct {
 		key []byte
 		l   loc
 	}
-	var srefs []sref
-	db.mu.RLock()
-	db.index.Ascend(start, nil, func(k []byte, l loc) bool {
-		srefs = append(srefs, sref{key: bytes.Clone(k), l: l})
-		return len(srefs) < limit*4
-	})
-	db.mu.RUnlock()
-
-	it := db.lsm.NewScanIter(start, device.Fg)
-	defer it.Close()
 	out := make([]engine.KV, 0, limit)
-	si := 0
-	// appendSlab reads srefs[si]'s slot. A slot that moved on since the index
-	// pass is resolved by a point lookup; a device error is the scan's error,
-	// as it is Get's.
-	appendSlab := func() error {
-		r := srefs[si]
+	// appendSlab reads r's slot. A slot that moved on since the index pass
+	// is resolved by a point lookup; a device error is the scan's error, as
+	// it is Get's.
+	appendSlab := func(r sref) error {
 		if r.l.tomb {
 			return nil
 		}
@@ -283,28 +277,51 @@ func (db *DB) Scan(start []byte, limit int) ([]engine.KV, error) {
 		}
 		return nil
 	}
-	for len(out) < limit {
-		var sk []byte
-		if si < len(srefs) {
-			sk = srefs[si].key
-		}
-		switch {
-		case sk == nil && !it.Valid():
-			return out, it.Err()
-		case sk != nil && (!it.Valid() || bytes.Compare(sk, it.Key()) <= 0):
-			if err := appendSlab(); err != nil {
+	srefs := make([]sref, 0, limit)
+	for from := start; ; from = keys.Successor(srefs[len(srefs)-1].key) {
+		want := limit - len(out)
+		srefs = srefs[:0]
+		db.mu.RLock()
+		db.index.Ascend(from, nil, func(k []byte, l loc) bool {
+			srefs = append(srefs, sref{key: bytes.Clone(k), l: l})
+			return len(srefs) < want
+		})
+		db.mu.RUnlock()
+		more := len(srefs) == want // the slab may hold keys past the chunk
+		it := db.lsm.NewScanIter(from, device.Fg)
+		si := 0
+		for len(out) < limit && (si < len(srefs) || (!more && it.Valid())) {
+			c := 1 // which store holds the smaller key: <0 slab, 0 both, >0 tree
+			if si < len(srefs) {
+				c = -1
+				if it.Valid() {
+					c = bytes.Compare(srefs[si].key, it.Key())
+				}
+			}
+			if c > 0 {
+				out = append(out, engine.KV{Key: bytes.Clone(it.Key()), Value: bytes.Clone(it.Value())})
+				it.Next()
+				continue
+			}
+			// The slab copy, or its tombstone, shadows the tree's.
+			if err := appendSlab(srefs[si]); err != nil {
+				it.Close()
 				return nil, err
 			}
-			if it.Valid() && bytes.Equal(sk, it.Key()) {
-				it.Next() // the slab copy shadows the tree's
-			}
 			si++
-		default:
-			out = append(out, engine.KV{Key: bytes.Clone(it.Key()), Value: bytes.Clone(it.Value())})
-			it.Next()
+			if c == 0 {
+				it.Next()
+			}
+		}
+		err := it.Err()
+		it.Close()
+		if err != nil {
+			return nil, err
+		}
+		if !more || len(out) == limit {
+			return out, nil
 		}
 	}
-	return out, it.Err()
 }
 
 // Stats reports migration counters for the harness.
@@ -448,34 +465,13 @@ func (db *DB) MigrateOnce() (int, error) {
 	return demoted, nil
 }
 
-func (db *DB) migrationWorker() {
-	defer db.wg.Done()
-	t := time.NewTicker(db.opts.BackgroundInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-db.stopC:
-			return
-		case <-t.C:
-		}
-		for db.usedFraction() >= db.opts.HighWatermark {
-			n, err := db.MigrateOnce()
-			if err != nil {
-				db.lsm.NoteBackgroundError(err)
-			}
-			if err != nil || n == 0 {
-				break
-			}
-			if db.usedFraction() < db.opts.LowWatermark {
-				break
-			}
-			select {
-			case <-db.stopC:
-				return
-			default:
-			}
-		}
-	}
+// demoteBatch migrates one batch of a demotion burst and reports whether
+// the burst goes on: the batch moved something and the slab is still at or
+// above LowWatermark. The migration thread and DrainBackground run the same
+// bursts.
+func (db *DB) demoteBatch() (more bool, err error) {
+	n, err := db.MigrateOnce()
+	return err == nil && n > 0 && db.usedFraction() >= db.opts.LowWatermark, err
 }
 
 // BackgroundStep demotes one batch of cold objects and runs at most one
@@ -489,19 +485,19 @@ func (db *DB) BackgroundStep() error {
 }
 
 // DrainBackground migrates down to the low watermark and compacts until
-// quiescent, then reports what the background workers failed at since the
+// quiescent, then reports what the background threads failed at since the
 // last drain.
 func (db *DB) DrainBackground() error {
-	for db.usedFraction() >= db.opts.LowWatermark {
-		n, err := db.MigrateOnce()
-		if err != nil {
+	for more := db.usedFraction() >= db.opts.LowWatermark; more; {
+		var err error
+		if more, err = db.demoteBatch(); err != nil {
 			return err
 		}
-		if n == 0 {
-			break
-		}
 	}
-	return db.lsm.Drain()
+	if err := db.lsm.Drain(); err != nil {
+		return err
+	}
+	return db.errs.Take()
 }
 
 // LSM exposes the SATA tree for harness inspection.

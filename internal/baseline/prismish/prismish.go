@@ -17,7 +17,6 @@ import (
 	"hash/crc32"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hyperdb/internal/baseline/leveled"
 	"hyperdb/internal/btree"
@@ -53,8 +52,6 @@ type Options struct {
 	Compress compress.Policy
 	// DisableBackground turns workers off.
 	DisableBackground bool
-	// BackgroundInterval is the workers' poll period.
-	BackgroundInterval time.Duration
 }
 
 func (o *Options) fill() {
@@ -72,9 +69,6 @@ func (o *Options) fill() {
 	}
 	if o.BackgroundThreads <= 0 {
 		o.BackgroundThreads = 8
-	}
-	if o.BackgroundInterval <= 0 {
-		o.BackgroundInterval = 2 * time.Millisecond
 	}
 }
 
@@ -134,6 +128,7 @@ type DB struct {
 	seq   atomic.Uint64
 	stopC chan struct{}
 	wg    sync.WaitGroup
+	errs  engine.Errors // what the background threads gave up on
 
 	mu     sync.RWMutex
 	slabs  []*slabFile
@@ -199,12 +194,26 @@ func Open(opts Options) (*DB, error) {
 	db.seq.Store(max(lsmSeq, slabSeq))
 
 	if !opts.DisableBackground {
+		// One migration thread, with hysteresis: it starts a demotion burst
+		// when the slab reaches HighWatermark and runs it down to
+		// LowWatermark. BackgroundThreads threads compact the SATA LSM.
 		db.wg.Add(1 + opts.BackgroundThreads)
-		go db.migrationWorker()
+		go func() {
+			defer db.wg.Done()
+			bursting := false
+			engine.Work(db.stopC, nil, &db.errs, func() (bool, error) {
+				if !bursting && db.usedFraction() < opts.HighWatermark {
+					return false, nil
+				}
+				more, err := db.demoteBatch()
+				bursting = more
+				return more, err
+			})
+		}()
 		for i := 0; i < opts.BackgroundThreads; i++ {
 			go func() {
 				defer db.wg.Done()
-				db.lsm.RunCompactor(db.stopC, nil, opts.BackgroundInterval)
+				engine.Work(db.stopC, nil, &db.errs, func() (bool, error) { return db.lsm.CompactOnce(device.Bg) })
 			}()
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"hyperdb/internal/device"
 	"hyperdb/internal/engine"
@@ -208,6 +207,45 @@ func TestScanAcrossTiers(t *testing.T) {
 	}
 }
 
+// TestScanDoesNotResurrectDeletedKeys migrates 200 keys to the tree, then
+// deletes them all: the slab holds 200 tombstones shadowing the tree's
+// values. However many tombstones a scan reads past before it fills, no
+// deleted key may come back from the tree.
+func TestScanDoesNotResurrectDeletedKeys(t *testing.T) {
+	db, _, _ := open(t, 32<<20)
+	for i := uint64(0); i < 200; i++ {
+		if err := db.Put(k8(i<<32), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; db.Stats().SlabObjects > 0; i++ {
+		if i == 10 {
+			t.Fatal("the slab never emptied")
+		}
+		if _, err := db.MigrateOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := uint64(0); i < 200; i++ {
+		if err := db.Delete(k8(i << 32)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, limit := range []int{1, 10, 100, 1000} {
+		kvs, err := db.Scan(k8(0), limit)
+		if err != nil || len(kvs) != 0 {
+			t.Fatalf("Scan(k0, %d) = %d pairs, %v; want none (first: %v)", limit, len(kvs), err, kvs[:min(1, len(kvs))])
+		}
+	}
+	// A live key past the tombstones is still found.
+	if err := db.Put(k8(500<<32), []byte("live")); err != nil {
+		t.Fatal(err)
+	}
+	if kvs, err := db.Scan(k8(0), 10); err != nil || len(kvs) != 1 || string(kvs[0].Value) != "live" {
+		t.Fatalf("Scan(k0, 10) = %v, %v; want the one live key", kvs, err)
+	}
+}
+
 // TestScanSurfacesDeviceError: a faulted NVMe read must fail the scan, as it
 // fails Get, instead of silently dropping the live key whose page it was.
 func TestScanSurfacesDeviceError(t *testing.T) {
@@ -278,7 +316,7 @@ func TestReadersNeverLoseALiveKey(t *testing.T) {
 		NVMe: nvme, SATA: device.New(device.UnthrottledProfile("sata", 1<<30)),
 		CacheBytes: 64 << 10, BatchObjects: 64,
 		FileSize: 64 << 10, L1Target: 128 << 10, Ratio: 4, MaxLevels: 4,
-		BackgroundThreads: 1, BackgroundInterval: 100 * time.Microsecond,
+		BackgroundThreads: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

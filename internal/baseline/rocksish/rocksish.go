@@ -52,8 +52,6 @@ type Options struct {
 	Compress compress.Policy
 	// DisableBackground turns workers off (tests drive CompactOnce).
 	DisableBackground bool
-	// BackgroundInterval is the workers' poll period.
-	BackgroundInterval time.Duration
 }
 
 func (o *Options) fill() {
@@ -68,9 +66,6 @@ func (o *Options) fill() {
 	}
 	if o.BackgroundThreads <= 0 {
 		o.BackgroundThreads = 8
-	}
-	if o.BackgroundInterval <= 0 {
-		o.BackgroundInterval = 2 * time.Millisecond
 	}
 }
 
@@ -95,6 +90,7 @@ type DB struct {
 	wg       sync.WaitGroup
 	flushC   chan struct{}
 	compactC chan struct{}
+	errs     engine.Errors // what the background threads gave up on
 	closed   atomic.Bool
 }
 
@@ -156,12 +152,17 @@ func Open(opts Options) (*DB, error) {
 	db.seq.Store(max(lsmSeq, walSeq))
 
 	if !opts.DisableBackground {
+		// One flush thread and BackgroundThreads compaction threads; a
+		// rotation wakes the first, a flush the others.
 		db.wg.Add(1 + opts.BackgroundThreads)
-		go db.flushWorker()
+		go func() {
+			defer db.wg.Done()
+			engine.Work(db.stop, db.flushC, &db.errs, func() (bool, error) { return false, db.FlushOnce() })
+		}()
 		for i := 0; i < opts.BackgroundThreads; i++ {
 			go func() {
 				defer db.wg.Done()
-				db.lsm.RunCompactor(db.stop, db.compactC, opts.BackgroundInterval)
+				engine.Work(db.stop, db.compactC, &db.errs, func() (bool, error) { return db.lsm.CompactOnce(device.Bg) })
 			}()
 		}
 	}
@@ -246,7 +247,7 @@ func (db *DB) stallWait() {
 		ch := db.lsm.StallChan()
 		select {
 		case <-ch:
-		case <-time.After(db.opts.BackgroundInterval):
+		case <-time.After(engine.Tick):
 		}
 		if db.opts.DisableBackground {
 			// Nothing will unstall us; let the test driver compact.
@@ -270,7 +271,7 @@ func (db *DB) maybeRotateLocked() error {
 			} else {
 				select {
 				case <-done:
-				case <-time.After(db.opts.BackgroundInterval):
+				case <-time.After(engine.Tick):
 				}
 			}
 			db.mu.Lock()
@@ -442,23 +443,6 @@ func (db *DB) FlushOnce() error {
 	return nil
 }
 
-func (db *DB) flushWorker() {
-	defer db.wg.Done()
-	t := time.NewTicker(db.opts.BackgroundInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-db.stop:
-			return
-		case <-db.flushC:
-		case <-t.C:
-		}
-		if err := db.FlushOnce(); err != nil {
-			db.lsm.NoteBackgroundError(err)
-		}
-	}
-}
-
 // Scan returns up to limit live keys >= start in order, merging memtables
 // with the LSM.
 func (db *DB) Scan(start []byte, limit int) ([]engine.KV, error) {
@@ -542,7 +526,7 @@ func (db *DB) BackgroundStep() error {
 }
 
 // DrainBackground flushes the memtable and compacts until quiescent, then
-// reports what the background workers failed at since the last drain.
+// reports what the background threads failed at since the last drain.
 func (db *DB) DrainBackground() error {
 	db.mu.Lock()
 	if db.imm == nil && db.mem.Len() > 0 {
@@ -555,5 +539,8 @@ func (db *DB) DrainBackground() error {
 	if err := db.FlushOnce(); err != nil {
 		return err
 	}
-	return db.lsm.Drain()
+	if err := db.lsm.Drain(); err != nil {
+		return err
+	}
+	return db.errs.Take()
 }

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"hyperdb/internal/device"
 	"hyperdb/internal/engine"
@@ -254,24 +253,29 @@ func TestFlushWorkerErrorReachesDrain(t *testing.T) {
 	sata := device.New(device.UnthrottledProfile("sata", 1<<30))
 	db, err := Open(Options{
 		NVMe: nvme, SATA: sata,
-		MemtableBytes:      512 << 10, // two memtables outgrow the NVMe level budget
-		FileSize:           64 << 10,
-		BackgroundThreads:  1,
-		BackgroundInterval: time.Hour, // the flush thread runs only when woken
+		MemtableBytes:     512 << 10, // two memtables outgrow the NVMe level budget
+		FileSize:          64 << 10,
+		BackgroundThreads: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 	sata.InjectFaults(device.FaultPlan{FailWriteAfter: 1})
-	for i := uint64(0); db.imm == nil; i++ { // single writer: imm is ours to read until it is set
+	// Write until a rotation has left an immutable memtable. The flush
+	// thread also runs on its tick, so imm is read under the lock.
+	for i := uint64(0); ; i++ {
+		if _, imm := db.memtables(); imm != nil {
+			break
+		}
 		if err := db.Put(k8(i), make([]byte, 1024)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The rotation left one wake-up in flushC. The second send below returns
 	// once the thread has come back for the first, i.e. after the flush the
-	// rotation asked for has run and failed.
+	// rotation asked for has run and failed (on that wake-up, or on a tick
+	// before it).
 	db.flushC <- struct{}{}
 	db.flushC <- struct{}{}
 	if err := db.DrainBackground(); !errors.Is(err, device.ErrInjected) {

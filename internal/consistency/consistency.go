@@ -16,9 +16,9 @@
 // The checks hold because session writes return their committed sequence,
 // session reads carry it as a gate the server enforces against its applied
 // replication position, and every response's applied sequence folds back
-// into the token. Disabling the gate (server.Config.NoReadGate) makes the
-// same schedules fail — the harness proves it can detect the staleness the
-// gate prevents, so a green run means something.
+// into the token. Reading with client.ReadAny, which sends no token, makes
+// the same schedules fail — the harness proves it can detect the staleness
+// the gate prevents, so a green run means something.
 //
 // Failures reproduce from the printed seed and shrink (ddmin) before
 // reporting, like package crashtest.
@@ -58,9 +58,6 @@ type Config struct {
 	Followers int
 	// Policy routes the sessions' reads. Default ReadBounded.
 	Policy client.ReadPolicy
-	// NoReadGate disables the servers' minSeq gate — the harness's teeth
-	// test: schedules that pass with the gate must fail without it.
-	NoReadGate bool
 	// ReadWait is the followers' bounded gate wait. Default 5s (tests want
 	// parked reads to resolve, not time out, unless replication truly
 	// stalls).
@@ -225,10 +222,9 @@ func newNode(follower, withLog bool, logCfg repl.LogConfig, cfg Config) (*node, 
 	}
 	n := &node{db: db, log: log}
 	scfg := server.Config{
-		DB:         db,
-		OwnDB:      true,
-		ReadWait:   cfg.ReadWait,
-		NoReadGate: cfg.NoReadGate && follower,
+		DB:       db,
+		OwnDB:    true,
+		ReadWait: cfg.ReadWait,
 	}
 	if log != nil {
 		scfg.Repl = &repl.Primary{DB: db, Log: log}

@@ -32,13 +32,14 @@ func TestSessionConsistencyBounded(t *testing.T) {
 }
 
 // TestHarnessDetectsStalenessWithoutGate is the teeth test: the same
-// schedules MUST fail when the servers' minSeq gate is disabled, proving
-// the harness detects the staleness the gate prevents. The failing
-// schedule is shrunk before reporting.
+// schedules MUST fail when the sessions read with client.ReadAny, which
+// spreads reads across the followers without a token, so the servers' gate
+// never holds one back. That proves the harness detects the staleness the
+// gate prevents. The failing schedule is shrunk before reporting.
 func TestHarnessDetectsStalenessWithoutGate(t *testing.T) {
 	cfg := Config{
-		Seed:       9100,
-		NoReadGate: true,
+		Seed:   9100,
+		Policy: client.ReadAny,
 		// Chunky lag so an ungated read-after-write lands well before the
 		// follower applies the write.
 		MinLag: 3 * time.Millisecond,

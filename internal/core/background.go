@@ -3,74 +3,39 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"hyperdb/internal/device"
+	"hyperdb/internal/engine"
 	"hyperdb/internal/keys"
 	"hyperdb/internal/semisst"
 	"hyperdb/internal/zone"
 )
 
-// migrationWorker is a partition's background demotion/promotion thread
-// (§3.5): it demotes the best-scoring zone while the performance tier sits
-// above its high watermark, drains pending promotions, and evicts the hot
-// zone when it outgrows its budget.
-func (db *DB) migrationWorker(p *partition) {
-	defer db.wg.Done()
-	t := time.NewTicker(backgroundInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-db.stop:
-			return
-		case <-p.wakeMig:
-		case <-t.C:
-		}
-		if err := db.MigrationStep(p.id); err != nil {
-			// Background errors are recorded, not fatal: the next pass
-			// retries. ErrNoSpace on SATA would be terminal but the
-			// capacity tier is sized for the workload.
-			db.noteBackgroundError("migration", p.id, err)
-		}
-	}
-}
-
-// noteBackgroundError records a pass a worker gave up on; Stats reports the
-// count and the newest error, and the next DrainBackground returns them.
-func (db *DB) noteBackgroundError(what string, pid int, err error) {
-	err = fmt.Errorf("%s p%d: %w", what, pid, err)
-	db.lastBgErr.Store(&err)
-	db.bgErrs.Add(1)
-}
-
-// compactionWorker is a partition's background compaction thread: one
-// preemptive block compaction (or pending full compaction) per pass.
-func (db *DB) compactionWorker(p *partition) {
-	defer db.wg.Done()
-	t := time.NewTicker(backgroundInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-db.stop:
-			return
-		case <-p.wakeComp:
-		case <-t.C:
-		}
-		for {
+// startWorkers starts a partition's two background threads: migration
+// (§3.5 demotion, promotion and hot-zone eviction) and compaction, apart so
+// that a full rewrite does not stall demotion. A pass a worker gives up on
+// is noted in db.errs and retried on its next round.
+func (db *DB) startWorkers(p *partition) {
+	db.wg.Add(2)
+	go func() {
+		defer db.wg.Done()
+		engine.Work(db.stop, p.wakeMig, &db.errs, func() (bool, error) {
+			if err := db.MigrationStep(p.id); err != nil {
+				return false, fmt.Errorf("migration p%d: %w", p.id, err)
+			}
+			return false, nil
+		})
+	}()
+	go func() {
+		defer db.wg.Done()
+		engine.Work(db.stop, p.wakeComp, &db.errs, func() (bool, error) {
 			did, err := p.tree.MaybeCompact(device.Bg)
 			if err != nil {
-				db.noteBackgroundError("compaction", p.id, err)
+				return false, fmt.Errorf("compaction p%d: %w", p.id, err)
 			}
-			if err != nil || !did {
-				break
-			}
-			select {
-			case <-db.stop:
-				return
-			default:
-			}
-		}
-	}
+			return did, nil
+		})
+	}()
 }
 
 // MigrationStep runs one bounded pass of the §3.5 migration logic for
@@ -81,21 +46,26 @@ func (db *DB) compactionWorker(p *partition) {
 func (db *DB) MigrationStep(pid int) error {
 	p := db.parts[pid]
 
-	// Drain the promotion queue (the in-memory object cache flush). Buffers
-	// go back to the pool and their reserved slots free up whether or not
-	// the promotion succeeded.
+	// Drain the promotion queue (the in-memory object cache flush). Each
+	// promotion applies under the partition's write lock, so no write to
+	// the key is half applied while the zone tier decides whether it still
+	// may copy the value its read found. Buffers go back to the pool and
+	// their reserved slots free up whether or not the promotion succeeded.
 	for {
 		select {
 		case pr := <-p.promoCh:
-			err := p.zones.Promote(pr.key, pr.value, pr.seq)
+			p.writeMu.Lock()
+			err := p.zones.Promote(pr.key, pr.value, pr.seq, pr.pos)
+			p.writeMu.Unlock()
 			pr.key, pr.value = pr.key[:0], pr.value[:0]
 			db.promoPool.Put(pr)
 			p.promoSlots.Add(1)
-			if errors.Is(err, device.ErrNoSpace) {
+			if errors.Is(err, device.ErrNoSpace) || errors.Is(err, zone.ErrSuperseded) {
 				// A promotion is a copy: the object stays readable in the
 				// capacity tier, so a full performance tier drops it
 				// rather than failing the pass before the demotions
-				// below can free space.
+				// below can free space. A promotion a newer demoted
+				// write may have overtaken is dropped the same way.
 				p.promoDrop.Add(1)
 				continue
 			}
@@ -243,9 +213,5 @@ func (db *DB) DrainBackground() error {
 			}
 		}
 	}
-	noted := db.bgErrs.Load()
-	if n := noted - db.bgDrained.Swap(noted); n > 0 {
-		return fmt.Errorf("hyperdb: %d background errors since the last drain, last: %w", n, *db.lastBgErr.Load())
-	}
-	return nil
+	return db.errs.Take()
 }

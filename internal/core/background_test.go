@@ -109,14 +109,61 @@ func TestPromotionOntoFullTierIsDropped(t *testing.T) {
 	if !errors.Is(err, device.ErrNoSpace) {
 		t.Fatalf("filling the tier: %v", err)
 	}
-	db.enqueuePromotion(db.parts[0], k8(1), make([]byte, 128))
+	db.enqueuePromotion(db.parts[0], k8(1), make([]byte, 128), db.parts[0].applied.Load())
 	if err := db.MigrationStep(0); err != nil {
 		t.Fatalf("migration step with a promotion queued on a full tier: %v", err)
 	}
 	if n := db.Stats().PromotionsDropped; n != 1 {
 		t.Fatalf("PromotionsDropped = %d, want 1", n)
 	}
-	if db.parts[0].zones.Has(k8(1)) {
+	if zoneHas(db.parts[0], k8(1)) {
 		t.Fatal("the dropped promotion is indexed in the performance tier")
+	}
+}
+
+// TestPromotionCannotReviveAnOverwrittenValue: a hot read of a tree-resident
+// key queues a promotion of its value; then a put overwrites the key, and a
+// demotion moves the put's zone to the tree before the promotion drains. The
+// zone tier no longer holds the key, so only the position the read saw can
+// tell that the queued value is stale: the promotion is dropped, and the key
+// reads as the put left it.
+func TestPromotionCannotReviveAnOverwrittenValue(t *testing.T) {
+	db := openCore(t, 64<<20, false)
+	key := k8(42 << 40)
+	p := db.partFor(key)
+	demoteAll := func() {
+		for z := p.zones.PickDemotionVictim(); z != nil; z = p.zones.PickDemotionVictim() {
+			if err := db.demoteZone(p, z); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.Put(key, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	demoteAll()
+	// A read the tracker calls hot, answered by the tree.
+	if v, found, err := db.read(p, key, true); err != nil || !found || string(v) != "old" {
+		t.Fatalf("hot read = %q %v %v, want \"old\" from the tree", v, found, err)
+	}
+	if len(p.promoCh) != 1 {
+		t.Fatal("the hot tree read queued no promotion")
+	}
+	if err := db.Put(key, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	demoteAll()
+	if zoneHas(p, key) {
+		t.Fatal("the put's zone was not demoted")
+	}
+	drops := p.promoDrop.Load()
+	if err := db.MigrationStep(p.id); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := db.Get(key); err != nil || string(v) != "new" {
+		t.Fatalf("after the promotion drained, Get = %q %v, want \"new\"", v, err)
+	}
+	if n := p.promoDrop.Load() - drops; n != 1 {
+		t.Fatalf("%d promotions dropped, want the stale one", n)
 	}
 }

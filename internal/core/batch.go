@@ -167,6 +167,7 @@ func (db *DB) applyGroup(p *partition, ops []BatchOp, idxs []int, base, step uin
 	if err != nil {
 		return err
 	}
+	p.applied.Store(base + uint64(idxs[len(idxs)-1])*step)
 	db.maybeTriggerMigration(p)
 	return nil
 }

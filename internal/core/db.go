@@ -31,11 +31,14 @@ var _ engine.Engine = (*DB)(nil)
 // until Promote makes them primary.
 var ErrFollower = errors.New("hyperdb: follower is read-only")
 
-// promotion is one pending hot-object copy into the performance tier.
+// promotion is one pending hot-object copy into the performance tier: the
+// value a read found in the capacity tier, the sequence the copy is written
+// at, and pos, the partition's applied position when the read began.
 type promotion struct {
 	key   []byte
 	value []byte
 	seq   uint64
+	pos   uint64
 }
 
 // partition is one shared-nothing slice of the key space (§3.1): its own
@@ -52,6 +55,11 @@ type partition struct {
 	// draw to the end of its apply, so a key's writes apply in sequence
 	// order and a merge's read-modify-write sees no write in between.
 	writeMu sync.Mutex
+	// applied is the sequence of the newest write applied to the partition,
+	// stored under writeMu once the write is in the zone tier. Writes draw
+	// their sequences under writeMu, so every write a read that loaded
+	// applied first could not see carries a larger sequence.
+	applied atomic.Uint64
 
 	promoCh chan *promotion
 	// promoSlots is the queue's free-slot semaphore: enqueuePromotion
@@ -104,12 +112,9 @@ type DB struct {
 	// mergeOps counts merge ops resolved through the batch path.
 	mergeOps atomic.Uint64
 
-	// bgErrs counts migration and compaction passes the workers abandoned
-	// on an error (the next pass retries); lastBgErr keeps the newest and
-	// bgDrained the count DrainBackground last reported up to.
-	bgErrs    atomic.Uint64
-	bgDrained atomic.Uint64
-	lastBgErr atomic.Pointer[error]
+	// errs notes the migration and compaction passes the workers abandoned
+	// on an error (the next pass retries).
+	errs engine.Errors
 
 	// tree is the incremental Merkle tree over the keyspace, maintained
 	// from every apply path when Options.AntiEntropy is set; nil otherwise.
@@ -213,11 +218,12 @@ func Open(opts Options) (*DB, error) {
 	// so the readable position starts there too.
 	db.replApplied.Store(maxSeq)
 	db.readSeq.Store(maxSeq)
+	for _, part := range db.parts {
+		part.applied.Store(maxSeq)
+	}
 	if !opts.DisableBackground {
 		for _, part := range db.parts {
-			db.wg.Add(2)
-			go db.migrationWorker(part)
-			go db.compactionWorker(part)
+			db.startWorkers(part)
 		}
 	}
 	return db, nil
@@ -330,11 +336,14 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 
 // read is the per-key read Get and MultiGet share, for a key whose access
 // the caller has recorded: its newest live version, queued for promotion
-// when the tracker called it hot and the capacity tier answered.
+// when the tracker called it hot and the capacity tier answered. The
+// promotion carries the applied position loaded before the lookup, so it
+// can tell a later write apart from one the read saw.
 func (db *DB) read(p *partition, key []byte, hot bool) ([]byte, bool, error) {
+	pos := p.applied.Load()
 	v, found, fromTree, err := p.lookup(key)
 	if found && hot && fromTree {
-		db.enqueuePromotion(p, key, v)
+		db.enqueuePromotion(p, key, v, pos)
 	}
 	return v, found, err
 }
@@ -354,12 +363,12 @@ func (p *partition) lookup(key []byte) (v []byte, found, fromTree bool, err erro
 	return v, true, true, nil
 }
 
-// enqueuePromotion hands a hot capacity-tier object to the partition's
-// object cache for asynchronous promotion. Best-effort: overflow drops.
-// The slot is reserved before the object is copied, so a drop costs two
-// atomic ops and no allocation, and the buffers come from a pool so
-// steady-state promotion enqueues allocate nothing.
-func (db *DB) enqueuePromotion(p *partition, key, value []byte) {
+// enqueuePromotion hands a hot capacity-tier object, read at applied
+// position pos, to the partition's object cache for asynchronous promotion.
+// Best-effort: overflow drops. The slot is reserved before the object is
+// copied, so a drop costs two atomic ops and no allocation, and the buffers
+// come from a pool so steady-state promotion enqueues allocate nothing.
+func (db *DB) enqueuePromotion(p *partition, key, value []byte, pos uint64) {
 	if db.follower.Load() {
 		// A promotion mints a fresh local sequence; on a follower that could
 		// collide with a sequence the primary has yet to ship, leaving two
@@ -378,7 +387,7 @@ func (db *DB) enqueuePromotion(p *partition, key, value []byte) {
 	}
 	pr.key = append(pr.key[:0], key...)
 	pr.value = append(pr.value[:0], value...)
-	pr.seq = db.seq.Add(1)
+	pr.seq, pr.pos = db.seq.Add(1), pos
 	// Cannot block: every send holds a reserved slot and the channel's
 	// capacity equals the slot count.
 	p.promoCh <- pr

@@ -9,7 +9,6 @@ package core
 
 import (
 	"math"
-	"time"
 
 	"hyperdb/internal/device"
 	"hyperdb/internal/hotness"
@@ -39,8 +38,6 @@ const (
 	promoteQueue = 1024
 	// avgObjectSize seeds the tracker window estimate before data arrives.
 	avgObjectSize = 160
-	// backgroundInterval is the idle poll period of the workers.
-	backgroundInterval = 2 * time.Millisecond
 )
 
 // Options configures Open. The zero value is the production engine: paper

@@ -99,7 +99,7 @@ func TestScanTombstoneShadowsLSMAtPartitionBoundary(t *testing.T) {
 	if _, _, found, err := p.tree.Get(k8(boundary), keys.MaxSeq, device.Fg); err != nil || !found {
 		t.Fatalf("boundary key not in LSM after demotion (found=%v err=%v)", found, err)
 	}
-	if p.zones.Has(k8(boundary)) {
+	if zoneHas(p, k8(boundary)) {
 		t.Fatal("boundary key still in the zone tier after demotion")
 	}
 

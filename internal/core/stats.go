@@ -86,9 +86,9 @@ func (db *DB) Stats() Stats {
 	s.CacheSketchBytes = cu.SketchBytes
 	s.CacheUsedBytes, s.CacheCapacity = cu.Used, cu.Capacity
 	s.MergeOps = db.mergeOps.Load()
-	s.BackgroundErrors = db.bgErrs.Load()
-	if err := db.lastBgErr.Load(); err != nil {
-		s.LastBackgroundError = (*err).Error()
+	var last error
+	if s.BackgroundErrors, last = db.errs.Count(); last != nil {
+		s.LastBackgroundError = last.Error()
 	}
 
 	maxLevels := db.opts.MaxLevels

@@ -1,9 +1,11 @@
 // Package engine is the one contract the three storage engines — HyperDB
 // (core), the RocksDB-style baseline (rocksish) and the PrismDB-style
 // baseline (prismish) — implement natively, and the only thing the
-// experiment harness and the crash-test harness know about them. It is a
-// leaf: it imports nothing from the module, so every engine and every driver
-// can share its types without a conversion layer between them.
+// experiment harness and the crash-test harness know about them. It also
+// holds the one background worker loop (Work) and error ledger (Errors)
+// every engine's background threads run on. It is a leaf: it imports
+// nothing from the module, so every engine and every driver can share its
+// types without a conversion layer between them.
 package engine
 
 import "errors"

@@ -110,30 +110,27 @@ func (s *Server) process(batch []*request) {
 	// Phase 0b: park reads whose gate — the token in the request frame — is
 	// ahead of the node's applied position; a zero token gates nothing.
 	// Parking moves the wait onto a per-request goroutine so neither the
-	// drainer nor a connection's reader blocks on replication progress.
-	// NoReadGate (the consistency harness's control knob) serves them stale
-	// instead. A token naming a different non-zero write lineage is refused
-	// outright: its sequence is meaningless against this node's history, and
-	// waiting would dress the mismatch up as lag.
-	if !s.cfg.NoReadGate {
-		kept := batch[:0]
-		for _, r := range batch {
-			if r.gated() {
-				if r.minEpoch != 0 && epoch != 0 && r.minEpoch != epoch {
-					s.stats.EpochRejected.Inc()
-					s.stats.ReplReadNotReady.Inc()
-					r.reply(wire.StatusNotReady, s.cfg.DB.ReadableSeq(), epoch, nil)
-					continue
-				}
-				if r.minSeq > s.cfg.DB.ReadableSeq() {
-					s.park(r)
-					continue
-				}
+	// drainer nor a connection's reader blocks on replication progress. A
+	// token naming a different non-zero write lineage is refused outright:
+	// its sequence is meaningless against this node's history, and waiting
+	// would dress the mismatch up as lag.
+	kept := batch[:0]
+	for _, r := range batch {
+		if r.gated() {
+			if r.minEpoch != 0 && epoch != 0 && r.minEpoch != epoch {
+				s.stats.EpochRejected.Inc()
+				s.stats.ReplReadNotReady.Inc()
+				r.reply(wire.StatusNotReady, s.cfg.DB.ReadableSeq(), epoch, nil)
+				continue
 			}
-			kept = append(kept, r)
+			if r.minSeq > s.cfg.DB.ReadableSeq() {
+				s.park(r)
+				continue
+			}
 		}
-		batch = kept
+		kept = append(kept, r)
 	}
+	batch = kept
 
 	// Phase 1: group every write op in queue order into one WriteBatch. The
 	// batch's last committed sequence is the position every write's reply

@@ -67,11 +67,6 @@ type Config struct {
 	// Waiting happens on a parked goroutine, never on the drainer. Default
 	// 100ms; negative refuses immediately.
 	ReadWait time.Duration
-	// NoReadGate disables the token gate: gated reads are answered from
-	// whatever state the node has, however stale. It exists so the
-	// consistency harness can prove it detects the staleness the gate
-	// prevents; production configurations leave it false.
-	NoReadGate bool
 	// ConnRate, when positive, rate-limits each connection to that many
 	// requests per second (token bucket, burst ConnBurst). Rejected requests
 	// answer StatusRateLimited without entering the coalescing queue.

@@ -11,11 +11,12 @@ type BatchOp struct {
 	Delete bool
 }
 
-// ApplyBatch applies ops in order under a single lock acquisition — the
-// point of DB.WriteBatch: one mutex round-trip per partition group instead
-// of one per key. It returns how many ops were applied; on error the
-// remaining ops are untouched, so a stalled caller can free space and resume
-// from ops[applied:] with the original sequences.
+// ApplyBatch is the tier's one write entry point. It applies ops in order
+// under a single lock acquisition — the point of DB.WriteBatch: one mutex
+// round-trip per partition group instead of one per key. It returns how many
+// ops were applied; on error the remaining ops are untouched, so a stalled
+// caller can free space and resume from ops[applied:] with the original
+// sequences.
 func (m *Manager) ApplyBatch(ops []BatchOp) (applied int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -24,7 +25,7 @@ func (m *Manager) ApplyBatch(ops []BatchOp) (applied int, err error) {
 		if op.Delete {
 			err = m.deleteLocked(op.Key, op.Seq)
 		} else {
-			err = m.putLocked(op.Key, op.Value, op.Seq, op.Hot, false)
+			err = m.putLocked(op.Key, op.Value, op.Seq, op.Hot)
 		}
 		if err != nil {
 			return i, err

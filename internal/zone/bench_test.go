@@ -12,7 +12,7 @@ func BenchmarkPut(b *testing.B) {
 	val := make([]byte, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Put(k8(uint64(i)<<24), val, uint64(i+1), false, false); err != nil {
+		if err := putOne(m, k8(uint64(i)<<24), val, uint64(i+1), false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -24,7 +24,7 @@ func BenchmarkGetResident(b *testing.B) {
 	val := make([]byte, 128)
 	const n = 100_000
 	for i := 0; i < n; i++ {
-		m.Put(k8(uint64(i)<<24), val, uint64(i+1), false, false)
+		putOne(m, k8(uint64(i)<<24), val, uint64(i+1), false)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -44,7 +44,7 @@ func BenchmarkMigrationBatch(b *testing.B) {
 		b.StopTimer()
 		for j := 0; j < 8_192; j++ {
 			seq++
-			m.Put(k8(seq<<20), val, seq, false, false)
+			putOne(m, k8(seq<<20), val, seq, false)
 		}
 		b.StartTimer()
 		z := m.PickDemotionVictim()

@@ -63,10 +63,10 @@ func TestSameTraceSameCacheAndReads(t *testing.T) {
 				}
 			case r < 95:
 				seq++
-				must(m.Put(key(), make([]byte, 40+100*next(2)), seq, next(10) == 0, false))
+				must(putOne(m, key(), make([]byte, 40+100*next(2)), seq, next(10) == 0))
 			default:
 				seq++
-				must(m.Delete(key(), seq))
+				must(deleteOne(m, key(), seq))
 			}
 			if i%5000 == 2499 {
 				if z := m.PickDemotionVictim(); z != nil {
@@ -124,7 +124,7 @@ func TestZonePagesAreFreedInPageOrder(t *testing.T) {
 		m, _ := newMgr(t, 0, 1<<20)
 		for i := uint64(0); i < 4000; i++ {
 			// Two size classes, all in one key-range zone (or the hot zone).
-			m.Put(k8(i<<20), make([]byte, 40+100*(i%2)), i+1, name == "EvictHotZone", false)
+			putOne(m, k8(i<<20), make([]byte, 40+100*(i%2)), i+1, name == "EvictHotZone")
 		}
 		if name != "EvictHotZone" && len(m.zones) != 1 {
 			t.Fatalf("%s: %d zones, want 1", name, len(m.zones))

@@ -49,7 +49,7 @@ func newLoadFixture(t *testing.T) *loadFixture {
 
 func (f *loadFixture) put(t *testing.T, key, value []byte, seq uint64) {
 	t.Helper()
-	if err := f.m.Put(key, value, seq, false, false); err != nil {
+	if err := putOne(f.m, key, value, seq, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -118,7 +118,7 @@ func TestLoadRule(t *testing.T) {
 			f.m.CommitMigration(b) // the page is freed: it reads back as zeros
 		}, moved, none, 0, 0},
 		{"delete", func(t *testing.T, f *loadFixture) {
-			if err := f.m.Delete(f.k, 3); err != nil {
+			if err := deleteOne(f.m, f.k, 3); err != nil {
 				t.Fatal(err)
 			}
 		}, moved, tomb, 3, 0},
@@ -330,7 +330,7 @@ func TestReadersNeverLoseALiveKey(t *testing.T) {
 		return false
 	}
 	for i := uint64(0); i < 64; i++ { // neighbours, so pages are shared
-		if err := m.Put(k8(7<<40|i), vals[0], i+1, false, false); err != nil {
+		if err := putOne(m, k8(7<<40|i), vals[0], i+1, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -379,7 +379,7 @@ func TestReadersNeverLoseALiveKey(t *testing.T) {
 	})
 	seq := uint64(100)
 	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end) && !stop.Load(); seq++ {
-		if err := m.Put(key, vals[seq%3], seq, false, false); err != nil {
+		if err := putOne(m, key, vals[seq%3], seq, false); err != nil {
 			t.Errorf("put: %v", err)
 			break
 		}
@@ -482,9 +482,9 @@ func TestObjectCacheNeverServesStale(t *testing.T) {
 			var err error
 			started[k].Store(v)
 			if deleted(v) {
-				err = m.Delete(key(k), v)
+				err = deleteOne(m, key(k), v)
 			} else {
-				err = m.Put(key(k), value(k, v), v, (uint64(k)+v)%5 == 0, false)
+				err = putOne(m, key(k), value(k, v), v, (uint64(k)+v)%5 == 0)
 			}
 			if err != nil {
 				fail("writer: key %d version %d: %v", k, v, err)
@@ -513,7 +513,7 @@ func TestPromotionIsCachedPastAdmission(t *testing.T) {
 	value := bytes.Repeat([]byte{7}, 100)
 	const nKeys = 8000 // about five times what the cache holds
 	for i := uint64(0); i < nKeys; i++ {
-		if err := m.Put(k8(i<<40), value, i+1, false, false); err != nil {
+		if err := putOne(m, k8(i<<40), value, i+1, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -528,7 +528,7 @@ func TestPromotionIsCachedPastAdmission(t *testing.T) {
 		t.Fatalf("no fill was refused: the cache is not full (%+v)", u)
 	}
 	hot := k8(1 << 62)
-	if err := m.Promote(hot, value, nKeys+1); err != nil {
+	if err := m.Promote(hot, value, nKeys+1, nKeys); err != nil {
 		t.Fatal(err)
 	}
 	reads, hits := dev.Counters().ReadOps.Load(), c.Usage().Hits

@@ -20,6 +20,10 @@ import (
 // page). The paper's workloads top out at 1 KiB values.
 var ErrTooLarge = errors.New("zone: object exceeds page size")
 
+// ErrSuperseded refuses a promotion that a newer write, since moved to the
+// capacity tier, may have overtaken (see Promote).
+var ErrSuperseded = errors.New("zone: promotion superseded")
+
 // Location is an index entry: where a key lives in the zone group.
 type Location struct {
 	Class     int8
@@ -126,6 +130,9 @@ type Manager struct {
 	zoneByID  map[uint32]*Zone
 	hot       *Zone
 	nextZone  uint32
+	// demoted is the newest sequence a migration has moved to the capacity
+	// tier.
+	demoted uint64
 
 	migrations         stats.Counter
 	migratedObjects    stats.Counter
@@ -361,19 +368,10 @@ func (m *Manager) uncacheObject(key []byte) {
 	}
 }
 
-// Put writes key=value at sequence seq. hot routes the object to the hot
-// zone (tracker-classified or promoted). promoted marks a copy of
-// capacity-tier data. Charges one random page write, plus a tombstone write
-// when the object relocates between slots (§3.2).
-func (m *Manager) Put(key, value []byte, seq uint64, hot, promoted bool) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.putLocked(key, value, seq, hot, promoted)
-}
-
-// putLocked is Put's body; the caller holds mu. ApplyBatch uses it to apply
-// a whole partition group under one lock acquisition.
-func (m *Manager) putLocked(key, value []byte, seq uint64, hot, promoted bool) error {
+// putLocked writes key=value at sequence seq; the caller (ApplyBatch) holds
+// mu. hot routes the object to the hot zone. Charges one random page write,
+// plus a tombstone write when the object relocates between slots (§3.2).
+func (m *Manager) putLocked(key, value []byte, seq uint64, hot bool) error {
 	need := slotHeaderSize + len(key) + len(value)
 	c := classFor(m.cfg.Classes, need)
 	if c < 0 {
@@ -412,7 +410,7 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot, promoted bool) e
 				z = m.createZone(k64)
 			}
 		}
-		loc, err := m.writeObject(z, c, key, value, seq, false, promoted, nil)
+		loc, err := m.writeObject(z, c, key, value, seq, false, false, nil)
 		if err != nil {
 			return err
 		}
@@ -437,7 +435,7 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot, promoted bool) e
 			z = m.createZone(k64)
 		}
 	}
-	loc, err := m.writeObject(z, c, key, value, seq, false, promoted, nil)
+	loc, err := m.writeObject(z, c, key, value, seq, false, false, nil)
 	if err != nil {
 		return err
 	}
@@ -445,15 +443,9 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot, promoted bool) e
 	return nil
 }
 
-// Delete writes a tombstone for key. The tombstone occupies a small slot and
-// migrates to the capacity tier like any object, deleting the key there.
-func (m *Manager) Delete(key []byte, seq uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.deleteLocked(key, seq)
-}
-
-// deleteLocked is Delete's body; the caller holds mu.
+// deleteLocked writes a tombstone for key; the caller (ApplyBatch) holds mu.
+// The tombstone occupies a small slot and migrates to the capacity tier like
+// any object, deleting the key there.
 func (m *Manager) deleteLocked(key []byte, seq uint64) error {
 	c := classFor(m.cfg.Classes, slotHeaderSize+len(key))
 	if c < 0 {
@@ -634,9 +626,14 @@ func (m *Manager) load(key []byte, loc Location, op device.Op, point bool) (valu
 
 // Promote inserts a capacity-tier object into the hot zone with the
 // promotion label, unless the tier already has any version of the key
-// (which would be at least as new). Charged as background I/O (§3.5:
-// promotions flush asynchronously from the object cache).
-func (m *Manager) Promote(key, value []byte, seq uint64) error {
+// (which would be at least as new). after is the newest sequence applied to
+// the tier when the read that found the object began: a write the read did
+// not see carries a larger one. If a migration has since moved such a write
+// to the capacity tier, it may be the key's, so the promotion is refused
+// with ErrSuperseded rather than put back a value that write overwrote.
+// Charged as background I/O (§3.5: promotions flush asynchronously from the
+// object cache).
+func (m *Manager) Promote(key, value []byte, seq, after uint64) error {
 	need := slotHeaderSize + len(key) + len(value)
 	c := classFor(m.cfg.Classes, need)
 	if c < 0 {
@@ -646,6 +643,9 @@ func (m *Manager) Promote(key, value []byte, seq uint64) error {
 	defer m.mu.Unlock()
 	if _, ok := m.index.Get(key); ok {
 		return nil
+	}
+	if m.demoted > after {
+		return ErrSuperseded
 	}
 	loc, err := m.writeObject(m.hot, c, key, value, seq, false, true, &m.bg.promotionWrite)
 	if err != nil {
@@ -659,14 +659,6 @@ func (m *Manager) Promote(key, value []byte, seq uint64) error {
 		m.cfg.Cache.PromoteObject(string(m.objectKey(&kb, key)), seq, value)
 	}
 	return nil
-}
-
-// Has reports whether the tier has an entry (value or tombstone) for key.
-func (m *Manager) Has(key []byte) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.index.Get(key)
-	return ok
 }
 
 // Scan visits index entries with lo <= key < hi in order. fn must not call

@@ -149,12 +149,13 @@ func (m *Manager) PrepareMigration(z *Zone) (*Batch, error) {
 
 // CommitMigration finalises a batch after the capacity tier has durably
 // absorbed it: index entries that still point at the migrated versions are
-// removed (newer concurrent writes are kept) and the zone's pages return to
-// the slot files' free lists.
+// removed (newer concurrent writes are kept), the zone's pages return to
+// the slot files' free lists, and demoted advances for Promote's check.
 func (m *Manager) CommitMigration(b *Batch) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, e := range b.Entries {
+		m.demoted = max(m.demoted, e.Seq)
 		if cur, ok := m.index.Get(e.Key); ok && cur.ZoneID == b.zone.id && cur.Seq == e.Seq {
 			m.index.Delete(e.Key)
 			m.uncacheObject(e.Key)

@@ -27,6 +27,18 @@ func openMgr(t testing.TB, cfg Config) *Manager {
 	return m
 }
 
+// putOne and deleteOne write one op through ApplyBatch, the tier's one
+// write entry point.
+func putOne(m *Manager, key, value []byte, seq uint64, hot bool) error {
+	_, err := m.ApplyBatch([]BatchOp{{Key: key, Value: value, Seq: seq, Hot: hot}})
+	return err
+}
+
+func deleteOne(m *Manager, key []byte, seq uint64) error {
+	_, err := m.ApplyBatch([]BatchOp{{Key: key, Seq: seq, Delete: true}})
+	return err
+}
+
 func k8(i uint64) []byte {
 	b := make([]byte, 8)
 	binary.BigEndian.PutUint64(b, i)
@@ -36,7 +48,7 @@ func k8(i uint64) []byte {
 func TestPutGetDelete(t *testing.T) {
 	m, _ := newMgr(t, 0, 64<<10)
 	for i := uint64(0); i < 500; i++ {
-		if err := m.Put(k8(i<<40), []byte(fmt.Sprintf("v%d", i)), i+1, false, false); err != nil {
+		if err := putOne(m, k8(i<<40), []byte(fmt.Sprintf("v%d", i)), i+1, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,7 +58,7 @@ func TestPutGetDelete(t *testing.T) {
 			t.Fatalf("get %d: %q seq=%d tomb=%v found=%v err=%v", i, v, seq, tomb, found, err)
 		}
 	}
-	if err := m.Delete(k8(7<<40), 1000); err != nil {
+	if err := deleteOne(m, k8(7<<40), 1000); err != nil {
 		t.Fatal(err)
 	}
 	_, _, tomb, found, _ := m.Get(k8(7<<40), device.Fg)
@@ -61,9 +73,9 @@ func TestPutGetDelete(t *testing.T) {
 func TestInPlaceUpdateSameClass(t *testing.T) {
 	m, dev := newMgr(t, 0, 64<<10)
 	key := k8(5 << 40)
-	m.Put(key, make([]byte, 100), 1, false, false)
+	putOne(m, key, make([]byte, 100), 1, false)
 	usedBefore := dev.Used()
-	m.Put(key, make([]byte, 90), 2, false, false) // same 128B class
+	putOne(m, key, make([]byte, 90), 2, false) // same 128B class
 	if dev.Used() != usedBefore {
 		t.Fatal("in-place update should not allocate")
 	}
@@ -79,8 +91,8 @@ func TestInPlaceUpdateSameClass(t *testing.T) {
 func TestResizeRelocatesWithTombstone(t *testing.T) {
 	m, _ := newMgr(t, 0, 64<<10)
 	key := k8(5 << 40)
-	m.Put(key, make([]byte, 40), 1, false, false)  // 64B class
-	m.Put(key, make([]byte, 400), 2, false, false) // 512B class
+	putOne(m, key, make([]byte, 40), 1, false)  // 64B class
+	putOne(m, key, make([]byte, 400), 2, false) // 512B class
 	if m.Stats().Relocations != 1 {
 		t.Fatalf("relocations = %d", m.Stats().Relocations)
 	}
@@ -95,7 +107,7 @@ func TestResizeRelocatesWithTombstone(t *testing.T) {
 
 func TestTooLargeRejected(t *testing.T) {
 	m, _ := newMgr(t, 0, 64<<10)
-	if err := m.Put(k8(1), make([]byte, 5000), 1, false, false); err != ErrTooLarge {
+	if err := putOne(m, k8(1), make([]byte, 5000), 1, false); err != ErrTooLarge {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -106,7 +118,7 @@ func TestZonesPartitionKeySpace(t *testing.T) {
 	// kicks in.
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 3000; i++ {
-		m.Put(k8(rng.Uint64()), make([]byte, 64), uint64(i+1), false, false)
+		putOne(m, k8(rng.Uint64()), make([]byte, 64), uint64(i+1), false)
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -120,8 +132,8 @@ func TestZonesPartitionKeySpace(t *testing.T) {
 
 func TestHotObjectsGoToHotZone(t *testing.T) {
 	m, _ := newMgr(t, 0, 64<<10)
-	m.Put(k8(1<<40), []byte("hot"), 1, true, false)
-	m.Put(k8(2<<40), []byte("cold"), 2, false, false)
+	putOne(m, k8(1<<40), []byte("hot"), 1, true)
+	putOne(m, k8(2<<40), []byte("cold"), 2, false)
 	if m.HotZoneBytes() == 0 {
 		t.Fatal("hot put did not land in hot zone")
 	}
@@ -137,7 +149,7 @@ func TestMigrationLifecycle(t *testing.T) {
 	for i := uint64(0); i < 400; i++ {
 		k := k8(i << 32)
 		wantKeys = append(wantKeys, k)
-		m.Put(k, []byte(fmt.Sprintf("v%d", i)), i+1, false, false)
+		putOne(m, k, []byte(fmt.Sprintf("v%d", i)), i+1, false)
 	}
 	z := m.PickDemotionVictim()
 	if z == nil {
@@ -179,7 +191,7 @@ func TestMigrationLifecycle(t *testing.T) {
 func TestMigrationKeepsConcurrentUpdates(t *testing.T) {
 	m, _ := newMgr(t, 0, 8<<10)
 	for i := uint64(0); i < 200; i++ {
-		m.Put(k8(i<<32), []byte("old"), i+1, false, false)
+		putOne(m, k8(i<<32), []byte("old"), i+1, false)
 	}
 	z := m.PickDemotionVictim()
 	batch, err := m.PrepareMigration(z)
@@ -188,7 +200,7 @@ func TestMigrationKeepsConcurrentUpdates(t *testing.T) {
 	}
 	// Update one migrated key mid-flight.
 	victim := batch.Entries[0].Key
-	if err := m.Put(victim, []byte("newer"), 10_000, false, false); err != nil {
+	if err := putOne(m, victim, []byte("newer"), 10_000, false); err != nil {
 		t.Fatal(err)
 	}
 	m.CommitMigration(batch)
@@ -201,7 +213,7 @@ func TestMigrationKeepsConcurrentUpdates(t *testing.T) {
 func TestAbortMigrationRestores(t *testing.T) {
 	m, _ := newMgr(t, 0, 8<<10)
 	for i := uint64(0); i < 200; i++ {
-		m.Put(k8(i<<32), []byte("v"), i+1, false, false)
+		putOne(m, k8(i<<32), []byte("v"), i+1, false)
 	}
 	z := m.PickDemotionVictim()
 	batch, _ := m.PrepareMigration(z)
@@ -219,7 +231,7 @@ func TestAbortMigrationRestores(t *testing.T) {
 
 func TestPromote(t *testing.T) {
 	m, _ := newMgr(t, 0, 64<<10)
-	if err := m.Promote(k8(3<<40), []byte("promoted"), 7); err != nil {
+	if err := m.Promote(k8(3<<40), []byte("promoted"), 7, 0); err != nil {
 		t.Fatal(err)
 	}
 	v, seq, _, found, _ := m.Get(k8(3<<40), device.Fg)
@@ -227,20 +239,33 @@ func TestPromote(t *testing.T) {
 		t.Fatalf("promoted get: %q seq=%d", v, seq)
 	}
 	// Promote must not clobber an existing (newer) version.
-	m.Put(k8(4<<40), []byte("fresh"), 100, false, false)
-	m.Promote(k8(4<<40), []byte("stale"), 50)
+	putOne(m, k8(4<<40), []byte("fresh"), 100, false)
+	m.Promote(k8(4<<40), []byte("stale"), 50, 0)
 	v, _, _, _, _ = m.Get(k8(4<<40), device.Fg)
 	if string(v) != "fresh" {
 		t.Fatalf("promote clobbered newer value: %q", v)
+	}
+	// Nor put back a value a write newer than its read overwrote, once that
+	// write has migrated to the capacity tier.
+	b, err := m.PrepareMigration(m.PickDemotionVictim())
+	if err != nil || b == nil {
+		t.Fatalf("prepare: %v %v", b, err)
+	}
+	m.CommitMigration(b)
+	if err := m.Promote(k8(4<<40), []byte("stale"), 101, 99); err != ErrSuperseded {
+		t.Fatalf("promotion read before a demoted write = %v, want ErrSuperseded", err)
+	}
+	if err := m.Promote(k8(4<<40), []byte("fresh"), 102, 100); err != nil {
+		t.Fatalf("promotion read after every demoted write: %v", err)
 	}
 }
 
 func TestEvictHotZone(t *testing.T) {
 	m, _ := newMgr(t, 0, 64<<10)
 	// Three kinds of hot-zone residents:
-	m.Put(k8(1<<40), []byte("still-hot"), 1, true, false)
-	m.Promote(k8(2<<40), []byte("cold-promoted"), 2)
-	m.Put(k8(3<<40), []byte("cold-authoritative"), 3, true, false)
+	putOne(m, k8(1<<40), []byte("still-hot"), 1, true)
+	m.Promote(k8(2<<40), []byte("cold-promoted"), 2, 0)
+	putOne(m, k8(3<<40), []byte("cold-authoritative"), 3, true)
 
 	stillHot := func(key []byte) bool { return bytes.Equal(key, k8(1<<40)) }
 	if err := m.EvictHotZone(stillHot); err != nil {
@@ -272,7 +297,7 @@ func TestBackgroundMovesReadEachPageOnce(t *testing.T) {
 	const n = 600 // 67-byte objects: 32 to a page in the 128 B class
 	fill := func(m *Manager, hot bool) (pages uint64) {
 		for i := 0; i < n; i++ {
-			if err := m.Put(k8(uint64(i)<<20), bytes.Repeat([]byte{byte(i)}, 40), uint64(i+1), hot, false); err != nil {
+			if err := putOne(m, k8(uint64(i)<<20), bytes.Repeat([]byte{byte(i)}, 40), uint64(i+1), hot); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -313,10 +338,10 @@ func TestDemotionScorePrefersColdDenseZones(t *testing.T) {
 	m, _ := newMgr(t, 0, 4<<10)
 	// Create objects across two zones; then read one zone a lot.
 	for i := uint64(0); i < 100; i++ {
-		m.Put(k8(i<<30), make([]byte, 100), i+1, false, false)
+		putOne(m, k8(i<<30), make([]byte, 100), i+1, false)
 	}
 	for i := uint64(0); i < 100; i++ {
-		m.Put(k8(1<<60|i<<30), make([]byte, 100), 200+i, false, false)
+		putOne(m, k8(1<<60|i<<30), make([]byte, 100), 200+i, false)
 	}
 	m.mu.RLock()
 	nZones := len(m.zones)
@@ -340,7 +365,7 @@ func TestDemotionScorePrefersColdDenseZones(t *testing.T) {
 func TestSplitZone(t *testing.T) {
 	m, _ := newMgr(t, 0, 4<<10) // tiny batch: bootstrap zone oversize fast
 	for i := uint64(0); i < 2000; i++ {
-		m.Put(k8(i<<44), make([]byte, 64), i+1, false, false)
+		putOne(m, k8(i<<44), make([]byte, 64), i+1, false)
 	}
 	z, _ := m.PickOversizedZone()
 	if z == nil {
@@ -368,7 +393,7 @@ func TestSplitZone(t *testing.T) {
 func TestScanOrdered(t *testing.T) {
 	m, _ := newMgr(t, 0, 64<<10)
 	for i := uint64(0); i < 300; i++ {
-		m.Put(k8(i<<40), []byte("v"), i+1, false, false)
+		putOne(m, k8(i<<40), []byte("v"), i+1, false)
 	}
 	var prev []byte
 	n := 0
@@ -421,16 +446,16 @@ func TestRecoverRebuildsIndex(t *testing.T) {
 	m := openMgr(t, Config{Dev: dev, Partition: 0, BatchSize: 64 << 10})
 	// Writes, updates (in place and resized), deletes, a migration.
 	for i := uint64(0); i < 1000; i++ {
-		m.Put(k8(i<<40), make([]byte, 100), i+1, false, false)
+		putOne(m, k8(i<<40), make([]byte, 100), i+1, false)
 	}
 	for i := uint64(0); i < 1000; i += 5 {
-		m.Put(k8(i<<40), make([]byte, 90), 2000+i, false, false) // in place
+		putOne(m, k8(i<<40), make([]byte, 90), 2000+i, false) // in place
 	}
 	for i := uint64(1); i < 1000; i += 50 {
-		m.Put(k8(i<<40), make([]byte, 400), 4000+i, false, false) // resized
+		putOne(m, k8(i<<40), make([]byte, 400), 4000+i, false) // resized
 	}
 	for i := uint64(2); i < 1000; i += 100 {
-		m.Delete(k8(i<<40), 6000+i)
+		deleteOne(m, k8(i<<40), 6000+i)
 	}
 	if z := m.PickDemotionVictim(); z != nil {
 		b, err := m.PrepareMigration(z)
@@ -441,7 +466,7 @@ func TestRecoverRebuildsIndex(t *testing.T) {
 	}
 	// Refill after the migration so the recovered tier is non-trivial.
 	for i := uint64(0); i < 300; i++ {
-		m.Put(k8(i<<40|7), make([]byte, 80), 10_000+i, false, false)
+		putOne(m, k8(i<<40|7), make([]byte, 80), 10_000+i, false)
 	}
 
 	// Snapshot expected state.
@@ -478,7 +503,7 @@ func TestRecoverRebuildsIndex(t *testing.T) {
 		t.Fatalf("maxSeq = %d", maxSeq)
 	}
 	// The recovered manager is fully operational.
-	if err := re.Put(k8(5000<<32), []byte("new"), maxSeq+1, false, false); err != nil {
+	if err := putOne(re, k8(5000<<32), []byte("new"), maxSeq+1, false); err != nil {
 		t.Fatal(err)
 	}
 	if z := re.PickDemotionVictim(); z == nil {
@@ -491,10 +516,10 @@ func TestRecoverSlotReuseAccounting(t *testing.T) {
 	dev := device.New(device.UnthrottledProfile("nvme", 0))
 	m := openMgr(t, Config{Dev: dev, Partition: 0, BatchSize: 16 << 10})
 	for i := uint64(0); i < 200; i++ {
-		m.Put(k8(i<<40), make([]byte, 100), i+1, false, false)
+		putOne(m, k8(i<<40), make([]byte, 100), i+1, false)
 	}
 	for i := uint64(0); i < 200; i += 2 {
-		m.Put(k8(i<<40), make([]byte, 400), 500+i, false, false) // resize frees 128B slots
+		putOne(m, k8(i<<40), make([]byte, 400), 500+i, false) // resize frees 128B slots
 	}
 	re, maxSeq, err := Recover(Config{Dev: dev, Partition: 0, BatchSize: 16 << 10})
 	if err != nil {
@@ -504,7 +529,7 @@ func TestRecoverSlotReuseAccounting(t *testing.T) {
 	// New small writes into the existing zone ranges should reuse the freed
 	// 128B slots, not allocate fresh pages.
 	for i := uint64(0); i < 50; i++ {
-		if err := re.Put(k8(i<<40|3), make([]byte, 100), maxSeq+i+1, false, false); err != nil {
+		if err := putOne(re, k8(i<<40|3), make([]byte, 100), maxSeq+i+1, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -527,7 +552,7 @@ func TestRecoverMixedPagesSurviveDemotion(t *testing.T) {
 	seq := uint64(0)
 	put := func(key []byte, hot bool) {
 		seq++
-		if err := m.Put(key, make([]byte, 100), seq, hot, false); err != nil {
+		if err := putOne(m, key, make([]byte, 100), seq, hot); err != nil {
 			t.Fatal(err)
 		}
 		want[string(key)] = seq
