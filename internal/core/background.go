@@ -88,9 +88,9 @@ func (db *DB) MigrationStep(pid int) error {
 	//
 	// Once the partition has demoted anything it is tiered: a zone fills and
 	// leaves within one tier cycle, Eq. 2 sizes its successor from the
-	// resident density, and rewriting it first costs a slot read and a
-	// sector write (768 device bytes for a 152-byte object) on data that is
-	// about to go. There an oversized zone is not rebuilt; it is the first
+	// resident density, and rewriting it first costs a slot read and the
+	// slot's share of a page write (512 device bytes for a 152-byte object)
+	// on data that is about to go. There an oversized zone is not rebuilt; it is the first
 	// demotion victim instead (see victim).
 	if p.tree.Empty() {
 		if z, zBytes := p.zones.PickOversizedZone(); z != nil {

@@ -399,3 +399,74 @@ func TestRecoverStaysTieredAndSurvivesDemotionCut(t *testing.T) {
 		t.Fatal("no recovered store had an oversized zone: its passes had nothing to rebuild")
 	}
 }
+
+// residentCrashRig builds, the same way every time, a resident partition
+// whose next pass splits an oversized zone.
+func residentCrashRig(t *testing.T) *regimeRig {
+	t.Helper()
+	r := newRegimeRig(t, 64<<20, 8<<10, false)
+	for i := 0; i < 20000; i++ {
+		if r.write(); !r.due() {
+			continue
+		}
+		if z, _ := r.db.parts[0].zones.PickOversizedZone(); z != nil && !r.tiered() {
+			return r
+		}
+		r.pass()
+	}
+	t.Fatal("never reached a resident pass with an oversized zone")
+	return nil
+}
+
+// TestSplitCrashAtEveryWrite cuts power at every NVMe write of a pass that
+// splits a zone, tearing the write on even cuts, and once more just after
+// the pass. A split writes runs of slots with one device write each and
+// frees the old zone's pages only after the last: a recovered store must
+// read every acked value and hold every key once — the copy of an object the
+// split had written and the original are one object, not two.
+func TestSplitCrashAtEveryWrite(t *testing.T) {
+	r := residentCrashRig(t)
+	n0, moved := r.nvme.Counters().WriteOps.Load(), r.db.Stats().Zone.Bg.RebuildWrite
+	r.pass()
+	writes := int64(r.nvme.Counters().WriteOps.Load() - n0)
+	if r.db.Stats().Zone.Bg.RebuildWrite == moved {
+		t.Fatal("the pass split nothing")
+	}
+	t.Logf("the split pass makes %d NVMe writes", writes)
+
+	for n := int64(1); n <= writes+1; n++ {
+		r := residentCrashRig(t)
+		when := fmt.Sprintf("NVMe write %d of %d", n, writes)
+		r.nvme.InjectFaults(device.FaultPlan{Seed: n, FailWriteAfter: n, TornWrites: n%2 == 0})
+		if err := r.step(); !errors.Is(err, device.ErrInjected) && (err != nil || n <= writes) {
+			t.Fatalf("%s: step returned %v", when, err)
+		}
+		r.db.Close()
+		r.nvme.PowerCut()
+		r.sata.PowerCut()
+		r.nvme.ClearFaults()
+		re, err := Open(regimeOpts(r.nvme, r.sata, 8<<10, false))
+		if err != nil {
+			t.Fatalf("%s: recover: %v", when, err)
+		}
+		r.checkAcked(re, when)
+		var payload int64
+		for k, v := range r.acked {
+			payload += int64(19 + len(k) + len(v)) // a slot's header, key and value
+		}
+		if st := re.Stats().Zone; st.Objects != int64(len(r.acked)) || st.PayloadBytes != payload {
+			t.Fatalf("%s: the recovered tier indexes %d objects of %d bytes; %d keys of %d bytes were acked",
+				when, st.Objects, st.PayloadBytes, len(r.acked), payload)
+		}
+		kvs, err := re.Scan(nil, len(r.acked)+1)
+		if err != nil || len(kvs) != len(r.acked) {
+			t.Fatalf("%s: a full scan returned %d entries (%v) for %d acked keys", when, len(kvs), err, len(r.acked))
+		}
+		for i := 1; i < len(kvs); i++ {
+			if bytes.Compare(kvs[i-1].Key, kvs[i].Key) >= 0 {
+				t.Fatalf("%s: scan returns %x after %x", when, kvs[i].Key, kvs[i-1].Key)
+			}
+		}
+		re.Close()
+	}
+}

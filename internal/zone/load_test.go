@@ -98,7 +98,7 @@ func TestLoadRule(t *testing.T) {
 			}
 		}, moved, "v2", 3, 1},
 		{"resize", func(t *testing.T, f *loadFixture) {
-			f.put(t, f.k, big, 3) // leaves a marker tombstone in loc0's slot
+			f.put(t, f.k, big, 3) // erases loc0's slot
 			if got := f.m.Stats().Relocations; got != 1 {
 				t.Fatalf("fixture: %d relocations", got)
 			}

@@ -48,8 +48,6 @@ type Config struct {
 	BatchSize int64
 	// HotCapacity caps the hot zone's payload bytes before eviction.
 	HotCapacity int64
-	// Classes are the slot sizes (defaults to 64B…4KiB powers of two).
-	Classes []int
 	// Cache, if set, is the engine's DRAM cache: point reads cache the
 	// object they fetched, scans the slot pages they walked.
 	Cache *cache.LRU
@@ -61,9 +59,6 @@ func (c *Config) fill() {
 	}
 	if c.HotCapacity <= 0 {
 		c.HotCapacity = c.BatchSize * 4
-	}
-	if len(c.Classes) == 0 {
-		c.Classes = defaultClasses
 	}
 }
 
@@ -86,8 +81,8 @@ type Stats struct {
 
 // BgBytes attributes the performance tier's background traffic to the
 // mechanism that issued it, in bytes as the device books them: whole pages
-// per read, sector-rounded slots per write. Demotion and rebuild writes that
-// land on the capacity tier are the LSM's to count, not the zone tier's.
+// per read, sector-rounded slot runs per write. Demotion and rebuild writes
+// that land on the capacity tier are the LSM's to count, not the zone tier's.
 type BgBytes struct {
 	DemotionRead   uint64 // PrepareMigration reading a zone out
 	RebuildRead    uint64 // SplitZone reading an oversized zone
@@ -142,7 +137,8 @@ type Manager struct {
 	hotEvictDropped    stats.Counter
 	hotEvictRelocated  stats.Counter
 	// bg is the ledger behind Stats.Bg; every background read and write
-	// names the counter it is booked to (readObjects, writeObject).
+	// names the counter it is booked to (readObjects, writeObject,
+	// writeRun).
 	bg struct {
 		demotionRead, rebuildRead, rebuildWrite     stats.Counter
 		promotionWrite, hotEvictRead, hotEvictWrite stats.Counter
@@ -158,7 +154,7 @@ func emptyManager(cfg Config) *Manager {
 		zoneByID: make(map[uint32]*Zone),
 		nextZone: 1,
 	}
-	m.hot = newZone(0, 0, math.MaxUint64, true, len(cfg.Classes))
+	m.hot = newZone(0, 0, math.MaxUint64, true)
 	m.zoneByID[0] = m.hot
 	return m
 }
@@ -253,7 +249,7 @@ func (m *Manager) createZone(k64 uint64) *Zone {
 			hi = m.zones[i].lo
 		}
 	}
-	z := newZone(m.nextZone, lo, hi, false, len(m.cfg.Classes))
+	z := newZone(m.nextZone, lo, hi, false)
 	m.nextZone++
 	m.zoneByID[z.id] = z
 	m.zones = append(m.zones, nil)
@@ -262,23 +258,58 @@ func (m *Manager) createZone(k64 uint64) *Zone {
 	return z
 }
 
-// writeObject stores an object into zone z, allocating a slot. A nil bg is a
-// foreground write; otherwise the write is background traffic, booked to
+// rangeZone returns the key-range zone that owns key, creating it if the
+// range has none. Caller holds mu.
+func (m *Manager) rangeZone(key []byte) *Zone {
+	k64 := Key64(key)
+	if z := m.zoneFor(k64); z != nil {
+		return z
+	}
+	return m.createZone(k64)
+}
+
+// allocSlot takes a slot of class c in zone z: a freed one, the next of the
+// open page, or the first of a fresh page. Caller holds mu.
+func (m *Manager) allocSlot(z *Zone, c int) (slotRef, error) {
+	sf := m.slotFiles[c]
+	if ref, ok := z.takeSlot(c, sf.slotsPerPage); ok {
+		return ref, nil
+	}
+	page, err := sf.allocPage()
+	if err != nil {
+		return slotRef{}, err
+	}
+	return z.addPage(c, page, sf.slotsPerPage), nil
+}
+
+// stored books an object just written to slot ref of class c into z's and
+// the slot file's accounting and returns its location. Caller holds mu.
+func (m *Manager) stored(z *Zone, c int, ref slotRef, k, v []byte, seq uint64, tombstone, promoted bool) Location {
+	size := int32(slotHeaderSize + len(k) + len(v))
+	z.objects++
+	z.bytes += int64(size)
+	sf := m.slotFiles[c]
+	sf.objects++
+	sf.bytes += int64(size)
+	return Location{
+		Class: int8(c), Page: ref.page, Slot: ref.slot, ZoneID: z.id,
+		Seq: seq, Size: size, Tombstone: tombstone, Promoted: promoted,
+	}
+}
+
+// writeObject stores one object into zone z, allocating a slot. A nil bg is
+// a foreground write; otherwise the write is background traffic, booked to
 // that ledger counter. Caller holds mu. Returns the new location.
 func (m *Manager) writeObject(z *Zone, c int, k, v []byte, seq uint64, tombstone, promoted bool, bg *stats.Counter) (Location, error) {
-	sf := m.slotFiles[c]
-	ref, ok := z.takeSlot(c, sf.slotsPerPage)
-	if !ok {
-		page, err := sf.allocPage()
-		if err != nil {
-			return Location{}, err
-		}
-		ref = z.addPage(c, page, sf.slotsPerPage)
+	ref, err := m.allocSlot(z, c)
+	if err != nil {
+		return Location{}, err
 	}
 	op := device.Fg
 	if bg != nil {
 		op = device.Bg
 	}
+	sf := m.slotFiles[c]
 	if err := sf.writeSlot(ref.page, ref.slot, seq, tombstone, k, v, op); err != nil {
 		return Location{}, err
 	}
@@ -286,15 +317,7 @@ func (m *Manager) writeObject(z *Zone, c int, k, v []byte, seq uint64, tombstone
 		bg.Add(uint64(m.cfg.Dev.WriteCharge(int64(sf.slotSize))))
 	}
 	m.invalidateCache(c, ref.page)
-	size := int32(slotHeaderSize + len(k) + len(v))
-	z.objects++
-	z.bytes += int64(size)
-	sf.objects++
-	sf.bytes += int64(size)
-	return Location{
-		Class: int8(c), Page: ref.page, Slot: ref.slot, ZoneID: z.id,
-		Seq: seq, Size: size, Tombstone: tombstone, Promoted: promoted,
-	}, nil
+	return m.stored(z, c, ref, k, v, seq, tombstone, promoted), nil
 }
 
 // dropLocation releases loc's slot and adjusts accounting. Caller holds mu.
@@ -370,10 +393,10 @@ func (m *Manager) uncacheObject(key []byte) {
 
 // putLocked writes key=value at sequence seq; the caller (ApplyBatch) holds
 // mu. hot routes the object to the hot zone. Charges one random page write,
-// plus a tombstone write when the object relocates between slots (§3.2).
+// plus a write erasing the old slot when the object relocates (§3.2).
 func (m *Manager) putLocked(key, value []byte, seq uint64, hot bool) error {
 	need := slotHeaderSize + len(key) + len(value)
-	c := classFor(m.cfg.Classes, need)
+	c := classFor(need)
 	if c < 0 {
 		return ErrTooLarge
 	}
@@ -398,17 +421,16 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot bool) error {
 			return nil
 		}
 		// Resized (different class) or zone gone: write the new slot first,
-		// then leave a tombstone at the old location (§3.2). Writing the
-		// value before the tombstone keeps recovery safe: a crash between
-		// the two leaves two versions and the newer one wins the scan.
+		// then erase the old one (§3.2). Writing the value first keeps
+		// recovery safe: a crash between the two leaves two versions and the
+		// newer one wins the scan. The old slot is erased, not tombstoned: a
+		// tombstone at the new sequence would outlive the value if the
+		// value's zone were demoted first, and hide the key after a restart.
 		// writeObject and Set below may restructure the tree, so only the
 		// copy in old is used from here on.
 		z := m.hot
 		if !hot {
-			k64 := Key64(key)
-			if z = m.zoneFor(k64); z == nil {
-				z = m.createZone(k64)
-			}
+			z = m.rangeZone(key)
 		}
 		loc, err := m.writeObject(z, c, key, value, seq, false, false, nil)
 		if err != nil {
@@ -418,7 +440,7 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot bool) error {
 		m.refreshObject(key, seq, value)
 		if zoneLive {
 			sf := m.slotFiles[old.Class]
-			if err := sf.writeSlot(old.Page, old.Slot, seq, true, key, nil, device.Fg); err != nil {
+			if err := sf.eraseSlot(old.Page, old.Slot, device.Fg); err != nil {
 				return err
 			}
 			m.invalidateCache(int(old.Class), old.Page)
@@ -430,10 +452,7 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot bool) error {
 
 	z := m.hot
 	if !hot {
-		k64 := Key64(key)
-		if z = m.zoneFor(k64); z == nil {
-			z = m.createZone(k64)
-		}
+		z = m.rangeZone(key)
 	}
 	loc, err := m.writeObject(z, c, key, value, seq, false, false, nil)
 	if err != nil {
@@ -447,7 +466,7 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot bool) error {
 // The tombstone occupies a small slot and migrates to the capacity tier like
 // any object, deleting the key there.
 func (m *Manager) deleteLocked(key []byte, seq uint64) error {
-	c := classFor(m.cfg.Classes, slotHeaderSize+len(key))
+	c := classFor(slotHeaderSize + len(key))
 	if c < 0 {
 		return ErrTooLarge
 	}
@@ -473,12 +492,7 @@ func (m *Manager) deleteLocked(key []byte, seq uint64) error {
 			return nil
 		}
 	}
-	k64 := Key64(key)
-	z := m.zoneFor(k64)
-	if z == nil {
-		z = m.createZone(k64)
-	}
-	loc, err := m.writeObject(z, c, key, nil, seq, true, false, nil)
+	loc, err := m.writeObject(m.rangeZone(key), c, key, nil, seq, true, false, nil)
 	if err != nil {
 		return err
 	}
@@ -635,7 +649,7 @@ func (m *Manager) load(key []byte, loc Location, op device.Op, point bool) (valu
 // object cache).
 func (m *Manager) Promote(key, value []byte, seq, after uint64) error {
 	need := slotHeaderSize + len(key) + len(value)
-	c := classFor(m.cfg.Classes, need)
+	c := classFor(need)
 	if c < 0 {
 		return ErrTooLarge
 	}

@@ -226,51 +226,29 @@ func (m *Manager) EvictHotZone(isHot func(key []byte) bool) error {
 	// The rebuilt hot zone gets a fresh id, so new hot writes are
 	// distinguishable, and the old one leaves zoneByID like any detached
 	// zone: its slots are stable until its pages are freed below.
-	m.hot = newZone(m.nextZone, 0, ^uint64(0), true, len(m.cfg.Classes))
+	m.hot = newZone(m.nextZone, 0, ^uint64(0), true)
 	m.nextZone++
 	m.zoneByID[m.hot.id] = m.hot
 	delete(m.zoneByID, old.id)
 	refs := m.zoneRefsLocked(old, nil, nil)
 	m.mu.Unlock()
 
-	_, err := m.readObjects(refs, &m.bg.hotEvictRead, func(r locRef, tomb bool, k, v []byte, err error) error {
-		if err != nil || !bytes.Equal(k, r.key) {
-			return nil // superseded concurrently
-		}
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		cur, ok := m.index.Get(r.key)
-		if !ok || cur.Seq != r.loc.Seq || cur.ZoneID != old.id {
-			return nil // superseded concurrently
-		}
+	_, err := m.replace(old, refs, &m.bg.hotEvictRead, &m.bg.hotEvictWrite, func(r locRef) *Zone {
 		switch {
 		case isHot != nil && isHot(r.key):
 			// Still hot: keep in the rebuilt hot zone.
-			loc, err := m.writeObject(m.hot, int(r.loc.Class), k, v, r.loc.Seq, tomb, r.loc.Promoted, &m.bg.hotEvictWrite)
-			if err != nil {
-				return err
-			}
-			m.index.Set(r.key, loc)
+			return m.hot
 		case r.loc.Promoted:
 			// Cold promoted copy: drop without relocation.
 			m.index.Delete(r.key)
 			m.uncacheObject(r.key)
 			m.hotEvictDropped.Inc()
+			return nil
 		default:
 			// Cold authoritative object: relocate into its key-range zone.
-			k64 := Key64(r.key)
-			z := m.zoneFor(k64)
-			if z == nil {
-				z = m.createZone(k64)
-			}
-			loc, err := m.writeObject(z, int(r.loc.Class), k, v, r.loc.Seq, tomb, false, &m.bg.hotEvictWrite)
-			if err != nil {
-				return err
-			}
-			m.index.Set(r.key, loc)
 			m.hotEvictRelocated.Inc()
+			return m.rangeZone(r.key)
 		}
-		return nil
 	})
 	if err != nil {
 		return err

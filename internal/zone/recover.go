@@ -24,7 +24,7 @@ import (
 func Recover(cfg Config) (*Manager, uint64, error) {
 	m := emptyManager(cfg)
 	cfg = m.cfg // with defaults filled
-	for _, cls := range cfg.Classes {
+	for _, cls := range slotClasses {
 		name := fmt.Sprintf("p%d-slab%d", cfg.Partition, cls)
 		f, err := cfg.Dev.Open(name)
 		if err != nil {
@@ -78,11 +78,11 @@ func Recover(cfg Config) (*Manager, uint64, error) {
 					Class: int8(c), Page: uint32(p), Slot: uint16(s),
 					Seq: ts, Size: size, Tombstone: tomb,
 				}
-				// Newest sequence wins; on a tie (a crash between the two
-				// writes of a relocation) the value beats the tombstone,
-				// because relocations write the value before tombstoning.
+				// Newest sequence wins. Two slots hold one sequence of a
+				// key only while a split or hot-zone eviction has copied
+				// it and not yet freed the old zone: the same object.
 				cur, ok := m.index.Get(k)
-				if !ok || cur.Seq < ts || (cur.Seq == ts && cur.Tombstone && !tomb) {
+				if !ok || cur.Seq < ts {
 					m.index.Set(bytes.Clone(k), loc)
 				}
 			}
@@ -110,13 +110,10 @@ func Recover(cfg Config) (*Manager, uint64, error) {
 		loc := r.loc
 		pk := pageKey{int(loc.Class), loc.Page}
 		z, ok := pageZone[pk]
-		k64 := Key64(r.key)
 		if !ok {
-			if z = m.zoneFor(k64); z == nil {
-				z = m.createZone(k64)
-			}
+			z = m.rangeZone(r.key)
 			pageZone[pk] = z
-		} else if !z.contains(k64) {
+		} else if !z.contains(Key64(r.key)) {
 			z.strays = true
 		}
 		if z.pages[pk.c] == nil {

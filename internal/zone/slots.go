@@ -4,7 +4,7 @@
 // size-classed slot files; the zone mapper tracks which slot-file pages each
 // zone owns; a per-partition hot zone holds tracker-identified hot objects
 // with no key-range restriction. Objects smaller than a page update in
-// place; resized objects relocate with a tombstone at the old slot. Access
+// place; resized objects relocate and erase the old slot. Access
 // is at page (block) granularity, matching the device model, so the
 // page-read amplification the paper analyses appears naturally.
 package zone
@@ -26,13 +26,13 @@ const (
 	flagTombstone = 1 << 0
 )
 
-// Classes are the slot sizes; an object occupies the smallest class that
+// slotClasses are the slot sizes; an object occupies the smallest class that
 // fits header+key+value. The largest class is one page.
-var defaultClasses = []int{64, 128, 256, 512, 1024, 2048, 4096}
+var slotClasses = []int{64, 128, 256, 512, 1024, 2048, 4096}
 
 // classFor returns the class index fitting need bytes, or -1 if oversized.
-func classFor(classes []int, need int) int {
-	for i, c := range classes {
+func classFor(need int) int {
+	for i, c := range slotClasses {
 		if need <= c {
 			return i
 		}
@@ -163,6 +163,12 @@ func (sf *slotFile) writeSlot(p uint32, s uint16, ts uint64, tombstone bool, k, 
 		buf[i] = 0
 	}
 	return sf.f.WriteAt(buf, sf.slotOffset(p, s), op)
+}
+
+// eraseSlot overwrites (page, slot) with a record that names no key, which
+// readers and recovery skip: the slot an object relocated out of.
+func (sf *slotFile) eraseSlot(p uint32, s uint16, op device.Op) error {
+	return sf.writeSlot(p, s, 0, false, nil, nil, op)
 }
 
 // readPage fetches an entire page, charging one page read.

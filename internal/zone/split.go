@@ -1,7 +1,5 @@
 package zone
 
-import "bytes"
-
 // OversizeFactor: a zone holding more than OversizeFactor × BatchSize of
 // payload is due for a rebuild. Oversized zones appear when the width
 // estimate was stale at creation (most commonly the bootstrap zone created
@@ -37,35 +35,12 @@ func (m *Manager) SplitZone(z *Zone) (int, error) {
 	if !ok {
 		return 0, nil
 	}
-
-	moved := 0
-	_, err := m.readObjects(refs, &m.bg.rebuildRead, func(r locRef, tomb bool, k, v []byte, err error) error {
-		if err != nil || !bytes.Equal(k, r.key) {
-			return nil
-		}
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		cur, ok := m.index.Get(r.key)
-		if !ok || cur.Seq != r.loc.Seq || cur.ZoneID != z.id {
-			return nil // superseded concurrently
-		}
-		k64 := Key64(r.key)
-		dst := m.zoneFor(k64)
-		if dst == nil {
-			dst = m.createZone(k64)
-		}
-		nloc, err := m.writeObject(dst, int(r.loc.Class), k, v, r.loc.Seq, tomb, r.loc.Promoted, &m.bg.rebuildWrite)
-		if err != nil {
-			return err
-		}
-		m.index.Set(r.key, nloc)
-		moved++
-		return nil
+	moved, err := m.replace(z, refs, &m.bg.rebuildRead, &m.bg.rebuildWrite, func(r locRef) *Zone {
+		return m.rangeZone(r.key)
 	})
 	if err != nil {
 		return moved, err
 	}
-
 	m.mu.Lock()
 	m.freeZoneLocked(z)
 	m.mu.Unlock()

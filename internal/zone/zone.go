@@ -51,12 +51,12 @@ type Zone struct {
 	readIOs atomic.Int64 // foreground page reads since the last migration
 }
 
-func newZone(id uint32, lo, hi uint64, hot bool, nClasses int) *Zone {
+func newZone(id uint32, lo, hi uint64, hot bool) *Zone {
 	return &Zone{
 		id: id, lo: lo, hi: hi, hot: hot,
-		pages:     make([]map[uint32]struct{}, nClasses),
-		open:      make([]openPage, nClasses),
-		freeSlots: make([][]slotRef, nClasses),
+		pages:     make([]map[uint32]struct{}, len(slotClasses)),
+		open:      make([]openPage, len(slotClasses)),
+		freeSlots: make([][]slotRef, len(slotClasses)),
 	}
 }
 

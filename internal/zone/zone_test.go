@@ -88,13 +88,22 @@ func TestInPlaceUpdateSameClass(t *testing.T) {
 	}
 }
 
-func TestResizeRelocatesWithTombstone(t *testing.T) {
+func TestResizeRelocatesAndErasesOldSlot(t *testing.T) {
 	m, _ := newMgr(t, 0, 64<<10)
 	key := k8(5 << 40)
-	putOne(m, key, make([]byte, 40), 1, false)  // 64B class
+	putOne(m, key, make([]byte, 40), 1, false) // 64B class
+	old, _ := m.index.Get(key)
 	putOne(m, key, make([]byte, 400), 2, false) // 512B class
 	if m.Stats().Relocations != 1 {
 		t.Fatalf("relocations = %d", m.Stats().Relocations)
+	}
+	sf := m.slotFiles[old.Class]
+	page, err := sf.readPage(old.Page, device.Fg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, tomb, k, _, err := sf.decodeSlotInPage(page, old.Slot); err != nil || tomb || len(k) != 0 {
+		t.Fatalf("the old slot holds key %x tombstone=%v (%v), want an erased record", k, tomb, err)
 	}
 	v, _, _, found, _ := m.Get(key, device.Fg)
 	if !found || len(v) != 400 {
@@ -102,6 +111,89 @@ func TestResizeRelocatesWithTombstone(t *testing.T) {
 	}
 	if m.ObjectCount() != 1 {
 		t.Fatalf("objects = %d", m.ObjectCount())
+	}
+}
+
+// TestRelocatedKeyIsNotHiddenAfterDemotionAndRecovery: a key written hot and
+// then rewritten cold in another size class relocates out of the hot zone;
+// once its new zone is demoted, the capacity tier holds its newest version.
+// What the relocation left in the hot zone's slot must not answer for the key
+// after a restart: a tombstone there at the new sequence hid the demoted value.
+func TestRelocatedKeyIsNotHiddenAfterDemotionAndRecovery(t *testing.T) {
+	m, dev := newMgr(t, 0, 64<<10)
+	k := k8(5 << 40)
+	if err := putOne(m, k, make([]byte, 100), 1, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := putOne(m, k, make([]byte, 20), 2, false); err != nil {
+		t.Fatal(err)
+	}
+	if m.Stats().Relocations != 1 {
+		t.Fatalf("fixture: relocations = %d", m.Stats().Relocations)
+	}
+	b, err := m.PrepareMigration(m.zoneFor(Key64(k)))
+	if err != nil || len(b.Entries) != 1 || b.Entries[0].Seq != 2 || b.Entries[0].Tombstone {
+		t.Fatalf("demotion batch %+v, %v", b, err)
+	}
+	m.CommitMigration(b)
+
+	re := openMgr(t, Config{Dev: dev, Partition: 0, BatchSize: 64 << 10})
+	if _, seq, tomb, found, err := re.Get(k, device.Fg); err != nil || found {
+		t.Fatalf("the recovered tier answers for the demoted key: seq=%d tombstone=%v found=%v err=%v", seq, tomb, found, err)
+	}
+}
+
+// TestSplitWritesWholePages: a split into fresh zones writes each
+// destination page it fills with one device write, so the rebuild ledger
+// books whole pages, where one write per object booked a sector-rounded slot
+// each. The keys come in groups of one page of 256-byte slots, far apart, so
+// that every destination zone holds whole groups.
+func TestSplitWritesWholePages(t *testing.T) {
+	const perPage = 16 // 227-byte objects in the 256 B class
+	const groups = 24
+	m, dev := newMgr(t, 0, 227*4*perPage) // Eq. 2: about four groups a zone
+	seq := uint64(0)
+	for g := uint64(0); g < groups; g++ {
+		for i := uint64(0); i < perPage; i++ {
+			seq++
+			if err := putOne(m, k8(g<<48|1<<46|i<<8), bytes.Repeat([]byte{byte(seq)}, 200), seq, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(m.zones) != 1 {
+		t.Fatalf("fixture: %d zones before the split, want the bootstrap zone alone", len(m.zones))
+	}
+	old := m.zones[0]
+	st, ops := m.Stats().Bg, dev.Counters().BgWriteOps.Load()
+	moved, err := m.SplitZone(old)
+	if err != nil || moved != groups*perPage {
+		t.Fatalf("split moved %d objects, %v", moved, err)
+	}
+	if len(m.zones) < 3 {
+		t.Fatalf("the split made %d zones; the test needs several", len(m.zones))
+	}
+	pages := 0
+	for _, z := range m.zones {
+		if z.Objects()%perPage != 0 {
+			t.Fatalf("fixture: zone %d holds %d objects, not whole pages", z.ID(), z.Objects())
+		}
+		pages += z.PageCount()
+	}
+	if pages != groups {
+		t.Fatalf("the split filled %d pages, want %d", pages, groups)
+	}
+	if got, want := m.Stats().Bg.RebuildWrite-st.RebuildWrite, uint64(pages*dev.PageSize()); got != want {
+		t.Fatalf("the split booked %d rebuild write bytes for %d destination pages, want %d", got, pages, want)
+	}
+	if got := dev.Counters().BgWriteOps.Load() - ops; got != uint64(pages) {
+		t.Fatalf("the split issued %d background writes for %d destination pages", got, pages)
+	}
+	for s := uint64(1); s <= seq; s++ {
+		g, i := (s-1)/perPage, (s-1)%perPage
+		if v, got, _, found, err := m.Get(k8(g<<48|1<<46|i<<8), device.Fg); err != nil || !found || got != s || len(v) != 200 || v[0] != byte(s) {
+			t.Fatalf("key %d.%d after the split: seq=%d found=%v err=%v", g, i, got, found, err)
+		}
 	}
 }
 
