@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"slices"
 
-	"hyperdb/internal/baseline/leveled"
 	"hyperdb/internal/device"
 	"hyperdb/internal/engine"
 	"hyperdb/internal/keys"
+	"hyperdb/internal/lsm"
 )
 
 // usedFraction is the slab store's logical occupancy: allocated device
@@ -174,7 +174,7 @@ func (db *DB) get(key []byte) ([]byte, bool, error) {
 		}
 	}
 
-	v, kind, found, err := db.lsm.Get(key, keys.MaxSeq, device.Fg)
+	v, kind, _, found, err := db.lsm.Get(key, keys.MaxSeq, device.Fg)
 	if err != nil || !found || kind == keys.KindDelete {
 		return nil, false, err
 	}
@@ -396,7 +396,7 @@ func (db *DB) MigrateOnce() (int, error) {
 		page uint32
 	}
 	pages := make(map[pageID][]byte)
-	var entries []leveled.Entry
+	var entries []lsm.Entry
 	var pageReads uint64
 	for _, vt := range victims {
 		pid := pageID{vt.l.class, vt.l.page}
@@ -421,20 +421,20 @@ func (db *DB) MigrateOnce() (int, error) {
 		if tomb {
 			kind = keys.KindDelete
 		}
-		entries = append(entries, leveled.Entry{
+		entries = append(entries, lsm.Entry{
 			Key:   keys.InternalKey{User: bytes.Clone(k), Seq: seq, Kind: kind},
 			Value: bytes.Clone(v),
 		})
 	}
 	// Victims were collected in key order (with at most one wrap); sort the
 	// wrapped tail into place for the LSM ingest.
-	slices.SortStableFunc(entries, func(a, b leveled.Entry) int { return bytes.Compare(a.Key.User, b.Key.User) })
+	slices.SortStableFunc(entries, func(a, b lsm.Entry) int { return bytes.Compare(a.Key.User, b.Key.User) })
 	// Backpressure: when the SATA LSM has L0 debt, the migration thread
 	// helps compact before ingesting more — otherwise a sustained uniform
 	// write load grows L0 without bound (and stalls client writes anyway,
 	// which is the PrismDB slowdown the paper observes).
-	for db.lsm.Stalled() {
-		did, err := db.lsm.CompactOnce(device.Bg)
+	for db.lsm.Stalled() != nil {
+		did, err := db.lsm.Compact(device.Bg)
 		if err != nil {
 			return 0, err
 		}
@@ -480,7 +480,7 @@ func (db *DB) BackgroundStep() error {
 	if _, err := db.MigrateOnce(); err != nil {
 		return err
 	}
-	_, err := db.lsm.CompactOnce(device.Bg)
+	_, err := db.lsm.Compact(device.Bg)
 	return err
 }
 
@@ -501,4 +501,4 @@ func (db *DB) DrainBackground() error {
 }
 
 // LSM exposes the SATA tree for harness inspection.
-func (db *DB) LSM() *leveled.LSM { return db.lsm }
+func (db *DB) LSM() *lsm.Tree { return db.lsm }

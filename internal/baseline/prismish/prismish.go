@@ -18,12 +18,12 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hyperdb/internal/baseline/leveled"
 	"hyperdb/internal/btree"
 	"hyperdb/internal/cache"
 	"hyperdb/internal/compress"
 	"hyperdb/internal/device"
 	"hyperdb/internal/engine"
+	"hyperdb/internal/lsm"
 	"hyperdb/internal/stats"
 )
 
@@ -124,7 +124,7 @@ type slotRef struct {
 type DB struct {
 	opts  Options
 	dram  *cache.LRU
-	lsm   *leveled.LSM
+	lsm   *lsm.Tree
 	seq   atomic.Uint64
 	stopC chan struct{}
 	wg    sync.WaitGroup
@@ -173,16 +173,16 @@ func Open(opts Options) (*DB, error) {
 			nextPage: uint32((f.Size() + ps - 1) / ps),
 		})
 	}
-	l, lsmSeq, err := leveled.Open(leveled.Options{
-		Name:      "prismish",
-		Place:     func(int, int64) *device.Device { return opts.SATA },
+	l, lsmSeq, err := lsm.Open(lsm.Options{
+		Prefix:    "prismish",
+		Dev:       opts.SATA,
 		FileSize:  opts.FileSize,
 		L1Target:  opts.L1Target,
 		Ratio:     opts.Ratio,
 		MaxLevels: opts.MaxLevels,
 		PageCache: db.dram,
 		Compress:  opts.Compress,
-	}, opts.SATA)
+	}, lsm.Leveled)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +213,7 @@ func Open(opts Options) (*DB, error) {
 		for i := 0; i < opts.BackgroundThreads; i++ {
 			go func() {
 				defer db.wg.Done()
-				engine.Work(db.stopC, nil, &db.errs, func() (bool, error) { return db.lsm.CompactOnce(device.Bg) })
+				engine.Work(db.stopC, nil, &db.errs, func() (bool, error) { return db.lsm.Compact(device.Bg) })
 			}()
 		}
 	}

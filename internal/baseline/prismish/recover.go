@@ -70,7 +70,7 @@ func (db *DB) recoverSlabs() (uint64, error) {
 			cands[i].free = true
 			continue
 		}
-		_, _, entrySeq, found, err := db.lsm.GetWithSeq(cands[i].key, keys.MaxSeq, device.BgSeq)
+		_, _, entrySeq, found, err := db.lsm.Get(cands[i].key, keys.MaxSeq, device.BgSeq)
 		if err != nil {
 			return 0, err
 		}

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"sort"
 
-	"hyperdb/internal/baseline/leveled"
 	"hyperdb/internal/device"
 	"hyperdb/internal/keys"
+	"hyperdb/internal/lsm"
 	"hyperdb/internal/skiplist"
 	"hyperdb/internal/wal"
 )
@@ -52,10 +52,10 @@ func (db *DB) replayWALs() (uint64, error) {
 
 	// Make the replayed records durable in L0 before the logs go away.
 	if db.mem.Len() > 0 {
-		var entries []leveled.Entry
+		var entries []lsm.Entry
 		it := db.mem.Iter()
 		for it.First(); it.Valid(); it.Next() {
-			entries = append(entries, leveled.Entry{Key: it.Key(), Value: it.Value()})
+			entries = append(entries, lsm.Entry{Key: it.Key(), Value: it.Value()})
 		}
 		if err := db.lsm.Ingest(entries, device.Bg); err != nil {
 			return 0, err

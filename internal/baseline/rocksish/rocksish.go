@@ -19,12 +19,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hyperdb/internal/baseline/leveled"
 	"hyperdb/internal/cache"
 	"hyperdb/internal/compress"
 	"hyperdb/internal/device"
 	"hyperdb/internal/engine"
 	"hyperdb/internal/keys"
+	"hyperdb/internal/lsm"
 	"hyperdb/internal/skiplist"
 	"hyperdb/internal/wal"
 )
@@ -50,7 +50,7 @@ type Options struct {
 	BackgroundThreads int
 	// Compress picks the SSTable block codec per level (zero: raw).
 	Compress compress.Policy
-	// DisableBackground turns workers off (tests drive CompactOnce).
+	// DisableBackground turns workers off (tests drive BackgroundStep).
 	DisableBackground bool
 }
 
@@ -72,7 +72,7 @@ func (o *Options) fill() {
 // DB is the RocksDB-style engine.
 type DB struct {
 	opts Options
-	lsm  *leveled.LSM
+	lsm  *lsm.Tree
 	bc   cache.BlockCache
 
 	mu      sync.Mutex
@@ -130,17 +130,17 @@ func Open(opts Options) (*DB, error) {
 		db.bc = cache.NewLRU(opts.CacheBytes, nil)
 	}
 
-	l, lsmSeq, err := leveled.Open(leveled.Options{
-		Name:      "rocksish",
+	l, lsmSeq, err := lsm.Open(lsm.Options{
+		Prefix:    "rocksish",
+		Dev:       opts.SATA,
 		Place:     db.place,
-		Fallback:  opts.SATA,
 		FileSize:  opts.FileSize,
 		L1Target:  opts.L1Target,
 		Ratio:     opts.Ratio,
 		MaxLevels: opts.MaxLevels,
 		PageCache: db.bc,
 		Compress:  opts.Compress,
-	}, opts.NVMe, opts.SATA)
+	}, lsm.Leveled, opts.NVMe)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +162,7 @@ func Open(opts Options) (*DB, error) {
 		for i := 0; i < opts.BackgroundThreads; i++ {
 			go func() {
 				defer db.wg.Done()
-				engine.Work(db.stop, db.compactC, &db.errs, func() (bool, error) { return db.lsm.CompactOnce(device.Bg) })
+				engine.Work(db.stop, db.compactC, &db.errs, func() (bool, error) { return db.lsm.Compact(device.Bg) })
 			}()
 		}
 	}
@@ -243,8 +243,7 @@ func (db *DB) Delete(key []byte) error {
 // stallWait blocks while the LSM signals an L0-debt write stall,
 // RocksDB-style.
 func (db *DB) stallWait() {
-	for db.lsm.Stalled() {
-		ch := db.lsm.StallChan()
+	for ch := db.lsm.Stalled(); ch != nil; ch = db.lsm.Stalled() {
 		select {
 		case <-ch:
 		case <-time.After(engine.Tick):
@@ -367,7 +366,7 @@ func (db *DB) get(mem, imm *skiplist.SkipList, key []byte) (v []byte, found bool
 		v, kind, found = imm.Get(key, keys.MaxSeq)
 	}
 	if !found {
-		if v, kind, found, err = db.lsm.Get(key, keys.MaxSeq, device.Fg); err != nil {
+		if v, kind, _, found, err = db.lsm.Get(key, keys.MaxSeq, device.Fg); err != nil {
 			return nil, false, err
 		}
 	}
@@ -419,10 +418,10 @@ func (db *DB) FlushOnce() error {
 	if imm == nil {
 		return nil
 	}
-	var entries []leveled.Entry
+	var entries []lsm.Entry
 	it := imm.Iter()
 	for it.First(); it.Valid(); it.Next() {
-		entries = append(entries, leveled.Entry{Key: it.Key(), Value: it.Value()})
+		entries = append(entries, lsm.Entry{Key: it.Key(), Value: it.Value()})
 	}
 	if err := db.lsm.Ingest(entries, device.Bg); err != nil {
 		return err
@@ -513,7 +512,7 @@ func (db *DB) Scan(start []byte, limit int) ([]engine.KV, error) {
 }
 
 // LSM exposes the underlying leveled tree for harness inspection.
-func (db *DB) LSM() *leveled.LSM { return db.lsm }
+func (db *DB) LSM() *lsm.Tree { return db.lsm }
 
 // BackgroundStep flushes the immutable memtable, if there is one, and runs
 // at most one compaction.
@@ -521,7 +520,7 @@ func (db *DB) BackgroundStep() error {
 	if err := db.FlushOnce(); err != nil {
 		return err
 	}
-	_, err := db.lsm.CompactOnce(device.Bg)
+	_, err := db.lsm.Compact(device.Bg)
 	return err
 }
 

@@ -29,7 +29,7 @@ func (db *DB) startWorkers(p *partition) {
 	go func() {
 		defer db.wg.Done()
 		engine.Work(db.stop, p.wakeComp, &db.errs, func() (bool, error) {
-			did, err := p.tree.MaybeCompact(device.Bg)
+			did, err := p.tree.Compact(device.Bg)
 			if err != nil {
 				return false, fmt.Errorf("compaction p%d: %w", p.id, err)
 			}
@@ -157,7 +157,7 @@ func (db *DB) demoteZone(p *partition, z *zone.Zone) error {
 			Value: e.Value,
 		})
 	}
-	if err := p.tree.MergeBatch(entries, device.Bg); err != nil {
+	if err := p.tree.Ingest(entries, device.Bg); err != nil {
 		p.zones.AbortMigration(batch)
 		return err
 	}
@@ -168,7 +168,7 @@ func (db *DB) demoteZone(p *partition, z *zone.Zone) error {
 // CompactionStep runs at most one compaction for partition pid, reporting
 // whether any work was done. For deterministic test/benchmark driving.
 func (db *DB) CompactionStep(pid int) (bool, error) {
-	return db.parts[pid].tree.MaybeCompact(device.Bg)
+	return db.parts[pid].tree.Compact(device.Bg)
 }
 
 // BackgroundStep runs one migration pass and at most one compaction on every
@@ -202,7 +202,7 @@ func (db *DB) DrainBackground() error {
 				work = true
 			}
 			for {
-				did, err := p.tree.MaybeCompact(device.Bg)
+				did, err := p.tree.Compact(device.Bg)
 				if err != nil {
 					return err
 				}

@@ -175,9 +175,9 @@ func Open(opts Options) (*DB, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hyperdb: open partition %d zones: %w", i, err)
 		}
-		tree, tseq, err := lsm.Recover(lsm.Options{
+		tree, tseq, err := lsm.Open(lsm.Options{
+			Prefix:        fmt.Sprintf("p%d", i),
 			Dev:           opts.SATADevice,
-			Partition:     i,
 			KeyLo:         lo,
 			KeyHi:         hi,
 			Ratio:         opts.Ratio,
@@ -192,7 +192,7 @@ func Open(opts Options) (*DB, error) {
 			MetaBackup:    metaDev,
 			Compress:      compress.Policy{Codec: codec, MinLevel: opts.CompressMinLevel},
 			Seed:          uint64(i + 1),
-		})
+		}, lsm.Segmented)
 		if err != nil {
 			return nil, fmt.Errorf("hyperdb: open partition %d tree: %w", i, err)
 		}
@@ -356,7 +356,7 @@ func (p *partition) lookup(key []byte) (v []byte, found, fromTree bool, err erro
 	if err != nil || found {
 		return v, found && !tomb, false, err
 	}
-	v, kind, found, err := p.tree.Get(key, keys.MaxSeq, device.Fg)
+	v, kind, _, found, err := p.tree.Get(key, keys.MaxSeq, device.Fg)
 	if err != nil || !found || kind == keys.KindDelete {
 		return nil, false, false, err
 	}

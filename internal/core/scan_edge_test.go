@@ -96,7 +96,7 @@ func TestScanTombstoneShadowsLSMAtPartitionBoundary(t *testing.T) {
 			t.Fatalf("demote: %v", err)
 		}
 	}
-	if _, _, found, err := p.tree.Get(k8(boundary), keys.MaxSeq, device.Fg); err != nil || !found {
+	if _, _, _, found, err := p.tree.Get(k8(boundary), keys.MaxSeq, device.Fg); err != nil || !found {
 		t.Fatalf("boundary key not in LSM after demotion (found=%v err=%v)", found, err)
 	}
 	if zoneHas(p, k8(boundary)) {

@@ -6,11 +6,11 @@ import (
 	"io"
 	"time"
 
-	"hyperdb/internal/baseline/leveled"
 	"hyperdb/internal/baseline/prismish"
-	"hyperdb/internal/baseline/rocksish"
 	"hyperdb/internal/core"
+	"hyperdb/internal/engine"
 	"hyperdb/internal/hotness"
+	"hyperdb/internal/lsm"
 	"hyperdb/internal/stats"
 	"hyperdb/internal/ycsb"
 )
@@ -245,12 +245,13 @@ func Fig3(s Scale, progress io.Writer) (*Table, error) {
 			}
 			// Per-level breakdown at 8 threads (Fig. 3b).
 			if threads == 8 {
-				// Both baselines expose their tree; fig 3 runs no other kind.
-				lsm := inst.Engine.(interface{ LSM() *leveled.LSM }).LSM()
+				// Fig 3 runs only the baselines, which expose their tree.
+				tree := baselineTree(inst.Engine)
 				total := float64(0)
-				perLevel := make([]float64, lsm.MaxLevels())
-				for l := 0; l < lsm.MaxLevels(); l++ {
-					tr := lsm.Traffic(l)
+				top, bottom := tree.Levels()
+				perLevel := make([]float64, bottom+1)
+				for l := top; l <= bottom; l++ {
+					tr := tree.Traffic(l)
 					perLevel[l] = float64(tr.ReadBytes.Load() + tr.WriteBytes.Load())
 					total += perLevel[l]
 				}
@@ -590,13 +591,7 @@ func Fig11(s Scale, progress io.Writer) (*Table, error) {
 			{"nvmeSpace", float64(inst.NVMe.Used()) / (1 << 20), "MiB"},
 			{"sataSpace", float64(inst.SATA.Used()) / (1 << 20), "MiB"},
 		}
-		var lsm *leveled.LSM
-		switch db := inst.Engine.(type) {
-		case *rocksish.DB:
-			lsm = db.LSM()
-		case *prismish.DB:
-			lsm = db.LSM()
-		case *core.DB:
+		if db, ok := inst.Engine.(*core.DB); ok {
 			// The performance tier's background bytes by mechanism; the
 			// rest of nvmeBg is the capacity tier's index mirror.
 			st := db.Stats()
@@ -619,9 +614,10 @@ func Fig11(s Scale, progress io.Writer) (*Table, error) {
 				cells = append(cells, Cell{c.name, float64(c.bytes) / (1 << 20), "MiB"})
 			}
 		}
-		if lsm != nil {
-			for l := 0; l < lsm.MaxLevels(); l++ {
-				if b := lsm.LevelBytes(l); b > 0 {
+		if tree := baselineTree(inst.Engine); tree != nil {
+			top, bottom := tree.Levels()
+			for l := top; l <= bottom; l++ {
+				if _, b := tree.LevelBytes(l); b > 0 {
 					cells = append(cells, Cell{fmt.Sprintf("L%d", l), float64(b) / (1 << 20), "MiB"})
 				}
 			}
@@ -633,6 +629,15 @@ func Fig11(s Scale, progress io.Writer) (*Table, error) {
 		}
 	}
 	return t, nil
+}
+
+// baselineTree returns a baseline's LSM tree, or nil for HyperDB, whose
+// trees are per partition and whose Stats carry their levels.
+func baselineTree(e engine.Engine) *lsm.Tree {
+	if b, ok := e.(interface{ LSM() *lsm.Tree }); ok {
+		return b.LSM()
+	}
+	return nil
 }
 
 // Figures maps figure ids to their runners.

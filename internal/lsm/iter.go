@@ -1,86 +1,82 @@
 package lsm
 
 import (
-	"sort"
+	"bytes"
 
 	"hyperdb/internal/device"
 	"hyperdb/internal/mergeiter"
 	"hyperdb/internal/semisst"
 )
 
-// TreeIter streams the live user keys at or above a start key in order: one
-// lazily opened chain of segment tables per level, merged newest version
-// first with tombstones elided. Key and Value are views valid until Next.
-// Callers must Close the iterator to release its table references.
-type TreeIter struct {
+// ScanIter streams the live user keys from a start key in order: a source
+// per L0 table and a lazily opened chain per deeper level, merged newest
+// version first, tombstones elided. Key and Value are valid until Next;
+// Close releases the table references.
+type ScanIter struct {
 	*mergeiter.Iter
-	entries []*fileEntry
-	its     []semisst.Iter // parallel to entries: each table's block snapshot
-	opened  int            // tables positioned so far, for tests and benchmarks
+	tables []*table
+	its    []semisst.Iter // parallel to tables: each table's block snapshot
+	opened int            // tables positioned so far, for tests and benchmarks
 }
 
 // Close releases the iterator's table references. Idempotent.
-func (s *TreeIter) Close() {
-	for _, fe := range s.entries {
-		fe.release()
+func (s *ScanIter) Close() {
+	for _, tb := range s.tables {
+		tb.release()
 	}
-	s.entries = nil
+	s.tables = nil
 }
 
 // Key returns the current user key.
-func (s *TreeIter) Key() []byte { return s.Iter.Key().User }
+func (s *ScanIter) Key() []byte { return s.Iter.Key().User }
 
 // NewScanIter returns an iterator over the user keys >= lo (nil = from the
 // start) across all levels, charging reads with op.
 //
-// A level's tables cover disjoint, segment-ordered key ranges, so its
-// candidates are the segments from lo's upward, and a table is positioned —
-// a block read and decoded — only when the scan reaches it: at creation that
-// is the first candidate of each level, nothing behind it. What creation
-// does take of every candidate, in one hold of the tree lock and without
-// I/O, is its block snapshot, shallow level before deep. Data only moves
-// down and a destination is durable before its source lets go of the data,
-// so a key that left a table before that table's snapshot is in the later
-// snapshot of the deeper table it went to; and since no table is replaced
-// while the lock is held, that deeper table is the one listed here.
-func (t *Tree) NewScanIter(lo []byte, op device.Op) *TreeIter {
-	s := &TreeIter{}
-	levelEnd := make([]int, 0, t.opts.MaxLevels)
+// Candidates are the tables whose last key is at or past lo; a deeper
+// level's are key-disjoint and each is positioned — a block read and
+// decoded — only when the scan reaches it. Creation takes every candidate's
+// block snapshot without I/O in one hold of the tree lock, shallow level
+// before deep: data only moves down, a destination is durable before its
+// source lets go, and no table is replaced under the lock, so a key that
+// left a table before its snapshot is in the deeper table's later one.
+func (t *Tree) NewScanIter(lo []byte, op device.Op) *ScanIter {
+	s := &ScanIter{}
+	levelEnd := make([]int, 0, len(t.levels))
 	t.mu.RLock()
-	for level := 1; level <= t.opts.MaxLevels; level++ {
-		first, from := 0, len(s.entries)
-		if lo != nil {
-			first = t.segFor(level, lo)
-		}
-		for seg, fe := range t.levels[level] {
-			if seg >= first {
-				fe.acquire()
-				s.entries = append(s.entries, fe)
+	for _, level := range t.levels {
+		for _, tb := range level {
+			if _, last, ok := tb.bounds(); ok && (lo == nil || bytes.Compare(last, lo) >= 0) {
+				tb.acquire()
+				s.tables = append(s.tables, tb)
+				s.its = append(s.its, tb.sst.NewIter(op))
 			}
 		}
-		run := s.entries[from:]
-		sort.Slice(run, func(a, b int) bool { return run[a].seg < run[b].seg })
-		levelEnd = append(levelEnd, len(s.entries))
-	}
-	s.its = make([]semisst.Iter, len(s.entries))
-	for i, fe := range s.entries {
-		s.its[i] = fe.table.NewIter(op)
+		levelEnd = append(levelEnd, len(s.tables))
 	}
 	t.mu.RUnlock()
 
+	position := func(it *semisst.Iter) mergeiter.Source {
+		s.opened++
+		if lo == nil {
+			it.First()
+		} else {
+			it.SeekGE(lo)
+		}
+		return it
+	}
 	srcs := make([]mergeiter.Source, 0, len(levelEnd))
 	from := 0
-	for _, end := range levelEnd {
-		if run := s.its[from:end]; len(run) > 0 {
-			srcs = append(srcs, mergeiter.NewConcat(len(run), func(i int) mergeiter.Source {
-				s.opened++
-				if lo == nil {
-					run[i].First()
-				} else {
-					run[i].SeekGE(lo)
-				}
-				return &run[i]
-			}))
+	for level, end := range levelEnd {
+		run := s.its[from:end]
+		switch {
+		case len(run) == 0:
+		case level == 0: // overlapping tables
+			for i := range run {
+				srcs = append(srcs, position(&run[i]))
+			}
+		default:
+			srcs = append(srcs, mergeiter.NewConcat(len(run), func(i int) mergeiter.Source { return position(&run[i]) }))
 		}
 		from = end
 	}

@@ -12,13 +12,19 @@ import (
 	"hyperdb/internal/semisst"
 )
 
+// policies names both compaction policies for tests that run over each.
+var policies = []struct {
+	name string
+	p    Policy
+}{{"segmented", Segmented}, {"leveled", Leveled}}
+
 // installTable builds entries as the table of (level, seg), bypassing the
 // merge path so a test decides which level holds which version.
 func installTable(t testing.TB, tr *Tree, level, seg int, entries []semisst.Entry) {
 	t.Helper()
-	tr.mutMu.Lock()
-	defer tr.mutMu.Unlock()
-	if err := tr.replaceTable(level, seg, nil, entries, device.Bg); err != nil {
+	tr.seg.mu.Lock()
+	defer tr.seg.mu.Unlock()
+	if err := tr.seg.replace(level, seg, nil, entries, device.Bg); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -29,8 +35,9 @@ func installTable(t testing.TB, tr *Tree, level, seg int, entries []semisst.Entr
 // gives each level its own residue of the grid index modulo mod.
 func segEntries(tr *Tree, rng *rand.Rand, level, seg, n int, seq uint64, tombstones bool, mod, rem uint64) []semisst.Entry {
 	const grid = 46
-	base := tr.opts.KeyLo + uint64(seg)*tr.segWidth(level)
-	first, last := base>>grid, (base+tr.segWidth(level)-1)>>grid
+	s := tr.seg
+	base := tr.opts.KeyLo + uint64(seg)*s.segWidth(level)
+	first, last := base>>grid, (base+s.segWidth(level)-1)>>grid
 	picked := map[uint64]bool{}
 	for len(picked) < n {
 		if g := first + rng.Uint64()%(last-first+1); g%mod == rem {
@@ -39,7 +46,7 @@ func segEntries(tr *Tree, rng *rand.Rand, level, seg, n int, seq uint64, tombsto
 	}
 	out := make([]semisst.Entry, 0, n)
 	for k := range picked {
-		if tr.segFor(level, k8(k)) != seg {
+		if s.segFor(level, k8(k)) != seg {
 			continue
 		}
 		kind := keys.KindSet
@@ -61,9 +68,9 @@ func segEntries(tr *Tree, rng *rand.Rand, level, seg, n int, seq uint64, tombsto
 func fullMerge(t testing.TB, tr *Tree) (want []semisst.Entry) {
 	t.Helper()
 	var all []semisst.Entry
-	for level := 1; level <= tr.opts.MaxLevels; level++ {
-		for _, fe := range tr.levels[level] {
-			entries, _, err := fe.table.AllEntries(device.Bg)
+	for _, level := range tr.levels {
+		for _, tb := range level {
+			entries, _, err := tb.sst.AllEntries(device.Bg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,60 +89,120 @@ func fullMerge(t testing.TB, tr *Tree) (want []semisst.Entry) {
 	return want
 }
 
-// TestScanIterMatchesFullMerge is the model check of the lazy iterator:
-// random trees — versions of a key spread over levels, tombstones, missing
-// segments, emptied and single-block tables — scanned from start keys
-// before, between, inside and after the tables.
+// randomSegmented builds a tree of random segment tables — versions of a
+// key spread over levels, tombstones, missing segments, emptied and
+// single-block tables — and adds segment edges to the scan starts.
+func randomSegmented(t *testing.T, rng *rand.Rand) (*Tree, [][]byte) {
+	tr, _ := newTree(t, 1<<20, 3) // 2, 8 and 32 segments
+	s := tr.seg
+	var starts [][]byte
+	for level := 1; level <= 3; level++ {
+		for seg := 0; seg < s.segments(level); seg++ {
+			// Shallower levels carry the newer sequence numbers, as in a
+			// tree that merges and compacts its way down.
+			seq := uint64(4-level)<<32 + uint64(seg)<<16
+			switch rng.Intn(5) {
+			case 0: // no table
+			case 1: // a table whose every block was carved out
+				installTable(t, tr, level, seg, segEntries(tr, rng, level, seg, 1+rng.Intn(60), seq, true, 1, 0))
+				_, err := s.at(level, seg).sst.ExtractOverlapping([]keys.Range{{}}, device.Bg,
+					func([]semisst.Entry) error { return nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+			case 2: // a single block
+				installTable(t, tr, level, seg, segEntries(tr, rng, level, seg, 1+rng.Intn(3), seq, true, 1, 0))
+			default:
+				installTable(t, tr, level, seg, segEntries(tr, rng, level, seg, 20+rng.Intn(150), seq, true, 1, 0))
+			}
+		}
+		// The first key of a segment, and the one before it.
+		seg := uint64(rng.Intn(s.segments(level)))
+		starts = append(starts, k8(seg*s.segWidth(level)), k8(seg*s.segWidth(level)-1))
+	}
+	return tr, starts
+}
+
+// randomLeveled feeds a Leveled tree random ingests (long runs, single-block
+// runs, tombstones, rewrites of earlier keys) and random compactions, which
+// leave overlapping L0 tables over sorted deeper levels.
+func randomLeveled(t *testing.T, rng *rand.Rand) (*Tree, [][]byte) {
+	l, _ := newLSM(t, 8<<10)
+	seq := uint64(1)
+	for round := 0; round < 12; round++ {
+		n := 1 + rng.Intn(3) // a single block
+		if rng.Intn(3) > 0 {
+			n = 50 + rng.Intn(400)
+		}
+		picked := map[uint64]bool{}
+		for len(picked) < n {
+			picked[uint64(rng.Intn(3000))<<40] = true
+		}
+		run := make([]Entry, 0, n)
+		for k := range picked {
+			kind := keys.KindSet
+			if rng.Intn(4) == 0 {
+				kind = keys.KindDelete
+			}
+			run = append(run, Entry{
+				Key:   keys.InternalKey{User: k8(k), Seq: seq, Kind: kind},
+				Value: []byte(fmt.Sprintf("%x-%060d", k, seq)),
+			})
+			seq++
+		}
+		sort.Slice(run, func(a, b int) bool { return bytes.Compare(run[a].Key.User, run[b].Key.User) < 0 })
+		if err := l.Ingest(run, device.Bg); err != nil {
+			t.Fatal(err)
+		}
+		for c := rng.Intn(4); c > 0; c-- {
+			if _, err := l.Compact(device.Bg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return l, nil
+}
+
+// TestScanIterMatchesFullMerge is the model check of the lazy iterator, over
+// random trees of each policy scanned from start keys before, between,
+// inside and after the tables.
 func TestScanIterMatchesFullMerge(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		tr, _ := newTree(t, 1<<20, 3) // 2, 8 and 32 segments
-		for level := 1; level <= 3; level++ {
-			for seg := 0; seg < tr.segments(level); seg++ {
-				// Shallower levels carry the newer sequence numbers, as in a
-				// tree that merges and compacts its way down.
-				seq := uint64(4-level)<<32 + uint64(seg)<<16
-				switch rng.Intn(5) {
-				case 0: // no table
-				case 1: // a table whose every block was carved out
-					installTable(t, tr, level, seg, segEntries(tr, rng, level, seg, 1+rng.Intn(60), seq, true, 1, 0))
-					_, err := tr.levels[level][seg].table.ExtractOverlapping([]keys.Range{{}}, device.Bg,
-						func([]semisst.Entry) error { return nil })
-					if err != nil {
-						t.Fatal(err)
+	build := map[Policy]func(*testing.T, *rand.Rand) (*Tree, [][]byte){Segmented: randomSegmented, Leveled: randomLeveled}
+	for _, pol := range policies {
+		t.Run(pol.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 20; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				tr, starts := build[pol.p](t, rng)
+				all := fullMerge(t, tr)
+				starts = append(starts, nil, []byte{}, k8(0), k8(^uint64(0)), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+				for _, level := range tr.levels { // a table's first and last key, and the gap after it
+					for _, tb := range level {
+						if first, last, ok := tb.bounds(); ok {
+							starts = append(starts, first, last, keys.Successor(last))
+						}
 					}
-				case 2: // a single block
-					installTable(t, tr, level, seg, segEntries(tr, rng, level, seg, 1+rng.Intn(3), seq, true, 1, 0))
-				default:
-					installTable(t, tr, level, seg, segEntries(tr, rng, level, seg, 20+rng.Intn(150), seq, true, 1, 0))
+				}
+				for i := 0; i < 8 && len(all) > 0; i++ { // a stored key, and its successor
+					u := all[rng.Intn(len(all))].Key.User
+					starts = append(starts, u, keys.Successor(u), k8(rng.Uint64()))
+				}
+				for _, lo := range starts {
+					want := all[sort.Search(len(all), func(i int) bool { return bytes.Compare(all[i].Key.User, lo) >= 0 }):]
+					it := tr.NewScanIter(lo, device.Fg)
+					n := 0
+					for ; it.Valid(); it.Next() {
+						if n >= len(want) || !bytes.Equal(it.Key(), want[n].Key.User) || !bytes.Equal(it.Value(), want[n].Value) {
+							t.Fatalf("seed %d from %x: entry %d is %x, full merge has %d entries", seed, lo, n, it.Key(), len(want))
+						}
+						n++
+					}
+					if err := it.Err(); err != nil || n != len(want) {
+						t.Fatalf("seed %d from %x: %d of %d entries, err %v", seed, lo, n, len(want), err)
+					}
+					it.Close()
 				}
 			}
-		}
-		all := fullMerge(t, tr)
-		starts := [][]byte{nil, {}, k8(0), k8(^uint64(0)), {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}}
-		for level := 1; level <= 3; level++ { // the first key of a segment, and the one before it
-			seg := uint64(rng.Intn(tr.segments(level)))
-			starts = append(starts, k8(seg*tr.segWidth(level)), k8(seg*tr.segWidth(level)-1))
-		}
-		for i := 0; i < 8 && len(all) > 0; i++ { // a stored key, and its successor
-			u := all[rng.Intn(len(all))].Key.User
-			starts = append(starts, u, keys.Successor(u), k8(rng.Uint64()))
-		}
-		for _, lo := range starts {
-			want := all[sort.Search(len(all), func(i int) bool { return bytes.Compare(all[i].Key.User, lo) >= 0 }):]
-			it := tr.NewScanIter(lo, device.Fg)
-			n := 0
-			for ; it.Valid(); it.Next() {
-				if n >= len(want) || !bytes.Equal(it.Key(), want[n].Key.User) || !bytes.Equal(it.Value(), want[n].Value) {
-					t.Fatalf("seed %d from %x: entry %d is %x, full merge has %d entries", seed, lo, n, it.Key(), len(want))
-				}
-				n++
-			}
-			if err := it.Err(); err != nil || n != len(want) {
-				t.Fatalf("seed %d from %x: %d of %d entries, err %v", seed, lo, n, len(want), err)
-			}
-			it.Close()
-		}
+		})
 	}
 }
 
@@ -144,16 +211,16 @@ func TestScanIterMatchesFullMerge(t *testing.T) {
 // loads.
 func scanFixture(t testing.TB) (tr *Tree, dev *device.Device, perBlock int) {
 	dev = device.New(device.UnthrottledProfile("sata", 0))
-	tr = New(Options{Dev: dev, Ratio: 4, L1Segments: 8, FileSize: 1 << 20, MaxLevels: 3})
+	tr = openTree(t, Options{Dev: dev, Ratio: 4, L1Segments: 8, FileSize: 1 << 20, MaxLevels: 3}, Segmented)
 	rng := rand.New(rand.NewSource(7))
 	for level := 1; level <= 3; level++ {
-		for seg := 0; seg < tr.segments(level); seg++ {
-			n := 12800 / tr.segments(level) // every level spreads as many keys over the key space
+		for seg := 0; seg < tr.seg.segments(level); seg++ {
+			n := 12800 / tr.seg.segments(level) // every level spreads as many keys over the key space
 			seq := uint64(4-level)<<32 + uint64(seg)<<16
 			installTable(t, tr, level, seg, segEntries(tr, rng, level, seg, n, seq, false, 3, uint64(level-1)))
 		}
 	}
-	return tr, dev, tr.levels[3][0].table.LiveBlockMetas()[0].Entries
+	return tr, dev, tr.levels[3][0].sst.LiveBlockMetas()[0].Entries
 }
 
 // scan50 reads 50 entries from lo and reports the tables the iterator
@@ -187,7 +254,7 @@ func TestScan50CostIsIndependentOfTableCount(t *testing.T) {
 	}
 	fill := (50 + perBlock - 1) / perBlock
 	// Away from segment edges: one table per level, plus one.
-	lo := k8(tr.segWidth(3) / 3)
+	lo := k8(tr.seg.segWidth(3) / 3)
 	if tables, blocks := scan50(t, tr, dev, lo); tables > levels+1 || blocks > levels+1+fill {
 		t.Fatalf("Scan(50) from %x positioned %d tables and loaded %d blocks, want at most %d and %d",
 			lo, tables, blocks, levels+1, levels+1+fill)

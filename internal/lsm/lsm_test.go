@@ -10,18 +10,29 @@ import (
 	"hyperdb/internal/semisst"
 )
 
+// openTree opens a tree of policy p over opts.Dev, failing the test on an
+// error.
+func openTree(t testing.TB, opts Options, p Policy) *Tree {
+	t.Helper()
+	tr, _, err := Open(opts, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func newTree(t testing.TB, fileSize int64, maxLevels int) (*Tree, *device.Device) {
 	t.Helper()
 	dev := device.New(device.UnthrottledProfile("sata", 0))
-	tr := New(Options{
+	tr := openTree(t, Options{
 		Dev:        dev,
-		Partition:  0,
+		Prefix:     "p0",
 		Ratio:      4,
 		L1Segments: 2,
 		FileSize:   fileSize,
 		MaxLevels:  maxLevels,
 		Depth:      2,
-	})
+	}, Segmented)
 	return tr, dev
 }
 
@@ -56,7 +67,7 @@ func TestMergeBatchSplitsBySegment(t *testing.T) {
 			Value: []byte("v"),
 		})
 	}
-	if err := tr.MergeBatch(entries, device.Bg); err != nil {
+	if err := tr.Ingest(entries, device.Bg); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.TableCount(1); got != 2 {
@@ -67,14 +78,14 @@ func TestMergeBatchSplitsBySegment(t *testing.T) {
 func TestSegmentAlignment(t *testing.T) {
 	tr, _ := newTree(t, 1<<20, 3)
 	// Each L2 segment must cover exactly 1/Ratio of its parent L1 segment.
-	w1 := tr.segWidth(1)
-	w2 := tr.segWidth(2)
+	w1 := tr.seg.segWidth(1)
+	w2 := tr.seg.segWidth(2)
 	if diff := int64(w1) - int64(w2)*int64(tr.opts.Ratio); diff < -int64(tr.opts.Ratio) || diff > int64(tr.opts.Ratio) {
 		t.Fatalf("segment widths not aligned: L1=%d L2=%d ratio=%d", w1, w2, tr.opts.Ratio)
 	}
 	// A key maps into the L2 segment nested inside its L1 segment.
 	user := k8(3 << 60)
-	s1, s2 := tr.segFor(1, user), tr.segFor(2, user)
+	s1, s2 := tr.seg.segFor(1, user), tr.seg.segFor(2, user)
 	if s2/tr.opts.Ratio != s1 {
 		t.Fatalf("L2 seg %d not nested in L1 seg %d", s2, s1)
 	}
@@ -86,11 +97,11 @@ func TestCompactionPushesOverflowDown(t *testing.T) {
 	for round := 0; round < 30; round++ {
 		entries := run(round*200, 400, seq, fmt.Sprintf("r%d", round))
 		seq += 400
-		if err := tr.MergeBatch(entries, device.Bg); err != nil {
+		if err := tr.Ingest(entries, device.Bg); err != nil {
 			t.Fatal(err)
 		}
 		for {
-			did, err := tr.MaybeCompact(device.Bg)
+			did, err := tr.Compact(device.Bg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,8 +112,8 @@ func TestCompactionPushesOverflowDown(t *testing.T) {
 	}
 	// L1 within budget, deeper levels populated.
 	live1, _ := tr.LevelBytes(1)
-	if live1 > tr.capacity(1)*2 {
-		t.Fatalf("L1 live %d far over capacity %d", live1, tr.capacity(1))
+	if live1 > tr.seg.capacity(1)*2 {
+		t.Fatalf("L1 live %d far over capacity %d", live1, tr.seg.capacity(1))
 	}
 	live2, _ := tr.LevelBytes(2)
 	live3, _ := tr.LevelBytes(3)
@@ -126,13 +137,13 @@ func TestFullCompactionReclaimsSpace(t *testing.T) {
 	for round := 0; round < 12; round++ {
 		entries := run(0, 100, seq, fmt.Sprintf("r%d", round))
 		seq += 100
-		if err := tr.MergeBatch(entries, device.Bg); err != nil {
+		if err := tr.Ingest(entries, device.Bg); err != nil {
 			t.Fatal(err)
 		}
 		if err := tr.checkAllInvariants(); err != nil { // includes DirtyRatio <= TClean
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if amp, bound := tr.SpaceAmp(), 1/(1-tr.opts.TClean); amp > bound {
+		if amp, bound := tr.spaceAmpLocked(), 1/(1-tr.opts.TClean); amp > bound {
 			t.Fatalf("round %d: space amp %.2f past the TClean bound %.2f", round, amp, bound)
 		}
 	}
@@ -140,10 +151,10 @@ func TestFullCompactionReclaimsSpace(t *testing.T) {
 	if len(files) != tr.TableCount(1)+tr.TableCount(2) {
 		t.Fatalf("superseded generations left on the device: %v", files)
 	}
-	if tr.nextGen <= uint64(len(files)) {
-		t.Fatalf("12 full overwrites swapped no generation: %d built, %v on the device", tr.nextGen, files)
+	if tr.gen.Load() <= uint64(len(files)) {
+		t.Fatalf("12 full overwrites swapped no generation: %d built, %v on the device", tr.gen.Load(), files)
 	}
-	if did, err := tr.MaybeCompact(device.Bg); err != nil || did {
+	if did, err := tr.Compact(device.Bg); err != nil || did {
 		t.Fatalf("standalone pass after merge-time compaction: did=%v err=%v", did, err)
 	}
 	for l := 1; l <= tr.opts.MaxLevels; l++ {
@@ -151,7 +162,7 @@ func TestFullCompactionReclaimsSpace(t *testing.T) {
 			t.Fatalf("L%d counted %d standalone full rewrites", l, n)
 		}
 	}
-	v, _, found, err := tr.Get(k8(0), keys.MaxSeq, device.Fg)
+	v, _, _, found, err := tr.Get(k8(0), keys.MaxSeq, device.Fg)
 	if err != nil || !found || string(v) != "r11-0" {
 		t.Fatalf("get after 12 overwrites: %q %v %v", v, found, err)
 	}
@@ -160,11 +171,11 @@ func TestFullCompactionReclaimsSpace(t *testing.T) {
 func TestVictimSelectionUsesOverlapScore(t *testing.T) {
 	tr, _ := newTree(t, 16<<10, 3)
 	// Build L2 content overlapping segment 0's low range only.
-	if err := tr.pushEntries(2, run(0, 300, 1, "deep"), 0, device.Bg); err != nil {
+	if err := tr.seg.pushEntries(2, run(0, 300, 1, "deep"), 0, device.Bg); err != nil {
 		t.Fatal(err)
 	}
 	// Two L1 tables: one overlapping L2 heavily, one not at all.
-	if err := tr.pushEntries(1, run(0, 100, 1000, "hot-overlap"), 0, device.Bg); err != nil {
+	if err := tr.seg.pushEntries(1, run(0, 100, 1000, "hot-overlap"), 0, device.Bg); err != nil {
 		t.Fatal(err)
 	}
 	hi := []semisst.Entry{}
@@ -174,14 +185,14 @@ func TestVictimSelectionUsesOverlapScore(t *testing.T) {
 			Value: []byte("no-overlap"),
 		})
 	}
-	if err := tr.pushEntries(1, hi, 0, device.Bg); err != nil {
+	if err := tr.seg.pushEntries(1, hi, 0, device.Bg); err != nil {
 		t.Fatal(err)
 	}
-	victim := tr.pickVictim(1, device.Bg)
+	victim := tr.seg.pickVictim(1, device.Bg)
 	if victim == nil {
 		t.Fatal("no victim")
 	}
-	r := victim.table.Range()
+	r := victim.sst.Range()
 	if !r.Contains(k8(1 << 44)) {
 		t.Fatalf("picked the non-overlapping table %v; overlap score should prefer the overlapping one", r)
 	}
@@ -189,13 +200,13 @@ func TestVictimSelectionUsesOverlapScore(t *testing.T) {
 
 func TestGetAcrossLevelsNewestWins(t *testing.T) {
 	tr, _ := newTree(t, 1<<20, 3)
-	if err := tr.pushEntries(2, run(0, 50, 1, "old"), 0, device.Bg); err != nil {
+	if err := tr.seg.pushEntries(2, run(0, 50, 1, "old"), 0, device.Bg); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.pushEntries(1, run(0, 50, 1000, "new"), 0, device.Bg); err != nil {
+	if err := tr.seg.pushEntries(1, run(0, 50, 1000, "new"), 0, device.Bg); err != nil {
 		t.Fatal(err)
 	}
-	v, _, found, err := tr.Get(k8(0), keys.MaxSeq, device.Fg)
+	v, _, _, found, err := tr.Get(k8(0), keys.MaxSeq, device.Fg)
 	if err != nil || !found || string(v) != "new-0" {
 		t.Fatalf("get: %q %v %v", v, found, err)
 	}
@@ -204,24 +215,23 @@ func TestGetAcrossLevelsNewestWins(t *testing.T) {
 func TestIndexMirrorChargesNVMe(t *testing.T) {
 	sata := device.New(device.UnthrottledProfile("sata", 0))
 	nvme := device.New(device.UnthrottledProfile("nvme", 0))
-	tr := New(Options{
+	tr := openTree(t, Options{
 		Dev:        sata,
-		Partition:  0,
 		Ratio:      4,
 		L1Segments: 2,
 		FileSize:   16 << 10,
 		MaxLevels:  3,
 		Depth:      2,
 		MetaBackup: nvme,
-	})
+	}, Segmented)
 	seq := uint64(0)
 	for round := 0; round < 20; round++ {
-		if err := tr.MergeBatch(run(round*200, 400, seq, "v"), device.Bg); err != nil {
+		if err := tr.Ingest(run(round*200, 400, seq, "v"), device.Bg); err != nil {
 			t.Fatal(err)
 		}
 		seq += 400
 		for {
-			did, err := tr.MaybeCompact(device.Bg)
+			did, err := tr.Compact(device.Bg)
 			if err != nil {
 				t.Fatal(err)
 			}

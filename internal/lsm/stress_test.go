@@ -18,15 +18,14 @@ import (
 // model after every step.
 func TestStressMergeCompactModel(t *testing.T) {
 	dev := device.New(device.UnthrottledProfile("sata", 0))
-	tree := New(Options{
+	tree := openTree(t, Options{
 		Dev:        dev,
-		Partition:  0,
 		Ratio:      4,
 		L1Segments: 2,
 		FileSize:   8 << 10, // tiny: lots of compaction
 		MaxLevels:  3,
 		Depth:      2,
-	})
+	}, Segmented)
 	ref := map[string]string{}
 	rng := rand.New(rand.NewSource(31))
 	seq := uint64(0)
@@ -59,14 +58,14 @@ func TestStressMergeCompactModel(t *testing.T) {
 			})
 			ref[string(key(id))] = v
 		}
-		if err := tree.MergeBatch(entries, device.Bg); err != nil {
+		if err := tree.Ingest(entries, device.Bg); err != nil {
 			t.Fatalf("round %d merge: %v", round, err)
 		}
 		if err := tree.checkAllInvariants(); err != nil {
 			t.Fatalf("round %d after merge: %v", round, err)
 		}
 		for {
-			did, err := tree.MaybeCompact(device.Bg)
+			did, err := tree.Compact(device.Bg)
 			if err != nil {
 				t.Fatalf("round %d compact: %v", round, err)
 			}
@@ -82,7 +81,7 @@ func TestStressMergeCompactModel(t *testing.T) {
 			if rng.Intn(20) != 0 {
 				continue
 			}
-			v, kind, found, err := tree.Get([]byte(k), keys.MaxSeq, device.Fg)
+			v, kind, _, found, err := tree.Get([]byte(k), keys.MaxSeq, device.Fg)
 			if err != nil || !found || kind != keys.KindSet || string(v) != want {
 				t.Fatalf("round %d get %x: %q %v %v %v (want %q)", round, k, v, kind, found, err, want)
 			}
@@ -115,13 +114,13 @@ func TestStressMergeCompactModel(t *testing.T) {
 func (t *Tree) checkAllInvariants() error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for level := 1; level <= t.opts.MaxLevels; level++ {
-		for seg, fe := range t.levels[level] {
-			if err := fe.table.CheckInvariants(); err != nil {
-				return fmt.Errorf("L%d seg %d: %w", level, seg, err)
+	for level, tables := range t.levels {
+		for _, tb := range tables {
+			if err := tb.sst.CheckInvariants(); err != nil {
+				return fmt.Errorf("L%d seg %d: %w", level, tb.seg, err)
 			}
-			if r := fe.table.DirtyRatio(); r > t.opts.TClean {
-				return fmt.Errorf("L%d seg %d: dirty ratio %.3f past TClean %.2f", level, seg, r, t.opts.TClean)
+			if r := tb.sst.DirtyRatio(); r > t.opts.TClean {
+				return fmt.Errorf("L%d seg %d: dirty ratio %.3f past TClean %.2f", level, tb.seg, r, t.opts.TClean)
 			}
 		}
 	}
@@ -131,10 +130,10 @@ func (t *Tree) checkAllInvariants() error {
 // TestStressWithDeletes mixes tombstones into the batches.
 func TestStressWithDeletes(t *testing.T) {
 	dev := device.New(device.UnthrottledProfile("sata", 0))
-	tree := New(Options{
-		Dev: dev, Partition: 0, Ratio: 4, L1Segments: 2,
+	tree := openTree(t, Options{
+		Dev: dev, Ratio: 4, L1Segments: 2,
 		FileSize: 8 << 10, MaxLevels: 3, Depth: 2,
-	})
+	}, Segmented)
 	ref := map[string]string{}
 	rng := rand.New(rand.NewSource(77))
 	seq := uint64(0)
@@ -179,14 +178,14 @@ func TestStressWithDeletes(t *testing.T) {
 				ref[string(key(id))] = o.val
 			}
 		}
-		if err := tree.MergeBatch(entries, device.Bg); err != nil {
+		if err := tree.Ingest(entries, device.Bg); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if err := tree.checkAllInvariants(); err != nil {
 			t.Fatalf("round %d after merge: %v", round, err)
 		}
 		for {
-			did, err := tree.MaybeCompact(device.Bg)
+			did, err := tree.Compact(device.Bg)
 			if err != nil {
 				t.Fatalf("round %d compact: %v", round, err)
 			}
@@ -199,7 +198,7 @@ func TestStressWithDeletes(t *testing.T) {
 		}
 	}
 	for k, want := range ref {
-		v, kind, found, err := tree.Get([]byte(k), keys.MaxSeq, device.Fg)
+		v, kind, _, found, err := tree.Get([]byte(k), keys.MaxSeq, device.Fg)
 		if err != nil || !found || kind == keys.KindDelete || string(v) != want {
 			t.Fatalf("get %x: %q %v %v %v want %q", k, v, kind, found, err, want)
 		}
@@ -211,7 +210,7 @@ func TestStressWithDeletes(t *testing.T) {
 		if _, ok := ref[string(k)]; ok {
 			continue
 		}
-		_, kind, found, _ := tree.Get(k, keys.MaxSeq, device.Fg)
+		_, kind, _, found, _ := tree.Get(k, keys.MaxSeq, device.Fg)
 		if found && kind != keys.KindDelete {
 			t.Fatalf("deleted key %d resurrected", i)
 		}

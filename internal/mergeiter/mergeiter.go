@@ -1,6 +1,6 @@
-// Package mergeiter is the one k-way merge over sorted runs: range scans in
-// HyperDB's tree and in the leveled baseline, and the baseline's compaction
-// and recovery merges, all read through it.
+// Package mergeiter is the one k-way merge over sorted runs: range scans of
+// the LSM tree under both compaction policies, and the classic policy's
+// compaction and recovery merges, all read through it.
 package mergeiter
 
 import (

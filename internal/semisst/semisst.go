@@ -33,10 +33,11 @@
 // NVMe mirror instead of the capacity tier — the "low-cost index lookup" the
 // paper credits for cheap overlap scoring.
 //
-// It is the one table format of all three engines. HyperDB's tree appends to
-// its tables; the baselines' leveled LSM (internal/baseline/leveled) builds
-// each table once and never appends, and a table that was never appended to
-// is a classic SSTable: every block live, one index, one footer.
+// It is the one table format of all three engines. HyperDB's segmented tree
+// appends to its tables; the baselines' leveled one (internal/lsm's classic
+// policy) builds each table once and never appends, and a table that was
+// never appended to is a classic SSTable: every block live, one index, one
+// footer.
 package semisst
 
 import (

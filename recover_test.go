@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hyperdb"
@@ -182,6 +183,71 @@ func TestRecoverIdempotent(t *testing.T) {
 		v, err := r2.Get(ycsb.Key(int64(i)))
 		if err != nil || string(v) != fmt.Sprintf("v%d", i) {
 			t.Fatalf("get %d after double recover: %q %v", i, v, err)
+		}
+	}
+}
+
+// TestReopenWithAnotherSegmentGeometryFails writes past the NVMe tier, so
+// every partition demotes into its tree, and reopens with four times the L1
+// segments. Tables recovered at the segments their names give under the old
+// geometry would be looked up by the new one, which routes most keys to
+// segments that do not hold them: the reopen must fail, naming the
+// geometry, and a reopen with the original options must read every acked
+// key.
+func TestReopenWithAnotherSegmentGeometryFails(t *testing.T) {
+	nvme := device.New(device.UnthrottledProfile("nvme", 2<<20))
+	sata := device.New(device.UnthrottledProfile("sata", 1<<30))
+	opts := hyperdb.Options{
+		NVMeDevice:     nvme,
+		SATADevice:     sata,
+		Partitions:     4,
+		CacheBytes:     2 << 20,
+		MigrationBatch: 256 << 10,
+	}
+	db, err := hyperdb.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 30000
+	value := func(i int) string { return fmt.Sprintf("v%d-%0120d", i, i) }
+	for i := 0; i < n; i++ {
+		if err := db.Put(ycsb.Key(int64(i)), []byte(value(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.DrainBackground(); err != nil {
+		t.Fatal(err)
+	}
+	if db.Stats().Zone.Migrations == 0 {
+		t.Fatal("nothing was demoted into the trees")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	other := opts
+	other.L1Segments = 8
+	if re, err := hyperdb.Open(other); err == nil {
+		wrong := 0
+		for i := 0; i < n; i++ {
+			if v, err := re.Get(ycsb.Key(int64(i))); err != nil || string(v) != value(i) {
+				wrong++
+			}
+		}
+		re.Close()
+		t.Fatalf("a reopen with 8 L1 segments over a 2-segment store succeeded, and %d of %d acked keys read wrong or not found", wrong, n)
+	} else if !strings.Contains(err.Error(), "geometry") {
+		t.Fatalf("a reopen with 8 L1 segments failed with %v, want an error naming the geometry", err)
+	}
+
+	re, err := hyperdb.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for i := 0; i < n; i++ {
+		if v, err := re.Get(ycsb.Key(int64(i))); err != nil || string(v) != value(i) {
+			t.Fatalf("get %d after reopening with the original geometry: %q %v", i, v, err)
 		}
 	}
 }
