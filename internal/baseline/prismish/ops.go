@@ -10,6 +10,7 @@ import (
 	"hyperdb/internal/engine"
 	"hyperdb/internal/keys"
 	"hyperdb/internal/lsm"
+	"hyperdb/internal/slot"
 )
 
 // usedFraction is the slab store's logical occupancy: allocated device
@@ -24,8 +25,8 @@ func (db *DB) usedFraction() float64 {
 	}
 	db.mu.RLock()
 	var free int64
-	for _, sf := range db.slabs {
-		free += int64(len(sf.freeSlots)) * int64(sf.slotSize)
+	for c, sf := range db.slabs {
+		free += int64(len(sf.freeSlots)) * int64(db.files[c].SlotSize())
 	}
 	db.mu.RUnlock()
 	used := db.opts.NVMe.Used() - free
@@ -47,33 +48,33 @@ func (db *DB) Delete(key []byte) error {
 	return db.WriteBatch([]engine.BatchOp{{Key: key, Delete: true}})
 }
 
-// putLocked writes one object at seq. Caller holds db.mu. A resized object
+// putLocked writes one object at seq. Caller holds db.mu, as every slot
+// write must: the slot file reuses one encode buffer. A resized object
 // takes its new slot, and the index names it, before the old slot is freed:
 // a put that finds no space leaves the object where it was.
 func (db *DB) putLocked(key, value []byte, tomb bool, seq uint64, op device.Op) error {
-	c := classFor(slotHeader + len(key) + len(value))
+	c := slot.ClassFor(slot.HeaderSize + len(key) + len(value))
 	if c < 0 {
 		return ErrTooLarge
 	}
 	old, ok := db.index.Get(key)
-	r := slotRef{page: old.page, slot: old.slot}
-	if !ok || int(old.class) != c {
+	r := old.Addr
+	if !ok || int(old.Class) != c {
 		var err error
 		if r, err = db.allocSlot(c); err != nil {
 			return err
 		}
 	}
-	if err := db.writeSlot(c, r, seq, tomb, key, value, op); err != nil {
+	db.dram.Delete(db.pageKey(c, r.Page))
+	if err := db.files[c].Write(r.Page, r.Slot, seq, tomb, key, value, op); err != nil {
 		return err
 	}
 	db.index.Set(bytes.Clone(key), loc{
-		class: int8(c), page: r.page, slot: r.slot,
-		seq: seq, size: int32(slotHeader + len(key) + len(value)),
+		Addr: r, seq: seq, size: int32(slot.HeaderSize + len(key) + len(value)),
 		ref: true, tomb: tomb,
 	})
-	if ok && int(old.class) != c {
-		db.slabs[old.class].freeSlots = append(db.slabs[old.class].freeSlots,
-			slotRef{page: old.page, slot: old.slot})
+	if ok && int(old.Class) != c {
+		db.free(old.Addr)
 	}
 	return nil
 }
@@ -82,37 +83,24 @@ func (db *DB) putLocked(key, value []byte, tomb bool, seq uint64, op device.Op) 
 // named: a write or a migration reached it after the lookup.
 var errMoved = errors.New("prismish: object moved")
 
-// slotValue decodes l's slot out of its page and returns a copy of the value
-// if the slot holds key at l's sequence, live — the version the index named.
-func (db *DB) slotValue(page []byte, l loc, key []byte) ([]byte, bool) {
-	sf := db.slabs[l.class]
-	off := int(l.slot) * sf.slotSize
-	if off+sf.slotSize > len(page) {
-		return nil, false
-	}
-	seq, tomb, k, v, err := decodeSlot(page[off : off+sf.slotSize])
-	if err != nil || tomb || seq != l.seq || !bytes.Equal(k, key) {
-		return nil, false
-	}
-	return bytes.Clone(v), true
-}
-
-// readSlot returns the value of the version l names, or errMoved. A cached
-// page that disagrees may be a copy a writer has since made stale, so the
-// device is read (and its page cached); a device page that disagrees means l
-// is stale.
+// readSlot returns a copy of the value of the version l names, or errMoved.
+// A page holds that version by slot.File.Named's rule. A cached page that
+// disagrees may be a copy a writer has since made stale, so the device is
+// read (and its page cached); a device page that disagrees means l is stale.
 func (db *DB) readSlot(l loc, key []byte) ([]byte, error) {
-	if page, ok := db.dram.Get(db.pageKey(int(l.class), l.page)); ok {
-		if v, ok := db.slotValue(page, l, key); ok {
-			return v, nil
+	sf, pk := db.files[l.Class], db.pageKey(int(l.Class), l.Page)
+	if page, ok := db.dram.Get(pk); ok {
+		if v, ok := sf.Named(page, l.Slot, key, l.seq); ok {
+			return bytes.Clone(v), nil
 		}
 	}
-	page, err := db.devicePage(int(l.class), l.page, device.Fg)
+	page, err := sf.ReadPage(l.Page, device.Fg)
 	if err != nil {
 		return nil, err
 	}
-	if v, ok := db.slotValue(page, l, key); ok {
-		return v, nil
+	db.dram.Put(pk, page)
+	if v, ok := sf.Named(page, l.Slot, key, l.seq); ok {
+		return bytes.Clone(v), nil
 	}
 	return nil, errMoved
 }
@@ -199,8 +187,12 @@ func (db *DB) get(key []byte) ([]byte, bool, error) {
 // synchronously, and the batch resumes at the failed op.
 func (db *DB) WriteBatch(ops []engine.BatchOp) error {
 	for i := range ops {
-		if ops[i].Merge {
+		switch {
+		case ops[i].Merge:
 			return fmt.Errorf("prismish: merge op at batch index %d: no merge operator", i)
+		case len(ops[i].Key) == 0:
+			// A record that names no key is an erased slot to the scan.
+			return fmt.Errorf("prismish: empty key at batch index %d", i)
 		}
 	}
 	if len(ops) == 0 {
@@ -391,40 +383,31 @@ func (db *DB) MigrateOnce() (int, error) {
 	}
 
 	// Read the victims' pages — scattered, so roughly one page per object.
-	type pageID struct {
-		c    int8
-		page uint32
-	}
-	pages := make(map[pageID][]byte)
+	// A slot that fails its checksum fails the migration and leaves every
+	// victim indexed; one that holds another key was freed and reused since
+	// the victims were taken, and its victim is no longer indexed there.
 	var entries []lsm.Entry
-	var pageReads uint64
-	for _, vt := range victims {
-		pid := pageID{vt.l.class, vt.l.page}
-		page, ok := pages[pid]
-		if !ok {
-			sf := db.slabs[vt.l.class]
-			buf := make([]byte, db.opts.NVMe.PageSize())
-			if _, err := sf.f.ReadAt(buf, int64(vt.l.page)*int64(db.opts.NVMe.PageSize()), device.Bg); err != nil {
-				return 0, err
+	pageReads, err := db.files.ReadBatch(len(victims),
+		func(i int) slot.Addr { return victims[i].l.Addr },
+		func(i int, r slot.Record, err error) error {
+			if err != nil {
+				return fmt.Errorf("prismish: migrating %q: %w", victims[i].key, err)
 			}
-			pages[pid] = buf
-			page = buf
-			pageReads++
-		}
-		sf := db.slabs[vt.l.class]
-		off := int(vt.l.slot) * sf.slotSize
-		seq, tomb, k, v, err := decodeSlot(page[off : off+sf.slotSize])
-		if err != nil || !bytes.Equal(k, vt.key) {
-			continue
-		}
-		kind := keys.KindSet
-		if tomb {
-			kind = keys.KindDelete
-		}
-		entries = append(entries, lsm.Entry{
-			Key:   keys.InternalKey{User: bytes.Clone(k), Seq: seq, Kind: kind},
-			Value: bytes.Clone(v),
+			if !bytes.Equal(r.Key, victims[i].key) {
+				return nil
+			}
+			kind := keys.KindSet
+			if r.Tomb {
+				kind = keys.KindDelete
+			}
+			entries = append(entries, lsm.Entry{
+				Key:   keys.InternalKey{User: bytes.Clone(r.Key), Seq: r.Seq, Kind: kind},
+				Value: bytes.Clone(r.Value),
+			})
+			return nil
 		})
+	if err != nil {
+		return 0, err
 	}
 	// Victims were collected in key order (with at most one wrap); sort the
 	// wrapped tail into place for the LSM ingest.
@@ -452,8 +435,7 @@ func (db *DB) MigrateOnce() (int, error) {
 	for _, vt := range victims {
 		if cur, ok := db.index.Get(vt.key); ok && cur.seq == vt.l.seq {
 			db.index.Delete(vt.key)
-			db.slabs[vt.l.class].freeSlots = append(db.slabs[vt.l.class].freeSlots,
-				slotRef{page: vt.l.page, slot: vt.l.slot})
+			db.free(vt.l.Addr)
 			demoted++
 		}
 	}
@@ -461,7 +443,7 @@ func (db *DB) MigrateOnce() (int, error) {
 
 	db.migrations.Inc()
 	db.migratedObjs.Add(uint64(demoted))
-	db.migrationReads.Add(pageReads)
+	db.migrationReads.Add(uint64(pageReads))
 	return demoted, nil
 }
 

@@ -14,7 +14,6 @@ package prismish
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"sync/atomic"
 
@@ -24,6 +23,7 @@ import (
 	"hyperdb/internal/device"
 	"hyperdb/internal/engine"
 	"hyperdb/internal/lsm"
+	"hyperdb/internal/slot"
 	"hyperdb/internal/stats"
 )
 
@@ -72,52 +72,20 @@ func (o *Options) fill() {
 	}
 }
 
-// slot header: seq(8) flags(1) klen(2) vlen(4) crc(4). The CRC covers the
-// first 15 header bytes plus the key/value payload, so recovery can tell a
-// fully persisted slot from a never-written or torn one — an all-zero slot
-// fails the check (the CRC of zero bytes is non-zero).
-const slotHeader = 19
-
-// slotCRC checksums a slot's header prefix and payload.
-func slotCRC(buf []byte, kl, vl int) uint32 {
-	return crc32.Update(crc32.ChecksumIEEE(buf[:15]), crc32.IEEETable, buf[slotHeader:slotHeader+kl+vl])
-}
-
-var classes = []int{64, 128, 256, 512, 1024, 2048, 4096}
-
-func classFor(n int) int {
-	for i, c := range classes {
-		if n <= c {
-			return i
-		}
-	}
-	return -1
-}
-
 // loc is an index entry in the slab store.
 type loc struct {
-	class int8
-	page  uint32
-	slot  uint16
-	seq   uint64
-	size  int32
-	ref   bool // clock second-chance bit
-	tomb  bool
+	slot.Addr
+	seq  uint64
+	size int32
+	ref  bool // clock second-chance bit
+	tomb bool
 }
 
-// slabFile is one size class: pages of fixed slots with a global free list.
-type slabFile struct {
-	f            *device.File
-	slotSize     int
-	slotsPerPage int
-	nextPage     uint32
-	nextSlot     uint16
-	freeSlots    []slotRef // global — the scatter source
-}
-
-type slotRef struct {
-	page uint32
-	slot uint16
+// slab is one size class's placement: a global free-slot list and the next
+// slot of the page open at the tail (slot 0: no page is open).
+type slab struct {
+	freeSlots []slot.Addr // global — the scatter source
+	tail      slot.Addr
 }
 
 // DB is the PrismDB-style engine.
@@ -131,7 +99,8 @@ type DB struct {
 	errs  engine.Errors // what the background threads gave up on
 
 	mu     sync.RWMutex
-	slabs  []*slabFile
+	files  slot.Files
+	slabs  []slab // per class, parallel to files
 	index  *btree.Map[loc]
 	cursor []byte // round-robin key cursor for migration ranges
 
@@ -159,20 +128,11 @@ func Open(opts Options) (*DB, error) {
 		index: btree.New[loc](),
 		stopC: make(chan struct{}),
 	}
-	ps := int64(opts.NVMe.PageSize())
-	for _, c := range classes {
-		name := fmt.Sprintf("prismish-slab%d", c)
-		f, err := opts.NVMe.Open(name)
-		if err != nil {
-			if f, err = opts.NVMe.Create(name); err != nil {
-				return nil, err
-			}
-		}
-		db.slabs = append(db.slabs, &slabFile{
-			f: f, slotSize: c, slotsPerPage: max(int(ps)/c, 1),
-			nextPage: uint32((f.Size() + ps - 1) / ps),
-		})
+	files, err := slot.Open(opts.NVMe, "prismish-slab")
+	if err != nil {
+		return nil, err
 	}
+	db.files, db.slabs = files, make([]slab, len(files))
 	l, lsmSeq, err := lsm.Open(lsm.Options{
 		Prefix:    "prismish",
 		Dev:       opts.SATA,
@@ -230,69 +190,34 @@ func (db *DB) Close() error {
 	return nil
 }
 
-func encodeSlot(dst []byte, seq uint64, tomb bool, k, v []byte) {
-	binary.LittleEndian.PutUint64(dst, seq)
-	if tomb {
-		dst[8] = 1
-	} else {
-		dst[8] = 0
-	}
-	binary.LittleEndian.PutUint16(dst[9:], uint16(len(k)))
-	binary.LittleEndian.PutUint32(dst[11:], uint32(len(v)))
-	copy(dst[slotHeader:], k)
-	copy(dst[slotHeader+len(k):], v)
-	binary.LittleEndian.PutUint32(dst[15:], slotCRC(dst, len(k), len(v)))
-}
-
-func decodeSlot(buf []byte) (seq uint64, tomb bool, k, v []byte, err error) {
-	if len(buf) < slotHeader {
-		return 0, false, nil, nil, fmt.Errorf("prismish: short slot")
-	}
-	seq = binary.LittleEndian.Uint64(buf)
-	tomb = buf[8] == 1
-	kl := int(binary.LittleEndian.Uint16(buf[9:]))
-	vl := int(binary.LittleEndian.Uint32(buf[11:]))
-	if slotHeader+kl+vl > len(buf) {
-		return 0, false, nil, nil, fmt.Errorf("prismish: slot overflow")
-	}
-	if binary.LittleEndian.Uint32(buf[15:]) != slotCRC(buf, kl, vl) {
-		return 0, false, nil, nil, fmt.Errorf("prismish: slot checksum mismatch")
-	}
-	return seq, tomb, buf[slotHeader : slotHeader+kl], buf[slotHeader+kl : slotHeader+kl+vl], nil
-}
-
 // allocSlot returns a free slot in class c — global free list first (the
 // scatter), then the current open page, then a fresh page.
-func (db *DB) allocSlot(c int) (slotRef, error) {
-	sf := db.slabs[c]
+func (db *DB) allocSlot(c int) (slot.Addr, error) {
+	sf := &db.slabs[c]
 	if n := len(sf.freeSlots); n > 0 {
 		r := sf.freeSlots[n-1]
 		sf.freeSlots = sf.freeSlots[:n-1]
 		return r, nil
 	}
-	if sf.nextSlot == 0 {
+	if sf.tail.Slot == 0 {
 		// Open a fresh page at the tail: a ledger operation, no traffic.
-		end := (int64(sf.nextPage) + 1) * int64(db.opts.NVMe.PageSize())
-		if err := sf.f.EnsureAllocated(end); err != nil {
-			return slotRef{}, err
+		p, err := db.files[c].AllocPage()
+		if err != nil {
+			return slot.Addr{}, err
 		}
+		sf.tail = slot.Addr{Class: int8(c), Page: p}
 	}
-	r := slotRef{page: sf.nextPage, slot: sf.nextSlot}
-	sf.nextSlot++
-	if int(sf.nextSlot) >= sf.slotsPerPage {
-		sf.nextSlot = 0
-		sf.nextPage++
+	r := sf.tail
+	sf.tail.Slot++
+	if int(sf.tail.Slot) >= db.files[c].SlotsPerPage() {
+		sf.tail.Slot = 0
 	}
 	return r, nil
 }
 
-func (db *DB) writeSlot(c int, r slotRef, seq uint64, tomb bool, k, v []byte, op device.Op) error {
-	sf := db.slabs[c]
-	buf := make([]byte, sf.slotSize)
-	encodeSlot(buf, seq, tomb, k, v)
-	off := int64(r.page)*int64(db.opts.NVMe.PageSize()) + int64(r.slot)*int64(sf.slotSize)
-	db.dram.Delete(db.pageKey(c, r.page))
-	return sf.f.WriteAt(buf, off, op)
+// free puts slot a on its class's free list. Caller holds db.mu.
+func (db *DB) free(a slot.Addr) {
+	db.slabs[a.Class].freeSlots = append(db.slabs[a.Class].freeSlots, a)
 }
 
 // pageKey builds the DRAM-cache key without fmt (hot on every slab read).
@@ -303,14 +228,4 @@ func (db *DB) pageKey(c int, page uint32) string {
 	b[1] = byte(c)
 	binary.LittleEndian.PutUint32(b[2:], page)
 	return string(b[:])
-}
-
-// devicePage reads a slab page from the device and caches it.
-func (db *DB) devicePage(c int, page uint32, op device.Op) ([]byte, error) {
-	buf := make([]byte, db.opts.NVMe.PageSize())
-	if _, err := db.slabs[c].f.ReadAt(buf, int64(page)*int64(len(buf)), op); err != nil {
-		return nil, err
-	}
-	db.dram.Put(db.pageKey(c, page), buf)
-	return buf, nil
 }

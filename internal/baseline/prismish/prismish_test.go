@@ -13,6 +13,7 @@ import (
 
 	"hyperdb/internal/device"
 	"hyperdb/internal/engine"
+	"hyperdb/internal/slot"
 )
 
 func open(t testing.TB, nvmeCap int64) (*DB, *device.Device, *device.Device) {
@@ -417,22 +418,18 @@ func TestResizeWithoutSpaceKeepsFreeListsExact(t *testing.T) {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	type slot struct {
-		class int
-		slotRef
-	}
-	free := map[slot]bool{}
+	free := map[slot.Addr]bool{}
 	for c, sf := range db.slabs {
-		for _, r := range sf.freeSlots {
-			if free[slot{c, r}] {
-				t.Fatalf("class %d slot %+v is on the free list twice", classes[c], r)
+		for _, a := range sf.freeSlots {
+			if free[a] {
+				t.Fatalf("class %d slot %+v is on the free list twice", slot.Classes[c], a)
 			}
-			free[slot{c, r}] = true
+			free[a] = true
 		}
 	}
 	db.index.Ascend(nil, nil, func(k []byte, l loc) bool {
-		if free[slot{int(l.class), slotRef{l.page, l.slot}}] {
-			t.Errorf("key %x names free slot %+v of class %d", k, l, classes[l.class])
+		if free[l.Addr] {
+			t.Errorf("key %x names free slot %+v of class %d", k, l, slot.Classes[l.Class])
 		}
 		return true
 	})
@@ -484,5 +481,52 @@ func TestWritesApplyInSequenceOrder(t *testing.T) {
 	defer re.Close()
 	if got, err := re.Get(key); err != nil || !bytes.Equal(got, live) {
 		t.Fatalf("reopened: %.8q (%v), live store read %.8q", got, err, live)
+	}
+}
+
+// TestMigrationFailsClosedOnDamagedSlot: a migration that reads a slot
+// failing its checksum must fail and leave the key indexed. It used to skip
+// the slot and still take the key out of the index and free its slot, so an
+// acked key was in neither store and Get said it did not exist.
+func TestMigrationFailsClosedOnDamagedSlot(t *testing.T) {
+	db, nvme, _ := open(t, 32<<20)
+	value := func(i uint64) []byte { return bytes.Repeat([]byte{byte(i)}, 100) }
+	for i := uint64(0); i < 10; i++ {
+		if err := db.Put(k8(i), value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Damage two value bytes of key 5's slot on the device.
+	f, err := nvme.Open("prismish-slab128")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := make([]byte, f.Size())
+	if _, err := f.ReadAt(img, 0, device.Bg); err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(img, append(k8(5), value(5)...))
+	if at < 0 {
+		t.Fatal("key 5's record is not in the 128-byte slab")
+	}
+	if err := f.WriteAt([]byte{0xff, 0xff}, int64(at+8+50), device.Fg); err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for i := 0; i < 3; i++ { // the first pass clears the clock bits
+		if _, err := db.MigrateOnce(); err != nil {
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Fatal("every migration over the damaged slot succeeded")
+	}
+	if _, err := db.Get(k8(5)); err == nil || errors.Is(err, engine.ErrNotFound) {
+		t.Fatalf("key 5 after the failed migrations: %v, want its damage reported", err)
+	}
+	for i := uint64(0); i < 10; i++ {
+		if got, err := db.Get(k8(i)); i != 5 && (err != nil || !bytes.Equal(got, value(i))) {
+			t.Fatalf("key %d: %.8q (%v)", i, got, err)
+		}
 	}
 }

@@ -2,7 +2,9 @@ package zone
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"hyperdb/internal/cache"
@@ -85,8 +87,8 @@ func TestSameTraceSameCacheAndReads(t *testing.T) {
 			o.cached = append(append(o.cached, byte(len(v))), v...)
 			return true
 		})
-		for cl, sf := range m.slotFiles {
-			for p := uint32(0); p < sf.nextPage; p++ {
+		for cl, sf := range m.files {
+			for p := uint32(0); p < sf.Pages(); p++ {
 				if _, ok := c.Get(m.cacheKey(cl, p)); ok {
 					o.pages = o.pages*31 + int(p) + cl
 				}
@@ -129,18 +131,91 @@ func TestZonePagesAreFreedInPageOrder(t *testing.T) {
 		if name != "EvictHotZone" && len(m.zones) != 1 {
 			t.Fatalf("%s: %d zones, want 1", name, len(m.zones))
 		}
+		z := m.hot
+		if name != "EvictHotZone" {
+			z = m.zones[0]
+		}
+		owned := make([]int, len(z.pages))
+		for c := range z.pages {
+			owned[c] = len(z.pages[c])
+		}
 		if err := fn(m); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		// A slot file reuses its freed pages last-freed first, so freeing in
+		// page order hands them back in descending order.
 		freed := 0
-		for _, sf := range m.slotFiles {
-			if !sort.SliceIsSorted(sf.freePages, func(i, j int) bool { return sf.freePages[i] < sf.freePages[j] }) {
-				t.Fatalf("%s: class %d free list out of page order: %v", name, sf.slotSize, sf.freePages)
+		for c, sf := range m.files {
+			var got []uint32
+			for i := 0; i < owned[c]; i++ {
+				p, err := sf.AllocPage()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, p)
 			}
-			freed += len(sf.freePages)
+			if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] > got[j] }) {
+				t.Fatalf("%s: class %d pages freed out of page order: reused %v", name, sf.SlotSize(), got)
+			}
+			freed += len(got)
 		}
 		if freed < 100 {
 			t.Fatalf("%s: only %d pages freed", name, freed)
+		}
+	}
+}
+
+// TestRecoveryIsDeterministic: two recoveries of one device rebuild the same
+// per-zone free-slot lists, so the same later writes land in the same slots.
+// Recovery once released free slots in map order.
+func TestRecoveryIsDeterministic(t *testing.T) {
+	cfg := Config{Dev: device.New(device.UnthrottledProfile("nvme", 0)), BatchSize: 64 << 10}
+	m := openMgr(t, cfg)
+	seq := uint64(0)
+	for i := uint64(0); i < 800; i++ {
+		n := 40
+		if i >= 400 { // every third key relocates to another class, erasing its slot
+			if i%3 != 0 {
+				continue
+			}
+			n = 400
+		}
+		seq++
+		if err := putOne(m, k8(i%400<<20), make([]byte, n), seq, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	free := func(m *Manager) (string, int) {
+		var b strings.Builder
+		n := 0
+		for _, z := range append([]*Zone{m.hot}, m.zones...) {
+			fmt.Fprintf(&b, "zone %d: %v\n", z.id, z.freeSlots)
+			for _, l := range z.freeSlots {
+				n += len(l)
+			}
+		}
+		return b.String(), n
+	}
+	a, b := openMgr(t, cfg), openMgr(t, cfg)
+	fa, n := free(a)
+	if fb, _ := free(b); fa != fb {
+		t.Fatalf("two recoveries of one device rebuilt different free lists:\n%s\n%s", fa, fb)
+	}
+	if n < 100 {
+		t.Fatalf("only %d free slots recovered", n)
+	}
+	for i := uint64(0); i < 100; i++ {
+		seq++
+		k := k8(i<<20 + 1)
+		for _, m := range []*Manager{a, b} {
+			if err := putOne(m, k, make([]byte, 40), seq, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		la, _ := a.index.Get(k)
+		lb, _ := b.index.Get(k)
+		if la != lb {
+			t.Fatalf("write %d landed at %+v after one recovery, %+v after the other", i, la, lb)
 		}
 	}
 }

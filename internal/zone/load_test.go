@@ -57,7 +57,7 @@ func (f *loadFixture) put(t *testing.T, key, value []byte, seq uint64) {
 // page reads loc0's page off the device.
 func (f *loadFixture) page(t *testing.T) []byte {
 	t.Helper()
-	p, err := f.m.slotFiles[f.loc0.Class].readPage(f.loc0.Page, device.Bg)
+	p, err := f.m.files[f.loc0.Class].ReadPage(f.loc0.Page, device.Bg)
 	if err != nil {
 		t.Fatal(err)
 	}

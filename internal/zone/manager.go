@@ -13,6 +13,7 @@ import (
 	"hyperdb/internal/cache"
 	"hyperdb/internal/device"
 	"hyperdb/internal/keys"
+	"hyperdb/internal/slot"
 	"hyperdb/internal/stats"
 )
 
@@ -26,9 +27,7 @@ var ErrSuperseded = errors.New("zone: promotion superseded")
 
 // Location is an index entry: where a key lives in the zone group.
 type Location struct {
-	Class     int8
-	Page      uint32
-	Slot      uint16
+	slot.Addr
 	ZoneID    uint32
 	Seq       uint64
 	Size      int32 // header+key+value bytes
@@ -118,13 +117,16 @@ type Manager struct {
 	// foreground writers).
 	evictMu sync.Mutex
 
-	mu        sync.RWMutex
-	slotFiles []*slotFile
-	index     *btree.Map[Location]
-	zones     []*Zone // key-range zones sorted by lo
-	zoneByID  map[uint32]*Zone
-	hot       *Zone
-	nextZone  uint32
+	mu       sync.RWMutex
+	files    slot.Files
+	index    *btree.Map[Location]
+	zones    []*Zone // key-range zones sorted by lo
+	zoneByID map[uint32]*Zone
+	hot      *Zone
+	nextZone uint32
+	// storedObjects and storedBytes sum every object in the slot files:
+	// Eq. 1's ΣN_k and ΣF_k.
+	storedObjects, storedBytes int64
 	// demoted is the newest sequence a migration has moved to the capacity
 	// tier.
 	demoted uint64
@@ -174,15 +176,10 @@ func (m *Manager) zoneFor(k64 uint64) *Zone {
 
 // avgObjectSize is Eq. 1: ΣF_k / ΣN_k over the slot files.
 func (m *Manager) avgObjectSize() float64 {
-	var files, objs int64
-	for _, sf := range m.slotFiles {
-		files += sf.bytes
-		objs += sf.objects
-	}
-	if objs == 0 {
+	if m.storedObjects == 0 {
 		return 256 // bootstrap guess
 	}
-	return float64(files) / float64(objs)
+	return float64(m.storedBytes) / float64(m.storedObjects)
 }
 
 // zoneWidth estimates the key-range width of a new zone: Eq. 2 gives
@@ -270,30 +267,28 @@ func (m *Manager) rangeZone(key []byte) *Zone {
 
 // allocSlot takes a slot of class c in zone z: a freed one, the next of the
 // open page, or the first of a fresh page. Caller holds mu.
-func (m *Manager) allocSlot(z *Zone, c int) (slotRef, error) {
-	sf := m.slotFiles[c]
-	if ref, ok := z.takeSlot(c, sf.slotsPerPage); ok {
+func (m *Manager) allocSlot(z *Zone, c int) (slot.Addr, error) {
+	sf := m.files[c]
+	if ref, ok := z.takeSlot(c, sf.SlotsPerPage()); ok {
 		return ref, nil
 	}
-	page, err := sf.allocPage()
+	page, err := sf.AllocPage()
 	if err != nil {
-		return slotRef{}, err
+		return slot.Addr{}, err
 	}
-	return z.addPage(c, page, sf.slotsPerPage), nil
+	return z.addPage(c, page, sf.SlotsPerPage()), nil
 }
 
-// stored books an object just written to slot ref of class c into z's and
-// the slot file's accounting and returns its location. Caller holds mu.
-func (m *Manager) stored(z *Zone, c int, ref slotRef, k, v []byte, seq uint64, tombstone, promoted bool) Location {
-	size := int32(slotHeaderSize + len(k) + len(v))
+// stored books an object just written to slot a into z's and the group's
+// accounting and returns its location. Caller holds mu.
+func (m *Manager) stored(z *Zone, a slot.Addr, k, v []byte, seq uint64, tombstone, promoted bool) Location {
+	size := int32(slot.HeaderSize + len(k) + len(v))
 	z.objects++
 	z.bytes += int64(size)
-	sf := m.slotFiles[c]
-	sf.objects++
-	sf.bytes += int64(size)
+	m.storedObjects++
+	m.storedBytes += int64(size)
 	return Location{
-		Class: int8(c), Page: ref.page, Slot: ref.slot, ZoneID: z.id,
-		Seq: seq, Size: size, Tombstone: tombstone, Promoted: promoted,
+		Addr: a, ZoneID: z.id, Seq: seq, Size: size, Tombstone: tombstone, Promoted: promoted,
 	}
 }
 
@@ -301,7 +296,7 @@ func (m *Manager) stored(z *Zone, c int, ref slotRef, k, v []byte, seq uint64, t
 // a foreground write; otherwise the write is background traffic, booked to
 // that ledger counter. Caller holds mu. Returns the new location.
 func (m *Manager) writeObject(z *Zone, c int, k, v []byte, seq uint64, tombstone, promoted bool, bg *stats.Counter) (Location, error) {
-	ref, err := m.allocSlot(z, c)
+	a, err := m.allocSlot(z, c)
 	if err != nil {
 		return Location{}, err
 	}
@@ -309,15 +304,15 @@ func (m *Manager) writeObject(z *Zone, c int, k, v []byte, seq uint64, tombstone
 	if bg != nil {
 		op = device.Bg
 	}
-	sf := m.slotFiles[c]
-	if err := sf.writeSlot(ref.page, ref.slot, seq, tombstone, k, v, op); err != nil {
+	sf := m.files[c]
+	if err := sf.Write(a.Page, a.Slot, seq, tombstone, k, v, op); err != nil {
 		return Location{}, err
 	}
 	if bg != nil {
-		bg.Add(uint64(m.cfg.Dev.WriteCharge(int64(sf.slotSize))))
+		bg.Add(uint64(m.cfg.Dev.WriteCharge(int64(sf.SlotSize()))))
 	}
-	m.invalidateCache(c, ref.page)
-	return m.stored(z, c, ref, k, v, seq, tombstone, promoted), nil
+	m.invalidateCache(c, a.Page)
+	return m.stored(z, a, k, v, seq, tombstone, promoted), nil
 }
 
 // dropLocation releases loc's slot and adjusts accounting. Caller holds mu.
@@ -326,12 +321,11 @@ func (m *Manager) dropLocation(loc Location) {
 	if !ok {
 		return // zone already detached by a migration
 	}
-	z.releaseSlot(int(loc.Class), slotRef{page: loc.Page, slot: loc.Slot})
+	z.releaseSlot(loc.Addr)
 	z.objects--
 	z.bytes -= int64(loc.Size)
-	sf := m.slotFiles[loc.Class]
-	sf.objects--
-	sf.bytes -= int64(loc.Size)
+	m.storedObjects--
+	m.storedBytes -= int64(loc.Size)
 }
 
 // cacheKey builds the page-cache key without fmt (it sits on every Get). The
@@ -395,8 +389,8 @@ func (m *Manager) uncacheObject(key []byte) {
 // mu. hot routes the object to the hot zone. Charges one random page write,
 // plus a write erasing the old slot when the object relocates (§3.2).
 func (m *Manager) putLocked(key, value []byte, seq uint64, hot bool) error {
-	need := slotHeaderSize + len(key) + len(value)
-	c := classFor(need)
+	need := slot.HeaderSize + len(key) + len(value)
+	c := slot.ClassFor(need)
 	if c < 0 {
 		return ErrTooLarge
 	}
@@ -407,14 +401,13 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot bool) error {
 		if zoneLive && int(old.Class) == c && !old.Tombstone {
 			// In-place update: same slot, one page write. The index entry
 			// mutates through ref — no second descent, no key re-clone.
-			sf := m.slotFiles[c]
-			if err := sf.writeSlot(old.Page, old.Slot, seq, false, key, value, device.Fg); err != nil {
+			if err := m.files[c].Write(old.Page, old.Slot, seq, false, key, value, device.Fg); err != nil {
 				return err
 			}
 			m.invalidateCache(c, old.Page)
 			size := int32(need)
 			oldZone.bytes += int64(size) - int64(old.Size)
-			sf.bytes += int64(size) - int64(old.Size)
+			m.storedBytes += int64(size) - int64(old.Size)
 			ref.Seq, ref.Size, ref.Promoted = seq, size, false
 			m.refreshObject(key, seq, value)
 			m.inPlaceUpdates.Inc()
@@ -439,8 +432,7 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot bool) error {
 		m.index.Set(bytes.Clone(key), loc)
 		m.refreshObject(key, seq, value)
 		if zoneLive {
-			sf := m.slotFiles[old.Class]
-			if err := sf.eraseSlot(old.Page, old.Slot, device.Fg); err != nil {
+			if err := m.files[old.Class].Erase(old.Page, old.Slot, device.Fg); err != nil {
 				return err
 			}
 			m.invalidateCache(int(old.Class), old.Page)
@@ -466,7 +458,7 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot bool) error {
 // The tombstone occupies a small slot and migrates to the capacity tier like
 // any object, deleting the key there.
 func (m *Manager) deleteLocked(key []byte, seq uint64) error {
-	c := classFor(slotHeaderSize + len(key))
+	c := slot.ClassFor(slot.HeaderSize + len(key))
 	if c < 0 {
 		return ErrTooLarge
 	}
@@ -480,14 +472,13 @@ func (m *Manager) deleteLocked(key []byte, seq uint64) error {
 			// holding a stale-but-checksummed value would outlive its
 			// tombstone if the tombstone's zone migrated to the capacity
 			// tier first.
-			sf := m.slotFiles[old.Class]
-			if err := sf.writeSlot(old.Page, old.Slot, seq, true, key, nil, device.Fg); err != nil {
+			if err := m.files[old.Class].Write(old.Page, old.Slot, seq, true, key, nil, device.Fg); err != nil {
 				return err
 			}
 			m.invalidateCache(int(old.Class), old.Page)
-			size := int32(slotHeaderSize + len(key))
+			size := int32(slot.HeaderSize + len(key))
 			z.bytes += int64(size) - int64(old.Size)
-			sf.bytes += int64(size) - int64(old.Size)
+			m.storedBytes += int64(size) - int64(old.Size)
 			ref.Seq, ref.Size, ref.Tombstone, ref.Promoted = seq, size, true, false
 			return nil
 		}
@@ -587,9 +578,8 @@ var ErrMoved = errors.New("zone: object moved")
 // twentieth of the price. A scan walks neighbours, so its pages are cached
 // whole.
 //
-// Slots are rewritten in place, so a page that holds key proves nothing: the
-// slot is the object the index named iff key and sequence both match. A
-// cached page that disagrees is stale — a writer reached the slot
+// A slot is the object the index named iff key and sequence both match
+// (slot.File.Named). A cached page that disagrees is stale — a writer reached the slot
 // after the page was copied — so the device is read. A page fresh from the
 // device that disagrees means loc is stale, and only the index knows where
 // the newest version is now.
@@ -606,32 +596,26 @@ func (m *Manager) load(key []byte, loc Location, op device.Op, point bool) (valu
 			return v, false, nil
 		}
 	}
-	sf := m.slotFiles[loc.Class]
-	named := func(page []byte) ([]byte, bool) {
-		seq, tomb, k, v, err := sf.decodeSlotInPage(page, loc.Slot)
-		if err != nil || tomb || seq != loc.Seq || !bytes.Equal(k, key) {
-			return nil, false
-		}
-		return bytes.Clone(v), true
-	}
+	sf := m.files[loc.Class]
 	if c != nil {
 		if page, ok := c.Get(m.cacheKey(int(loc.Class), loc.Page)); ok {
-			if v, ok := named(page); ok {
-				return v, false, nil
+			if v, ok := sf.Named(page, loc.Slot, key, loc.Seq); ok {
+				return bytes.Clone(v), false, nil
 			}
 		}
 	}
-	page, err := sf.readPage(loc.Page, op)
+	page, err := sf.ReadPage(loc.Page, op)
 	if err != nil {
 		return nil, false, err
 	}
 	if c != nil && !point {
 		c.Put(m.cacheKey(int(loc.Class), loc.Page), page)
 	}
-	v, ok := named(page)
+	v, ok := sf.Named(page, loc.Slot, key, loc.Seq)
 	if !ok {
 		return nil, true, ErrMoved // bare: formatting key in would make every caller's key escape
 	}
+	v = bytes.Clone(v)
 	if c != nil && point {
 		c.PutObject(object, loc.Seq, v)
 	}
@@ -648,8 +632,7 @@ func (m *Manager) load(key []byte, loc Location, op device.Op, point bool) (valu
 // Charged as background I/O (§3.5: promotions flush asynchronously from the
 // object cache).
 func (m *Manager) Promote(key, value []byte, seq, after uint64) error {
-	need := slotHeaderSize + len(key) + len(value)
-	c := classFor(need)
+	c := slot.ClassFor(slot.HeaderSize + len(key) + len(value))
 	if c < 0 {
 		return ErrTooLarge
 	}

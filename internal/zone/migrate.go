@@ -6,7 +6,7 @@ import (
 	"slices"
 	"sort"
 
-	"hyperdb/internal/device"
+	"hyperdb/internal/slot"
 	"hyperdb/internal/stats"
 )
 
@@ -68,37 +68,15 @@ func (m *Manager) zoneRefsLocked(z *Zone, lo, hi []byte) []locRef {
 	return refs
 }
 
-// slotPage names one page of one slot file.
-type slotPage struct {
-	class int8
-	page  uint32
-}
-
-// readObjects reads the slot behind every ref of a detached zone, outside the
-// lock, fetching each distinct page once as a background read however many
-// of the objects sit on it, and books the pages to ledger. fn gets the decoded
-// object — key and value are views into the page — or the slot's decode
-// error, in refs order. It returns the number of pages fetched.
-func (m *Manager) readObjects(refs []locRef, ledger *stats.Counter, fn func(r locRef, tomb bool, k, v []byte, err error) error) (int, error) {
-	pages := make(map[slotPage][]byte)
-	for _, r := range refs {
-		sf := m.slotFiles[r.loc.Class]
-		pk := slotPage{r.loc.Class, r.loc.Page}
-		page, ok := pages[pk]
-		if !ok {
-			var err error
-			if page, err = sf.readPage(r.loc.Page, device.Bg); err != nil {
-				return len(pages), err
-			}
-			pages[pk] = page
-			ledger.Add(uint64(sf.pageSize))
-		}
-		_, tomb, k, v, err := sf.decodeSlotInPage(page, r.loc.Slot)
-		if err := fn(r, tomb, k, v, err); err != nil {
-			return len(pages), err
-		}
-	}
-	return len(pages), nil
+// readObjects reads the slots of a detached zone's refs outside the lock
+// (slot.Files.ReadBatch, fn in refs order) and books the pages it fetched
+// to ledger. It returns the number of pages fetched.
+func (m *Manager) readObjects(refs []locRef, ledger *stats.Counter, fn func(r locRef, rec slot.Record, err error) error) (int, error) {
+	pages, err := m.files.ReadBatch(len(refs),
+		func(i int) slot.Addr { return refs[i].loc.Addr },
+		func(i int, rec slot.Record, err error) error { return fn(refs[i], rec, err) })
+	ledger.Add(uint64(pages * m.cfg.Dev.PageSize()))
+	return pages, err
 }
 
 // PrepareMigration detaches zone z from the group and reads its objects out
@@ -119,18 +97,18 @@ func (m *Manager) PrepareMigration(z *Zone) (*Batch, error) {
 	}
 	batch := &Batch{zone: z, Entries: make([]MigEntry, 0, len(refs))}
 	var err error
-	batch.PageReads, err = m.readObjects(refs, &m.bg.demotionRead, func(r locRef, tomb bool, k, v []byte, err error) error {
+	batch.PageReads, err = m.readObjects(refs, &m.bg.demotionRead, func(r locRef, rec slot.Record, err error) error {
 		if err != nil {
 			return err
 		}
-		if !bytes.Equal(k, r.key) {
-			return fmt.Errorf("zone: migration found %q at slot of %q", k, r.key)
+		if !bytes.Equal(rec.Key, r.key) {
+			return fmt.Errorf("zone: migration found %q at slot of %q", rec.Key, r.key)
 		}
 		batch.Entries = append(batch.Entries, MigEntry{
-			Key:       bytes.Clone(k),
-			Value:     bytes.Clone(v),
+			Key:       bytes.Clone(rec.Key),
+			Value:     bytes.Clone(rec.Value),
 			Seq:       r.loc.Seq,
-			Tombstone: tomb,
+			Tombstone: rec.Tomb,
 		})
 		return nil
 	})
@@ -179,16 +157,11 @@ func (m *Manager) freeZoneLocked(z *Zone) {
 		slices.Sort(pages)
 		for _, p := range pages {
 			m.invalidateCache(c, p)
-			m.slotFiles[c].freePage(p)
+			m.files[c].FreePage(p)
 		}
 	}
-	// Aggregate-only adjustment: Eq. 1 uses ΣF_k/ΣN_k, so attributing the
-	// delta to the first file keeps the ratio exact without per-class
-	// bookkeeping during wholesale zone drops.
-	if len(m.slotFiles) > 0 {
-		m.slotFiles[0].bytes -= z.bytes
-		m.slotFiles[0].objects -= z.objects
-	}
+	m.storedBytes -= z.bytes
+	m.storedObjects -= z.objects
 }
 
 // AbortMigration reattaches a prepared batch's zone after a failed merge so

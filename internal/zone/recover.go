@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
-	"hyperdb/internal/device"
+	"hyperdb/internal/slot"
 )
 
 // Recover rebuilds a zone Manager from slot files persisted on the device —
@@ -23,70 +23,28 @@ import (
 // sequence number seen.
 func Recover(cfg Config) (*Manager, uint64, error) {
 	m := emptyManager(cfg)
-	cfg = m.cfg // with defaults filled
-	for _, cls := range slotClasses {
-		name := fmt.Sprintf("p%d-slab%d", cfg.Partition, cls)
-		f, err := cfg.Dev.Open(name)
-		if err != nil {
-			// Missing slab file: the partition never wrote this class.
-			nf, cerr := newSlotFile(cfg.Dev, name, cls)
-			if cerr != nil {
-				return nil, 0, cerr
-			}
-			m.slotFiles = append(m.slotFiles, nf)
-			continue
-		}
-		m.slotFiles = append(m.slotFiles, wrapSlotFile(cfg.Dev, f, cls))
+	files, err := slot.Open(m.cfg.Dev, fmt.Sprintf("p%d-slab", m.cfg.Partition))
+	if err != nil {
+		return nil, 0, err
 	}
+	m.files = files
 
-	// Pass 1: scan every allocated page of every slot file and index the
-	// newest valid version per key. Charged as background sequential reads —
-	// recovery is one streaming pass over the performance tier.
-	var maxSeq uint64
-	for c, sf := range m.slotFiles {
-		pages := sf.f.AllocatedPageIDs()
-		ps := int64(sf.pageSize)
-		if n := sf.f.Size() / ps; n > 0 {
-			sf.nextPage = uint32(n)
+	// Pass 1: the recovery scan indexes the newest version per key and notes,
+	// in scan order, the pages (by slot 0) it found records on.
+	var scanned []slot.Addr
+	maxSeq, err := m.files.Scan(func(a slot.Addr, r slot.Record) {
+		if pk := (slot.Addr{Class: a.Class, Page: a.Page}); len(scanned) == 0 || scanned[len(scanned)-1] != pk {
+			scanned = append(scanned, pk)
 		}
-		// Rebuild the free-page list from holes.
-		alloc := make(map[uint32]bool, len(pages))
-		for _, p := range pages {
-			alloc[uint32(p)] = true
+		// Newest sequence wins. Two slots hold one sequence of a key only
+		// while a split or hot-zone eviction has copied it and not yet
+		// freed the old zone: the same object.
+		if cur, ok := m.index.Get(r.Key); !ok || cur.Seq < r.Seq {
+			m.index.Set(bytes.Clone(r.Key), Location{Addr: a, Seq: r.Seq, Size: r.Size(), Tombstone: r.Tomb})
 		}
-		for p := uint32(0); p < sf.nextPage; p++ {
-			if !alloc[p] {
-				sf.freePages = append(sf.freePages, p)
-			}
-		}
-		for _, p := range pages {
-			page := make([]byte, sf.pageSize)
-			if _, err := sf.f.ReadAt(page, p*ps, device.BgSeq); err != nil {
-				return nil, 0, err
-			}
-			for s := 0; s < sf.slotsPerPage; s++ {
-				off := s * sf.slotSize
-				ts, tomb, k, v, err := decodeSlot(page[off : off+sf.slotSize])
-				if err != nil || len(k) == 0 {
-					continue // freed, torn, or never-written slot
-				}
-				if ts > maxSeq {
-					maxSeq = ts
-				}
-				size := int32(slotHeaderSize + len(k) + len(v))
-				loc := Location{
-					Class: int8(c), Page: uint32(p), Slot: uint16(s),
-					Seq: ts, Size: size, Tombstone: tomb,
-				}
-				// Newest sequence wins. Two slots hold one sequence of a
-				// key only while a split or hot-zone eviction has copied
-				// it and not yet freed the old zone: the same object.
-				cur, ok := m.index.Get(k)
-				if !ok || cur.Seq < ts {
-					m.index.Set(bytes.Clone(k), loc)
-				}
-			}
-		}
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 
 	// Pass 2: assign pages to zones and rebuild accounting. Each page joins
@@ -95,12 +53,9 @@ func Recover(cfg Config) (*Manager, uint64, error) {
 	// written by the hot zone, or the freshly estimated zone grid cuts it in
 	// two. Such a zone is marked: demoting or splitting it frees its pages
 	// wholesale, so it must collect its objects by zone id over the whole
-	// index, not over its range. Superseded slots become reusable free slots.
-	type pageKey struct {
-		c    int
-		page uint32
-	}
-	pageZone := make(map[pageKey]*Zone)
+	// index, not over its range.
+	pageZone := make(map[slot.Addr]*Zone)
+	live := make(map[slot.Addr]bool)
 	var refs []locRef
 	m.index.Ascend(nil, nil, func(k []byte, loc Location) bool {
 		refs = append(refs, locRef{key: k, loc: loc})
@@ -108,7 +63,7 @@ func Recover(cfg Config) (*Manager, uint64, error) {
 	})
 	for _, r := range refs {
 		loc := r.loc
-		pk := pageKey{int(loc.Class), loc.Page}
+		pk := slot.Addr{Class: loc.Class, Page: loc.Page}
 		z, ok := pageZone[pk]
 		if !ok {
 			z = m.rangeZone(r.key)
@@ -116,34 +71,30 @@ func Recover(cfg Config) (*Manager, uint64, error) {
 		} else if !z.contains(Key64(r.key)) {
 			z.strays = true
 		}
-		if z.pages[pk.c] == nil {
-			z.pages[pk.c] = make(map[uint32]struct{})
+		if z.pages[pk.Class] == nil {
+			z.pages[pk.Class] = make(map[uint32]struct{})
 		}
-		z.pages[pk.c][loc.Page] = struct{}{}
+		z.pages[pk.Class][loc.Page] = struct{}{}
 		loc.ZoneID = z.id
 		m.index.Set(r.key, loc)
 		z.objects++
 		z.bytes += int64(loc.Size)
-		sf := m.slotFiles[loc.Class]
-		sf.objects++
-		sf.bytes += int64(loc.Size)
+		m.storedObjects++
+		m.storedBytes += int64(loc.Size)
+		live[loc.Addr] = true
 	}
 
-	// Pass 3: free slots for every (page, slot) not referenced by the index.
-	live := make(map[pageKey]map[uint16]bool)
-	m.index.Ascend(nil, nil, func(k []byte, loc Location) bool {
-		pk := pageKey{int(loc.Class), loc.Page}
-		if live[pk] == nil {
-			live[pk] = make(map[uint16]bool)
+	// Pass 3: every slot of a zone's page that the index does not name —
+	// superseded, erased or never written — is free. Slots are released in
+	// scan order, so two recoveries of one device place later writes alike.
+	for _, pk := range scanned {
+		z, ok := pageZone[pk]
+		if !ok {
+			continue
 		}
-		live[pk][loc.Slot] = true
-		return true
-	})
-	for pk, z := range pageZone {
-		sf := m.slotFiles[pk.c]
-		for s := 0; s < sf.slotsPerPage; s++ {
-			if !live[pk][uint16(s)] {
-				z.releaseSlot(pk.c, slotRef{page: pk.page, slot: uint16(s)})
+		for s := uint16(0); int(s) < m.files[pk.Class].SlotsPerPage(); s++ {
+			if a := (slot.Addr{Class: pk.Class, Page: pk.Page, Slot: s}); !live[a] {
+				z.releaseSlot(a)
 			}
 		}
 	}

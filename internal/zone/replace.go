@@ -6,25 +6,25 @@ import (
 	"slices"
 
 	"hyperdb/internal/device"
+	"hyperdb/internal/slot"
 	"hyperdb/internal/stats"
 )
 
-// staged is an object a re-placement has read and not yet written; key and
-// value are views into a page readObjects fetched.
+// staged is an object a re-placement has read and not yet written; the
+// record's key and value are views into a page readObjects fetched.
 type staged struct {
-	ref  locRef
-	tomb bool
-	k, v []byte
+	ref locRef
+	rec slot.Record
 }
 
 // placement is a staged object's new slot.
 type placement struct {
 	obj  *staged
 	zone *Zone
-	slot slotRef
+	slot slot.Addr
 }
 
-func (p *placement) class() int { return int(p.obj.ref.loc.Class) }
+func (p *placement) class() int { return int(p.slot.Class) }
 
 // replace moves the objects of detached zone from that are still current
 // into the zones dest picks, each keeping its promotion label: the one loop
@@ -48,18 +48,18 @@ func (m *Manager) replace(from *Zone, refs []locRef, read, write *stats.Counter,
 		stage, size, limit = stage[:0], 0, room
 		return err
 	}
-	_, err := m.readObjects(refs, read, func(r locRef, tomb bool, k, v []byte, err error) error {
-		if err != nil || !bytes.Equal(k, r.key) {
+	_, err := m.readObjects(refs, read, func(r locRef, rec slot.Record, err error) error {
+		if err != nil || !bytes.Equal(rec.Key, r.key) {
 			return nil // superseded concurrently
 		}
-		slot := m.slotFiles[r.loc.Class].slotSize
-		if len(stage) > 0 && size+slot > limit {
+		n := m.files[r.loc.Class].SlotSize()
+		if len(stage) > 0 && size+n > limit {
 			if err := flush(); err != nil {
 				return err
 			}
 		}
-		stage = append(stage, staged{ref: r, tomb: tomb, k: k, v: v})
-		size += slot
+		stage = append(stage, staged{ref: r, rec: rec})
+		size += n
 		return nil
 	})
 	if err == nil && len(stage) > 0 {
@@ -81,7 +81,7 @@ func (m *Manager) placeLocked(from *Zone, stage []staged, buf []byte, ledger *st
 	defer func() {
 		if err != nil { // give back the slots no object reached
 			for _, p := range placed[moved:] {
-				p.zone.releaseSlot(p.class(), p.slot)
+				p.zone.releaseSlot(p.slot)
 			}
 		}
 	}()
@@ -105,17 +105,17 @@ func (m *Manager) placeLocked(from *Zone, stage []staged, buf []byte, ledger *st
 		return 0, room, nil
 	}
 	last := &placed[len(placed)-1]
-	if op, sf := last.zone.open[last.class()], m.slotFiles[last.class()]; op.inUse && op.page == last.slot.page {
-		room = (sf.slotsPerPage - int(op.next)) * sf.slotSize
+	if op, sf := last.zone.open[last.class()], m.files[last.class()]; op.inUse && op.page == last.slot.Page {
+		room = (sf.SlotsPerPage() - int(op.next)) * sf.SlotSize()
 	}
 
 	slices.SortFunc(placed, func(a, b placement) int {
-		return cmp.Or(cmp.Compare(a.class(), b.class()), cmp.Compare(a.slot.page, b.slot.page), cmp.Compare(a.slot.slot, b.slot.slot))
+		return cmp.Or(cmp.Compare(a.slot.Class, b.slot.Class), cmp.Compare(a.slot.Page, b.slot.Page), cmp.Compare(a.slot.Slot, b.slot.Slot))
 	})
 	for moved < len(placed) {
 		run := placed[moved:]
 		n := 1
-		for n < len(run) && run[n].class() == run[0].class() && run[n].slot.page == run[0].slot.page && run[n].slot.slot == run[n-1].slot.slot+1 {
+		for n < len(run) && run[n].slot.Class == run[0].slot.Class && run[n].slot.Page == run[0].slot.Page && run[n].slot.Slot == run[n-1].slot.Slot+1 {
 			n++
 		}
 		run = run[:n]
@@ -124,7 +124,7 @@ func (m *Manager) placeLocked(from *Zone, stage []staged, buf []byte, ledger *st
 		}
 		for _, p := range run {
 			o := p.obj
-			m.index.Set(o.ref.key, m.stored(p.zone, p.class(), p.slot, o.k, o.v, o.ref.loc.Seq, o.tomb, o.ref.loc.Promoted))
+			m.index.Set(o.ref.key, m.stored(p.zone, p.slot, o.rec.Key, o.rec.Value, o.ref.loc.Seq, o.rec.Tomb, o.ref.loc.Promoted))
 		}
 		moved += n
 	}
@@ -136,17 +136,17 @@ func (m *Manager) placeLocked(from *Zone, stage []staged, buf []byte, ledger *st
 // least a page. Caller holds mu.
 func (m *Manager) writeRun(run []placement, buf []byte, ledger *stats.Counter) error {
 	c, first := run[0].class(), run[0].slot
-	sf := m.slotFiles[c]
-	b := buf[:len(run)*sf.slotSize]
+	sf := m.files[c]
+	b := buf[:len(run)*sf.SlotSize()]
 	clear(b) // no byte of a slot's previous occupant may persist
 	for i, p := range run {
 		o := p.obj
-		encodeSlot(b[i*sf.slotSize:], o.ref.loc.Seq, o.tomb, o.k, o.v)
+		slot.Encode(b[i*sf.SlotSize():], o.ref.loc.Seq, o.rec.Tomb, o.rec.Key, o.rec.Value)
 	}
-	if err := sf.f.WriteAt(b, sf.slotOffset(first.page, first.slot), device.Bg); err != nil {
+	if err := sf.WriteRun(b, first.Page, first.Slot, device.Bg); err != nil {
 		return err
 	}
 	ledger.Add(uint64(m.cfg.Dev.WriteCharge(int64(len(b)))))
-	m.invalidateCache(c, first.page)
+	m.invalidateCache(c, first.Page)
 	return nil
 }

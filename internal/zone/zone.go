@@ -1,3 +1,12 @@
+// Package zone implements the performance-tier data layout of §3.2: each
+// partition's NVMe share is a zone group; a zone stores objects of one
+// contiguous key range (ordered and non-overlapping between zones) in
+// size-classed slot files (internal/slot); the zone mapper tracks which
+// slot-file pages each zone owns; a per-partition hot zone holds
+// tracker-identified hot objects with no key-range restriction. Objects
+// smaller than a page update in place; resized objects relocate and erase the
+// old slot. Access is at page (block) granularity, matching the device model,
+// so the page-read amplification the paper analyses appears naturally.
 package zone
 
 import (
@@ -5,6 +14,7 @@ import (
 	"sync/atomic"
 
 	"hyperdb/internal/btree"
+	"hyperdb/internal/slot"
 )
 
 // Key64 maps a user key to its position in the 64-bit prefix keyspace used
@@ -13,12 +23,6 @@ import (
 // intervals of this space; keys sharing an 8-byte prefix land in the same
 // zone, which only affects range-width estimation, not correctness.
 func Key64(k []byte) uint64 { return btree.Prefix(k) }
-
-// slotRef addresses one slot in a size class's file.
-type slotRef struct {
-	page uint32
-	slot uint16
-}
 
 // openPage is a partially filled page being appended to.
 type openPage struct {
@@ -42,7 +46,7 @@ type Zone struct {
 	// and freed slots available for reuse.
 	pages     []map[uint32]struct{} // per class
 	open      []openPage            // per class
-	freeSlots [][]slotRef           // per class
+	freeSlots [][]slot.Addr         // per class
 
 	objects int64
 	bytes   int64 // payload bytes stored (the demotion benefit)
@@ -54,9 +58,9 @@ type Zone struct {
 func newZone(id uint32, lo, hi uint64, hot bool) *Zone {
 	return &Zone{
 		id: id, lo: lo, hi: hi, hot: hot,
-		pages:     make([]map[uint32]struct{}, len(slotClasses)),
-		open:      make([]openPage, len(slotClasses)),
-		freeSlots: make([][]slotRef, len(slotClasses)),
+		pages:     make([]map[uint32]struct{}, len(slot.Classes)),
+		open:      make([]openPage, len(slot.Classes)),
+		freeSlots: make([][]slot.Addr, len(slot.Classes)),
 	}
 }
 
@@ -126,7 +130,7 @@ func (z *Zone) Score() float64 {
 
 // takeSlot returns a free slot for class c, reusing freed slots, then the
 // open page, then nil (caller must allocate a fresh page via addPage).
-func (z *Zone) takeSlot(c int, slotsPerPage int) (slotRef, bool) {
+func (z *Zone) takeSlot(c int, slotsPerPage int) (slot.Addr, bool) {
 	if n := len(z.freeSlots[c]); n > 0 {
 		s := z.freeSlots[c][n-1]
 		z.freeSlots[c] = z.freeSlots[c][:n-1]
@@ -134,28 +138,28 @@ func (z *Zone) takeSlot(c int, slotsPerPage int) (slotRef, bool) {
 	}
 	op := &z.open[c]
 	if op.inUse && int(op.next) < slotsPerPage {
-		s := slotRef{page: op.page, slot: op.next}
+		s := slot.Addr{Class: int8(c), Page: op.page, Slot: op.next}
 		op.next++
 		if int(op.next) >= slotsPerPage {
 			op.inUse = false
 		}
 		return s, true
 	}
-	return slotRef{}, false
+	return slot.Addr{}, false
 }
 
 // addPage registers a freshly allocated page as the class's open page and
 // returns its first slot.
-func (z *Zone) addPage(c int, page uint32, slotsPerPage int) slotRef {
+func (z *Zone) addPage(c int, page uint32, slotsPerPage int) slot.Addr {
 	if z.pages[c] == nil {
 		z.pages[c] = make(map[uint32]struct{})
 	}
 	z.pages[c][page] = struct{}{}
 	z.open[c] = openPage{page: page, next: 1, inUse: slotsPerPage > 1}
-	return slotRef{page: page, slot: 0}
+	return slot.Addr{Class: int8(c), Page: page}
 }
 
 // releaseSlot marks a slot reusable after its object moved or died.
-func (z *Zone) releaseSlot(c int, ref slotRef) {
-	z.freeSlots[c] = append(z.freeSlots[c], ref)
+func (z *Zone) releaseSlot(a slot.Addr) {
+	z.freeSlots[a.Class] = append(z.freeSlots[a.Class], a)
 }

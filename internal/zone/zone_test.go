@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -97,13 +96,13 @@ func TestResizeRelocatesAndErasesOldSlot(t *testing.T) {
 	if m.Stats().Relocations != 1 {
 		t.Fatalf("relocations = %d", m.Stats().Relocations)
 	}
-	sf := m.slotFiles[old.Class]
-	page, err := sf.readPage(old.Page, device.Fg)
+	sf := m.files[old.Class]
+	page, err := sf.ReadPage(old.Page, device.Fg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, tomb, k, _, err := sf.decodeSlotInPage(page, old.Slot); err != nil || tomb || len(k) != 0 {
-		t.Fatalf("the old slot holds key %x tombstone=%v (%v), want an erased record", k, tomb, err)
+	if r, err := sf.Decode(page, old.Slot); err != nil || r.Tomb || len(r.Key) != 0 {
+		t.Fatalf("the old slot holds key %x tombstone=%v (%v), want an erased record", r.Key, r.Tomb, err)
 	}
 	v, _, _, found, _ := m.Get(key, device.Fg)
 	if !found || len(v) != 400 {
@@ -511,25 +510,6 @@ func TestKey64(t *testing.T) {
 	}
 	if Key64(nil) != 0 {
 		t.Fatal("nil key should map to 0")
-	}
-}
-
-// TestSlotCRCMatchesStreamingHash pins the slot checksum to the formula every
-// slot already on a device was written with (a streaming IEEE hash fed the
-// 15 header bytes, then the payload), at every payload size a slot can hold:
-// a slot persisted before slotCRC stopped allocating a hash.Hash32 must
-// still decode.
-func TestSlotCRCMatchesStreamingHash(t *testing.T) {
-	buf := make([]byte, 4096)
-	rand.New(rand.NewSource(20)).Read(buf)
-	for n := 0; n <= len(buf)-slotHeaderSize; n++ {
-		kl := n % 9
-		h := crc32.NewIEEE()
-		h.Write(buf[:15])
-		h.Write(buf[slotHeaderSize : slotHeaderSize+n])
-		if got, want := slotCRC(buf, kl, n-kl), h.Sum32(); got != want {
-			t.Fatalf("payload %d: slotCRC %08x, streaming hash %08x", n, got, want)
-		}
 	}
 }
 
