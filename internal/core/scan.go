@@ -7,6 +7,7 @@ import (
 	"hyperdb/internal/device"
 	"hyperdb/internal/engine"
 	"hyperdb/internal/keys"
+	"hyperdb/internal/slot"
 	"hyperdb/internal/zone"
 )
 
@@ -60,18 +61,19 @@ func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
 // chunks of index refs, and every chunk repeats that order: refs first, then
 // a tree iterator opened at the chunk's start, which costs a block per level
 // and not one per table. A ref whose slot was freed in the meantime falls
-// back to a point lookup.
+// back to a point lookup. A slot page is read at most once (memo).
 func (db *DB) scanPartition(p *partition, lo []byte, limit int) ([]KV, error) {
 	type zref struct {
-		key []byte
+		key []byte // the index's own: copied only when emitted
 		loc zone.Location
 	}
+	memo := make(slot.Pages)
 	// readZone returns the live value behind a zone ref, if there is one.
 	readZone := func(r zref) (v []byte, ok bool, err error) {
 		if r.loc.Tombstone {
 			return nil, false, nil
 		}
-		v, err = p.zones.ReadAt(r.key, r.loc, device.Fg)
+		v, err = p.zones.ReadAt(r.key, r.loc, device.Fg, memo)
 		if errors.Is(err, zone.ErrMoved) {
 			v, ok, _, err = p.lookup(r.key)
 			return v, ok, err
@@ -85,7 +87,7 @@ func (db *DB) scanPartition(p *partition, lo []byte, limit int) ([]KV, error) {
 		want := limit - len(out)
 		zrefs = zrefs[:0]
 		p.zones.Scan(from, nil, func(k []byte, loc zone.Location) bool {
-			zrefs = append(zrefs, zref{key: bytes.Clone(k), loc: loc})
+			zrefs = append(zrefs, zref{key: k, loc: loc})
 			return len(zrefs) < want
 		})
 		// A full chunk means the zone tier may hold more keys behind it:
@@ -114,7 +116,7 @@ func (db *DB) scanPartition(p *partition, lo []byte, limit int) ([]KV, error) {
 				return nil, err
 			}
 			if ok {
-				out = append(out, KV{Key: zrefs[zi].key, Value: v})
+				out = append(out, KV{Key: bytes.Clone(zrefs[zi].key), Value: v})
 			}
 			zi++
 			if c == 0 {

@@ -238,3 +238,37 @@ func TestScanDuringDemotionReturnsEveryKey(t *testing.T) {
 		t.Fatal("nothing was demoted while the scans ran")
 	}
 }
+
+// TestScanReadsEachSlotPageOnce: a scan over zone-tier objects that share
+// one slot page pays one NVMe read for them all, and caches the objects, so
+// the scan repeated pays none. The keys it returns are the caller's: changing
+// one does not change the index.
+func TestScanReadsEachSlotPageOnce(t *testing.T) {
+	db := openCore(t, 64<<20, false)
+	const n = 16
+	for i := uint64(0); i < n; i++ {
+		if err := db.Put(k8(i), []byte(fmt.Sprintf("value-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func() (reads uint64) {
+		before := db.NVMe().Counters().ReadOps.Load()
+		kvs, err := db.Scan(nil, n)
+		if err != nil || len(kvs) != n {
+			t.Fatalf("scan: %d pairs, %v", len(kvs), err)
+		}
+		for i, kv := range kvs {
+			if !bytes.Equal(kv.Key, k8(uint64(i))) || string(kv.Value) != fmt.Sprintf("value-%02d", i) {
+				t.Fatalf("scan[%d] = %x=%q", i, kv.Key, kv.Value)
+			}
+			kv.Key[7] ^= 0xff
+		}
+		return db.NVMe().Counters().ReadOps.Load() - before
+	}
+	if r := scan(); r != 1 {
+		t.Fatalf("the first scan took %d NVMe reads; want 1", r)
+	}
+	if r := scan(); r != 0 {
+		t.Fatalf("the repeated scan took %d NVMe reads; want 0", r)
+	}
+}

@@ -4,9 +4,9 @@
 // fixed-size slot of a size-classed slot file, whose pages are device pages
 // divided into slots. The package owns the record codec, the class table,
 // the per-class file (page allocation, slot writes, page reads), the
-// named-version check every reader applies, the batch reader and the
-// recovery scan. Which page and slot an object goes to is the caller's
-// placement policy.
+// named-version check every reader applies, the fetch-once page set, the
+// batch reader and the recovery scan. Which page and slot an object goes to
+// is the caller's placement policy.
 package slot
 
 import (
@@ -240,24 +240,41 @@ func Open(dev *device.Device, prefix string) (Files, error) {
 	return fs, nil
 }
 
+// Pages is the pages of one store a reader has fetched, by class and page,
+// so that it reads each at most once. A nil Pages keeps none.
+type Pages map[Addr][]byte
+
+// Held returns the page holding slot a, if ps has it.
+func (ps Pages) Held(a Addr) ([]byte, bool) {
+	page, ok := ps[Addr{Class: a.Class, Page: a.Page}]
+	return page, ok
+}
+
+// Fetch reads the page holding slot a, one page read, and keeps it in ps.
+func (ps Pages) Fetch(fs Files, a Addr, op device.Op) ([]byte, error) {
+	page, err := fs[a.Class].ReadPage(a.Page, op)
+	if err == nil && ps != nil {
+		ps[Addr{Class: a.Class, Page: a.Page}] = page
+	}
+	return page, err
+}
+
 // ReadBatch reads the slots at(0) … at(n-1) name, fetching each distinct
 // page once as a background read however many of the slots sit on it, and
 // hands fn each decoded record — key and value are views into the page — or
 // the slot's decode error, in order. It stops at the first device error or
 // error fn returns. pages is the number of pages fetched.
 func (fs Files) ReadBatch(n int, at func(i int) Addr, fn func(i int, r Record, err error) error) (pages int, err error) {
-	fetched := make(map[Addr][]byte) // by the page's slot 0
+	fetched := make(Pages)
 	for i := 0; i < n; i++ {
 		a := at(i)
-		f, pa := fs[a.Class], Addr{Class: a.Class, Page: a.Page}
-		page, ok := fetched[pa]
+		page, ok := fetched.Held(a)
 		if !ok {
-			if page, err = f.ReadPage(a.Page, device.Bg); err != nil {
+			if page, err = fetched.Fetch(fs, a, device.Bg); err != nil {
 				return len(fetched), err
 			}
-			fetched[pa] = page
 		}
-		r, derr := f.Decode(page, a.Slot)
+		r, derr := fs[a.Class].Decode(page, a.Slot)
 		if err := fn(i, r, derr); err != nil {
 			return len(fetched), err
 		}

@@ -11,6 +11,7 @@ import (
 
 	"hyperdb/internal/cache"
 	"hyperdb/internal/device"
+	"hyperdb/internal/slot"
 )
 
 // loadFixture is a manager holding two neighbours on one slot page — n at
@@ -66,15 +67,16 @@ func (f *loadFixture) page(t *testing.T) []byte {
 
 // TestLoadRule drives the tier's one slot reader through every way a Location
 // goes stale, single-threaded: a Location is taken, the object is mutated,
-// the cache is left without the page, with the page as the device now has
-// it, or with the page as it was — and each reader must answer by the rule
-// (key and sequence match, or the slot is not the object) at an exact price
-// in device reads. ReadAt answers for the Location: its version or ErrMoved;
-// the ScanReader cases read as a scan does, the neighbour and then k, each
-// through ReadAt. Get answers for the key: the index's newest version, a
-// tombstone only for a deleted key, or no opinion once the key has left the
-// tier; the GetBatch cases read the neighbour and then k, each through Get.
-// Only Get heats the zone.
+// the scan's page memo is left without the page, with the page as the device
+// now has it, or with the page as it was — and each reader must answer by
+// the rule (key and sequence match, or the slot is not the object) at an
+// exact price in device reads. ReadAt answers for the Location: its version
+// or ErrMoved; the ScanReader cases read as a scan does, the neighbour and
+// then k, each through ReadAt and one memo. Get answers for the key: the
+// index's newest version, a tombstone only for a deleted key, or no opinion
+// once the key has left the tier; the GetBatch cases read the neighbour and
+// then k, each through Get. A point read has no memo, so the Get cases pay
+// the same whatever the memo holds. Only Get heats the zone.
 func TestLoadRule(t *testing.T) {
 	v2 := bytes.Repeat([]byte{2}, 20)   // same class as v1: updated in place
 	big := bytes.Repeat([]byte{3}, 200) // another class: relocated
@@ -82,9 +84,9 @@ func TestLoadRule(t *testing.T) {
 	mutations := []struct {
 		name   string
 		mutate func(t *testing.T, f *loadFixture)
-		// readAt is what loc0 resolves to when the cache does not hold the
+		// readAt is what loc0 resolves to when the memo does not hold the
 		// old page; get is what the key resolves to and getReads what a
-		// Get costs with the page cache cold.
+		// Get costs.
 		readAt   string
 		get      string
 		getSeq   uint64
@@ -123,7 +125,7 @@ func TestLoadRule(t *testing.T) {
 			}
 		}, moved, tomb, 3, 0},
 	}
-	// What the page cache holds for loc0's page when the read starts.
+	// What the scan's memo holds for loc0's page when the read starts.
 	const (
 		absent = iota
 		fresh  // the page as the device has it now
@@ -132,29 +134,46 @@ func TestLoadRule(t *testing.T) {
 	values := map[string][]byte{"v1": bytes.Repeat([]byte{1}, 20), "v2": v2, "big": big}
 
 	for _, mu := range mutations {
+		// setup builds the case up to the moment of the read and returns
+		// the memo a scan holds then and a device-read meter.
+		setup := func(t *testing.T, state int) (*loadFixture, slot.Pages, func() uint64) {
+			f := newLoadFixture(t)
+			mu.mutate(t, f)
+			memo := make(slot.Pages)
+			switch at := (slot.Addr{Class: f.loc0.Class, Page: f.loc0.Page}); state {
+			case fresh:
+				memo[at] = f.page(t)
+			case stale:
+				memo[at] = f.p0
+			}
+			before := f.dev.Counters().ReadOps.Load()
+			return f, memo, func() uint64 { return f.dev.Counters().ReadOps.Load() - before }
+		}
+		// Get answers for the key. It pays for the page the index names now:
+		// loc0's page unless the object relocated. A point read is handed no
+		// memo, so what a scan's memo holds does not change its price.
+		checkKey := func(t *testing.T, r GetResult, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := GetResult{Value: values[mu.get], Seq: mu.getSeq, Tombstone: mu.get == tomb, Found: mu.get != none}
+			if !bytes.Equal(r.Value, want.Value) || r.Seq != want.Seq || r.Tombstone != want.Tombstone || r.Found != want.Found {
+				t.Fatalf("got %+v, want %+v", r, want)
+			}
+		}
+		heat := func(f *loadFixture) (n uint64) {
+			for _, z := range f.m.zoneByID {
+				n += uint64(z.ReadIOs())
+			}
+			return n
+		}
 		for state, stateName := range []string{"absent", "fresh", "stale"} {
 			name := mu.name + ", page " + stateName + ": "
-			// setup builds the case up to the moment of the read and returns
-			// a device-read meter.
-			setup := func(t *testing.T) (*loadFixture, func() uint64) {
-				f := newLoadFixture(t)
-				mu.mutate(t, f)
-				ck := f.m.cacheKey(int(f.loc0.Class), f.loc0.Page)
-				switch state {
-				case absent:
-					f.m.cfg.Cache.Delete(ck)
-				case fresh:
-					f.m.cfg.Cache.Put(ck, f.page(t))
-				case stale:
-					f.m.cfg.Cache.Put(ck, f.p0)
-				}
-				before := f.dev.Counters().ReadOps.Load()
-				return f, func() uint64 { return f.dev.Counters().ReadOps.Load() - before }
-			}
-			// A page that still shows loc0's version — cached before the
+			// A page that still shows loc0's version — fetched before the
 			// mutation, or never mutated — serves it without the device; any
 			// other page costs exactly one device read. held is what the
-			// cache holds for loc0's page when k is read.
+			// memo holds for loc0's page when k is read.
 			checkLoc := func(t *testing.T, held int, got []byte, err error, reads uint64) {
 				t.Helper()
 				switch {
@@ -173,8 +192,8 @@ func TestLoadRule(t *testing.T) {
 				}
 			}
 			t.Run(name+"ReadAt", func(t *testing.T) {
-				f, reads := setup(t)
-				got, err := f.m.ReadAt(f.k, f.loc0, device.Fg)
+				f, memo, reads := setup(t, state)
+				got, err := f.m.ReadAt(f.k, f.loc0, device.Fg, memo)
 				checkLoc(t, state, got, err, reads())
 				if z := f.m.zoneByID[f.loc0.ZoneID]; z != nil && z.ReadIOs() != 0 {
 					t.Fatalf("a scan read heated the zone: readIOs %d", z.ReadIOs())
@@ -182,12 +201,12 @@ func TestLoadRule(t *testing.T) {
 			})
 			t.Run(name+"ScanReader", func(t *testing.T) {
 				// A scan reads its refs through ReadAt in key order, so the
-				// neighbour goes first, and the page it fetches is cached
-				// whole: k is then read as if its page had been in the cache
-				// as the device has it now.
-				f, reads := setup(t)
+				// neighbour goes first, and the page it fetches stays in the
+				// memo: k is then read as if the memo had held its page as the
+				// device has it now.
+				f, memo, reads := setup(t, state)
 				demoted := mu.get == none
-				nv, err := f.m.ReadAt(f.n, f.nloc, device.Fg)
+				nv, err := f.m.ReadAt(f.n, f.nloc, device.Fg, memo)
 				nReads := reads()
 				switch {
 				case state == stale || state == fresh && !demoted:
@@ -207,7 +226,7 @@ func TestLoadRule(t *testing.T) {
 				if held == absent {
 					held = fresh
 				}
-				got, err := f.m.ReadAt(f.k, f.loc0, device.Fg)
+				got, err := f.m.ReadAt(f.k, f.loc0, device.Fg, memo)
 				checkLoc(t, held, got, err, reads()-nReads)
 				for _, z := range f.m.zoneByID {
 					if z.ReadIOs() != 0 {
@@ -215,46 +234,19 @@ func TestLoadRule(t *testing.T) {
 					}
 				}
 			})
-
-			// Get answers for the key. It pays for the page the index names
-			// now: loc0's page unless the object relocated, and that page is
-			// in the cache only if this case put its current image there.
-			wantReads := mu.getReads
-			if state == fresh && (mu.get == "v1" || mu.get == "v2") {
-				wantReads = 0
-			}
-			if state == stale && mu.get == "v1" {
-				wantReads = 0
-			}
-			checkKey := func(t *testing.T, r GetResult, err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := GetResult{Value: values[mu.get], Seq: mu.getSeq, Tombstone: mu.get == tomb, Found: mu.get != none}
-				if !bytes.Equal(r.Value, want.Value) || r.Seq != want.Seq || r.Tombstone != want.Tombstone || r.Found != want.Found {
-					t.Fatalf("got %+v, want %+v", r, want)
-				}
-			}
-			heat := func(f *loadFixture) (n uint64) {
-				for _, z := range f.m.zoneByID {
-					n += uint64(z.ReadIOs())
-				}
-				return n
-			}
 			t.Run(name+"Get", func(t *testing.T) {
-				f, reads := setup(t)
+				f, _, reads := setup(t, state)
 				v, seq, tombstone, found, err := f.m.Get(f.k, device.Fg)
 				checkKey(t, GetResult{v, seq, tombstone, found}, err)
-				if got := reads(); got != wantReads || heat(f) != wantReads {
-					t.Fatalf("%d device reads, readIOs %d; want %d of each", got, heat(f), wantReads)
+				if got := reads(); got != mu.getReads || heat(f) != mu.getReads {
+					t.Fatalf("%d device reads, readIOs %d; want %d of each", got, heat(f), mu.getReads)
 				}
 			})
 			t.Run(name+"GetBatch", func(t *testing.T) {
 				// A batch of the neighbour and k is a Get of each in turn. A
 				// point read caches its object, not the page, so k pays as a
 				// Get does.
-				f, reads := setup(t)
+				f, _, reads := setup(t, state)
 				nv, _, _, nfound, err := f.m.Get(f.n, device.Fg)
 				if err != nil {
 					t.Fatal(err)
@@ -264,10 +256,9 @@ func TestLoadRule(t *testing.T) {
 				if mu.get != none && (!nfound || !bytes.Equal(nv, f.v1)) {
 					t.Fatalf("neighbour: %q found=%v", nv, nfound)
 				}
-				// The neighbour costs a read only when the cache has no page
-				// for it and it is still in the tier.
-				want := wantReads
-				if state == absent && mu.get != none {
+				// The neighbour costs a read while it is still in the tier.
+				want := mu.getReads
+				if mu.get != none {
 					want++
 				}
 				if got := reads(); got != want || heat(f) != want {
@@ -308,6 +299,50 @@ func TestLoadRule(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestScanReadsEachPageOnce: a scan whose objects share one slot page pays
+// one device read for all of them, through its memo, and caches each object
+// it read — never the page — so the same scan repeated with a fresh memo
+// pays none.
+func TestScanReadsEachPageOnce(t *testing.T) {
+	dev := device.New(device.UnthrottledProfile("nvme", 0))
+	c := cache.NewLRU(1<<20, nil)
+	m := openMgr(t, Config{Dev: dev, BatchSize: 64 << 10, Cache: c})
+	value := bytes.Repeat([]byte{5}, 20)
+	const n = 16 // all in one 64-byte-slot page
+	for i := uint64(0); i < n; i++ {
+		if err := putOne(m, k8(1<<40|i), value, i+1, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func() (reads uint64) {
+		var refs []locRef
+		m.Scan(nil, nil, func(k []byte, loc Location) bool {
+			refs = append(refs, locRef{k, loc})
+			return true
+		})
+		if len(refs) != n || refs[0].loc.Page != refs[n-1].loc.Page || refs[0].loc.Class != refs[n-1].loc.Class {
+			t.Fatalf("fixture: %d refs from %+v to %+v; want %d on one page", len(refs), refs[0].loc, refs[len(refs)-1].loc, n)
+		}
+		memo := make(slot.Pages)
+		before := dev.Counters().ReadOps.Load()
+		for _, r := range refs {
+			if v, err := m.ReadAt(r.key, r.loc, device.Fg, memo); err != nil || !bytes.Equal(v, value) {
+				t.Fatalf("%x: %q, %v", r.key, v, err)
+			}
+		}
+		return dev.Counters().ReadOps.Load() - before
+	}
+	if r := scan(); r != 1 {
+		t.Fatalf("the first scan took %d device reads; want 1", r)
+	}
+	if r := scan(); r != 0 {
+		t.Fatalf("the repeated scan took %d device reads; want 0", r)
+	}
+	if u := c.Usage(); u.Objects != n || u.Entries != u.Objects {
+		t.Fatalf("the cache holds %d entries, %d of them objects; want the %d objects only", u.Entries, u.Objects, n)
 	}
 }
 
@@ -362,16 +397,21 @@ func TestReadersNeverLoseALiveKey(t *testing.T) {
 		return get()
 	})
 	go reader(func() ([]byte, bool, bool, error) {
-		var loc Location
-		found := false
+		// A scan of the key and its neighbour that reads the neighbour
+		// first, so the key's page may be in the memo from before a rewrite.
+		var refs []locRef
 		m.Scan(key, nil, func(k []byte, l Location) bool {
-			loc, found = l, bytes.Equal(k, key)
-			return false
+			refs = append(refs, locRef{k, l})
+			return len(refs) < 2
 		})
-		if !found || loc.Tombstone {
-			return nil, found, loc.Tombstone, nil
+		if len(refs) != 2 || !bytes.Equal(refs[0].key, key) || refs[0].loc.Tombstone {
+			return nil, false, len(refs) > 0 && refs[0].loc.Tombstone, nil
 		}
-		v, err := m.ReadAt(key, loc, device.Fg)
+		memo := make(slot.Pages)
+		if _, err := m.ReadAt(refs[1].key, refs[1].loc, device.Fg, memo); err != nil {
+			return nil, false, false, err
+		}
+		v, err := m.ReadAt(key, refs[0].loc, device.Fg, memo)
 		if errors.Is(err, ErrMoved) {
 			return get()
 		}
@@ -391,11 +431,13 @@ func TestReadersNeverLoseALiveKey(t *testing.T) {
 
 // TestObjectCacheNeverServesStale: one writer walks 8 keys through versions
 // that describe themselves — updates in place, resizes, now and then a delete
-// — while the movers demote, split and rebuild the zones under it and four
-// readers poll. Whatever a Get finds must be a version the index held at some
-// point during the call, carrying that version's bytes, and a reader never
-// sees a key go back in time. A key the movers have demoted is simply not
-// found until it is written again.
+// — while the movers demote, split and rebuild the zones under it, four
+// readers poll with Get and a fifth scans: Scan, then ReadAt of every
+// Location through one memo per scan. Whatever a reader finds must be a
+// version the index held at some point during the call, carrying that
+// version's bytes, and a reader never sees a key go back in time. A key the
+// movers have demoted is simply not found until it is written again; a
+// Location that moved is ErrMoved to the scan.
 func TestObjectCacheNeverServesStale(t *testing.T) {
 	const nKeys = 8
 	dev := device.New(device.UnthrottledProfile("nvme", 0))
@@ -452,6 +494,51 @@ func TestObjectCacheNeverServesStale(t *testing.T) {
 			}
 		}(r)
 	}
+	wg.Add(1)
+	go func() { // the scan reader
+		defer wg.Done()
+		var seen [nKeys]uint64
+		for !stop.Load() {
+			var lo [nKeys]uint64
+			for k := range lo {
+				lo[k] = done[k].Load()
+			}
+			var refs []locRef
+			m.Scan(nil, nil, func(k []byte, loc Location) bool {
+				refs = append(refs, locRef{k, loc})
+				return true
+			})
+			memo := make(slot.Pages)
+			vals := make([][]byte, len(refs))
+			for i, r := range refs {
+				if r.loc.Tombstone {
+					continue
+				}
+				v, err := m.ReadAt(r.key, r.loc, device.Fg, memo)
+				switch {
+				case errors.Is(err, ErrMoved):
+					refs[i].loc.Seq = 0 // says nothing about the key
+				case err != nil:
+					fail("scan reader, %x: %v", r.key, err)
+				default:
+					vals[i] = v
+				}
+			}
+			for i, r := range refs {
+				k := int(binary.BigEndian.Uint64(r.key)>>40) - 1
+				seq, hi := r.loc.Seq, started[k].Load()
+				switch {
+				case seq == 0:
+				case seq < lo[k] || seq > hi || seq < seen[k]:
+					fail("scan reader, key %d: got version %d; the index held %d to %d during the scan and this reader had seen %d", k, seq, lo[k], hi, seen[k])
+				case r.loc.Tombstone != deleted(seq) || !r.loc.Tombstone && !bytes.Equal(vals[i], value(k, seq)):
+					fail("scan reader, key %d: version %d (tombstone %v) came with %d bytes of another version: %x", k, seq, r.loc.Tombstone, len(vals[i]), vals[i])
+				default:
+					seen[k] = seq
+				}
+			}
+		}
+	}()
 	wg.Add(1)
 	go func() { // the movers
 		defer wg.Done()

@@ -47,8 +47,8 @@ type Config struct {
 	BatchSize int64
 	// HotCapacity caps the hot zone's payload bytes before eviction.
 	HotCapacity int64
-	// Cache, if set, is the engine's DRAM cache: point reads cache the
-	// object they fetched, scans the slot pages they walked.
+	// Cache, if set, is the engine's DRAM cache: every read caches the
+	// object it fetched, never its slot page.
 	Cache *cache.LRU
 }
 
@@ -311,7 +311,6 @@ func (m *Manager) writeObject(z *Zone, c int, k, v []byte, seq uint64, tombstone
 	if bg != nil {
 		bg.Add(uint64(m.cfg.Dev.WriteCharge(int64(sf.SlotSize()))))
 	}
-	m.invalidateCache(c, a.Page)
 	return m.stored(z, a, k, v, seq, tombstone, promoted), nil
 }
 
@@ -328,36 +327,18 @@ func (m *Manager) dropLocation(loc Location) {
 	m.storedBytes -= int64(loc.Size)
 }
 
-// cacheKey builds the page-cache key without fmt (it sits on every Get). The
-// leading 'Z' plus binary layout keeps zone keys disjoint from the printable
-// keys other cache users build.
-func (m *Manager) cacheKey(c int, page uint32) string {
-	var b [10]byte
-	b[0] = 'Z'
-	binary.LittleEndian.PutUint32(b[1:], uint32(m.cfg.Partition))
-	b[5] = byte(c)
-	binary.LittleEndian.PutUint32(b[6:], page)
-	return string(b[:])
-}
-
-func (m *Manager) invalidateCache(c int, page uint32) {
-	if m.cfg.Cache != nil {
-		m.cfg.Cache.Delete(m.cacheKey(c, page))
-	}
-}
-
 // objectKeyBuf holds the cache key of an object with a user key of up to 27
 // bytes — with which the key, converted in place for a call that does not
 // keep it, never reaches the heap.
 type objectKeyBuf [32]byte
 
 // objectKey builds key's name in the cache in buf: 'V', disjoint from the
-// page keys' 'Z', the partition, the user key. Objects are cached under the
-// rule that makes a stale entry unservable rather than wrong: an entry tagged
-// s holds exactly version s of its key — a reader fills it with bytes that
-// matched the index entry's key and sequence (load), a writer refreshes it
-// with the version it is writing — and it is served only to a reader whose
-// index entry names s.
+// capacity tier's printable block keys, the partition, the user key. Objects
+// are cached under the rule that makes a stale entry unservable rather than
+// wrong: an entry tagged s holds exactly version s of its key — a reader
+// fills it with bytes that matched the index entry's key and sequence
+// (load), a writer refreshes it with the version it is writing — and it is
+// served only to a reader whose index entry names s.
 func (m *Manager) objectKey(buf *objectKeyBuf, key []byte) []byte {
 	buf[0] = 'V'
 	binary.LittleEndian.PutUint32(buf[1:], uint32(m.cfg.Partition))
@@ -404,7 +385,6 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot bool) error {
 			if err := m.files[c].Write(old.Page, old.Slot, seq, false, key, value, device.Fg); err != nil {
 				return err
 			}
-			m.invalidateCache(c, old.Page)
 			size := int32(need)
 			oldZone.bytes += int64(size) - int64(old.Size)
 			m.storedBytes += int64(size) - int64(old.Size)
@@ -435,7 +415,6 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot bool) error {
 			if err := m.files[old.Class].Erase(old.Page, old.Slot, device.Fg); err != nil {
 				return err
 			}
-			m.invalidateCache(int(old.Class), old.Page)
 			m.dropLocation(old)
 			m.relocations.Inc()
 		}
@@ -475,7 +454,6 @@ func (m *Manager) deleteLocked(key []byte, seq uint64) error {
 			if err := m.files[old.Class].Write(old.Page, old.Slot, seq, true, key, nil, device.Fg); err != nil {
 				return err
 			}
-			m.invalidateCache(int(old.Class), old.Page)
 			size := int32(slot.HeaderSize + len(key))
 			z.bytes += int64(size) - int64(old.Size)
 			m.storedBytes += int64(size) - int64(old.Size)
@@ -534,7 +512,7 @@ func (m *Manager) get(key []byte, op device.Op) (GetResult, error) {
 		if loc.Tombstone {
 			return GetResult{Seq: loc.Seq, Tombstone: true, Found: true}, nil
 		}
-		v, dev, err := m.load(key, loc, op, true)
+		v, dev, err := m.load(key, loc, op, nil)
 		if pinned {
 			m.mu.RUnlock()
 		}
@@ -573,20 +551,19 @@ var ErrMoved = errors.New("zone: object moved")
 // load returns a copy of the value of the object loc names — key at sequence
 // loc.Seq, not a tombstone — or ErrMoved when that version is not at loc any
 // more. It is the tier's one reader of slots and looks in a fixed order: the
-// cached object, the cached page, the device. A page fetched for a point read
-// is not cached: the object it was read for is, tagged loc.Seq, at a
-// twentieth of the price. A scan walks neighbours, so its pages are cached
-// whole.
+// cached object, the page in memo — the pages a scan has fetched, nil for a
+// point read — and the device. It caches the object, tagged loc.Seq, and
+// never the page, which would crowd out blocks the capacity tier needs.
 //
 // A slot is the object the index named iff key and sequence both match
-// (slot.File.Named). A cached page that disagrees is stale — a writer reached the slot
-// after the page was copied — so the device is read. A page fresh from the
-// device that disagrees means loc is stale, and only the index knows where
-// the newest version is now.
+// (slot.File.Named). A page in memo that disagrees is stale — a writer
+// reached the slot after the page was fetched — so the device is read. A
+// page fresh from the device that disagrees means loc is stale, and only the
+// index knows where the newest version is now.
 //
-// load takes no lock: the cache has its own, and a slot file is only read.
-// dev reports a device read.
-func (m *Manager) load(key []byte, loc Location, op device.Op, point bool) (value []byte, dev bool, err error) {
+// load takes no lock: the cache has its own, a slot file is only read, and a
+// memo is one scan's. dev reports a device read.
+func (m *Manager) load(key []byte, loc Location, op device.Op, memo slot.Pages) (value []byte, dev bool, err error) {
 	c := m.cfg.Cache
 	var kb objectKeyBuf
 	var object string // key's name in the cache; on the stack, like kb
@@ -597,29 +574,26 @@ func (m *Manager) load(key []byte, loc Location, op device.Op, point bool) (valu
 		}
 	}
 	sf := m.files[loc.Class]
-	if c != nil {
-		if page, ok := c.Get(m.cacheKey(int(loc.Class), loc.Page)); ok {
-			if v, ok := sf.Named(page, loc.Slot, key, loc.Seq); ok {
-				return bytes.Clone(v), false, nil
-			}
-		}
+	var v []byte
+	ok := false
+	if page, held := memo.Held(loc.Addr); held {
+		v, ok = sf.Named(page, loc.Slot, key, loc.Seq)
 	}
-	page, err := sf.ReadPage(loc.Page, op)
-	if err != nil {
-		return nil, false, err
-	}
-	if c != nil && !point {
-		c.Put(m.cacheKey(int(loc.Class), loc.Page), page)
-	}
-	v, ok := sf.Named(page, loc.Slot, key, loc.Seq)
 	if !ok {
-		return nil, true, ErrMoved // bare: formatting key in would make every caller's key escape
+		page, err := memo.Fetch(m.files, loc.Addr, op)
+		if err != nil {
+			return nil, false, err
+		}
+		if v, ok = sf.Named(page, loc.Slot, key, loc.Seq); !ok {
+			return nil, true, ErrMoved // bare: formatting key in would make every caller's key escape
+		}
+		dev = true
 	}
 	v = bytes.Clone(v)
-	if c != nil && point {
+	if c != nil {
 		c.PutObject(object, loc.Seq, v)
 	}
-	return v, true, nil
+	return v, dev, nil
 }
 
 // Promote inserts a capacity-tier object into the hot zone with the
@@ -659,17 +633,17 @@ func (m *Manager) Promote(key, value []byte, seq, after uint64) error {
 }
 
 // Scan visits index entries with lo <= key < hi in order. fn must not call
-// back into the manager.
+// back into the manager. The key fn gets is the index's own and immutable.
 func (m *Manager) Scan(lo, hi []byte, fn func(key []byte, loc Location) bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	m.index.Ascend(lo, hi, fn)
 }
 
-// ReadAt fetches the object at loc (used by scans after collecting
-// locations), or ErrMoved when loc is stale.
-func (m *Manager) ReadAt(key []byte, loc Location, op device.Op) ([]byte, error) {
-	v, _, err := m.load(key, loc, op, false)
+// ReadAt fetches the object at loc for a scan, through the scan's own memo,
+// or ErrMoved when loc is stale.
+func (m *Manager) ReadAt(key []byte, loc Location, op device.Op, memo slot.Pages) ([]byte, error) {
+	v, _, err := m.load(key, loc, op, memo)
 	return v, err
 }
 

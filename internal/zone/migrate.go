@@ -156,7 +156,6 @@ func (m *Manager) freeZoneLocked(z *Zone) {
 		}
 		slices.Sort(pages)
 		for _, p := range pages {
-			m.invalidateCache(c, p)
 			m.files[c].FreePage(p)
 		}
 	}

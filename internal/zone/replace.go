@@ -147,6 +147,5 @@ func (m *Manager) writeRun(run []placement, buf []byte, ledger *stats.Counter) e
 		return err
 	}
 	ledger.Add(uint64(m.cfg.Dev.WriteCharge(int64(len(b)))))
-	m.invalidateCache(c, first.Page)
 	return nil
 }

@@ -50,8 +50,8 @@ type Zone struct {
 
 	objects int64
 	bytes   int64 // payload bytes stored (the demotion benefit)
-	// readIOs is atomic: Get bumps it after a cache miss without re-taking
-	// the manager lock, keeping the read path lock-free past the index lookup.
+	// readIOs is atomic: Get bumps it after a device read holding only the
+	// manager's read lock (Manager.heat), which readers share.
 	readIOs atomic.Int64 // foreground page reads since the last migration
 }
 
