@@ -26,7 +26,7 @@ type counterConfig struct {
 
 // runCounterWorkload is the VSA-style counter A/B: a served instance takes
 // `ops` hot-key increments from `clients` connections (each `inflight`
-// deep), once with the drainer's delta folding and once without, and the
+// deep), once with the server's delta folding and once without, and the
 // table contrasts acked throughput, engine write entries, and
 // replication-log bytes. It is the interactive twin of BenchmarkMergeCounter
 // (merge_bench_test.go) — same workload shape, tunable from flags.

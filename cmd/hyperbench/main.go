@@ -9,7 +9,7 @@
 // fig2 fig3 fig6 fig8 fig9a fig9b fig9c fig10 fig11.
 //
 // -workload=counter bypasses the figure map and runs the served counter
-// A/B instead: hot-key INCRs through a wire server with the drainer's
+// A/B instead: hot-key INCRs through a wire server with its per-cycle
 // delta folding on vs off (see merge_bench_test.go for the recorded
 // benchmark form):
 //

@@ -58,7 +58,6 @@ func main() {
 		unthrottled = flag.Bool("unthrottled", false, "zero-latency devices (testing)")
 		maxConns    = flag.Int("max-conns", 256, "max concurrent connections")
 		maxInflight = flag.Int("max-inflight", 128, "per-connection pipelining window")
-		linger      = flag.Duration("coalesce-wait", 0, "optional drain linger for fatter batches")
 		maxScan     = flag.Int("max-scan", 4096, "cap on per-request scan limits")
 		quiet       = flag.Bool("quiet", false, "suppress connection logging")
 		role        = flag.String("role", "", "replication role: empty (standalone), primary, or follower")
@@ -130,7 +129,6 @@ func main() {
 		OwnDB:        true, // Shutdown drains background work and closes the DB
 		MaxConns:     *maxConns,
 		MaxInflight:  *maxInflight,
-		CoalesceWait: *linger,
 		MaxScanLimit: *maxScan,
 		ReadWait:     *readWait,
 		ConnRate:     *connRate,

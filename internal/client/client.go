@@ -2,8 +2,8 @@
 // multiplexes blocking calls from any number of goroutines over a small
 // pool of TCP connections; concurrent calls on one connection pipeline
 // naturally (each is tagged with a request id and matched to its response),
-// which is exactly the traffic shape the server's coalescing queue turns
-// into WriteBatch/MultiGet group commits. A connection has no goroutine of
+// which is exactly the traffic shape the server's per-connection cycles
+// turn into WriteBatch/MultiGet group commits. A connection has no goroutine of
 // its own: a lone call writes its request and reads its own response.
 package client
 

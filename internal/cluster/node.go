@@ -7,8 +7,8 @@ import (
 )
 
 // Node is one server's view of the cluster: the current map, its own group
-// index, and the set of slots it is mid-way through acquiring. The server
-// drainer consults it on every keyed op; the handoff drivers mutate it.
+// index, and the set of slots it is mid-way through acquiring. The server's
+// cycles consult it on every keyed op; the handoff drivers mutate it.
 //
 // Ownership answers are three-valued: a node owns a slot, is acquiring it
 // (a handoff into this node is in flight — park the request briefly, the

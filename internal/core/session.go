@@ -54,8 +54,8 @@ func (db *DB) advanceReadSeq(s uint64) {
 // elapses, or abort closes, and reports whether the position was reached.
 // Promotion is also observed: a follower promoted mid-wait re-evaluates
 // against its (now authoritative) allocation counter on the next advance or
-// timeout tick. Callers that must not block (the server's drainer) park a
-// goroutine on this instead.
+// timeout tick. Callers that must not block (a server connection's reader)
+// park a goroutine on this instead.
 func (db *DB) WaitReadable(min uint64, timeout time.Duration, abort <-chan struct{}) bool {
 	if db.ReadableSeq() >= min {
 		return true

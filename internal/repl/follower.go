@@ -52,7 +52,7 @@ type Follower struct {
 	// epoch is the upstream log's lineage ID from the last hello response
 	// (0 until first attach); applied is the stream position this Follower
 	// has applied through (0 means "unknown: fall back to CommitSeq").
-	// epoch is atomic because the serving drainer reads it concurrently to
+	// epoch is atomic because the server's cycles read it concurrently to
 	// stamp session replies while Run keeps replicating.
 	epoch   atomic.Uint64
 	applied uint64

@@ -9,11 +9,11 @@
 // in an ordering that makes losing an acked write impossible:
 //
 //  1. target applies the full snapshot, asks to flip (HANDOFF_FLIP)
-//  2. source installs the successor map — from this instant every cycle,
-//     drained or inline, bounces moved-slot ops with WRONG_SHARD instead of
+//  2. source installs the successor map — from this instant every cycle
+//     that starts bounces moved-slot ops with WRONG_SHARD instead of
 //     committing them
-//  3. source runs a drainer barrier: a drain cycle excludes every inline
-//     cycle and follows every earlier drain cycle, so when it closes, every
+//  3. source runs a barrier: it takes Server.cycles exclusive, which waits
+//     out every cycle holding it shared, so when the barrier passes every
 //     write acked under the old map has committed to the log
 //  4. flipSeq = log head ≥ every such write; WaitResolved(flipSeq) then a
 //     pre-closed-stop cursor drain ships the remaining filtered tail
@@ -54,14 +54,13 @@ const sweepPairs = 256
 
 // serveHandoffSource owns the source half of a migration on the reader
 // goroutine of the connection the target dialed. Like serveRepl it claims
-// the whole socket from the first frame: the writer goroutine is evicted
-// (detached) and the push stream becomes the socket's single writer.
+// the whole socket from the first frame, so the push stream is the
+// socket's single writer.
 func (c *conn) serveHandoffSource(f wire.Frame, first bool) {
 	srv := c.srv
 	refuse := func(msg string) {
 		srv.stats.BadRequests.Inc()
 		c.respondError(f.ID, f.Op, wire.StatusBadRequest, msg)
-		c.kill()
 	}
 	if srv.cfg.Cluster == nil || srv.cfg.Repl == nil {
 		refuse("cluster mode not enabled")
@@ -88,14 +87,10 @@ func (c *conn) serveHandoffSource(f wire.Frame, first bool) {
 			return
 		}
 	}
-	c.detached.Store(true)
-	c.kill()
-	<-c.wdone
 	srv.logf("conn %s: handoff source streaming %d slots to group %d", c.nc.RemoteAddr(), len(slots), targetGroup)
 	if err := srv.runHandoffSource(c, f.ID, targetGroup, slots); err != nil && !srv.closing.Load() {
 		srv.logf("conn %s: handoff source ended: %v", c.nc.RemoteAddr(), err)
 	}
-	c.nc.Close()
 }
 
 // runHandoffSource streams the moving range to the target and performs the
@@ -119,14 +114,15 @@ func (s *Server) runHandoffSource(c *conn, helloID uint64, targetGroup uint32, s
 	// cursor can never overrun mid-handoff.
 	snapSeq := rlog.PinHead()
 	defer rlog.Unpin(snapSeq)
-	err := writeHandoffFrame(c.bw, wire.Frame{
+	bw := bufio.NewWriterSize(c.nc, readBufSize)
+	err := writeHandoffFrame(bw, wire.Frame{
 		Op: wire.OpHandoffHello, Status: wire.StatusOK, ID: helloID,
 		Payload: wire.AppendHandoffHelloResp(nil, m.Version, snapSeq),
 	})
 	if err != nil {
 		return err
 	}
-	if err := s.cfg.Repl.StreamSnapshotChunks(c.bw, snapSeq, keep); err != nil {
+	if err := s.cfg.Repl.StreamSnapshotChunks(bw, snapSeq, keep); err != nil {
 		return err
 	}
 	cur, ok := rlog.Subscribe(snapSeq)
@@ -175,7 +171,7 @@ func (s *Server) runHandoffSource(c *conn, helloID uint64, targetGroup uint32, s
 			}
 			return err
 		}
-		if err := shipTail(c.bw, base, ops, keep); err != nil {
+		if err := shipTail(bw, base, ops, keep); err != nil {
 			return err
 		}
 	}
@@ -189,8 +185,9 @@ func (s *Server) runHandoffSource(c *conn, helloID uint64, targetGroup uint32, s
 	}
 
 	// Flip. Install first, so every later cycle is checked under the new
-	// map; the barrier then proves all old-map acked writes have committed,
-	// bounding them by the log head.
+	// map; the barrier then waits out every cycle that may have checked the
+	// old one, so all old-map acked writes have committed, bounded by the
+	// log head.
 	cm := n.Map()
 	for _, sl := range slots {
 		if cm.Slots[sl] != n.Self() {
@@ -204,9 +201,8 @@ func (s *Server) runHandoffSource(c *conn, helloID uint64, targetGroup uint32, s
 	if !n.Install(next) {
 		return errors.New("handoff: map version raced at flip")
 	}
-	barrier := make(chan struct{})
-	s.queue <- &request{barrier: barrier}
-	<-barrier
+	s.cycles.Lock()
+	s.cycles.Unlock()
 	flipSeq := rlog.Head()
 	if err := rlog.WaitResolved(flipSeq, s.stopWait); err != nil {
 		return err
@@ -224,12 +220,12 @@ func (s *Server) runHandoffSource(c *conn, helloID uint64, targetGroup uint32, s
 		if base > flipSeq {
 			break
 		}
-		if err := shipTail(c.bw, base, ops, keep); err != nil {
+		if err := shipTail(bw, base, ops, keep); err != nil {
 			return err
 		}
 	}
 	s.logf("handoff: flipped %d slots to group %d (map v%d, flip seq %d)", len(slots), targetGroup, next.Version, flipSeq)
-	return writeHandoffFrame(c.bw, wire.Frame{
+	return writeHandoffFrame(bw, wire.Frame{
 		Op: wire.OpHandoffFlip, Status: wire.StatusOK, ID: flipID,
 		Payload: next.Encode(nil),
 	})
@@ -237,8 +233,9 @@ func (s *Server) runHandoffSource(c *conn, helloID uint64, targetGroup uint32, s
 
 // runHandoffTarget answers an OpHandoff admin request: pull the named slots
 // from their current owner onto this node. It runs on its own goroutine
-// holding one in-flight slot; the reply releases it.
+// and cycle, holding one in-flight slot until its reply is written.
 func (s *Server) runHandoffTarget(r *request) {
+	defer r.c.write(r.cy)
 	nm, err := s.handoffTarget(r.slots)
 	if err != nil {
 		s.stats.HandoffsFailed.Inc()
@@ -278,7 +275,7 @@ func (s *Server) handoffTarget(slots []uint32) (*cluster.Map, error) {
 		return nil, err
 	}
 	// FinishAcquire installs the map and clears the acquiring marks; parked
-	// requests requeue and pass the ownership check on their next cycle.
+	// requests wake and pass the ownership check in their own cycles.
 	n.FinishAcquire(slots, nm)
 	return nm, nil
 }

@@ -57,7 +57,7 @@ func TestServeIncrNonCounter(t *testing.T) {
 
 func TestServeIncrConcurrentExactAndFolds(t *testing.T) {
 	env := newTestEnv(t, nil)
-	c := dialTest(t, env, 1) // one conn: every incr pipelines into the same drainer
+	c := dialTest(t, env, 1) // one conn: the incrs pipeline into its reader's cycles
 
 	const goroutines, each = 8, 200
 	var wg sync.WaitGroup

@@ -11,9 +11,9 @@ import (
 // check mints the tokens — so an idle connection costs nothing.
 //
 // Each connection gets its own bucket (Config.ConnRate), which is the
-// admission-control shape the drainer wants: one abusive tenant pipelining
+// admission-control shape the engine wants: one abusive tenant pipelining
 // as fast as the socket allows is clipped at its own bucket and cannot
-// monopolise the coalescing queue, while well-behaved connections never
+// monopolise the engine's batch path, while well-behaved connections never
 // notice the limiter.
 type tokenBucket struct {
 	mu     sync.Mutex

@@ -201,8 +201,9 @@ func TestReplStreamOpsRejectedAsRequests(t *testing.T) {
 
 // TestInlineMergesKeepFollowerInStep: many connections, one request at a
 // time each, increment and overwrite a few shared counters on a primary
-// whose follower tails its log. Lone INCRs are served inline, concurrently
-// with each other and with lone PUTs of the same keys, and the follower —
+// whose follower tails its log. Lone INCRs are one-request cycles, run
+// concurrently with each other and with lone PUTs of the same keys, and the
+// follower —
 // which replays the log by sequence — must still end with the primary's
 // values.
 func TestInlineMergesKeepFollowerInStep(t *testing.T) {
@@ -249,8 +250,8 @@ func TestInlineMergesKeepFollowerInStep(t *testing.T) {
 
 	st := prim.srv.Stats()
 	run(false)
-	if st.InlineCycles.Load() == 0 {
-		t.Fatalf("no INCR was served inline (%d queued cycles)", st.QueuedCycles.Load())
+	if d, r := st.Drains.Load(), st.DrainedRequests.Load(); d != r || d < conns*calls {
+		t.Fatalf("%d INCRs in %d cycles; want each of the %d lone INCRs a cycle of its own", r, d, conns*calls)
 	}
 	var total int64
 	for _, k := range keys {
@@ -279,7 +280,7 @@ func TestInlineMergesKeepFollowerInStep(t *testing.T) {
 			t.Errorf("%s: primary %x (%v), follower %x (%v)", k, pv, perr, fv, ferr)
 		}
 	}
-	t.Logf("%d inline, %d queued cycles", st.InlineCycles.Load(), st.QueuedCycles.Load())
+	t.Logf("%d requests in %d cycles", st.DrainedRequests.Load(), st.Drains.Load())
 	close(stop)
 	if err := <-runDone; err != nil {
 		t.Fatalf("follower run: %v", err)

@@ -1,23 +1,23 @@
 // Package server is hyperd's network front door: a TCP listener that
 // decodes wire-protocol frames and serves them from a HyperDB instance.
 //
-// A request takes one of two paths, chosen from what the server can see of
-// the connection's traffic. A lone request — nothing else of its connection
-// unanswered, nothing buffered behind it — is served where it was read: the
-// connection's reader goroutine runs the cycle and writes the reply itself,
-// concurrently with every other connection's lone requests. Anything
-// pipelined goes through the coalescing queue, whose one drainer goroutine
-// groups the writes of all connections into one DB.WriteBatch per drain
-// cycle and the point reads into one DB.MultiGet, so pipelined load rides
-// the engine's batch path. Both paths run the same Server.process.
+// Every request is served on the goroutine that read it. A connection is
+// one goroutine: it reads a frame, keeps reading while the next frame is
+// already whole in its read buffer (up to MaxInflight requests), runs what
+// it read as one cycle of Server.process — the writes grouped into one
+// DB.WriteBatch, the point reads into one DB.MultiGet — and answers the
+// cycle with one socket write. A lone request is a cycle of one; a
+// pipelined burst rides the engine's batch path. Connections run their
+// cycles concurrently, each holding Server.cycles shared; only the handoff
+// flip's barrier takes it exclusive.
 //
-// Concurrency layout: every connection owns a reader goroutine (decode →
-// serve inline or submit) and a writer goroutine (queued responses →
-// socket); one drainer goroutine owns the queue. Inline cycles hold
-// Server.cycles shared, drain cycles hold it exclusive. Per-connection
-// backpressure is an in-flight semaphore: a reader blocks once MaxInflight
-// of its requests are unanswered, which bounds the coalescing queue at
-// conns × MaxInflight entries.
+// A request that must wait — a gated read ahead of replication, an op for
+// a slot this node is acquiring, a handoff trigger — leaves the cycle for
+// a goroutine of its own, which runs the request's own one-request cycle
+// when the wait ends and writes its reply. Per-connection backpressure is
+// an in-flight semaphore: a request holds a slot from decode until its
+// reply is on the socket, and the reader stops reading once MaxInflight of
+// its requests are unanswered.
 package server
 
 import (
@@ -50,38 +50,35 @@ type Config struct {
 	// closed immediately. Default 256.
 	MaxConns int
 	// MaxInflight is the per-connection pipelining window: the number of
-	// submitted-but-unanswered requests a connection may hold before its
-	// reader stops consuming from the socket. Default 128.
+	// decoded-but-unanswered requests a connection may hold before its
+	// reader stops consuming from the socket, and so the most requests one
+	// cycle holds. Default 128.
 	MaxInflight int
 	// MaxFrame bounds accepted frame bodies. Default wire.MaxFrame.
 	MaxFrame uint32
-	// CoalesceWait, when positive, lets a drain cycle that found fewer
-	// than two requests wait once for more to arrive before hitting the
-	// engine. Zero (the default) drains whatever is immediately pending.
-	CoalesceWait time.Duration
 	// MaxScanLimit caps the limit a SCAN request may ask for. Default 4096.
 	MaxScanLimit int
 	// ReadWait bounds how long a gated read (one whose frame token is ahead
 	// of this node's applied position) may wait for replication to catch up
 	// before the server answers StatusNotReady.
-	// Waiting happens on a parked goroutine, never on the drainer. Default
-	// 100ms; negative refuses immediately.
+	// Waiting happens on a parked goroutine, never on the connection's
+	// reader. Default 100ms; negative refuses immediately.
 	ReadWait time.Duration
 	// ConnRate, when positive, rate-limits each connection to that many
 	// requests per second (token bucket, burst ConnBurst). Rejected requests
-	// answer StatusRateLimited without entering the coalescing queue.
+	// answer StatusRateLimited without entering a cycle.
 	// Replication handshakes are exempt. Zero disables limiting.
 	ConnRate float64
 	// ConnBurst is the token bucket's capacity when ConnRate is set.
 	// Zero defaults to max(1, ConnRate).
 	ConnBurst int
-	// NoMergeFold disables the drainer's same-key delta coalescing: every
-	// INCR submits its own batch entry. The A/B switch for the merge bench;
+	// NoMergeFold disables a cycle's same-key delta coalescing: every INCR
+	// submits its own batch entry. The A/B switch for the merge bench;
 	// production configurations leave it false.
 	NoMergeFold bool
 	// Repl, when non-nil, serves replication followers: a connection whose
-	// first frame is REPL_HELLO detaches from the request/response machinery
-	// and is handed to Repl.ServeConn for log shipping. Nil rejects the
+	// first frame is REPL_HELLO leaves the request/response machinery and
+	// is handed to Repl.ServeConn for log shipping. Nil rejects the
 	// handshake. A follower-mode node may also set it (with its own log as
 	// the engine tee) to serve downstream replicas after promotion.
 	Repl *repl.Primary
@@ -130,16 +127,13 @@ type Server struct {
 	cfg Config
 
 	ln    net.Listener
-	queue chan *request
 	stats Stats
 
-	// cycles orders inline cycles against drain cycles: a reader goroutine
-	// serving a lone request holds it shared (TryRLock — a running drain
-	// cycle or barrier sends the request to the queue instead), the drainer
-	// holds it exclusive. A drain cycle therefore starts only after every
-	// inline cycle that began before it has committed, which is what a
-	// handoff barrier proves when it closes. Inline writes need no lock of
-	// their own: the engine applies each key's writes in sequence order.
+	// cycles orders request cycles against the handoff flip: every cycle
+	// holds it shared, and the flip's barrier takes it exclusive once, so
+	// when the barrier passes every cycle that began before it has
+	// committed. Cycles need no lock against each other: the engine applies
+	// each key's writes in sequence order.
 	cycles sync.RWMutex
 
 	mu     sync.Mutex
@@ -149,38 +143,28 @@ type Server struct {
 	closing  atomic.Bool
 	acceptWG sync.WaitGroup
 	readerWG sync.WaitGroup
-	writerWG sync.WaitGroup
-	drainWG  sync.WaitGroup
 
-	// flushed is closed after the drainer exits, telling idle writers the
-	// last response they will ever receive has been enqueued.
-	flushed chan struct{}
-	// stopWait is closed at the start of shutdown to abort parked session
-	// reads: their waiters resolve (ready or NOT_READY) and release their
-	// in-flight slots, which is what lets readerWG.Wait complete.
+	// stopWait is closed at the start of shutdown to abort parked requests:
+	// each resolves (runs its cycle or answers NOT_READY) and releases its
+	// in-flight slot, which is what lets its connection's reader finish.
 	stopWait chan struct{}
 
 	shutdownOnce sync.Once
 	shutdownErr  error
 }
 
-// New builds a Server and starts its drainer. Call Serve to accept.
+// New builds a Server. Call Serve to accept.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:      cfg,
-		queue:    make(chan *request, queueDepth),
 		conns:    make(map[*conn]struct{}),
-		flushed:  make(chan struct{}),
 		stopWait: make(chan struct{}),
 	}
 	s.stats.ReplReadWait = stats.NewHistogram()
-	s.stats.InlineService = stats.NewHistogram()
-	s.stats.QueuedService = stats.NewHistogram()
-	s.drainWG.Add(1)
-	go s.drainLoop()
+	s.stats.Service = stats.NewHistogram()
 	return s, nil
 }
 
@@ -242,9 +226,7 @@ func (s *Server) startConn(nc net.Conn) {
 	s.stats.ConnsAccepted.Inc()
 	s.stats.connsActive.Add(1)
 	s.readerWG.Add(1)
-	s.writerWG.Add(1)
-	go c.readLoop()
-	go c.writeLoop()
+	go c.serve()
 }
 
 // removeConn drops c from the registry once its reader is done.
@@ -265,10 +247,9 @@ func (s *Server) logf(format string, args ...any) {
 func (s *Server) Stats() *Stats { return &s.stats }
 
 // Shutdown performs the graceful stop sequence: stop accepting, interrupt
-// connection readers (an inline cycle under way finishes and replies first;
-// pipelined requests already received stay in flight),
-// drain the coalescing queue so every in-flight request gets its response,
-// flush and close all connections, and — when the server owns the DB —
+// connection readers (a cycle under way finishes and replies first, and so
+// do the frames a reader had already received), answer every parked
+// request, close all connections, and — when the server owns the DB —
 // DrainBackground and Close the engine. Safe to call more than once and
 // from concurrent goroutines; every caller observes completion.
 func (s *Server) Shutdown() error {
@@ -279,10 +260,9 @@ func (s *Server) Shutdown() error {
 
 func (s *Server) shutdown() error {
 	s.closing.Store(true)
-	// Abort parked session reads first: each either requeues (and is
-	// answered by the drainer, which runs until the queue closes below) or
-	// replies NOT_READY itself; both release the in-flight slot that
-	// readerWG.Wait is about to wait on.
+	// Abort parked requests first: each runs its cycle or replies NOT_READY
+	// now, releasing the in-flight slot its connection's reader waits for
+	// before it closes the socket.
 	close(s.stopWait)
 	s.mu.Lock()
 	s.closed = true
@@ -297,24 +277,9 @@ func (s *Server) shutdown() error {
 	}
 	s.acceptWG.Wait()
 
-	// Readers exit after submitting every frame they had fully received;
-	// their deferred drain of the in-flight semaphore means readerWG.Wait
-	// also waits for the drainer to answer those requests.
+	// Each reader answers the frames it had fully received, waits for its
+	// parked requests' replies, closes its socket and leaves the registry.
 	s.readerWG.Wait()
-
-	// No submitters remain: close the queue, let the drainer finish the
-	// tail, then release writers that are idle.
-	close(s.queue)
-	s.drainWG.Wait()
-	close(s.flushed)
-	s.writerWG.Wait()
-
-	s.mu.Lock()
-	for c := range s.conns {
-		c.nc.Close()
-		delete(s.conns, c)
-	}
-	s.mu.Unlock()
 
 	if s.cfg.OwnDB {
 		if err := s.cfg.DB.DrainBackground(); err != nil {
@@ -328,20 +293,19 @@ func (s *Server) shutdown() error {
 	return nil
 }
 
-// request is one decoded, admitted client request, served inline or waiting
-// in the coalescing queue. Its byte slices alias the frame body
-// wire.ReadFrame allocated for it alone. Exactly one reply answers it.
+// request is one decoded, admitted client request. Its byte slices alias
+// the frame body wire.ReadFrame allocated for it alone. Exactly one reply
+// answers it.
 type request struct {
 	c  *conn
 	id uint64
 	op wire.Op
-	// start is when the frame was decoded; the service-time histograms
-	// measure from it.
+	// start is when the frame was decoded; the service-time histogram
+	// measures from it.
 	start time.Time
-	// inline is set while the request's reply belongs in its connection's
-	// inline buffer: the reader goroutine is running its cycle. A request
-	// that parks clears it and is answered through the writer.
-	inline bool
+	// cy is the cycle the request's reply joins: its connection reader's
+	// cycle, or — once it waits off the reader — a cycle of its own.
+	cy *cycle
 
 	key   []byte         // GET/DEL/SCAN start/INCR
 	value []byte         // PUT
@@ -360,60 +324,51 @@ type request struct {
 	// slots carries a HANDOFF request's migrating slot list.
 	slots []uint32
 
-	// barrier marks a synthetic drainer-barrier request (no conn, no op):
-	// the drainer closes the channel when it reaches the request, proving
-	// every earlier cycle's writes have committed. The handoff flip uses it
-	// to order the ownership swap against in-flight writes.
-	barrier chan struct{}
-
 	// acqDeadline bounds how long an op for a slot this node is still
 	// acquiring may be re-parked before it bounces WRONG_SHARD anyway.
 	acqDeadline time.Time
 }
 
-// readBufSize sizes the per-connection read buffer; queueDepth is the
-// coalescing queue's capacity and the most requests one drain cycle takes.
-const readBufSize, queueDepth = 64 << 10, 4096
-
-// response is one encoded reply frame on its way to the writer goroutine.
-// start is the request's decode time; zero for replies to frames that never
-// became requests.
-type response struct {
-	frame []byte
-	start time.Time
+// own moves r onto a cycle of its own, for a request answered off its
+// connection's reader, and returns it.
+func (r *request) own() *cycle {
+	r.cy = &cycle{reqs: []*request{r}}
+	return r.cy
 }
+
+// cycle is one run of Server.process and the reply frames it produced. Its
+// owner — a connection's reader, or the goroutine of a request that waited
+// off the reader — writes out only after the cycle's shared hold of
+// Server.cycles is released, so a client that does not read blocks that
+// goroutine and nobody else.
+type cycle struct {
+	reqs []*request
+	out  []byte
+	// starts holds the decode time of each request answered into out; each
+	// frees one in-flight slot once out is on the socket.
+	starts []time.Time
+}
+
+// readBufSize sizes the per-connection read buffer.
+const readBufSize = 64 << 10
+
+// maxKeptReply bounds the reply buffer a connection keeps between cycles;
+// one large SCAN must not pin its reply for the connection's life.
+const maxKeptReply = 64 << 10
 
 type conn struct {
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader
-	// wmu guards bw: the writer goroutine and the reader's inline replies
-	// both write whole frames under it, so frames never interleave.
+	// wmu serialises socket writes: the reader and the goroutines of its
+	// requests that waited off it each write whole cycles under it, so
+	// frames never interleave.
 	wmu sync.Mutex
-	bw  *bufio.Writer
-
-	// ibuf collects the reply frames of the inline cycle under way and cycle
-	// is that cycle's one-element batch; both belong to the reader goroutine.
-	ibuf  []byte
-	cycle [1]*request
-
-	// out carries encoded responses to the writer. Capacity MaxInflight+2
-	// exceeds the most responses that can be outstanding at once (at most
-	// MaxInflight semaphore-holding requests plus the reader's own single
-	// synchronous error reply), so enqueues never block in steady state.
-	out chan response
-	// inflight is the per-connection backpressure semaphore.
+	// cy is the reader's cycle under construction; only the reader touches it.
+	cy cycle
+	// inflight is the per-connection backpressure semaphore: a request
+	// holds one slot from decode until its reply is on the socket.
 	inflight chan struct{}
-	// dead is closed when the writer abandons the socket; responders then
-	// drop instead of blocking.
-	dead     chan struct{}
-	deadOnce sync.Once
-	// wdone is closed when the writer goroutine exits; the replication
-	// handoff waits on it before taking over the socket.
-	wdone chan struct{}
-	// detached marks a connection surrendered to the replication stream:
-	// the exiting writer must leave the socket open for it.
-	detached atomic.Bool
 	// limiter, when non-nil, admission-controls this connection's requests
 	// (Config.ConnRate).
 	limiter *tokenBucket
@@ -424,11 +379,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 		srv:      s,
 		nc:       nc,
 		br:       bufio.NewReaderSize(nc, readBufSize),
-		bw:       bufio.NewWriterSize(nc, readBufSize),
-		out:      make(chan response, s.cfg.MaxInflight+2),
 		inflight: make(chan struct{}, s.cfg.MaxInflight),
-		dead:     make(chan struct{}),
-		wdone:    make(chan struct{}),
 	}
 	if s.cfg.ConnRate > 0 {
 		c.limiter = newTokenBucket(s.cfg.ConnRate, s.cfg.ConnBurst)
@@ -436,16 +387,16 @@ func newConn(s *Server, nc net.Conn) *conn {
 	return c
 }
 
-func (c *conn) kill() { c.deadOnce.Do(func() { close(c.dead) }) }
-
-// readLoop decodes frames and submits requests until the peer disconnects,
-// the stream turns malformed, or Shutdown interrupts it. On exit it waits
-// for every submitted request to be answered, then lets the writer finish.
-func (c *conn) readLoop() {
+// serve is the connection's goroutine. It reads a frame, keeps reading
+// while the next frame is already whole in the read buffer and a slot is
+// free, then runs what it read as one cycle and writes the replies — until
+// the peer disconnects, the stream turns malformed, or Shutdown interrupts
+// it. Only the reader acquires slots, so a free slot seen before a read is
+// still free when the frame is admitted.
+func (c *conn) serve() {
 	defer c.srv.readerWG.Done()
-	defer c.finishReads()
-	first := true
-	for {
+	defer c.finish()
+	for first := true; ; first = false {
 		f, err := wire.ReadFrame(c.br, c.srv.cfg.MaxFrame)
 		if err != nil {
 			if !isClientGone(err) && !c.srv.closing.Load() {
@@ -454,135 +405,148 @@ func (c *conn) readLoop() {
 				// connection rather than guess.
 				c.srv.stats.BadFrames.Inc()
 				c.srv.logf("conn %s: dropping on malformed stream: %v", c.nc.RemoteAddr(), err)
-				c.kill()
 			}
 			return
 		}
-		if c.srv.closing.Load() {
-			// Shutdown raced the read: refuse rather than admit new work.
-			c.respondError(f.ID, f.Op, wire.StatusShuttingDown, "server shutting down")
+		if !c.admit(f, first) {
 			return
 		}
-		if f.Op == wire.OpReplHello {
-			// A replication subscription claims the whole connection; it
-			// must be the very first frame so no request/response traffic
-			// is interleaved with the push stream.
-			c.serveRepl(f, first)
-			return
-		}
-		if f.Op == wire.OpHandoffHello {
-			// Same contract as REPL_HELLO: a handoff stream owns its
-			// connection from the first frame on.
-			c.serveHandoffSource(f, first)
-			return
-		}
-		if f.Op == wire.OpHandoff {
-			// The admin trigger runs a whole slot migration — far too long
-			// for the drainer. It occupies one in-flight slot on its own
-			// goroutine; the reply releases it like any queued request.
-			first = false
-			if req, perr := c.decodeHandoff(f); perr != nil {
-				c.srv.stats.BadRequests.Inc()
-				c.respondError(f.ID, f.Op, wire.StatusBadRequest, perr.Error())
-			} else {
-				c.inflight <- struct{}{}
-				go c.srv.runHandoffTarget(req)
-			}
+		if wire.Buffered(c.br) && len(c.inflight) < cap(c.inflight) {
 			continue
 		}
-		first = false
-		if c.limiter != nil && !c.limiter.allow() {
-			c.srv.stats.RateLimited.Inc()
-			c.respondError(f.ID, f.Op, wire.StatusRateLimited, "rate limited")
-			continue
-		}
-		req, perr := c.decode(f)
-		if perr != nil {
-			c.srv.stats.BadRequests.Inc()
-			c.respondError(f.ID, f.Op, wire.StatusBadRequest, perr.Error())
-			continue
-		}
-		c.inflight <- struct{}{} // backpressure: blocks at MaxInflight
-		if !c.serveInline(req) {
-			c.srv.queue <- req
-		}
+		c.run(&c.cy)
 	}
 }
 
-// maxKeptReply bounds the inline reply buffer a connection keeps between
-// requests; one large SCAN must not pin its reply for the connection's life.
-const maxKeptReply = 64 << 10
-
-// serveInline runs req's cycle on this reader goroutine when nothing could
-// be gained by queueing it: the connection has nothing else unanswered (so
-// its requests still execute in arrival order), nothing is buffered behind
-// the request (so there is nothing to coalesce it with), and no drain cycle
-// or barrier is running. It reports false, having done
-// nothing, when the request must take the queue.
-//
-// The shared lock is released before the reply touches the socket: a client
-// that does not read blocks this goroutine — its own — and nobody else.
-func (c *conn) serveInline(req *request) bool {
+// admit adds the request a frame carries to the reader's cycle, or answers
+// the frame at once. It reports false when the connection's request stream
+// ends with this frame.
+func (c *conn) admit(f wire.Frame, first bool) bool {
 	s := c.srv
-	if len(c.inflight) != 1 || c.br.Buffered() != 0 || !s.cycles.TryRLock() {
+	switch {
+	case s.closing.Load():
+		// Shutdown raced the read: refuse rather than admit new work.
+		c.respondError(f.ID, f.Op, wire.StatusShuttingDown, "server shutting down")
 		return false
-	}
-	req.inline = true
-	c.cycle[0] = req
-	s.stats.InlineCycles.Inc()
-	s.process(c.cycle[:])
-	s.cycles.RUnlock()
-	c.cycle[0] = nil
-	if len(c.ibuf) == 0 {
-		return true // parked: the writer goroutine answers it
-	}
-	c.wmu.Lock()
-	_, err := c.bw.Write(c.ibuf)
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	c.wmu.Unlock()
-	if c.ibuf = c.ibuf[:0]; cap(c.ibuf) > maxKeptReply {
-		c.ibuf = nil
-	}
-	if err != nil {
-		c.kill()
+	case f.Op == wire.OpReplHello:
+		// A replication subscription claims the whole connection; it must be
+		// the very first frame so no request/response traffic is interleaved
+		// with the push stream.
+		c.serveRepl(f, first)
+		return false
+	case f.Op == wire.OpHandoffHello:
+		// Same contract as REPL_HELLO: a handoff stream owns its connection
+		// from the first frame on.
+		c.serveHandoffSource(f, first)
+		return false
+	case f.Op == wire.OpHandoff:
+		// The admin trigger runs a whole slot migration, far too long for a
+		// cycle. It holds one in-flight slot on its own goroutine, which
+		// writes the reply.
+		req, err := c.decodeHandoff(f)
+		if err != nil {
+			s.stats.BadRequests.Inc()
+			c.respondError(f.ID, f.Op, wire.StatusBadRequest, err.Error())
+			return true
+		}
+		c.inflight <- struct{}{}
+		req.own()
+		go s.runHandoffTarget(req)
+		return true
+	case c.limiter != nil && !c.limiter.allow():
+		s.stats.RateLimited.Inc()
+		c.respondError(f.ID, f.Op, wire.StatusRateLimited, "rate limited")
 		return true
 	}
-	s.stats.InlineService.Record(time.Since(req.start))
+	req, err := c.decode(f)
+	if err != nil {
+		s.stats.BadRequests.Inc()
+		c.respondError(f.ID, f.Op, wire.StatusBadRequest, err.Error())
+		return true
+	}
+	c.inflight <- struct{}{} // backpressure: blocks while MaxInflight are unanswered
+	req.cy = &c.cy
+	c.cy.reqs = append(c.cy.reqs, req)
 	return true
 }
 
-// serveRepl hands the connection to the replication subsystem. The writer
-// goroutine is evicted first — it drains any queued frames, leaves the
-// socket open (detached), and exits — so the repl stream is the socket's
-// single writer. The call runs on the reader goroutine, keeping the
-// connection inside readerWG: Shutdown's read deadline still interrupts the
-// stream's ack reader, which unwinds ServeConn.
+// run serves a cycle's requests under a shared hold of Server.cycles, then
+// writes the cycle's replies.
+func (c *conn) run(cy *cycle) {
+	if len(cy.reqs) > 0 {
+		s := c.srv
+		s.cycles.RLock()
+		s.process(cy.reqs)
+		s.cycles.RUnlock()
+		clear(cy.reqs)
+		cy.reqs = cy.reqs[:0]
+	}
+	c.write(cy)
+}
+
+// write puts a cycle's reply frames on the socket with one write, then
+// records each answered request's service time and frees its slot. A failed
+// write closes the socket, which ends the reader.
+func (c *conn) write(cy *cycle) {
+	var err error
+	if len(cy.out) > 0 {
+		c.wmu.Lock()
+		_, err = c.nc.Write(cy.out)
+		c.wmu.Unlock()
+		if err != nil {
+			c.nc.Close()
+		}
+	}
+	now := time.Now()
+	for _, t := range cy.starts {
+		if err == nil && !t.IsZero() {
+			c.srv.stats.Service.Record(now.Sub(t))
+		}
+		<-c.inflight
+	}
+	cy.starts = cy.starts[:0]
+	if cy.out = cy.out[:0]; cap(cy.out) > maxKeptReply {
+		cy.out = nil
+	}
+}
+
+// finish ends the connection: it answers what the reader had gathered,
+// waits until every slot is free again — every request answered off the
+// reader has written its reply — and closes the socket.
+func (c *conn) finish() {
+	c.run(&c.cy)
+	for i := 0; i < cap(c.inflight); i++ {
+		c.inflight <- struct{}{}
+	}
+	c.nc.Close()
+	c.srv.removeConn(c)
+}
+
+// serveRepl hands the connection to the replication subsystem. REPL_HELLO is
+// the connection's first frame, so nothing else of it is unanswered and the
+// stream is the socket's single writer. The call runs on the reader
+// goroutine, keeping the connection inside readerWG: Shutdown's read
+// deadline still interrupts the stream's ack reader, which unwinds
+// ServeConn.
 func (c *conn) serveRepl(f wire.Frame, first bool) {
 	srv := c.srv
-	if srv.cfg.Repl == nil {
+	refuse := func(msg string) {
 		srv.stats.BadRequests.Inc()
-		c.respondError(f.ID, f.Op, wire.StatusBadRequest, "replication not enabled")
-		c.kill()
+		c.respondError(f.ID, f.Op, wire.StatusBadRequest, msg)
+	}
+	if srv.cfg.Repl == nil {
+		refuse("replication not enabled")
 		return
 	}
 	if !first {
-		srv.stats.BadRequests.Inc()
-		c.respondError(f.ID, f.Op, wire.StatusBadRequest, "REPL_HELLO must be the first frame")
-		c.kill()
+		refuse("REPL_HELLO must be the first frame")
 		return
 	}
 	epoch, lastApplied, flags, err := wire.DecodeReplHelloReq(f.Payload)
 	if err != nil {
-		srv.stats.BadRequests.Inc()
-		c.respondError(f.ID, f.Op, wire.StatusBadRequest, err.Error())
-		c.kill()
+		refuse(err.Error())
 		return
 	}
-	c.detached.Store(true)
-	c.kill()
-	<-c.wdone
 	srv.stats.ReplConns.Inc()
 	srv.stats.replActive.Add(1)
 	defer srv.stats.replActive.Add(-1)
@@ -592,21 +556,10 @@ func (c *conn) serveRepl(f wire.Frame, first bool) {
 	}
 }
 
-// finishReads runs after the read loop: once the in-flight semaphore fully
-// refills (every submitted request has enqueued its response), the writer
-// may stop after flushing.
-func (c *conn) finishReads() {
-	for i := 0; i < cap(c.inflight); i++ {
-		c.inflight <- struct{}{}
-	}
-	c.srv.removeConn(c)
-	c.kill()
-}
-
 // decode turns a frame into a request. Keys and values alias the frame's
 // payload, which wire.ReadFrame allocated for this frame alone, so they
-// outlive the read iteration — on the queue, parked, or inside the engine —
-// without a copy.
+// outlive the read iteration — parked, or inside the engine — without a
+// copy.
 func (c *conn) decode(f wire.Frame) (*request, error) {
 	if !f.Op.Valid() {
 		return nil, fmt.Errorf("unknown op %d", uint8(f.Op))
@@ -666,88 +619,10 @@ func (c *conn) decodeHandoff(f wire.Frame) (*request, error) {
 	return &request{c: c, id: f.ID, op: f.Op, slots: slots}, nil
 }
 
-// send enqueues an encoded response frame, dropping it if the writer died.
-func (c *conn) send(r response) {
-	select {
-	case c.out <- r:
-	case <-c.dead:
-	}
-}
-
-// respondError answers a request that never entered the queue.
+// respondError answers, on the reader, a frame that never became a request
+// of a cycle: its frame joins the reader's next write.
 func (c *conn) respondError(id uint64, op wire.Op, st wire.Status, msg string) {
-	c.send(response{frame: wire.AppendFrame(nil, wire.Frame{Op: op, Status: st, ID: id, Payload: []byte(msg)})})
-}
-
-// writeLoop flushes queued responses to the socket, batching frames that
-// are already queued into one flush. sent holds the decode times of the
-// frames written since the last flush; flushing closes their service times.
-func (c *conn) writeLoop() {
-	defer c.srv.writerWG.Done()
-	defer close(c.wdone)
-	defer func() {
-		// A detached connection belongs to the replication stream now;
-		// closing it here would cut the stream off mid-handoff.
-		if !c.detached.Load() {
-			c.nc.Close()
-		}
-	}()
-	var sent []time.Time
-	write := func(r response) bool {
-		c.wmu.Lock()
-		_, err := c.bw.Write(r.frame)
-		c.wmu.Unlock()
-		if err != nil {
-			c.kill()
-			return false
-		}
-		if !r.start.IsZero() {
-			sent = append(sent, r.start)
-		}
-		return true
-	}
-	flush := func() bool {
-		c.wmu.Lock()
-		err := c.bw.Flush()
-		c.wmu.Unlock()
-		if err != nil {
-			c.kill()
-			return false
-		}
-		for _, t := range sent {
-			c.srv.stats.QueuedService.Record(time.Since(t))
-		}
-		sent = sent[:0]
-		return true
-	}
-	// final is set once no further response can arrive (the reader finished
-	// with everything enqueued, or the drainer exited): the loop then writes
-	// the channel's remnant, flushes, and exits.
-	final := false
-	for {
-		var r response
-		select {
-		case r = <-c.out:
-		default:
-			// Nothing pending: flush what we have, then sleep until the
-			// next response, writer death, or end-of-world.
-			if !flush() || final {
-				return
-			}
-			select {
-			case r = <-c.out:
-			case <-c.dead:
-				final = true
-				continue
-			case <-c.srv.flushed:
-				final = true
-				continue
-			}
-		}
-		if !write(r) {
-			return
-		}
-	}
+	c.cy.out = wire.AppendFrame(c.cy.out, wire.Frame{Op: op, Status: st, ID: id, Payload: []byte(msg)})
 }
 
 // isClientGone reports whether err is a disconnect or a shutdown deadline,

@@ -251,15 +251,11 @@ func TestShutdownConcurrentCallers(t *testing.T) {
 
 // TestPipelinedCoalescingAndRecovery is the end-to-end acceptance test:
 // N clients pipeline puts/gets over TCP; the server's stats must prove the
-// coalescing (mean ops per drained WriteBatch > 1 under concurrent load);
+// coalescing (mean ops per cycle's WriteBatch > 1 under concurrent load);
 // graceful shutdown answers every in-flight request; and a recovery reopen
 // of the same devices sees every acknowledged write.
 func TestPipelinedCoalescingAndRecovery(t *testing.T) {
-	env := newTestEnv(t, func(c *Config) {
-		// A short linger fattens batches even if the test machine drains
-		// faster than the loopback delivers.
-		c.CoalesceWait = 200 * time.Microsecond
-	})
+	env := newTestEnv(t, nil)
 
 	const (
 		goroutines = 32
@@ -304,14 +300,14 @@ func TestPipelinedCoalescingAndRecovery(t *testing.T) {
 
 	st := env.srv.Stats()
 	if st.WriteBatches.Load() == 0 {
-		t.Fatal("no write batches drained")
+		t.Fatal("no write batches ran")
 	}
 	meanBatch := st.MeanWriteBatch()
-	t.Logf("coalescing: %d wire writes in %d WriteBatch calls (mean %.2f), %d reads in %d MultiGets (mean %.2f), mean drain depth %.2f",
+	t.Logf("coalescing: %d wire writes in %d WriteBatch calls (mean %.2f), %d reads in %d MultiGets (mean %.2f), mean requests per cycle %.2f",
 		st.WriteOps.Load(), st.WriteBatches.Load(), meanBatch,
 		st.ReadOps.Load(), st.ReadBatches.Load(), st.MeanReadBatch(), st.MeanDrainDepth())
 	if meanBatch <= 1 {
-		t.Fatalf("mean ops per drained WriteBatch = %.3f, want > 1 under %d concurrent clients", meanBatch, goroutines)
+		t.Fatalf("mean ops per WriteBatch = %.3f, want > 1 under %d concurrent clients", meanBatch, goroutines)
 	}
 	if got, want := st.WriteOps.Load(), uint64(goroutines*opsEach); got != want {
 		t.Fatalf("write ops %d, want %d", got, want)

@@ -47,20 +47,15 @@ type Stats struct {
 	ReplReadFallbacks stats.Counter
 	ReplReadWait      *stats.Histogram
 
-	// Cycle accounting. Drains counts every cycle on either path and
-	// DrainedRequests sums the requests each one held (their ratio is the
-	// mean requests per cycle); InlineCycles and QueuedCycles split Drains
-	// by path — a reader goroutine serving a lone request, or the drainer.
-	// InlineService and QueuedService record each path's service time, from
-	// the frame decoded to the reply handed to the socket.
+	// Cycle accounting. Drains counts every cycle and DrainedRequests sums
+	// the requests each one held (their ratio is the mean requests per
+	// cycle). Service records each request's service time, from the frame
+	// decoded to the reply handed to the socket.
 	// WriteBatches/WriteOps measure how many wire-level write ops each
 	// DB.WriteBatch carried; ReadBatches/ReadOps the same for DB.MultiGet.
 	Drains          stats.Counter
 	DrainedRequests stats.Counter
-	InlineCycles    stats.Counter
-	QueuedCycles    stats.Counter
-	InlineService   *stats.Histogram
-	QueuedService   *stats.Histogram
+	Service         *stats.Histogram
 	WriteBatches    stats.Counter
 	WriteOps        stats.Counter
 	ReadBatches     stats.Counter
@@ -110,19 +105,18 @@ func (s *Stats) countOp(op wire.Op) {
 	}
 }
 
-// MeanWriteBatch is the mean wire write-ops per drained DB.WriteBatch —
+// MeanWriteBatch is the mean wire write-ops per cycle's DB.WriteBatch —
 // the end-to-end group-commit factor. >1 means pipelined writes coalesced.
 func (s *Stats) MeanWriteBatch() float64 {
 	return mean(s.WriteOps.Load(), s.WriteBatches.Load())
 }
 
-// MeanReadBatch is the mean point lookups per drained DB.MultiGet.
+// MeanReadBatch is the mean point lookups per cycle's DB.MultiGet.
 func (s *Stats) MeanReadBatch() float64 {
 	return mean(s.ReadOps.Load(), s.ReadBatches.Load())
 }
 
-// MeanDrainDepth is the mean requests per cycle, inline cycles (always one
-// request) included.
+// MeanDrainDepth is the mean requests per cycle.
 func (s *Stats) MeanDrainDepth() float64 {
 	return mean(s.DrainedRequests.Load(), s.Drains.Load())
 }
@@ -171,16 +165,9 @@ func (s *Stats) String() string {
 	fmt.Fprintf(&b, "server.drains %d\n", s.Drains.Load())
 	fmt.Fprintf(&b, "server.drained_requests %d\n", s.DrainedRequests.Load())
 	fmt.Fprintf(&b, "server.mean_drain_depth %.3f\n", s.MeanDrainDepth())
-	fmt.Fprintf(&b, "server.inline_cycles %d\n", s.InlineCycles.Load())
-	fmt.Fprintf(&b, "server.queued_cycles %d\n", s.QueuedCycles.Load())
-	for _, p := range []struct {
-		name string
-		h    *stats.Histogram
-	}{{"inline", s.InlineService}, {"queued", s.QueuedService}} {
-		if p.h != nil {
-			fmt.Fprintf(&b, "server.req_us.%s.p50 %d\n", p.name, p.h.Median().Microseconds())
-			fmt.Fprintf(&b, "server.req_us.%s.p99 %d\n", p.name, p.h.P99().Microseconds())
-		}
+	if s.Service != nil {
+		fmt.Fprintf(&b, "server.req_us.p50 %d\n", s.Service.Median().Microseconds())
+		fmt.Fprintf(&b, "server.req_us.p99 %d\n", s.Service.P99().Microseconds())
 	}
 	fmt.Fprintf(&b, "server.write_batches %d\n", s.WriteBatches.Load())
 	fmt.Fprintf(&b, "server.write_ops %d\n", s.WriteOps.Load())

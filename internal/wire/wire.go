@@ -34,6 +34,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -65,7 +66,7 @@ const (
 	OpReplSnapshot
 
 	// OpIncr adds an int64 delta to a counter key and returns the post-merge
-	// value. Deltas to the same key coalesce in the server drainer and commit
+	// value. Deltas to the same key in one server cycle coalesce and commit
 	// as a single net-delta write.
 	OpIncr
 
@@ -160,7 +161,7 @@ const (
 	// of the refusal; the payload is empty.
 	StatusNotReady
 	// StatusRateLimited answers a request rejected by the connection's
-	// admission token bucket before it reached the drainer. The client may
+	// admission token bucket before it reached a server cycle. The client may
 	// retry after backing off; the payload is the message text.
 	StatusRateLimited
 	// StatusWrongShard answers a keyed op whose slot this node does not
@@ -349,6 +350,18 @@ func ReadFrame(r io.Reader, maxFrame uint32) (Frame, error) {
 		return Frame{}, err
 	}
 	return parseBody(b)
+}
+
+// Buffered reports whether br already holds the whole next frame, so that
+// ReadFrame(br, ...) returns it without reading from br's source. It never
+// reads from the source itself.
+func Buffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return n-4 >= int(binary.BigEndian.Uint32(hdr))
 }
 
 // WriteFrame encodes f and writes it to w in one call.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -301,5 +302,57 @@ func TestReadFrameOwnsItsPayload(t *testing.T) {
 	_ = append(k1, 'X') // reallocates; must not overwrite the value that follows the key
 	if string(v1) != "first" {
 		t.Fatalf("appending to the key clobbered the value: %q", v1)
+	}
+}
+
+// countingReader hands out its chunks one Read at a time and counts the
+// calls, so a test can see whether a buffered reader went to its source.
+type countingReader struct {
+	chunks [][]byte
+	reads  int
+}
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	r.reads++
+	if len(r.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.chunks[0])
+	if r.chunks[0] = r.chunks[0][n:]; len(r.chunks[0]) == 0 {
+		r.chunks = r.chunks[1:]
+	}
+	return n, nil
+}
+
+// TestBufferedSeesOnlyWholeFrames: Buffered is true exactly when the next
+// frame is whole in the buffer, and asking never reads from the source.
+func TestBufferedSeesOnlyWholeFrames(t *testing.T) {
+	f1 := AppendFrame(nil, Frame{Op: OpPut, ID: 1, Payload: AppendPutReq(nil, []byte("k"), []byte("v"))})
+	f2 := AppendFrame(nil, Frame{Op: OpGet, ID: 2, Payload: AppendKeyReq(nil, []byte("k"))})
+	f3 := AppendFrame(nil, Frame{Op: OpPing, ID: 3})
+	// The first chunk holds f1, f2 and the first two bytes of f3's length;
+	// the second the rest of f3.
+	first := append(append(append([]byte(nil), f1...), f2...), f3[:2]...)
+	src := &countingReader{chunks: [][]byte{first, f3[2:]}}
+	br := bufio.NewReader(src)
+	if Buffered(br) || src.reads != 0 {
+		t.Fatalf("empty buffer: Buffered true or %d source reads", src.reads)
+	}
+	want := []struct {
+		id       uint64
+		buffered bool // whether the frame after this one is whole in the buffer
+	}{{1, true}, {2, false}, {3, false}}
+	for _, w := range want {
+		f, err := ReadFrame(br, 0)
+		if err != nil || f.ID != w.id {
+			t.Fatalf("frame %d: %+v %v", w.id, f, err)
+		}
+		reads := src.reads
+		if got := Buffered(br); got != w.buffered {
+			t.Fatalf("after frame %d: Buffered = %v, want %v", w.id, got, w.buffered)
+		}
+		if src.reads != reads {
+			t.Fatalf("Buffered read from the source after frame %d", w.id)
+		}
 	}
 }

@@ -1,8 +1,9 @@
 // End-to-end counter-coalescing benchmark: a wire server under a hot-key
-// INCR workload (VSA-style counter aggregation), A/B between the drainer's
+// INCR workload (VSA-style counter aggregation), A/B between the server's
 // delta folding and the unfolded baseline. Clients hammer a small, skewed
-// counter keyspace over real TCP with deep pipelining; the drainer folds
-// same-key deltas into one net-delta batch entry, so the metric that
+// counter keyspace over real TCP with deep pipelining; each connection's
+// request cycle folds the same-key deltas it holds into one net-delta
+// batch entry (a cycle never spans connections), so the metric that
 // matters is logical acked writes per physical engine call — each folded
 // op is a WAL record and a replication-log op that never existed. CI runs
 // these with -benchtime=1x as a smoke test; BENCH_merge.json records the
