@@ -307,6 +307,42 @@ func TestNVMeLedgerMatchesDevice(t *testing.T) {
 	}
 }
 
+// TestDeviceHeldStaysAtUsed: a tiered load with demotions and hot-zone
+// evictions frees slot pages all the time, and each partition's slot files
+// reuse only their own, so the files come to span more than the device uses.
+// A freed page must return its memory: each device holds at most what it
+// uses plus one page per file, and the stats line prints both.
+func TestDeviceHeldStaysAtUsed(t *testing.T) {
+	r := newRegimeRig(t, 2<<20, regimeBatch, false)
+	r.insert(30000)
+	r.heat()
+	st := r.db.Stats()
+	if st.Zone.Migrations == 0 {
+		t.Fatal("the run demoted nothing")
+	}
+	for _, d := range []*device.Device{r.nvme, r.sata} {
+		var span int64
+		names := d.List()
+		for _, name := range names {
+			f, err := d.Open(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			span += f.Size()
+		}
+		slack := int64(len(names) * d.PageSize())
+		if d == r.nvme && span <= d.Used()+slack {
+			t.Fatalf("the NVMe files span %d bytes for %d used: no page was left free inside a file", span, d.Used())
+		}
+		if d.Held() > d.Used()+slack {
+			t.Errorf("%s holds %d bytes for %d used in %d files (%d bytes spanned)", d.Profile().Name, d.Held(), d.Used(), len(names), span)
+		}
+	}
+	if s := st.String(); !strings.Contains(s, "NVMe: used=") || !strings.Contains(s, " held=") {
+		t.Fatalf("stats rendering:\n%s", s)
+	}
+}
+
 // tieredCrashRig builds, the same way every time, a tiered partition whose
 // next pass starts over the high watermark with an oversized zone to demote.
 func tieredCrashRig(t *testing.T) *regimeRig {

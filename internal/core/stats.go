@@ -35,10 +35,12 @@ type Stats struct {
 	// Device accounting.
 	NVMe stats.Snapshot
 	SATA stats.Snapshot
-	// Capacity usage.
+	// Capacity usage, and the memory the simulated devices' files hold.
 	NVMeUsed     int64
 	NVMeCapacity int64
 	SATAUsed     int64
+	NVMeHeld     int64
+	SATAHeld     int64
 	// Zone tier aggregates.
 	Zone zone.Stats
 	// Per-level LSM aggregates (index 0 = L1).
@@ -79,6 +81,8 @@ func (db *DB) Stats() Stats {
 		NVMeUsed:     db.opts.NVMeDevice.Used(),
 		NVMeCapacity: db.opts.NVMeDevice.Capacity(),
 		SATAUsed:     db.opts.SATADevice.Used(),
+		NVMeHeld:     db.opts.NVMeDevice.Held(),
+		SATAHeld:     db.opts.SATADevice.Held(),
 	}
 	cu := db.cache.Usage()
 	s.CacheHits, s.CacheMisses, s.CacheRejected = cu.Hits, cu.Misses, cu.Rejected
@@ -143,10 +147,11 @@ func (db *DB) Stats() Stats {
 // String renders a multi-line summary for the hyperctl CLI.
 func (s Stats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "NVMe: used=%s/%s  traffic{%s}\n",
-		stats.FormatBytes(uint64(s.NVMeUsed)), stats.FormatBytes(uint64(s.NVMeCapacity)), s.NVMe)
-	fmt.Fprintf(&b, "SATA: used=%s  traffic{%s}\n",
-		stats.FormatBytes(uint64(s.SATAUsed)), s.SATA)
+	fmt.Fprintf(&b, "NVMe: used=%s/%s held=%s  traffic{%s}\n",
+		stats.FormatBytes(uint64(s.NVMeUsed)), stats.FormatBytes(uint64(s.NVMeCapacity)),
+		stats.FormatBytes(uint64(s.NVMeHeld)), s.NVMe)
+	fmt.Fprintf(&b, "SATA: used=%s held=%s  traffic{%s}\n",
+		stats.FormatBytes(uint64(s.SATAUsed)), stats.FormatBytes(uint64(s.SATAHeld)), s.SATA)
 	fmt.Fprintf(&b, "Zone tier: objects=%d zones=%d payload=%s migrations=%d (objects=%d, pageReads=%d) inPlace=%d\n",
 		s.Zone.Objects, s.Zone.Zones, stats.FormatBytes(uint64(s.Zone.PayloadBytes)),
 		s.Zone.Migrations, s.Zone.MigratedObjects, s.Zone.MigrationPageReads, s.Zone.InPlaceUpdates)

@@ -214,7 +214,7 @@ func (d *Device) Create(name string) (*File, error) {
 	if _, ok := d.files[name]; ok {
 		return nil, fmt.Errorf("device: file %q exists", name)
 	}
-	f := &File{dev: d, name: name, dirtyLo: -1}
+	f := &File{dev: d, name: name, buf: pageTable{ps: int64(d.profile.PageSize)}, dirtyLo: -1}
 	d.files[name] = f
 	return f, nil
 }
@@ -263,4 +263,17 @@ func (d *Device) List() []string {
 // shutdown paths can drain, but new allocation fails.
 func (d *Device) Close() {
 	d.closed.Store(true)
+}
+
+// Held returns the bytes its files' page chunks hold in memory. A punched
+// page holds none, so on a device whose files recycle pages this stays at
+// Used, however far the files span.
+func (d *Device) Held() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var n int64
+	for _, f := range d.files {
+		n += f.AllocatedBytes()
+	}
+	return n
 }

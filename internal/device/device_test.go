@@ -170,6 +170,9 @@ func TestHolePunchAndReallocate(t *testing.T) {
 	if f.AllocatedBytes() != 7*4096 {
 		t.Fatalf("allocated = %d", f.AllocatedBytes())
 	}
+	if d.Held() != 7*4096 {
+		t.Fatalf("after a punch the device holds %d bytes, want the 7 pages left", d.Held())
+	}
 	// Data still readable after punch (TRIM semantics until reuse).
 	if _, err := f.ReadAt(make([]byte, 10), 3*4096, Fg); err != nil {
 		t.Fatal(err)
@@ -179,6 +182,9 @@ func TestHolePunchAndReallocate(t *testing.T) {
 	}
 	if d.Used() != used {
 		t.Fatalf("reallocate restored %d, want %d", d.Used(), used)
+	}
+	if d.Held() != used {
+		t.Fatalf("reallocate holds %d bytes, want %d", d.Held(), used)
 	}
 	// Reallocate of a never-punched page is a no-op.
 	if err := f.Reallocate(0); err != nil {
@@ -383,22 +389,29 @@ func TestEnsureAllocatedChargesNothing(t *testing.T) {
 
 // TestFileMatchesFlatModel drives a file through random appends, in-place
 // writes, zero extensions, truncations and hole punches whose sizes straddle
-// the extents the contents are stored in, and checks every read — and the
-// ledger — against a flat byte slice.
+// many of the pages the contents are stored in, and checks every read
+// against a flat byte slice, and the ledger, the memory the file holds and
+// its allocated pages against the model's set of punched pages.
 func TestFileMatchesFlatModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 20; round++ {
 		d := unthrottled(0)
 		f, _ := d.Create("a")
 		var model []byte
+		punched := map[int]bool{} // pages punched and not written since
+		unpunch := func(off, n int) {
+			for p := off / 4096; n > 0 && p <= (off+n-1)/4096; p++ {
+				delete(punched, p)
+			}
+		}
 		random := func(n int) []byte {
 			p := make([]byte, n)
 			rng.Read(p)
 			return p
 		}
-		size := func() int { // mostly small, sometimes several extents
+		size := func() int { // mostly small, sometimes dozens of pages
 			if rng.Intn(4) == 0 {
-				return rng.Intn(3 * extentSize)
+				return rng.Intn(3 * 64 << 10)
 			}
 			return rng.Intn(6000)
 		}
@@ -410,6 +423,7 @@ func TestFileMatchesFlatModel(t *testing.T) {
 				if err != nil || off != int64(len(model)) {
 					t.Fatalf("append at %d: off %d, %v", len(model), off, err)
 				}
+				unpunch(len(model), len(p))
 				model = append(model, p...)
 			case 2: // may leave a zero gap and extend the file
 				p := random(size())
@@ -417,6 +431,7 @@ func TestFileMatchesFlatModel(t *testing.T) {
 				if err := f.WriteAt(p, int64(off), Fg); err != nil {
 					t.Fatal(err)
 				}
+				unpunch(off, len(p))
 				if end := off + len(p); end > len(model) {
 					model = append(model, make([]byte, end-len(model))...)
 				}
@@ -433,11 +448,17 @@ func TestFileMatchesFlatModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				model = model[:n:n] // what follows must read back as zeros once regrown
+				for p := range punched {
+					if p >= (n+4095)/4096 {
+						delete(punched, p)
+					}
+				}
 			case 5:
 				if pages := (len(model) + 4095) / 4096; pages > 0 {
 					p := rng.Intn(pages)
 					f.PunchHole(int64(p))
 					clear(model[p*4096 : min(len(model), (p+1)*4096)])
+					punched[p] = true
 				}
 			}
 			if f.Size() != int64(len(model)) {
@@ -455,9 +476,26 @@ func TestFileMatchesFlatModel(t *testing.T) {
 		if n, _ := f.ReadAt(all, 0, Fg); n != len(model) || !bytes.Equal(all, model) {
 			t.Fatalf("round %d: final contents differ from the model", round)
 		}
-		holes := int64(len(f.holes))
-		if want := (int64(len(model))+4095)/4096 - holes; d.Used() != want*4096 {
-			t.Fatalf("round %d: ledger holds %d bytes for %d pages less %d holes", round, d.Used(), want+holes, holes)
+		pages, holes := (len(model)+4095)/4096, len(punched)
+		if want := int64(pages-holes) * 4096; d.Used() != want {
+			t.Fatalf("round %d: ledger holds %d bytes for %d pages less %d holes", round, d.Used(), pages, holes)
+		}
+		// Every page but the punched ones holds one page-sized chunk, the
+		// last one included: a file holds less than a page past its tail.
+		if held := d.Held(); held != int64(pages-holes)*4096 || held >= int64(len(model)-holes*4096+4096) {
+			t.Fatalf("round %d: file holds %d bytes for %d pages less %d holes (%d bytes long)", round, held, pages, holes, len(model))
+		}
+		ids := f.AllocatedPageIDs()
+		for i, p := 0, 0; p < pages; p++ {
+			if !punched[p] && (i >= len(ids) || ids[i] != int64(p)) || punched[p] && i < len(ids) && ids[i] == int64(p) {
+				t.Fatalf("round %d: allocated pages %v, punched %v", round, ids, punched)
+			}
+			if !punched[p] {
+				i++
+			}
+		}
+		if len(ids) != pages-holes {
+			t.Fatalf("round %d: %d allocated pages, want %d", round, len(ids), pages-holes)
 		}
 	}
 }

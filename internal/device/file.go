@@ -20,11 +20,9 @@ type File struct {
 	name string
 
 	mu       sync.RWMutex
-	buf      extents
-	pages    int64          // extent pages covering buf (incl. punched holes)
-	holes    map[int64]bool // punched (deallocated) page indices
-	dirtyLo  int64          // first dirty byte not yet synced; -1 when clean
-	dirtyHi  int64          // one past last dirty byte
+	buf      pageTable
+	dirtyLo  int64 // first dirty byte not yet synced; -1 when clean
+	dirtyHi  int64 // one past last dirty byte
 	released bool
 }
 
@@ -33,33 +31,25 @@ type File struct {
 func (f *File) AllocatedPageIDs() []int64 {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	out := make([]int64, 0, f.pages-int64(len(f.holes)))
-	for i := int64(0); i < f.pages; i++ {
-		if !f.holes[i] {
-			out = append(out, i)
+	out := make([]int64, 0, len(f.buf.pages))
+	for i, c := range f.buf.pages {
+		if c != nil {
+			out = append(out, int64(i))
 		}
 	}
 	return out
 }
 
 // PunchHole releases the page at index pageIdx back to the device ledger
-// (TRIM). Like a deterministic-TRIM SSD, the page reads back as zeros
-// afterwards — recovery scans must never see a recycled page's previous
-// occupancy. Idempotent.
+// (TRIM), and its chunk with it. Like a deterministic-TRIM SSD, the page
+// reads back as zeros afterwards — recovery scans must never see a recycled
+// page's previous occupancy. Idempotent.
 func (f *File) PunchHole(pageIdx int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.released || pageIdx < 0 || pageIdx >= f.pages {
-		return
-	}
-	if f.holes == nil {
-		f.holes = make(map[int64]bool)
-	}
-	if !f.holes[pageIdx] {
-		f.holes[pageIdx] = true
+	if !f.released && pageIdx >= 0 && pageIdx < int64(len(f.buf.pages)) && f.buf.pages[pageIdx] != nil {
+		f.buf.pages[pageIdx] = nil
 		f.dev.freePages(1)
-		ps := int64(f.dev.PageSize())
-		f.buf.clear(pageIdx*ps, (pageIdx+1)*ps)
 	}
 }
 
@@ -71,14 +61,10 @@ func (f *File) Reallocate(pageIdx int64) error {
 	if f.released {
 		return ErrClosed
 	}
-	if !f.holes[pageIdx] {
+	if pageIdx < 0 || pageIdx >= int64(len(f.buf.pages)) || f.buf.pages[pageIdx] != nil {
 		return nil
 	}
-	if err := f.dev.allocPages(1); err != nil {
-		return err
-	}
-	delete(f.holes, pageIdx)
-	return nil
+	return f.claimLocked(pageIdx*f.buf.ps, 1)
 }
 
 // Name returns the file's name on its device.
@@ -99,7 +85,7 @@ func (f *File) Size() int64 {
 func (f *File) AllocatedBytes() int64 {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return (f.pages - int64(len(f.holes))) * int64(f.dev.PageSize())
+	return f.buf.held()
 }
 
 func (f *File) pageSpan(off, n int64) (firstPage, pages int64) {
@@ -109,35 +95,15 @@ func (f *File) pageSpan(off, n int64) (firstPage, pages int64) {
 	return firstPage, lastPage - firstPage + 1
 }
 
-// ensureCapacity grows the allocation to cover size bytes.
-func (f *File) ensureCapacity(size int64) error {
-	ps := int64(f.dev.PageSize())
-	need := (size + ps - 1) / ps
-	if need > f.pages {
-		if err := f.dev.allocPages(need - f.pages); err != nil {
-			return err
-		}
-		f.pages = need
+// claimLocked zero-extends the file to off+n bytes and reallocates every
+// punched page [off, off+n) touches, so a write into a TRIMmed region is
+// ledger-accounted again. It books every page it adds on the ledger at once
+// and changes nothing when the device is full. Caller holds mu.
+func (f *File) claimLocked(off, n int64) error {
+	if err := f.dev.allocPages(f.buf.missing(off, n)); err != nil {
+		return err
 	}
-	return nil
-}
-
-// unholeRange reallocates any punched pages the byte span [off, off+n)
-// touches, so a write into a TRIMmed region is ledger-accounted again.
-// Caller holds mu.
-func (f *File) unholeRange(off, n int64) error {
-	if len(f.holes) == 0 || n <= 0 {
-		return nil
-	}
-	first, pages := f.pageSpan(off, n)
-	for p := first; p < first+pages; p++ {
-		if f.holes[p] {
-			if err := f.dev.allocPages(1); err != nil {
-				return err
-			}
-			delete(f.holes, p)
-		}
-	}
+	f.buf.claim(off, n)
 	return nil
 }
 
@@ -150,13 +116,9 @@ func (f *File) Append(data []byte) (int64, error) {
 		return 0, ErrClosed
 	}
 	off := f.buf.size
-	if err := f.ensureCapacity(off + int64(len(data))); err != nil {
+	if err := f.claimLocked(off, int64(len(data))); err != nil {
 		return 0, err
 	}
-	if err := f.unholeRange(off, int64(len(data))); err != nil {
-		return 0, err
-	}
-	f.buf.grow(off + int64(len(data)))
 	f.buf.writeAt(data, off)
 	if len(data) > 0 {
 		if f.dirtyLo < 0 {
@@ -272,16 +234,10 @@ func (f *File) WriteAt(p []byte, off int64, op Op) error {
 // writeAtLocked applies and charges an in-place write; caller holds f.mu,
 // which is released before charging.
 func (f *File) writeAtLocked(p []byte, off int64, op Op) error {
-	end := off + int64(len(p))
-	if err := f.ensureCapacity(end); err != nil {
+	if err := f.claimLocked(off, int64(len(p))); err != nil {
 		f.mu.Unlock()
 		return err
 	}
-	if err := f.unholeRange(off, int64(len(p))); err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	f.buf.grow(end)
 	f.buf.writeAt(p, off)
 	f.mu.Unlock()
 
@@ -301,11 +257,7 @@ func (f *File) EnsureAllocated(size int64) error {
 	if f.released {
 		return ErrClosed
 	}
-	if err := f.ensureCapacity(size); err != nil {
-		return err
-	}
-	f.buf.grow(size)
-	return nil
+	return f.claimLocked(size, 0)
 }
 
 // ReadAt fills p from offset off and charges every page the span touches.
@@ -365,25 +317,11 @@ func (f *File) powerCut() {
 	f.truncateLocked(f.dirtyLo)
 }
 
-// truncateLocked shrinks buf to size and returns freed pages; caller holds
-// f.mu and has validated size.
+// truncateLocked shrinks buf to size and returns the pages it held past
+// size to the ledger (punched ones are there already); caller holds f.mu and
+// has validated size.
 func (f *File) truncateLocked(size int64) {
-	f.buf.truncate(size)
-	ps := int64(f.dev.PageSize())
-	need := (size + ps - 1) / ps
-	if need < f.pages {
-		freed := f.pages - need
-		for idx := range f.holes {
-			if idx >= need {
-				delete(f.holes, idx) // already returned to the ledger
-				freed--
-			}
-		}
-		if freed > 0 {
-			f.dev.freePages(freed)
-		}
-		f.pages = need
-	}
+	f.dev.freePages(f.buf.truncate(size))
 	if f.dirtyHi > size {
 		f.dirtyHi = size
 	}
@@ -400,8 +338,5 @@ func (f *File) release() {
 		return
 	}
 	f.released = true
-	f.dev.freePages(f.pages - int64(len(f.holes)))
-	f.pages = 0
-	f.holes = nil
-	f.buf = extents{}
+	f.dev.freePages(f.buf.truncate(0))
 }

@@ -44,6 +44,9 @@ func (s *Server) process(batch []*request) {
 			}
 		}
 		batch = kept
+		if h := s.checked.Load(); h != nil {
+			(*h)(batch)
+		}
 	}
 
 	// Phase 0b: park reads whose gate — the token in the request frame — is

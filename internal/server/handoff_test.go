@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -463,5 +464,63 @@ func TestClusterSessionPerShardTokens(t *testing.T) {
 	c1 := dialTest(t, envs[1], 1)
 	if _, _, err := c1.GetSeq(k1[0], post[m.Groups[0]]); !errors.Is(err, client.ErrNotReady) {
 		t.Fatalf("cross-shard token get: %v, want ErrNotReady", err)
+	}
+}
+
+// TestFlipWaitsForCheckedWrite parks a write's cycle after it checked its key
+// under the old map and before it applied, then runs a handoff of the key's
+// slot. The source installs the successor map while the write is parked, so
+// only the flip barrier keeps it from sending the flip before the write is in
+// the replication log. The flip must wait for the write, and the write must
+// reach the target.
+func TestFlipWaitsForCheckedWrite(t *testing.T) {
+	envs := newClusterEnv(t, 2, 16)
+	m := envs[0].srv.cfg.Cluster.Map()
+	key := keysOwnedBy(t, m, 0, 1, "barrier")[0]
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	hook := func(batch []*request) {
+		for _, r := range batch {
+			if r.op == wire.OpPut && string(r.key) == string(key) {
+				once.Do(func() { close(parked) })
+				<-release
+			}
+		}
+	}
+	envs[0].srv.checked.Store(&hook)
+
+	putDone := make(chan error, 1)
+	c0 := dialTest(t, envs[0], 1)
+	go func() { putDone <- c0.Put(key, []byte("acked")) }()
+	<-parked
+
+	handoffDone := make(chan error, 1)
+	tc := dialTest(t, envs[1], 1)
+	go func() {
+		_, err := tc.Handoff([]uint32{m.SlotOf(key)})
+		handoffDone <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); envs[0].srv.cfg.Cluster.Map().Version == m.Version; {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("the source never installed the successor map")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-handoffDone:
+		close(release)
+		t.Fatalf("the flip was sent while a write that checked the old map had not applied (handoff err %v)", err)
+	case <-time.After(300 * time.Millisecond):
+	}
+	close(release)
+	if err := <-putDone; err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if err := <-handoffDone; err != nil {
+		t.Fatalf("handoff: %v", err)
+	}
+	if v, err := dialTest(t, envs[1], 1).Get(key); err != nil || string(v) != "acked" {
+		t.Fatalf("the acked write did not reach the target: %q, %v", v, err)
 	}
 }

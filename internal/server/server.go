@@ -135,6 +135,9 @@ type Server struct {
 	// committed. Cycles need no lock against each other: the engine applies
 	// each key's writes in sequence order.
 	cycles sync.RWMutex
+	// checked, when set, runs in every cluster cycle after its ownership
+	// check and before its writes apply (tests park a cycle there).
+	checked atomic.Pointer[func([]*request)]
 
 	mu     sync.Mutex
 	conns  map[*conn]struct{}
