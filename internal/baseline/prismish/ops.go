@@ -69,7 +69,7 @@ func (db *DB) putLocked(key, value []byte, tomb bool, seq uint64, op device.Op) 
 	if err := db.files[c].Write(r.Page, r.Slot, seq, tomb, key, value, op); err != nil {
 		return err
 	}
-	db.index.Set(bytes.Clone(key), loc{
+	db.index.Set(key, loc{
 		Addr: r, seq: seq, size: int32(slot.HeaderSize + len(key) + len(value)),
 		ref: true, tomb: tomb,
 	})
@@ -275,7 +275,7 @@ func (db *DB) Scan(start []byte, limit int) ([]engine.KV, error) {
 		srefs = srefs[:0]
 		db.mu.RLock()
 		db.index.Ascend(from, nil, func(k []byte, l loc) bool {
-			srefs = append(srefs, sref{key: bytes.Clone(k), l: l})
+			srefs = append(srefs, sref{key: k, l: l})
 			return len(srefs) < want
 		})
 		db.mu.RUnlock()
@@ -355,10 +355,10 @@ func (db *DB) MigrateOnce() (int, error) {
 	collect := func(lo, hi []byte) {
 		db.index.Ascend(lo, hi, func(k []byte, l loc) bool {
 			if l.ref {
-				secondChance = append(secondChance, bytes.Clone(k))
+				secondChance = append(secondChance, k)
 				return true
 			}
-			victims = append(victims, victim{key: bytes.Clone(k), l: l})
+			victims = append(victims, victim{key: k, l: l})
 			return len(victims) < db.opts.BatchObjects
 		})
 	}

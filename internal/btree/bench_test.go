@@ -7,7 +7,7 @@ import (
 )
 
 // benchVal is the size of zone.Location, the value the engine's index holds.
-type benchVal [4]uint64
+type benchVal [3]uint64
 
 // benchIndexes are the trees BenchmarkIndexGet/Ref probe: one partition's
 // worth of the benchmark's 8-byte keys (75 k), a whole 600 k keyspace in one

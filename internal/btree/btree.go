@@ -8,6 +8,7 @@ package btree
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 )
 
@@ -17,13 +18,15 @@ const (
 	minItems = degree - 1   // minimum items per non-root node
 )
 
-// item carries its key's Prefix inline so a descent orders items by integer
-// compares on memory it has already loaded; the key bytes, each in their
-// own allocation, are read only on a prefix tie.
+// item holds no pointer, so the collector never scans the items and a key
+// costs no allocation of its own. A key of up to 8 bytes is its Prefix and
+// length; a longer one keeps the bytes past the prefix in its tree's tail
+// store, and a descent reads them only on a prefix tie.
 type item[V any] struct {
-	pfx uint64
-	key []byte
-	val V
+	pfx  uint64
+	klen uint32
+	tail uint32 // index into Map.tails; 0, the empty tail, for a short key
+	val  V
 }
 
 // Prefix returns k's first 8 bytes as a big-endian integer, zero-padded.
@@ -44,62 +47,68 @@ type node[V any] struct {
 
 func (n *node[V]) leaf() bool { return len(n.children) == 0 }
 
-// search returns the index of the first item with key >= k and whether an
-// exact match sits at that index. p must be Prefix(k).
-func (n *node[V]) search(p uint64, k []byte) (int, bool) {
+// Map is an ordered map from []byte keys to V.
+type Map[V any] struct {
+	root *node[V]
+	size int
+	// tails holds the bytes past the first 8 of every long key, each in its
+	// own slice; free lists the entries Delete emptied.
+	tails [][]byte
+	free  []uint32
+}
+
+// New returns an empty tree.
+func New[V any]() *Map[V] { return &Map[V]{tails: [][]byte{nil}} }
+
+// Len returns the number of entries.
+func (t *Map[V]) Len() int { return t.size }
+
+// compare orders it against key k, whose Prefix is p. On a prefix tie a key
+// of at most 8 bytes is the zero-padded prefix of the other, so length
+// decides; two longer keys compare their tails.
+func (t *Map[V]) compare(it *item[V], p uint64, k []byte) int {
+	switch {
+	case it.pfx != p:
+		return cmp.Compare(it.pfx, p)
+	case it.klen <= 8 || len(k) <= 8:
+		return cmp.Compare(int(it.klen), len(k))
+	}
+	return bytes.Compare(t.tails[it.tail], k[8:])
+}
+
+// search returns the index of the first item of n with key >= k and whether
+// an exact match sits at that index. p must be Prefix(k).
+func (t *Map[V]) search(n *node[V], p uint64, k []byte) (int, bool) {
 	lo, hi := 0, len(n.items)
 	for lo < hi {
 		mid := (lo + hi) / 2
 		it := &n.items[mid]
-		if it.pfx < p || (it.pfx == p && bytes.Compare(it.key, k) < 0) {
+		if it.pfx < p || (it.pfx == p && t.compare(it, p, k) < 0) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(n.items) && n.items[lo].pfx == p && bytes.Equal(n.items[lo].key, k)
+	return lo, lo < len(n.items) && t.compare(&n.items[lo], p, k) == 0
 }
-
-// Map is an ordered map from []byte keys to V.
-type Map[V any] struct {
-	root *node[V]
-	size int
-}
-
-// New returns an empty tree.
-func New[V any]() *Map[V] { return &Map[V]{} }
-
-// Len returns the number of entries.
-func (t *Map[V]) Len() int { return t.size }
 
 // Get returns the value for key k.
 func (t *Map[V]) Get(k []byte) (V, bool) {
-	var zero V
-	p := Prefix(k)
-	n := t.root
-	for n != nil {
-		i, ok := n.search(p, k)
-		if ok {
-			return n.items[i].val, true
-		}
-		if n.leaf() {
-			return zero, false
-		}
-		n = n.children[i]
+	if v := t.Ref(k); v != nil {
+		return *v, true
 	}
+	var zero V
 	return zero, false
 }
 
 // Ref returns a pointer to the stored value for k, or nil if absent. It
-// lets an update-in-place caller pay one descent instead of Get+Set and
-// skip re-cloning the key. The pointer is invalidated by the next
-// structural change (any Set or Delete); callers must hold whatever lock
-// guards the tree for as long as they use it.
+// lets an update-in-place caller pay one descent instead of Get+Set. The
+// pointer is invalidated by the next structural change (any Set or Delete);
+// callers must hold whatever lock guards the tree for as long as they use it.
 func (t *Map[V]) Ref(k []byte) *V {
 	p := Prefix(k)
-	n := t.root
-	for n != nil {
-		i, ok := n.search(p, k)
+	for n := t.root; n != nil; {
+		i, ok := t.search(n, p, k)
 		if ok {
 			return &n.items[i].val
 		}
@@ -111,12 +120,12 @@ func (t *Map[V]) Ref(k []byte) *V {
 	return nil
 }
 
-// Set inserts or replaces the value for key k. The key slice is stored as
-// given; callers that reuse buffers must clone first.
+// Set inserts or replaces the value for key k. The tree copies what it keeps
+// of k, so the caller may reuse it.
 func (t *Map[V]) Set(k []byte, v V) {
-	it := item[V]{pfx: Prefix(k), key: k, val: v}
+	p := Prefix(k)
 	if t.root == nil {
-		t.root = &node[V]{items: []item[V]{it}}
+		t.root = &node[V]{items: []item[V]{t.newItem(p, k, v)}}
 		t.size = 1
 		return
 	}
@@ -125,9 +134,24 @@ func (t *Map[V]) Set(k []byte, v V) {
 		t.root = &node[V]{children: []*node[V]{old}}
 		t.root.splitChild(0)
 	}
-	if t.root.insert(it) {
+	if t.insert(t.root, p, k, v) {
 		t.size++
 	}
+}
+
+// newItem is the item for a key new to the tree, with its tail copied in.
+func (t *Map[V]) newItem(p uint64, k []byte, v V) item[V] {
+	it := item[V]{pfx: p, klen: uint32(len(k)), val: v}
+	if len(k) > 8 {
+		it.tail = uint32(len(t.tails))
+		if n := len(t.free); n > 0 {
+			it.tail, t.free = t.free[n-1], t.free[:n-1]
+		} else {
+			t.tails = append(t.tails, nil)
+		}
+		t.tails[it.tail] = bytes.Clone(k[8:])
+	}
+	return it
 }
 
 // splitChild splits the full child at index i, hoisting its median.
@@ -152,30 +176,30 @@ func (n *node[V]) splitChild(i int) {
 	n.children[i+1] = right
 }
 
-// insert adds it below n (which must not be full). Returns true if the tree
+// insert adds k below n (which must not be full). Returns true if the tree
 // grew (false = replaced existing).
-func (n *node[V]) insert(it item[V]) bool {
-	i, ok := n.search(it.pfx, it.key)
+func (t *Map[V]) insert(n *node[V], p uint64, k []byte, v V) bool {
+	i, ok := t.search(n, p, k)
 	if ok {
-		n.items[i].val = it.val
+		n.items[i].val = v
 		return false
 	}
 	if n.leaf() {
 		n.items = append(n.items, item[V]{})
 		copy(n.items[i+1:], n.items[i:])
-		n.items[i] = it
+		n.items[i] = t.newItem(p, k, v)
 		return true
 	}
 	if len(n.children[i].items) >= maxItems {
 		n.splitChild(i)
-		if c := bytes.Compare(it.key, n.items[i].key); c > 0 {
+		if c := t.compare(&n.items[i], p, k); c < 0 {
 			i++
 		} else if c == 0 {
-			n.items[i].val = it.val
+			n.items[i].val = v
 			return false
 		}
 	}
-	return n.children[i].insert(it)
+	return t.insert(n.children[i], p, k, v)
 }
 
 // Delete removes key k, reporting whether it was present.
@@ -183,7 +207,7 @@ func (t *Map[V]) Delete(k []byte) bool {
 	if t.root == nil {
 		return false
 	}
-	deleted := t.root.delete(Prefix(k), k)
+	gone, deleted := t.delete(t.root, Prefix(k), k, false)
 	if len(t.root.items) == 0 && !t.root.leaf() {
 		t.root = t.root.children[0]
 	}
@@ -192,46 +216,49 @@ func (t *Map[V]) Delete(k []byte) bool {
 	}
 	if deleted {
 		t.size--
+		if gone.tail != 0 {
+			t.tails[gone.tail] = nil
+			t.free = append(t.free, gone.tail)
+		}
 	}
 	return deleted
 }
 
-func (n *node[V]) delete(p uint64, k []byte) bool {
-	i, ok := n.search(p, k)
+// delete removes k — or, with last set, the largest key — from below n and
+// returns its item. Each child is topped up before the descent into it, so
+// the node an item leaves never falls below minItems. An internal item is
+// replaced by its predecessor, which keeps its own tail.
+func (t *Map[V]) delete(n *node[V], p uint64, k []byte, last bool) (item[V], bool) {
+	i, ok := len(n.items), false
+	if !last {
+		i, ok = t.search(n, p, k)
+	} else if n.leaf() {
+		i, ok = i-1, true
+	}
 	if n.leaf() {
 		if !ok {
-			return false
+			return item[V]{}, false
 		}
+		gone := n.items[i]
 		n.items = append(n.items[:i], n.items[i+1:]...)
-		return true
+		return gone, true
+	}
+	if len(n.children[i].items) <= minItems {
+		// Borrowing or merging moves items across n: resolve k again.
+		n.ensureChild(i)
+		return t.delete(n, p, k, last)
 	}
 	if ok {
-		// Replace with predecessor from the left subtree, then delete it there.
-		pred := n.children[i].max()
-		n.items[i] = pred
-		n.ensureChild(i)
-		// The item may have moved during rebalancing; re-resolve.
-		j, _ := n.search(pred.pfx, pred.key)
-		return n.children[j].delete(pred.pfx, pred.key)
+		gone := n.items[i]
+		n.items[i], _ = t.delete(n.children[i], 0, nil, true)
+		return gone, true
 	}
-	n.ensureChild(i)
-	j, _ := n.search(p, k)
-	return n.children[j].delete(p, k)
-}
-
-func (n *node[V]) max() item[V] {
-	for !n.leaf() {
-		n = n.children[len(n.children)-1]
-	}
-	return n.items[len(n.items)-1]
+	return t.delete(n.children[i], p, k, last)
 }
 
 // ensureChild guarantees children[i] has > minItems items before descending,
 // borrowing from a sibling or merging as needed.
 func (n *node[V]) ensureChild(i int) {
-	if i >= len(n.children) {
-		i = len(n.children) - 1
-	}
 	child := n.children[i]
 	if len(child.items) > minItems {
 		return
@@ -273,58 +300,81 @@ func (n *node[V]) ensureChild(i int) {
 }
 
 // Ascend visits every entry with lo <= key < hi in order (nil bounds are
-// open). Return false from fn to stop early. fn must not mutate the tree —
-// collect keys and apply changes after the walk.
+// open). Return false from fn to stop early. The keys fn gets are built in an
+// arena of this call: immutable, and valid after the walk. fn must not mutate
+// the tree — collect keys and apply changes after the walk.
 func (t *Map[V]) Ascend(lo, hi []byte, fn func(k []byte, v V) bool) {
 	if t.root != nil {
-		t.root.ascend(lo, hi, fn)
+		(&walk[V]{t: t, lo: lo, hi: hi, plo: Prefix(lo), phi: Prefix(hi), fn: fn}).ascend(t.root)
 	}
 }
 
-func (n *node[V]) ascend(lo, hi []byte, fn func(k []byte, v V) bool) bool {
+// walk is one Ascend call: its bounds and its key arena.
+type walk[V any] struct {
+	t        *Map[V]
+	lo, hi   []byte
+	plo, phi uint64
+	fn       func(k []byte, v V) bool
+	arena    []byte
+}
+
+func (w *walk[V]) ascend(n *node[V]) bool {
 	start := 0
-	if lo != nil {
-		start, _ = n.search(Prefix(lo), lo)
+	if w.lo != nil {
+		start, _ = w.t.search(n, w.plo, w.lo)
 	}
 	for i := start; i <= len(n.items); i++ {
 		if !n.leaf() {
-			if !n.children[i].ascend(lo, hi, fn) {
+			if !w.ascend(n.children[i]) {
 				return false
 			}
 		}
 		if i == len(n.items) {
 			break
 		}
-		k := n.items[i].key
-		if hi != nil && bytes.Compare(k, hi) >= 0 {
+		it := &n.items[i]
+		if w.hi != nil && w.t.compare(it, w.phi, w.hi) >= 0 {
 			return false
 		}
-		if lo != nil && bytes.Compare(k, lo) < 0 {
+		if w.lo != nil && w.t.compare(it, w.plo, w.lo) < 0 {
 			continue
 		}
-		if !fn(k, n.items[i].val) {
+		// A full arena is replaced, never grown: the keys handed out keep
+		// the old one.
+		if w.arena == nil || cap(w.arena)-len(w.arena) < int(it.klen) {
+			w.arena = make([]byte, 0, max(int(it.klen), min(2*cap(w.arena), 64<<10), 256))
+		}
+		at := len(w.arena)
+		w.arena = w.t.appendKey(w.arena, it)
+		if !w.fn(w.arena[at:len(w.arena):len(w.arena)], it.val) {
 			return false
 		}
 	}
 	return true
 }
 
-// Min returns the smallest key, or nil when empty.
-func (t *Map[V]) Min() []byte {
+// appendKey appends the key of it, rebuilt from prefix, length and tail, to dst.
+func (t *Map[V]) appendKey(dst []byte, it *item[V]) []byte {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], it.pfx)
+	return append(append(dst, b[:min(it.klen, 8)]...), t.tails[it.tail]...)
+}
+
+// Min returns a copy of the smallest key, or nil when empty.
+func (t *Map[V]) Min() (k []byte) {
+	t.Ascend(nil, nil, func(key []byte, _ V) bool { k = key; return false })
+	return k
+}
+
+// Max returns a copy of the largest key, or nil when empty.
+func (t *Map[V]) Max() []byte {
 	if t.root == nil {
 		return nil
 	}
 	n := t.root
 	for !n.leaf() {
-		n = n.children[0]
+		n = n.children[len(n.children)-1]
 	}
-	return n.items[0].key
-}
-
-// Max returns the largest key, or nil when empty.
-func (t *Map[V]) Max() []byte {
-	if t.root == nil {
-		return nil
-	}
-	return t.root.max().key
+	it := &n.items[len(n.items)-1]
+	return t.appendKey(make([]byte, 0, it.klen), it)
 }

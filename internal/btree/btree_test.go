@@ -158,3 +158,50 @@ func TestBytesKeysNotAliased(t *testing.T) {
 		t.Fatal("stored key should be intact")
 	}
 }
+
+// TestHandedOutKeysOutliveTailReuse keeps the keys Ascend, Min and Max hand
+// out, then deletes their entries and sets new long keys into the freed tail
+// entries: the kept keys must not change.
+func TestHandedOutKeysOutliveTailReuse(t *testing.T) {
+	m := New[int]()
+	long := func(i int) []byte { return []byte(fmt.Sprintf("prefix%02d-tail-%06d", i%7, i)) }
+	for i := 0; i < 500; i++ {
+		m.Set(long(i), i)
+		m.Set(keyOf(i), i)
+	}
+	var kept, want [][]byte
+	m.Ascend(nil, nil, func(k []byte, _ int) bool {
+		kept = append(kept, k)
+		want = append(want, bytes.Clone(k))
+		return true
+	})
+	kept = append(kept, m.Min(), m.Max())
+	want = append(want, bytes.Clone(m.Min()), bytes.Clone(m.Max()))
+	for i := 0; i < 500; i++ {
+		m.Delete(long(i))
+		m.Delete(keyOf(i))
+		m.Set(long(1000+i), i) // takes the tail entry just freed
+	}
+	if len(m.free) != 0 {
+		t.Fatalf("%d tail entries free after refilling every one", len(m.free))
+	}
+	for i := range kept {
+		if !bytes.Equal(kept[i], want[i]) {
+			t.Fatalf("handed-out key %d changed from %q to %q", i, want[i], kept[i])
+		}
+	}
+}
+
+// TestSetAllocatesNoKey: an 8-byte key lives inside its item, so Set of a new
+// one allocates only when a node splits, and a lookup allocates nothing.
+func TestSetAllocatesNoKey(t *testing.T) {
+	m := New[[3]uint64]()
+	i := 0
+	if a := testing.AllocsPerRun(20000, func() { m.Set(keyOf(i), [3]uint64{}); i++ }); a >= 0.05 {
+		t.Fatalf("Set of a new 8-byte key: %.3f allocations per call, want < 0.05", a)
+	}
+	k := keyOf(777)
+	if a := testing.AllocsPerRun(1000, func() { m.Get(k); m.Ref(k) }); a != 0 {
+		t.Fatalf("Get+Ref: %.1f allocations per call, want 0", a)
+	}
+}

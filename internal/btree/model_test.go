@@ -109,9 +109,11 @@ func (h *model) ascend(lo, hi []byte, limit int) {
 	}
 }
 
-// check compares the whole tree with the model and walks its structure:
-// every item's pfx is its key's Prefix (a moved or hoisted item keeps it),
-// node fill is within B-tree bounds and all leaves sit at one depth.
+// check compares the whole tree with the model and walks its structure in
+// key order: every item's pfx, klen and tail describe the model's key at its
+// position (a moved or hoisted item keeps them), a tail is held exactly by
+// the long keys and every other tail entry is free, node fill is within
+// B-tree bounds and all leaves sit at one depth.
 func (h *model) check() {
 	if h.m.Len() != len(h.ref) {
 		h.t.Fatalf("Len = %d, model has %d", h.m.Len(), len(h.ref))
@@ -129,19 +131,32 @@ func (h *model) check() {
 			h.t.Fatalf("%s = %q, model says %q", end.name, end.got, end.want)
 		}
 	}
+	h.checkTails()
 	if h.m.root == nil {
 		return
 	}
-	leafDepth := -1
+	leafDepth, pos, held := -1, 0, make(map[uint32]bool)
 	var walk func(n *node[uint64], depth int)
 	walk = func(n *node[uint64], depth int) {
 		if len(n.items) > maxItems || (n != h.m.root && len(n.items) < minItems) {
 			h.t.Fatalf("node at depth %d holds %d items", depth, len(n.items))
 		}
-		for _, it := range n.items {
-			if it.pfx != Prefix(it.key) {
-				h.t.Fatalf("item %q carries pfx %016x, its Prefix is %016x", it.key, it.pfx, Prefix(it.key))
+		if !n.leaf() && len(n.children) != len(n.items)+1 {
+			h.t.Fatalf("node with %d items has %d children", len(n.items), len(n.children))
+		}
+		for i := range n.items {
+			if !n.leaf() {
+				walk(n.children[i], depth+1)
 			}
+			it, k := n.items[i], h.ref[pos].k
+			pos++
+			if it.pfx != Prefix(k) || it.klen != uint32(len(k)) || (it.tail != 0) != (len(k) > 8) {
+				h.t.Fatalf("item for %q carries pfx %016x klen %d tail %d; its Prefix is %016x", k, it.pfx, it.klen, it.tail, Prefix(k))
+			}
+			if got := h.m.tails[it.tail]; len(k) > 8 && (held[it.tail] || !bytes.Equal(got, k[8:])) {
+				h.t.Fatalf("item for %q holds tail %d = %q, shared: %v", k, it.tail, got, held[it.tail])
+			}
+			held[it.tail] = it.tail != 0
 		}
 		if n.leaf() {
 			if leafDepth < 0 {
@@ -152,16 +167,40 @@ func (h *model) check() {
 			}
 			return
 		}
-		if len(n.children) != len(n.items)+1 {
-			h.t.Fatalf("node with %d items has %d children", len(n.items), len(n.children))
-		}
-		for _, c := range n.children {
-			walk(c, depth+1)
-		}
+		walk(n.children[len(n.items)], depth+1)
 	}
 	walk(h.m.root, 1)
 	if leafDepth > h.maxHeight {
 		h.maxHeight = leafDepth
+	}
+}
+
+// checkTails checks the tail store holds the long keys' tails and nothing
+// else: the live entries are as many as the model's long keys, and every
+// freed entry is empty and listed once.
+func (h *model) checkTails() {
+	long := 0
+	for _, e := range h.ref {
+		if len(e.k) > 8 {
+			long++
+		}
+	}
+	live, freed := 0, make(map[uint32]bool)
+	for _, i := range h.m.free {
+		if i == 0 || freed[i] || h.m.tails[i] != nil {
+			h.t.Fatalf("free list entry %d: repeated, reserved or still held (%q)", i, h.m.tails[i])
+		}
+		freed[i] = true
+	}
+	for i, tail := range h.m.tails {
+		if tail != nil {
+			live++
+		} else if i != 0 && !freed[uint32(i)] {
+			h.t.Fatalf("tail entry %d is empty but not on the free list", i)
+		}
+	}
+	if live != long {
+		h.t.Fatalf("tail store holds %d tails, the model has %d keys longer than 8 bytes", live, long)
 	}
 }
 

@@ -64,7 +64,7 @@ func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
 // back to a point lookup. A slot page is read at most once (memo).
 func (db *DB) scanPartition(p *partition, lo []byte, limit int) ([]KV, error) {
 	type zref struct {
-		key []byte // the index's own: copied only when emitted
+		key []byte // the index walk's own copy
 		loc zone.Location
 	}
 	memo := make(slot.Pages)
@@ -116,7 +116,7 @@ func (db *DB) scanPartition(p *partition, lo []byte, limit int) ([]KV, error) {
 				return nil, err
 			}
 			if ok {
-				out = append(out, KV{Key: bytes.Clone(zrefs[zi].key), Value: v})
+				out = append(out, KV{Key: zrefs[zi].key, Value: v})
 			}
 			zi++
 			if c == 0 {

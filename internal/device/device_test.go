@@ -298,17 +298,23 @@ func TestSequentialDiscount(t *testing.T) {
 	f.Append(make([]byte, 8*4096))
 	f.Sync(Fg)
 
-	start := time.Now()
-	f.ReadAt(make([]byte, 8*4096), 0, FgSeq)
-	seq := time.Since(start)
-	if seq > 3*time.Millisecond {
-		t.Fatalf("sequential 8-page read took %v, want < 3ms (one discounted command)", seq)
+	// The modelled service time is exact; wall time only bounds it from
+	// below, since a sleep can overrun but never undershoot.
+	booked := func(read func()) time.Duration {
+		before, _, _ := d.throttle.busyTime()
+		read()
+		after, _, _ := d.throttle.busyTime()
+		return after - before
 	}
-	start = time.Now()
-	f.ReadAt(make([]byte, 2*4096), 0, Fg) // random: 2 commands x 4ms
-	random := time.Since(start)
-	if random < 7*time.Millisecond {
-		t.Fatalf("random 2-page read took %v, want >= 8ms", random)
+	if seq := booked(func() { f.ReadAt(make([]byte, 8*4096), 0, FgSeq) }); seq != 4*time.Millisecond/8 {
+		t.Fatalf("sequential 8-page read booked %v, want 500µs (one command at 1/8 latency)", seq)
+	}
+	start := time.Now()
+	if random := booked(func() { f.ReadAt(make([]byte, 2*4096), 0, Fg) }); random != 8*time.Millisecond {
+		t.Fatalf("random 2-page read booked %v, want 8ms (2 commands x 4ms)", random)
+	}
+	if wall := time.Since(start); wall < 8*time.Millisecond {
+		t.Fatalf("random 2-page read returned after %v, before its 8ms service time", wall)
 	}
 }
 

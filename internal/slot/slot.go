@@ -76,9 +76,9 @@ func checksum(buf []byte, kl, vl int) uint32 {
 
 // Addr names one slot of a store.
 type Addr struct {
-	Class int8
 	Page  uint32
 	Slot  uint16
+	Class int8
 }
 
 // File is one size class's backing file: an array of pages, each divided
@@ -162,6 +162,16 @@ func (f *File) WriteRun(b []byte, p uint32, s uint16, op device.Op) error {
 func (f *File) ReadPage(p uint32, op device.Op) ([]byte, error) {
 	buf := make([]byte, f.pageSize)
 	if _, err := f.f.ReadAt(buf, int64(p)*int64(f.pageSize), op); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// ReadSlot reads slot s of page p alone into a fresh buffer, slot 0 to
+// Decode. The device books it as ReadPage: one read of one page.
+func (f *File) ReadSlot(p uint32, s uint16, op device.Op) ([]byte, error) {
+	buf := make([]byte, f.slotSize)
+	if _, err := f.f.ReadAt(buf, f.offset(p, s), op); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -251,12 +261,17 @@ func (ps Pages) Held(a Addr) ([]byte, bool) {
 }
 
 // Fetch reads the page holding slot a, one page read, and keeps it in ps.
-func (ps Pages) Fetch(fs Files, a Addr, op device.Op) ([]byte, error) {
-	page, err := fs[a.Class].ReadPage(a.Page, op)
-	if err == nil && ps != nil {
-		ps[Addr{Class: a.Class, Page: a.Page}] = page
+// A nil Pages keeps nothing, so it reads the slot alone (File.ReadSlot). s
+// is the slot's index in what it returns.
+func (ps Pages) Fetch(fs Files, a Addr, op device.Op) (buf []byte, s uint16, err error) {
+	if ps == nil {
+		buf, err = fs[a.Class].ReadSlot(a.Page, a.Slot, op)
+		return buf, 0, err
 	}
-	return page, err
+	if buf, err = fs[a.Class].ReadPage(a.Page, op); err == nil {
+		ps[Addr{Class: a.Class, Page: a.Page}] = buf
+	}
+	return buf, a.Slot, err
 }
 
 // ReadBatch reads the slots at(0) … at(n-1) name, fetching each distinct
@@ -270,7 +285,7 @@ func (fs Files) ReadBatch(n int, at func(i int) Addr, fn func(i int, r Record, e
 		a := at(i)
 		page, ok := fetched.Held(a)
 		if !ok {
-			if page, err = fetched.Fetch(fs, a, device.Bg); err != nil {
+			if page, _, err = fetched.Fetch(fs, a, device.Bg); err != nil {
 				return len(fetched), err
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -625,5 +627,48 @@ func TestPromotionIsCachedPastAdmission(t *testing.T) {
 	}
 	if r, h := dev.Counters().ReadOps.Load()-reads, c.Usage().Hits-hits; r != 0 || h != 1 {
 		t.Fatalf("the first Get of a promoted object took %d device reads and %d cache hits; want 0 and 1", r, h)
+	}
+}
+
+// TestPointReadSlot: a point read fetches k's slot alone, and the device
+// books it as the page read it replaced — one read of one page. The value it
+// returns is capped at its own length. A slot that fails its checksum reads
+// as it does through its page: ErrMoved after one device read, and a Get
+// that ends in an error naming the key.
+func TestPointReadSlot(t *testing.T) {
+	f := newLoadFixture(t)
+	ctr := f.dev.Counters()
+	ops, bytes0 := ctr.ReadOps.Load(), ctr.ReadBytes.Load()
+	v, err := f.m.ReadAt(f.k, f.loc0, device.Fg, nil)
+	if err != nil || !bytes.Equal(v, f.v1) || cap(v) != len(v) {
+		t.Fatalf("ReadAt: %q (cap %d), %v; want %q capped at its length", v, cap(v), err, f.v1)
+	}
+	if n, b := ctr.ReadOps.Load()-ops, ctr.ReadBytes.Load()-bytes0; n != 1 || b != uint64(f.dev.PageSize()) {
+		t.Fatalf("a point read booked %d reads of %d bytes, want one page", n, b)
+	}
+
+	// Flip the last value byte of k's slot on the device.
+	name := fmt.Sprintf("p0-slab%d", slot.Classes[f.loc0.Class])
+	df, err := f.dev.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := int64(f.loc0.Page)*int64(f.dev.PageSize()) + int64(f.loc0.Slot)*int64(slot.Classes[f.loc0.Class]) +
+		int64(slot.HeaderSize+len(f.k)+len(f.v1)-1)
+	if err := df.WriteAt([]byte{0xEE}, off, device.Fg); err != nil {
+		t.Fatal(err)
+	}
+	f.m.cfg.Cache = nil // the read above cached k: go to the device
+	for _, memo := range []slot.Pages{nil, make(slot.Pages)} {
+		ops := ctr.ReadOps.Load()
+		if v, err := f.m.ReadAt(f.k, f.loc0, device.Fg, memo); !errors.Is(err, ErrMoved) || ctr.ReadOps.Load()-ops != 1 {
+			t.Fatalf("damaged slot, memo %v: %q, %v after %d reads; want ErrMoved after one", memo != nil, v, err, ctr.ReadOps.Load()-ops)
+		}
+	}
+	if _, err := f.m.get(f.k, device.Fg); err == nil || !strings.Contains(err.Error(), "does not hold it") {
+		t.Fatalf("Get of a damaged slot: %v, want the index-names-a-slot error", err)
+	}
+	if r, err := f.m.get(f.n, device.Fg); err != nil || !bytes.Equal(r.Value, f.v1) {
+		t.Fatalf("the neighbour on the same page: %+v, %v", r, err)
 	}
 }

@@ -25,16 +25,17 @@ var ErrTooLarge = errors.New("zone: object exceeds page size")
 // capacity tier, may have overtaken (see Promote).
 var ErrSuperseded = errors.New("zone: promotion superseded")
 
-// Location is an index entry: where a key lives in the zone group.
+// Location is an index entry: where a key lives in the zone group. Its
+// fields are ordered to pack into 24 bytes, one index item's largest part.
 type Location struct {
 	slot.Addr
 	ZoneID    uint32
-	Seq       uint64
-	Size      int32 // header+key+value bytes
+	Size      uint16 // header+key+value bytes, at most one page
 	Tombstone bool
 	// Promoted labels objects copied up from the capacity tier (§3.5); a
 	// no-longer-hot promoted object is dropped on eviction, not relocated.
 	Promoted bool
+	Seq      uint64
 }
 
 // Config sizes a zone Manager (one per partition).
@@ -282,7 +283,7 @@ func (m *Manager) allocSlot(z *Zone, c int) (slot.Addr, error) {
 // stored books an object just written to slot a into z's and the group's
 // accounting and returns its location. Caller holds mu.
 func (m *Manager) stored(z *Zone, a slot.Addr, k, v []byte, seq uint64, tombstone, promoted bool) Location {
-	size := int32(slot.HeaderSize + len(k) + len(v))
+	size := uint16(slot.HeaderSize + len(k) + len(v))
 	z.objects++
 	z.bytes += int64(size)
 	m.storedObjects++
@@ -381,11 +382,11 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot bool) error {
 		oldZone, zoneLive := m.zoneByID[old.ZoneID]
 		if zoneLive && int(old.Class) == c && !old.Tombstone {
 			// In-place update: same slot, one page write. The index entry
-			// mutates through ref — no second descent, no key re-clone.
+			// mutates through ref — no second descent.
 			if err := m.files[c].Write(old.Page, old.Slot, seq, false, key, value, device.Fg); err != nil {
 				return err
 			}
-			size := int32(need)
+			size := uint16(need)
 			oldZone.bytes += int64(size) - int64(old.Size)
 			m.storedBytes += int64(size) - int64(old.Size)
 			ref.Seq, ref.Size, ref.Promoted = seq, size, false
@@ -409,7 +410,7 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot bool) error {
 		if err != nil {
 			return err
 		}
-		m.index.Set(bytes.Clone(key), loc)
+		m.index.Set(key, loc)
 		m.refreshObject(key, seq, value)
 		if zoneLive {
 			if err := m.files[old.Class].Erase(old.Page, old.Slot, device.Fg); err != nil {
@@ -429,7 +430,7 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot bool) error {
 	if err != nil {
 		return err
 	}
-	m.index.Set(bytes.Clone(key), loc) // new to the tier: nothing cached to refresh
+	m.index.Set(key, loc) // new to the tier: nothing cached to refresh
 	return nil
 }
 
@@ -454,7 +455,7 @@ func (m *Manager) deleteLocked(key []byte, seq uint64) error {
 			if err := m.files[old.Class].Write(old.Page, old.Slot, seq, true, key, nil, device.Fg); err != nil {
 				return err
 			}
-			size := int32(slot.HeaderSize + len(key))
+			size := uint16(slot.HeaderSize + len(key))
 			z.bytes += int64(size) - int64(old.Size)
 			m.storedBytes += int64(size) - int64(old.Size)
 			ref.Seq, ref.Size, ref.Tombstone, ref.Promoted = seq, size, true, false
@@ -465,7 +466,7 @@ func (m *Manager) deleteLocked(key []byte, seq uint64) error {
 	if err != nil {
 		return err
 	}
-	m.index.Set(bytes.Clone(key), loc)
+	m.index.Set(key, loc)
 	return nil
 }
 
@@ -552,13 +553,14 @@ var ErrMoved = errors.New("zone: object moved")
 // loc.Seq, not a tombstone — or ErrMoved when that version is not at loc any
 // more. It is the tier's one reader of slots and looks in a fixed order: the
 // cached object, the page in memo — the pages a scan has fetched, nil for a
-// point read — and the device. It caches the object, tagged loc.Seq, and
-// never the page, which would crowd out blocks the capacity tier needs.
+// point read — and the device, which a point read asks for the slot alone.
+// It caches the object, tagged loc.Seq, and never the page, which would
+// crowd out blocks the capacity tier needs.
 //
 // A slot is the object the index named iff key and sequence both match
 // (slot.File.Named). A page in memo that disagrees is stale — a writer
 // reached the slot after the page was fetched — so the device is read. A
-// page fresh from the device that disagrees means loc is stale, and only the
+// slot fresh from the device that disagrees means loc is stale, and only the
 // index knows where the newest version is now.
 //
 // load takes no lock: the cache has its own, a slot file is only read, and a
@@ -580,16 +582,19 @@ func (m *Manager) load(key []byte, loc Location, op device.Op, memo slot.Pages) 
 		v, ok = sf.Named(page, loc.Slot, key, loc.Seq)
 	}
 	if !ok {
-		page, err := memo.Fetch(m.files, loc.Addr, op)
+		buf, s, err := memo.Fetch(m.files, loc.Addr, op)
 		if err != nil {
 			return nil, false, err
 		}
-		if v, ok = sf.Named(page, loc.Slot, key, loc.Seq); !ok {
+		if v, ok = sf.Named(buf, s, key, loc.Seq); !ok {
 			return nil, true, ErrMoved // bare: formatting key in would make every caller's key escape
 		}
 		dev = true
 	}
-	v = bytes.Clone(v)
+	if memo != nil {
+		v = bytes.Clone(v) // a view into a page the scan keeps
+	}
+	v = v[:len(v):len(v)]
 	if c != nil {
 		c.PutObject(object, loc.Seq, v)
 	}
@@ -622,7 +627,7 @@ func (m *Manager) Promote(key, value []byte, seq, after uint64) error {
 	if err != nil {
 		return err
 	}
-	m.index.Set(bytes.Clone(key), loc)
+	m.index.Set(key, loc)
 	// Promoted because it is being read, so cached past admission: its reads
 	// went to the capacity tier, and the cache's sketch never counted them.
 	if m.cfg.Cache != nil {
@@ -633,7 +638,8 @@ func (m *Manager) Promote(key, value []byte, seq, after uint64) error {
 }
 
 // Scan visits index entries with lo <= key < hi in order. fn must not call
-// back into the manager. The key fn gets is the index's own and immutable.
+// back into the manager. The key fn gets is immutable and stays valid after
+// the walk (btree.Map.Ascend).
 func (m *Manager) Scan(lo, hi []byte, fn func(key []byte, loc Location) bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

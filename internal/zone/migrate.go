@@ -56,7 +56,7 @@ func (m *Manager) detachLocked(z *Zone) (refs []locRef, ok bool) {
 }
 
 // zoneRefsLocked snapshots the index entries in [lo, hi) that live in z. The
-// keys are the index's own: immutable, so not cloned. Caller holds mu.
+// keys are the walk's own copies: immutable, so not cloned. Caller holds mu.
 func (m *Manager) zoneRefsLocked(z *Zone, lo, hi []byte) []locRef {
 	var refs []locRef
 	m.index.Ascend(lo, hi, func(k []byte, loc Location) bool {

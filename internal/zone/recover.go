@@ -1,7 +1,6 @@
 package zone
 
 import (
-	"bytes"
 	"fmt"
 
 	"hyperdb/internal/slot"
@@ -40,7 +39,7 @@ func Recover(cfg Config) (*Manager, uint64, error) {
 		// while a split or hot-zone eviction has copied it and not yet
 		// freed the old zone: the same object.
 		if cur, ok := m.index.Get(r.Key); !ok || cur.Seq < r.Seq {
-			m.index.Set(bytes.Clone(r.Key), Location{Addr: a, Seq: r.Seq, Size: r.Size(), Tombstone: r.Tomb})
+			m.index.Set(r.Key, Location{Addr: a, Seq: r.Seq, Size: uint16(r.Size()), Tombstone: r.Tomb})
 		}
 	})
 	if err != nil {
