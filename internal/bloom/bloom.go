@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Filter is a standard Bloom filter with double hashing. Not safe for
@@ -16,6 +17,7 @@ import (
 type Filter struct {
 	bits     []uint64
 	nbits    uint64
+	mod      uint64 // reduce's multiplier for nbits; 0 when nbits >= 2^32
 	hashes   uint32
 	inserted uint64
 	capacity uint64
@@ -45,9 +47,29 @@ func New(n int, bitsPerKey int) *Filter {
 	return &Filter{
 		bits:     make([]uint64, (nbits+63)/64),
 		nbits:    nbits,
+		mod:      multiplier(nbits),
 		hashes:   k,
 		capacity: uint64(n),
 	}
+}
+
+// multiplier is reduce's ceil(2^64/nbits), or 0 where reduce must divide.
+func multiplier(nbits uint64) uint64 {
+	if nbits >= 1<<32 {
+		return 0
+	}
+	return ^uint64(0)/nbits + 1
+}
+
+// reduce returns x % nbits: for nbits below 2^32 it is exactly the high word
+// of (mod*x mod 2^64) * nbits (Lemire et al., "Faster Remainder by Direct
+// Computation"), with no divide.
+func (f *Filter) reduce(x uint32) uint64 {
+	if f.mod == 0 {
+		return uint64(x) % f.nbits
+	}
+	hi, _ := bits.Mul64(f.mod*uint64(x), f.nbits)
+	return hi
 }
 
 // Hash64 is the FNV-1a key hash every probe derives from. It is exported
@@ -74,7 +96,7 @@ func (f *Filter) AddHash(h uint64) bool {
 	h1, h2 := uint32(h), uint32(h>>32)
 	changed := false
 	for i := uint32(0); i < f.hashes; i++ {
-		pos := uint64(h1+i*h2) % f.nbits
+		pos := f.reduce(h1 + i*h2)
 		word, bit := pos/64, uint64(1)<<(pos%64)
 		if f.bits[word]&bit == 0 {
 			f.bits[word] |= bit
@@ -94,7 +116,7 @@ func (f *Filter) Contains(key []byte) bool { return f.ContainsHash(Hash64(key)) 
 func (f *Filter) ContainsHash(h uint64) bool {
 	h1, h2 := uint32(h), uint32(h>>32)
 	for i := uint32(0); i < f.hashes; i++ {
-		pos := uint64(h1+i*h2) % f.nbits
+		pos := f.reduce(h1 + i*h2)
 		if f.bits[pos/64]&(uint64(1)<<(pos%64)) == 0 {
 			return false
 		}
@@ -174,6 +196,7 @@ func Unmarshal(data []byte) (*Filter, error) {
 	if f.nbits == 0 || f.hashes < 1 || f.hashes > 30 {
 		return nil, fmt.Errorf("bloom: filter claims %d bits, %d hashes", f.nbits, f.hashes)
 	}
+	f.mod = multiplier(f.nbits)
 	words := (len(data) - 32) / 8
 	if uint64(words*64) < f.nbits {
 		return nil, fmt.Errorf("bloom: filter claims %d bits but carries %d", f.nbits, words*64)

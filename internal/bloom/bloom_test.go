@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -165,5 +166,55 @@ func TestHashVariantsMatchKeyVariants(t *testing.T) {
 	}
 	if byKey.Inserted() != byHash.Inserted() {
 		t.Fatalf("insert counters diverged: %d vs %d", byKey.Inserted(), byHash.Inserted())
+	}
+}
+
+// TestReduceMatchesModulo checks the divide-free reduction against % at the
+// edges of its range: x from 0 to 2^32-1, and filter sizes that are small,
+// odd, prime, powers of two and the largest it covers, and past it, where
+// it divides.
+func TestReduceMatchesModulo(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	xs := []uint32{0, 1, 2, 63, 64, 65, 1<<31 - 1, 1 << 31, 1<<32 - 2, 1<<32 - 1}
+	for i := 0; i < 200; i++ {
+		xs = append(xs, rng.Uint32())
+	}
+	for _, nbits := range []uint64{1, 2, 63, 64, 65, 97, 1000, 1009, 65537, 1000003, 1 << 31, 1<<31 + 11, 4294967291, 1<<32 - 1, 1 << 32, 1<<40 + 7} {
+		f := &Filter{nbits: nbits, mod: multiplier(nbits)}
+		for _, x := range xs {
+			if got, want := f.reduce(x), uint64(x)%nbits; got != want {
+				t.Fatalf("reduce(%d) over %d bits = %d, want %d", x, nbits, got, want)
+			}
+		}
+	}
+}
+
+// TestMarshalMatchesModuloReference: a filter of 10 k keys sets the bits a
+// reference that probes with % sets, so filters written before the
+// divide-free probe read the same.
+func TestMarshalMatchesModuloReference(t *testing.T) {
+	f := New(10000, 10)
+	ref := make([]uint64, len(f.bits))
+	var inserted uint64
+	for i := 0; i < 10000; i++ {
+		k := []byte(fmt.Sprintf("key-%d", i))
+		f.Add(k)
+		h := Hash64(k)
+		h1, h2 := uint32(h), uint32(h>>32)
+		changed := false
+		for j := uint32(0); j < f.hashes; j++ {
+			pos := uint64(h1+j*h2) % f.nbits
+			if ref[pos/64]&(1<<(pos%64)) == 0 {
+				ref[pos/64] |= 1 << (pos % 64)
+				changed = true
+			}
+		}
+		if changed {
+			inserted++
+		}
+	}
+	want := (&Filter{bits: ref, nbits: f.nbits, hashes: f.hashes, inserted: inserted, capacity: f.capacity}).Marshal()
+	if !bytes.Equal(f.Marshal(), want) {
+		t.Fatal("the filter's bits differ from the % reference's")
 	}
 }

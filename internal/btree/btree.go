@@ -20,12 +20,12 @@ const (
 
 // item holds no pointer, so the collector never scans the items and a key
 // costs no allocation of its own. A key of up to 8 bytes is its Prefix and
-// length; a longer one keeps the bytes past the prefix in its tree's tail
-// store, and a descent reads them only on a prefix tie.
+// length; a longer one keeps the klen-8 bytes past the prefix in its tree's
+// tail arena, and a descent reads them only on a prefix tie.
 type item[V any] struct {
 	pfx  uint64
 	klen uint32
-	tail uint32 // index into Map.tails; 0, the empty tail, for a short key
+	tail uint32 // offset into Map.tails; 0 for a short key
 	val  V
 }
 
@@ -51,14 +51,14 @@ func (n *node[V]) leaf() bool { return len(n.children) == 0 }
 type Map[V any] struct {
 	root *node[V]
 	size int
-	// tails holds the bytes past the first 8 of every long key, each in its
-	// own slice; free lists the entries Delete emptied.
-	tails [][]byte
-	free  []uint32
+	// tails holds the bytes past the first 8 of every long key back to back
+	// after a reserved byte; dead counts deleted keys' bytes left in it.
+	tails []byte
+	dead  int
 }
 
 // New returns an empty tree.
-func New[V any]() *Map[V] { return &Map[V]{tails: [][]byte{nil}} }
+func New[V any]() *Map[V] { return &Map[V]{tails: []byte{0}} }
 
 // Len returns the number of entries.
 func (t *Map[V]) Len() int { return t.size }
@@ -73,7 +73,7 @@ func (t *Map[V]) compare(it *item[V], p uint64, k []byte) int {
 	case it.klen <= 8 || len(k) <= 8:
 		return cmp.Compare(int(it.klen), len(k))
 	}
-	return bytes.Compare(t.tails[it.tail], k[8:])
+	return bytes.Compare(t.tails[it.tail:it.tail+it.klen-8], k[8:])
 }
 
 // search returns the index of the first item of n with key >= k and whether
@@ -144,14 +144,32 @@ func (t *Map[V]) newItem(p uint64, k []byte, v V) item[V] {
 	it := item[V]{pfx: p, klen: uint32(len(k)), val: v}
 	if len(k) > 8 {
 		it.tail = uint32(len(t.tails))
-		if n := len(t.free); n > 0 {
-			it.tail, t.free = t.free[n-1], t.free[:n-1]
-		} else {
-			t.tails = append(t.tails, nil)
-		}
-		t.tails[it.tail] = bytes.Clone(k[8:])
+		t.tails = append(t.tails, k[8:]...)
 	}
 	return it
+}
+
+// compact rewrites the tail arena with the live tails in one tree walk;
+// Delete calls it once the dead bytes outnumber the live ones and the items.
+func (t *Map[V]) compact() {
+	arena := make([]byte, 1, len(t.tails)-t.dead)
+	var walk func(n *node[V])
+	walk = func(n *node[V]) {
+		for i := range n.items {
+			if it := &n.items[i]; it.klen > 8 {
+				at := len(arena)
+				arena = append(arena, t.tails[it.tail:it.tail+it.klen-8]...)
+				it.tail = uint32(at)
+			}
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	if t.root != nil {
+		walk(t.root)
+	}
+	t.tails, t.dead = arena, 0
 }
 
 // splitChild splits the full child at index i, hoisting its median.
@@ -216,9 +234,8 @@ func (t *Map[V]) Delete(k []byte) bool {
 	}
 	if deleted {
 		t.size--
-		if gone.tail != 0 {
-			t.tails[gone.tail] = nil
-			t.free = append(t.free, gone.tail)
+		if t.dead += max(int(gone.klen)-8, 0); t.dead > len(t.tails)-1-t.dead && t.dead > t.size {
+			t.compact()
 		}
 	}
 	return deleted
@@ -357,7 +374,7 @@ func (w *walk[V]) ascend(n *node[V]) bool {
 func (t *Map[V]) appendKey(dst []byte, it *item[V]) []byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], it.pfx)
-	return append(append(dst, b[:min(it.klen, 8)]...), t.tails[it.tail]...)
+	return append(append(dst, b[:min(it.klen, 8)]...), t.tails[it.tail:it.tail+max(it.klen, 8)-8]...)
 }
 
 // Min returns a copy of the smallest key, or nil when empty.

@@ -160,8 +160,8 @@ func TestBytesKeysNotAliased(t *testing.T) {
 }
 
 // TestHandedOutKeysOutliveTailReuse keeps the keys Ascend, Min and Max hand
-// out, then deletes their entries and sets new long keys into the freed tail
-// entries: the kept keys must not change.
+// out, then deletes their entries, which rewrites the tail arena, and sets
+// new long keys into the rewritten arena: the kept keys must not change.
 func TestHandedOutKeysOutliveTailReuse(t *testing.T) {
 	m := New[int]()
 	long := func(i int) []byte { return []byte(fmt.Sprintf("prefix%02d-tail-%06d", i%7, i)) }
@@ -177,13 +177,16 @@ func TestHandedOutKeysOutliveTailReuse(t *testing.T) {
 	})
 	kept = append(kept, m.Min(), m.Max())
 	want = append(want, bytes.Clone(m.Min()), bytes.Clone(m.Max()))
+	grown := len(m.tails)
 	for i := 0; i < 500; i++ {
 		m.Delete(long(i))
 		m.Delete(keyOf(i))
-		m.Set(long(1000+i), i) // takes the tail entry just freed
 	}
-	if len(m.free) != 0 {
-		t.Fatalf("%d tail entries free after refilling every one", len(m.free))
+	for i := 0; i < 500; i++ {
+		m.Set(long(1000+i), i)
+	}
+	if len(m.tails) > grown {
+		t.Fatalf("tail arena grew from %d to %d bytes: deletes never rewrote it", grown, len(m.tails))
 	}
 	for i := range kept {
 		if !bytes.Equal(kept[i], want[i]) {
@@ -199,6 +202,15 @@ func TestSetAllocatesNoKey(t *testing.T) {
 	i := 0
 	if a := testing.AllocsPerRun(20000, func() { m.Set(keyOf(i), [3]uint64{}); i++ }); a >= 0.05 {
 		t.Fatalf("Set of a new 8-byte key: %.3f allocations per call, want < 0.05", a)
+	}
+	// A 24-byte key's tail goes into the tree's arena, not an allocation.
+	long, keys := New[[3]uint64](), make([][]byte, 20001)
+	for j := range keys {
+		keys[j] = append(keyOf(j), "-sixteen-bytes--"...)
+	}
+	i = 0
+	if a := testing.AllocsPerRun(20000, func() { long.Set(keys[i], [3]uint64{}); i++ }); a >= 0.05 {
+		t.Fatalf("Set of a new 24-byte key: %.3f allocations per call, want < 0.05", a)
 	}
 	k := keyOf(777)
 	if a := testing.AllocsPerRun(1000, func() { m.Get(k); m.Ref(k) }); a != 0 {

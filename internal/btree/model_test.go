@@ -111,9 +111,9 @@ func (h *model) ascend(lo, hi []byte, limit int) {
 
 // check compares the whole tree with the model and walks its structure in
 // key order: every item's pfx, klen and tail describe the model's key at its
-// position (a moved or hoisted item keeps them), a tail is held exactly by
-// the long keys and every other tail entry is free, node fill is within
-// B-tree bounds and all leaves sit at one depth.
+// position (a moved or hoisted item keeps them), the long keys' tails lie in
+// the arena without overlap and every other arena byte is counted dead,
+// node fill is within B-tree bounds and all leaves sit at one depth.
 func (h *model) check() {
 	if h.m.Len() != len(h.ref) {
 		h.t.Fatalf("Len = %d, model has %d", h.m.Len(), len(h.ref))
@@ -131,11 +131,11 @@ func (h *model) check() {
 			h.t.Fatalf("%s = %q, model says %q", end.name, end.got, end.want)
 		}
 	}
-	h.checkTails()
 	if h.m.root == nil {
+		h.checkTails(nil)
 		return
 	}
-	leafDepth, pos, held := -1, 0, make(map[uint32]bool)
+	leafDepth, pos, held := -1, 0, [][2]int{}
 	var walk func(n *node[uint64], depth int)
 	walk = func(n *node[uint64], depth int) {
 		if len(n.items) > maxItems || (n != h.m.root && len(n.items) < minItems) {
@@ -153,10 +153,12 @@ func (h *model) check() {
 			if it.pfx != Prefix(k) || it.klen != uint32(len(k)) || (it.tail != 0) != (len(k) > 8) {
 				h.t.Fatalf("item for %q carries pfx %016x klen %d tail %d; its Prefix is %016x", k, it.pfx, it.klen, it.tail, Prefix(k))
 			}
-			if got := h.m.tails[it.tail]; len(k) > 8 && (held[it.tail] || !bytes.Equal(got, k[8:])) {
-				h.t.Fatalf("item for %q holds tail %d = %q, shared: %v", k, it.tail, got, held[it.tail])
+			if len(k) > 8 {
+				if end := int(it.tail) + len(k) - 8; end > len(h.m.tails) || !bytes.Equal(h.m.tails[it.tail:end], k[8:]) {
+					h.t.Fatalf("item for %q holds tail [%d, %d) of a %d-byte arena", k, it.tail, end, len(h.m.tails))
+				}
+				held = append(held, [2]int{int(it.tail), int(it.tail) + len(k) - 8})
 			}
-			held[it.tail] = it.tail != 0
 		}
 		if n.leaf() {
 			if leafDepth < 0 {
@@ -170,37 +172,33 @@ func (h *model) check() {
 		walk(n.children[len(n.items)], depth+1)
 	}
 	walk(h.m.root, 1)
+	h.checkTails(held)
 	if leafDepth > h.maxHeight {
 		h.maxHeight = leafDepth
 	}
 }
 
-// checkTails checks the tail store holds the long keys' tails and nothing
-// else: the live entries are as many as the model's long keys, and every
-// freed entry is empty and listed once.
-func (h *model) checkTails() {
+// checkTails checks the tail arena against the spans the long keys' items
+// hold: they start past the reserved byte and do not overlap, their bytes
+// are as many as the model's long keys' tails, and the rest of the arena is
+// what the tree counts dead.
+func (h *model) checkTails(held [][2]int) {
 	long := 0
 	for _, e := range h.ref {
 		if len(e.k) > 8 {
-			long++
+			long += len(e.k) - 8
 		}
 	}
-	live, freed := 0, make(map[uint32]bool)
-	for _, i := range h.m.free {
-		if i == 0 || freed[i] || h.m.tails[i] != nil {
-			h.t.Fatalf("free list entry %d: repeated, reserved or still held (%q)", i, h.m.tails[i])
+	slices.SortFunc(held, func(a, b [2]int) int { return a[0] - b[0] })
+	live, end := 0, 1
+	for _, s := range held {
+		if s[0] < end {
+			h.t.Fatalf("tail [%d, %d) overlaps the reserved byte or the tail before it", s[0], s[1])
 		}
-		freed[i] = true
+		live, end = live+s[1]-s[0], s[1]
 	}
-	for i, tail := range h.m.tails {
-		if tail != nil {
-			live++
-		} else if i != 0 && !freed[uint32(i)] {
-			h.t.Fatalf("tail entry %d is empty but not on the free list", i)
-		}
-	}
-	if live != long {
-		h.t.Fatalf("tail store holds %d tails, the model has %d keys longer than 8 bytes", live, long)
+	if live != long || len(h.m.tails)-1-h.m.dead != live {
+		h.t.Fatalf("arena of %d bytes, %d dead, holds %d live tail bytes; the model's long keys have %d", len(h.m.tails), h.m.dead, live, long)
 	}
 }
 

@@ -35,7 +35,9 @@ type Stats struct {
 	// Device accounting.
 	NVMe stats.Snapshot
 	SATA stats.Snapshot
-	// Capacity usage, and the memory the simulated devices' files hold.
+	// Capacity usage, and the memory the simulated devices' files hold:
+	// each page's non-zero 32-byte granules, so held= on the STATS line
+	// reads below used= by the zero bytes (slot padding) the pages hold.
 	NVMeUsed     int64
 	NVMeCapacity int64
 	SATAUsed     int64

@@ -214,7 +214,7 @@ func (d *Device) Create(name string) (*File, error) {
 	if _, ok := d.files[name]; ok {
 		return nil, fmt.Errorf("device: file %q exists", name)
 	}
-	f := &File{dev: d, name: name, buf: pageTable{ps: int64(d.profile.PageSize)}, dirtyLo: -1}
+	f := &File{dev: d, name: name, buf: newPageTable(d.profile.PageSize), dirtyLo: -1}
 	d.files[name] = f
 	return f, nil
 }
@@ -265,15 +265,18 @@ func (d *Device) Close() {
 	d.closed.Store(true)
 }
 
-// Held returns the bytes its files' page chunks hold in memory. A punched
-// page holds none, so on a device whose files recycle pages this stays at
-// Used, however far the files span.
+// Held returns the bytes its files' pages store in memory: their non-zero
+// granules, a running count per file. A punched page stores none, and a
+// held one only its non-zero granules, so this stays at or below Used,
+// however far the files span.
 func (d *Device) Held() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var n int64
 	for _, f := range d.files {
-		n += f.AllocatedBytes()
+		f.mu.RLock()
+		n += f.buf.stored
+		f.mu.RUnlock()
 	}
 	return n
 }

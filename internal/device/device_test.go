@@ -161,6 +161,15 @@ func TestHolePunchAndReallocate(t *testing.T) {
 	d := unthrottled(16 * 4096)
 	f, _ := d.Create("a")
 	f.EnsureAllocated(8 * 4096)
+	// One non-zero byte in each page: each page stores the one granule.
+	model := make([]byte, 8*4096)
+	for p := int64(0); p < 8; p++ {
+		model[p*4096+100] = byte(1 + p)
+		f.WriteAt(model[p*4096+100:p*4096+101], p*4096+100, Fg)
+	}
+	if want := nonZeroGranules(model) * 32; d.Held() != want || want != 8*32 {
+		t.Fatalf("the device holds %d bytes, want %d for 8 non-zero granules", d.Held(), want)
+	}
 	used := d.Used()
 	f.PunchHole(3)
 	f.PunchHole(3) // idempotent
@@ -170,8 +179,9 @@ func TestHolePunchAndReallocate(t *testing.T) {
 	if f.AllocatedBytes() != 7*4096 {
 		t.Fatalf("allocated = %d", f.AllocatedBytes())
 	}
-	if d.Held() != 7*4096 {
-		t.Fatalf("after a punch the device holds %d bytes, want the 7 pages left", d.Held())
+	clear(model[3*4096 : 4*4096])
+	if want := nonZeroGranules(model) * 32; d.Held() != want {
+		t.Fatalf("after a punch the device holds %d bytes, want the %d the 7 pages left store", d.Held(), want)
 	}
 	// Data still readable after punch (TRIM semantics until reuse).
 	if _, err := f.ReadAt(make([]byte, 10), 3*4096, Fg); err != nil {
@@ -183,8 +193,8 @@ func TestHolePunchAndReallocate(t *testing.T) {
 	if d.Used() != used {
 		t.Fatalf("reallocate restored %d, want %d", d.Used(), used)
 	}
-	if d.Held() != used {
-		t.Fatalf("reallocate holds %d bytes, want %d", d.Held(), used)
+	if want := nonZeroGranules(model) * 32; d.Held() != want {
+		t.Fatalf("a reallocated page reads zeros but the device holds %d bytes, want %d", d.Held(), want)
 	}
 	// Reallocate of a never-punched page is a no-op.
 	if err := f.Reallocate(0); err != nil {
@@ -396,8 +406,9 @@ func TestEnsureAllocatedChargesNothing(t *testing.T) {
 // TestFileMatchesFlatModel drives a file through random appends, in-place
 // writes, zero extensions, truncations and hole punches whose sizes straddle
 // many of the pages the contents are stored in, and checks every read
-// against a flat byte slice, and the ledger, the memory the file holds and
-// its allocated pages against the model's set of punched pages.
+// against a flat byte slice, the memory the file holds against the model's
+// non-zero 32-byte granules, and the ledger and its allocated pages against
+// the model's set of punched pages.
 func TestFileMatchesFlatModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 20; round++ {
@@ -486,10 +497,9 @@ func TestFileMatchesFlatModel(t *testing.T) {
 		if want := int64(pages-holes) * 4096; d.Used() != want {
 			t.Fatalf("round %d: ledger holds %d bytes for %d pages less %d holes", round, d.Used(), pages, holes)
 		}
-		// Every page but the punched ones holds one page-sized chunk, the
-		// last one included: a file holds less than a page past its tail.
-		if held := d.Held(); held != int64(pages-holes)*4096 || held >= int64(len(model)-holes*4096+4096) {
-			t.Fatalf("round %d: file holds %d bytes for %d pages less %d holes (%d bytes long)", round, held, pages, holes, len(model))
+		// A page stores its non-zero granules and nothing else.
+		if held, want := d.Held(), nonZeroGranules(model)*32; held != want {
+			t.Fatalf("round %d: file holds %d bytes, want %d for the model's non-zero granules", round, held, want)
 		}
 		ids := f.AllocatedPageIDs()
 		for i, p := 0, 0; p < pages; p++ {

@@ -33,7 +33,7 @@ func (f *File) AllocatedPageIDs() []int64 {
 	defer f.mu.RUnlock()
 	out := make([]int64, 0, len(f.buf.pages))
 	for i, c := range f.buf.pages {
-		if c != nil {
+		if c.held {
 			out = append(out, int64(i))
 		}
 	}
@@ -41,14 +41,15 @@ func (f *File) AllocatedPageIDs() []int64 {
 }
 
 // PunchHole releases the page at index pageIdx back to the device ledger
-// (TRIM), and its chunk with it. Like a deterministic-TRIM SSD, the page
-// reads back as zeros afterwards — recovery scans must never see a recycled
-// page's previous occupancy. Idempotent.
+// (TRIM), and the memory its contents took with it. Like a deterministic-TRIM
+// SSD, the page reads back as zeros afterwards — recovery scans must never
+// see a recycled page's previous occupancy. Idempotent.
 func (f *File) PunchHole(pageIdx int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if !f.released && pageIdx >= 0 && pageIdx < int64(len(f.buf.pages)) && f.buf.pages[pageIdx] != nil {
-		f.buf.pages[pageIdx] = nil
+	if !f.released && pageIdx >= 0 && pageIdx < int64(len(f.buf.pages)) && f.buf.pages[pageIdx].held {
+		f.buf.stored -= int64(len(f.buf.pages[pageIdx].data))
+		f.buf.pages[pageIdx] = chunk{}
 		f.dev.freePages(1)
 	}
 }
@@ -61,10 +62,10 @@ func (f *File) Reallocate(pageIdx int64) error {
 	if f.released {
 		return ErrClosed
 	}
-	if pageIdx < 0 || pageIdx >= int64(len(f.buf.pages)) || f.buf.pages[pageIdx] != nil {
+	if pageIdx < 0 || pageIdx >= int64(len(f.buf.pages)) || f.buf.pages[pageIdx].held {
 		return nil
 	}
-	return f.claimLocked(pageIdx*f.buf.ps, 1)
+	return f.claimLocked(pageIdx*int64(f.buf.ps), 1)
 }
 
 // Name returns the file's name on its device.
@@ -83,9 +84,7 @@ func (f *File) Size() int64 {
 // AllocatedBytes returns the page-rounded on-device footprint, excluding
 // punched holes.
 func (f *File) AllocatedBytes() int64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.buf.held()
+	return int64(len(f.AllocatedPageIDs())) * int64(f.buf.ps)
 }
 
 func (f *File) pageSpan(off, n int64) (firstPage, pages int64) {
