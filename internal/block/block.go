@@ -27,6 +27,7 @@ type Builder struct {
 	counter         int
 	count           int
 	lastKey         []byte
+	scratch         []byte // the next key's encoding; swapped with lastKey
 	firstUser       []byte
 	lastUser        []byte
 }
@@ -64,7 +65,7 @@ func (b *Builder) LastUserKey() []byte  { return b.lastUser }
 
 // Add appends an entry. ikey must sort after every previously added key.
 func (b *Builder) Add(ikey keys.InternalKey, value []byte) {
-	enc := ikey.Encode(nil)
+	enc := ikey.Encode(b.scratch[:0])
 	shared := 0
 	if b.counter < b.restartInterval {
 		n := len(b.lastKey)
@@ -89,7 +90,7 @@ func (b *Builder) Add(ikey keys.InternalKey, value []byte) {
 	b.buf = append(b.buf, enc[shared:]...)
 	b.buf = append(b.buf, value...)
 
-	b.lastKey = append(b.lastKey[:0], enc...)
+	b.lastKey, b.scratch = enc, b.lastKey
 	if b.firstUser == nil {
 		b.firstUser = append([]byte(nil), ikey.User...)
 	}

@@ -157,6 +157,32 @@ func TestBuilderReset(t *testing.T) {
 	}
 }
 
+// TestAddAllocatesOnlyTheBounds: a reused builder encodes each key into a
+// buffer it keeps, so a block of 16 entries costs two allocations (the
+// first and last user keys, which outlive Reset), and its bytes are a
+// fresh builder's.
+func TestAddAllocatesOnlyTheBounds(t *testing.T) {
+	var ks []keys.InternalKey
+	for i := 0; i < 16; i++ {
+		ks = append(ks, ik(fmt.Sprintf("user/key-%04d", i*37), uint64(100-i)))
+	}
+	fill := func(b *Builder) {
+		b.Reset()
+		for _, k := range ks {
+			b.Add(k, []byte("value"))
+		}
+	}
+	b, fresh := NewBuilder(4), NewBuilder(4)
+	fill(b)
+	if a := testing.AllocsPerRun(100, func() { fill(b) }); a > 2 {
+		t.Fatalf("a 16-entry block: %.0f allocations, want 2", a)
+	}
+	fill(fresh)
+	if !bytes.Equal(b.Finish(), fresh.Finish()) {
+		t.Fatal("a reused builder's block differs from a fresh builder's")
+	}
+}
+
 func TestMalformedBlocks(t *testing.T) {
 	for _, data := range [][]byte{nil, {1}, {0, 0, 0, 99}, bytes.Repeat([]byte{7}, 12)} {
 		if _, err := NewIter(data); err == nil {

@@ -3,6 +3,7 @@ package btree
 import (
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -66,4 +67,28 @@ func BenchmarkIndexGet(b *testing.B) {
 
 func BenchmarkIndexRef(b *testing.B) {
 	benchIndex(b, func(m *Map[benchVal], k []byte) bool { return m.Ref(k) != nil })
+}
+
+// BenchmarkIndexSet builds one partition's index, 75 k random 8-byte keys,
+// per iteration, and reports ns and allocated bytes per Set. Random order
+// splits leaves mid-array and refills both halves, which the in-order
+// BenchmarkBTreeSet never does.
+func BenchmarkIndexSet(b *testing.B) {
+	const n = 75_000
+	keys := make([]byte, 8*n)
+	rand.New(rand.NewSource(20)).Read(keys)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := New[benchVal]()
+		for j := 0; j < len(keys); j += 8 {
+			m.Set(keys[j:j+8], benchVal{})
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	sets := float64(b.N) * n
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/sets, "ns/key")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/sets, "B/key")
 }

@@ -44,6 +44,7 @@ func (h *model) set(k []byte) {
 		h.ref[i].k = bytes.Clone(k)
 	}
 	h.ref[i].v = h.seq
+	h.fits()
 	h.get(k)
 }
 
@@ -55,7 +56,29 @@ func (h *model) delete(k []byte) {
 	if want {
 		h.ref = append(h.ref[:i], h.ref[i+1:]...)
 	}
+	h.fits()
 	h.get(k)
+}
+
+// fits checks the capacity rule on every node: no array holds more than
+// len + len/4 + 2 slots, so neither growth nor a split, borrow or merge
+// leaves a node paying for items it does not hold.
+func (h *model) fits() {
+	var walk func(n *node[uint64])
+	walk = func(n *node[uint64]) {
+		if l, c := len(n.items), cap(n.items); c > l+l/4+2 {
+			h.t.Fatalf("node holds %d items in a %d-item array", l, c)
+		}
+		if l, c := len(n.children), cap(n.children); c > l+l/4+2 {
+			h.t.Fatalf("node holds %d children in a %d-child array", l, c)
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	if h.m.root != nil {
+		walk(h.m.root)
+	}
 }
 
 // get checks Get and Ref for k, then rewrites a present value through the
