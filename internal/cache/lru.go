@@ -384,29 +384,37 @@ func (c *LRU) Delete(key string) {
 	s.mu.Unlock()
 }
 
-// GetObject appends key's cached object to dst[:0] when it is version tag,
-// and counts the use — in the sketch too, hit or miss. The copy is taken
-// under the shard lock: writers reuse the cached buffer. Tags are below 1<<62.
-func (c *LRU) GetObject(key string, tag uint64, dst []byte) ([]byte, bool) {
+// GetObject appends key's cached object to dst[:0] and returns it with the
+// version it holds, and counts the use, in the sketch too. A miss counts only
+// when countMiss is set: a caller that asks before it knows the key is one the
+// cache may hold — the zone tier, ahead of its index — leaves the sketch and
+// the tallies as a caller that never asked would. The copy is taken under the
+// shard lock: writers reuse the cached buffer.
+func (c *LRU) GetObject(key string, dst []byte, countMiss bool) (value []byte, tag uint64, ok bool) {
 	s, h := c.shardFor(key)
 	var spill []spilled
 	s.mu.Lock()
-	s.counting(&spill)
-	s.freq.add(h)
-	e, _ := s.items.find(h, key)
-	if e == nil || !e.object() || e.tag() != tag {
-		s.misses++
-		s.unlockAndSpill(spill)
-		return nil, false
+	if countMiss {
+		s.counting(&spill)
 	}
+	e, _ := s.items.find(h, key)
+	if e == nil || !e.object() {
+		if countMiss {
+			s.freq.add(h)
+			s.misses++
+		}
+		s.unlockAndSpill(spill)
+		return nil, 0, false
+	}
+	s.freq.add(h)
 	s.hits++
 	s.use(e)
-	dst = append(dst[:0], e.value...)
+	dst, tag = append(dst[:0], e.value...), e.tag()
 	s.unlockAndSpill(spill)
 	if dst == nil {
 		dst = []byte{}
 	}
-	return dst, true
+	return dst, tag, true
 }
 
 // PutObject caches a copy of value as version tag of key, unless key is

@@ -170,15 +170,20 @@ func (m *model) get(key string) ([]byte, bool) {
 	return e.value, true
 }
 
-func (m *model) getObject(key string, tag uint64) ([]byte, bool) {
-	m.counting()
-	m.freq.add(key)
-	if e := m.find(key); e == nil || !e.object || e.tag != tag {
-		return nil, false
+func (m *model) getObject(key string, countMiss bool) ([]byte, uint64, bool) {
+	if countMiss {
+		m.counting()
 	}
+	if e := m.find(key); e == nil || !e.object {
+		if countMiss {
+			m.freq.add(key)
+		}
+		return nil, 0, false
+	}
+	m.freq.add(key)
 	e := m.take(key)
 	m.put(e, true)
-	return e.value, true
+	return e.value, e.tag, true
 }
 
 func (m *model) putPage(key string, value []byte) {
@@ -311,10 +316,11 @@ func runAgainstModel(t testing.TB, ops []byte) {
 			c.Delete(key)
 			m.take(key)
 		case 3:
-			got, ok := c.GetObject(key, tag, nil)
-			want, wok := m.getObject(key, tag)
-			if ok != wok || !bytes.Equal(got, want) {
-				t.Fatalf("%s: GetObject = %x, %v; model %x, %v", what, got, ok, want, wok)
+			countMiss := arg%2 == 0
+			got, tag, ok := c.GetObject(key, nil, countMiss)
+			want, wtag, wok := m.getObject(key, countMiss)
+			if ok != wok || tag != wtag || !bytes.Equal(got, want) {
+				t.Fatalf("%s: GetObject = %x at %d, %v; model %x at %d, %v", what, got, tag, ok, want, wtag, wok)
 			}
 			if ok && !bytes.Equal(got, objectValue(tag, len(got))) {
 				t.Fatalf("%s: GetObject returned bytes stored under another tag: %x", what, got)
@@ -435,7 +441,7 @@ func TestScanDoesNotFlushHotObjects(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 1000; i++ {
-			if _, ok := c.GetObject(key(i), 1, nil); !ok {
+			if _, _, ok := c.GetObject(key(i), nil, true); !ok {
 				t.Fatalf("object %d missed before the scan", i)
 			}
 		}
@@ -449,7 +455,7 @@ func TestScanDoesNotFlushHotObjects(t *testing.T) {
 	}
 	hits := 0
 	for i := 0; i < 1000; i++ {
-		if _, ok := c.GetObject(key(i), 1, nil); ok {
+		if _, _, ok := c.GetObject(key(i), nil, true); ok {
 			hits++
 		}
 	}
@@ -532,7 +538,7 @@ func BenchmarkObjectCache(b *testing.B) {
 		})
 	}
 	dst := make([]byte, 0, 256)
-	run("hit", 1<<30, func(c *LRU, key string, _ int) { benchSink, _ = c.GetObject(key, 1, dst) },
+	run("hit", 1<<30, func(c *LRU, key string, _ int) { benchSink, _, _ = c.GetObject(key, dst, true) },
 		func(c *LRU, ops int) bool { return c.Usage().Hits == uint64(ops) })
 	run("refresh-hit", 1<<30, func(c *LRU, key string, i int) { c.RefreshObject(key, uint64(i), value) },
 		func(c *LRU, _ int) bool { return c.Usage().Objects == n })
@@ -549,7 +555,7 @@ func BenchmarkObjectCache(b *testing.B) {
 		binary.BigEndian.PutUint64(kb[5:], uint64(n+i))
 		c.PromoteObject(string(kb[:]), 1, value)
 	}, func(c *LRU, ops int) bool {
-		_, ok := c.GetObject(string(kb[:]), 1, nil) // the last key promoted
+		_, _, ok := c.GetObject(string(kb[:]), nil, true) // the last key promoted
 		return ok
 	})
 }

@@ -113,7 +113,7 @@ func TestOnlyObjectCachesPayForASketch(t *testing.T) {
 	if u := c.Usage(); u.SketchBytes != 0 || u.Capacity != capacity || u.Used < capacity*9/10 {
 		t.Fatalf("a full cache of pages: %+v", u)
 	}
-	c.GetObject("V1", 1, nil)
+	c.GetObject("V1", nil, true)
 	if u := c.Usage(); u.SketchBytes == 0 || u.SketchBytes > capacity/nShards/40 || u.Capacity != capacity || u.Used > u.Capacity {
 		t.Fatalf("after one object probe: %+v", u)
 	}
@@ -149,7 +149,7 @@ func TestSketchChargeRacesPagePuts(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 2000; i++ {
-			c.GetObject(fmt.Sprintf("V%d", i), 1, nil)
+			c.GetObject(fmt.Sprintf("V%d", i), nil, true)
 		}
 	}()
 	wg.Wait()
@@ -173,12 +173,12 @@ func TestOneHitObjectsDoNotDisplaceHotOnes(t *testing.T) {
 	var hits, modelHits int
 	for n, i := range trace {
 		measured := n >= len(trace)/2
-		if _, ok := c.GetObject(keys[i], 1, nil); !ok {
+		if _, _, ok := c.GetObject(keys[i], nil, true); !ok {
 			c.PutObject(keys[i], 1, value)
 		} else if measured {
 			hits++
 		}
-		if _, ok := m.getObject(keys[i], 1); !ok {
+		if _, _, ok := m.getObject(keys[i], true); !ok {
 			m.putObject(keys[i], 1, value, fill)
 		} else if measured {
 			modelHits++
@@ -190,5 +190,34 @@ func TestOneHitObjectsDoNotDisplaceHotOnes(t *testing.T) {
 		got, without, s.objects, s.rejected)
 	if got < without+0.05 {
 		t.Fatalf("admission hit ratio %.3f does not beat %.3f by 5 points", got, without)
+	}
+}
+
+// TestUncountedMissLeavesNoTrace: a probe that does not count its miss — the
+// zone tier's, ahead of its index — makes no sketch, counts no miss and adds
+// nothing to the key's estimate; its hit counts as any hit does.
+func TestUncountedMissLeavesNoTrace(t *testing.T) {
+	c := NewLRU(1<<20, nil)
+	for i := 0; i < 3; i++ {
+		if _, _, ok := c.GetObject("V1", nil, false); ok {
+			t.Fatal("hit in an empty cache")
+		}
+	}
+	if u := c.Usage(); u.SketchBytes != 0 || u.Misses != 0 || u.Hits != 0 {
+		t.Fatalf("after uncounted misses: %+v", u)
+	}
+	c.PromoteObject("V1", 7, []byte("x"))
+	s, h := c.shardFor("V1")
+	before := s.freq.estimate(h)
+	c.GetObject("V2", nil, false)
+	if s2, h2 := c.shardFor("V2"); s2.freq.words != nil && s2.freq.estimate(h2) != 0 {
+		t.Fatalf("an uncounted miss of V2 counted it %d times", s2.freq.estimate(h2))
+	}
+	v, tag, ok := c.GetObject("V1", nil, false)
+	if !ok || tag != 7 || string(v) != "x" {
+		t.Fatalf("uncounted probe of a cached object: %q at %d, %v", v, tag, ok)
+	}
+	if u := c.Usage(); u.Hits != 1 || u.Misses != 0 || s.freq.estimate(h) != before+1 {
+		t.Fatalf("an uncounted probe's hit: %+v, estimate %d → %d", u, before, s.freq.estimate(h))
 	}
 }

@@ -91,10 +91,22 @@ func Encode(dst []byte, c Codec, src []byte) []byte {
 	return dst
 }
 
-// Decode expands a payload produced by Encode. maxRaw caps the decoded
+// Decode expands a payload produced by Encode: a payload stored raw comes
+// back as a view of it, any other in a new buffer. maxRaw caps the decoded
 // allocation: a payload declaring more raw bytes is rejected before any
 // allocation happens. Decode never panics on any input.
 func Decode(payload []byte, maxRaw int) ([]byte, error) {
+	return decode(nil, payload, maxRaw, true)
+}
+
+// DecodeInto is Decode into dst's array, or a new one when dst is too short:
+// the raw bytes it returns never alias payload, so a caller can keep the
+// array for its next block.
+func DecodeInto(dst, payload []byte, maxRaw int) ([]byte, error) {
+	return decode(dst, payload, maxRaw, false)
+}
+
+func decode(dst, payload []byte, maxRaw int, view bool) ([]byte, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("compress: empty payload")
 	}
@@ -104,9 +116,12 @@ func Decode(payload []byte, maxRaw int) ([]byte, error) {
 		if len(raw) > maxRaw {
 			return nil, fmt.Errorf("compress: raw payload %d exceeds cap %d", len(raw), maxRaw)
 		}
-		return raw, nil
+		if view {
+			return raw, nil
+		}
+		return append(dst[:0], raw...), nil
 	case LZ:
-		return decodeLZ(payload[1:], maxRaw)
+		return decodeLZ(dst, payload[1:], maxRaw)
 	}
 	return nil, fmt.Errorf("compress: unknown codec tag %d", payload[0])
 }
@@ -205,7 +220,7 @@ const lzSlack = 16
 // decodeLZ expands an LZ token stream (payload without the tag byte),
 // enforcing the declared raw length, the allocation cap, and the raw
 // checksum. Any malformed input returns an error; none can panic.
-func decodeLZ(p []byte, maxRaw int) ([]byte, error) {
+func decodeLZ(dst, p []byte, maxRaw int) ([]byte, error) {
 	rawLen, n := binary.Uvarint(p)
 	if n <= 0 {
 		return nil, fmt.Errorf("compress: truncated lz length")
@@ -219,7 +234,10 @@ func decodeLZ(p []byte, maxRaw int) ([]byte, error) {
 	}
 	sum := binary.LittleEndian.Uint32(p)
 	p = p[4:]
-	out := make([]byte, int(rawLen)+lzSlack)
+	out := dst[:cap(dst)] // the decoder reads no byte it has not written
+	if len(out) < int(rawLen)+lzSlack {
+		out = make([]byte, int(rawLen)+lzSlack)
+	}
 	d, i := 0, 0 // bytes decoded, bytes of p read
 	for i < len(p) {
 		t := p[i]

@@ -3,6 +3,7 @@ package compress
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -137,5 +138,36 @@ func TestParse(t *testing.T) {
 	}
 	if _, err := Parse("zstd"); err == nil {
 		t.Fatalf("Parse accepted unknown codec")
+	}
+}
+
+// TestDecodeIntoReusesDst: a block decoded into a buffer with room for it
+// allocates nothing — stored raw or LZ — and the bytes are the block's even
+// where the buffer held another block's; a short buffer is replaced.
+func TestDecodeIntoReusesDst(t *testing.T) {
+	blocks := engineBlocks(8)
+	var payloads [][]byte
+	for i, blk := range blocks {
+		payloads = append(payloads, Encode(nil, []Codec{None, LZ}[i%2], blk))
+	}
+	dst := make([]byte, 0, 64<<10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const rounds = 1000
+	for i := 0; i < rounds; i++ {
+		out, err := DecodeInto(dst, payloads[i%len(payloads)], 1<<20)
+		if err != nil || !bytes.Equal(out, blocks[i%len(blocks)]) {
+			t.Fatalf("round %d: %d bytes, %v", i, len(out), err)
+		}
+		if &out[:1][0] != &dst[:1][0] {
+			t.Fatalf("round %d: decoded outside the buffer it was handed", i)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if a := float64(after.Mallocs-before.Mallocs) / rounds; a >= 0.05 {
+		t.Fatalf("DecodeInto with room: %.3f allocations per block, want 0", a)
+	}
+	if out, err := DecodeInto(make([]byte, 0, 16), payloads[1], 1<<20); err != nil || !bytes.Equal(out, blocks[1]) {
+		t.Fatalf("into a short buffer: %d bytes, %v", len(out), err)
 	}
 }

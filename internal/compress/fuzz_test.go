@@ -142,10 +142,13 @@ func FuzzDecodeMatchesReference(f *testing.F) {
 	f.Add([]byte{8, 0, 0, 0, 0, 0x0e, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 0x01, 0x80})
 	f.Fuzz(func(t *testing.T, p []byte) {
 		const cap = 1 << 16
-		got, err := decodeLZ(p, cap)
 		want, wantErr := decodeLZReference(p, cap)
-		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !bytes.Equal(got, want) {
-			t.Fatalf("decodeLZ = %d bytes, %v; reference %d bytes, %v", len(got), err, len(want), wantErr)
+		// Into a new buffer, and into a reused one that holds other bytes.
+		for _, dst := range [][]byte{nil, bytes.Repeat([]byte{0xa5}, cap+lzSlack)} {
+			got, err := decodeLZ(dst, p, cap)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !bytes.Equal(got, want) {
+				t.Fatalf("decodeLZ into %d bytes = %d bytes, %v; reference %d bytes, %v", len(dst), len(got), err, len(want), wantErr)
+			}
 		}
 	})
 }
@@ -162,7 +165,7 @@ func BenchmarkDecode(b *testing.B) {
 	for _, d := range []struct {
 		name   string
 		decode func([]byte, int) ([]byte, error)
-	}{{"words", decodeLZ}, {"reference", decodeLZReference}} {
+	}{{"words", func(p []byte, max int) ([]byte, error) { return decodeLZ(nil, p, max) }}, {"reference", decodeLZReference}} {
 		b.Run(d.name, func(b *testing.B) {
 			b.SetBytes(int64(raw / len(payloads)))
 			b.ReportAllocs()

@@ -19,23 +19,31 @@ func (db *DB) startWorkers(p *partition) {
 	db.wg.Add(2)
 	go func() {
 		defer db.wg.Done()
-		engine.Work(db.stop, p.wakeMig, &db.errs, func() (bool, error) {
-			if err := db.MigrationStep(p.id); err != nil {
-				return false, fmt.Errorf("migration p%d: %w", p.id, err)
-			}
-			return false, nil
-		})
+		engine.Work(db.stop, p.wakeMig, &db.errs, func() (bool, error) { return db.migrationPass(p) })
 	}()
 	go func() {
 		defer db.wg.Done()
-		engine.Work(db.stop, p.wakeComp, &db.errs, func() (bool, error) {
-			did, err := p.tree.Compact(device.Bg)
-			if err != nil {
-				return false, fmt.Errorf("compaction p%d: %w", p.id, err)
-			}
-			return did, nil
-		})
+		engine.Work(db.stop, p.wakeComp, &db.errs, func() (bool, error) { return db.compactionPass(p) })
 	}()
+}
+
+// migrationPass is the step of a partition's migration worker: one
+// MigrationStep, its error naming the worker.
+func (db *DB) migrationPass(p *partition) (more bool, err error) {
+	if err := db.MigrationStep(p.id); err != nil {
+		return false, fmt.Errorf("migration p%d: %w", p.id, err)
+	}
+	return false, nil
+}
+
+// compactionPass is the step of a partition's compaction worker: at most one
+// compaction, and more while it found one to run.
+func (db *DB) compactionPass(p *partition) (more bool, err error) {
+	did, err := p.tree.Compact(device.Bg)
+	if err != nil {
+		return false, fmt.Errorf("compaction p%d: %w", p.id, err)
+	}
+	return did, nil
 }
 
 // MigrationStep runs one bounded pass of the §3.5 migration logic for

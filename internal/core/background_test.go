@@ -69,19 +69,34 @@ func TestWorkersRecordBackgroundErrors(t *testing.T) {
 
 // TestDrainReportsWorkerErrorOnce fails one capacity-tier write while the
 // workers demote. The drain that follows returns that error, once: the next
-// drain returns nil.
+// drain returns nil. The workers' passes are run here, one at a time, and
+// noted in the engine's ledger as engine.Work notes them, so exactly one pass
+// meets the failure: free-running workers could race a second pass into the
+// full tier before the fault is cleared.
 func TestDrainReportsWorkerErrorOnce(t *testing.T) {
-	db := openCore(t, 3<<20, true)
-	db.opts.SATADevice.InjectFaults(device.FaultPlan{FailWriteAfter: 1})
+	db := openCore(t, 3<<20, false)
 	rng := rand.New(rand.NewSource(12))
-	deadline := time.Now().Add(10 * time.Second)
-	for db.Stats().BackgroundErrors == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the workers never hit the injected write failure")
-		}
+	for db.opts.NVMeDevice.UsedFraction() < db.opts.HighWatermark {
 		if err := db.Put(k8(rng.Uint64()), make([]byte, 128)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	db.opts.SATADevice.InjectFaults(device.FaultPlan{FailWriteAfter: 1})
+	failed := false
+passes:
+	for round := 0; round < 10; round++ {
+		for _, p := range db.parts {
+			for _, pass := range []func(*partition) (bool, error){db.migrationPass, db.compactionPass} {
+				if _, err := pass(p); err != nil {
+					db.errs.Note(err)
+					failed = true
+					break passes
+				}
+			}
+		}
+	}
+	if !failed {
+		t.Fatal("no worker pass met the injected write failure")
 	}
 	db.opts.SATADevice.ClearFaults()
 	err := db.DrainBackground()

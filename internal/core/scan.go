@@ -61,13 +61,15 @@ func (db *DB) Scan(start []byte, limit int) ([]KV, error) {
 // chunks of index refs, and every chunk repeats that order: refs first, then
 // a tree iterator opened at the chunk's start, which costs a block per level
 // and not one per table. A ref whose slot was freed in the meantime falls
-// back to a point lookup. A slot page is read at most once (memo).
+// back to a point lookup. A slot page is read at most once (memo), into a
+// buffer a later scan reuses.
 func (db *DB) scanPartition(p *partition, lo []byte, limit int) ([]KV, error) {
 	type zref struct {
 		key []byte // the index walk's own copy
 		loc zone.Location
 	}
 	memo := make(slot.Pages)
+	defer memo.Release() // readZone hands out copies, never views into its pages
 	// readZone returns the live value behind a zone ref, if there is one.
 	readZone := func(r zref) (v []byte, ok bool, err error) {
 		if r.loc.Tombstone {

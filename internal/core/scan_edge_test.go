@@ -272,3 +272,35 @@ func TestScanReadsEachSlotPageOnce(t *testing.T) {
 		t.Fatalf("the repeated scan took %d NVMe reads; want 0", r)
 	}
 }
+
+// TestScanValuesOutlivePageReuse: a scan reads slot pages into buffers that
+// go back to a pool when it ends, and the next scan reads other pages into
+// them. The values the first scan returned are copies and stay as they were.
+func TestScanValuesOutlivePageReuse(t *testing.T) {
+	db := openCore(t, 64<<20, false)
+	const n = 1024 // several slot pages
+	value := func(i int) string { return fmt.Sprintf("value-%04d", i) }
+	for i := 0; i < n; i++ {
+		if err := db.Put(k8(uint64(i)), []byte(value(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kept, err := db.Scan(nil, n/4)
+	if err != nil || len(kept) != n/4 {
+		t.Fatalf("first scan: %d pairs, %v", len(kept), err)
+	}
+	reads := db.NVMe().Counters().ReadOps.Load()
+	for from := n / 4; from < n; from += n / 4 {
+		if _, err := db.Scan(k8(uint64(from)), n/4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if db.NVMe().Counters().ReadOps.Load() == reads {
+		t.Fatal("the later scans read no slot page")
+	}
+	for i, kv := range kept {
+		if string(kv.Value) != value(i) {
+			t.Fatalf("scan[%d] changed from %q to %q", i, value(i), kv.Value)
+		}
+	}
+}

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
+	"hyperdb/internal/compress"
 	"hyperdb/internal/device"
 	"hyperdb/internal/keys"
 )
@@ -616,7 +618,7 @@ func TestDeadBlocksLeaveTheCache(t *testing.T) {
 	}
 	before := tbl.LiveBlockMetas()
 	for i := range before {
-		if _, err := tbl.readBlockData(&before[i], device.Fg); err != nil {
+		if _, err := tbl.readBlockData(&before[i], device.Fg, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -648,12 +650,80 @@ func TestDeadBlocksLeaveTheCache(t *testing.T) {
 
 	after := tbl.LiveBlockMetas()
 	for i := range after { // the merged blocks are read, then the table is deleted
-		if _, err := tbl.readBlockData(&after[i], device.Fg); err != nil {
+		if _, err := tbl.readBlockData(&after[i], device.Fg, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	tbl.Close()
 	if len(pc) != 0 {
 		t.Fatalf("%d blocks of a closed table are still cached", len(pc))
+	}
+}
+
+// TestGetEntryValuesOutliveBufferReuse: GetEntry decodes an LZ block into a
+// pooled buffer that later reads decode other blocks into; the values it
+// handed out are copies, so they survive every later read.
+func TestGetEntryValuesOutliveBufferReuse(t *testing.T) {
+	f, _ := newDev().Create("s1")
+	tbl, err := Build(f, Options{Codec: compress.LZ}, sortedEntries(1000, 1), device.Bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept, want [][]byte
+	for i := 0; i < 1000; i += 7 {
+		k := fmt.Sprintf("key-%05d", i)
+		v, _, found, err := tbl.Get([]byte(k), keys.MaxSeq, device.Fg)
+		if err != nil || !found {
+			t.Fatalf("get %s: %v %v", k, found, err)
+		}
+		kept, want = append(kept, v), append(want, []byte("val-"+k))
+	}
+	for i := 999; i >= 0; i-- { // every block again, decoded over the same buffers
+		if _, _, _, err := tbl.Get([]byte(fmt.Sprintf("key-%05d", i)), keys.MaxSeq, device.Fg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range kept {
+		if !bytes.Equal(kept[i], want[i]) {
+			t.Fatalf("value %d changed from %q to %q", i, want[i], kept[i])
+		}
+	}
+}
+
+// TestGetEntryDecodesWithoutAllocating: a read from an LZ table allocates no
+// more than one from a raw table — the block decodes into a pooled buffer —
+// counted over many reads and divided in floating point.
+func TestGetEntryDecodesWithoutAllocating(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	perGet := map[compress.Codec]float64{}
+	for _, codec := range []compress.Codec{compress.None, compress.LZ} {
+		f, _ := newDev().Create("s1")
+		tbl, err := Build(f, Options{Codec: codec}, sortedEntries(1000, 1), device.Bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks := make([][]byte, 1000)
+		for i := range ks {
+			ks[i] = []byte(fmt.Sprintf("key-%05d", i*7919%1000))
+		}
+		read := func() {
+			for _, k := range ks {
+				if _, _, found, err := tbl.Get(k, keys.MaxSeq, device.Fg); err != nil || !found {
+					t.Fatalf("get %s: %v %v", k, found, err)
+				}
+			}
+		}
+		read() // warm the pool
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read()
+		runtime.ReadMemStats(&after)
+		perGet[codec] = float64(after.Mallocs-before.Mallocs) / float64(len(ks))
+	}
+	t.Logf("allocations per Get: %.3f raw, %.3f LZ", perGet[compress.None], perGet[compress.LZ])
+	if d := perGet[compress.LZ] - perGet[compress.None]; d >= 0.05 {
+		t.Fatalf("a Get from an LZ table allocates %.3f more than from a raw one; want < 0.05", d)
 	}
 }

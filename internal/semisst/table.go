@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"strconv"
+	"sync"
 
 	"hyperdb/internal/block"
 	"hyperdb/internal/compress"
@@ -133,8 +134,9 @@ func (t *Table) checkBlock(bm *BlockMeta, stored []byte) error {
 // Bytes fresh from the device must match the block's index checksum before
 // they are cached or served, so a damaged block fails closed and a cache
 // hit, already verified, pays nothing; tagged blocks decompress after the
-// fetch.
-func (t *Table) readBlockData(bm *BlockMeta, op device.Op) ([]byte, error) {
+// fetch — into *scratch, which keeps the array for the caller's next block,
+// or into a new buffer when scratch is nil.
+func (t *Table) readBlockData(bm *BlockMeta, op device.Op, scratch *[]byte) ([]byte, error) {
 	var key string
 	data := []byte(nil)
 	if t.opts.PageCache != nil {
@@ -155,11 +157,21 @@ func (t *Table) readBlockData(bm *BlockMeta, op device.Op) ([]byte, error) {
 			t.opts.PageCache.Put(key, data)
 		}
 	}
-	if bm.Tagged {
+	switch {
+	case !bm.Tagged:
+		return data, nil
+	case scratch == nil:
 		return compress.Decode(data, maxRawBlock)
 	}
-	return data, nil
+	raw, err := compress.DecodeInto(*scratch, data, maxRawBlock)
+	if err == nil {
+		*scratch = raw
+	}
+	return raw, err
 }
+
+// blockBufs holds the buffers GetEntry decodes blocks into.
+var blockBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // cacheKey names bm's stored bytes in the page cache.
 func (t *Table) cacheKey(bm *BlockMeta) string {
@@ -189,13 +201,16 @@ func (t *Table) Get(user []byte, seq uint64, op device.Op) (value []byte, kind k
 // GetEntry is Get plus the matched version's sequence, which the baselines'
 // crash recovery weighs against a fast-tier copy of the key. The search and
 // the device read run lock-free on the live snapshot: a block's bytes stay
-// where they were written for the life of the file, dirty or not.
+// where they were written for the life of the file, dirty or not. A tagged
+// block decodes into a pooled buffer, which the value is copied out of.
 func (t *Table) GetEntry(user []byte, seq uint64, op device.Op) (value []byte, kind keys.Kind, entrySeq uint64, found bool, err error) {
 	bm := findBlock(t.LiveBlockMetas(), user)
 	if bm == nil || !bm.Filter.Contains(user) {
 		return nil, 0, 0, false, nil
 	}
-	data, err := t.readBlockData(bm, op)
+	buf := blockBufs.Get().(*[]byte)
+	defer blockBufs.Put(buf)
+	data, err := t.readBlockData(bm, op, buf)
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
@@ -384,7 +399,7 @@ func (it *Iter) loadBlock(i int) bool {
 		it.cur = nil
 		return false
 	}
-	data, err := it.t.readBlockData(&it.metas[i], it.op)
+	data, err := it.t.readBlockData(&it.metas[i], it.op, nil)
 	if err != nil {
 		it.err, it.cur = err, nil
 		return false

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"sync"
 
 	"hyperdb/internal/device"
 )
@@ -160,10 +161,17 @@ func (f *File) WriteRun(b []byte, p uint32, s uint16, op device.Op) error {
 
 // ReadPage reads page p into a fresh buffer: one page read.
 func (f *File) ReadPage(p uint32, op device.Op) ([]byte, error) {
-	buf := make([]byte, f.pageSize)
-	if _, err := f.f.ReadAt(buf, int64(p)*int64(f.pageSize), op); err != nil {
+	return f.readPage(make([]byte, f.pageSize), p, op)
+}
+
+// readPage reads page p into buf, a page long, zeroing what lies past the
+// file's end: buf may hold another page's bytes.
+func (f *File) readPage(buf []byte, p uint32, op device.Op) ([]byte, error) {
+	n, err := f.f.ReadAt(buf, int64(p)*int64(f.pageSize), op)
+	if err != nil {
 		return nil, err
 	}
+	clear(buf[n:])
 	return buf, nil
 }
 
@@ -264,14 +272,38 @@ func (ps Pages) Held(a Addr) ([]byte, bool) {
 // A nil Pages keeps nothing, so it reads the slot alone (File.ReadSlot). s
 // is the slot's index in what it returns.
 func (ps Pages) Fetch(fs Files, a Addr, op device.Op) (buf []byte, s uint16, err error) {
+	f := fs[a.Class]
 	if ps == nil {
-		buf, err = fs[a.Class].ReadSlot(a.Page, a.Slot, op)
+		buf, err = f.ReadSlot(a.Page, a.Slot, op)
 		return buf, 0, err
 	}
-	if buf, err = fs[a.Class].ReadPage(a.Page, op); err == nil {
+	if f.pageSize == len(pooledPage{}) {
+		buf = pagePool.Get().(*pooledPage)[:]
+	} else {
+		buf = make([]byte, f.pageSize)
+	}
+	if buf, err = f.readPage(buf, a.Page, op); err == nil {
 		ps[Addr{Class: a.Class, Page: a.Page}] = buf
 	}
 	return buf, a.Slot, err
+}
+
+// pooledPage is the page size of every device profile. Fetch reads into
+// arrays of it that Release gave back, held by pointer so that giving one
+// back allocates nothing; pages of other sizes are not pooled.
+type pooledPage [4096]byte
+
+var pagePool = sync.Pool{New: func() any { return new(pooledPage) }}
+
+// Release gives ps's pages back for later Fetches to read into, and empties
+// ps. Nothing may use a page or a view into one after.
+func (ps Pages) Release() {
+	for a, page := range ps {
+		if len(page) == len(pooledPage{}) {
+			pagePool.Put((*pooledPage)(page))
+		}
+		delete(ps, a)
+	}
 }
 
 // ReadBatch reads the slots at(0) … at(n-1) name, fetching each distinct

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hyperdb/internal/device"
@@ -99,6 +100,57 @@ func TestReadBatchFetchesEachPageOnce(t *testing.T) {
 		if !bytes.Equal(keys[i], []byte{byte(a.Page), byte(a.Slot)}) {
 			t.Fatalf("slot %+v answered key %x", a, keys[i])
 		}
+	}
+}
+
+// TestReleasedPagesAreReused: a memo's pages go back on Release, so a scan
+// that fetches a page and releases its memo allocates no page — counted over
+// many rounds and divided in floating point — and a page fetched into a
+// recycled buffer reads as the device has it, whatever the buffer held.
+func TestReleasedPagesAreReused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	dev := newDev()
+	fs, err := Open(dev, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := uint32(0); p < 2; p++ {
+		if _, err := fs[0].AllocPage(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs[0].Write(p, 0, 1, false, []byte{byte(p)}, nil, device.Fg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([][]byte, 2)
+	for p := range want {
+		if want[p], err = fs[0].ReadPage(uint32(p), device.Fg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	memo := make(Pages)
+	fetch := func(i int) {
+		buf, _, err := memo.Fetch(fs, Addr{Page: uint32(i % 2)}, device.Fg)
+		if err != nil || !bytes.Equal(buf, want[i%2]) {
+			t.Fatalf("round %d: page %d reads %d bytes unlike the device's, %v", i, i%2, len(buf), err)
+		}
+		memo.Release()
+	}
+	fetch(0) // the map's first insert
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const rounds = 1000
+	for i := 0; i < rounds; i++ {
+		fetch(i)
+	}
+	runtime.ReadMemStats(&after)
+	if a := float64(after.Mallocs-before.Mallocs) / rounds; a >= 0.05 {
+		t.Fatalf("Fetch then Release: %.3f allocations per page, want 0", a)
+	}
+	if len(memo) != 0 {
+		t.Fatalf("Release left %d pages in the memo", len(memo))
 	}
 }
 

@@ -83,12 +83,24 @@ func TestSameTraceSameCacheAndReads(t *testing.T) {
 		}
 		o := outcome{reads: dev.Counters().ReadOps.Load(), usage: c.Usage()}
 		o.hits, o.misses = c.Stats()
+		// Every cached object is its key's newest version: the one the
+		// index names, and only for a key the index holds.
+		cached := 0
 		m.Scan(nil, nil, func(k []byte, loc Location) bool {
 			var kb objectKeyBuf
-			v, _ := c.GetObject(string(m.objectKey(&kb, k)), loc.Seq, nil)
+			v, tag, ok := c.GetObject(string(m.objectKey(&kb, k)), nil, false)
+			if ok {
+				cached++
+				if tag != loc.Seq {
+					t.Errorf("%x is cached at version %d; the index names %d", k, tag, loc.Seq)
+				}
+			}
 			o.cached = append(append(o.cached, byte(len(v))), v...)
 			return true
 		})
+		if cached != o.usage.Objects {
+			t.Errorf("the cache holds %d objects, %d of them for keys in the index", o.usage.Objects, cached)
+		}
 		return o
 	}
 	a, b := run(), run()

@@ -131,6 +131,9 @@ type Manager struct {
 	// demoted is the newest sequence a migration has moved to the capacity
 	// tier.
 	demoted uint64
+	// gen moves with every put, delete and removal from the index: a point
+	// read caches what it read only if gen held still since its lookup (load).
+	gen uint64
 
 	migrations         stats.Counter
 	migratedObjects    stats.Counter
@@ -334,12 +337,11 @@ func (m *Manager) dropLocation(loc Location) {
 type objectKeyBuf [32]byte
 
 // objectKey builds key's name in the cache in buf: 'V', disjoint from the
-// capacity tier's printable block keys, the partition, the user key. Objects
-// are cached under the rule that makes a stale entry unservable rather than
-// wrong: an entry tagged s holds exactly version s of its key — a reader
-// fills it with bytes that matched the index entry's key and sequence
-// (load), a writer refreshes it with the version it is writing — and it is
-// served only to a reader whose index entry names s.
+// capacity tier's printable block keys, the partition, the user key. A cached
+// object is always its key's newest version in the tier, so a hit answers a
+// Get without the index: a writer, under mu, refreshes the entry with the
+// version it writes or uncaches the key it deletes or removes, and a reader
+// fills only a version no write has overtaken since its lookup (load).
 func (m *Manager) objectKey(buf *objectKeyBuf, key []byte) []byte {
 	buf[0] = 'V'
 	binary.LittleEndian.PutUint32(buf[1:], uint32(m.cfg.Partition))
@@ -358,8 +360,7 @@ func (m *Manager) refreshObject(key []byte, seq uint64, value []byte) {
 }
 
 // uncacheObject drops key's cached object: the key is deleted or has left the
-// tier. The tag rule already made the entry unservable; this returns its
-// bytes to the budget.
+// tier. Caller holds mu.
 func (m *Manager) uncacheObject(key []byte) {
 	if m.cfg.Cache != nil {
 		var kb objectKeyBuf
@@ -376,6 +377,7 @@ func (m *Manager) putLocked(key, value []byte, seq uint64, hot bool) error {
 	if c < 0 {
 		return ErrTooLarge
 	}
+	m.gen++
 
 	if ref := m.index.Ref(key); ref != nil {
 		old := *ref
@@ -442,7 +444,7 @@ func (m *Manager) deleteLocked(key []byte, seq uint64) error {
 	if c < 0 {
 		return ErrTooLarge
 	}
-
+	m.gen++
 	m.uncacheObject(key)
 	if ref := m.index.Ref(key); ref != nil {
 		old := *ref
@@ -491,19 +493,29 @@ type GetResult struct {
 // index lock before it pins the index for the read.
 const optimisticLoads = 3
 
-// get answers for key from the index and the slot the index names. A slot
-// that no longer holds the named version (ErrMoved) says nothing about the
-// key — it was updated in place, relocated, deleted or demoted since the
-// lookup — so the key is resolved again: only an index miss means the tier
-// has no opinion. After optimisticLoads tries the read happens under the
-// index lock, where no writer can move the object, so a reader terminates
-// against a writer that never pauses. Device reads heat the object's zone
-// (§3.5) whatever they found.
+// get answers for key from the cached object, which is its newest version,
+// or else from the index and the slot the index names. A slot that no longer
+// holds the named version (ErrMoved) says nothing about the key — it was
+// updated in place, relocated, deleted or demoted since the lookup — so the
+// key is resolved again: only an index miss means the tier has no opinion.
+// After optimisticLoads tries the read happens under the index lock, where no
+// writer can move the object, so a reader terminates against a writer that
+// never pauses. Device reads heat the object's zone (§3.5) whatever they
+// found.
 func (m *Manager) get(key []byte, op device.Op) (GetResult, error) {
+	if c := m.cfg.Cache; c != nil {
+		// A miss here is not counted: the key may not be the tier's at all,
+		// and the lookup's own probe (load) counts it if it is.
+		var kb objectKeyBuf
+		if v, seq, ok := c.GetObject(string(m.objectKey(&kb, key)), nil, false); ok {
+			return GetResult{Value: v, Seq: seq, Found: true}, nil
+		}
+	}
 	for attempt := 0; ; attempt++ {
 		pinned := attempt == optimisticLoads
 		m.mu.RLock()
 		loc, ok := m.index.Get(key)
+		gen := m.gen
 		if !pinned || !ok || loc.Tombstone {
 			m.mu.RUnlock()
 		}
@@ -513,7 +525,7 @@ func (m *Manager) get(key []byte, op device.Op) (GetResult, error) {
 		if loc.Tombstone {
 			return GetResult{Seq: loc.Seq, Tombstone: true, Found: true}, nil
 		}
-		v, dev, err := m.load(key, loc, op, nil)
+		v, dev, err := m.load(key, loc, op, nil, gen, pinned)
 		if pinned {
 			m.mu.RUnlock()
 		}
@@ -554,24 +566,31 @@ var ErrMoved = errors.New("zone: object moved")
 // more. It is the tier's one reader of slots and looks in a fixed order: the
 // cached object, the page in memo — the pages a scan has fetched, nil for a
 // point read — and the device, which a point read asks for the slot alone.
-// It caches the object, tagged loc.Seq, and never the page, which would
-// crowd out blocks the capacity tier needs.
+// It caches the object, never the page, which would crowd out blocks the
+// capacity tier needs.
 //
 // A slot is the object the index named iff key and sequence both match
 // (slot.File.Named). A page in memo that disagrees is stale — a writer
 // reached the slot after the page was fetched — so the device is read. A
 // slot fresh from the device that disagrees means loc is stale, and only the
-// index knows where the newest version is now.
+// index knows where the newest version is now. So does a cached object of
+// another version, for the cache holds the newest.
 //
-// load takes no lock: the cache has its own, a slot file is only read, and a
-// memo is one scan's. dev reports a device read.
-func (m *Manager) load(key []byte, loc Location, op device.Op, memo slot.Pages) (value []byte, dev bool, err error) {
+// load takes no lock to read: the cache has its own, a slot file is only
+// read, and a memo is one scan's. The fill takes mu for reading, unless the
+// caller holds it (locked), and is dropped if a write has overtaken loc since
+// its lookup (current): else it could put back what a write just replaced or
+// uncached. dev reports a device read.
+func (m *Manager) load(key []byte, loc Location, op device.Op, memo slot.Pages, gen uint64, locked bool) (value []byte, dev bool, err error) {
 	c := m.cfg.Cache
 	var kb objectKeyBuf
 	var object string // key's name in the cache; on the stack, like kb
 	if c != nil {
 		object = string(m.objectKey(&kb, key))
-		if v, ok := c.GetObject(object, loc.Seq, nil); ok {
+		if v, tag, ok := c.GetObject(object, nil, true); ok {
+			if tag != loc.Seq {
+				return nil, false, ErrMoved
+			}
 			return v, false, nil
 		}
 	}
@@ -596,9 +615,34 @@ func (m *Manager) load(key []byte, loc Location, op device.Op, memo slot.Pages) 
 	}
 	v = v[:len(v):len(v)]
 	if c != nil {
-		c.PutObject(object, loc.Seq, v)
+		if fillHook != nil {
+			fillHook()
+		}
+		if !locked {
+			m.mu.RLock()
+			defer m.mu.RUnlock()
+		}
+		if m.current(key, loc, gen) {
+			c.PutObject(object, loc.Seq, v)
+		}
 	}
 	return v, dev, nil
+}
+
+// fillHook, when a test sets it, runs between load's slot read and its fill.
+var fillHook func()
+
+// scanGen is the generation a scan's read passes load, having none.
+const scanGen = ^uint64(0)
+
+// current reports whether loc, looked up at generation gen, or by a scan, is
+// still its key's newest version. Caller holds mu.
+func (m *Manager) current(key []byte, loc Location, gen uint64) bool {
+	if gen != scanGen {
+		return gen == m.gen
+	}
+	cur, ok := m.index.Get(key)
+	return ok && cur.Seq == loc.Seq
 }
 
 // Promote inserts a capacity-tier object into the hot zone with the
@@ -649,7 +693,7 @@ func (m *Manager) Scan(lo, hi []byte, fn func(key []byte, loc Location) bool) {
 // ReadAt fetches the object at loc for a scan, through the scan's own memo,
 // or ErrMoved when loc is stale.
 func (m *Manager) ReadAt(key []byte, loc Location, op device.Op, memo slot.Pages) ([]byte, error) {
-	v, _, err := m.load(key, loc, op, memo)
+	v, _, err := m.load(key, loc, op, memo, scanGen, false)
 	return v, err
 }
 

@@ -137,6 +137,7 @@ func (m *Manager) CommitMigration(b *Batch) {
 		if cur, ok := m.index.Get(e.Key); ok && cur.ZoneID == b.zone.id && cur.Seq == e.Seq {
 			m.index.Delete(e.Key)
 			m.uncacheObject(e.Key)
+			m.gen++
 		}
 	}
 	m.freeZoneLocked(b.zone)
@@ -214,6 +215,7 @@ func (m *Manager) EvictHotZone(isHot func(key []byte) bool) error {
 			// Cold promoted copy: drop without relocation.
 			m.index.Delete(r.key)
 			m.uncacheObject(r.key)
+			m.gen++
 			m.hotEvictDropped.Inc()
 			return nil
 		default:
