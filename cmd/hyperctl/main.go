@@ -26,13 +26,6 @@
 //	hyperctl ryw           live read-your-writes probe through a session
 //	hyperctl badframe      send deliberately malformed bytes (protocol test)
 //
-// Cluster subcommands (against a sharded deployment, see DESIGN.md §cluster):
-//
-//	hyperctl shardmap [-addr A]                 print a node's shard map
-//	hyperctl handoff -target A <slots>          move slots onto the target node
-//	hyperctl cload  -seeds A,B [-n N]           load keys through shard routing
-//	hyperctl ccheck -seeds A,B [-n N]           verify every loaded key
-//
 // put/get/mget/del/scan also take session flags: -policy primary|bounded|any
 // routes reads through follower addresses given with -followers, carrying
 // the session token (seed it across invocations with -token); the serving
@@ -72,8 +65,6 @@ func main() {
 		rywCmd(os.Args[2:])
 	case "repl":
 		replCmd(os.Args[2:])
-	case "shardmap", "handoff", "cload", "ccheck":
-		clusterCmd(os.Args[1], os.Args[2:])
 	default:
 		usage()
 	}
@@ -135,7 +126,7 @@ func recoverDemo(args []string) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: hyperctl <demo|devices|trace|recover|ping|put|get|mget|del|incr|scan|stats|repl|ryw|badframe|shardmap|handoff|cload|ccheck> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: hyperctl <demo|devices|trace|recover|ping|put|get|mget|del|incr|scan|stats|repl|ryw|badframe> [flags]")
 	os.Exit(2)
 }
 

@@ -36,14 +36,12 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
 
 	"hyperdb"
 	"hyperdb/internal/client"
-	"hyperdb/internal/cluster"
 	"hyperdb/internal/repl"
 	"hyperdb/internal/server"
 )
@@ -71,9 +69,6 @@ func main() {
 		readWait    = flag.Duration("read-wait", 0, "max wait for a session read's token before NOT_READY (0 = default)")
 		connRate    = flag.Float64("conn-rate", 0, "per-connection request rate limit in ops/sec (0 = unlimited)")
 		connBurst   = flag.Int("conn-burst", 0, "per-connection rate-limit burst (0 = max(1, conn-rate))")
-		peers       = flag.String("cluster", "", "comma-separated group addresses (all shard primaries, including this node) — enables cluster mode")
-		clusterSelf = flag.String("cluster-self", "", "this node's address as listed in -cluster (default: -addr)")
-		slots       = flag.Int("slots", cluster.DefaultSlots, "shard slot count (must match across the cluster)")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -88,10 +83,6 @@ func main() {
 	}
 	if *role == "follower" && *upstream == "" {
 		fmt.Fprintln(os.Stderr, "hyperd: -role follower requires -upstream")
-		os.Exit(2)
-	}
-	if *peers != "" && *role == "follower" {
-		fmt.Fprintln(os.Stderr, "hyperd: -cluster nodes are shard primaries; -role follower is incompatible")
 		os.Exit(2)
 	}
 
@@ -109,9 +100,8 @@ func main() {
 	// Any replicating role ships a log: a primary feeds its followers, and
 	// a follower re-ships what it applies so replicas can chain — and so it
 	// has a live log the moment it is promoted.
-	// Cluster nodes always tee a log too: slot handoff streams from it.
 	var rlog *repl.Log
-	if *role != "" || *peers != "" {
+	if *role != "" {
 		rlog = repl.NewLog(repl.LogConfig{MaxEntries: *replEntries, SyncAck: *replSync, AckTimeout: *replAckWait})
 		opts.Tee = rlog
 	}
@@ -152,34 +142,6 @@ func main() {
 			return rlog.Epoch()
 		}
 	}
-	if *peers != "" {
-		var groups []string
-		for _, a := range strings.Split(*peers, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				groups = append(groups, a)
-			}
-		}
-		self := *clusterSelf
-		if self == "" {
-			self = *addr
-		}
-		m, err := cluster.New(*slots, groups)
-		if err != nil {
-			db.Close()
-			log.Fatalf("hyperd: -cluster: %v", err)
-		}
-		g := m.GroupOf(self)
-		if g < 0 {
-			db.Close()
-			log.Fatalf("hyperd: -cluster does not list this node (%s); set -cluster-self", self)
-		}
-		node, err := cluster.NewNode(m, uint32(g))
-		if err != nil {
-			db.Close()
-			log.Fatalf("hyperd: -cluster: %v", err)
-		}
-		cfg.Cluster = node
-	}
 	srv, err := server.New(cfg)
 	if err != nil {
 		db.Close()
@@ -194,10 +156,6 @@ func main() {
 	roleDesc := "standalone"
 	if *role != "" {
 		roleDesc = *role
-	}
-	if *peers != "" {
-		roleDesc = fmt.Sprintf("cluster shard %d/%d (%d slots)",
-			cfg.Cluster.Self(), len(cfg.Cluster.Map().Groups), *slots)
 	}
 	log.Printf("hyperd: serving on %s as %s (%d partitions, NVMe %d MiB, SATA %d MiB)",
 		bound, roleDesc, *partitions, *nvme>>20, *sata>>20)

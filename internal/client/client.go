@@ -18,7 +18,6 @@ import (
 	"syscall"
 	"time"
 
-	"hyperdb/internal/cluster"
 	"hyperdb/internal/wire"
 )
 
@@ -205,21 +204,6 @@ func (c *Client) callOK(op wire.Op, gate Token, enc func([]byte) []byte) ([]byte
 	return resp.Payload, tok, nil
 }
 
-// WrongShardError is returned when a keyed op landed on a node that does
-// not own the key's slot. Map is the serving node's current shard map —
-// the refusal doubles as a map refresh, so the routing layer adopts it and
-// retries without a separate SHARDMAP round trip.
-type WrongShardError struct {
-	Map *cluster.Map
-}
-
-func (e *WrongShardError) Error() string {
-	if e.Map == nil {
-		return "client: wrong shard"
-	}
-	return fmt.Sprintf("client: wrong shard (map v%d)", e.Map.Version)
-}
-
 func statusErr(f wire.Frame) error {
 	switch f.Status {
 	case wire.StatusNotFound:
@@ -228,12 +212,6 @@ func statusErr(f wire.Frame) error {
 		return ErrNotReady
 	case wire.StatusRateLimited:
 		return ErrRateLimited
-	case wire.StatusWrongShard:
-		m, err := cluster.Decode(f.Payload)
-		if err != nil {
-			return fmt.Errorf("client: wrong shard with undecodable map: %w", err)
-		}
-		return &WrongShardError{Map: m}
 	}
 	return fmt.Errorf("client: %s: %s (%s)", f.Op, f.Status, f.Payload)
 }
@@ -376,36 +354,6 @@ func (c *Client) Ping() error {
 func (c *Client) Stats() (string, error) {
 	p, _, err := c.callOK(wire.OpStats, Token{}, nil)
 	return string(p), err
-}
-
-// ShardMap fetches the node's current shard map. Fails on a node running
-// without cluster mode.
-func (c *Client) ShardMap() (*cluster.Map, error) {
-	p, _, err := c.callOK(wire.OpShardMap, Token{}, nil)
-	if err != nil {
-		return nil, err
-	}
-	m, err := cluster.Decode(p)
-	if err != nil {
-		return nil, fmt.Errorf("client: bad SHARDMAP response: %w", err)
-	}
-	return m, nil
-}
-
-// Handoff asks the node to pull ownership of slots from their current
-// owner: the node bootstraps each slot's data from the source (snapshot
-// plus tail), then the source flips the map and the new version returns.
-// Blocks until the migration completes.
-func (c *Client) Handoff(slots []uint32) (*cluster.Map, error) {
-	p, _, err := c.callOK(wire.OpHandoff, Token{}, func(b []byte) []byte { return wire.AppendHandoffReq(b, slots) })
-	if err != nil {
-		return nil, err
-	}
-	m, err := cluster.Decode(p)
-	if err != nil {
-		return nil, fmt.Errorf("client: bad HANDOFF response: %w", err)
-	}
-	return m, nil
 }
 
 // conn is one pooled pipelined connection. It owns no goroutine: whichever

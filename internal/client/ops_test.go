@@ -11,16 +11,14 @@ import (
 
 	"hyperdb"
 	"hyperdb/internal/client"
-	"hyperdb/internal/cluster"
 	"hyperdb/internal/repl"
 	"hyperdb/internal/server"
 	"hyperdb/internal/wire"
 )
 
-// startGroup runs one replication group in process: a primary serving in
-// cluster mode as the only group of its shard map, with synchronous acks so
-// a follower read issued after a write's ack is never stale, and one
-// follower applying from it.
+// startGroup runs one replication group in process: a primary with
+// synchronous acks, so a follower read issued after a write's ack is never
+// stale, and one follower applying from it.
 func startGroup(t *testing.T) (primary, follower string) {
 	t.Helper()
 	open := func(isFollower bool, tee *repl.Log) *hyperdb.DB {
@@ -56,16 +54,8 @@ func startGroup(t *testing.T) (primary, follower string) {
 	pln, fln := listen(), listen()
 	rlog := repl.NewLog(repl.LogConfig{SyncAck: true})
 	pdb := open(false, rlog)
-	m, err := cluster.New(8, []string{pln.Addr().String()})
-	if err != nil {
-		t.Fatalf("cluster.New: %v", err)
-	}
-	node, err := cluster.NewNode(m, 0)
-	if err != nil {
-		t.Fatalf("cluster.NewNode: %v", err)
-	}
 	serve(pln, server.Config{
-		DB: pdb, OwnDB: true, Repl: &repl.Primary{DB: pdb, Log: rlog}, Epoch: rlog.Epoch, Cluster: node,
+		DB: pdb, OwnDB: true, Repl: &repl.Primary{DB: pdb, Log: rlog}, Epoch: rlog.Epoch,
 	})
 
 	fdb := open(true, nil)
@@ -87,7 +77,7 @@ func startGroup(t *testing.T) (primary, follower string) {
 	return pln.Addr().String(), fln.Addr().String()
 }
 
-// kvOps is what Client, Session, Cluster and ClusterSession all offer.
+// kvOps is what Client and Session both offer.
 type kvOps interface {
 	Put(key, value []byte) error
 	Get(key []byte) ([]byte, error)
@@ -95,6 +85,7 @@ type kvOps interface {
 	Incr(key []byte, delta int64) (int64, error)
 	MultiGet(keys [][]byte) ([][]byte, error)
 	WriteBatch(ops []wire.BatchOp) error
+	Scan(start []byte, limit int) ([]wire.KV, error)
 }
 
 // seqClient drives a Client through its *Seq forms the way a session would:
@@ -141,8 +132,7 @@ func (s *seqClient) Scan(start []byte, limit int) ([]wire.KV, error) {
 
 // TestEveryOpThroughEveryClient runs one script of every data op through
 // each way of issuing it — the plain Client, its *Seq forms, a Session under
-// each read policy, a Cluster and a ClusterSession — against one primary and
-// one follower. Every path must produce the same answers, and the token a
+// each read policy — against one primary and one follower. Every path must produce the same answers, and the token a
 // path observes must never move backward.
 func TestEveryOpThroughEveryClient(t *testing.T) {
 	primary, follower := startGroup(t)
@@ -155,11 +145,6 @@ func TestEveryOpThroughEveryClient(t *testing.T) {
 		return c
 	}
 	pc, fc := dial(primary), dial(follower)
-	cc, err := client.DialCluster(client.ClusterOptions{Seeds: []string{primary}})
-	if err != nil {
-		t.Fatalf("DialCluster: %v", err)
-	}
-	t.Cleanup(func() { cc.Close() })
 
 	type path struct {
 		name  string
@@ -185,13 +170,10 @@ func TestEveryOpThroughEveryClient(t *testing.T) {
 		}}
 	}
 	sc := &seqClient{c: pc}
-	cs := client.NewClusterSession(cc)
 	paths := []path{
 		{"client", pc, nil, nil},
 		{"client-seq", sc, func() client.Token { return sc.tok }, nil},
 		session(client.ReadPrimary), session(client.ReadBounded), session(client.ReadAny),
-		{"cluster", cc, nil, nil},
-		{"cluster-session", cs, func() client.Token { return cs.Tokens()[primary] }, nil},
 	}
 
 	show := func(v []byte, err error) string {
@@ -261,22 +243,17 @@ func TestEveryOpThroughEveryClient(t *testing.T) {
 			t.Fatalf("%s: token never qualified: %v", p.name, last)
 		}
 
-		// Scan is offered by the unsharded clients only; compare it among them.
-		if s, ok := p.ops.(interface {
-			Scan(start []byte, limit int) ([]wire.KV, error)
-		}); ok {
-			kvs, err := s.Scan([]byte(prefix), 16)
-			var mine []string
-			for _, kv := range kvs {
-				if name, ok := strings.CutPrefix(string(kv.Key), prefix); ok {
-					mine = append(mine, name)
-				}
+		kvs, err := p.ops.Scan([]byte(prefix), 16)
+		var mine []string
+		for _, kv := range kvs {
+			if name, ok := strings.CutPrefix(string(kv.Key), prefix); ok {
+				mine = append(mine, name)
 			}
-			if err != nil || strings.Join(mine, ",") != "c,x,y" {
-				t.Fatalf("%s: scan = %v, %v; want c, x, y", p.name, mine, err)
-			}
-			observe("scan")
 		}
+		if err != nil || strings.Join(mine, ",") != "c,x,y" {
+			t.Fatalf("%s: scan = %v, %v; want c, x, y", p.name, mine, err)
+		}
+		observe("scan")
 		if p.after != nil {
 			p.after(k("c"))
 		}

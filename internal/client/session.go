@@ -102,7 +102,7 @@ func ParseToken(s string) (Token, error) {
 // unknown lineage: the sequences are comparable, so keep the max (learning
 // the epoch when the current token lacks one). Different non-zero lineage:
 // the serving node's history replaced the one the token was minted against
-// (a failover, or a handoff target with its own log), sequences are not
+// (a failover), sequences are not
 // comparable, and the observed position is adopted wholesale.
 func mergeToken(cur, t Token) Token {
 	if t.Epoch != 0 && cur.Epoch != 0 && t.Epoch != cur.Epoch {

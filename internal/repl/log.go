@@ -336,30 +336,6 @@ func (l *Log) Unpin(seq uint64) {
 	l.mu.Unlock()
 }
 
-// WaitResolved blocks until every entry at or below seq has resolved
-// (committed or aborted), so a cursor drained up to seq is guaranteed to
-// have seen every committed write in [1, seq]. Returns ErrStopped if stop
-// closes first. The handoff flip uses this: after the ownership barrier,
-// nothing new at or below the flip sequence can appear, so once the prefix
-// resolves the drain-and-ship is complete.
-func (l *Log) WaitResolved(seq uint64, stop <-chan struct{}) error {
-	l.mu.Lock()
-	for {
-		if l.resolved == len(l.entries) || l.entries[l.resolved].base > seq {
-			l.mu.Unlock()
-			return nil
-		}
-		ch := l.change
-		l.mu.Unlock()
-		select {
-		case <-ch:
-		case <-stop:
-			return ErrStopped
-		}
-		l.mu.Lock()
-	}
-}
-
 // Subscribe opens a ship cursor for a follower whose last applied sequence
 // is lastApplied. ok=false means the follower cannot tail: it fell below
 // the retained window, or it claims a sequence above everything this log

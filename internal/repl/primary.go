@@ -213,9 +213,10 @@ func (p *Primary) ServeConn(nc net.Conn, br *bufio.Reader, epoch, lastApplied ui
 }
 
 // streamSnapshot sends the snapshot-mode hello, streams the store's live
-// pairs in key order (every pair tagged with snapSeq, the pinned resolved
-// head), and finishes with the done chunk. The caller pins snapSeq before
-// calling and holds the pin until its tail subscription is established.
+// pairs in key order as REPL_SNAPSHOT frames (every pair tagged with
+// snapSeq, the pinned resolved head), and finishes with the done chunk. The
+// caller pins snapSeq before calling and holds the pin until its tail
+// subscription is established.
 func (p *Primary) streamSnapshot(bw *bufio.Writer, snapSeq uint64) error {
 	err := writeFrame(bw, wire.Frame{
 		Op: wire.OpReplHello, Status: wire.StatusOK,
@@ -224,15 +225,6 @@ func (p *Primary) streamSnapshot(bw *bufio.Writer, snapSeq uint64) error {
 	if err != nil {
 		return err
 	}
-	return p.StreamSnapshotChunks(bw, snapSeq, nil)
-}
-
-// StreamSnapshotChunks streams the store's live pairs in key order as
-// REPL_SNAPSHOT frames tagged with snapSeq, ending with the done chunk.
-// keep, when non-nil, filters which keys ship — the slot-handoff driver
-// passes the moving range's membership test so only migrating keys travel.
-// The caller owns the pin on snapSeq and any preceding hello.
-func (p *Primary) StreamSnapshotChunks(bw *bufio.Writer, snapSeq uint64, keep func(key []byte) bool) error {
 	var pageStart []byte
 	for {
 		kvs, err := p.DB.Scan(pageStart, p.snapshotPairs())
@@ -242,24 +234,13 @@ func (p *Primary) StreamSnapshotChunks(bw *bufio.Writer, snapSeq uint64, keep fu
 		if len(kvs) == 0 {
 			break
 		}
-		fullPage := len(kvs) == p.snapshotPairs()
-		pageStart = keys.Successor(kvs[len(kvs)-1].Key)
-		if keep != nil {
-			n := 0
-			for _, kv := range kvs {
-				if keep(kv.Key) {
-					kvs[n] = kv
-					n++
-				}
-			}
-			kvs = kvs[:n]
-		}
 		if err := p.writeSnapshotKVs(bw, kvs, snapSeq, &p.snapBytes); err != nil {
 			return err
 		}
-		if !fullPage {
+		if len(kvs) < p.snapshotPairs() {
 			break
 		}
+		pageStart = keys.Successor(kvs[len(kvs)-1].Key)
 	}
 	return writeFrame(bw, wire.Frame{
 		Op: wire.OpReplSnapshot, Status: wire.StatusOK,

@@ -21,35 +21,16 @@ func satSub(a, b int64) int64 {
 
 // process answers one cycle: the requests a connection's reader gathered,
 // or one request that waited off the reader. Cycles of different
-// connections run at once, each under a shared hold of cycles. Writes run
-// before reads so a connection that pipelines PUT k then GET k observes its
-// own write even when both land in the same cycle.
+// connections run at once and take no server-wide lock: the engine applies
+// each key's writes in sequence order. Writes run before reads so a
+// connection that pipelines PUT k then GET k observes its own write even
+// when both land in the same cycle.
 func (s *Server) process(batch []*request) {
 	s.stats.Drains.Inc()
 	s.stats.DrainedRequests.Add(uint64(len(batch)))
 	epoch := s.epoch()
 
-	// Phase 0a: shard ownership. The handoff flip installs the successor
-	// map and then takes cycles exclusive once (runHandoffSource): a cycle
-	// that checked its keys under the old map has committed before that
-	// barrier passes, and any later cycle checks them under the new map and
-	// bounces a moved-slot write rather than committing it.
-	if s.cfg.Cluster != nil {
-		kept := batch[:0]
-		for _, r := range batch {
-			// A request not admitted was bounced WRONG_SHARD or parked on
-			// an acquiring slot.
-			if s.checkOwnership(r) {
-				kept = append(kept, r)
-			}
-		}
-		batch = kept
-		if h := s.checked.Load(); h != nil {
-			(*h)(batch)
-		}
-	}
-
-	// Phase 0b: park reads whose gate — the token in the request frame — is
+	// Phase 0: park reads whose gate — the token in the request frame — is
 	// ahead of the node's applied position; a zero token gates nothing.
 	// Parking moves the wait onto a per-request goroutine so a connection's
 	// reader never blocks on replication progress. A token naming a
@@ -236,13 +217,6 @@ func (s *Server) process(batch []*request) {
 		case wire.OpStats:
 			s.stats.countOp(r.op)
 			r.reply(wire.StatusOK, 0, 0, []byte(s.statsText()))
-		case wire.OpShardMap:
-			s.stats.countOp(r.op)
-			if s.cfg.Cluster == nil {
-				r.reply(wire.StatusBadRequest, 0, 0, []byte("cluster mode not enabled"))
-				continue
-			}
-			r.reply(wire.StatusOK, 0, 0, s.cfg.Cluster.Map().Encode(nil))
 		}
 	}
 }
@@ -306,76 +280,6 @@ func (s *Server) epoch() uint64 {
 	return s.cfg.Epoch()
 }
 
-// checkOwnership admits a request whose every key this node owns under the
-// current shard map. A request touching a foreign slot is answered
-// StatusWrongShard with the map as payload — the redirect doubles as the
-// client's refresh — unless a handoff into this node covers the slot, in
-// which case the request parks briefly: the flip is imminent, and bouncing
-// would ping-pong the client between two nodes that both disown the slot.
-// Only called with cfg.Cluster set; returns whether the request proceeds.
-func (s *Server) checkOwnership(r *request) bool {
-	n := s.cfg.Cluster
-	m := n.Map()
-	self := n.Self()
-	owned := true
-	var foreign uint32
-	check := func(key []byte) {
-		if slot := m.SlotOf(key); owned && m.Slots[slot] != self {
-			owned, foreign = false, slot
-		}
-	}
-	switch r.op {
-	case wire.OpPut, wire.OpGet, wire.OpDel, wire.OpIncr:
-		check(r.key)
-	case wire.OpBatch:
-		for _, b := range r.batch {
-			check(b.Key)
-		}
-	case wire.OpMGet:
-		for _, k := range r.keys {
-			check(k)
-		}
-	default:
-		// Scans deliberately skip the check: a range spans slots, so a
-		// cluster scan is per-shard by contract (the client merges).
-		return true
-	}
-	if owned {
-		return true
-	}
-	if acq, ch := n.Acquiring(foreign); acq && s.cfg.ReadWait > 0 {
-		if r.acqDeadline.IsZero() {
-			r.acqDeadline = time.Now().Add(s.cfg.ReadWait)
-		}
-		if time.Now().Before(r.acqDeadline) {
-			s.parkAcquiring(r, ch)
-			return false
-		}
-	}
-	s.stats.WrongShard.Inc()
-	r.reply(wire.StatusWrongShard, 0, 0, n.Map().Encode(nil))
-	return false
-}
-
-// parkAcquiring shelves a request for a slot this node is mid-way through
-// acquiring until the acquiring set changes (flip or abort), the deadline
-// passes, or shutdown — then runs its cycle, with a fresh ownership check.
-// The same shutdown-safety argument as park applies.
-func (s *Server) parkAcquiring(r *request, ch <-chan struct{}) {
-	s.stats.AcquireParked.Inc()
-	cy := r.own()
-	go func() {
-		t := time.NewTimer(time.Until(r.acqDeadline))
-		defer t.Stop()
-		select {
-		case <-ch:
-		case <-t.C:
-		case <-s.stopWait:
-		}
-		r.c.run(cy)
-	}()
-}
-
 // statsText renders the STATS payload: the server's counters, the
 // replication section, then a blank line and the engine's multi-line
 // summary.
@@ -383,7 +287,6 @@ func (s *Server) statsText() string {
 	var b strings.Builder
 	b.WriteString(s.stats.String())
 	b.WriteString(s.replText())
-	b.WriteString(s.clusterText())
 	b.WriteString("\n")
 	b.WriteString(s.cfg.DB.Stats().String())
 	return b.String()
@@ -418,30 +321,6 @@ func (s *Server) replText() string {
 		fmt.Fprintf(&b, "repl.ae_nodes %d\n", ae.AENodes)
 		fmt.Fprintf(&b, "repl.ae_leaves %d\n", ae.AELeaves)
 	}
-	return b.String()
-}
-
-// clusterText renders the "cluster.*" stats lines when the node serves in
-// cluster mode. hyperctl's `shardmap` and the smoke scripts parse these.
-func (s *Server) clusterText() string {
-	if s.cfg.Cluster == nil {
-		return ""
-	}
-	n := s.cfg.Cluster
-	m := n.Map()
-	owned := 0
-	for _, g := range m.Slots {
-		if g == n.Self() {
-			owned++
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "cluster.self %d\n", n.Self())
-	fmt.Fprintf(&b, "cluster.map_version %d\n", m.Version)
-	fmt.Fprintf(&b, "cluster.groups %d\n", len(m.Groups))
-	fmt.Fprintf(&b, "cluster.slots %d\n", len(m.Slots))
-	fmt.Fprintf(&b, "cluster.slots_owned %d\n", owned)
-	fmt.Fprintf(&b, "cluster.epoch %d\n", s.epoch())
 	return b.String()
 }
 

@@ -186,16 +186,19 @@ func TestReplHelloRejectedWhenDisabled(t *testing.T) {
 	}
 }
 
+// TestReplStreamOpsRejectedAsRequests: an op that only travels inside a
+// replication stream is answered BAD_REQUEST when it arrives as a request,
+// and the connection keeps serving.
 func TestReplStreamOpsRejectedAsRequests(t *testing.T) {
 	env := newTestEnv(t, nil)
 	nc := rawDial(t, env.addr)
-	sendFrame(t, nc, wire.Frame{Op: wire.OpReplAck, ID: 1, Payload: wire.AppendReplAck(nil, 5)})
-	f, err := wire.ReadFrame(nc, wire.MaxFrame)
-	if err != nil {
-		t.Fatal(err)
+	for i, op := range []wire.Op{wire.OpReplFrame, wire.OpReplAck, wire.OpReplSnapshot, wire.OpTreeRoot, wire.OpTreeDiff} {
+		if f := exchange(t, nc, wire.Frame{Op: op, ID: uint64(i + 1), Payload: wire.AppendReplAck(nil, 5)}); f.Status != wire.StatusBadRequest {
+			t.Fatalf("stray %s got status %s, want bad request", op, f.Status)
+		}
 	}
-	if f.Status != wire.StatusBadRequest {
-		t.Fatalf("stray ack got status %d, want BadRequest", f.Status)
+	if f := exchange(t, nc, wire.Frame{Op: wire.OpPing, ID: 100}); f.Status != wire.StatusOK {
+		t.Fatalf("ping after stray stream ops: %s", f.Status)
 	}
 }
 

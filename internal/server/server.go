@@ -8,16 +8,14 @@
 // DB.WriteBatch, the point reads into one DB.MultiGet — and answers the
 // cycle with one socket write. A lone request is a cycle of one; a
 // pipelined burst rides the engine's batch path. Connections run their
-// cycles concurrently, each holding Server.cycles shared; only the handoff
-// flip's barrier takes it exclusive.
+// cycles concurrently and take no server-wide lock.
 //
-// A request that must wait — a gated read ahead of replication, an op for
-// a slot this node is acquiring, a handoff trigger — leaves the cycle for
-// a goroutine of its own, which runs the request's own one-request cycle
-// when the wait ends and writes its reply. Per-connection backpressure is
-// an in-flight semaphore: a request holds a slot from decode until its
-// reply is on the socket, and the reader stops reading once MaxInflight of
-// its requests are unanswered.
+// A request that must wait — a gated read ahead of replication — leaves
+// the cycle for a goroutine of its own, which runs the request's own
+// one-request cycle when the wait ends and writes its reply.
+// Per-connection backpressure is an in-flight semaphore: a request holds a
+// slot from decode until its reply is on the socket, and the reader stops
+// reading once MaxInflight of its requests are unanswered.
 package server
 
 import (
@@ -32,7 +30,6 @@ import (
 	"time"
 
 	"hyperdb"
-	"hyperdb/internal/cluster"
 	"hyperdb/internal/repl"
 	"hyperdb/internal/stats"
 	"hyperdb/internal/wire"
@@ -82,13 +79,6 @@ type Config struct {
 	// handshake. A follower-mode node may also set it (with its own log as
 	// the engine tee) to serve downstream replicas after promotion.
 	Repl *repl.Primary
-	// Cluster, when non-nil, puts the node in sharded-cluster mode: every
-	// keyed op is checked against the shard map before it touches the
-	// engine, mis-routed ops bounce with StatusWrongShard plus the current
-	// map, OpShardMap serves the map, and the handoff ops drive slot
-	// migration (Repl must also be set — handoff reuses its snapshot
-	// stream). Nil serves the whole keyspace, exactly as before.
-	Cluster *cluster.Node
 	// Epoch reports the node's current write-lineage identifier: the
 	// replication log's epoch on a primary, the upstream epoch on a
 	// follower. Responses carry it next to the applied sequence, and reads
@@ -128,16 +118,6 @@ type Server struct {
 
 	ln    net.Listener
 	stats Stats
-
-	// cycles orders request cycles against the handoff flip: every cycle
-	// holds it shared, and the flip's barrier takes it exclusive once, so
-	// when the barrier passes every cycle that began before it has
-	// committed. Cycles need no lock against each other: the engine applies
-	// each key's writes in sequence order.
-	cycles sync.RWMutex
-	// checked, when set, runs in every cluster cycle after its ownership
-	// check and before its writes apply (tests park a cycle there).
-	checked atomic.Pointer[func([]*request)]
 
 	mu     sync.Mutex
 	conns  map[*conn]struct{}
@@ -323,13 +303,6 @@ type request struct {
 	// before answering. Zero gates nothing.
 	minSeq   uint64
 	minEpoch uint64
-
-	// slots carries a HANDOFF request's migrating slot list.
-	slots []uint32
-
-	// acqDeadline bounds how long an op for a slot this node is still
-	// acquiring may be re-parked before it bounces WRONG_SHARD anyway.
-	acqDeadline time.Time
 }
 
 // own moves r onto a cycle of its own, for a request answered off its
@@ -341,9 +314,8 @@ func (r *request) own() *cycle {
 
 // cycle is one run of Server.process and the reply frames it produced. Its
 // owner — a connection's reader, or the goroutine of a request that waited
-// off the reader — writes out only after the cycle's shared hold of
-// Server.cycles is released, so a client that does not read blocks that
-// goroutine and nobody else.
+// off the reader — writes it out, so a client that does not read blocks
+// that goroutine and nobody else.
 type cycle struct {
 	reqs []*request
 	out  []byte
@@ -437,25 +409,6 @@ func (c *conn) admit(f wire.Frame, first bool) bool {
 		// with the push stream.
 		c.serveRepl(f, first)
 		return false
-	case f.Op == wire.OpHandoffHello:
-		// Same contract as REPL_HELLO: a handoff stream owns its connection
-		// from the first frame on.
-		c.serveHandoffSource(f, first)
-		return false
-	case f.Op == wire.OpHandoff:
-		// The admin trigger runs a whole slot migration, far too long for a
-		// cycle. It holds one in-flight slot on its own goroutine, which
-		// writes the reply.
-		req, err := c.decodeHandoff(f)
-		if err != nil {
-			s.stats.BadRequests.Inc()
-			c.respondError(f.ID, f.Op, wire.StatusBadRequest, err.Error())
-			return true
-		}
-		c.inflight <- struct{}{}
-		req.own()
-		go s.runHandoffTarget(req)
-		return true
 	case c.limiter != nil && !c.limiter.allow():
 		s.stats.RateLimited.Inc()
 		c.respondError(f.ID, f.Op, wire.StatusRateLimited, "rate limited")
@@ -473,14 +426,10 @@ func (c *conn) admit(f wire.Frame, first bool) bool {
 	return true
 }
 
-// run serves a cycle's requests under a shared hold of Server.cycles, then
-// writes the cycle's replies.
+// run serves a cycle's requests, then writes the cycle's replies.
 func (c *conn) run(cy *cycle) {
 	if len(cy.reqs) > 0 {
-		s := c.srv
-		s.cycles.RLock()
-		s.process(cy.reqs)
-		s.cycles.RUnlock()
+		c.srv.process(cy.reqs)
 		clear(cy.reqs)
 		cy.reqs = cy.reqs[:0]
 	}
@@ -583,15 +532,15 @@ func (c *conn) decode(f wire.Frame) (*request, error) {
 		req.keys, err = wire.DecodeMGetReq(f.Payload)
 	case wire.OpScan:
 		req.key, limit, err = wire.DecodeScanReq(f.Payload)
-	case wire.OpStats, wire.OpShardMap:
+	case wire.OpStats:
 		if len(f.Payload) != 0 {
 			err = fmt.Errorf("%s takes no payload", strings.ToLower(f.Op.String()))
 		}
 	case wire.OpIncr:
 		req.key, req.delta, err = wire.DecodeIncrReq(f.Payload)
-	case wire.OpReplFrame, wire.OpReplAck, wire.OpReplSnapshot, wire.OpHandoffFlip:
-		// Push-stream ops are only meaningful inside a REPL_HELLO or
-		// HANDOFF_HELLO stream; as requests they have no response protocol.
+	case wire.OpReplFrame, wire.OpReplAck, wire.OpReplSnapshot, wire.OpTreeRoot, wire.OpTreeDiff:
+		// Push-stream ops are only meaningful inside a REPL_HELLO stream; as
+		// requests they have no response protocol.
 		err = fmt.Errorf("%s outside a replication stream", f.Op)
 	}
 	if err != nil {
@@ -601,25 +550,6 @@ func (c *conn) decode(f wire.Frame) (*request, error) {
 		req.limit = c.srv.cfg.MaxScanLimit
 	}
 	return req, nil
-}
-
-// decodeHandoff validates a HANDOFF admin request into a request that the
-// target-side migration driver answers.
-func (c *conn) decodeHandoff(f wire.Frame) (*request, error) {
-	if c.srv.cfg.Cluster == nil || c.srv.cfg.Repl == nil {
-		return nil, errors.New("cluster mode not enabled")
-	}
-	slots, err := wire.DecodeHandoffReq(f.Payload)
-	if err != nil {
-		return nil, err
-	}
-	nslots := uint32(len(c.srv.cfg.Cluster.Map().Slots))
-	for _, s := range slots {
-		if s >= nslots {
-			return nil, fmt.Errorf("slot %d out of range (map has %d)", s, nslots)
-		}
-	}
-	return &request{c: c, id: f.ID, op: f.Op, slots: slots}, nil
 }
 
 // respondError answers, on the reader, a frame that never became a request

@@ -23,7 +23,7 @@ type Stats struct {
 	BadFrames   stats.Counter
 	BadRequests stats.Counter
 
-	// ReplConns counts accepted replication handoffs; replActive tracks
+	// ReplConns counts accepted replication streams; replActive tracks
 	// currently attached follower streams.
 	ReplConns  stats.Counter
 	replActive atomic.Int64
@@ -73,16 +73,9 @@ type Stats struct {
 	// bucket (Config.ConnRate).
 	RateLimited stats.Counter
 
-	// Cluster accounting. WrongShard counts keyed ops bounced with
-	// StatusWrongShard (each carried the current map back to the client);
-	// AcquireParked those parked because a handoff into this node covered
-	// their slot; EpochRejected reads refused because their token named a
-	// different write lineage. Handoffs* count target-side slot migrations.
-	WrongShard     stats.Counter
-	AcquireParked  stats.Counter
-	EpochRejected  stats.Counter
-	Handoffs       stats.Counter
-	HandoffsFailed stats.Counter
+	// EpochRejected counts reads refused because their token named a
+	// different write lineage.
+	EpochRejected stats.Counter
 }
 
 // ActiveConns returns the number of currently served connections.
@@ -150,7 +143,7 @@ func (s *Stats) String() string {
 	fmt.Fprintf(&b, "server.repl_active %d\n", s.ActiveReplConns())
 	for _, op := range []wire.Op{
 		wire.OpPing, wire.OpPut, wire.OpGet, wire.OpDel, wire.OpBatch, wire.OpMGet, wire.OpScan, wire.OpStats,
-		wire.OpIncr, wire.OpShardMap, wire.OpHandoff,
+		wire.OpIncr,
 	} {
 		fmt.Fprintf(&b, "server.ops.%s %d\n", strings.ToLower(op.String()), s.OpCount(op))
 	}
@@ -179,10 +172,6 @@ func (s *Stats) String() string {
 	fmt.Fprintf(&b, "server.merge_folded %d\n", s.MergeFolded.Load())
 	fmt.Fprintf(&b, "server.logical_writes_per_dbcall %.3f\n", s.LogicalWritesPerDBCall())
 	fmt.Fprintf(&b, "server.rate_limited %d\n", s.RateLimited.Load())
-	fmt.Fprintf(&b, "server.wrong_shard %d\n", s.WrongShard.Load())
-	fmt.Fprintf(&b, "server.acquire_parked %d\n", s.AcquireParked.Load())
 	fmt.Fprintf(&b, "server.epoch_rejected %d\n", s.EpochRejected.Load())
-	fmt.Fprintf(&b, "server.handoffs %d\n", s.Handoffs.Load())
-	fmt.Fprintf(&b, "server.handoffs_failed %d\n", s.HandoffsFailed.Load())
 	return b.String()
 }

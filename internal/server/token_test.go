@@ -27,14 +27,15 @@ func exchange(t *testing.T, nc net.Conn, f wire.Frame) wire.Frame {
 	return r
 }
 
-// TestRetiredOpBytesAreUnknown: the seven bytes the v2 ops occupied past the
-// new end of the op table are refused as unknown ops, with or without a
-// token, and the connection keeps serving.
+// TestRetiredOpBytesAreUnknown: the twelve bytes past the end of the op
+// table that once named ops — the cluster ops' and the old anti-entropy
+// positions (16–20), then the v2 ops' (21–27) — are refused as unknown ops,
+// with or without a token, and the connection keeps serving.
 func TestRetiredOpBytesAreUnknown(t *testing.T) {
 	env := newTestEnv(t, nil)
 	nc := rawDial(t, env.addr)
 	id := uint64(0)
-	for op := wire.OpTreeDiff + 1; op <= wire.OpTreeDiff+7; op++ {
+	for op := wire.OpTreeDiff + 1; op <= 27; op++ {
 		id++
 		r := exchange(t, nc, wire.Frame{Op: op, ID: id, Seq: id % 2 * 99, Epoch: id % 2 * 5, Payload: wire.AppendKeyReq(nil, []byte("k"))})
 		if r.Status != wire.StatusBadRequest || !strings.Contains(string(r.Payload), "unknown op") {
@@ -44,8 +45,8 @@ func TestRetiredOpBytesAreUnknown(t *testing.T) {
 	if r := exchange(t, nc, wire.Frame{Op: wire.OpPing, ID: 100}); r.Status != wire.StatusOK {
 		t.Fatalf("ping after unknown ops: %s", r.Status)
 	}
-	if got := env.srv.Stats().BadRequests.Load(); got != 7 {
-		t.Fatalf("bad requests = %d, want 7", got)
+	if got := env.srv.Stats().BadRequests.Load(); got != 12 {
+		t.Fatalf("bad requests = %d, want 12", got)
 	}
 }
 

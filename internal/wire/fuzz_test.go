@@ -71,27 +71,6 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{Op: OpBatch, ID: 22, Payload: []byte{
 		1, 2, 1, 'c', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f,
 	}}))
-	// Cluster frames: shard maps (standalone and as WRONG_SHARD payloads),
-	// handoff admin/stream messages, and filtered REPL_FRAME2 windows —
-	// including the zero-op window only FRAME2 allows.
-	sm := &ShardMap{Version: 3, Groups: []string{"127.0.0.1:4100", "127.0.0.1:4200"}, Slots: []uint32{0, 1, 0, 1}}
-	f.Add(AppendFrame(nil, Frame{Op: OpShardMap, ID: 23}))
-	f.Add(AppendFrame(nil, Frame{Op: OpShardMap, Status: StatusOK, ID: 23, Payload: AppendShardMap(nil, sm)}))
-	f.Add(AppendFrame(nil, Frame{Op: OpGet, Status: StatusWrongShard, ID: 24, Payload: AppendShardMap(nil, sm)}))
-	f.Add(AppendFrame(nil, Frame{Op: OpHandoff, ID: 25, Payload: AppendHandoffReq(nil, []uint32{1, 3})}))
-	f.Add(AppendFrame(nil, Frame{Op: OpHandoff, Status: StatusOK, ID: 25, Payload: AppendShardMap(nil, sm)}))
-	f.Add(AppendFrame(nil, Frame{Op: OpHandoffHello, ID: 26, Payload: AppendHandoffHelloReq(nil, 1, []uint32{1, 3})}))
-	f.Add(AppendFrame(nil, Frame{Op: OpHandoffHello, Status: StatusOK, ID: 26, Payload: AppendHandoffHelloResp(nil, 3, 1000)}))
-	f.Add(AppendFrame(nil, Frame{Op: OpHandoffFlip, ID: 27}))
-	f.Add(AppendFrame(nil, Frame{Op: OpHandoffFlip, Status: StatusOK, ID: 27, Payload: AppendShardMap(nil, sm)}))
-	// A handoff tail push (a BATCH frame whose ID is the log entry's base)
-	// and the op byte its retired frame type leaves reserved.
-	f.Add(AppendFrame(nil, Frame{Op: OpBatch, Status: StatusOK, ID: 28, Payload: AppendBatchReq(nil, []BatchOp{
-		{Key: []byte("r"), Value: []byte("1")}, {Key: []byte("s"), Delete: true},
-	})}))
-	f.Add(AppendFrame(nil, Frame{Op: opRetired18, ID: 29, Payload: AppendBatchReq(nil, nil)}))
-	// A shard map whose slot table names a group beyond the group table.
-	f.Add(AppendFrame(nil, Frame{Op: OpShardMap, Status: StatusOK, ID: 30, Payload: []byte{1, 1, 1, 'a', 1, 5}}))
 	// Anti-entropy frames: the TREE_ROOT opener, a hash query, a hash
 	// response, the divergent-leaf fetch (and the legal empty fetch), plus a
 	// hello response choosing anti-entropy mode.
@@ -111,6 +90,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	// A TREE_DIFF whose hash block is one byte short of count × 32.
 	shortDiff := AppendTreeDiff(nil, TreeDiffHashes, treeIDs, treeHashes)
 	f.Add(AppendFrame(nil, Frame{Op: OpTreeDiff, ID: 36, Payload: shortDiff[:len(shortDiff)-1]}))
+	// Every op byte past opMax that once named an op: 16–20, freed when the
+	// cluster ops (14–18) went and the anti-entropy ops moved down from
+	// 19–20, then the v2 ops' 21–27.
+	for op := opMax; op < opMax+12; op++ {
+		f.Add(AppendFrame(nil, Frame{Op: op, ID: 37, Payload: AppendKeyReq(nil, []byte("k"))}))
+	}
 	// A valid frame with a corrupted interior byte.
 	corrupt := AppendFrame(nil, Frame{Op: OpGet, ID: 6, Payload: AppendKeyReq(nil, []byte("kk"))})
 	corrupt[len(corrupt)/2] ^= 0x5a
@@ -159,23 +144,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		case OpIncr:
 			DecodeIncrReq(fr.Payload)
 			DecodeIncrResp(fr.Payload)
-		case OpShardMap:
-			DecodeShardMap(fr.Payload)
-		case OpHandoff:
-			DecodeHandoffReq(fr.Payload)
-			DecodeShardMap(fr.Payload)
-		case OpHandoffHello:
-			DecodeHandoffHelloReq(fr.Payload)
-			DecodeHandoffHelloResp(fr.Payload)
-		case OpHandoffFlip:
-			DecodeShardMap(fr.Payload)
 		case OpTreeRoot:
 			DecodeTreeRoot(fr.Payload)
 		case OpTreeDiff:
 			DecodeTreeDiff(fr.Payload)
-		}
-		if fr.Status == StatusWrongShard {
-			DecodeShardMap(fr.Payload)
 		}
 		// The stream reader must agree with the buffer decoder.
 		sf, serr := ReadFrame(bytes.NewReader(data[:n]), maxFrame)

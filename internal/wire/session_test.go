@@ -137,14 +137,14 @@ func TestSessionCodecsStrict(t *testing.T) {
 	}
 }
 
-// TestSessionOpsRetired: the seven v2 op codes are gone, not aliased — the
-// bytes they occupied past the new opMax name no op, and the ops that moved
-// down into the freed range kept their names.
+// TestSessionOpsRetired: the seven v2 op codes and the five cluster ops
+// are gone, not aliased — the twelve bytes past the new opMax name no op,
+// and the ops that moved down into the freed range kept their names.
 func TestSessionOpsRetired(t *testing.T) {
-	if opMax != OpTreeDiff+1 || OpTreeDiff != 20 {
-		t.Fatalf("opMax = %d, OpTreeDiff = %d; want 21 and 20 (28 and 27 before the v2 ops went)", opMax, OpTreeDiff)
+	if opMax != OpTreeDiff+1 || OpTreeDiff != 15 {
+		t.Fatalf("opMax = %d, OpTreeDiff = %d; want 16 and 15 (21 and 20 before the cluster ops went, 28 and 27 before the v2 ops)", opMax, OpTreeDiff)
 	}
-	for op := opMax; op < opMax+7; op++ {
+	for op := opMax; op < opMax+12; op++ {
 		if op.Valid() {
 			t.Fatalf("retired op byte %d still valid", op)
 		}
@@ -152,13 +152,8 @@ func TestSessionOpsRetired(t *testing.T) {
 			t.Fatalf("retired op byte %d still named %q", op, s)
 		}
 	}
-	// The handoff tail's retired frame keeps its byte reserved: unknown and
-	// unnamed, with every later op at its old number.
-	if opRetired18 != 18 || opRetired18.Valid() || opRetired18.String() != "Op(18)" {
-		t.Fatalf("retired op byte %d: valid=%v name %q", opRetired18, opRetired18.Valid(), opRetired18.String())
-	}
 	for op := OpPing; op < opMax; op++ {
-		if s := op.String(); op != opRetired18 && (len(s) == 0 || s[0] == 'O' || s[len(s)-1] == '2') {
+		if s := op.String(); len(s) == 0 || s[0] == 'O' || s[len(s)-1] == '2' {
 			t.Fatalf("op %d named %q", op, s)
 		}
 	}

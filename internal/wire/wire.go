@@ -70,23 +70,6 @@ const (
 	// as a single net-delta write.
 	OpIncr
 
-	// Cluster ops (package cluster). OpShardMap fetches the node's current
-	// shard map; every StatusWrongShard response also carries one, so a
-	// stale client refreshes for free. OpHandoff is the admin trigger: the
-	// receiving node becomes the *target* of a slot migration and pulls the
-	// range from its current owner. OpHandoffHello opens a handoff stream
-	// (target→source, first frame on its connection, like OpReplHello);
-	// OpHandoffFlip is the target's in-stream request for the source to
-	// flip ownership. The source ships the filtered log tail as OpBatch
-	// frames.
-	OpShardMap
-	OpHandoff
-	OpHandoffHello
-	OpHandoffFlip
-	// opRetired18 was the handoff tail's own frame; it names no op, and it
-	// stays reserved so every later op keeps its number.
-	opRetired18
-
 	// Anti-entropy ops (Merkle-tree replica repair, package repl).
 	// OpTreeRoot is the primary's opening push on an anti-entropy stream:
 	// tree geometry plus root hash. OpTreeDiff flows both ways — the
@@ -99,7 +82,7 @@ const (
 )
 
 // Valid reports whether o is a known op code.
-func (o Op) Valid() bool { return o >= OpPing && o < opMax && o != opRetired18 }
+func (o Op) Valid() bool { return o >= OpPing && o < opMax }
 
 func (o Op) String() string {
 	switch o {
@@ -129,14 +112,6 @@ func (o Op) String() string {
 		return "REPL_SNAPSHOT"
 	case OpIncr:
 		return "INCR"
-	case OpShardMap:
-		return "SHARDMAP"
-	case OpHandoff:
-		return "HANDOFF"
-	case OpHandoffHello:
-		return "HANDOFF_HELLO"
-	case OpHandoffFlip:
-		return "HANDOFF_FLIP"
 	case OpTreeRoot:
 		return "TREE_ROOT"
 	case OpTreeDiff:
@@ -164,11 +139,6 @@ const (
 	// admission token bucket before it reached a server cycle. The client may
 	// retry after backing off; the payload is the message text.
 	StatusRateLimited
-	// StatusWrongShard answers a keyed op whose slot this node does not
-	// own. The payload is the node's current shard map (EncodeShardMap),
-	// so the client refreshes its routing table and retries against the
-	// real owner without an extra round trip.
-	StatusWrongShard
 )
 
 func (s Status) String() string {
@@ -187,8 +157,6 @@ func (s Status) String() string {
 		return "not ready"
 	case StatusRateLimited:
 		return "rate limited"
-	case StatusWrongShard:
-		return "wrong shard"
 	}
 	return fmt.Sprintf("Status(%d)", uint8(s))
 }
