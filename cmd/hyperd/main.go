@@ -63,7 +63,6 @@ func main() {
 		replSync    = flag.Bool("repl-sync", false, "writes wait for every attached follower's ack")
 		replEntries = flag.Int("repl-log-entries", 0, "retained replication log entries (0 = default)")
 		replAckWait = flag.Duration("repl-ack-timeout", 0, "synchronous-ack wait before evicting a stalled follower (0 = default, negative = forever)")
-		antiEntropy = flag.Bool("anti-entropy", false, "maintain a Merkle tree so diverged replicas rejoin via O(divergence) range repair")
 		compressArg = flag.String("compress", "", "capacity-tier block codec: off (default) or on/lz; the NVMe zone tier always stays raw")
 		compressMin = flag.Int("compress-min-level", 0, "shallowest LSM level the codec applies to (0 = default 1)")
 		readWait    = flag.Duration("read-wait", 0, "max wait for a session read's token before NOT_READY (0 = default)")
@@ -95,7 +94,6 @@ func main() {
 		Follower:         *role == "follower",
 		Compress:         *compressArg,
 		CompressMinLevel: *compressMin,
-		AntiEntropy:      *antiEntropy,
 	}
 	// Any replicating role ships a log: a primary feeds its followers, and
 	// a follower re-ships what it applies so replicas can chain — and so it
@@ -131,10 +129,10 @@ func main() {
 	// flips IsFollower, switching the node to its own epoch.
 	var fol *repl.Follower
 	if *role == "follower" {
-		fol = &repl.Follower{DB: db, Log: rlog, Tree: db.MerkleTree()}
+		fol = &repl.Follower{DB: db, Log: rlog}
 	}
 	if rlog != nil {
-		cfg.Repl = &repl.Primary{DB: db, Log: rlog, Tree: db.MerkleTree()}
+		cfg.Repl = &repl.Primary{DB: db, Log: rlog}
 		cfg.Epoch = func() uint64 {
 			if fol != nil && db.IsFollower() {
 				return fol.Epoch()

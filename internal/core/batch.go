@@ -90,14 +90,6 @@ func (db *DB) WriteBatchSeq(ops []BatchOp) (uint64, error) {
 // The foreground write path and the replication appliers share it, so
 // replicated writes exercise the identical tracker/zone/stall machinery.
 func (db *DB) applyAt(ops []BatchOp, step uint64, draw func() uint64) error {
-	if db.tree != nil {
-		// Every apply path dirties the written keys' Merkle leaves, so the
-		// tree stays consistent on primaries, followers, and across
-		// snapshot bootstraps alike.
-		for i := range ops {
-			db.tree.MarkKey(ops[i].Key)
-		}
-	}
 	if len(ops) == 1 {
 		p := db.partFor(ops[0].Key)
 		p.writeMu.Lock()

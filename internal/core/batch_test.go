@@ -10,7 +10,6 @@ import (
 
 	"hyperdb/internal/device"
 	"hyperdb/internal/hotness"
-	"hyperdb/internal/merkle"
 )
 
 func TestWriteBatchEmpty(t *testing.T) {
@@ -243,61 +242,6 @@ func TestHotPathStress(t *testing.T) {
 	if v, err := db.Get(k); err != nil || string(v) != "survivor" {
 		t.Fatalf("post-stress get: %q %v", v, err)
 	}
-}
-
-// TestSingleOpWritesMarkMerkleLeaf: every write path dirties the written
-// key's Merkle leaf, tee or no tee, so the incremental tree never drifts from
-// one hashed from scratch over the same store.
-func TestSingleOpWritesMarkMerkleLeaf(t *testing.T) {
-	db, err := Open(Options{
-		NVMeDevice:  device.New(device.UnthrottledProfile("nvme", 16<<20)),
-		SATADevice:  device.New(device.UnthrottledProfile("sata", 1<<30)),
-		Partitions:  2,
-		AntiEntropy: true, DisableBackground: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	scan := func(start []byte, limit int) ([]merkle.Pair, error) {
-		kvs, err := db.Scan(start, limit)
-		pairs := make([]merkle.Pair, len(kvs))
-		for i, kv := range kvs {
-			pairs[i] = merkle.Pair{Key: kv.Key, Value: kv.Value}
-		}
-		return pairs, err
-	}
-	check := func(after string) {
-		t.Helper()
-		inc, err := db.MerkleTree().Snapshot(scan, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := merkle.BuildSnapshot(db.MerkleTree().Bits(), scan, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inc.Root() != full.Root() {
-			t.Fatalf("after %s the incremental root is %x, a from-scratch root %x", after, inc.Root(), full.Root())
-		}
-	}
-	check("Open")
-	if err := db.Put(k8(1<<60), []byte("put")); err != nil {
-		t.Fatal(err)
-	}
-	check("Put")
-	if err := db.WriteBatch([]BatchOp{{Key: k8(2 << 60), Value: []byte("batch")}, {Key: k8(3 << 60), Value: []byte("doomed")}}); err != nil {
-		t.Fatal(err)
-	}
-	check("WriteBatch")
-	if err := db.Delete(k8(3 << 60)); err != nil {
-		t.Fatal(err)
-	}
-	check("Delete")
-	if _, err := db.Incr(k8(4<<60), 5); err != nil {
-		t.Fatal(err)
-	}
-	check("Incr")
 }
 
 // TestOneOpCallsAllocateNothing: Put, Delete and Get are the one-op forms of

@@ -14,7 +14,6 @@ import (
 	"hyperdb/internal/hotness"
 	"hyperdb/internal/keys"
 	"hyperdb/internal/lsm"
-	"hyperdb/internal/merkle"
 	"hyperdb/internal/zone"
 )
 
@@ -116,10 +115,6 @@ type DB struct {
 	// on an error (the next pass retries).
 	errs engine.Errors
 
-	// tree is the incremental Merkle tree over the keyspace, maintained
-	// from every apply path when Options.AntiEntropy is set; nil otherwise.
-	tree *merkle.Tree
-
 	closed    atomic.Bool
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -147,9 +142,6 @@ func Open(opts Options) (*DB, error) {
 		readCh: make(chan struct{}),
 	}
 	db.follower.Store(opts.Follower)
-	if opts.AntiEntropy {
-		db.tree = merkle.New(merkle.DefaultBits)
-	}
 
 	p := uint64(opts.Partitions)
 	width := math.MaxUint64/p + 1
@@ -425,10 +417,6 @@ func (db *DB) CommitSeq() uint64 { return db.seq.Load() }
 
 // Partitions returns the partition count (for harness introspection).
 func (db *DB) Partitions() int { return len(db.parts) }
-
-// MerkleTree returns the anti-entropy Merkle tree, nil unless
-// Options.AntiEntropy was set.
-func (db *DB) MerkleTree() *merkle.Tree { return db.tree }
 
 // Options returns the resolved configuration.
 func (db *DB) Options() Options { return db.opts }

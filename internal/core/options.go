@@ -89,8 +89,6 @@ type Options struct {
 	Compress string
 	// CompressMinLevel is the shallowest LSM level the codec applies to (zero: 1).
 	CompressMinLevel int
-	// AntiEntropy keeps a Merkle tree for O(divergence) replica rejoin (zero: off).
-	AntiEntropy bool
 	// Follower opens a replica that refuses writes until Promote (zero: primary).
 	Follower bool
 	// Tee receives every committed write for log shipping (zero: none).

@@ -1,9 +1,11 @@
-// Package merkle maintains an incremental Merkle tree over the 64-bit
-// prefix keyspace (zone.Key64 order). The keyspace is split into 2^bits
-// equal leaf ranges; each leaf digests its range's live key-value pairs and
-// internal nodes digest their children, so two replicas can locate every
-// divergent range by walking subtree hashes top-down — O(divergence)
-// comparisons instead of O(dataset) transfer on rejoin.
+// Package merkle builds Merkle trees over the 64-bit prefix keyspace
+// (zone.Key64 order) on demand, one ordered scan of a store per tree. The
+// keyspace is split into 2^bits equal leaf ranges; each leaf digests its
+// range's live key-value pairs and internal nodes digest their children, so
+// two replicas can locate every divergent range by walking subtree hashes
+// top-down — O(divergence) comparisons and transfer on rejoin instead of
+// O(dataset) transfer. Nothing is kept between builds, so writes pay nothing
+// for the tree.
 //
 // Hashes cover user keys and values only, never sequence numbers: a
 // follower bootstrapped from a snapshot re-mints sequences locally but must
@@ -11,12 +13,10 @@
 package merkle
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"sync"
 
 	"hyperdb/internal/keys"
 )
@@ -38,7 +38,7 @@ type Pair struct {
 }
 
 // ScanFunc pages live pairs in key order: up to limit pairs with key >=
-// start. core.DB.Scan adapts to it directly.
+// start. repl adapts core.DB.Scan to it.
 type ScanFunc func(start []byte, limit int) ([]Pair, error)
 
 // BucketOf returns the leaf bucket (0-based) holding key.
@@ -47,10 +47,6 @@ func BucketOf(bits uint, key []byte) uint32 {
 	copy(b[:], key)
 	return uint32(binary.BigEndian.Uint64(b[:]) >> (64 - bits))
 }
-
-// LeafID converts a bucket to its heap node id (leaves occupy
-// [2^bits, 2^bits+1)).
-func LeafID(bits uint, bucket uint32) uint32 { return 1<<bits + bucket }
 
 // LeafSpan returns the closed-open user-key range [lo, hi) that bucket
 // covers; nil lo means the keyspace start, nil hi means its end. Trimming
@@ -74,115 +70,6 @@ func boundary(bits uint, b uint64) []byte {
 	return append([]byte(nil), e[:n]...)
 }
 
-// Tree tracks which leaves a node's committed writes have dirtied and
-// recomputes only those on Snapshot. MarkKey is cheap enough for the apply
-// path; Snapshot does the scans.
-type Tree struct {
-	bits uint
-
-	mu    sync.Mutex
-	dirty map[uint32]struct{}
-	nodes []Hash // heap-numbered, ids 1..2^(bits+1)-1; index 0 unused
-}
-
-// New returns a tree with every leaf dirty, so the first Snapshot builds
-// from the DB's current contents. bits outside [1, MaxBits] gets
-// DefaultBits.
-func New(bits int) *Tree {
-	if bits < 1 || bits > MaxBits {
-		bits = DefaultBits
-	}
-	t := &Tree{
-		bits:  uint(bits),
-		nodes: make([]Hash, 2<<uint(bits)),
-		dirty: make(map[uint32]struct{}, 1<<uint(bits)),
-	}
-	for b := uint32(0); b < 1<<t.bits; b++ {
-		t.dirty[b] = struct{}{} // every leaf starts unhashed
-	}
-	return t
-}
-
-// Bits returns the tree's leaf-count exponent.
-func (t *Tree) Bits() int { return int(t.bits) }
-
-// MarkKey records that key's leaf needs rehashing.
-func (t *Tree) MarkKey(key []byte) {
-	b := BucketOf(t.bits, key)
-	t.mu.Lock()
-	t.dirty[b] = struct{}{}
-	t.mu.Unlock()
-}
-
-// Snapshot rehashes the dirty leaves via scan, folds the changes up the
-// tree and returns an immutable copy for an anti-entropy conversation.
-// Writes racing the scans stay conservatively dirty for the next call.
-func (t *Tree) Snapshot(scan ScanFunc, pairsPerPage int) (*Snapshot, error) {
-	if pairsPerPage <= 0 {
-		pairsPerPage = 256
-	}
-	t.mu.Lock()
-	dirty := t.dirty
-	t.dirty = make(map[uint32]struct{})
-	t.mu.Unlock()
-
-	restore := func() {
-		t.mu.Lock()
-		for b := range dirty {
-			t.dirty[b] = struct{}{}
-		}
-		t.mu.Unlock()
-	}
-
-	updates := make(map[uint32]Hash, len(dirty))
-	if len(dirty) == 1<<t.bits {
-		// Everything is dirty (first snapshot, or post-bootstrap): one
-		// ordered pass over the whole keyspace beats 2^bits range scans.
-		leaves, err := hashAllLeaves(t.bits, scan, pairsPerPage)
-		if err != nil {
-			restore()
-			return nil, err
-		}
-		for b, h := range leaves {
-			updates[uint32(b)] = h
-		}
-	} else {
-		for b := range dirty {
-			lo, hi := LeafSpan(t.bits, b)
-			h, err := hashRange(scan, lo, hi, pairsPerPage)
-			if err != nil {
-				restore()
-				return nil, err
-			}
-			updates[b] = h
-		}
-	}
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cur := make(map[uint32]struct{}, len(updates))
-	for b, h := range updates {
-		id := LeafID(t.bits, b)
-		if t.nodes[id] != h {
-			t.nodes[id] = h
-			cur[id] = struct{}{}
-		}
-	}
-	for len(cur) > 0 {
-		parents := make(map[uint32]struct{}, len(cur))
-		for id := range cur {
-			if id > 1 {
-				parents[id>>1] = struct{}{}
-			}
-		}
-		for p := range parents {
-			t.nodes[p] = combine(t.nodes[2*p], t.nodes[2*p+1])
-		}
-		cur = parents
-	}
-	return &Snapshot{bits: t.bits, nodes: append([]Hash(nil), t.nodes...)}, nil
-}
-
 // combine hashes two children; an all-empty pair stays the zero Hash so
 // empty subtrees compare equal without hashing.
 func combine(l, r Hash) Hash {
@@ -203,38 +90,6 @@ func writePair(h hash.Hash, key, value []byte) {
 	h.Write(key)
 	h.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(value)))])
 	h.Write(value)
-}
-
-// hashRange digests the live pairs in [lo, hi) via paged scans. An empty
-// range digests to the zero Hash.
-func hashRange(scan ScanFunc, lo, hi []byte, pairsPerPage int) (Hash, error) {
-	h := sha256.New()
-	empty := true
-	start := lo
-	for {
-		pairs, err := scan(start, pairsPerPage)
-		if err != nil {
-			return Hash{}, err
-		}
-		for _, p := range pairs {
-			if hi != nil && bytes.Compare(p.Key, hi) >= 0 {
-				pairs = nil // past the leaf: stop paging
-				break
-			}
-			empty = false
-			writePair(h, p.Key, p.Value)
-		}
-		if len(pairs) < pairsPerPage {
-			break
-		}
-		start = keys.Successor(pairs[len(pairs)-1].Key)
-	}
-	if empty {
-		return Hash{}, nil
-	}
-	var out Hash
-	h.Sum(out[:0])
-	return out, nil
 }
 
 // hashAllLeaves digests every leaf in one ordered pass over the keyspace.
@@ -277,8 +132,8 @@ func hashAllLeaves(bits uint, scan ScanFunc, pairsPerPage int) ([]Hash, error) {
 	return leaves, nil
 }
 
-// BuildSnapshot hashes a DB from scratch at the given bits — the fallback
-// when two nodes' trees disagree on leaf count.
+// BuildSnapshot hashes a store from scratch at the given bits in one
+// ordered pass of scan; bits outside [1, MaxBits] gets DefaultBits.
 func BuildSnapshot(bits int, scan ScanFunc, pairsPerPage int) (*Snapshot, error) {
 	if bits < 1 || bits > MaxBits {
 		bits = DefaultBits
@@ -298,9 +153,9 @@ func BuildSnapshot(bits int, scan ScanFunc, pairsPerPage int) (*Snapshot, error)
 	return &Snapshot{bits: uint(bits), nodes: nodes}, nil
 }
 
-// Snapshot is an immutable point-in-time tree served to an anti-entropy
-// peer. Node ids are heap-numbered: root 1, children of i are 2i and 2i+1,
-// leaves occupy [2^bits, 2^(bits+1)).
+// Snapshot is an immutable tree, built for one anti-entropy conversation.
+// Node ids are heap-numbered: root 1, children of i are 2i and 2i+1, leaves
+// occupy [2^bits, 2^(bits+1)).
 type Snapshot struct {
 	bits  uint
 	nodes []Hash

@@ -2,9 +2,12 @@ package merkle
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"testing"
+
+	"hyperdb/internal/keys"
 )
 
 // mapScan adapts a sorted in-memory map to ScanFunc.
@@ -37,6 +40,39 @@ func (m *mapScan) scan(start []byte, limit int) ([]Pair, error) {
 	return out, nil
 }
 
+// hashRange digests the live pairs in [lo, hi) via paged scans, one leaf at
+// a time: the reference the bucketed full pass is checked against. An empty
+// range digests to the zero Hash.
+func hashRange(scan ScanFunc, lo, hi []byte, pairsPerPage int) (Hash, error) {
+	h := sha256.New()
+	empty := true
+	start := lo
+	for {
+		pairs, err := scan(start, pairsPerPage)
+		if err != nil {
+			return Hash{}, err
+		}
+		for _, p := range pairs {
+			if hi != nil && bytes.Compare(p.Key, hi) >= 0 {
+				pairs = nil // past the leaf: stop paging
+				break
+			}
+			empty = false
+			writePair(h, p.Key, p.Value)
+		}
+		if len(pairs) < pairsPerPage {
+			break
+		}
+		start = keys.Successor(pairs[len(pairs)-1].Key)
+	}
+	if empty {
+		return Hash{}, nil
+	}
+	var out Hash
+	h.Sum(out[:0])
+	return out, nil
+}
+
 func TestLeafSpanBoundaries(t *testing.T) {
 	const bits = 4
 	lo, hi := LeafSpan(bits, 0)
@@ -60,74 +96,6 @@ func TestLeafSpanBoundaries(t *testing.T) {
 	}
 	if b := BucketOf(bits, []byte{0x0f, 0xff}); b != 0 {
 		t.Fatalf("BucketOf(0x0fff) = %d, want 0", b)
-	}
-}
-
-func TestSnapshotMatchesBuild(t *testing.T) {
-	m := newMapScan()
-	for i := 0; i < 500; i++ {
-		m.put(fmt.Sprintf("key-%04d", i), fmt.Sprintf("val-%d", i))
-	}
-	tr := New(6)
-	snap, err := tr.Snapshot(m.scan, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, err := BuildSnapshot(6, m.scan, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Root() != built.Root() {
-		t.Fatalf("incremental root != from-scratch root")
-	}
-	if snap.Root() == (Hash{}) {
-		t.Fatalf("root is zero for non-empty data")
-	}
-}
-
-func TestIncrementalUpdate(t *testing.T) {
-	m := newMapScan()
-	for i := 0; i < 200; i++ {
-		m.put(fmt.Sprintf("key-%04d", i), "v0")
-	}
-	tr := New(6)
-	s1, err := tr.Snapshot(m.scan, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mutate one key; only its leaf is marked.
-	m.put("key-0042", "v1")
-	tr.MarkKey([]byte("key-0042"))
-	s2, err := tr.Snapshot(m.scan, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.Root() == s2.Root() {
-		t.Fatalf("root unchanged after mutation")
-	}
-	// Rebuild from scratch must agree with the incremental result.
-	built, err := BuildSnapshot(6, m.scan, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Root() != built.Root() {
-		t.Fatalf("incremental update diverged from rebuild")
-	}
-	// Exactly the mutated key's leaf differs between s1 and s2.
-	want := LeafID(6, BucketOf(6, []byte("key-0042")))
-	diffs := 0
-	for id := uint32(1 << 6); id < 2<<6; id++ {
-		h1, _ := s1.Node(id)
-		h2, _ := s2.Node(id)
-		if h1 != h2 {
-			diffs++
-			if id != want {
-				t.Fatalf("unexpected leaf %d differs", id)
-			}
-		}
-	}
-	if diffs != 1 {
-		t.Fatalf("%d leaves differ, want 1", diffs)
 	}
 }
 
@@ -189,8 +157,7 @@ func TestDivergenceWalk(t *testing.T) {
 
 func TestEmptyTree(t *testing.T) {
 	m := newMapScan()
-	tr := New(4)
-	s, err := tr.Snapshot(m.scan, 16)
+	s, err := BuildSnapshot(4, m.scan, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

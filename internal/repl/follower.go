@@ -42,12 +42,6 @@ type Follower struct {
 	// with it (the consistency checker stalls appliers to force session
 	// reads into the gate); production leaves it nil.
 	ApplyDelay func(base uint64)
-	// Tree, when non-nil, advertises the anti-entropy capability on hello:
-	// a re-attach that fell off the primary's retained window then runs the
-	// Merkle repair conversation (fetching only divergent leaf ranges)
-	// instead of a full snapshot. Wire it to the engine's tree
-	// (db.MerkleTree()) so every local apply keeps it fresh.
-	Tree *merkle.Tree
 
 	// epoch is the upstream log's lineage ID from the last hello response
 	// (0 until first attach); applied is the stream position this Follower
@@ -98,13 +92,9 @@ func (f *Follower) Run(nc net.Conn, stop <-chan struct{}) error {
 	if lastApplied == 0 {
 		lastApplied = f.DB.CommitSeq()
 	}
-	var helloFlags uint8
-	if f.Tree != nil {
-		helloFlags |= wire.ReplFlagAntiEntropy
-	}
 	err := writeFrame(bw, wire.Frame{
 		Op:      wire.OpReplHello,
-		Payload: wire.AppendReplHelloReq(nil, f.epoch.Load(), lastApplied, helloFlags),
+		Payload: wire.AppendReplHelloReq(nil, f.epoch.Load(), lastApplied),
 	})
 	if err != nil {
 		if isStop() {
@@ -128,16 +118,8 @@ func (f *Follower) Run(nc net.Conn, stop <-chan struct{}) error {
 		return err
 	}
 
-	switch mode {
-	case wire.ReplModeSnapshot:
-		if err := f.bootstrap(br, startSeq); err != nil {
-			if isStop() {
-				return nil
-			}
-			return err
-		}
-	case wire.ReplModeAntiEntropy:
-		if err := f.antiEntropy(br, bw, startSeq); err != nil {
+	if mode != wire.ReplModeTail {
+		if err := f.bootstrap(br, bw, mode, startSeq); err != nil {
 			if isStop() {
 				return nil
 			}
@@ -185,29 +167,38 @@ func (f *Follower) Run(nc net.Conn, stop <-chan struct{}) error {
 	}
 }
 
-// bootstrap consumes the snapshot stream, applying every chunk at the
-// pinned sequence, and floors this node's own log when it has one. The
-// snapshot carries only live pairs, so deletions are conveyed by sweeping:
-// chunks arrive in global key order, and before each chunk applies, every
-// local key inside its range that the chunk does not contain is deleted at
-// the snapshot sequence. A follower that re-bootstraps onto existing state
-// (it fell off the retained window, or its epoch no longer matches) thus
-// converges exactly — keys deleted on the primary during the gap do not
-// resurrect.
-func (f *Follower) bootstrap(br *bufio.Reader, snapSeq uint64) error {
-	if err := f.consumeSnapshot(br, snapSeq, nil, nil, nil); err != nil {
+// bootstrap catches this store up to the primary's state at snapSeq: in
+// anti-entropy mode it first walks the Merkle trees to learn which key
+// ranges differ, in snapshot mode the range is the whole keyspace. It then
+// consumes the stream of those ranges and floors this node's own log when
+// it has one.
+func (f *Follower) bootstrap(br *bufio.Reader, bw *bufio.Writer, mode uint8, snapSeq uint64) error {
+	ranges := wholeKeyspace
+	if mode == wire.ReplModeAntiEntropy {
+		var err error
+		if ranges, err = f.antiEntropy(br, bw); err != nil {
+			return err
+		}
+	}
+	if err := f.consumeSnapshot(br, snapSeq, ranges); err != nil {
 		return err
 	}
 	return f.finishBootstrap(snapSeq)
 }
 
-// consumeSnapshot applies a REPL_SNAPSHOT chunk stream. cursor is the
-// lowest local key not yet reconciled against the stream (nil: keyspace
-// start); inScope, when non-nil, restricts the sweep to keys the stream
-// covers (anti-entropy fetches only divergent leaf ranges, so local keys
-// outside them must survive); finalHi, when non-nil, bounds the final
-// chunk's sweep instead of the end of the keyspace.
-func (f *Follower) consumeSnapshot(br *bufio.Reader, snapSeq uint64, cursor []byte, inScope func([]byte) bool, finalHi []byte) error {
+// consumeSnapshot applies a REPL_SNAPSHOT chunk stream covering ranges
+// (sorted and disjoint), every chunk at the pinned sequence. The stream
+// carries only live pairs, so deletions are conveyed by sweeping: chunks
+// arrive in global key order, and before each chunk applies, every local
+// key of the ranges below the chunk's last key that no chunk contained is
+// deleted at the snapshot sequence; the final chunk sweeps what is left of
+// the ranges. A follower that catches up onto existing state thus converges
+// exactly — keys deleted on the primary during the gap do not resurrect —
+// while local keys outside the ranges, which the stream does not speak for,
+// are neither read nor touched.
+func (f *Follower) consumeSnapshot(br *bufio.Reader, snapSeq uint64, ranges []keyRange) error {
+	// ranges before ri are reconciled, and ranges[ri] below cursor.
+	ri, cursor := 0, []byte(nil)
 	for {
 		fr, err := wire.ReadFrame(br, wire.MaxFrame)
 		if err != nil {
@@ -223,19 +214,53 @@ func (f *Follower) consumeSnapshot(br *bufio.Reader, snapSeq uint64, cursor []by
 		if seq != snapSeq {
 			return fmt.Errorf("repl: snapshot seq changed mid-stream: %d then %d", snapSeq, seq)
 		}
-		if err := f.sweepStale(cursor, kvs, snapSeq, done, inScope, finalHi); err != nil {
-			return err
+		for _, kv := range kvs {
+			if !inScope(ranges, kv.Key) {
+				return fmt.Errorf("repl: snapshot key %q outside the fetched ranges", kv.Key)
+			}
+		}
+		// upTo bounds this chunk's sweep; a non-final chunk always holds
+		// pairs (DecodeReplSnapshot refuses an empty one).
+		var upTo []byte
+		if n := len(kvs); n > 0 {
+			upTo = keys.Successor(kvs[n-1].Key)
+		}
+		for ri < len(ranges) {
+			r := ranges[ri]
+			lo, hi := r.lo, r.hi
+			if bytes.Compare(cursor, lo) > 0 {
+				lo = cursor
+			}
+			within := !done && (hi == nil || bytes.Compare(upTo, hi) < 0)
+			if within {
+				hi = upTo
+			}
+			if err := f.sweepStale(lo, hi, kvs, snapSeq); err != nil {
+				return err
+			}
+			if within {
+				cursor = upTo
+				break
+			}
+			ri++
 		}
 		if len(kvs) > 0 {
 			if err := f.DB.ApplySnapshotChunk(kvsToBatch(kvs), snapSeq); err != nil {
 				return fmt.Errorf("repl: apply snapshot chunk: %w", err)
 			}
-			cursor = keys.Successor(kvs[len(kvs)-1].Key)
 		}
 		if done {
 			return nil
 		}
 	}
+}
+
+// inScope reports whether key lies in one of ranges (sorted and disjoint).
+func inScope(ranges []keyRange, key []byte) bool {
+	i := sort.Search(len(ranges), func(i int) bool {
+		return ranges[i].hi == nil || bytes.Compare(key, ranges[i].hi) < 0
+	})
+	return i < len(ranges) && bytes.Compare(key, ranges[i].lo) >= 0
 }
 
 // finishBootstrap stamps the bootstrap position even when the stream
@@ -254,34 +279,20 @@ func (f *Follower) finishBootstrap(snapSeq uint64) error {
 	return nil
 }
 
-// sweepStale deletes every local key covered by this chunk's range that
-// the chunk does not contain: keys in [cursor, last chunk key], or from
-// cursor to the end of the keyspace (bounded by finalHi when set) for the
-// final chunk. Local keys past the range are left for later chunks; keys
-// outside inScope (when non-nil) are never deleted — the stream does not
-// speak for their ranges. Deletes apply at the snapshot sequence, exactly
-// like the snapshot's own pairs.
-func (f *Follower) sweepStale(cursor []byte, kvs []wire.KV, snapSeq uint64, final bool, inScope func([]byte) bool, finalHi []byte) error {
-	var hi []byte
-	if n := len(kvs); n > 0 {
-		hi = kvs[n-1].Key
-	} else if !final {
-		return nil
-	}
+// sweepStale deletes every local key in [lo, hi) (nil hi: to the end of
+// the keyspace) that the chunk kvs does not contain. Deletes apply at the
+// snapshot sequence, exactly like the snapshot's own pairs.
+func (f *Follower) sweepStale(lo, hi []byte, kvs []wire.KV, snapSeq uint64) error {
 	ki := 0
 	for {
-		page, err := f.DB.Scan(cursor, sweepPairs)
+		page, err := f.DB.Scan(lo, sweepPairs)
 		if err != nil {
 			return fmt.Errorf("repl: snapshot sweep scan: %w", err)
 		}
 		var dels []core.BatchOp
 		inRange := len(page)
 		for i, kv := range page {
-			if !final && bytes.Compare(kv.Key, hi) > 0 {
-				inRange = i
-				break
-			}
-			if final && finalHi != nil && bytes.Compare(kv.Key, finalHi) >= 0 {
+			if hi != nil && bytes.Compare(kv.Key, hi) >= 0 {
 				inRange = i
 				break
 			}
@@ -290,9 +301,6 @@ func (f *Follower) sweepStale(cursor []byte, kvs []wire.KV, snapSeq uint64, fina
 			}
 			if ki < len(kvs) && bytes.Equal(kvs[ki].Key, kv.Key) {
 				continue // retained: the chunk overwrites it
-			}
-			if inScope != nil && !inScope(kv.Key) {
-				continue // the stream does not cover this key's range
 			}
 			dels = append(dels, core.BatchOp{Key: append([]byte(nil), kv.Key...), Delete: true})
 		}
@@ -304,39 +312,32 @@ func (f *Follower) sweepStale(cursor []byte, kvs []wire.KV, snapSeq uint64, fina
 		if inRange < len(page) || len(page) < sweepPairs {
 			return nil
 		}
-		cursor = keys.Successor(page[len(page)-1].Key)
+		lo = keys.Successor(page[len(page)-1].Key)
 	}
 }
 
 // antiEntropy drives the follower side of the Merkle repair conversation
 // (the mirror of Primary.serveAntiEntropy): read the primary's TREE_ROOT,
-// snapshot the local tree at the same geometry, walk mismatched subtrees
-// top-down with TREE_DIFF hash queries, then fetch exactly the divergent
-// leaf ranges as a scoped snapshot stream. Keys outside those ranges are
-// provably identical on both sides — the sweep never touches them — so
-// the transfer is O(divergence), not O(dataset).
-func (f *Follower) antiEntropy(br *bufio.Reader, bw *bufio.Writer, snapSeq uint64) error {
+// hash the local store at the same geometry, walk mismatched subtrees
+// top-down with TREE_DIFF hash queries, then ask for exactly the divergent
+// leaves and return their key ranges. Keys outside those ranges are
+// provably identical on both sides — the sweep never touches them — so the
+// transfer is O(divergence), not O(dataset).
+func (f *Follower) antiEntropy(br *bufio.Reader, bw *bufio.Writer) ([]keyRange, error) {
 	fr, err := wire.ReadFrame(br, wire.MaxFrame)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if fr.Op != wire.OpTreeRoot {
-		return fmt.Errorf("repl: expected TREE_ROOT, got %s", fr.Op)
+		return nil, fmt.Errorf("repl: expected TREE_ROOT, got %s", fr.Op)
 	}
 	bits, root, err := wire.DecodeTreeRoot(fr.Payload)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var snap *merkle.Snapshot
-	if f.Tree != nil && f.Tree.Bits() == bits {
-		snap, err = f.Tree.Snapshot(f.scanPairs, sweepPairs)
-	} else {
-		// Geometry mismatch: rebuild from scratch at the primary's bits so
-		// the hashes compare node-for-node.
-		snap, err = merkle.BuildSnapshot(bits, f.scanPairs, sweepPairs)
-	}
+	snap, err := merkle.BuildSnapshot(bits, scanPairs(f.DB), sweepPairs)
 	if err != nil {
-		return fmt.Errorf("repl: merkle snapshot: %w", err)
+		return nil, fmt.Errorf("repl: merkle snapshot: %w", err)
 	}
 
 	var divergent []uint32
@@ -352,30 +353,30 @@ func (f *Follower) antiEntropy(br *bufio.Reader, bw *bufio.Writer, snapSeq uint6
 				Payload: wire.AppendTreeDiff(nil, 0, query, nil),
 			})
 			if err != nil {
-				return err
+				return nil, err
 			}
 			resp, err := wire.ReadFrame(br, wire.MaxFrame)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if resp.Op != wire.OpTreeDiff {
-				return fmt.Errorf("repl: unexpected op %s during anti-entropy", resp.Op)
+				return nil, fmt.Errorf("repl: unexpected op %s during anti-entropy", resp.Op)
 			}
 			flags, ids, hashes, err := wire.DecodeTreeDiff(resp.Payload)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if flags != wire.TreeDiffHashes || len(ids) != len(query) {
-				return fmt.Errorf("repl: bad tree diff response: flags %#x, %d ids for %d queried", flags, len(ids), len(query))
+				return nil, fmt.Errorf("repl: bad tree diff response: flags %#x, %d ids for %d queried", flags, len(ids), len(query))
 			}
 			mismatched = mismatched[:0]
 			for i, id := range ids {
 				if id != query[i] {
-					return fmt.Errorf("repl: tree diff response id %d, queried %d", id, query[i])
+					return nil, fmt.Errorf("repl: tree diff response id %d, queried %d", id, query[i])
 				}
 				local, ok := snap.Node(id)
 				if !ok {
-					return fmt.Errorf("repl: tree diff response for node %d outside tree", id)
+					return nil, fmt.Errorf("repl: tree diff response for node %d outside tree", id)
 				}
 				if local == hashes[i] {
 					continue
@@ -395,54 +396,9 @@ func (f *Follower) antiEntropy(br *bufio.Reader, bw *bufio.Writer, snapSeq uint6
 		Payload: wire.AppendTreeDiff(nil, wire.TreeDiffFetch, divergent, nil),
 	})
 	if err != nil {
-		return err
-	}
-	if len(divergent) == 0 {
-		// Nothing diverged: the primary answers the empty fetch with just the
-		// done chunk. No sweeping — local state is proven identical.
-		fr, err := wire.ReadFrame(br, wire.MaxFrame)
-		if err != nil {
-			return err
-		}
-		if fr.Op != wire.OpReplSnapshot {
-			return fmt.Errorf("repl: unexpected op %s during snapshot", fr.Op)
-		}
-		seq, kvs, done, err := wire.DecodeReplSnapshot(fr.Payload)
-		if err != nil {
-			return err
-		}
-		if !done || len(kvs) != 0 || seq != snapSeq {
-			return fmt.Errorf("repl: expected bare done chunk after empty fetch (seq=%d done=%v pairs=%d)", seq, done, len(kvs))
-		}
-		return f.finishBootstrap(snapSeq)
-	}
-	buckets := make(map[uint32]struct{}, len(divergent))
-	for _, id := range divergent {
-		buckets[snap.LeafBucket(id)] = struct{}{}
-	}
-	inScope := func(key []byte) bool {
-		_, ok := buckets[merkle.BucketOf(uint(bits), key)]
-		return ok
-	}
-	cursor, _ := snap.LeafSpan(divergent[0])
-	_, finalHi := snap.LeafSpan(divergent[len(divergent)-1])
-	if err := f.consumeSnapshot(br, snapSeq, cursor, inScope, finalHi); err != nil {
-		return err
-	}
-	return f.finishBootstrap(snapSeq)
-}
-
-// scanPairs adapts DB.Scan to the merkle package's pair stream.
-func (f *Follower) scanPairs(start []byte, limit int) ([]merkle.Pair, error) {
-	kvs, err := f.DB.Scan(start, limit)
-	if err != nil {
 		return nil, err
 	}
-	pairs := make([]merkle.Pair, len(kvs))
-	for i, kv := range kvs {
-		pairs[i] = merkle.Pair{Key: kv.Key, Value: kv.Value}
-	}
-	return pairs, nil
+	return leafRanges(snap, divergent), nil
 }
 
 func kvsToBatch(kvs []wire.KV) []core.BatchOp {

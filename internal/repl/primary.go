@@ -22,10 +22,6 @@ import (
 type Primary struct {
 	DB  *core.DB
 	Log *Log
-	// Tree, when non-nil, lets diverged followers rejoin via the Merkle
-	// anti-entropy conversation instead of a full snapshot. Wire it to the
-	// engine's tree (db.MerkleTree()) so committed writes keep it fresh.
-	Tree *merkle.Tree
 	// SnapshotPairs bounds pairs per snapshot scan page. Default 256.
 	SnapshotPairs int
 	// SnapshotChunkBytes splits scan pages into frames no bigger than
@@ -90,29 +86,27 @@ func (p *Primary) Serve(nc net.Conn) error {
 		nc.Close()
 		return fmt.Errorf("repl: expected REPL_HELLO, got %s", f.Op)
 	}
-	epoch, lastApplied, flags, err := wire.DecodeReplHelloReq(f.Payload)
+	epoch, lastApplied, err := wire.DecodeReplHelloReq(f.Payload)
 	if err != nil {
 		nc.Close()
 		return err
 	}
-	return p.ServeConn(nc, br, epoch, lastApplied, flags)
+	return p.ServeConn(nc, br, epoch, lastApplied)
 }
 
 // ServeConn drives the primary side of one follower connection: subscribe
 // the follower at lastApplied (epoch and lastApplied already decoded from
-// its REPL_HELLO), bootstrap it via streamed snapshot when it has fallen
+// its REPL_HELLO), catch it up by streamed key ranges when it has fallen
 // off the retained window — or when its epoch shows its state comes from
 // another write lineage, so its sequence numbers cannot be trusted against
 // this log — then tail-ship committed entries and consume acks until the
 // connection dies or the cursor overruns. br carries any bytes already
 // buffered past the hello; nil wraps nc directly. ServeConn closes nc.
 //
-// flags carries the follower hello's capability bits: when it advertises
-// anti-entropy, this primary has a Tree, and the follower holds state that
-// fell off the retained window, the bootstrap runs the Merkle repair
-// conversation — only divergent leaf ranges travel — instead of a full
-// snapshot.
-func (p *Primary) ServeConn(nc net.Conn, br *bufio.Reader, epoch, lastApplied uint64, flags uint8) error {
+// lastApplied alone picks how a follower off the window catches up: with no
+// state (0) it gets the whole keyspace; with state it runs the Merkle
+// repair conversation, and only the key ranges whose leaves differ travel.
+func (p *Primary) ServeConn(nc net.Conn, br *bufio.Reader, epoch, lastApplied uint64) error {
 	defer nc.Close()
 	if br == nil {
 		br = bufio.NewReader(nc)
@@ -144,16 +138,7 @@ func (p *Primary) ServeConn(nc net.Conn, br *bufio.Reader, epoch, lastApplied ui
 		// truncation racing the stream can never raise the floor past the
 		// snapshot sequence between the last chunk and the handoff.
 		snapSeq := p.Log.PinHead()
-		var err error
-		if flags&wire.ReplFlagAntiEntropy != 0 && p.Tree != nil && lastApplied > 0 {
-			// The follower has state and can diff it: ship only divergence.
-			// Epoch mismatch does not disqualify — the hash walk finds every
-			// range where the lineages differ, whatever their sequences say.
-			err = p.serveAntiEntropy(bw, br, snapSeq)
-		} else {
-			err = p.streamSnapshot(bw, snapSeq)
-		}
-		if err != nil {
+		if err := p.catchUp(bw, br, snapSeq, lastApplied > 0); err != nil {
 			p.Log.Unpin(snapSeq)
 			return err
 		}
@@ -212,35 +197,54 @@ func (p *Primary) ServeConn(nc net.Conn, br *bufio.Reader, epoch, lastApplied ui
 	}
 }
 
-// streamSnapshot sends the snapshot-mode hello, streams the store's live
-// pairs in key order as REPL_SNAPSHOT frames (every pair tagged with
-// snapSeq, the pinned resolved head), and finishes with the done chunk. The
-// caller pins snapSeq before calling and holds the pin until its tail
-// subscription is established.
-func (p *Primary) streamSnapshot(bw *bufio.Writer, snapSeq uint64) error {
-	err := writeFrame(bw, wire.Frame{
-		Op: wire.OpReplHello, Status: wire.StatusOK,
-		Payload: wire.AppendReplHelloResp(nil, wire.ReplModeSnapshot, p.Log.Epoch(), snapSeq),
-	})
+// catchUp brings a follower that fell off the retained window to the
+// store's state at snapSeq, called with snapSeq pinned and before the ack
+// reader starts, so this is the only reader of br. A follower with no state
+// gets the snapshot-mode hello and the whole keyspace. One with state runs
+// the anti-entropy conversation, which picks the key ranges to stream;
+// epoch mismatch does not disqualify it, since the hash walk finds every
+// range where the lineages differ, whatever their sequences say.
+func (p *Primary) catchUp(bw *bufio.Writer, br *bufio.Reader, snapSeq uint64, withState bool) error {
+	if !withState {
+		err := writeFrame(bw, wire.Frame{
+			Op: wire.OpReplHello, Status: wire.StatusOK,
+			Payload: wire.AppendReplHelloResp(nil, wire.ReplModeSnapshot, p.Log.Epoch(), snapSeq),
+		})
+		if err != nil {
+			return err
+		}
+		return p.streamRanges(bw, wholeKeyspace, snapSeq, &p.snapBytes)
+	}
+	ranges, err := p.serveAntiEntropy(bw, br, snapSeq)
 	if err != nil {
 		return err
 	}
-	var pageStart []byte
-	for {
-		kvs, err := p.DB.Scan(pageStart, p.snapshotPairs())
-		if err != nil {
-			return fmt.Errorf("repl: snapshot scan: %w", err)
+	return p.streamRanges(bw, ranges, snapSeq, &p.aeBytes)
+}
+
+// streamRanges streams the store's live pairs inside ranges (sorted and
+// disjoint) in key order as REPL_SNAPSHOT frames, every pair tagged with
+// snapSeq, and finishes with the done chunk. The payload bytes feed
+// counter. The primary-side I/O is bounded by the ranges, not the dataset.
+func (p *Primary) streamRanges(bw *bufio.Writer, ranges []keyRange, snapSeq uint64, counter *stats.Counter) error {
+	for _, r := range ranges {
+		for start := r.lo; ; {
+			kvs, err := p.DB.Scan(start, p.snapshotPairs())
+			if err != nil {
+				return fmt.Errorf("repl: snapshot scan: %w", err)
+			}
+			n := len(kvs)
+			if r.hi != nil {
+				n = sort.Search(n, func(i int) bool { return bytes.Compare(kvs[i].Key, r.hi) >= 0 })
+			}
+			if err := p.writeSnapshotKVs(bw, kvs[:n], snapSeq, counter); err != nil {
+				return err
+			}
+			if n < p.snapshotPairs() {
+				break // the store or the range ends in this page
+			}
+			start = keys.Successor(kvs[n-1].Key)
 		}
-		if len(kvs) == 0 {
-			break
-		}
-		if err := p.writeSnapshotKVs(bw, kvs, snapSeq, &p.snapBytes); err != nil {
-			return err
-		}
-		if len(kvs) < p.snapshotPairs() {
-			break
-		}
-		pageStart = keys.Successor(kvs[len(kvs)-1].Key)
 	}
 	return writeFrame(bw, wire.Frame{
 		Op: wire.OpReplSnapshot, Status: wire.StatusOK,
@@ -272,21 +276,21 @@ func (p *Primary) writeSnapshotKVs(bw *bufio.Writer, kvs []core.KV, snapSeq uint
 }
 
 // serveAntiEntropy drives the primary side of the Merkle repair
-// conversation, called with snapSeq pinned and before the ack reader
-// starts, so this is the only reader of br. Protocol:
+// conversation and returns the key ranges to stream. Protocol:
 //
 //  1. hello response, mode anti-entropy, carrying the pinned sequence;
 //  2. TREE_ROOT push with the primary tree's geometry and root digest;
 //  3. the follower walks: TREE_DIFF queries name node ids, the primary
 //     answers each with the digests;
 //  4. the walk ends with a TREE_DIFF carrying TreeDiffFetch and the
-//     divergent leaf ids (possibly none); the primary streams exactly
-//     those leaves' key ranges as REPL_SNAPSHOT chunks and finishes with
-//     the done chunk, after which the caller hands off to tailing.
-func (p *Primary) serveAntiEntropy(bw *bufio.Writer, br *bufio.Reader, snapSeq uint64) error {
-	snap, err := p.Tree.Snapshot(p.scanPairs, p.snapshotPairs())
+//     divergent leaf ids in ascending order (possibly none); their ranges,
+//     adjacent leaves merged, are what the caller streams.
+//
+// Both sides hash their stores from scratch at the start of the session.
+func (p *Primary) serveAntiEntropy(bw *bufio.Writer, br *bufio.Reader, snapSeq uint64) ([]keyRange, error) {
+	snap, err := merkle.BuildSnapshot(merkle.DefaultBits, scanPairs(p.DB), p.snapshotPairs())
 	if err != nil {
-		return fmt.Errorf("repl: merkle snapshot: %w", err)
+		return nil, fmt.Errorf("repl: merkle snapshot: %w", err)
 	}
 	p.aeSessions.Inc()
 	err = writeFrame(bw, wire.Frame{
@@ -294,35 +298,44 @@ func (p *Primary) serveAntiEntropy(bw *bufio.Writer, br *bufio.Reader, snapSeq u
 		Payload: wire.AppendReplHelloResp(nil, wire.ReplModeAntiEntropy, p.Log.Epoch(), snapSeq),
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	err = writeFrame(bw, wire.Frame{
 		Op: wire.OpTreeRoot, Status: wire.StatusOK,
 		Payload: wire.AppendTreeRoot(nil, snap.Bits(), snap.Root()),
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for {
 		f, err := wire.ReadFrame(br, wire.MaxFrame)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if f.Op != wire.OpTreeDiff {
-			return fmt.Errorf("repl: unexpected op %s during anti-entropy", f.Op)
+			return nil, fmt.Errorf("repl: unexpected op %s during anti-entropy", f.Op)
 		}
 		flags, ids, _, err := wire.DecodeTreeDiff(f.Payload)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if flags&wire.TreeDiffFetch != 0 {
-			return p.streamLeafRanges(bw, snap, ids, snapSeq)
+			for i, id := range ids {
+				if !snap.IsLeaf(id) {
+					return nil, fmt.Errorf("repl: fetch of non-leaf node %d", id)
+				}
+				if i > 0 && id <= ids[i-1] {
+					return nil, fmt.Errorf("repl: fetch leaves out of order at node %d", id)
+				}
+			}
+			p.aeLeaves.Add(uint64(len(ids)))
+			return leafRanges(snap, ids), nil
 		}
 		hashes := make([][wire.TreeHashLen]byte, len(ids))
 		for i, id := range ids {
 			h, ok := snap.Node(id)
 			if !ok {
-				return fmt.Errorf("repl: tree diff for node %d outside tree", id)
+				return nil, fmt.Errorf("repl: tree diff for node %d outside tree", id)
 			}
 			hashes[i] = h
 		}
@@ -332,81 +345,54 @@ func (p *Primary) serveAntiEntropy(bw *bufio.Writer, br *bufio.Reader, snapSeq u
 			Payload: wire.AppendTreeDiff(nil, wire.TreeDiffHashes, ids, hashes),
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 }
 
-// streamLeafRanges ships the named leaves' key ranges as snapshot chunks —
-// the primary-side I/O is bounded by the divergent ranges, not the
-// dataset — then the done chunk.
-func (p *Primary) streamLeafRanges(bw *bufio.Writer, snap *merkle.Snapshot, leafIDs []uint32, snapSeq uint64) error {
-	for _, id := range leafIDs {
-		if !snap.IsLeaf(id) {
-			return fmt.Errorf("repl: fetch of non-leaf node %d", id)
-		}
-	}
-	// Leaves sort by id == bucket order == global key order, so the stream
-	// stays ordered for the follower's sweep.
-	sorted := append([]uint32(nil), leafIDs...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	p.aeLeaves.Add(uint64(len(sorted)))
-	for _, id := range sorted {
+// keyRange is the closed-open user-key range [lo, hi) a catch-up stream
+// speaks for; nil lo is the keyspace start, nil hi its end.
+type keyRange struct{ lo, hi []byte }
+
+// wholeKeyspace is what a follower with no state is sent.
+var wholeKeyspace = []keyRange{{}}
+
+// leafRanges maps ascending leaf ids to their key ranges, one range per run
+// of adjacent leaves. Both sides of a repair derive the ranges from the
+// same fetch list, so the stream and the follower's sweep agree on them.
+func leafRanges(snap *merkle.Snapshot, ids []uint32) []keyRange {
+	var out []keyRange
+	for i, id := range ids {
 		lo, hi := snap.LeafSpan(id)
-		start := lo
-		for {
-			kvs, err := p.DB.Scan(start, p.snapshotPairs())
-			if err != nil {
-				return fmt.Errorf("repl: anti-entropy scan: %w", err)
-			}
-			fullPage := len(kvs) == p.snapshotPairs()
-			if len(kvs) > 0 {
-				start = keys.Successor(kvs[len(kvs)-1].Key)
-			}
-			if hi != nil {
-				n := 0
-				for _, kv := range kvs {
-					if bytes.Compare(kv.Key, hi) >= 0 {
-						fullPage = false // past the leaf: stop paging
-						break
-					}
-					kvs[n] = kv
-					n++
-				}
-				kvs = kvs[:n]
-			}
-			if err := p.writeSnapshotKVs(bw, kvs, snapSeq, &p.aeBytes); err != nil {
-				return err
-			}
-			if !fullPage {
-				break
-			}
+		if i > 0 && ids[i-1]+1 == id {
+			out[len(out)-1].hi = hi
+			continue
 		}
+		out = append(out, keyRange{lo, hi})
 	}
-	return writeFrame(bw, wire.Frame{
-		Op: wire.OpReplSnapshot, Status: wire.StatusOK,
-		Payload: wire.AppendReplSnapshot(nil, snapSeq, nil, true),
-	})
+	return out
 }
 
-// scanPairs adapts DB.Scan to the merkle package's pair stream.
-func (p *Primary) scanPairs(start []byte, limit int) ([]merkle.Pair, error) {
-	kvs, err := p.DB.Scan(start, limit)
-	if err != nil {
-		return nil, err
+// scanPairs adapts db.Scan to the merkle package's pair stream.
+func scanPairs(db *core.DB) merkle.ScanFunc {
+	return func(start []byte, limit int) ([]merkle.Pair, error) {
+		kvs, err := db.Scan(start, limit)
+		if err != nil {
+			return nil, err
+		}
+		pairs := make([]merkle.Pair, len(kvs))
+		for i, kv := range kvs {
+			pairs[i] = merkle.Pair{Key: kv.Key, Value: kv.Value}
+		}
+		return pairs, nil
 	}
-	pairs := make([]merkle.Pair, len(kvs))
-	for i, kv := range kvs {
-		pairs[i] = merkle.Pair{Key: kv.Key, Value: kv.Value}
-	}
-	return pairs, nil
 }
 
 // Status reports the log's view for stats rendering.
 func (p *Primary) Status() LogStatus { return p.Log.Status() }
 
 func writeFrame(bw *bufio.Writer, f wire.Frame) error {
-	if _, err := bw.Write(wire.AppendFrame(nil, f)); err != nil {
+	if err := wire.WriteFrame(bw, f); err != nil {
 		return err
 	}
 	return bw.Flush()

@@ -163,7 +163,7 @@ func TestReplHelloMustBeFirstFrame(t *testing.T) {
 	if err != nil || f.Status != wire.StatusOK {
 		t.Fatalf("ping: %+v %v", f, err)
 	}
-	sendFrame(t, nc, wire.Frame{Op: wire.OpReplHello, ID: 2, Payload: wire.AppendReplHelloReq(nil, 0, 0, 0)})
+	sendFrame(t, nc, wire.Frame{Op: wire.OpReplHello, ID: 2, Payload: wire.AppendReplHelloReq(nil, 0, 0)})
 	f, err = wire.ReadFrame(nc, wire.MaxFrame)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestReplHelloMustBeFirstFrame(t *testing.T) {
 func TestReplHelloRejectedWhenDisabled(t *testing.T) {
 	env := newTestEnv(t, nil) // no Repl configured
 	nc := rawDial(t, env.addr)
-	sendFrame(t, nc, wire.Frame{Op: wire.OpReplHello, ID: 1, Payload: wire.AppendReplHelloReq(nil, 0, 0, 0)})
+	sendFrame(t, nc, wire.Frame{Op: wire.OpReplHello, ID: 1, Payload: wire.AppendReplHelloReq(nil, 0, 0)})
 	f, err := wire.ReadFrame(nc, wire.MaxFrame)
 	if err != nil {
 		t.Fatal(err)

@@ -494,7 +494,7 @@ func (c *conn) serveRepl(f wire.Frame, first bool) {
 		refuse("REPL_HELLO must be the first frame")
 		return
 	}
-	epoch, lastApplied, flags, err := wire.DecodeReplHelloReq(f.Payload)
+	epoch, lastApplied, err := wire.DecodeReplHelloReq(f.Payload)
 	if err != nil {
 		refuse(err.Error())
 		return
@@ -503,7 +503,7 @@ func (c *conn) serveRepl(f wire.Frame, first bool) {
 	srv.stats.replActive.Add(1)
 	defer srv.stats.replActive.Add(-1)
 	srv.logf("conn %s: replication follower attached at seq %d", c.nc.RemoteAddr(), lastApplied)
-	if err := srv.cfg.Repl.ServeConn(c.nc, c.br, epoch, lastApplied, flags); err != nil && !srv.closing.Load() {
+	if err := srv.cfg.Repl.ServeConn(c.nc, c.br, epoch, lastApplied); err != nil && !srv.closing.Load() {
 		srv.logf("conn %s: replication stream ended: %v", c.nc.RemoteAddr(), err)
 	}
 }

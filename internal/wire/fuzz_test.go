@@ -22,8 +22,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	})}))
 	f.Add(AppendFrame(nil, Frame{Op: OpMGet, ID: 4, Payload: AppendMGetReq(nil, [][]byte{[]byte("x")})}))
 	f.Add(AppendFrame(nil, Frame{Op: OpScan, ID: 5, Payload: AppendScanReq(nil, []byte("s"), 10)}))
-	f.Add(AppendFrame(nil, Frame{Op: OpReplHello, ID: 7, Payload: AppendReplHelloReq(nil, 3, 12, 0)}))
-	f.Add(AppendFrame(nil, Frame{Op: OpReplHello, ID: 7, Payload: AppendReplHelloReq(nil, 3, 12, ReplFlagAntiEntropy)}))
+	f.Add(AppendFrame(nil, Frame{Op: OpReplHello, ID: 7, Payload: AppendReplHelloReq(nil, 3, 12)}))
+	// A hello with a non-zero flags byte, which the decoder ignores.
+	flagged := AppendReplHelloReq(nil, 3, 12)
+	flagged[1] = 1
+	f.Add(AppendFrame(nil, Frame{Op: OpReplHello, ID: 7, Payload: flagged}))
 	f.Add(AppendFrame(nil, Frame{Op: OpReplHello, Status: StatusOK, ID: 7, Payload: AppendReplHelloResp(nil, ReplModeSnapshot, 3, 12)}))
 	f.Add(AppendFrame(nil, Frame{Op: OpReplFrame, ID: 8, Payload: AppendReplFrame(nil, 9, []BatchOp{
 		{Key: []byte("r"), Value: []byte("1")}, {Key: []byte("s"), Delete: true},

@@ -7,28 +7,28 @@ import (
 
 // Replication payloads. The stream is: follower sends REPL_HELLO as the
 // first frame of its connection; the primary answers with a hello response
-// choosing tail or snapshot mode; REPL_SNAPSHOT and REPL_FRAME frames are
-// then pushed primary→follower, while the follower reports progress with
-// REPL_ACK frames flowing the other way on the same connection.
+// choosing a mode from the follower's position alone: tail when its log
+// still holds everything past lastApplied, otherwise a snapshot of the whole
+// keyspace for a follower with no state, or the anti-entropy conversation
+// (TREE_ROOT, then TREE_DIFF queries) that picks the key ranges to stream
+// for one with state. REPL_SNAPSHOT and REPL_FRAME frames are then pushed
+// primary→follower, while the follower reports progress with REPL_ACK
+// frames flowing the other way on the same connection.
 
 // ReplProtoVersion is the replication stream version carried in HELLO.
 const ReplProtoVersion = 3
 
-// Hello capability flags.
-const (
-	// ReplFlagAntiEntropy advertises that the follower can run the
-	// Merkle-tree repair conversation instead of a full snapshot.
-	ReplFlagAntiEntropy = 1 << 0
-)
-
 // Snapshot modes carried in the hello response.
 const (
 	ReplModeTail        = 0 // log retains everything past lastApplied: tail it
-	ReplModeSnapshot    = 1 // fell off the window: full snapshot, then tail
+	ReplModeSnapshot    = 1 // fell off the window with no state: full snapshot, then tail
 	ReplModeAntiEntropy = 2 // fell off the window with state: Merkle repair, then tail
 )
 
 // --- REPL_HELLO request: version | flags | epoch | lastApplied ---
+//
+// The flags byte is sent as 0 and ignored on receipt; it once advertised
+// the anti-entropy capability, which every follower now has.
 
 // AppendReplHelloReq encodes a follower's subscription request. epoch is
 // the write-lineage identifier of the log the follower last replicated
@@ -36,33 +36,32 @@ const (
 // sequence it has durably applied (0 for a fresh follower). A primary only
 // grants tail mode when the epoch matches its own log's epoch or the
 // follower holds no state at all.
-func AppendReplHelloReq(dst []byte, epoch, lastApplied uint64, flags uint8) []byte {
-	dst = append(dst, ReplProtoVersion, flags)
+func AppendReplHelloReq(dst []byte, epoch, lastApplied uint64) []byte {
+	dst = append(dst, ReplProtoVersion, 0)
 	dst = binary.AppendUvarint(dst, epoch)
 	return binary.AppendUvarint(dst, lastApplied)
 }
 
 // DecodeReplHelloReq decodes a REPL_HELLO request payload.
-func DecodeReplHelloReq(p []byte) (epoch, lastApplied uint64, flags uint8, err error) {
+func DecodeReplHelloReq(p []byte) (epoch, lastApplied uint64, err error) {
 	if len(p) < 2 {
-		return 0, 0, 0, fmt.Errorf("%w: short hello", ErrBadPayload)
+		return 0, 0, fmt.Errorf("%w: short hello", ErrBadPayload)
 	}
 	if p[0] != ReplProtoVersion {
-		return 0, 0, 0, fmt.Errorf("%w: repl proto version %d", ErrBadPayload, p[0])
+		return 0, 0, fmt.Errorf("%w: repl proto version %d", ErrBadPayload, p[0])
 	}
-	flags = p[1]
 	epoch, rest, err := getUvarint(p[2:])
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	lastApplied, rest, err = getUvarint(rest)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	if len(rest) != 0 {
-		return 0, 0, 0, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, len(rest))
+		return 0, 0, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, len(rest))
 	}
-	return epoch, lastApplied, flags, nil
+	return epoch, lastApplied, nil
 }
 
 // --- REPL_HELLO response: mode | epoch | startSeq ---
@@ -234,7 +233,8 @@ func DecodeTreeRoot(p []byte) (bits int, root [TreeHashLen]byte, err error) {
 // me these nodes' hashes"); the primary answers with TreeDiffHashes set and
 // the digests appended. The walk ends with a TreeDiffFetch request naming
 // the divergent leaf ids, which the primary answers with REPL_SNAPSHOT
-// chunks restricted to those leaf ranges.
+// chunks restricted to those leaf ranges, adjacent leaves streamed as one
+// range.
 
 // TREE_DIFF flags.
 const (

@@ -7,33 +7,35 @@ import (
 
 func TestReplHelloRoundTrip(t *testing.T) {
 	for _, seq := range []uint64{0, 1, 1 << 40} {
-		for _, flags := range []uint8{0, ReplFlagAntiEntropy} {
-			p := AppendReplHelloReq(nil, seq*3+1, seq, flags)
-			if p[0] != ReplProtoVersion || p[1] != flags {
-				t.Fatalf("hello opens %d %d, want version %d flags %d", p[0], p[1], ReplProtoVersion, flags)
-			}
-			epoch, got, gotFlags, err := DecodeReplHelloReq(p)
-			if err != nil || got != seq || epoch != seq*3+1 || gotFlags != flags {
-				t.Fatalf("hello req %d/%d: got epoch %d seq %d flags %d err %v", seq, flags, epoch, got, gotFlags, err)
+		p := AppendReplHelloReq(nil, seq*3+1, seq)
+		if p[0] != ReplProtoVersion || p[1] != 0 {
+			t.Fatalf("hello opens %d %d, want version %d flags 0", p[0], p[1], ReplProtoVersion)
+		}
+		// The flags byte is ignored on receipt, whatever it holds.
+		for _, flags := range []uint8{0, 1} {
+			p[1] = flags
+			epoch, got, err := DecodeReplHelloReq(p)
+			if err != nil || got != seq || epoch != seq*3+1 {
+				t.Fatalf("hello req %d/%d: got epoch %d seq %d err %v", seq, flags, epoch, got, err)
 			}
 		}
 	}
-	if _, _, _, err := DecodeReplHelloReq(nil); err == nil {
+	if _, _, err := DecodeReplHelloReq(nil); err == nil {
 		t.Fatal("empty hello accepted")
 	}
-	if _, _, _, err := DecodeReplHelloReq([]byte{99, 0, 0}); err == nil {
+	if _, _, err := DecodeReplHelloReq([]byte{99, 0, 0}); err == nil {
 		t.Fatal("bad version accepted")
 	}
-	if _, _, _, err := DecodeReplHelloReq(append(AppendReplHelloReq(nil, 3, 7, 0), 0)); err == nil {
+	if _, _, err := DecodeReplHelloReq(append(AppendReplHelloReq(nil, 3, 7), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
-	if _, _, _, err := DecodeReplHelloReq([]byte{ReplProtoVersion, 0, 5}); err == nil {
+	if _, _, err := DecodeReplHelloReq([]byte{ReplProtoVersion, 0, 5}); err == nil {
 		t.Fatal("truncated hello accepted")
 	}
-	if _, _, _, err := DecodeReplHelloReq([]byte{ReplProtoVersion}); err == nil {
+	if _, _, err := DecodeReplHelloReq([]byte{ReplProtoVersion}); err == nil {
 		t.Fatal("hello without flags byte accepted")
 	}
-	if _, _, _, err := DecodeReplHelloReq([]byte{2, 3, 7}); err == nil {
+	if _, _, err := DecodeReplHelloReq([]byte{2, 3, 7}); err == nil {
 		t.Fatal("flags-free version-2 hello accepted")
 	}
 

@@ -7,11 +7,12 @@
 # acknowledged key to be readable from the promoted node. Exit 0 means
 # failover lost nothing that was acked and no session read was ever stale.
 #
-# A second act covers anti-entropy rejoin: a -anti-entropy pair where the
+# A second act covers anti-entropy rejoin: a default pair where the
 # follower is SIGSTOPped off the retained window while a small set of keys
-# churns, then resumed — the redial must repair via the Merkle conversation,
-# moving fewer bytes than the full-snapshot baseline (a fresh follower
-# attached to the same primary) and converging byte-identically.
+# churns, then resumed — the follower holds state, so the redial must
+# repair via the Merkle conversation, moving fewer bytes than the
+# full-snapshot baseline (a fresh follower attached to the same primary)
+# and converging byte-identically.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -172,12 +173,12 @@ fi
 FPID_D=""
 
 echo "== act 2: anti-entropy rejoin (tiny retained log, compressed cold tier) =="
-"$BIN/hyperd" -addr "$AE_PRIMARY" -role primary -repl-sync -anti-entropy \
+"$BIN/hyperd" -addr "$AE_PRIMARY" -role primary -repl-sync \
   -repl-log-entries 8 -repl-ack-timeout 1s -compress on -unthrottled \
   -nvme $((32 << 20)) -sata $((1 << 30)) -partitions 4 &
 APID_D=$!
 "$BIN/hyperd" -addr "$AE_FOLLOWER" -role follower -upstream "$AE_PRIMARY" \
-  -anti-entropy -compress on -unthrottled \
+  -compress on -unthrottled \
   -nvme $((32 << 20)) -sata $((1 << 30)) -partitions 4 &
 AFPID_D=$!
 actl() { "$BIN/hyperctl" "$1" -addr "$AE_PRIMARY" "${@:2}"; }
@@ -210,7 +211,7 @@ ae_wait_lag0 1 "ae initial load"
 
 echo "== ae: full-snapshot byte baseline from a fresh follower =="
 "$BIN/hyperd" -addr "$AE_FRESH" -role follower -upstream "$AE_PRIMARY" \
-  -anti-entropy -compress on -unthrottled \
+  -compress on -unthrottled \
   -nvme $((32 << 20)) -sata $((1 << 30)) -partitions 4 &
 AXPID_D=$!
 wait_up ae-fresh "$AXPID_D" axtl
